@@ -9,43 +9,27 @@ Environment knobs:
 
 * ``REPRO_BENCH_SCALE``         dataset scale (default 1.0)
 * ``REPRO_BENCH_LATENCY_SCALE`` launch-latency scale (default 0.25)
-* ``REPRO_BENCH_CORE``          execution core (reference/fast/vector;
-  default: the config's default core)
 * ``REPRO_BENCH_EXPORT_DIR``    if set, write every grid figure as CSV +
   a combined experiments.json into this directory at session end
 """
 
-import dataclasses
 import os
 
 import pytest
 
-from repro.config import GPUConfig
 from repro.harness.runner import DEFAULT_LATENCY_SCALE, run_grid
 
 BENCH_SCALE = float(os.environ.get("REPRO_BENCH_SCALE", "1.0"))
 BENCH_LATENCY_SCALE = float(
     os.environ.get("REPRO_BENCH_LATENCY_SCALE", str(DEFAULT_LATENCY_SCALE))
 )
-BENCH_CORE = os.environ.get("REPRO_BENCH_CORE")
 EXPORT_DIR = os.environ.get("REPRO_BENCH_EXPORT_DIR")
-
-
-def bench_config():
-    """The grid's GPU configuration, honouring ``REPRO_BENCH_CORE``."""
-    if BENCH_CORE:
-        return dataclasses.replace(GPUConfig.k20c(), core=BENCH_CORE)
-    return None  # runner default (K20c with the default core)
 
 
 @pytest.fixture(scope="session")
 def grid():
     """The full evaluation grid, simulated once per session."""
-    result = run_grid(
-        scale=BENCH_SCALE,
-        latency_scale=BENCH_LATENCY_SCALE,
-        config=bench_config(),
-    )
+    result = run_grid(scale=BENCH_SCALE, latency_scale=BENCH_LATENCY_SCALE)
     yield result
     if EXPORT_DIR:
         from repro.harness.experiments import (

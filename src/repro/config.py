@@ -15,14 +15,12 @@ from __future__ import annotations
 
 import hashlib
 import json
-import warnings
 from dataclasses import asdict, dataclass, fields, replace
-from typing import Optional
 
 from .errors import ConfigError
 
 #: Valid :attr:`GPUConfig.core` selections.
-_CORES = frozenset({"reference", "fast", "vector"})
+CORES = ("reference", "fast")
 
 #: Number of threads in a warp (SIMD width).  Fixed by the architecture.
 WARP_SIZE = 32
@@ -226,18 +224,11 @@ class GPUConfig:
 
     # ----- Simulator execution core ----------------------------------------
     #: Execution core selection: ``"reference"`` (the per-instruction
-    #: oracle interpreter, :mod:`repro.sim.warp`), ``"fast"`` (pre-decoded
-    #: per-opcode kernels plus the event-driven scheduler,
-    #: :mod:`repro.sim.fast_warp`) or ``"vector"`` (the fast core plus
-    #: cross-warp SoA group dispatch, :mod:`repro.sim.vector_warp`).  All
-    #: three are stat-exact with one another; ``None`` resolves to the
-    #: legacy ``fast_core`` flag, defaulting to ``"fast"``.
-    core: Optional[str] = None
-    #: Deprecated boolean predecessor of :attr:`core` (``True`` -> "fast",
-    #: ``False`` -> "reference").  Setting it without ``core`` emits a
-    #: DeprecationWarning; setting both to conflicting values is an error.
-    #: Use :attr:`execution_core` to read the resolved selection.
-    fast_core: Optional[bool] = None
+    #: oracle interpreter, :mod:`repro.sim.warp`) or ``"fast"``
+    #: (pre-decoded per-opcode kernels plus the event-driven scheduler,
+    #: :mod:`repro.sim.fast_warp`).  The two are stat-exact with one
+    #: another.
+    core: str = "fast"
     #: Enable the execution sanitizer (:mod:`repro.sim.sanitizer`): shadow-
     #: state data-race detection, out-of-bounds / use-after-free checks
     #: against the allocator's live-range map, uninitialized-read tracking,
@@ -256,26 +247,10 @@ class GPUConfig:
     dtbl_pending_group_bytes: int = 256
 
     def __post_init__(self) -> None:
-        if self.core is not None and self.core not in _CORES:
+        if self.core not in CORES:
             raise ConfigError(
-                f"core must be one of {sorted(_CORES)}, got {self.core!r}"
+                f"core must be one of {CORES}, got {self.core!r}"
             )
-        if self.fast_core is not None:
-            legacy = "fast" if self.fast_core else "reference"
-            if self.core is None:
-                warnings.warn(
-                    "GPUConfig.fast_core is deprecated; use "
-                    f"core={legacy!r} instead",
-                    DeprecationWarning,
-                    stacklevel=3,
-                )
-            elif self.core != legacy and not (
-                self.core == "vector" and self.fast_core
-            ):
-                raise ConfigError(
-                    f"core={self.core!r} conflicts with "
-                    f"fast_core={self.fast_core!r}"
-                )
         if self.num_smx <= 0:
             raise ConfigError("num_smx must be positive")
         if self.max_resident_threads % WARP_SIZE:
@@ -326,20 +301,6 @@ class GPUConfig:
             allow_nan=False,
         )
         return hashlib.sha256(f"GPUConfig:{doc}".encode("utf-8")).hexdigest()
-
-    @property
-    def execution_core(self) -> str:
-        """The resolved core selection: "reference", "fast" or "vector".
-
-        ``core`` wins when set; otherwise the deprecated ``fast_core``
-        boolean maps to "fast"/"reference"; with neither set the default
-        is the fast core.
-        """
-        if self.core is not None:
-            return self.core
-        if self.fast_core is not None:
-            return "fast" if self.fast_core else "reference"
-        return "fast"
 
     @property
     def max_resident_warps(self) -> int:

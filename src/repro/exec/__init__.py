@@ -36,13 +36,7 @@ from .cli import (
     add_job_flags,
     validate_execution_flags,
 )
-from .pool import (
-    EngineStats,
-    ProgressEvent,
-    SweepEngine,
-    SweepError,
-    execute_job,
-)
+from .pool import EngineStats, ProgressEvent, SweepEngine, SweepError
 
 #: Backwards-compatible alias (the original name of the job model).
 SweepJob = JobSpec
@@ -65,7 +59,6 @@ __all__ = [
     "add_job_flags",
     "canonical_json",
     "digest",
-    "execute_job",
     "run_job",
     "validate_execution_flags",
 ]

@@ -20,6 +20,7 @@ from __future__ import annotations
 import argparse
 from typing import Optional
 
+from ..config import CORES
 from .cache import DEFAULT_CACHE_DIR
 
 #: Default directory for ``--checkpoint-every`` / ``--resume`` state.
@@ -37,10 +38,10 @@ def add_job_flags(
                         help="Table 3 launch-latency scale "
                              f"(default {latency_scale_default})")
     parser.add_argument("--core", default=None,
-                        choices=("reference", "fast", "vector"),
+                        choices=CORES,
                         help="execution core for every simulation "
-                             "(default: the config's default core); all "
-                             "three are statistic-exact")
+                             "(default: fast); the two are "
+                             "statistic-exact")
     parser.add_argument("--sanitize", action="store_true",
                         help="run every simulation with the execution "
                              "sanitizer (race/OOB/uninit/barrier/launch "

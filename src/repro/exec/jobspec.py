@@ -19,10 +19,7 @@ cache key.  The digest prefix and document layout are unchanged from the
 original ``SweepJob`` model, so fingerprints — and with them all existing
 cache entries and checkpoint filenames — are stable across the rename.
 
-``SweepJob`` remains importable as an alias of :class:`JobSpec`; the
-deprecated keyword bundles on :func:`repro.exec.pool.execute_job` and
-:meth:`repro.workloads.base.Workload.execute` are thin shims over this
-module (they emit :class:`DeprecationWarning`).
+``SweepJob`` remains importable as an alias of :class:`JobSpec`.
 """
 
 from __future__ import annotations

@@ -50,7 +50,6 @@ from __future__ import annotations
 
 import os
 import time
-import warnings
 from collections import deque
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
@@ -62,41 +61,6 @@ from .jobspec import JobSpec, run_job
 
 class SweepError(RuntimeError):
     """The engine could not complete a sweep (fallback disabled)."""
-
-
-def _warn_legacy_checkpoint_kwargs(where: str) -> None:
-    warnings.warn(
-        f"passing checkpoint_every/checkpoint_dir/resume to {where} is "
-        "deprecated; put the execution policy on the JobSpec itself "
-        "(JobSpec.create(..., checkpoint_every=, checkpoint_dir=, resume=) "
-        "or spec.with_policy(...)) and use repro.exec.run_job",
-        DeprecationWarning,
-        stacklevel=3,
-    )
-
-
-def execute_job(
-    job: JobSpec,
-    checkpoint_every: Optional[int] = None,
-    checkpoint_dir=None,
-    resume: bool = False,
-    on_checkpoint=None,
-) -> dict:
-    """Deprecated shim: run one spec in-process; JSON-safe payload.
-
-    The canonical path is :func:`repro.exec.jobspec.run_job`, which reads
-    the checkpoint policy from the spec.  This wrapper keeps the PR-5
-    keyword bundle working — merging the keywords into the spec — but
-    warns when any of them is used.
-    """
-    if checkpoint_every is not None or checkpoint_dir is not None or resume:
-        _warn_legacy_checkpoint_kwargs("execute_job")
-        job = job.with_policy(
-            checkpoint_every=checkpoint_every,
-            checkpoint_dir=checkpoint_dir,
-            resume=resume or None,
-        )
-    return run_job(job, on_checkpoint=on_checkpoint).to_payload()
 
 
 def _test_fault_hook(job: JobSpec) -> None:
@@ -209,8 +173,6 @@ class SweepEngine:
         fallback: bool = True,
         mp_context=None,
         executor_factory=None,
-        checkpoint_every: Optional[int] = None,
-        checkpoint_dir=None,
     ) -> None:
         if max_workers < 1:
             raise ValueError("max_workers must be >= 1")
@@ -218,24 +180,9 @@ class SweepEngine:
         self.job_timeout = job_timeout
         self.max_retries = max_retries
         self.fallback = fallback
-        # Deprecated engine-level checkpoint policy: specs carry their
-        # own.  Kept as a default applied to specs that have none.
-        if checkpoint_every is not None or checkpoint_dir is not None:
-            _warn_legacy_checkpoint_kwargs("SweepEngine")
-        self.checkpoint_every = checkpoint_every
-        self.checkpoint_dir = checkpoint_dir
         self._mp_context = mp_context
         self._executor_factory = executor_factory or self._default_factory
         self.stats = EngineStats()
-
-    def _effective_spec(self, spec: JobSpec) -> JobSpec:
-        """Apply the (deprecated) engine-level default checkpoint policy."""
-        if spec.checkpoint_every is None and spec.checkpoint_dir is None:
-            spec = spec.with_policy(
-                checkpoint_every=self.checkpoint_every,
-                checkpoint_dir=self.checkpoint_dir,
-            )
-        return spec
 
     # ------------------------------------------------------------------
     # Pool lifecycle
@@ -284,7 +231,6 @@ class SweepEngine:
         absorbed by the in-process fallback.
         """
         self.stats = EngineStats()
-        jobs = [self._effective_spec(spec) for spec in jobs]
         total = len(jobs)
         results: List[Optional[dict]] = [None] * total
         if total == 0:

@@ -71,18 +71,3 @@ def straight_line_regions(
         regions.append((start, len(instructions) - start))
     return regions
 
-
-def vectorizable_spans(
-    instructions,
-    fusable: Callable[[int, Instr], bool],
-) -> List[Tuple[int, int]]:
-    """Maximal straight-line spans for the vector core's row tables.
-
-    Same discovery as :func:`straight_line_regions` but with
-    ``min_length=1``: a group of warps amortizes dispatch cost across
-    the *warp* axis, so even a single vectorizable instruction is worth
-    a row.  The vector decode additionally emits a suffix row for every
-    offset into each span returned here, so warps that single-stepped
-    partway into a span can still group on the remainder.
-    """
-    return straight_line_regions(instructions, fusable, min_length=1)

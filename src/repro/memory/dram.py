@@ -199,53 +199,6 @@ class MemorySubsystem:
         cstats.misses += acc - hits
         return completion
 
-    def warp_access_batch(self, jobs, is_write: bool):
-        """Service a group of warp accesses in one pass (vector core).
-
-        ``jobs`` is a sequence of ``(segments, cycle)`` pairs for one
-        grouped memory instruction — same ascending-segment contract as
-        :meth:`warp_access_list`, and the pairs must be in global time
-        order (ascending ``cycle``) because DRAM bank/row state and the
-        L2's LRU evolve with access order.  Returns the per-job
-        completion cycles.  Semantically identical to calling
-        :meth:`warp_access_list` once per job; hoisting the L2 locals
-        and stats flush across the whole group is the point.
-        """
-        l2 = self.l2
-        l2_hit = self._config.l2_hit_latency
-        transit = self._config.dram_base_latency
-        service = self.dram.service
-        sets = l2._sets
-        num_sets = l2.num_sets
-        assoc = l2.assoc
-        cstats = l2.stats
-        acc = hits = 0
-        out = []
-        for segments, cycle in jobs:
-            completion = cycle + l2_hit
-            arrival = completion + transit
-            for segment in segments:
-                ways = sets[segment % num_sets]
-                tag = segment // num_sets
-                acc += 1
-                if tag in ways:
-                    del ways[tag]
-                    ways[tag] = None
-                    hits += 1
-                    continue
-                if len(ways) >= assoc:
-                    del ways[next(iter(ways))]
-                    cstats.evictions += 1
-                ways[tag] = None
-                done = service(segment, is_write, arrival)
-                if done > completion:
-                    completion = done
-            out.append(completion)
-        cstats.accesses += acc
-        cstats.hits += hits
-        cstats.misses += acc - hits
-        return out
-
     def read_latency(self, segment: int, cycle: int) -> int:
         """Latency path for a single internal read (e.g. AGT spill fetch)."""
         return self.warp_access(np.asarray([segment], dtype=np.int64), False, cycle)

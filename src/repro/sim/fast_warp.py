@@ -1,8 +1,7 @@
 """The fast execution core's warp interpreter.
 
 :class:`FastWarp` is a drop-in :class:`~repro.sim.warp.Warp` subclass used
-when ``GPUConfig.core`` resolves to ``"fast"`` (the default) and extended
-by the SoA vector core (``core="vector"``).  It executes the same
+when ``GPUConfig.core`` is ``"fast"`` (the default).  It executes the same
 instruction semantics as the reference interpreter — bit-for-bit on the
 architectural state and cycle-for-cycle on the timing model — but removes
 the per-step interpretation overhead three ways:
@@ -965,7 +964,8 @@ class FastWarp(Warp):
         table, n_int, n_flt, regions = decode_program(func.program)
         self._table = table
         self._regions = regions
-        self._alloc_registers(n_int, n_flt)
+        self.regs_i = np.zeros((n_int, WARP_SIZE), dtype=np.int64)
+        self.regs_f = np.zeros((n_flt, WARP_SIZE), dtype=np.float64)
 
         bx, by, _bz = tb.block_dims
         threads = tb.block_threads
@@ -982,12 +982,6 @@ class FastWarp(Warp):
         self.ready_cycle = 0
         self.finished = False
         self.at_barrier = False
-
-    def _alloc_registers(self, n_int: int, n_flt: int) -> None:
-        """Allocate private register banks (the vector core overrides
-        this to hand out views into the per-program SoA slab)."""
-        self.regs_i = np.zeros((n_int, WARP_SIZE), dtype=np.int64)
-        self.regs_f = np.zeros((n_flt, WARP_SIZE), dtype=np.float64)
 
     def step(self, cycle: int) -> None:
         """Execute one decoded instruction for the active frame's lanes."""

@@ -175,16 +175,9 @@ class GPU:
         self._checkpoint_path = None
         self._on_checkpoint = None
         self._checkpoint_fingerprint: Optional[str] = None
-        #: Execution-core selection (see :attr:`GPUConfig.core`): the
-        #: vector core is the fast core plus SoA group dispatch, so
-        #: ``fast_core`` (the event-driven main loop) covers both.
-        core = self.config.execution_core
-        self.fast_core = core != "reference"
-        self.vector_core = core == "vector"
-        #: Vector core: per-program SoA register slabs, keyed by
-        #: ``id(program)`` (each slab holds a strong reference to its
-        #: program, so ids cannot be recycled while registered).
-        self._vector_slabs: Dict[int, "RegisterSlab"] = {}
+        #: Execution-core selection (see :attr:`GPUConfig.core`): true
+        #: for the event-driven main loop over pre-decoded warps.
+        self.fast_core = self.config.core == "fast"
         #: Fast core: per-SMX earliest wake-up cycle (``_FAR_FUTURE`` =
         #: idle), fed by :meth:`_notify_smx_ready`.  Entries may be
         #: conservatively early; an SMX woken with nothing to do simply
@@ -197,21 +190,6 @@ class GPU:
         self._gheap: Optional[list] = [] if self.fast_core else None
         # Per-SMX local-memory arenas, allocated lazily on first use.
         self._local_arenas: List[Optional[int]] = [None] * self.config.num_smx
-
-    def _vector_slab(self, program, n_int: int, n_flt: int) -> "RegisterSlab":
-        """The SoA register slab for ``program`` (created on first use).
-
-        Sized for the GPU-wide resident-warp maximum up front: the slab
-        must never grow, because live warps hold 2-D views into it.
-        """
-        slabs = self._vector_slabs
-        slab = slabs.get(id(program))
-        if slab is None:
-            from .vector_warp import RegisterSlab
-
-            rows = self.config.num_smx * self.config.max_resident_warps
-            slab = slabs[id(program)] = RegisterSlab(program, rows, n_int, n_flt)
-        return slab
 
     def local_arena_base(self, smx_id: int) -> int:
         """Base address of an SMX's local-memory arena (lazy allocation).
@@ -438,26 +416,6 @@ class GPU:
         inline_mem = (
             free_ok and cfg.l1_hit_latency >= 1 and cfg.l2_hit_latency >= 1
         )
-        # Vector-core group dispatch preconditions: GTO (grouping relies
-        # on stable ages), no sanitizer (it observes the global
-        # interleaving), a tracer only if it declares itself
-        # order-insensitive, and latencies that make the cohort-lag
-        # bound meaningful (see GroupDispatcher).  Unlike free_ok this
-        # tolerates a group-safe tracer, so profiling keeps the batched
-        # path.
-        dispatcher = None
-        if (
-            self.vector_core
-            and not round_robin
-            and self.sanitizer is None
-            and (self.tracer is None or getattr(self.tracer, "group_safe", False))
-            and cfg.alu_latency >= 1
-            and cfg.sfu_latency >= 1
-            and cfg.l2_hit_latency >= 1
-        ):
-            from .smx_scheduler import GroupDispatcher
-
-            dispatcher = GroupDispatcher(self)
         n = len(smxs)
         issue_at = [-1] * n  # last cycle each SMX issued at ...
         issued_n = [0] * n  # ... and how many issues it made there
@@ -477,24 +435,6 @@ class GPU:
             # the reference loop's next iteration.
             while events and events[0][0] <= cycle:
                 heappop(events)[2](cycle)
-            # Vector core: try to issue the whole due set as SoA warp
-            # groups.  On success nothing is left due at this cycle and
-            # the pop loop below falls straight through to the advance.
-            # The peek guard needs at least two entries due now; the
-            # heap invariant puts the second-smallest key at index 1 or
-            # 2, so this filters single-warp cycles without popping
-            # (stale entries can only make it pass spuriously — the
-            # dispatcher re-checks).
-            if (
-                dispatcher is not None
-                and len(gheap) > 1
-                and gheap[0][0] <= cycle
-                and (
-                    gheap[1][0] <= cycle
-                    or (len(gheap) > 2 and gheap[2][0] <= cycle)
-                )
-            ):
-                dispatcher.try_dispatch(cycle, watchdog_horizon)
             # Issue every warp due at this cycle, in reference order.
             while gheap:
                 entry = gheap[0]

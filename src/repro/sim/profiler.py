@@ -63,11 +63,6 @@ class RegionCost:
 class HotPathProfiler(Tracer):
     """Attribute simulated issues and host wall-time to opcodes/regions."""
 
-    #: All counters are order-insensitive sums, so the vector core may
-    #: keep grouping enabled while profiling; :meth:`on_group` folds a
-    #: whole group into the aggregates in one call.
-    group_safe = True
-
     def __init__(self, clock=time.perf_counter) -> None:
         self.opcodes: Dict[Opcode, OpcodeCost] = {}
         self.regions: Dict[Tuple[str, int], RegionCost] = {}
@@ -75,12 +70,6 @@ class HotPathProfiler(Tracer):
         self.fused_instructions = 0
         #: Total fused-region executions (one per region entry).
         self.fused_executions = 0
-        #: Total instructions issued through vector-core group dispatch
-        #: (a subset of the issue total; multi-op group rows also count
-        #: toward the fused totals so region accounting stays closed).
-        self.group_instructions = 0
-        #: Total group-dispatch batch executions (one per row per group).
-        self.group_executions = 0
         self._clock = clock
         self._prev: Optional[object] = None  # OpcodeCost | RegionCost
         self._prev_t: float = 0.0
@@ -127,45 +116,6 @@ class HotPathProfiler(Tracer):
         rcost.executions += 1
         self._charge(rcost)
 
-    def on_group(self, warps, pc, region, starts, actives) -> None:
-        # One batch over g warps: every warp issued every member opcode
-        # with its own active-lane count, so per-opcode issue/lane totals
-        # stay equal to SimStats.  Multi-op rows reuse the fused-region
-        # accounting (executions += g keeps the executions x length
-        # identity) with host time attributed to the region as a unit;
-        # single-op rows are plain issues.
-        g = len(warps)
-        n_lanes = sum(actives)
-        opcodes = self.opcodes
-        self.group_instructions += region.length * g
-        self.group_executions += 1
-        if region.length == 1:
-            opcode = region.ops[0]
-            cost = opcodes.get(opcode)
-            if cost is None:
-                cost = opcodes[opcode] = OpcodeCost()
-            cost.issues += g
-            cost.lanes += n_lanes
-            self._charge(cost)
-            return
-        for opcode in region.ops:
-            cost = opcodes.get(opcode)
-            if cost is None:
-                cost = opcodes[opcode] = OpcodeCost()
-            cost.issues += g
-            cost.lanes += n_lanes
-            cost.fused_issues += g
-        self.fused_instructions += region.length * g
-        self.fused_executions += g
-        key = (warps[0].tb.func.name, region.start)
-        rcost = self.regions.get(key)
-        if rcost is None:
-            rcost = self.regions[key] = RegionCost(
-                key[0], region.start, region.length, region.ops
-            )
-        rcost.executions += g
-        self._charge(rcost)
-
     # ------------------------------------------------------------------
     # Reporting
     # ------------------------------------------------------------------
@@ -184,8 +134,6 @@ class HotPathProfiler(Tracer):
             "total_lanes": self.total_lanes,
             "fused_instructions": self.fused_instructions,
             "fused_executions": self.fused_executions,
-            "group_instructions": self.group_instructions,
-            "group_executions": self.group_executions,
             "opcodes": {
                 opcode.name.lower(): {
                     "issues": cost.issues,
@@ -226,12 +174,6 @@ class HotPathProfiler(Tracer):
             f"in {self.fused_executions:,} region executions   "
             f"host {host_total * 1e3:.1f}ms attributed"
         )
-        if self.group_instructions:
-            lines.append(
-                f"grouped {self.group_instructions:,} "
-                f"({100.0 * self.group_instructions / total if total else 0.0:.1f}%) "
-                f"in {self.group_executions:,} batch executions (vector core)"
-            )
         lines.append(f"{'opcode':<14s} {'issues':>12s} {'fused%':>7s} "
                      f"{'lanes/issue':>11s} {'host_ms':>9s} {'issue%':>7s}")
         by_issues = sorted(self.opcodes.items(), key=lambda kv: -kv[1].issues)

@@ -162,9 +162,6 @@ class SMX:
         self.free_shared += tb.func.shared_words * WORD_BYTES
         for warp in tb.warps:
             self._free_slots.append(warp.context_slot)
-        if self.gpu.vector_core:
-            for warp in tb.warps:
-                warp.release_slab()
         self.blocks.remove(tb)
         if self.gpu.sanitizer is not None:
             self.gpu.sanitizer.on_block_finished(tb, cycle)

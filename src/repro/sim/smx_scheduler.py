@@ -7,19 +7,10 @@ SMXs with free resources, and processes aggregation operation commands:
 eligible-kernel search, AGT allocation via the single-probe hash, the
 NAGEI/LAGEI scheduling pool, and the fall-back to a device-kernel launch
 when no eligible kernel exists.
-
-The module also hosts :class:`GroupDispatcher`, the vector core's
-cross-warp issue scheduler: at each visited cycle it tries to take *all*
-due warps off the GPU-wide ready heap at once and execute them as
-homogeneous SoA batches (see :mod:`repro.sim.vector_warp`), falling back
-to the ordinary one-warp-at-a-time pop loop whenever the due set is not
-provably groupable.
 """
 
 from __future__ import annotations
 
-import heapq
-import operator
 from collections import deque
 from typing import TYPE_CHECKING, Deque, List, Optional, Sequence, Tuple
 
@@ -30,11 +21,6 @@ from .kernel import dims_total
 from .kernel_distributor import KDEEntry
 from .kmu import DeviceLaunchSpec
 from .stats import LaunchKind, LaunchRecord
-from .vector_warp import (
-    execute_alu_batch,
-    execute_control_batch,
-    execute_mem_batch,
-)
 
 if TYPE_CHECKING:  # pragma: no cover
     from .gpu import GPU
@@ -297,463 +283,3 @@ class SMXScheduler:
             else:
                 self.notify(cycle)
 
-
-#: Global time order for grouped memory accesses: ascending issue
-#: cycle, ties in pop order.
-_MEM_ORDER = operator.itemgetter(0, 1)
-_START_ORDER = operator.itemgetter(0)
-
-#: Issue count at which a successful dispatch clearly beats the pop
-#: loop's per-instruction path.  An attempt costs on the order of thirty
-#: microseconds of collection, planning and requeueing, and saves at
-#: most a microsecond or so per batched instruction, so small batches —
-#: even exact, "successful" ones — are net losses.
-_WIN_ISSUES = 32
-_BACKOFF_MAX = 256
-
-
-class GroupDispatcher:
-    """Cross-warp SoA issue scheduler for the vector core.
-
-    Called by :meth:`GPU._run_fast <repro.sim.gpu.GPU._run_fast>` at the
-    top of every visited cycle (after the event drain): pop *all* due
-    entries off the GPU-wide ready heap, and if the whole due set can be
-    executed as homogeneous warp groups without perturbing the reference
-    interleaving, do so and return ``True``; otherwise push the entries
-    back unchanged and let the ordinary pop loop run.
-
-    Bit-exactness argument, in the heap's own terms (entries are
-    ``(sched, smx_id, ready, age, warp)``; see ``_run_fast``):
-
-    * **All-or-nothing.**  Every due entry must map to a
-      :class:`~repro.sim.vector_warp.VectorRow`; any rowless warp
-      (EXIT, BAR, launches, local memory) bails the whole attempt.
-    * **Cohorts.**  Within an SMX the due warps, taken in pop order
-      (the per-SMX ``(ready, age)`` GTO key), issue in cohorts of
-      ``issue_width``: cohort *k* starts at ``cycle + k`` — exactly the
-      budget-deferral pattern the pop loop produces, because a deferred
-      entry keeps its original ``ready`` and therefore sorts ahead of
-      any warp that becomes ready later.
-    * **Two execution tiers.**  An SMX whose due warps all sit on the
-      same multi-op span row runs it *fused* (the whole span in one
-      batch) when the per-op minimum latency exceeds the cohort lag
-      (so the span's interleaved per-round issue cycles never collide
-      across cohorts and never exceed the issue budget) and the span's
-      last issue stays inside the isolation bound.  Every other SMX —
-      mixed pcs, over-long spans, single-op rows — degrades to each
-      member's single-op ``head`` row: one issue per warp at its
-      cohort cycle, which is literally what the pop loop does when it
-      cannot fuse.
-    * **Isolation.**  Every group issue cycle must fall strictly
-      before the next actor (event-queue head, post-pop heap head, and
-      the watchdog horizon), and — across the *whole* plan — the
-      earliest re-ready of any grouped warp must fall strictly after
-      the group's last issue.  Otherwise a re-readied warp could act
-      through the pop loop (issue, schedule events, trigger a
-      distribute) while later group issues are still notionally in
-      flight.  When the global bound fails, fused spans (the long
-      pole) demote to their heads and the bound is re-checked once.
-      Grouped rows themselves never schedule events, finish warps, or
-      touch barriers, so no new actor can appear mid-group.
-    * **Memory order.**  Register-private work (ALU spans, control
-      ops) commutes across warps and executes batch-major; memory rows
-      execute in global time order — ascending issue cycle, ties in
-      pop order (which is the reference's same-cycle issue order,
-      ``(sched, smx_id, ready, age)``) — because DRAM bank/row state
-      and the L2 LRU are order-sensitive.
-
-    Any condition failing means a plain pushback: entry tuples are
-    reused verbatim, so the heap is restored exactly (minus lazily
-    deleted stale entries, which the pop loop would drop anyway).
-    """
-
-    __slots__ = (
-        "_gpu", "_events", "_gheap", "_width", "_alu", "_sfu",
-        "_l2_hit", "_stats", "_memsys", "_tracer", "_skip", "_backoff",
-    )
-
-    def __init__(self, gpu: "GPU") -> None:
-        self._gpu = gpu
-        self._events = gpu._events
-        self._gheap = gpu._gheap
-        self._width = gpu.config.issue_width
-        self._alu = gpu.config.alu_latency
-        self._sfu = gpu.config.sfu_latency
-        self._l2_hit = gpu.config.l2_hit_latency
-        self._stats = gpu.stats
-        self._memsys = gpu.memsys
-        self._tracer = gpu.tracer
-        # Adaptive gate: when attempts keep failing (pushback) or barely
-        # pay for themselves, skip the next `_backoff` opportunities and
-        # double the backoff; any attempt that issues a worthwhile batch
-        # resets it.  Skipping a dispatch opportunity is always sound —
-        # the pop loop is the exact baseline — so this only shapes
-        # *where* the dispatcher spends its overhead, never results.
-        self._skip = 0
-        self._backoff = 1
-
-    def _min_lat(self, row) -> int:
-        sel = row.latsel
-        if sel == "alu":
-            return self._alu
-        if sel == "sfu":
-            return self._sfu
-        if sel == "min":
-            return self._alu if self._alu < self._sfu else self._sfu
-        if sel == "load":
-            return self._l2_hit
-        return 1  # "one": JOIN/NOP re-ready at cycle + 1
-
-    def _pushback(self, popped) -> bool:
-        gheap = self._gheap
-        for entry in popped:
-            heapq.heappush(gheap, entry)
-        self._skip = self._backoff
-        if self._backoff < _BACKOFF_MAX:
-            self._backoff <<= 1
-        return False
-
-    def _settle(self, issued: int) -> None:
-        """Feed the adaptive gate after a successful dispatch."""
-        if issued >= _WIN_ISSUES:
-            self._backoff = 1
-            self._skip = 0
-        else:
-            # Exact but too small to pay for the attempt: back off just
-            # like a failure so losing phases decay to a ~0.4% duty
-            # cycle while large-group phases restore full rate.
-            self._skip = self._backoff
-            if self._backoff < _BACKOFF_MAX:
-                self._backoff <<= 1
-
-    def try_dispatch(self, cycle: int, horizon: int) -> bool:
-        """Group-execute the entire due set at ``cycle``, or do nothing."""
-        if self._skip:
-            self._skip -= 1
-            return False
-        gheap = self._gheap
-        heappop = heapq.heappop
-        popped: list = []
-        entries: list = []
-        seen: set = set()
-        while gheap:
-            entry = gheap[0]
-            warp = entry[4]
-            if warp.finished or warp.at_barrier or entry[2] != warp.ready_cycle:
-                heappop(gheap)  # stale (lazy deletion)
-                continue
-            if entry[0] > cycle:
-                break
-            wid = id(warp)
-            if wid in seen:
-                # Duplicate live entry for one warp (e.g. safety-net
-                # re-arm): only sequential execution staleness-filters
-                # the second one correctly.  Left in the heap.
-                return self._pushback(popped)
-            # Reconvergence pops are idempotent: the pop loop redoes this
-            # check on pushback.
-            stack = warp.stack
-            frame = stack[-1]
-            while len(stack) > 1 and frame[1] >= 0 and frame[0] == frame[1]:
-                stack.pop()
-                frame = stack[-1]
-            pc = frame[0]
-            vt = warp._vtable
-            row = vt[pc] if 0 <= pc < len(vt) else None
-            if row is None:
-                # Ungroupable op (EXIT, BAR, launch, local memory ...);
-                # checked before popping, so a rowless warp at the heap
-                # head costs only a peek.
-                return self._pushback(popped)
-            heappop(gheap)
-            popped.append(entry)
-            seen.add(wid)
-            entries.append((entry[1], warp, frame, row))
-        if len(entries) < 2:
-            return self._pushback(popped)
-
-        # Next-actor bound: events are drained through ``cycle`` and
-        # every due heap entry was just popped, so this is > ``cycle``.
-        # Grouped rows never schedule events, push heap entries, finish
-        # warps or touch barriers, so the bound stays valid for as long
-        # as the group keeps executing.
-        limit = horizon
-        events = self._events
-        if events and events[0][0] < limit:
-            limit = events[0][0]
-        if gheap and gheap[0][0] < limit:
-            limit = gheap[0][0]
-
-        # Globally homogeneous due set (every warp on the same row —
-        # the dominant lockstep pattern): march the whole group through
-        # consecutive rows in one dispatch.
-        row0 = entries[0][3]
-        for e in entries:
-            if e[3] is not row0:
-                break
-        else:
-            return self._lockstep(cycle, limit, entries, popped)
-
-        # Per-SMX member lists in pop order (= per-SMX cohort order);
-        # the global pop index rides along for memory ordering.
-        by_smx: dict = {}
-        for gi, (smx_id, warp, frame, row) in enumerate(entries):
-            lst = by_smx.get(smx_id)
-            if lst is None:
-                by_smx[smx_id] = lst = []
-            lst.append((warp, frame, row, gi))
-
-        # Tier choice per SMX, plus the global bounds: ``max_li`` is the
-        # plan's last issue cycle and ``min_rr`` the earliest re-ready,
-        # both as offsets from ``cycle``.
-        width = self._width
-        alu = self._alu
-        sfu = self._sfu
-        min_lat = self._min_lat
-        plans: list = []  # [smx_id, members, lag, fused_row_or_None, heads_rr]
-        max_li = 0
-        min_rr = None
-        n_fused = 0
-        for smx_id, members in by_smx.items():
-            lag = (len(members) - 1) // width
-            if cycle + lag >= limit:
-                return self._pushback(popped)
-            row0 = members[0][2]
-            fused = None
-            if row0.length > 1 and (lag == 0 or lag < min_lat(row0)):
-                for m in members:
-                    if m[2] is not row0:
-                        break
-                else:
-                    duration = row0.n_alu * alu + row0.n_sfu * sfu
-                    tail = sfu if row0.sfu_flags[-1] else alu
-                    if cycle + lag + duration - tail < limit:
-                        fused = row0
-            if fused is not None:
-                n_fused += 1
-                heads_rr = min_lat(row0.head)
-                li = lag + duration - tail
-                rr = duration
-            else:
-                heads_rr = min(min_lat(m[2].head) for m in members)
-                li = lag
-                rr = heads_rr
-            if li > max_li:
-                max_li = li
-            if min_rr is None or rr < min_rr:
-                min_rr = rr
-            plans.append([smx_id, members, lag, fused, heads_rr])
-
-        if min_rr <= max_li:
-            # A grouped warp would re-ready at or before the plan's last
-            # issue and could then act through the pop loop mid-plan.
-            # Fused spans are the long pole: demote them all to heads
-            # (the span's smallest per-op latency bounds its head's, so
-            # the lag test still holds) and re-check the bound once.
-            if n_fused == 0:
-                return self._pushback(popped)
-            max_li = 0
-            min_rr = None
-            for plan in plans:
-                plan[3] = None
-                lag = plan[2]
-                rr = plan[4]
-                if lag > max_li:
-                    max_li = lag
-                if min_rr is None or rr < min_rr:
-                    min_rr = rr
-            if min_rr <= max_li:
-                return self._pushback(popped)
-
-        # Build per-row batches.  Members are ``(start, smx_id, warp,
-        # frame)``; memory rows carry the pop index too and run last in
-        # global time order.
-        issued = 0
-        lanes = 0
-        batches: dict = {}
-        order: list = []
-        mem_items: list = []
-        for smx_id, members, lag, fused, _heads_rr in plans:
-            for k, (warp, frame, row, gi) in enumerate(members):
-                if fused is None:
-                    row = row.head
-                start = cycle + k // width
-                if row.kind == 2:
-                    mem_items.append((start, gi, row, smx_id, warp, frame))
-                    issued += 1
-                    lanes += frame[3]
-                    continue
-                batch = batches.get(id(row))
-                if batch is None:
-                    batches[id(row)] = batch = (row, [])
-                    order.append(batch)
-                batch[1].append((start, smx_id, warp, frame))
-                issued += row.length
-                lanes += row.length * frame[3]
-
-        tracer = self._tracer
-        for row, members in order:
-            if tracer is not None:
-                tracer.on_group(
-                    [m[2] for m in members], row.start, row,
-                    [m[0] for m in members], [m[3][3] for m in members],
-                )
-            if row.kind == 1:
-                execute_alu_batch(row, members, alu, sfu)
-            else:
-                execute_control_batch(row, members)
-        if mem_items:
-            mem_items.sort(key=_MEM_ORDER)
-            row0 = mem_items[0][2]
-            if tracer is not None:
-                for start, _gi, row, _smx_id, warp, frame in mem_items:
-                    tracer.on_group([warp], row.start, row, [start], [frame[3]])
-            for m in mem_items:
-                if m[2] is not row0:
-                    # Mixed memory rows: scalar closures, already in
-                    # global time order.
-                    for start, _gi, row, _smx_id, warp, frame in mem_items:
-                        if not row.runs[0](warp, frame, start):
-                            frame[0] = row.start + 1
-                    break
-            else:
-                execute_mem_batch(
-                    row0,
-                    [(m[0], m[3], m[4], m[5]) for m in mem_items],
-                    self._memsys,
-                )
-
-        stats = self._stats
-        stats.issued_instructions += issued
-        stats.active_lane_sum += lanes
-
-        # Requeue: every grouped op leaves its warp runnable (EXIT and
-        # BAR never have rows), and GTO never rewrites ages.
-        heappush = heapq.heappush
-        for smx_id, members, lag, fused, _heads_rr in plans:
-            for warp, frame, row, gi in members:
-                ready = warp.ready_cycle
-                heappush(gheap, (ready, smx_id, ready, warp.age, warp))
-        self._settle(issued)
-        return True
-
-    def _lockstep(self, cycle: int, limit: int, entries, popped) -> bool:
-        """March a globally homogeneous group through consecutive rows.
-
-        Every member sits on the same :class:`VectorRow`, so each
-        iteration is one valid dispatch of the whole due set: member
-        *k* of an SMX issues at ``c + k//width`` (the cohort stagger),
-        and a uniform re-ready distance reproduces the same stagger at
-        ``c + delta`` — exactly the schedule the pop loop would produce
-        by popping the staggered cohorts cycle by cycle.  The loop
-        stops when the pcs diverge, the re-ready distances differ
-        (e.g. a load mixing L2 hits and misses), the next pc has no
-        row, or the isolation bound would be crossed; the group then
-        requeues at its current readies.  ``limit`` stays valid
-        throughout because grouped rows never create new actors.
-        """
-        width = self._width
-        alu = self._alu
-        sfu = self._sfu
-        min_lat = self._min_lat
-        # Cohort offsets per member, in pop order.
-        offs: list = []
-        counts: dict = {}
-        lag = 0
-        for smx_id, _warp, _frame, _row in entries:
-            k = counts.get(smx_id, 0)
-            counts[smx_id] = k + 1
-            o = k // width
-            offs.append(o)
-            if o > lag:
-                lag = o
-        row = entries[0][3]
-        vt = entries[0][1]._vtable
-        warps = [e[1] for e in entries]
-        smx_ids = [e[0] for e in entries]
-        frames = [e[2] for e in entries]
-        n = len(entries)
-        rng = range(n)
-        tracer = self._tracer
-        memsys = self._memsys
-        issued = 0
-        lanes = 0
-        c = cycle
-        progressed = False
-        while True:
-            if c + lag >= limit or (lag and lag >= min_lat(row.head)):
-                break
-            exec_row = row
-            if row.length > 1:
-                ml = min_lat(row)
-                duration = row.n_alu * alu + row.n_sfu * sfu
-                tail = sfu if row.sfu_flags[-1] else alu
-                if (lag == 0 or lag < ml) and c + lag + duration - tail < limit:
-                    pass  # fused: the whole span in one batch
-                else:
-                    exec_row = row.head
-            members = [
-                (c + offs[i], smx_ids[i], warps[i], frames[i]) for i in rng
-            ]
-            length = exec_row.length
-            issued += length * n
-            actives = [f[3] for f in frames]
-            lanes += length * sum(actives)
-            if tracer is not None:
-                tracer.on_group(
-                    warps, exec_row.start, exec_row,
-                    [m[0] for m in members], actives,
-                )
-            if exec_row.kind == 1:
-                execute_alu_batch(exec_row, members, alu, sfu)
-            elif exec_row.kind == 3:
-                execute_control_batch(exec_row, members)
-            else:
-                if lag:
-                    # Later cohorts of an earlier SMX issue after the
-                    # first cohorts of later SMXs: restore global time
-                    # order (stable, so ties keep pop order).
-                    members.sort(key=_START_ORDER)
-                execute_mem_batch(exec_row, members, memsys)
-            progressed = True
-            # Re-ready uniformity, reconvergence pops, pc homogeneity.
-            delta = warps[0].ready_cycle - c - offs[0]
-            go = True
-            pc0 = -1
-            for i in rng:
-                warp = warps[i]
-                if warp.ready_cycle - c - offs[i] != delta:
-                    go = False
-                    break
-                stack = warp.stack
-                frame = stack[-1]
-                while len(stack) > 1 and frame[1] >= 0 and frame[0] == frame[1]:
-                    stack.pop()
-                    frame = stack[-1]
-                frames[i] = frame
-                if i:
-                    if frame[0] != pc0:
-                        go = False
-                        break
-                else:
-                    pc0 = frame[0]
-            if not go:
-                break
-            row = vt[pc0] if 0 <= pc0 < len(vt) else None
-            if row is None:
-                break
-            c += delta
-
-        if not progressed:
-            return self._pushback(popped)
-        stats = self._stats
-        stats.issued_instructions += issued
-        stats.active_lane_sum += lanes
-        gheap = self._gheap
-        heappush = heapq.heappush
-        for i in rng:
-            warp = warps[i]
-            ready = warp.ready_cycle
-            heappush(gheap, (ready, smx_ids[i], ready, warp.age, warp))
-        self._settle(issued)
-        return True

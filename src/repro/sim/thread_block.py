@@ -9,7 +9,6 @@ import numpy as np
 from ..config import WARP_SIZE
 from .fast_warp import FastWarp
 from .kernel import KernelFunction, LaunchDims, dims_total
-from .vector_warp import VectorWarp
 from .warp import Warp
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -74,12 +73,7 @@ class ThreadBlock:
         self.shared = np.zeros(max(1, func.shared_words), dtype=np.int64)
         n_warps = (self.block_threads + WARP_SIZE - 1) // WARP_SIZE
         assert len(slots) == n_warps
-        if self.gpu.vector_core:
-            warp_cls = VectorWarp
-        elif self.gpu.fast_core:
-            warp_cls = FastWarp
-        else:
-            warp_cls = Warp
+        warp_cls = FastWarp if self.gpu.fast_core else Warp
         self.warps: List[Warp] = [
             warp_cls(self, w, slots[w]) for w in range(n_warps)
         ]

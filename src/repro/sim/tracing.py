@@ -28,38 +28,8 @@ if TYPE_CHECKING:  # pragma: no cover
 class Tracer:
     """Base tracer: subclass and override :meth:`on_issue`."""
 
-    #: Whether this tracer's output is invariant under the vector core's
-    #: cross-warp group dispatch.  Grouping preserves every instruction's
-    #: issue cycle and active-lane count but reorders *callbacks* (a
-    #: whole group is reported at once, warp-major instead of
-    #: time-major), so only order-insensitive tracers — aggregating
-    #: profilers — may opt in.  While the installed tracer reports
-    #: ``False`` (the default; e.g. :class:`InstructionTrace`, which
-    #: records callback order), the vector core disables grouping and
-    #: runs warps one at a time, keeping output identical to the other
-    #: cores.
-    group_safe = False
-
     def on_issue(self, warp: "Warp", pc: int, opcode: Opcode, active: int, cycle: int) -> None:
         raise NotImplementedError
-
-    def on_group(self, warps, pc: int, region, starts, actives) -> None:
-        """A warp group executed one vector row in one call (vector core).
-
-        ``warps``, ``starts`` and ``actives`` are parallel sequences: each
-        warp began the row (``region.ops``, starting at ``pc``) at its own
-        issue cycle with its own active-lane count — unlike fusion,
-        grouping does not require a full mask.  The default replays
-        per-instruction :meth:`on_issue` callbacks at the exact cycles
-        ungrouped execution would have issued them, warp-major.
-        """
-        for warp, start, active in zip(warps, starts, actives):
-            alu = warp._alu_lat
-            sfu = warp._sfu_lat
-            c = start
-            for i, opcode in enumerate(region.ops):
-                self.on_issue(warp, pc + i, opcode, active, c)
-                c += sfu if region.sfu_flags[i] else alu
 
     def on_fused(self, warp: "Warp", pc: int, region, cycle: int) -> None:
         """A fused superblock region executed in one call (fast core).
@@ -101,10 +71,6 @@ class KernelProfile:
 
 class OpcodeProfiler(Tracer):
     """Per-kernel opcode histograms."""
-
-    #: Pure aggregation — callback order is irrelevant, so the default
-    #: :meth:`Tracer.on_group` replay keeps counts exact under grouping.
-    group_safe = True
 
     def __init__(self) -> None:
         self.kernels: Dict[str, KernelProfile] = {}

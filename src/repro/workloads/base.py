@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import abc
 import os
-import warnings
 from dataclasses import dataclass
 from typing import List, Optional
 
@@ -148,42 +147,16 @@ class Workload(abc.ABC):
         max_cycles: Optional[int] = 500_000_000,
         latency_scale: float = 1.0,
         optimize_kernels: bool = False,
-        checkpoint_every: Optional[int] = None,
-        checkpoint_path=None,
-        resume: bool = False,
-        on_checkpoint=None,
-        checkpoint_fingerprint: Optional[str] = None,
     ) -> WorkloadResult:
         """Build, run and (optionally) verify this workload end to end.
 
         ``latency_scale`` shrinks the measured Table 3 launch latencies to
         match a scaled-down dataset (see ``LatencyModel.scaled``);
         ``optimize_kernels`` runs the peephole optimizer over every kernel
-        before registration (results are still verified).
-
-        The ``checkpoint_*``/``resume`` keywords are **deprecated**: the
-        checkpoint policy lives on :class:`~repro.exec.JobSpec` now (see
-        :meth:`execute_spec` and :func:`repro.exec.run_job`).  They keep
-        working — ``checkpoint_every`` snapshots the simulator to
-        ``checkpoint_path`` (and/or ``on_checkpoint``) every N cycles;
-        with ``resume=True`` a valid checkpoint at ``checkpoint_path``
-        fast-forwards the run to its saved cycle — but emit a
-        :class:`DeprecationWarning`.
+        before registration (results are still verified).  Checkpointing
+        and resume are a :class:`~repro.exec.JobSpec` policy: see
+        :meth:`execute_spec` and :func:`repro.exec.run_job`.
         """
-        if (
-            checkpoint_every is not None
-            or checkpoint_path is not None
-            or resume
-            or checkpoint_fingerprint is not None
-        ):
-            warnings.warn(
-                "passing checkpoint_every/checkpoint_path/resume/"
-                "checkpoint_fingerprint to Workload.execute is deprecated; "
-                "put the execution policy on a JobSpec and use "
-                "Workload.execute_spec or repro.exec.run_job",
-                DeprecationWarning,
-                stacklevel=2,
-            )
         return self._execute(
             config=config,
             memory_words=memory_words,
@@ -191,11 +164,6 @@ class Workload(abc.ABC):
             max_cycles=max_cycles,
             latency_scale=latency_scale,
             optimize_kernels=optimize_kernels,
-            checkpoint_every=checkpoint_every,
-            checkpoint_path=checkpoint_path,
-            resume=resume,
-            on_checkpoint=on_checkpoint,
-            checkpoint_fingerprint=checkpoint_fingerprint,
         )
 
     def _execute(
@@ -206,11 +174,11 @@ class Workload(abc.ABC):
         max_cycles: Optional[int],
         latency_scale: float,
         optimize_kernels: bool,
-        checkpoint_every: Optional[int],
-        checkpoint_path,
-        resume: bool,
-        on_checkpoint,
-        checkpoint_fingerprint: Optional[str],
+        checkpoint_every: Optional[int] = None,
+        checkpoint_path=None,
+        resume: bool = False,
+        on_checkpoint=None,
+        checkpoint_fingerprint: Optional[str] = None,
     ) -> WorkloadResult:
         """The real end-to-end execution (shared by both entry points)."""
         device = Device(

@@ -8,13 +8,12 @@ must resume from it.  Every recovered payload is compared bit-for-bit
 against an uninterrupted serial run.
 
 The checkpoint policy rides on the :class:`~repro.exec.JobSpec` itself
-(``checkpoint_every``/``checkpoint_dir``/``resume``); one test keeps the
-deprecated ``execute_job`` keyword bundle covered.
+(``checkpoint_every``/``checkpoint_dir``/``resume``).
 """
 
 import pytest
 
-from repro.exec import JobSpec, SweepEngine, execute_job, run_job
+from repro.exec import JobSpec, SweepEngine, run_job
 from repro.runtime import ExecutionMode
 from repro.state import checkpoint_path_for
 
@@ -136,25 +135,3 @@ class TestCrashRecovery:
         clean_other = run_job(other).to_payload()
         assert payload["stats"] == clean_other["stats"]
         assert theirs.with_suffix(".ckpt.corrupt").exists()
-
-    def test_legacy_execute_job_keyword_bundle_still_recovers(
-        self, tmp_path, clean_payload
-    ):
-        """The deprecated keyword path warns but behaves identically."""
-        job = _job()
-
-        def bomb(doc):
-            raise Interrupt()
-
-        with pytest.raises(Interrupt):
-            with pytest.warns(DeprecationWarning):
-                execute_job(
-                    job, checkpoint_every=CKPT_EVERY,
-                    checkpoint_dir=str(tmp_path), on_checkpoint=bomb,
-                )
-        with pytest.warns(DeprecationWarning):
-            payload = execute_job(
-                job, checkpoint_every=CKPT_EVERY,
-                checkpoint_dir=str(tmp_path), resume=True,
-            )
-        assert payload["stats"] == clean_payload["stats"]

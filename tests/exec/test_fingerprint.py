@@ -21,9 +21,7 @@ def _mutated(field: dataclasses.Field, value):
     if field.name == "warp_scheduler":
         return "rr" if value == "gto" else "gto"
     if field.name == "core":
-        return "vector" if value != "vector" else "fast"
-    if field.name == "fast_core":
-        return True  # deprecated alias: constructing it warns
+        return "reference" if value == "fast" else "fast"
     if isinstance(value, bool):
         return not value
     if field.name == "max_resident_threads":
@@ -67,11 +65,7 @@ class TestConfigFingerprint:
                 assert base.l2_line == SEGMENT_BYTES
                 continue
             mutation = {field.name: _mutated(field, getattr(base, field.name))}
-            if field.name == "fast_core":
-                with pytest.warns(DeprecationWarning):
-                    variant = dataclasses.replace(base, **mutation)
-            else:
-                variant = dataclasses.replace(base, **mutation)
+            variant = dataclasses.replace(base, **mutation)
             variant_fp = variant.fingerprint()
             assert variant_fp != base_fp, f"insensitive to {field.name}"
             assert variant_fp not in seen, f"collision on {field.name}"

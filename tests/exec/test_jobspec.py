@@ -1,4 +1,4 @@
-"""The canonical JobSpec/JobResult model and its legacy shims."""
+"""The canonical JobSpec/JobResult model."""
 
 from __future__ import annotations
 
@@ -11,9 +11,7 @@ from repro.exec import (
     JobResult,
     JobSpec,
     SpecError,
-    SweepEngine,
     SweepJob,
-    execute_job,
     run_job,
 )
 
@@ -103,6 +101,13 @@ class TestWireFormat:
             JobSpec.from_dict(
                 {"benchmark": "bht", "mode": "flat", "latency": 0.5}
             )
+        # A bad config is a SpecError too (the daemon's 400), not a
+        # ConfigError escaping from_dict.
+        for config in ({"core": "vector"}, {"fast_core": True}):
+            with pytest.raises(SpecError, match="config"):
+                JobSpec.from_dict(
+                    {"benchmark": "bht", "mode": "flat", "config": config}
+                )
 
     def test_missing_required_fields(self):
         with pytest.raises(SpecError, match="mode"):
@@ -170,36 +175,3 @@ class TestExecution:
         assert checkpointed.stats.to_dict() == baseline.stats.to_dict()
         assert resumed.stats.to_dict() == baseline.stats.to_dict()
 
-
-class TestLegacyShims:
-    def test_execute_job_checkpoint_kwargs_warn_but_work(self, tmp_path):
-        spec = small_spec()
-        with pytest.warns(DeprecationWarning, match="execute_job"):
-            payload = execute_job(
-                spec, checkpoint_every=1000, checkpoint_dir=str(tmp_path)
-            )
-        assert payload["stats"] == run_job(spec).stats.to_dict()
-
-    def test_execute_job_without_policy_kwargs_is_silent(self, recwarn):
-        execute_job(small_spec())
-        assert not [
-            warning for warning in recwarn.list
-            if issubclass(warning.category, DeprecationWarning)
-        ]
-
-    def test_engine_level_checkpoint_kwargs_warn(self, tmp_path):
-        with pytest.warns(DeprecationWarning, match="SweepEngine"):
-            SweepEngine(
-                max_workers=1, checkpoint_every=1000,
-                checkpoint_dir=str(tmp_path),
-            )
-
-    def test_workload_execute_checkpoint_kwargs_warn(self, tmp_path):
-        from repro.workloads import get_benchmark
-
-        workload = get_benchmark("bht", ExecutionMode.FLAT, 0.05)
-        with pytest.warns(DeprecationWarning, match="execute"):
-            workload.execute(
-                latency_scale=0.25, checkpoint_every=1000,
-                checkpoint_path=tmp_path / "x.ckpt",
-            )

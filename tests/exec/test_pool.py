@@ -3,7 +3,7 @@
 import pytest
 
 from repro.errors import WorkloadError
-from repro.exec import SweepEngine, SweepError, SweepJob, execute_job
+from repro.exec import SweepEngine, SweepError, SweepJob, run_job
 from repro.runtime import ExecutionMode
 
 SCALE = 0.08
@@ -26,7 +26,7 @@ GRID = [
 
 @pytest.fixture(scope="module")
 def serial_payloads():
-    return [execute_job(job) for job in _jobs(*GRID)]
+    return [run_job(job).to_payload() for job in _jobs(*GRID)]
 
 
 class TestParity:

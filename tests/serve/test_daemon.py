@@ -13,7 +13,6 @@ every periodic checkpoint) without touching simulated state, making
 
 from __future__ import annotations
 
-import dataclasses
 import json
 import os
 import re
@@ -25,7 +24,7 @@ from pathlib import Path
 
 import pytest
 
-from repro import ExecutionMode, GPUConfig, JobSpec
+from repro import ExecutionMode, JobSpec
 from repro.serve import JobFailed, ServeClient, ServeError
 
 GOLDEN_DIR = Path(__file__).resolve().parent.parent / "golden"
@@ -38,13 +37,7 @@ def golden_stats(name: str) -> dict:
 
 
 def spec_for(benchmark: str, mode: str, scale: float = SCALE) -> JobSpec:
-    # The golden corpus pins its core selection explicitly, so jobs that
-    # compare against it must name the same config rather than rely on
-    # the `core=None` default resolving to the fast core.
-    config = dataclasses.replace(GPUConfig.k20c(), core="fast")
-    return JobSpec.create(
-        benchmark, ExecutionMode(mode), scale, LATENCY_SCALE, config=config
-    )
+    return JobSpec.create(benchmark, ExecutionMode(mode), scale, LATENCY_SCALE)
 
 
 class Daemon:
@@ -254,6 +247,10 @@ class TestProtocol:
         assert excinfo.value.status == 400
         with pytest.raises(ServeError) as excinfo:
             client.submit({"benchmark": "bht", "mode": "flat", "latency": 1})
+        assert excinfo.value.status == 400
+        with pytest.raises(ServeError) as excinfo:
+            client.submit({"benchmark": "bht", "mode": "flat",
+                           "config": {"core": "vector"}})
         assert excinfo.value.status == 400
         with pytest.raises(ServeError) as excinfo:
             client.job("j999999")

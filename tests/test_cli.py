@@ -58,8 +58,10 @@ class TestWorkloadsCli:
         assert warm == cold
 
     def test_bad_jobs_errors(self):
-        with pytest.raises(SystemExit):
-            workloads_main(["bht", "--jobs", "0"])
+        for argv in (["bht", "--jobs", "0"], ["bht", "--core", "vector"]):
+            with pytest.raises(SystemExit) as excinfo:
+                workloads_main(argv)
+            assert excinfo.value.code == 2
 
 
 class TestHarnessCli:
@@ -120,5 +122,7 @@ class TestHarnessCli:
             harness_main(["--figure", "nope"])
 
     def test_bad_jobs_errors(self):
-        with pytest.raises(SystemExit):
-            harness_main(["--jobs", "0"])
+        for argv in (["--jobs", "0"], ["--core", "vector"]):
+            with pytest.raises(SystemExit) as excinfo:
+                harness_main(argv)
+            assert excinfo.value.code == 2

@@ -13,6 +13,8 @@ from repro.config import (
     LatencyModel,
 )
 from repro.errors import ConfigError
+from repro.exec import JobSpec
+from repro.runtime import ExecutionMode
 
 
 class TestGPUConfigTable2:
@@ -78,54 +80,38 @@ class TestGPUConfigValidation:
 
 
 class TestCoreSelection:
-    """The three-way execution-core switch and its deprecated alias."""
+    """The two-way execution-core switch."""
 
     def test_default_resolves_to_fast(self):
-        cfg = GPUConfig.k20c()
-        assert cfg.core is None
-        assert cfg.execution_core == "fast"
+        assert GPUConfig.k20c().core == "fast"
 
     def test_explicit_cores_resolve_to_themselves(self):
-        for core in ("reference", "fast", "vector"):
+        for core in ("reference", "fast"):
             cfg = dataclasses.replace(GPUConfig.k20c(), core=core)
-            assert cfg.execution_core == core
+            assert cfg.core == core
 
     def test_unknown_core_rejected(self):
+        # "vector" and None were valid before the selection collapsed to
+        # one two-valued field; fast_core was the boolean before that.
+        for core in ("warp-speed", "vector", None):
+            with pytest.raises(ConfigError):
+                dataclasses.replace(GPUConfig.k20c(), core=core)
         with pytest.raises(ConfigError):
-            dataclasses.replace(GPUConfig.k20c(), core="warp-speed")
+            GPUConfig.from_dict({"fast_core": True})
 
-    def test_fast_core_alias_warns_and_resolves(self):
-        with pytest.warns(DeprecationWarning):
-            cfg = dataclasses.replace(GPUConfig.k20c(), fast_core=True)
-        assert cfg.execution_core == "fast"
-        with pytest.warns(DeprecationWarning):
-            cfg = dataclasses.replace(GPUConfig.k20c(), fast_core=False)
-        assert cfg.execution_core == "reference"
-
-    def test_alias_conflict_rejected(self):
-        with pytest.raises(ConfigError):
-            dataclasses.replace(
-                GPUConfig.k20c(), core="reference", fast_core=True
-            )
-
-    def test_alias_agreement_accepted_without_warning(self):
-        # `core` set: the alias is redundant but consistent, no warning.
-        cfg = dataclasses.replace(GPUConfig.k20c(), core="fast", fast_core=True)
-        assert cfg.execution_core == "fast"
-        # The vector core subsumes the fast core, so fast_core=True with
-        # core="vector" is a consistent upgrade, not a conflict.
-        cfg = dataclasses.replace(
-            GPUConfig.k20c(), core="vector", fast_core=True
-        )
-        assert cfg.execution_core == "vector"
-
-    def test_cores_fingerprint_distinctly(self):
-        fps = {
-            dataclasses.replace(GPUConfig.k20c(), core=core).fingerprint()
-            for core in ("reference", "fast", "vector")
+    def test_default_and_explicit_fast_are_one_identity(self):
+        # One behaviour, one cache key: the result cache and repro.serve
+        # deduplicate on the JobSpec fingerprint.
+        assert GPUConfig() == GPUConfig(core="fast")
+        fps = [
+            JobSpec.create("bht", ExecutionMode.FLAT, 0.1, 0.25, config=cfg).fingerprint()
+            for cfg in (None, GPUConfig(core="fast"), GPUConfig(core="reference"))
+        ]
+        assert fps[0] == fps[1] != fps[2]
+        config_fps = {GPUConfig().fingerprint()} | {
+            GPUConfig(core=core).fingerprint() for core in ("reference", "fast")
         }
-        fps.add(GPUConfig.k20c().fingerprint())
-        assert len(fps) == 4
+        assert len(config_fps) == 2
 
 
 class TestLatencyModelTable3:

@@ -7,8 +7,6 @@ activity, occupancy integrals, divergence counts — must be *bit
 identical* to the reference interpreter (``core="reference"``).  These
 tests run full workloads and targeted micro-kernels under both cores and
 compare a complete fingerprint of :class:`~repro.sim.stats.SimStats`.
-The SoA vector core (``core="vector"``) gets the same treatment in
-:mod:`tests.test_random_programs` and the golden corpus.
 """
 
 from __future__ import annotations
@@ -336,5 +334,5 @@ class TestFusionAdversarial:
 
 
 def test_fast_core_is_default():
-    assert GPUConfig().execution_core == "fast"
-    assert GPUConfig.k20c().execution_core == "fast"
+    assert GPUConfig().core == "fast"
+    assert GPUConfig.k20c().core == "fast"

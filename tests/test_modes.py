@@ -129,7 +129,7 @@ class TestPersistentEquivalence:
     flat results bit for bit on every workload (``verify=True`` checks
     the device output against the same pure-Python reference every other
     mode is held to), leave the task queue drained, and agree exactly
-    across all three execution cores."""
+    across both execution cores."""
 
     SCALE = 0.05
     LATENCY_SCALE = 0.25
@@ -151,14 +151,14 @@ class TestPersistentEquivalence:
             ("bht", "persistent"),
         ],
     )
-    def test_three_cores_agree_exactly(self, bench, mode_name):
+    def test_cores_agree_exactly(self, bench, mode_name):
         import dataclasses
 
         from repro.config import GPUConfig
         from repro.workloads import get_benchmark
 
         stats = {}
-        for core in ("reference", "fast", "vector"):
+        for core in ("reference", "fast"):
             config = dataclasses.replace(GPUConfig.k20c(), core=core)
             wl = get_benchmark(
                 bench, ExecutionMode.parse(mode_name), scale=self.SCALE
@@ -168,4 +168,4 @@ class TestPersistentEquivalence:
             ).stats.to_dict()
             data.pop("config")  # records the core name itself
             stats[core] = data
-        assert stats["reference"] == stats["fast"] == stats["vector"]
+        assert stats["reference"] == stats["fast"]

@@ -8,14 +8,14 @@ stresses the PDOM reconvergence stack with arbitrary nesting shapes.
 
 The memory-op differential fuzz extends the grammar with global
 loads/stores at computed addresses, shared-memory staging separated by
-barriers, and atomic adds, and runs every program through all three
-execution cores (reference, fast and vector) with the sanitizer enabled:
+barriers, and atomic adds, and runs every program through both
+execution cores (reference and fast) with the sanitizer enabled:
 results must match the evaluator exactly and the sanitizer must stay
 clean.  A second, unsanitized pass compares the cores' full
-:class:`~repro.sim.stats.SimStats` — that is the path where the vector
-core's group dispatcher actually engages (the sanitizer forces its
-per-warp fallback), so it is the differential that guards batched
-execution.
+:class:`~repro.sim.stats.SimStats` — that is the path where the fast
+core's superblock fusion and run-ahead windows engage (the sanitizer
+forces per-instruction dispatch), so it is the differential that guards
+them.
 """
 
 from __future__ import annotations
@@ -267,7 +267,7 @@ class TestMemoryOpFuzz:
         func = build_mem_fuzz(phases)
         blocks = (len(data) + _BLOCK - 1) // _BLOCK
         results = []
-        for core in ("fast", "reference", "vector"):
+        for core in ("fast", "reference"):
             got = _run_mem_fuzz(func, data, blocks, core, sanitize=True)
             results.append(got)
         out, scr, cnt = evaluate_mem_fuzz(data, phases, blocks)
@@ -283,11 +283,11 @@ class TestMemoryOpFuzz:
     )
     def test_unsanitized_cores_agree_bit_exactly(self, phases, data):
         """Results *and* SimStats identical across cores without the
-        sanitizer — the configuration where group dispatch runs."""
+        sanitizer — the configuration where fusion and run-ahead run."""
         func = build_mem_fuzz(phases)
         blocks = (len(data) + _BLOCK - 1) // _BLOCK
         baseline = None
-        for core in ("reference", "fast", "vector"):
+        for core in ("reference", "fast"):
             out, scr, cnt, stats = _run_mem_fuzz(
                 func, data, blocks, core, sanitize=False
             )

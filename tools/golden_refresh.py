@@ -1,15 +1,11 @@
 #!/usr/bin/env python
 """Regenerate the golden statistics corpus under ``tests/golden/``.
 
-The corpus pins ``SimStats.to_dict()`` for a small benchmark grid (see
-``PER_BENCHMARK_MODES``): ``bfs_citation`` across flat/cdp/dtbl, the
-compiler-optimized cdpa/cons modes and the persistent-scheduler
-persistent/persistent-async modes, ``bht`` across the original five, and
-``sssp_citation`` pinning the persistent modes against flat — each on
-all three simulation cores, at ``scale=0.08``, ``latency_scale=0.25``
-on the K20c configuration.
-``tests/test_golden_stats.py`` compares live simulations against these
-files *exactly*: any counter drift, however small, fails the suite.
+The corpus pins ``SimStats.to_dict()`` for the small benchmark grid that
+``tests/test_golden_stats.py`` defines (its ``GRID``: benchmark x mode x
+core, at its ``SCALE`` and ``LATENCY_SCALE`` on the K20c configuration).
+That test module compares live simulations against these files
+*exactly*: any counter drift, however small, fails the suite.
 
 That is the point.  When a change intentionally alters simulated
 behaviour (a new scheduling rule, a latency fix), regenerate the corpus
@@ -22,52 +18,26 @@ Accidental drift shows up as a test failure with no corpus diff to
 explain it.
 """
 
-import dataclasses
 import json
 import sys
 from pathlib import Path
 
 REPO = Path(__file__).resolve().parent.parent
-sys.path.insert(0, str(REPO / "src"))
+sys.path[:0] = [str(REPO / "src"), str(REPO)]
 
-from repro.config import GPUConfig  # noqa: E402
-from repro.runtime import ExecutionMode  # noqa: E402
-from repro.workloads import get_benchmark  # noqa: E402
-
-SCALE = 0.08
-LATENCY_SCALE = 0.25
-PER_BENCHMARK_MODES = {
-    "bfs_citation": (
-        "flat", "cdp", "dtbl", "cdpa", "cons", "persistent", "persistent-async",
-    ),
-    "bht": ("flat", "cdp", "dtbl", "cdpa", "cons"),
-    "sssp_citation": ("flat", "persistent", "persistent-async"),
-}
-CORES = (("ref", "reference"), ("fast", "fast"), ("vector", "vector"))
-GOLDEN_DIR = REPO / "tests" / "golden"
-
-
-def golden_stats(bench: str, mode: str, core: str) -> dict:
-    """Simulate one pinned grid point and return its stats dictionary."""
-    workload = get_benchmark(bench, ExecutionMode(mode), SCALE)
-    config = dataclasses.replace(GPUConfig.k20c(), core=core)
-    result = workload.execute(config=config, latency_scale=LATENCY_SCALE)
-    return result.stats.to_dict()
+from tests.test_golden_stats import GOLDEN_DIR, GRID, live_stats  # noqa: E402
 
 
 def main() -> int:
     GOLDEN_DIR.mkdir(parents=True, exist_ok=True)
-    for bench, modes in PER_BENCHMARK_MODES.items():
-        for mode in modes:
-            for tag, core in CORES:
-                stats = golden_stats(bench, mode, core)
-                path = GOLDEN_DIR / f"{bench}-{mode}-{tag}.json"
-                path.write_text(
-                    json.dumps(stats, indent=2, sort_keys=True) + "\n",
-                    encoding="utf-8",
-                )
-                print(f"wrote {path.relative_to(REPO)} "
-                      f"(cycles={stats['cycles']:,})")
+    for bench, mode, tag, core in GRID:
+        stats = live_stats(bench, mode, core)
+        path = GOLDEN_DIR / f"{bench}-{mode}-{tag}.json"
+        path.write_text(
+            json.dumps(stats, indent=2, sort_keys=True) + "\n",
+            encoding="utf-8",
+        )
+        print(f"wrote {path.relative_to(REPO)} (cycles={stats['cycles']:,})")
     return 0
 
 

@@ -13,14 +13,8 @@ Two layers:
    the profiler's opcode issue / active-lane totals equal the
    simulation's ``SimStats`` counters *exactly* — the profiler must
    observe every issued instruction, fused or not.
-3. **Vector core**: repeats the in-process check with
-   ``GPUConfig.core="vector"`` and additionally requires that the
-   profiler observed at least one batched group (``group_instructions
-   > 0``) — i.e. the totals stay exact even when whole instruction
-   regions are folded in via :meth:`on_group` rather than observed
-   per-issue.
 
-Exits non-zero on any mismatch.  Used by the CI ``profile-smoke`` step.
+Exits non-zero on any mismatch.  Used by the CI ``smoke`` job.
 """
 
 from __future__ import annotations
@@ -92,22 +86,15 @@ def check_cli_report() -> None:
         )
 
 
-def check_against_simstats(core=None) -> None:
-    import dataclasses
-
-    from repro.config import GPUConfig
+def check_against_simstats() -> None:
     from repro.harness.runner import run_benchmark
     from repro.runtime.modes import ExecutionMode
     from repro.sim import profiler as profiler_mod
 
-    config = None
-    if core is not None:
-        config = dataclasses.replace(GPUConfig.k20c(), core=core)
-    label = f"SimStats match ({core or 'default'} core)"
     prof = profiler_mod.activate()
     try:
         run = run_benchmark(
-            BENCH, ExecutionMode(MODE), scale=SCALE, config=config,
+            BENCH, ExecutionMode(MODE), scale=SCALE,
             use_cache=False, cache=None,
         )
     finally:
@@ -115,33 +102,24 @@ def check_against_simstats(core=None) -> None:
     stats = run.stats
     if prof.total_issues != stats.issued_instructions:
         fail(
-            f"{label}: profiler saw {prof.total_issues} issues, SimStats "
+            f"profiler saw {prof.total_issues} issues, SimStats "
             f"counted {stats.issued_instructions}"
         )
     if prof.total_lanes != stats.active_lane_sum:
         fail(
-            f"{label}: profiler saw {prof.total_lanes} active lanes, "
+            f"profiler saw {prof.total_lanes} active lanes, "
             f"SimStats counted {stats.active_lane_sum}"
         )
-    if core == "vector" and prof.group_instructions <= 0:
-        fail(
-            "vector core profiled without observing a single batched "
-            "group — group dispatch never engaged"
-        )
-    extra = ""
-    if core == "vector":
-        extra = f", {prof.group_instructions:,} grouped"
     print(
-        f"profile smoke: {label} OK "
+        f"profile smoke: SimStats match OK "
         f"({stats.issued_instructions:,} issues, "
-        f"{stats.active_lane_sum:,} lanes{extra})"
+        f"{stats.active_lane_sum:,} lanes)"
     )
 
 
 def main() -> int:
     check_cli_report()
     check_against_simstats()
-    check_against_simstats(core="vector")
     print("profile smoke: PASS")
     return 0
 

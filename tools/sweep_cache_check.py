@@ -12,7 +12,7 @@ Fails if the rendered figures differ, if the warm run touched the cache
 (any entry file changed), or if the warm run is not decisively faster
 than the cold one (warm decodes JSON; cold simulates).
 
-CI runs this as the ``sweep-cache`` job::
+CI runs this in the ``smoke`` job::
 
     PYTHONPATH=src python tools/sweep_cache_check.py
 """
