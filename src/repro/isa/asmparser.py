@@ -51,6 +51,7 @@ from typing import List, Optional, Tuple
 from ..errors import AssemblyError
 from .instructions import Bank, Cmp, Imm, Instr, Opcode, Reg, Special
 from .program import Program
+from .semantics import DST_OPS
 
 _OPCODES = {op.name.lower(): op for op in Opcode}
 _SPECIALS = {s.name.lower(): s for s in Special}
@@ -191,7 +192,7 @@ def _parse_instruction(program: Program, text: str, line_no: int) -> None:
 
     dst = None
     srcs = operands
-    if opcode in _DST_OPS:
+    if opcode in DST_OPS:
         if not operands or not isinstance(operands[0], Reg):
             raise AssemblyError(
                 f"line {line_no}: {mnemonic} needs a destination register"
@@ -239,21 +240,3 @@ def _parse_instruction(program: Program, text: str, line_no: int) -> None:
         )
     )
 
-
-#: Opcodes whose first operand is a destination register.
-_DST_OPS = frozenset(
-    {
-        Opcode.IADD, Opcode.ISUB, Opcode.IMUL, Opcode.IDIV, Opcode.IMOD,
-        Opcode.IMIN, Opcode.IMAX, Opcode.IAND, Opcode.IOR, Opcode.IXOR,
-        Opcode.ISHL, Opcode.ISHR, Opcode.INEG, Opcode.INOT, Opcode.MOV,
-        Opcode.FADD, Opcode.FSUB, Opcode.FMUL, Opcode.FDIV, Opcode.FMIN,
-        Opcode.FMAX, Opcode.FNEG, Opcode.FSQRT, Opcode.FABS, Opcode.FMOV,
-        Opcode.ITOF, Opcode.FTOI, Opcode.SETP, Opcode.FSETP, Opcode.SELP,
-        Opcode.LD, Opcode.FLD, Opcode.LDS, Opcode.LDL,
-        Opcode.ATOM_ADD, Opcode.ATOM_MIN, Opcode.ATOM_MAX, Opcode.ATOM_OR,
-        Opcode.ATOM_EXCH, Opcode.ATOM_CAS,
-        Opcode.READ_SPECIAL, Opcode.STREAM_CREATE, Opcode.GET_PARAM_BUF,
-        Opcode.SHFL_IDX, Opcode.SHFL_DOWN,
-        Opcode.VOTE_ANY, Opcode.VOTE_ALL, Opcode.VOTE_BALLOT,
-    }
-)

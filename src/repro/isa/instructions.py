@@ -302,8 +302,5 @@ SHARED_READ_OPS = frozenset({Opcode.LDS})
 SHARED_WRITE_OPS = frozenset({Opcode.STS})
 SHARED_MEMORY_OPS = SHARED_READ_OPS | SHARED_WRITE_OPS
 
-#: Opcodes whose result latency uses the SFU pipeline.
-SFU_OPS = frozenset({Opcode.IDIV, Opcode.IMOD, Opcode.FDIV, Opcode.FSQRT})
-
 #: Opcodes that may spawn dynamic work.
 LAUNCH_OPS = frozenset({Opcode.LAUNCH_DEVICE, Opcode.LAUNCH_AGG})

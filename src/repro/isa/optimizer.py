@@ -30,30 +30,7 @@ from typing import Dict, List, Optional, Set, Tuple
 from ..errors import AssemblyError
 from .instructions import Imm, Instr, Opcode, Reg
 from .program import Program
-
-#: Foldable integer binary ops.
-_INT_FOLD = {
-    Opcode.IADD: lambda a, b: a + b,
-    Opcode.ISUB: lambda a, b: a - b,
-    Opcode.IMUL: lambda a, b: a * b,
-    Opcode.IMIN: min,
-    Opcode.IMAX: max,
-    Opcode.IAND: lambda a, b: a & b,
-    Opcode.IOR: lambda a, b: a | b,
-    Opcode.IXOR: lambda a, b: a ^ b,
-    Opcode.ISHL: lambda a, b: a << b,
-    Opcode.ISHR: lambda a, b: a >> b,
-}
-
-#: Ops with no side effects whose dead results may be eliminated.
-_PURE = frozenset(_INT_FOLD) | {
-    Opcode.IDIV, Opcode.IMOD, Opcode.INEG, Opcode.INOT, Opcode.MOV,
-    Opcode.FADD, Opcode.FSUB, Opcode.FMUL, Opcode.FDIV, Opcode.FMIN,
-    Opcode.FMAX, Opcode.FNEG, Opcode.FSQRT, Opcode.FABS, Opcode.FMOV,
-    Opcode.ITOF, Opcode.FTOI, Opcode.SETP, Opcode.FSETP, Opcode.SELP,
-    Opcode.READ_SPECIAL, Opcode.SHFL_IDX, Opcode.SHFL_DOWN,
-    Opcode.VOTE_ANY, Opcode.VOTE_ALL, Opcode.VOTE_BALLOT,
-}
+from .semantics import ALU, PURE_OPS
 
 _WRAP = 1 << 64
 
@@ -119,11 +96,12 @@ def constant_fold(program: Program) -> Program:
             state.reset()
 
         new = instr
-        if instr.op in _INT_FOLD and isinstance(instr.dst, Reg):
+        row = ALU.get(instr.op)
+        if row is not None and row.fold is not None and isinstance(instr.dst, Reg):
             a = state.lookup(instr.a)
             b = state.lookup(instr.b)
             if a is not None and b is not None:
-                value = _wrap64(_INT_FOLD[instr.op](a, b))
+                value = _wrap64(row.fold(a, b))
                 new = _clone(instr, op=Opcode.MOV, a=Imm(value), b=None)
             elif instr.op is Opcode.IADD and b == 0:
                 new = _clone(instr, op=Opcode.MOV, b=None)
@@ -181,7 +159,7 @@ def dead_code_elimination(program: Program) -> Program:
         for name in label_at.get(pc, ()):
             out.label(name)
         if (
-            instr.op in _PURE
+            instr.op in PURE_OPS
             and isinstance(instr.dst, Reg)
             and (instr.dst.bank, instr.dst.idx) not in read
         ):

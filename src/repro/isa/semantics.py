@@ -1,0 +1,198 @@
+"""What each opcode computes and which pipeline it is charged to.
+
+This module is the one place the functional semantics and the timing
+class of the register-level ISA are stated.  Every consumer reads it
+instead of restating the NumPy calls:
+
+* the reference interpreter (:meth:`repro.sim.warp.Warp._h_alu`)
+  evaluates :data:`ALU` rows one instruction at a time;
+* the fast core (:func:`repro.sim.fast_warp.decode_program`) binds the
+  same rows into pre-decoded closures and picks the closure shape from
+  the row (``ufunc`` present, ``guard`` set, or neither);
+* the peephole optimizer folds constants with a row's ``fold`` and
+  eliminates dead :data:`PURE_OPS`;
+* the assembler splits off a destination register for :data:`DST_OPS`.
+
+Operand values are either 32-lane arrays (a register row) or the bare
+Python number of an immediate; every row function accepts both.  A
+result is written to the destination bank with an *unsafe cast* to that
+bank's dtype (``np.copyto(..., casting="unsafe")``): comparisons land as
+0/1 in int64, floats written to the int bank truncate toward zero.
+
+The tables are deliberately *not* read by the oracles the cores are
+tested against (the Python evaluator in ``tests/test_random_programs.py``
+and the workloads' host references), nor by ``tests/isa/test_semantics.py``,
+which checks each row against a scalar model of its own.
+"""
+
+from __future__ import annotations
+
+import operator
+from typing import Callable, Dict, NamedTuple, Optional
+
+import numpy as np
+
+from .instructions import Bank, Cmp, Opcode, Special
+
+O = Opcode
+INT, FLT = Bank.INT, Bank.FLT
+
+#: ``SETP`` / ``FSETP`` comparison functions.
+CMP: Dict[Cmp, Callable] = {
+    Cmp.LT: np.less,
+    Cmp.LE: np.less_equal,
+    Cmp.GT: np.greater,
+    Cmp.GE: np.greater_equal,
+    Cmp.EQ: np.equal,
+    Cmp.NE: np.not_equal,
+}
+
+
+class AluOp(NamedTuple):
+    """Semantics of one register-to-register opcode.
+
+    ``src`` has one letter per argument of ``fn``, in order: ``i`` / ``f``
+    consume the next source operand (``a``, ``b``, ``c``) read from the
+    int / float bank — a register of the *other* bank named in an ``f``
+    slot is read from the int bank and converted — and a leading ``c``
+    passes the :data:`CMP` function selected by the instruction's ``cmp``
+    field.  A ``c`` row only applies that comparison to its operands
+    (``fn(cmp, a, b)`` is ``cmp(a, b)``), so a decoder may bind the
+    comparison itself in place of ``fn``.
+    """
+
+    src: str
+    dst: Bank
+    fn: Callable
+    #: ``fn`` as a bare ufunc, when it is one: the fast core then writes
+    #: the destination through ``out=`` / ``where=`` without a temporary.
+    ufunc: Optional[np.ufunc] = None
+    #: The last operand is a divisor; ``ufunc`` applies after
+    #: :func:`nonzero_divisor` (``fn`` already includes it).
+    guard: bool = False
+    #: Charged ``sfu_latency`` instead of ``alu_latency``.
+    sfu: bool = False
+    #: Python-int form of an int binary op for constant folding (the
+    #: optimizer wraps the result to 64 bits).
+    fold: Optional[Callable[[int, int], int]] = None
+
+
+def nonzero_divisor(b):
+    """``b`` with zeros replaced by one: dividing by zero returns the
+    dividend (``IDIV`` / ``FDIV``) or zero (``IMOD``) instead of trapping."""
+    return np.where(b == 0, 1, b)
+
+
+def _same(a):
+    """Moves and ``ITOF``: the cast of the destination write is the op."""
+    return a
+
+
+def _ufunc(src: str, dst: Bank, ufunc: np.ufunc, fold=None) -> AluOp:
+    return AluOp(src, dst, ufunc, ufunc=ufunc, fold=fold)
+
+
+def _divide(src: str, dst: Bank, ufunc: np.ufunc) -> AluOp:
+    def fn(a, b):
+        return ufunc(a, nonzero_divisor(b))
+
+    return AluOp(src, dst, fn, ufunc=ufunc, guard=True, sfu=True)
+
+
+def _compare(cmp, a, b):
+    return cmp(a, b)
+
+
+ALU: Dict[Opcode, AluOp] = {
+    O.IADD: _ufunc("ii", INT, np.add, operator.add),
+    O.ISUB: _ufunc("ii", INT, np.subtract, operator.sub),
+    O.IMUL: _ufunc("ii", INT, np.multiply, operator.mul),
+    O.IDIV: _divide("ii", INT, np.floor_divide),
+    O.IMOD: _divide("ii", INT, np.remainder),
+    O.IMIN: _ufunc("ii", INT, np.minimum, min),
+    O.IMAX: _ufunc("ii", INT, np.maximum, max),
+    O.IAND: _ufunc("ii", INT, np.bitwise_and, operator.and_),
+    O.IOR: _ufunc("ii", INT, np.bitwise_or, operator.or_),
+    O.IXOR: _ufunc("ii", INT, np.bitwise_xor, operator.xor),
+    O.ISHL: _ufunc("ii", INT, np.left_shift, operator.lshift),
+    O.ISHR: _ufunc("ii", INT, np.right_shift, operator.rshift),
+    O.INEG: _ufunc("i", INT, np.negative),
+    O.INOT: _ufunc("i", INT, np.bitwise_not),
+    O.MOV: AluOp("i", INT, _same),
+    O.FADD: _ufunc("ff", FLT, np.add),
+    O.FSUB: _ufunc("ff", FLT, np.subtract),
+    O.FMUL: _ufunc("ff", FLT, np.multiply),
+    O.FDIV: _divide("ff", FLT, np.divide),
+    O.FMIN: _ufunc("ff", FLT, np.minimum),
+    O.FMAX: _ufunc("ff", FLT, np.maximum),
+    O.FNEG: _ufunc("f", FLT, np.negative),
+    # Square root of the magnitude: negative inputs do not produce NaN.
+    O.FSQRT: AluOp(
+        "f", FLT, lambda a: np.sqrt(np.abs(np.asarray(a, dtype=np.float64))), sfu=True
+    ),
+    O.FABS: _ufunc("f", FLT, np.abs),
+    O.FMOV: AluOp("f", FLT, _same),
+    O.ITOF: AluOp("i", FLT, _same),
+    O.FTOI: AluOp("f", INT, lambda a: np.asarray(a, dtype=np.float64).astype(np.int64)),
+    O.SETP: AluOp("cii", INT, _compare),
+    O.FSETP: AluOp("cff", INT, _compare),
+    # selp dst a b cond: ``a`` where cond is nonzero, else ``b``.
+    O.SELP: AluOp("iii", INT, lambda a, b, c: np.where(np.not_equal(c, 0), a, b)),
+}
+
+#: New memory value of each atomic as ``combine(old, b, c)``; ``c`` is
+#: only supplied by ``ATOM_CAS`` (``b`` is the compare value, ``c`` the
+#: replacement).  The instruction's destination receives ``old``.  Each
+#: function takes Python ints (the reference core's per-lane loop) or
+#: lane arrays (the fast core's conflict-free gather/scatter).
+ATOMIC: Dict[Opcode, Callable] = {
+    O.ATOM_ADD: lambda old, b, c: old + b,
+    O.ATOM_MIN: lambda old, b, c: np.minimum(old, b),
+    O.ATOM_MAX: lambda old, b, c: np.maximum(old, b),
+    O.ATOM_OR: lambda old, b, c: old | b,
+    O.ATOM_EXCH: lambda old, b, c: b,
+    O.ATOM_CAS: lambda old, b, c: np.where(old == b, c, old),
+}
+
+#: ``READ_SPECIAL`` sources, as getters over a warp
+#: (:class:`repro.sim.warp.Warp`): per-lane arrays for thread indices,
+#: block-uniform ints for everything else.
+SPECIAL: Dict[Special, Callable] = {
+    Special.TID_X: lambda w: w.tid_x,
+    Special.TID_Y: lambda w: w.tid_y,
+    Special.TID_Z: lambda w: w.tid_z,
+    Special.NTID_X: lambda w: w.tb.block_dims[0],
+    Special.NTID_Y: lambda w: w.tb.block_dims[1],
+    Special.NTID_Z: lambda w: w.tb.block_dims[2],
+    Special.CTAID_X: lambda w: w.tb.ctaid[0],
+    Special.CTAID_Y: lambda w: w.tb.ctaid[1],
+    Special.CTAID_Z: lambda w: w.tb.ctaid[2],
+    Special.NCTAID_X: lambda w: w.tb.grid_dims[0],
+    Special.NCTAID_Y: lambda w: w.tb.grid_dims[1],
+    Special.NCTAID_Z: lambda w: w.tb.grid_dims[2],
+    Special.PARAM: lambda w: w.tb.param_addr,
+    Special.GTID: lambda w: w.gtid,
+}
+
+# ----------------------------------------------------------------------
+# Opcode classes derived from the tables
+# ----------------------------------------------------------------------
+#: Opcodes whose result latency uses the SFU pipeline.
+SFU_OPS = frozenset(op for op, row in ALU.items() if row.sfu)
+
+#: Register-only ops with a fixed latency class and no control flow, no
+#: memory-system timing, no barrier and no device-runtime side effect:
+#: what may live inside a fused straight-line region of the fast core.
+FUSABLE_OPS = frozenset(ALU) | {O.READ_SPECIAL}
+
+#: Ops with no side effects, whose dead results may be eliminated: the
+#: fusable ones plus the warp-wide exchanges (which read other lanes'
+#: registers but write only their own destination).
+PURE_OPS = FUSABLE_OPS | {
+    O.SHFL_IDX, O.SHFL_DOWN, O.VOTE_ANY, O.VOTE_ALL, O.VOTE_BALLOT,
+}
+
+#: Opcodes whose first operand is a destination register.
+DST_OPS = PURE_OPS | frozenset(ATOMIC) | {
+    O.LD, O.FLD, O.LDS, O.LDL, O.STREAM_CREATE, O.GET_PARAM_BUF,
+}

@@ -8,8 +8,11 @@ the per-step interpretation overhead three ways:
 
 * **Pre-decoded instruction kernels.**  Each program is decoded once into
   a table of per-instruction closures (cached on the
-  :class:`~repro.isa.program.Program`); operand banks, immediates and
-  latency classes are resolved at decode time instead of on every issue.
+  :class:`~repro.isa.program.Program`).  What an opcode computes is read
+  from :mod:`repro.isa.semantics` — the same rows the reference
+  interpreter evaluates — and bound at decode time: operand banks,
+  immediates, the closure shape and the latency class are resolved once
+  instead of on every issue.
 * **Extended PDOM frames.**  Stack frames carry ``[pc, reconv_pc, mask,
   active_count, full_flag]`` so the active-lane count (needed for the
   warp-activity statistic on every issue) and the common all-32-lanes case
@@ -23,11 +26,12 @@ the per-step interpretation overhead three ways:
 * **Superblock fusion.**  Decode also discovers maximal straight-line
   regions of ALU-class instructions (no branches, barriers, memory ops,
   or reconvergence points inside — :mod:`repro.isa.regions`) and a warp
-  executing with a full mask inside an :meth:`SMX.burst
-  <repro.sim.smx.SMX.burst>` window runs a whole region in one call
-  (:meth:`FastWarp.step_window`), charging the exact per-instruction
-  cycles and stats of unfused execution.  Divergent entry (partial
-  mask), ``sanitize=True`` and the non-burst issue path all fall back to
+  executing with a full mask inside one of the two window forms that
+  ``GPU._run_fast`` opens (:meth:`FastWarp.step_free_window`,
+  :meth:`FastWarp.step_window`) runs a whole region in one call,
+  charging the exact per-instruction cycles and stats of unfused
+  execution.  Divergent entry (partial mask), ``sanitize=True`` and the
+  single-instruction :meth:`FastWarp.step` path all fall back to
   per-instruction dispatch.
 
 Anything rare (shared/local memory, shuffles, votes, device-runtime calls,
@@ -53,10 +57,19 @@ import numpy as np
 
 from ..config import SEGMENT_WORDS, WARP_SIZE
 from ..errors import ExecutionError
-from ..isa.instructions import Bank, Cmp, Opcode, Reg, Special
+from ..isa.instructions import GLOBAL_MEMORY_OPS, Bank, Opcode, Reg
 from ..isa.regions import straight_line_regions
+from ..isa.semantics import (
+    ALU,
+    ATOMIC,
+    CMP,
+    FUSABLE_OPS,
+    SFU_OPS,
+    SPECIAL,
+    nonzero_divisor,
+)
 from ..memory.coalescing import coalesce_address_list
-from .warp import _CMP_FUNCS, _DISPATCH, Warp
+from .warp import _DISPATCH, Warp
 
 # ----------------------------------------------------------------------
 # Shared warp geometry
@@ -95,39 +108,34 @@ def _geometry(bx: int, by: int, threads: int, warp_index: int) -> tuple:
 
 
 # ----------------------------------------------------------------------
-# Operand encoding
+# Operand binding
 # ----------------------------------------------------------------------
-def _enc_i(operand):
-    """Integer operand -> (reg_index, imm); reg_index -1 means immediate.
+def _operand(kind: str, operand):
+    """Bind a source operand at decode time -> ``(idx, const, get)``.
 
-    Returns None when the immediate is not an integer (the reference
-    core's unsafe cast then defines the semantics; delegate to it).
-    Mirrors ``Warp._val_i``: any Reg reads the int bank.
+    ``kind`` is the operand's slot letter in a semantics row (``"i"`` /
+    ``"f"``).  ``idx >= 0`` is a row of the int register file (the
+    common case, fetched inline by the closures), ``idx == -1`` means
+    the value is ``const``, ``idx == -2`` means call ``get(w)``.  Mirrors
+    ``Warp._val_i`` / ``Warp._val_f``: an ``i`` slot reads the int bank
+    whatever the register's bank, an ``f`` slot converts an int-bank
+    register.  Returns None for a non-integer immediate in an ``i`` slot
+    (the reference core's unsafe cast then defines the semantics;
+    delegate to it).
     """
     if type(operand) is Reg:
-        return operand.idx, 0
-    value = operand.value
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-        return None
-    return -1, int(value)
-
-
-def _enc_f(operand):
-    """Float operand -> (kind, reg_index, imm) with kind 0=float reg,
-    1=int reg (converted), 2=immediate.  Mirrors ``Warp._val_f``."""
-    if type(operand) is Reg:
+        idx = operand.idx
+        if kind == "i":
+            return idx, None, None
         if operand.bank == Bank.FLT:
-            return 0, operand.idx, 0.0
-        return 1, operand.idx, 0.0
-    return 2, -1, operand.value
-
-
-def _fval(w, kind, idx, imm):
-    if kind == 0:
-        return w.regs_f[idx]
-    if kind == 1:
-        return w.regs_i[idx].astype(np.float64)
-    return imm
+            return -2, None, lambda w: w.regs_f[idx]
+        return -2, None, lambda w: w.regs_i[idx].astype(np.float64)
+    value = operand.value
+    if kind == "i":
+        if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+            return None
+        value = int(value)
+    return -1, value, None
 
 
 # ----------------------------------------------------------------------
@@ -188,333 +196,100 @@ def _lane_addrs(w, frame, base_idx: int, off: int):
 # cycle) -> bool (True iff the pc was updated), or None to delegate to
 # the reference handler.
 # ----------------------------------------------------------------------
-_INT_BIN_UFUNCS = {
-    Opcode.IADD: np.add,
-    Opcode.ISUB: np.subtract,
-    Opcode.IMUL: np.multiply,
-    Opcode.IMIN: np.minimum,
-    Opcode.IMAX: np.maximum,
-    Opcode.IAND: np.bitwise_and,
-    Opcode.IOR: np.bitwise_or,
-    Opcode.IXOR: np.bitwise_xor,
-    Opcode.ISHL: np.left_shift,
-    Opcode.ISHR: np.right_shift,
-}
+def _make_alu(instr):
+    """Bind one :data:`repro.isa.semantics.ALU` row to this instruction.
 
-_FLT_BIN_UFUNCS = {
-    Opcode.FADD: np.add,
-    Opcode.FSUB: np.subtract,
-    Opcode.FMUL: np.multiply,
-    Opcode.FMIN: np.minimum,
-    Opcode.FMAX: np.maximum,
-}
-
-
-def _make_ibin(instr):
-    ufunc = _INT_BIN_UFUNCS[instr.op]
-    d = instr.dst.idx
-    a = _enc_i(instr.a)
-    b = _enc_i(instr.b)
-    if a is None or b is None:
+    The row picks the closure shape once, here: a bare ufunc writes the
+    destination row in place through ``out=`` / ``where=``, with the
+    divisor guard folded into the divisor's fetch; anything else computes
+    a temporary and ``copyto``s it with the bank's unsafe cast (a
+    comparison into an int64 ``out=`` would go through NumPy's buffered
+    casting path, which is slower than the temporary).
+    """
+    row = ALU[instr.op]
+    fn, kinds, ufunc = row.fn, row.src, row.ufunc
+    if kinds[0] == "c":
+        # A comparison row only applies the selected comparison.
+        fn, kinds = CMP[instr.cmp], kinds[1:]
+    operands = [_operand(k, x) for k, x in zip(kinds, (instr.a, instr.b, instr.c))]
+    if None in operands:
         return None
-    ai, av = a
-    bi, bv = b
-
-    def run(w, frame, cycle):
-        ri = w.regs_i
-        av_ = ri[ai] if ai >= 0 else av
-        bv_ = ri[bi] if bi >= 0 else bv
-        if frame[4]:
-            ufunc(av_, bv_, out=ri[d])
+    if row.guard:
+        div_idx, div_const, div_get = operands[1]
+        if div_idx == -1:
+            operands[1] = -1, nonzero_divisor(div_const), None
+        elif div_idx >= 0:
+            operands[1] = -2, None, lambda w: nonzero_divisor(w.regs_i[div_idx])
         else:
-            ufunc(av_, bv_, out=ri[d], where=frame[2])
-        w.ready_cycle = cycle + w._alu_lat
-        return False
-
-    return run
-
-
-def _make_idivmod(instr):
-    ufunc = np.floor_divide if instr.op == Opcode.IDIV else np.remainder
+            operands[1] = -2, None, lambda w: nonzero_divisor(div_get(w))
+    n = len(operands)
+    (ai, av, ga), (bi, bv, gb), (ci, cv, gc) = (operands + [(-1, None, None)] * 2)[:3]
     d = instr.dst.idx
-    a = _enc_i(instr.a)
-    b = _enc_i(instr.b)
-    if a is None or b is None:
-        return None
-    ai, av = a
-    bi, bv = b
+    flt = row.dst == Bank.FLT
+    sfu = row.sfu
 
-    def run(w, frame, cycle):
-        ri = w.regs_i
-        av_ = ri[ai] if ai >= 0 else av
-        if bi >= 0:
-            bv_ = ri[bi]
-            safe = np.where(bv_ == 0, 1, bv_)
-        else:
-            safe = 1 if bv == 0 else bv
-        if frame[4]:
-            ufunc(av_, safe, out=ri[d])
-        else:
-            ufunc(av_, safe, out=ri[d], where=frame[2])
-        w.ready_cycle = cycle + w._sfu_lat
-        return False
+    if ufunc is not None and n == 2:
 
-    return run
+        def run(w, frame, cycle):
+            ri = w.regs_i
+            a = ri[ai] if ai >= 0 else av if ai == -1 else ga(w)
+            b = ri[bi] if bi >= 0 else bv if bi == -1 else gb(w)
+            rd = (w.regs_f if flt else ri)[d]
+            if frame[4]:
+                ufunc(a, b, out=rd)
+            else:
+                ufunc(a, b, out=rd, where=frame[2])
+            w.ready_cycle = cycle + (w._sfu_lat if sfu else w._alu_lat)
+            return False
 
+    elif ufunc is not None:
 
-def _make_iunary(instr):
-    ufunc = np.negative if instr.op == Opcode.INEG else np.bitwise_not
-    d = instr.dst.idx
-    a = _enc_i(instr.a)
-    if a is None:
-        return None
-    ai, av = a
+        def run(w, frame, cycle):
+            ri = w.regs_i
+            a = ri[ai] if ai >= 0 else av if ai == -1 else ga(w)
+            rd = (w.regs_f if flt else ri)[d]
+            if frame[4]:
+                ufunc(a, out=rd)
+            else:
+                ufunc(a, out=rd, where=frame[2])
+            w.ready_cycle = cycle + (w._sfu_lat if sfu else w._alu_lat)
+            return False
 
-    def run(w, frame, cycle):
-        ri = w.regs_i
-        av_ = ri[ai] if ai >= 0 else av
-        if frame[4]:
-            ufunc(av_, out=ri[d])
-        else:
-            ufunc(av_, out=ri[d], where=frame[2])
-        w.ready_cycle = cycle + w._alu_lat
-        return False
-
-    return run
-
-
-def _make_mov(instr):
-    d = instr.dst.idx
-    if type(instr.a) is Reg:
-        ai, av = instr.a.idx, 0
     else:
-        ai, av = -1, instr.a.value
 
-    def run(w, frame, cycle):
-        ri = w.regs_i
-        src = ri[ai] if ai >= 0 else av
-        if frame[4]:
-            np.copyto(ri[d], src, casting="unsafe")
-        else:
-            np.copyto(ri[d], src, where=frame[2], casting="unsafe")
-        w.ready_cycle = cycle + w._alu_lat
-        return False
-
-    return run
-
-
-def _make_fbin(instr):
-    ufunc = _FLT_BIN_UFUNCS[instr.op]
-    d = instr.dst.idx
-    ak, ai, av = _enc_f(instr.a)
-    bk, bi, bv = _enc_f(instr.b)
-
-    def run(w, frame, cycle):
-        av_ = _fval(w, ak, ai, av)
-        bv_ = _fval(w, bk, bi, bv)
-        rd = w.regs_f[d]
-        if frame[4]:
-            ufunc(av_, bv_, out=rd)
-        else:
-            ufunc(av_, bv_, out=rd, where=frame[2])
-        w.ready_cycle = cycle + w._alu_lat
-        return False
+        def run(w, frame, cycle):
+            ri = w.regs_i
+            a = ri[ai] if ai >= 0 else av if ai == -1 else ga(w)
+            if n == 1:
+                result = fn(a)
+            else:
+                b = ri[bi] if bi >= 0 else bv if bi == -1 else gb(w)
+                if n == 2:
+                    result = fn(a, b)
+                else:
+                    c = ri[ci] if ci >= 0 else cv if ci == -1 else gc(w)
+                    result = fn(a, b, c)
+            rd = (w.regs_f if flt else ri)[d]
+            if frame[4]:
+                np.copyto(rd, result, casting="unsafe")
+            else:
+                np.copyto(rd, result, where=frame[2], casting="unsafe")
+            w.ready_cycle = cycle + (w._sfu_lat if sfu else w._alu_lat)
+            return False
 
     return run
-
-
-def _make_fdiv(instr):
-    d = instr.dst.idx
-    ak, ai, av = _enc_f(instr.a)
-    bk, bi, bv = _enc_f(instr.b)
-
-    def run(w, frame, cycle):
-        av_ = _fval(w, ak, ai, av)
-        bv_ = _fval(w, bk, bi, bv)
-        if isinstance(bv_, np.ndarray):
-            safe = np.where(bv_ == 0.0, 1.0, bv_)
-        else:
-            safe = 1.0 if bv_ == 0.0 else bv_
-        rd = w.regs_f[d]
-        if frame[4]:
-            np.divide(av_, safe, out=rd)
-        else:
-            np.divide(av_, safe, out=rd, where=frame[2])
-        w.ready_cycle = cycle + w._sfu_lat
-        return False
-
-    return run
-
-
-def _make_funary(instr):
-    op = instr.op
-    d = instr.dst.idx
-    ak, ai, av = _enc_f(instr.a)
-
-    def run(w, frame, cycle):
-        av_ = _fval(w, ak, ai, av)
-        rd = w.regs_f[d]
-        full = frame[4]
-        mask = frame[2]
-        sfu = False
-        if op == Opcode.FNEG:
-            result = np.negative(av_)
-        elif op == Opcode.FABS:
-            result = np.abs(np.asarray(av_))
-        elif op == Opcode.FSQRT:
-            result = np.sqrt(np.abs(np.asarray(av_, dtype=np.float64)))
-            sfu = True
-        else:  # FMOV
-            result = av_
-        if full:
-            np.copyto(rd, result, casting="unsafe")
-        else:
-            np.copyto(rd, result, where=mask, casting="unsafe")
-        w.ready_cycle = cycle + (w._sfu_lat if sfu else w._alu_lat)
-        return False
-
-    return run
-
-
-def _make_itof(instr):
-    d = instr.dst.idx
-    if type(instr.a) is Reg:
-        ai, av = instr.a.idx, 0.0
-    else:
-        ai, av = -1, instr.a.value
-
-    def run(w, frame, cycle):
-        src = w.regs_i[ai] if ai >= 0 else np.asarray(av, dtype=np.float64)
-        rd = w.regs_f[d]
-        if frame[4]:
-            np.copyto(rd, src, casting="unsafe")
-        else:
-            np.copyto(rd, src, where=frame[2], casting="unsafe")
-        w.ready_cycle = cycle + w._alu_lat
-        return False
-
-    return run
-
-
-def _make_ftoi(instr):
-    d = instr.dst.idx
-    ak, ai, av = _enc_f(instr.a)
-
-    def run(w, frame, cycle):
-        src = np.asarray(_fval(w, ak, ai, av), dtype=np.float64).astype(np.int64)
-        rd = w.regs_i[d]
-        if frame[4]:
-            np.copyto(rd, src, casting="unsafe")
-        else:
-            np.copyto(rd, src, where=frame[2], casting="unsafe")
-        w.ready_cycle = cycle + w._alu_lat
-        return False
-
-    return run
-
-
-def _make_setp(instr):
-    fn = _CMP_FUNCS[instr.cmp]
-    d = instr.dst.idx
-    a = _enc_i(instr.a)
-    b = _enc_i(instr.b)
-    if a is None or b is None:
-        return None
-    ai, av = a
-    bi, bv = b
-
-    def run(w, frame, cycle):
-        ri = w.regs_i
-        av_ = ri[ai] if ai >= 0 else av
-        bv_ = ri[bi] if bi >= 0 else bv
-        result = fn(np.asarray(av_), np.asarray(bv_))
-        if frame[4]:
-            np.copyto(ri[d], result, casting="unsafe")
-        else:
-            np.copyto(ri[d], result, where=frame[2], casting="unsafe")
-        w.ready_cycle = cycle + w._alu_lat
-        return False
-
-    return run
-
-
-def _make_fsetp(instr):
-    fn = _CMP_FUNCS[instr.cmp]
-    d = instr.dst.idx
-    ak, ai, av = _enc_f(instr.a)
-    bk, bi, bv = _enc_f(instr.b)
-
-    def run(w, frame, cycle):
-        av_ = np.asarray(_fval(w, ak, ai, av), dtype=np.float64)
-        bv_ = np.asarray(_fval(w, bk, bi, bv), dtype=np.float64)
-        result = fn(av_, bv_)
-        rd = w.regs_i[d]
-        if frame[4]:
-            np.copyto(rd, result, casting="unsafe")
-        else:
-            np.copyto(rd, result, where=frame[2], casting="unsafe")
-        w.ready_cycle = cycle + w._alu_lat
-        return False
-
-    return run
-
-
-def _make_selp(instr):
-    d = instr.dst.idx
-    a = _enc_i(instr.a)
-    b = _enc_i(instr.b)
-    c = _enc_i(instr.c)
-    if a is None or b is None or c is None:
-        return None
-    ai, av = a
-    bi, bv = b
-    ci, cv = c
-
-    def run(w, frame, cycle):
-        ri = w.regs_i
-        cond = (ri[ci] != 0) if ci >= 0 else (cv != 0)
-        result = np.where(cond, ri[ai] if ai >= 0 else av, ri[bi] if bi >= 0 else bv)
-        if frame[4]:
-            np.copyto(ri[d], result, casting="unsafe")
-        else:
-            np.copyto(ri[d], result, where=frame[2], casting="unsafe")
-        w.ready_cycle = cycle + w._alu_lat
-        return False
-
-    return run
-
-
-_SPECIAL_GETTERS = {
-    Special.TID_X: lambda w: w.tid_x,
-    Special.TID_Y: lambda w: w.tid_y,
-    Special.TID_Z: lambda w: w.tid_z,
-    Special.NTID_X: lambda w: w.tb.block_dims[0],
-    Special.NTID_Y: lambda w: w.tb.block_dims[1],
-    Special.NTID_Z: lambda w: w.tb.block_dims[2],
-    Special.CTAID_X: lambda w: w.tb.ctaid[0],
-    Special.CTAID_Y: lambda w: w.tb.ctaid[1],
-    Special.CTAID_Z: lambda w: w.tb.ctaid[2],
-    Special.NCTAID_X: lambda w: w.tb.grid_dims[0],
-    Special.NCTAID_Y: lambda w: w.tb.grid_dims[1],
-    Special.NCTAID_Z: lambda w: w.tb.grid_dims[2],
-    Special.PARAM: lambda w: w.tb.param_addr,
-    Special.GTID: lambda w: w.gtid,
-}
 
 
 def _make_read_special(instr):
-    getter = _SPECIAL_GETTERS.get(instr.special)
-    if getter is None:
-        return None
+    getter = SPECIAL[instr.special]
     d = instr.dst.idx
 
     def run(w, frame, cycle):
-        value = getter(w)
         rd = w.regs_i[d]
         if frame[4]:
-            np.copyto(rd, value, casting="unsafe")
+            np.copyto(rd, getter(w), casting="unsafe")
         else:
-            np.copyto(rd, value, where=frame[2], casting="unsafe")
+            np.copyto(rd, getter(w), where=frame[2], casting="unsafe")
         w.ready_cycle = cycle + w._alu_lat
         return False
 
@@ -549,23 +324,15 @@ def _make_store(instr):
     is_float = instr.op == Opcode.FST
     base_idx = instr.a.idx
     off = instr.offset
-    if is_float:
-        sk, si, sv = _enc_f(instr.b)
-    else:
-        b = _enc_i(instr.b)
-        if b is None:
-            return None
-        si, sv = b
-        sk = None
+    src_operand = _operand("f" if is_float else "i", instr.b)
+    if src_operand is None:
+        return None
+    si, sv, gs = src_operand
 
     def run(w, frame, cycle):
         addrs, alist, lo, hi = _lane_addrs(w, frame, base_idx, off)
-        if is_float:
-            src = _fval(w, sk, si, sv)
-            mem = w._mem_f
-        else:
-            src = w.regs_i[si] if si >= 0 else sv
-            mem = w._mem_i
+        src = w.regs_i[si] if si >= 0 else sv if si == -1 else gs(w)
+        mem = w._mem_f if is_float else w._mem_i
         if isinstance(src, np.ndarray):
             mem[addrs] = src if frame[4] else src[frame[2]]
         else:
@@ -579,22 +346,18 @@ def _make_store(instr):
 def _make_atomic(instr):
     if type(instr.a) is not Reg:
         return None
-    op = instr.op
+    combine = ATOMIC[instr.op]
     base_idx = instr.a.idx
     off = instr.offset
     d = instr.dst.idx if instr.dst is not None else -1
-    b = _enc_i(instr.b)
-    if b is None:
+    # b is the operand (the compare value for ATOM_CAS), c its new value.
+    b = _operand("i", instr.b)
+    c = _operand("i", instr.c) if instr.c is not None else (-1, None, None)
+    if b is None or c is None:
         return None
-    bi, bv = b
-    if instr.c is not None:
-        c = _enc_i(instr.c)
-        if c is None:
-            return None
-        ci, cv = c
-    else:
-        ci, cv = -1, 0
-    ref_handler = _DISPATCH[op]
+    bi, bv = b[:2]
+    ci, cv = c[:2]
+    ref_handler = _DISPATCH[instr.op]
 
     def run(w, frame, cycle):
         full = frame[4]
@@ -623,28 +386,16 @@ def _make_atomic(instr):
             lo, hi = 0, -1
         mem = w._mem_i
         old = mem[addrs]
+        ri = w.regs_i
+        vals = (ri[bi] if full else ri[bi][mask]) if bi >= 0 else bv
+        new = (ri[ci] if full else ri[ci][mask]) if ci >= 0 else cv
+        mem[addrs] = combine(old, vals, new)
+        # The destination is written last: it may alias an operand.
         if d >= 0:
             if full:
                 w.regs_i[d][:] = old
             else:
                 w.regs_i[d][mask] = old
-        if bi >= 0:
-            vals = w.regs_i[bi] if full else w.regs_i[bi][mask]
-        else:
-            vals = bv
-        if op == Opcode.ATOM_ADD:
-            mem[addrs] = old + vals
-        elif op == Opcode.ATOM_MIN:
-            mem[addrs] = np.minimum(old, vals)
-        elif op == Opcode.ATOM_MAX:
-            mem[addrs] = np.maximum(old, vals)
-        elif op == Opcode.ATOM_OR:
-            mem[addrs] = old | vals
-        elif op == Opcode.ATOM_EXCH:
-            mem[addrs] = vals
-        else:  # ATOM_CAS: b is compare, c is the new value
-            new = (w.regs_i[ci] if full else w.regs_i[ci][mask]) if ci >= 0 else cv
-            mem[addrs] = np.where(old == vals, new, old)
         _global_timing(w, alist, False, cycle, lo, hi)
         return False
 
@@ -725,47 +476,13 @@ def _make_exit(instr):
 
 
 _BUILDERS = {
-    Opcode.IADD: _make_ibin,
-    Opcode.ISUB: _make_ibin,
-    Opcode.IMUL: _make_ibin,
-    Opcode.IMIN: _make_ibin,
-    Opcode.IMAX: _make_ibin,
-    Opcode.IAND: _make_ibin,
-    Opcode.IOR: _make_ibin,
-    Opcode.IXOR: _make_ibin,
-    Opcode.ISHL: _make_ibin,
-    Opcode.ISHR: _make_ibin,
-    Opcode.IDIV: _make_idivmod,
-    Opcode.IMOD: _make_idivmod,
-    Opcode.INEG: _make_iunary,
-    Opcode.INOT: _make_iunary,
-    Opcode.MOV: _make_mov,
-    Opcode.FADD: _make_fbin,
-    Opcode.FSUB: _make_fbin,
-    Opcode.FMUL: _make_fbin,
-    Opcode.FMIN: _make_fbin,
-    Opcode.FMAX: _make_fbin,
-    Opcode.FDIV: _make_fdiv,
-    Opcode.FNEG: _make_funary,
-    Opcode.FSQRT: _make_funary,
-    Opcode.FABS: _make_funary,
-    Opcode.FMOV: _make_funary,
-    Opcode.ITOF: _make_itof,
-    Opcode.FTOI: _make_ftoi,
-    Opcode.SETP: _make_setp,
-    Opcode.FSETP: _make_fsetp,
-    Opcode.SELP: _make_selp,
+    **dict.fromkeys(ALU, _make_alu),
+    **dict.fromkeys(ATOMIC, _make_atomic),
     Opcode.READ_SPECIAL: _make_read_special,
     Opcode.LD: _make_load,
     Opcode.FLD: _make_load,
     Opcode.ST: _make_store,
     Opcode.FST: _make_store,
-    Opcode.ATOM_ADD: _make_atomic,
-    Opcode.ATOM_MIN: _make_atomic,
-    Opcode.ATOM_MAX: _make_atomic,
-    Opcode.ATOM_OR: _make_atomic,
-    Opcode.ATOM_EXCH: _make_atomic,
-    Opcode.ATOM_CAS: _make_atomic,
     Opcode.BRA: _make_bra,
     Opcode.JOIN: _make_join,
     Opcode.NOP: _make_join,
@@ -786,38 +503,11 @@ def _make_ref(instr, handler):
 # ----------------------------------------------------------------------
 # Superblock fusion
 #
-# Opcodes that may live inside a fused region: pure ALU/SFU register ops
-# with a fixed latency class and no control flow, no memory-system
-# timing, no barrier and no device-runtime side effects.  Loads/stores
-# and atomics are excluded even when natively decoded: their latency
-# depends on DRAM/L2 state, and coalescing stats must accrue at the
-# exact per-instruction issue order the scheduler would produce.
+# What may live inside a fused region is :data:`FUSABLE_OPS`.  Loads,
+# stores and atomics are excluded even when natively decoded: their
+# latency depends on DRAM/L2 state, and coalescing stats must accrue at
+# the exact per-instruction issue order the scheduler would produce.
 # ----------------------------------------------------------------------
-_FUSABLE_OPS = frozenset(
-    {
-        Opcode.IDIV,
-        Opcode.IMOD,
-        Opcode.INEG,
-        Opcode.INOT,
-        Opcode.MOV,
-        Opcode.FDIV,
-        Opcode.FNEG,
-        Opcode.FSQRT,
-        Opcode.FABS,
-        Opcode.FMOV,
-        Opcode.ITOF,
-        Opcode.FTOI,
-        Opcode.SETP,
-        Opcode.FSETP,
-        Opcode.SELP,
-        Opcode.READ_SPECIAL,
-    }
-    | set(_INT_BIN_UFUNCS)
-    | set(_FLT_BIN_UFUNCS)
-)
-
-#: Fusable opcodes charged the SFU latency class (mirrors the closures).
-_SFU_OPS = frozenset({Opcode.IDIV, Opcode.IMOD, Opcode.FDIV, Opcode.FSQRT})
 
 #: Opcodes a warp may execute past other warps' ready cycles (see
 #: :meth:`FastWarp.step_free_window`): their native closures touch only
@@ -826,26 +516,7 @@ _SFU_OPS = frozenset({Opcode.IDIV, Opcode.IMOD, Opcode.FDIV, Opcode.FSQRT})
 #: queue, warp-lifecycle bookkeeping or ``gpu.cycle``.  A reference
 #: fallback never qualifies (the decode's per-pc class also requires a
 #: native closure).
-_PRIVATE_OPS = _FUSABLE_OPS | {Opcode.BRA, Opcode.JOIN, Opcode.NOP}
-
-#: Global-memory opcodes with native closures: shared DRAM/L2 state, so
-#: a run-ahead window may only execute one *in global time order* — and
-#: then only while its SMX is the sole runnable one (sensitive ops on
-#: other SMXs are bounded by the burst horizon, not by this SMX's heap).
-_MEM_OPS = frozenset(
-    {
-        Opcode.LD,
-        Opcode.FLD,
-        Opcode.ST,
-        Opcode.FST,
-        Opcode.ATOM_ADD,
-        Opcode.ATOM_MIN,
-        Opcode.ATOM_MAX,
-        Opcode.ATOM_OR,
-        Opcode.ATOM_EXCH,
-        Opcode.ATOM_CAS,
-    }
-)
+_PRIVATE_OPS = FUSABLE_OPS | {Opcode.BRA, Opcode.JOIN, Opcode.NOP}
 
 
 class FusedRegion:
@@ -866,7 +537,7 @@ class FusedRegion:
         self.length = len(ops)
         self.ops = ops
         self.runs = runs
-        self.sfu_flags = tuple(op in _SFU_OPS for op in ops)
+        self.sfu_flags = tuple(op in SFU_OPS for op in ops)
         self.n_sfu = sum(self.sfu_flags)
         self.n_alu = self.length - self.n_sfu
 
@@ -877,8 +548,10 @@ def decode_program(program) -> tuple:
     The table holds one ``(closure, opcode, klass, region)`` row per
     pc.  ``klass`` drives budget-safe run-ahead: 1 = warp-private
     (native closure, opcode in :data:`_PRIVATE_OPS`), 2 = native
-    global-memory op (:data:`_MEM_OPS`; run-ahead may inline it in
-    global time order under the scheduler heap's bound), 0 = everything
+    global-memory op (``GLOBAL_MEMORY_OPS``: shared DRAM/L2 state, so
+    run-ahead may only inline it in global time order, under the
+    scheduler heap's bound, while every other memory client is bounded
+    below by that heap, the next event or the horizon), 0 = everything
     else (barriers, exits, launches, reference fallbacks — run-ahead
     always stops before these).  ``region`` is the :class:`FusedRegion`
     starting at this pc, or ``None`` — carried in the row so the hot
@@ -902,7 +575,7 @@ def decode_program(program) -> tuple:
             run = _make_ref(instr, _DISPATCH[op])
         if native[-1] and op in _PRIVATE_OPS:
             klass = 1
-        elif native[-1] and op in _MEM_OPS:
+        elif native[-1] and op in GLOBAL_MEMORY_OPS:
             klass = 2
         else:
             klass = 0
@@ -913,7 +586,7 @@ def decode_program(program) -> tuple:
     # immediate in an int operand — keeps reference semantics, including
     # its own error behaviour, so it must stay a visible single step).
     def fusable(pc, instr):
-        return native[pc] and instr.op in _FUSABLE_OPS
+        return native[pc] and instr.op in FUSABLE_OPS
 
     spans = straight_line_regions(program.instructions, fusable)
     regions = None
@@ -938,22 +611,8 @@ class FastWarp(Warp):
     __slots__ = ("_table", "_regions", "_alu_lat", "_sfu_lat", "_cstats", "_mem_access")
 
     def __init__(self, tb, warp_index: int, context_slot: int) -> None:
+        self._bind(tb, warp_index, context_slot)
         gpu = tb.gpu
-        func = tb.func
-        self.tb = tb
-        self.warp_index = warp_index
-        self.context_slot = context_slot
-        self.hw_slot_base = tb.smx.smx_id * 157 + context_slot * WARP_SIZE
-        self.age = 0
-        self._gpu = gpu
-        self._instrs = func.program.instructions
-        self._mem_i = gpu.memory.i
-        self._mem_f = gpu.memory.f
-        self._mem_size = gpu.memory.size_words
-        self._stats = gpu.stats
-        self._cfg = gpu.config
-        self._lat = gpu.latency
-        self._san = gpu.sanitizer
         self._alu_lat = gpu.config.alu_latency
         self._sfu_lat = gpu.config.sfu_latency
         # Hot-path attribute caches: one getattr instead of a chain per
@@ -961,7 +620,7 @@ class FastWarp(Warp):
         self._cstats = gpu.stats.coalescing
         self._mem_access = gpu.memsys.warp_access_list
 
-        table, n_int, n_flt, regions = decode_program(func.program)
+        table, n_int, n_flt, regions = decode_program(tb.func.program)
         self._table = table
         self._regions = regions
         self.regs_i = np.zeros((n_int, WARP_SIZE), dtype=np.int64)
@@ -979,9 +638,6 @@ class FastWarp(Warp):
         self.gtid = tb.block_linear_index * threads + clamped
 
         self.stack = [[0, -1, init_mask, active, active == WARP_SIZE]]
-        self.ready_cycle = 0
-        self.finished = False
-        self.at_barrier = False
 
     def step(self, cycle: int) -> None:
         """Execute one decoded instruction for the active frame's lanes."""
@@ -1011,13 +667,13 @@ class FastWarp(Warp):
     def step_window(self, cycle: int, horizon: int, events: list, heap: list) -> int:
         """Execute this warp repeatedly while it is provably the sole actor.
 
-        Called only from :meth:`SMX.burst <repro.sim.smx.SMX.burst>` in
-        place of :meth:`step`, after the warp was popped as ready at
-        ``cycle`` during a single-runnable-SMX burst.  As long as the
-        warp's next issue lands strictly before the *window bound* — the
-        earliest of ``horizon`` (next other-SMX wake-up / watchdog), the
-        next pending GPU event, and the next other-warp ready cycle on
-        this SMX (``heap``, whose stale lazy-deletion entries can only
+        Called only from ``GPU._run_fast`` in place of :meth:`step`,
+        after the warp was popped as ready at ``cycle`` and nothing else
+        is due before ``cycle + 2``.  As long as the warp's next issue
+        lands strictly before the *window bound* — the earliest of
+        ``horizon`` (the watchdog), the next pending GPU event, and the
+        next ready cycle of any other warp on any SMX (``heap``, the
+        GPU-wide ready heap, whose stale lazy-deletion entries can only
         shrink the bound) — no scheduler decision, issue-budget check or
         event delivery could interleave with it in the reference
         execution, so the warp keeps executing locally without
@@ -1147,8 +803,7 @@ class FastWarp(Warp):
         """Budget-safe run-ahead: execute register-private ops at their
         exact future issue cycles, past other warps' ready times.
 
-        Preconditions, checked by the callers in
-        :class:`~repro.sim.smx.SMX`:
+        Preconditions, checked by the caller (``GPU._run_fast``):
 
         * ``resident_warps <= issue_width`` on this SMX — resident warps
           (including barrier-held ones) bound the number of same-cycle

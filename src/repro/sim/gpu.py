@@ -178,11 +178,6 @@ class GPU:
         #: Execution-core selection (see :attr:`GPUConfig.core`): true
         #: for the event-driven main loop over pre-decoded warps.
         self.fast_core = self.config.core == "fast"
-        #: Fast core: per-SMX earliest wake-up cycle (``_FAR_FUTURE`` =
-        #: idle), fed by :meth:`_notify_smx_ready`.  Entries may be
-        #: conservatively early; an SMX woken with nothing to do simply
-        #: no-ops its tick and re-derives its true next-ready cycle.
-        self._smx_ready_at: List[int] = [_FAR_FUTURE] * self.config.num_smx
         #: Fast core: the single GPU-wide ready heap.  Entries are
         #: ``(sched, smx_id, ready, age, warp)`` — see :meth:`_run_fast`
         #: for the key's ordering contract.  ``None`` under the
@@ -298,13 +293,6 @@ class GPU:
         if kind == "gate_retry":
             return self.scheduler._make_gate_retry(payload)
         raise SimulationError(f"unknown event kind {kind!r}")
-
-    def _notify_smx_ready(self, smx_id: int, cycle: int) -> None:
-        """An SMX gained issuable work at ``cycle`` (block arrival, barrier
-        release).  Only the fast core consumes these wake-ups; the
-        reference loop polls every SMX every visited cycle."""
-        if self.fast_core and cycle < self._smx_ready_at[smx_id]:
-            self._smx_ready_at[smx_id] = cycle
 
     # ------------------------------------------------------------------
     # Main loop

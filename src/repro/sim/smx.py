@@ -130,7 +130,6 @@ class SMX:
                 )
             else:
                 heapq.heappush(self._ready_heap, (start_cycle, warp.age, warp))
-        self.gpu._notify_smx_ready(self.smx_id, start_cycle)
         return tb
 
     # ------------------------------------------------------------------
@@ -146,7 +145,6 @@ class SMX:
             )
         else:
             heapq.heappush(self._ready_heap, (warp.ready_cycle, warp.age, warp))
-        self.gpu._notify_smx_ready(self.smx_id, warp.ready_cycle)
 
     def warp_retired(self, warp: Warp, cycle: int) -> None:
         self.resident_warps -= 1

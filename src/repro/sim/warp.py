@@ -21,20 +21,12 @@ import numpy as np
 
 from ..config import WARP_SIZE
 from ..errors import ExecutionError
-from ..isa.instructions import Bank, Cmp, Opcode, Reg, Special
+from ..isa.instructions import Bank, Opcode, Reg
+from ..isa.semantics import ALU, ATOMIC, CMP, SPECIAL
 from ..memory.coalescing import coalesce_addresses
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from .thread_block import ThreadBlock
-
-_CMP_FUNCS: Dict[Cmp, Callable[[np.ndarray, np.ndarray], np.ndarray]] = {
-    Cmp.LT: np.less,
-    Cmp.LE: np.less_equal,
-    Cmp.GT: np.greater,
-    Cmp.GE: np.greater_equal,
-    Cmp.EQ: np.equal,
-    Cmp.NE: np.not_equal,
-}
 
 
 class Warp:
@@ -69,31 +61,8 @@ class Warp:
     )
 
     def __init__(self, tb: "ThreadBlock", warp_index: int, context_slot: int) -> None:
-        gpu = tb.gpu
-        func = tb.func
-        self.tb = tb
-        self.warp_index = warp_index
-        #: Warp-context slot within the SMX; determines this warp's
-        #: hardware thread indices and local-memory segment.
-        self.context_slot = context_slot
-        #: Hardware thread index base fed to the AGT hash.  The prime
-        #: per-SMX stride keeps concurrently launching warps on different
-        #: SMXs in mostly disjoint index ranges under the AGT's
-        #: power-of-two AND mask (see DESIGN.md).
-        self.hw_slot_base = tb.smx.smx_id * 157 + context_slot * WARP_SIZE
-        #: Monotonic age used by the greedy-then-oldest scheduler.
-        self.age = 0
-        self._gpu = gpu
-        self._instrs = func.program.instructions
-        self._mem_i = gpu.memory.i
-        self._mem_f = gpu.memory.f
-        self._mem_size = gpu.memory.size_words
-        self._stats = gpu.stats
-        self._cfg = gpu.config
-        self._lat = gpu.latency
-        self._san = gpu.sanitizer
-
-        highest = func.program.max_register_index()
+        self._bind(tb, warp_index, context_slot)
+        highest = tb.func.program.max_register_index()
         self.regs_i = np.zeros((highest["int"] + 1, WARP_SIZE), dtype=np.int64)
         self.regs_f = np.zeros((highest["flt"] + 1, WARP_SIZE), dtype=np.float64)
 
@@ -109,6 +78,33 @@ class Warp:
         self.gtid = tb.block_linear_index * threads + clamped
 
         self.stack: List[list] = [[0, -1, self.init_mask.copy()]]
+
+    def _bind(self, tb: "ThreadBlock", warp_index: int, context_slot: int) -> None:
+        """Identity, scheduling status and hot-path references: all the
+        state that is not registers, lane geometry or the SIMT stack
+        (which :class:`~repro.sim.fast_warp.FastWarp` lays out its own way)."""
+        gpu = tb.gpu
+        self.tb = tb
+        self.warp_index = warp_index
+        #: Warp-context slot within the SMX; determines this warp's
+        #: hardware thread indices and local-memory segment.
+        self.context_slot = context_slot
+        #: Hardware thread index base fed to the AGT hash.  The prime
+        #: per-SMX stride keeps concurrently launching warps on different
+        #: SMXs in mostly disjoint index ranges under the AGT's
+        #: power-of-two AND mask (see DESIGN.md).
+        self.hw_slot_base = tb.smx.smx_id * 157 + context_slot * WARP_SIZE
+        #: Monotonic age used by the greedy-then-oldest scheduler.
+        self.age = 0
+        self._gpu = gpu
+        self._instrs = tb.func.program.instructions
+        self._mem_i = gpu.memory.i
+        self._mem_f = gpu.memory.f
+        self._mem_size = gpu.memory.size_words
+        self._stats = gpu.stats
+        self._cfg = gpu.config
+        self._lat = gpu.latency
+        self._san = gpu.sanitizer
         self.ready_cycle = 0
         self.finished = False
         self.at_barrier = False
@@ -173,161 +169,28 @@ class Warp:
             frame[0] = pc + 1
 
     # ------------------------------------------------------------------
-    # ALU handlers (return True iff they updated the pc themselves)
+    # ALU handler (handlers return True iff they updated the pc themselves)
     # ------------------------------------------------------------------
-    def _alu_done(self, cycle: int, sfu: bool = False) -> None:
-        self.ready_cycle = cycle + (self._cfg.sfu_latency if sfu else self._cfg.alu_latency)
+    def _alu_done(self, cycle: int) -> None:
+        self.ready_cycle = cycle + self._cfg.alu_latency
 
-    def _h_int_bin(self, instr, frame, mask, cycle, fn, sfu=False):
-        self._write_i(instr.dst, fn(self._val_i(instr.a), self._val_i(instr.b)), mask)
-        self._alu_done(cycle, sfu)
-        return False
-
-    def _h_iadd(self, instr, frame, mask, cycle):
-        return self._h_int_bin(instr, frame, mask, cycle, np.add)
-
-    def _h_isub(self, instr, frame, mask, cycle):
-        return self._h_int_bin(instr, frame, mask, cycle, np.subtract)
-
-    def _h_imul(self, instr, frame, mask, cycle):
-        return self._h_int_bin(instr, frame, mask, cycle, np.multiply)
-
-    def _h_idiv(self, instr, frame, mask, cycle):
-        a = np.asarray(self._val_i(instr.a))
-        b = np.asarray(self._val_i(instr.b))
-        safe = np.where(b == 0, 1, b)
-        self._write_i(instr.dst, a // safe, mask)
-        self._alu_done(cycle, sfu=True)
-        return False
-
-    def _h_imod(self, instr, frame, mask, cycle):
-        a = np.asarray(self._val_i(instr.a))
-        b = np.asarray(self._val_i(instr.b))
-        safe = np.where(b == 0, 1, b)
-        self._write_i(instr.dst, a % safe, mask)
-        self._alu_done(cycle, sfu=True)
-        return False
-
-    def _h_imin(self, instr, frame, mask, cycle):
-        return self._h_int_bin(instr, frame, mask, cycle, np.minimum)
-
-    def _h_imax(self, instr, frame, mask, cycle):
-        return self._h_int_bin(instr, frame, mask, cycle, np.maximum)
-
-    def _h_iand(self, instr, frame, mask, cycle):
-        return self._h_int_bin(instr, frame, mask, cycle, np.bitwise_and)
-
-    def _h_ior(self, instr, frame, mask, cycle):
-        return self._h_int_bin(instr, frame, mask, cycle, np.bitwise_or)
-
-    def _h_ixor(self, instr, frame, mask, cycle):
-        return self._h_int_bin(instr, frame, mask, cycle, np.bitwise_xor)
-
-    def _h_ishl(self, instr, frame, mask, cycle):
-        return self._h_int_bin(instr, frame, mask, cycle, np.left_shift)
-
-    def _h_ishr(self, instr, frame, mask, cycle):
-        return self._h_int_bin(instr, frame, mask, cycle, np.right_shift)
-
-    def _h_ineg(self, instr, frame, mask, cycle):
-        self._write_i(instr.dst, np.negative(self._val_i(instr.a)), mask)
-        self._alu_done(cycle)
-        return False
-
-    def _h_inot(self, instr, frame, mask, cycle):
-        self._write_i(instr.dst, np.bitwise_not(np.asarray(self._val_i(instr.a))), mask)
-        self._alu_done(cycle)
-        return False
-
-    def _h_mov(self, instr, frame, mask, cycle):
-        self._write_i(instr.dst, self._val_i(instr.a), mask)
-        self._alu_done(cycle)
-        return False
-
-    def _h_flt_bin(self, instr, frame, mask, cycle, fn, sfu=False):
-        self._write_f(instr.dst, fn(self._val_f(instr.a), self._val_f(instr.b)), mask)
-        self._alu_done(cycle, sfu)
-        return False
-
-    def _h_fadd(self, instr, frame, mask, cycle):
-        return self._h_flt_bin(instr, frame, mask, cycle, np.add)
-
-    def _h_fsub(self, instr, frame, mask, cycle):
-        return self._h_flt_bin(instr, frame, mask, cycle, np.subtract)
-
-    def _h_fmul(self, instr, frame, mask, cycle):
-        return self._h_flt_bin(instr, frame, mask, cycle, np.multiply)
-
-    def _h_fdiv(self, instr, frame, mask, cycle):
-        a = np.asarray(self._val_f(instr.a), dtype=np.float64)
-        b = np.asarray(self._val_f(instr.b), dtype=np.float64)
-        safe = np.where(b == 0.0, 1.0, b)
-        self._write_f(instr.dst, a / safe, mask)
-        self._alu_done(cycle, sfu=True)
-        return False
-
-    def _h_fmin(self, instr, frame, mask, cycle):
-        return self._h_flt_bin(instr, frame, mask, cycle, np.minimum)
-
-    def _h_fmax(self, instr, frame, mask, cycle):
-        return self._h_flt_bin(instr, frame, mask, cycle, np.maximum)
-
-    def _h_fneg(self, instr, frame, mask, cycle):
-        self._write_f(instr.dst, np.negative(self._val_f(instr.a)), mask)
-        self._alu_done(cycle)
-        return False
-
-    def _h_fsqrt(self, instr, frame, mask, cycle):
-        a = np.asarray(self._val_f(instr.a), dtype=np.float64)
-        self._write_f(instr.dst, np.sqrt(np.abs(a)), mask)
-        self._alu_done(cycle, sfu=True)
-        return False
-
-    def _h_fabs(self, instr, frame, mask, cycle):
-        self._write_f(instr.dst, np.abs(np.asarray(self._val_f(instr.a))), mask)
-        self._alu_done(cycle)
-        return False
-
-    def _h_fmov(self, instr, frame, mask, cycle):
-        self._write_f(instr.dst, self._val_f(instr.a), mask)
-        self._alu_done(cycle)
-        return False
-
-    def _h_itof(self, instr, frame, mask, cycle):
-        self._write_f(instr.dst, np.asarray(self._val_i(instr.a), dtype=np.float64), mask)
-        self._alu_done(cycle)
-        return False
-
-    def _h_ftoi(self, instr, frame, mask, cycle):
-        a = np.asarray(self._val_f(instr.a), dtype=np.float64)
-        self._write_i(instr.dst, a.astype(np.int64), mask)
-        self._alu_done(cycle)
-        return False
-
-    def _h_setp(self, instr, frame, mask, cycle):
-        fn = _CMP_FUNCS[instr.cmp]
-        result = fn(
-            np.asarray(self._val_i(instr.a)), np.asarray(self._val_i(instr.b))
-        ).astype(np.int64)
-        self._write_i(instr.dst, result, mask)
-        self._alu_done(cycle)
-        return False
-
-    def _h_fsetp(self, instr, frame, mask, cycle):
-        fn = _CMP_FUNCS[instr.cmp]
-        result = fn(
-            np.asarray(self._val_f(instr.a), dtype=np.float64),
-            np.asarray(self._val_f(instr.b), dtype=np.float64),
-        ).astype(np.int64)
-        self._write_i(instr.dst, result, mask)
-        self._alu_done(cycle)
-        return False
-
-    def _h_selp(self, instr, frame, mask, cycle):
-        cond = np.asarray(self._val_i(instr.c)) != 0
-        result = np.where(cond, self._val_i(instr.a), self._val_i(instr.b))
-        self._write_i(instr.dst, result, mask)
-        self._alu_done(cycle)
+    def _h_alu(self, instr, frame, mask, cycle):
+        """Interpret one :data:`repro.isa.semantics.ALU` row."""
+        row = ALU[instr.op]
+        kinds = row.src
+        args = []
+        if kinds[0] == "c":
+            args.append(CMP[instr.cmp])
+            kinds = kinds[1:]
+        args += [
+            self._val_f(operand) if kind == "f" else self._val_i(operand)
+            for kind, operand in zip(kinds, (instr.a, instr.b, instr.c))
+        ]
+        write = self._write_f if row.dst == Bank.FLT else self._write_i
+        write(instr.dst, row.fn(*args), mask)
+        self.ready_cycle = cycle + (
+            self._cfg.sfu_latency if row.sfu else self._cfg.alu_latency
+        )
         return False
 
     # ------------------------------------------------------------------
@@ -552,7 +415,7 @@ class Warp:
         addrs_full = self._val_i(instr.a)
         lanes = np.flatnonzero(mask)
         mem = self._mem_i
-        op = instr.op
+        combine = ATOMIC[instr.op]
         bvals = self._val_i(instr.b)
         cvals = self._val_i(instr.c) if instr.c is not None else None
         old = np.zeros(WARP_SIZE, dtype=np.int64)
@@ -568,22 +431,10 @@ class Warp:
             value = int(bvals[lane]) if isinstance(bvals, np.ndarray) else int(bvals)
             current = int(mem[addr])
             old[lane] = current
-            if op == Opcode.ATOM_ADD:
-                mem[addr] = current + value
-            elif op == Opcode.ATOM_MIN:
-                if value < current:
-                    mem[addr] = value
-            elif op == Opcode.ATOM_MAX:
-                if value > current:
-                    mem[addr] = value
-            elif op == Opcode.ATOM_OR:
-                mem[addr] = current | value
-            elif op == Opcode.ATOM_EXCH:
-                mem[addr] = value
-            else:  # ATOM_CAS: b is compare, c is the new value
+            new = None
+            if cvals is not None:  # ATOM_CAS: b is compare, c is the new value
                 new = int(cvals[lane]) if isinstance(cvals, np.ndarray) else int(cvals)
-                if current == value:
-                    mem[addr] = new
+            mem[addr] = combine(current, value, new)
         if instr.dst is not None:
             self._write_i(instr.dst, old, mask)
         self._memory_timing(active_addrs, False, cycle)
@@ -646,39 +497,7 @@ class Warp:
     # Special registers
     # ------------------------------------------------------------------
     def _h_read_special(self, instr, frame, mask, cycle):
-        which = instr.special
-        tb = self.tb
-        if which == Special.TID_X:
-            value = self.tid_x
-        elif which == Special.TID_Y:
-            value = self.tid_y
-        elif which == Special.TID_Z:
-            value = self.tid_z
-        elif which == Special.NTID_X:
-            value = tb.block_dims[0]
-        elif which == Special.NTID_Y:
-            value = tb.block_dims[1]
-        elif which == Special.NTID_Z:
-            value = tb.block_dims[2]
-        elif which == Special.CTAID_X:
-            value = tb.ctaid[0]
-        elif which == Special.CTAID_Y:
-            value = tb.ctaid[1]
-        elif which == Special.CTAID_Z:
-            value = tb.ctaid[2]
-        elif which == Special.NCTAID_X:
-            value = tb.grid_dims[0]
-        elif which == Special.NCTAID_Y:
-            value = tb.grid_dims[1]
-        elif which == Special.NCTAID_Z:
-            value = tb.grid_dims[2]
-        elif which == Special.PARAM:
-            value = tb.param_addr
-        elif which == Special.GTID:
-            value = self.gtid
-        else:  # pragma: no cover - enum is exhaustive
-            raise ExecutionError(f"unknown special register {which!r}")
-        self._write_i(instr.dst, value, mask)
+        self._write_i(instr.dst, SPECIAL[instr.special](self), mask)
         self._alu_done(cycle)
         return False
 
@@ -741,68 +560,30 @@ class Warp:
         return False
 
 
-def _build_dispatch() -> Dict[Opcode, Callable]:
-    return {
-        Opcode.IADD: Warp._h_iadd,
-        Opcode.ISUB: Warp._h_isub,
-        Opcode.IMUL: Warp._h_imul,
-        Opcode.IDIV: Warp._h_idiv,
-        Opcode.IMOD: Warp._h_imod,
-        Opcode.IMIN: Warp._h_imin,
-        Opcode.IMAX: Warp._h_imax,
-        Opcode.IAND: Warp._h_iand,
-        Opcode.IOR: Warp._h_ior,
-        Opcode.IXOR: Warp._h_ixor,
-        Opcode.ISHL: Warp._h_ishl,
-        Opcode.ISHR: Warp._h_ishr,
-        Opcode.INEG: Warp._h_ineg,
-        Opcode.INOT: Warp._h_inot,
-        Opcode.MOV: Warp._h_mov,
-        Opcode.FADD: Warp._h_fadd,
-        Opcode.FSUB: Warp._h_fsub,
-        Opcode.FMUL: Warp._h_fmul,
-        Opcode.FDIV: Warp._h_fdiv,
-        Opcode.FMIN: Warp._h_fmin,
-        Opcode.FMAX: Warp._h_fmax,
-        Opcode.FNEG: Warp._h_fneg,
-        Opcode.FSQRT: Warp._h_fsqrt,
-        Opcode.FABS: Warp._h_fabs,
-        Opcode.FMOV: Warp._h_fmov,
-        Opcode.ITOF: Warp._h_itof,
-        Opcode.FTOI: Warp._h_ftoi,
-        Opcode.SETP: Warp._h_setp,
-        Opcode.FSETP: Warp._h_fsetp,
-        Opcode.SELP: Warp._h_selp,
-        Opcode.LD: Warp._h_ld,
-        Opcode.ST: Warp._h_st,
-        Opcode.FLD: Warp._h_fld,
-        Opcode.FST: Warp._h_fst,
-        Opcode.LDS: Warp._h_lds,
-        Opcode.STS: Warp._h_sts,
-        Opcode.LDL: Warp._h_ldl,
-        Opcode.STL: Warp._h_stl,
-        Opcode.SHFL_IDX: Warp._h_shfl_idx,
-        Opcode.SHFL_DOWN: Warp._h_shfl_down,
-        Opcode.VOTE_ANY: Warp._h_vote,
-        Opcode.VOTE_ALL: Warp._h_vote,
-        Opcode.VOTE_BALLOT: Warp._h_vote,
-        Opcode.ATOM_ADD: Warp._h_atomic,
-        Opcode.ATOM_MIN: Warp._h_atomic,
-        Opcode.ATOM_MAX: Warp._h_atomic,
-        Opcode.ATOM_OR: Warp._h_atomic,
-        Opcode.ATOM_EXCH: Warp._h_atomic,
-        Opcode.ATOM_CAS: Warp._h_atomic,
-        Opcode.BRA: Warp._h_bra,
-        Opcode.JOIN: Warp._h_join,
-        Opcode.BAR: Warp._h_bar,
-        Opcode.EXIT: Warp._h_exit,
-        Opcode.NOP: Warp._h_nop,
-        Opcode.READ_SPECIAL: Warp._h_read_special,
-        Opcode.STREAM_CREATE: Warp._h_stream_create,
-        Opcode.GET_PARAM_BUF: Warp._h_get_param_buf,
-        Opcode.LAUNCH_DEVICE: Warp._h_launch_device,
-        Opcode.LAUNCH_AGG: Warp._h_launch_agg,
-    }
-
-
-_DISPATCH = _build_dispatch()
+_DISPATCH: Dict[Opcode, Callable] = {
+    **dict.fromkeys(ALU, Warp._h_alu),
+    **dict.fromkeys(ATOMIC, Warp._h_atomic),
+    Opcode.LD: Warp._h_ld,
+    Opcode.ST: Warp._h_st,
+    Opcode.FLD: Warp._h_fld,
+    Opcode.FST: Warp._h_fst,
+    Opcode.LDS: Warp._h_lds,
+    Opcode.STS: Warp._h_sts,
+    Opcode.LDL: Warp._h_ldl,
+    Opcode.STL: Warp._h_stl,
+    Opcode.SHFL_IDX: Warp._h_shfl_idx,
+    Opcode.SHFL_DOWN: Warp._h_shfl_down,
+    Opcode.VOTE_ANY: Warp._h_vote,
+    Opcode.VOTE_ALL: Warp._h_vote,
+    Opcode.VOTE_BALLOT: Warp._h_vote,
+    Opcode.BRA: Warp._h_bra,
+    Opcode.JOIN: Warp._h_join,
+    Opcode.BAR: Warp._h_bar,
+    Opcode.EXIT: Warp._h_exit,
+    Opcode.NOP: Warp._h_nop,
+    Opcode.READ_SPECIAL: Warp._h_read_special,
+    Opcode.STREAM_CREATE: Warp._h_stream_create,
+    Opcode.GET_PARAM_BUF: Warp._h_get_param_buf,
+    Opcode.LAUNCH_DEVICE: Warp._h_launch_device,
+    Opcode.LAUNCH_AGG: Warp._h_launch_agg,
+}

@@ -363,7 +363,6 @@ def _capture_state(gpu) -> dict:
             "active_warps": gpu.active_warps,
             "event_seq": gpu._event_seq,
             "launch_seq": gpu._launch_seq,
-            "smx_ready_at": list(gpu._smx_ready_at),
             "local_arenas": list(gpu._local_arenas),
         },
         "sanitizer": _capture_sanitizer(gpu.sanitizer),
@@ -720,7 +719,6 @@ def _restore_state(gpu, state: dict) -> None:
     gpu.active_warps = g["active_warps"]
     gpu._event_seq = g["event_seq"]
     gpu._launch_seq = g["launch_seq"]
-    gpu._smx_ready_at = list(g["smx_ready_at"])
     gpu._local_arenas = list(g["local_arenas"])
 
 

@@ -5,7 +5,6 @@ import pytest
 from repro.isa.instructions import (
     GLOBAL_MEMORY_OPS,
     LAUNCH_OPS,
-    SFU_OPS,
     Bank,
     Cmp,
     Imm,
@@ -14,6 +13,7 @@ from repro.isa.instructions import (
     Reg,
     Special,
 )
+from repro.isa.semantics import SFU_OPS
 
 
 class TestOperands:

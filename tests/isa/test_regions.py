@@ -7,11 +7,12 @@ import pytest
 from repro import KernelBuilder, KernelFunction
 from repro.isa import control_flow_leaders, straight_line_regions
 from repro.isa.instructions import Opcode
-from repro.sim.fast_warp import _FUSABLE_OPS, decode_program
+from repro.isa.semantics import FUSABLE_OPS
+from repro.sim.fast_warp import decode_program
 
 
 def _alu_fusable(pc, instr):
-    return instr.op in _FUSABLE_OPS
+    return instr.op in FUSABLE_OPS
 
 
 def _build(fn) -> KernelFunction:

@@ -53,7 +53,9 @@ class TestHotPathProfiler:
         assert prof.total_lanes == stats.active_lane_sum
         assert sum(c.issues for c in prof.opcodes.values()) == prof.total_issues
 
-    def test_fused_issues_expand_to_member_opcodes(self):
+    def test_fused_issues_expand_to_member_opcodes(self, monkeypatch):
+        # Fusion only engages unsanitized (a sanitizer forces single steps).
+        monkeypatch.delenv("REPRO_SANITIZE", raising=False)
         prof = HotPathProfiler()
         _run(prof, fast=True)
         assert prof.fused_executions > 0
@@ -85,7 +87,8 @@ class TestHotPathProfiler:
         # must be attributed somewhere.
         assert total > 0
 
-    def test_to_dict_and_report_are_consistent(self):
+    def test_to_dict_and_report_are_consistent(self, monkeypatch):
+        monkeypatch.delenv("REPRO_SANITIZE", raising=False)  # needs fused regions
         prof = HotPathProfiler()
         _run(prof, fast=True)
         doc = prof.to_dict()

@@ -143,7 +143,8 @@ class TestSanitizerReportRoundTrip:
         )
         assert rebuilt.to_dict() == result.sanitizer.to_dict()
 
-    def test_unsanitized_run_has_no_report(self):
+    def test_unsanitized_run_has_no_report(self, monkeypatch):
+        monkeypatch.delenv("REPRO_SANITIZE", raising=False)
         workload = get_benchmark("bfs_citation", ExecutionMode.FLAT, 0.08)
         result = workload.execute(latency_scale=0.25)
         assert result.sanitizer is None

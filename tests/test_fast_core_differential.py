@@ -17,6 +17,9 @@ import numpy as np
 import pytest
 
 from repro import Device, ExecutionMode, GPUConfig, KernelBuilder, KernelFunction
+from repro.isa import parse_program
+from repro.isa.instructions import Bank
+from repro.isa.semantics import ALU
 from repro.workloads.registry import get_benchmark
 
 from tests.helpers import reduce_kernel
@@ -167,7 +170,68 @@ def _barrier_kernel() -> KernelFunction:
     return KernelFunction("barrier", k.build(), shared_words=64)
 
 
+_ALU_PROLOGUE = """
+    read_special %r0 gtid
+    read_special %r1 param
+    ld %r2 %r1 off=0
+    setp %r3 %r0 %r2 lt
+    bra ->end @!%r3 reconv=end
+    ld %r4 %r1 off=1
+    iadd %r5 %r4 %r0
+    ld %r6 %r5           ; 0..96
+    isub %r7 %r6 #48     ; signed
+    imod %r8 %r0 #5      ; 0..4: zero divisors, small shift counts
+    itof %f0 %r7
+    fmul %f1 %f0 #0.75   ; signed, fractional, has a zero
+    itof %f2 %r8
+    ld %r11 %r1 off=2
+    iadd %r10 %r11 %r0
+"""
+_ALU_VARIANTS = ["reg", "imm", "cross"]
+
+
+def _alu_kernel(op, variant: str) -> KernelFunction:
+    """One ALU instruction between a load and a store, inside a bounds
+    branch (so the last warp runs it with a partial mask).  Variants:
+    ``reg`` — register operands; ``imm`` — last operand an immediate;
+    ``cross`` — float slots fed from int-bank registers, int ops with an
+    immediate first.  Operand shapes come from the row, not its function.
+    """
+    row = ALU[op]
+    kinds = row.src.lstrip("c")
+    regs = {"i": ["%r7", "%r8", "%r6"], "f": ["%f1", "%f2"]}
+    operands = [regs[kind][slot] for slot, kind in enumerate(kinds)]
+    if variant == "imm":
+        operands[-1] = "#2.5" if kinds[-1] == "f" else "#3"
+    elif variant == "cross":
+        if "f" in kinds:
+            operands = [regs["i"][slot] for slot in range(len(kinds))]
+        else:
+            operands[0] = "#100"
+    cmp = dict(zip(_ALU_VARIANTS, ["lt", "ge", "ne"]))[variant] if "c" in row.src else ""
+    dst, store = ("%f3", "fst") if row.dst == Bank.FLT else ("%r9", "st")
+    name = f"alu_{op.name.lower()}_{variant}"
+    text = (
+        f".kernel {name}\n{_ALU_PROLOGUE}"
+        f"    {op.name.lower()} {dst} {' '.join(operands)} {cmp}\n"
+        f"    {store} %r10 {dst}\n"
+        "end:\n    join\n    exit\n"
+    )
+    return KernelFunction(name, parse_program(text))
+
+
 class TestMicroKernelDifferential:
+    @pytest.mark.parametrize("variant", _ALU_VARIANTS)
+    @pytest.mark.parametrize("op", list(ALU), ids=lambda op: op.name)
+    def test_single_alu_instruction(self, op, variant):
+        # n=100, block=64: warps with 32, 32, 32 and 4 active lanes.  Float
+        # results are stored as their bit patterns (``out`` is read back
+        # as int64), so the comparison is exact.
+        fast, out_fast = _run_kernel(_alu_kernel(op, variant), fast=True, n=100)
+        ref, out_ref = _run_kernel(_alu_kernel(op, variant), fast=False, n=100)
+        assert fast == ref
+        np.testing.assert_array_equal(out_fast, out_ref)
+
     def test_divergence(self):
         fast, out_fast = _run_kernel(_divergent_kernel(), fast=True)
         ref, out_ref = _run_kernel(_divergent_kernel(), fast=False)
@@ -179,6 +243,30 @@ class TestMicroKernelDifferential:
         ref, out_ref = _run_kernel(_barrier_kernel(), fast=False)
         assert fast == ref
         np.testing.assert_array_equal(out_fast, out_ref)
+
+    def test_atomic_destination_aliases_operand(self):
+        """``atom_add v [a] v``: memory must receive the operand's value
+        from before the instruction, not the fetched old word."""
+
+        def kernel() -> KernelFunction:
+            k = KernelBuilder("atom_alias")
+            gtid = k.gtid()
+            param = k.param()
+            with k.if_(k.lt(gtid, k.ld(param, offset=0))):
+                cell = k.iadd(k.ld(param, offset=1), gtid)
+                value = k.iadd(gtid, 1000)
+                k.atom_add(cell, value, dst=value)
+                k.st(k.iadd(k.ld(param, offset=2), gtid), k.ld(cell))
+            k.exit()
+            return KernelFunction("atom_alias", k.build())
+
+        n = 100
+        fast, out_fast = _run_kernel(kernel(), fast=True, n=n)
+        ref, out_ref = _run_kernel(kernel(), fast=False, n=n)
+        assert fast == ref
+        np.testing.assert_array_equal(out_fast, out_ref)
+        lanes = np.arange(n)
+        np.testing.assert_array_equal(out_fast[:n], lanes % 97 + lanes + 1000)
 
     def test_conflicting_atomics(self):
         """All lanes hammer one address: lane-serialization order matters."""
