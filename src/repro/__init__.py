@@ -29,7 +29,7 @@ See ``examples/quickstart.py``, ``docs/serving.md`` and README.md.
 
 # Defined before the subpackage imports: repro.exec reads it for the
 # cache-key code salt while this module is still initializing.
-__version__ = "1.3.0"
+__version__ = "1.4.0"
 
 from .config import GPUConfig, LatencyModel, WARP_SIZE
 from .errors import ReproError

@@ -66,6 +66,31 @@ class CorruptEntry(Exception):
     """Internal: an on-disk entry is unreadable or fails validation."""
 
 
+def atomic_write(path: os.PathLike, data: bytes) -> None:
+    """Write ``data`` to ``path`` so that no reader sees a torn file.
+
+    The unique temporary file lives in the target directory, so
+    ``os.replace`` is a same-filesystem atomic rename on every platform;
+    it is removed again when the write or the rename fails.  Shared by
+    the result cache, checkpoint files and the daemon's result spool.
+    """
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    fd, tmp_name = tempfile.mkstemp(
+        prefix=f".{path.stem[:12]}-", suffix=".tmp", dir=path.parent
+    )
+    try:
+        with os.fdopen(fd, "wb") as handle:
+            handle.write(data)
+        os.replace(tmp_name, path)
+    except BaseException:
+        try:
+            os.unlink(tmp_name)
+        except OSError:
+            pass
+        raise
+
+
 def _check_key(key: str) -> str:
     if len(key) < 8 or not set(key) <= _KEY_CHARS:
         raise ValueError(f"not a fingerprint key: {key!r}")
@@ -141,28 +166,10 @@ class ResultCache:
     # Write side
     # ------------------------------------------------------------------
     def store(self, key: str, payload: dict) -> None:
-        """Atomically persist ``payload`` under ``key``.
-
-        The temporary file lives in the final directory so ``os.replace``
-        is a same-filesystem atomic rename on every platform.
-        """
-        path = self.path_for(key)
-        path.parent.mkdir(parents=True, exist_ok=True)
+        """Atomically persist ``payload`` under ``key`` (:func:`atomic_write`)."""
         entry = {"format": ENTRY_FORMAT, "key": key, "payload": payload}
         encoded = json.dumps(entry, sort_keys=True, separators=(",", ":"))
-        fd, tmp_name = tempfile.mkstemp(
-            prefix=f".{key[:12]}-", suffix=".tmp", dir=path.parent
-        )
-        try:
-            with os.fdopen(fd, "w", encoding="utf-8") as handle:
-                handle.write(encoded)
-            os.replace(tmp_name, path)
-        except BaseException:
-            try:
-                os.unlink(tmp_name)
-            except OSError:
-                pass
-            raise
+        atomic_write(self.path_for(key), encoded.encode("utf-8"))
         self.stats.stores += 1
 
     def invalidate(self, key: str) -> None:

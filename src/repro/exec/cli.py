@@ -23,7 +23,8 @@ from typing import Optional
 from ..config import CORES
 from .cache import DEFAULT_CACHE_DIR
 
-#: Default directory for ``--checkpoint-every`` / ``--resume`` state.
+#: Default directory for ``--checkpoint-every`` / ``--resume`` state (the
+#: only definition; :mod:`repro.state.snapshot` imports it).
 DEFAULT_CHECKPOINT_DIR = ".repro-checkpoints"
 
 

@@ -6,6 +6,13 @@ floating-point payloads can share one address space exactly like a real
 GPU's global memory.
 
 Addresses used throughout the simulator are *word* indices into this store.
+
+A checkpoint carries the store (and every word-indexed shadow of it) as
+an *image*: the prefix that ends at the last word whose bits are not all
+zero.  :func:`trim_image` and :func:`apply_image` are that pair for any
+1-D array; :meth:`GlobalMemory.image` / :meth:`GlobalMemory.load_image`
+apply them to the store itself.  Neither side keeps a record of writes:
+the extent is found by scanning, so the store paths pay nothing for it.
 """
 
 from __future__ import annotations
@@ -14,6 +21,43 @@ import numpy as np
 
 from ..config import WORD_BYTES
 from ..errors import MemoryError_
+
+#: Elements examined per step of :func:`image_extent`'s backward scan.
+_SCAN_BLOCK = 1 << 16
+
+
+def image_extent(array: np.ndarray) -> int:
+    """Index one past the last element of ``array`` with any bit set.
+
+    The scan runs backwards in blocks over the integer view of the data,
+    so a float ``-0.0`` or NaN payload counts as set and an all-zero
+    array has extent 0.
+    """
+    bits = array if array.dtype.kind in "biu" else array.view(f"i{array.itemsize}")
+    end = bits.size
+    while end > 0:
+        start = max(0, end - _SCAN_BLOCK)
+        set_bits = np.flatnonzero(bits[start:end])
+        if set_bits.size:
+            return start + int(set_bits[-1]) + 1
+        end = start
+    return 0
+
+
+def trim_image(array: np.ndarray) -> np.ndarray:
+    """Copy of ``array`` up to its :func:`image_extent`."""
+    return array[: image_extent(array)].copy()
+
+
+def apply_image(array: np.ndarray, image: np.ndarray) -> None:
+    """Make ``array`` equal what :func:`trim_image` was taken from.
+
+    Writes ``image`` over the head of ``array`` and zeroes whatever
+    ``array`` holds above it; the untouched zero tail is left alone.
+    """
+    array[: image.size] = image
+    above = array[image.size :]
+    above[: image_extent(above)] = 0
 
 
 class GlobalMemory:
@@ -106,6 +150,14 @@ class GlobalMemory:
         if self.observer is not None:
             self.observer.on_host_write(base, arr.size)
         return base
+
+    def image(self) -> np.ndarray:
+        """The store's contents as a :func:`trim_image` of its words."""
+        return trim_image(self.i)
+
+    def load_image(self, image: np.ndarray) -> None:
+        """Set every word of the store from an :meth:`image`."""
+        apply_image(self.i, image)
 
     @property
     def words_in_use(self) -> int:

@@ -45,17 +45,19 @@ from __future__ import annotations
 
 import asyncio
 import heapq
+import importlib
 import itertools
 import json
 import multiprocessing
 import os
-import tempfile
+import pkgutil
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, List, Optional
 
 from ..exec import DEFAULT_CACHE_DIR, JobSpec, ResultCache, run_job
+from ..exec.cache import atomic_write
 from ..exec.pool import _resumable
 
 #: Default directory for daemon checkpoint files.
@@ -97,34 +99,56 @@ class ServeConfig:
     worker_retries: int = 1
 
 
+#: Modules a job imports lazily, besides the :mod:`repro.workloads` tree
+#: (``numpy.ma`` is NumPy's own lazy import, on the first ``np.unique``).
+_LAZY_JOB_MODULES = (
+    "numpy.ma", "numpy.random",
+    "repro.state", "repro.isa.dynopt", "repro.runtime.persistent",
+)
+
+
+def _warm_imports() -> None:
+    """Import what :func:`run_job` would import on a worker's only job.
+
+    A forked worker inherits the daemon's modules; anything imported
+    lazily inside the job is otherwise imported again by every worker.
+    """
+    from .. import workloads
+
+    for name in _LAZY_JOB_MODULES:
+        importlib.import_module(name)
+    for module in pkgutil.walk_packages(workloads.__path__, "repro.workloads."):
+        if not module.name.endswith(".__main__"):
+            importlib.import_module(module.name)
+
+
 def _atomic_write_json(path: Path, payload: dict) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(prefix=path.name, suffix=".tmp", dir=path.parent)
-    with os.fdopen(fd, "w", encoding="utf-8") as handle:
-        json.dump(payload, handle)
-    os.replace(tmp, path)
+    atomic_write(path, json.dumps(payload).encode("utf-8"))
 
 
 def _serve_worker(spec_data: dict, spool_path: str) -> None:
     """Worker-process entry: run one spec, spool the outcome as JSON.
 
     The spool file is the only channel back to the daemon; it is written
-    atomically so the parent never reads a half-written result.  All
+    atomically so the parent never reads a half-written result.  Beside
+    the payload it carries how many checkpoints this attempt took.  All
     exceptions — simulation errors, verification failures — are reported
     through it; only an abrupt death (kill, crash) leaves no file.
     """
     spec = JobSpec.from_dict(spec_data)
-    on_checkpoint = None
-    sleep = os.environ.get("REPRO_SERVE_TEST_CKPT_SLEEP")
-    if sleep:
-        delay = float(sleep)
+    delay = float(os.environ.get("REPRO_SERVE_TEST_CKPT_SLEEP") or 0)
+    checkpoints = 0
 
-        def on_checkpoint(doc, _delay=delay):
-            time.sleep(_delay)
+    def on_checkpoint(doc) -> None:
+        nonlocal checkpoints
+        checkpoints += 1
+        if delay:
+            time.sleep(delay)
 
     try:
         result = run_job(_resumable(spec), on_checkpoint=on_checkpoint)
-        outcome = {"ok": True, "payload": result.to_payload()}
+        outcome = {"ok": True, "payload": result.to_payload(),
+                   "checkpoints": checkpoints}
     except BaseException as exc:  # report, don't vanish
         outcome = {"ok": False, "error": f"{type(exc).__name__}: {exc}"}
     _atomic_write_json(Path(spool_path), outcome)
@@ -188,6 +212,8 @@ class ManagerStats:
     preemptions: int = 0
     retries: int = 0
     quota_rejections: int = 0
+    #: Checkpoints taken by the attempts that produced a result.
+    checkpoints: int = 0
 
 
 class JobManager:
@@ -228,6 +254,7 @@ class JobManager:
     # ------------------------------------------------------------------
     def start(self) -> None:
         self._loop = asyncio.get_running_loop()
+        _warm_imports()
         Path(self.config.spool_dir).mkdir(parents=True, exist_ok=True)
         if self.config.checkpoint_every is not None:
             Path(self.config.checkpoint_dir).mkdir(parents=True, exist_ok=True)
@@ -513,17 +540,18 @@ class JobManager:
                     job.error = f"worker exited with code {exitcode}"
                     self._fail(job)
             elif outcome.get("ok"):
-                self._complete(job, outcome["payload"])
+                self._complete(job, outcome["payload"], outcome.get("checkpoints", 0))
             else:
                 job.error = str(outcome.get("error"))
                 self._fail(job)
         self._schedule()
 
-    def _complete(self, job: Job, payload: dict) -> None:
+    def _complete(self, job: Job, payload: dict, checkpoints: int) -> None:
         if self.cache is not None:
             self.cache.store(job.fingerprint, payload)
         job.payload, job.source = payload, "run"
-        self._finish(job, "done")
+        self.stats.checkpoints += checkpoints
+        self._finish(job, "done", checkpoints=checkpoints)
         for follower_id in job.followers:
             follower = self._jobs.get(follower_id)
             if follower is None or follower.status in TERMINAL:
@@ -543,7 +571,7 @@ class JobManager:
             self._finish(follower, "failed")
         job.followers = []
 
-    def _finish(self, job: Job, status: str) -> None:
+    def _finish(self, job: Job, status: str, **extra) -> None:
         job.status = status
         if status == "done":
             self.stats.completed += 1
@@ -559,7 +587,7 @@ class JobManager:
                 self._active_per_client[job.client] = count - 1
             else:
                 self._active_per_client.pop(job.client, None)
-        self._event(job, status)
+        self._event(job, status, **extra)
 
     # ------------------------------------------------------------------
     # Events

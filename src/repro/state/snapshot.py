@@ -38,14 +38,28 @@ factory live scheduling uses — so restored and live events execute
 identical code.  Ad-hoc events (``kind=None``) and attached tracers make
 a state uncheckpointable and raise :class:`CheckpointError`.
 
-On-disk format: a magic prefix, then zlib-compressed pickle (protocol 4)
-of the document.  Writes are atomic (unique temp file in the target
-directory + ``os.replace``, the :mod:`repro.exec.cache` idiom); loads
-that fail for any reason raise :class:`CheckpointError`, and callers
-quarantine the file to ``<name>.corrupt`` and fall back to a fresh run.
-The header's salt is :data:`repro.exec.fingerprint.CODE_VERSION`, so a
-checkpoint written by different simulator code is rejected as stale
-rather than restored into subtly different semantics.
+On-disk format (:data:`CHECKPOINT_FORMAT` 2): a magic prefix, then
+zlib-compressed pickle (protocol 4) of the document.  Global memory and
+each of the sanitizer's fourteen word-indexed shadow arrays travel as an
+*image* — the array up to its last word with any bit set
+(:func:`repro.memory.global_memory.trim_image`); the image's length is
+its extent and ``memory_words`` in the header is the size it was cut
+from.  The extent is found by a blocked backward scan over the integer
+view of the data, so a float ``-0.0`` or a NaN payload counts as set,
+and nothing in the simulator's store paths records writes for it.
+Restore writes each image over the head of the replayed array and
+zeroes only what the replay itself left set above the extent
+(:func:`~repro.memory.global_memory.apply_image`), so the restored GPU
+equals the captured one over the whole address space while a checkpoint
+costs what the job has touched, not ``memory_words``.  Format 1 carried
+dense copies; its files fail the format check like any unknown format.
+Writes are atomic (:func:`repro.exec.cache.atomic_write`: unique temp
+file in the target directory + ``os.replace``); loads that fail for any
+reason raise :class:`CheckpointError`, and callers quarantine the file
+to ``<name>.corrupt`` and fall back to a fresh run.  The header's salt is
+:data:`repro.exec.fingerprint.CODE_VERSION`, so a checkpoint written by
+different simulator code is rejected as stale rather than restored into
+subtly different semantics.
 """
 
 from __future__ import annotations
@@ -53,7 +67,6 @@ from __future__ import annotations
 import heapq
 import os
 import pickle
-import tempfile
 import zlib
 from pathlib import Path
 from typing import Dict, List, Optional
@@ -61,7 +74,10 @@ from typing import Dict, List, Optional
 import numpy as np
 
 from ..dtbl.agt import AggregatedGroupEntry
+from ..exec.cache import atomic_write
+from ..exec.cli import DEFAULT_CHECKPOINT_DIR  # defined once, importable from here too
 from ..exec.fingerprint import CODE_VERSION
+from ..memory.global_memory import apply_image, trim_image
 from ..sim.hwq import HostLaunchSpec
 from ..sim.kernel_distributor import KDEEntry
 from ..sim.kmu import DeviceLaunchSpec
@@ -70,13 +86,10 @@ from ..sim.stats import LaunchRecord
 from ..sim.thread_block import ThreadBlock
 
 #: On-disk / in-memory checkpoint document format version.
-CHECKPOINT_FORMAT = 1
+CHECKPOINT_FORMAT = 2
 
 #: File magic for checkpoint files.
 MAGIC = b"REPRO-CKPT\x00"
-
-#: Default directory for CLI/sweep checkpoints.
-DEFAULT_CHECKPOINT_DIR = ".repro-checkpoints"
 
 
 class CheckpointError(Exception):
@@ -312,7 +325,7 @@ def _capture_state(gpu) -> dict:
     memsys = gpu.memsys
     return {
         "memory": {
-            "buffer": gpu.memory.i.copy(),
+            "image": gpu.memory.image(),
             "next_free": gpu.memory._next_free,
             "live": dict(gpu.memory._live),
         },
@@ -408,25 +421,21 @@ def _encode_payload(records: Dict[int, int], kind: Optional[str], payload):
     )
 
 
+#: The sanitizer's word-indexed shadow arrays, one element per word of
+#: global memory; a checkpoint carries each as a trimmed image.
+_SHADOW_FIELDS = (
+    "_addressable", "_freed", "_init",
+    "_w_block", "_w_thread", "_w_epoch", "_w_atomic", "_w_cycle", "_w_value",
+    "_r_block", "_r_thread", "_r_epoch", "_r_atomic", "_r_cycle",
+)
+
+
 def _capture_sanitizer(san) -> Optional[dict]:
     if san is None:
         return None
     return {
         "report": san.report.to_dict(),
-        "addressable": san._addressable.copy(),
-        "freed": san._freed.copy(),
-        "init": san._init.copy(),
-        "w_block": san._w_block.copy(),
-        "w_thread": san._w_thread.copy(),
-        "w_epoch": san._w_epoch.copy(),
-        "w_atomic": san._w_atomic.copy(),
-        "w_cycle": san._w_cycle.copy(),
-        "w_value": san._w_value.copy(),
-        "r_block": san._r_block.copy(),
-        "r_thread": san._r_thread.copy(),
-        "r_epoch": san._r_epoch.copy(),
-        "r_atomic": san._r_atomic.copy(),
-        "r_cycle": san._r_cycle.copy(),
+        "shadow": {name: trim_image(getattr(san, name)) for name in _SHADOW_FIELDS},
         "alive": san._alive.copy(),
         "start": san._start.copy(),
         "fence": san._fence.copy(),
@@ -507,7 +516,7 @@ def _restore_state(gpu, state: dict) -> None:
 
     # -------------------- memory --------------------------------------
     mem = state["memory"]
-    gpu.memory.i[:] = mem["buffer"]
+    gpu.memory.load_image(mem["image"])
     gpu.memory._next_free = mem["next_free"]
     gpu.memory._live = dict(mem["live"])
 
@@ -759,20 +768,8 @@ def _restore_sanitizer(san, data: Optional[dict]) -> None:
     if san is None:
         return
     san.report = SanitizerReport.from_dict(data["report"])
-    san._addressable = data["addressable"].copy()
-    san._freed = data["freed"].copy()
-    san._init = data["init"].copy()
-    san._w_block = data["w_block"].copy()
-    san._w_thread = data["w_thread"].copy()
-    san._w_epoch = data["w_epoch"].copy()
-    san._w_atomic = data["w_atomic"].copy()
-    san._w_cycle = data["w_cycle"].copy()
-    san._w_value = data["w_value"].copy()
-    san._r_block = data["r_block"].copy()
-    san._r_thread = data["r_thread"].copy()
-    san._r_epoch = data["r_epoch"].copy()
-    san._r_atomic = data["r_atomic"].copy()
-    san._r_cycle = data["r_cycle"].copy()
+    for name in _SHADOW_FIELDS:
+        apply_image(getattr(san, name), data["shadow"][name])
     san._alive = data["alive"].copy()
     san._start = data["start"].copy()
     san._fence = data["fence"].copy()
@@ -796,28 +793,10 @@ def checkpoint_path_for(directory, fingerprint: str) -> Path:
 def save_checkpoint(path, doc: dict) -> None:
     """Atomically write a checkpoint document to ``path``.
 
-    The temporary file lives in the target directory so ``os.replace``
-    is a same-filesystem atomic rename (readers and concurrent writers
-    never observe a torn file).
+    Readers and concurrent writers never observe a torn file
+    (:func:`repro.exec.cache.atomic_write`).
     """
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    payload = MAGIC + zlib.compress(
-        pickle.dumps(doc, protocol=4), 1
-    )
-    fd, tmp_name = tempfile.mkstemp(
-        prefix=f".{path.stem[:12]}-", suffix=".tmp", dir=path.parent
-    )
-    try:
-        with os.fdopen(fd, "wb") as handle:
-            handle.write(payload)
-        os.replace(tmp_name, path)
-    except BaseException:
-        try:
-            os.unlink(tmp_name)
-        except OSError:
-            pass
-        raise
+    atomic_write(path, MAGIC + zlib.compress(pickle.dumps(doc, protocol=4), 1))
 
 
 def load_checkpoint(path, fingerprint: Optional[str] = None) -> dict:

@@ -5,6 +5,12 @@ import pytest
 
 from repro.errors import MemoryError_
 from repro.memory import GlobalMemory
+from repro.memory.global_memory import (
+    _SCAN_BLOCK,
+    apply_image,
+    image_extent,
+    trim_image,
+)
 
 
 class TestAllocator:
@@ -126,3 +132,57 @@ class TestViews:
             mem.write_int(-1, 0)
         with pytest.raises(MemoryError_):
             mem.read_ints(60, 8)
+
+
+class TestImage:
+    """The trimmed image checkpoints carry: extent, copy, and put-back."""
+
+    #: Sizes and positions on both sides of every scan-block boundary.
+    SIZE = 2 * _SCAN_BLOCK + 37
+    TOPS = [0, 1, 36, 37, _SCAN_BLOCK - 1, _SCAN_BLOCK, _SCAN_BLOCK + 36,
+            _SCAN_BLOCK + 37, 2 * _SCAN_BLOCK, SIZE - 1]
+
+    @pytest.mark.parametrize("dtype", [np.int64, np.int32, np.bool_, np.float64])
+    def test_extent_is_one_past_the_last_set_element(self, dtype):
+        array = np.zeros(self.SIZE, dtype=dtype)
+        assert image_extent(array) == 0
+        assert trim_image(array).size == 0
+        for top in self.TOPS:
+            array[:] = 0
+            array[top] = 1
+            array[top // 2] = 1
+            assert image_extent(array) == top + 1
+            image = trim_image(array)
+            assert image.dtype == array.dtype and image.size == top + 1
+            assert not np.shares_memory(image, array)
+
+    def test_float_extent_reads_bits_not_values(self):
+        array = np.zeros(100, dtype=np.float64)
+        array[40] = -0.0
+        assert image_extent(array) == 41
+        array.view(np.int64)[70] = 0x7FF8_0000_0000_0001  # a NaN payload
+        assert image_extent(array) == 71
+
+    @pytest.mark.parametrize("dtype", [np.int64, np.bool_, np.float64])
+    def test_apply_restores_every_element_of_a_dirty_target(self, dtype):
+        rng = np.random.default_rng(7)
+        for top in self.TOPS:
+            source = np.zeros(self.SIZE, dtype=dtype)
+            source[: top + 1] = rng.integers(0, 2, top + 1)
+            source[top] = 1
+            for dirt in self.TOPS:
+                target = np.zeros(self.SIZE, dtype=dtype)
+                target[dirt] = 1
+                target[dirt // 3] = 1
+                apply_image(target, trim_image(source))
+                assert np.array_equal(target, source)
+
+    def test_global_memory_image_roundtrip(self):
+        mem = GlobalMemory(4096)
+        base = mem.alloc_array(np.arange(1, 11))
+        image = mem.image()
+        assert image.size == base + 10
+        other = GlobalMemory(4096)
+        other.i[3000:3010] = 9
+        other.load_image(image)
+        assert np.array_equal(other.i, mem.i)

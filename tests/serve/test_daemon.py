@@ -142,6 +142,18 @@ class TestConcurrentClients:
         assert stats["shared"] == 1
         assert stats["cache_hits"] == 1
 
+        # Only the job that simulated reports checkpoints: on its own
+        # ``done`` event and summed into ``/status``.
+        def done_event(client, job_id):
+            return list(client.events(job_id))[-1]
+
+        ran = done_event(alice, first["id"])
+        assert ran["event"] == "done" and ran["checkpoints"] >= 1
+        assert stats["checkpoints"] == ran["checkpoints"]
+        assert "checkpoints" not in done_event(bob, second["id"])
+        assert "checkpoints" not in done_event(carol, info["id"])
+        assert "checkpoints" not in result_a.to_payload()
+
     def test_sweep_submission_streams_events(self, daemon_factory):
         daemon = daemon_factory(workers=2)
         client = daemon.client("sweeper")
@@ -204,14 +216,16 @@ class TestPreemption:
     ):
         """A long job preempted by a priority job resumes from its
         checkpoint and finishes with exactly the golden ``SimStats``."""
+        # The sleep hook is all that keeps the victim alive: at this
+        # cadence it takes 9 checkpoints (5 with REPRO_SANITIZE=1, where
+        # the fast core reaches fewer boundaries), 0.25 s each.
         daemon = daemon_factory(
-            workers=1, checkpoint_every=4000, cache=False,
+            workers=1, checkpoint_every=1000, cache=False,
             env={"REPRO_SERVE_TEST_CKPT_SLEEP": "0.25"},
         )
         client = daemon.client("victim")
         long_info = client.submit(spec_for("bfs_citation", "dtbl"), priority=0)
-        # Let the victim get going and bank at least one checkpoint
-        # (~0.25s per 4000 cycles under the sleep hook).
+        # Let the victim get going and bank at least one checkpoint.
         deadline = time.monotonic() + 20
         while client.job(long_info["id"])["status"] != "running":
             assert time.monotonic() < deadline
@@ -267,3 +281,41 @@ class TestProtocol:
             client.result(info["id"])
         assert excinfo.value.status == 409
         client.cancel(info["id"])
+
+
+class TestWorkerPlumbing:
+    """In-process checks of what a worker writes and inherits."""
+
+    def test_failed_spool_write_leaves_no_temp_file(self, tmp_path, monkeypatch):
+        from repro.serve import jobs
+
+        def refuse(src, dst):
+            raise OSError("no space left on device")
+
+        monkeypatch.setattr(os, "replace", refuse)
+        spool = tmp_path / "spool"
+        with pytest.raises(OSError, match="no space"):
+            jobs._atomic_write_json(spool / "j000001-1.json", {"ok": True})
+        assert list(spool.iterdir()) == []
+
+    def test_started_daemon_has_imported_what_a_job_imports(self, tmp_path):
+        """A forked worker inherits the daemon's modules, so after the
+        warm-up a checkpointing job must import nothing of ours or
+        NumPy's for the first time."""
+        script = f"""
+import sys
+from repro import ExecutionMode, JobSpec
+from repro.exec import run_job
+from repro.serve import jobs
+
+jobs._warm_imports()
+before = set(sys.modules)
+for benchmark, mode in (("bht", "dtbl"), ("regx_string", "cdp"),
+                        ("bfs_citation", "persistent")):
+    run_job(JobSpec.create(benchmark, ExecutionMode(mode), 0.05, 0.25,
+                           checkpoint_every=2000, checkpoint_dir={str(tmp_path)!r}))
+late = sorted(name for name in set(sys.modules) - before
+              if name.split(".")[0] in ("repro", "numpy"))
+assert not late, late
+"""
+        subprocess.run([sys.executable, "-c", script], check=True, timeout=120)

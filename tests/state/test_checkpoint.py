@@ -10,10 +10,14 @@ Two layers of coverage:
   uninterrupted run: statistics, global memory, outputs and sanitizer
   state.  Property-tested over random programs, interrupt points and
   both simulation cores (à la ``tests/test_random_programs.py``), plus
-  a workload-level sweep with the sanitizer on.
+  a workload-level sweep with the sanitizer on;
+* **sparse image** — the document carries memory and the sanitizer's
+  word-indexed shadows only up to their last non-zero word, and a
+  restore still equals the captured GPU over the whole address space.
 """
 
 import dataclasses
+import pickle
 import tempfile
 from pathlib import Path
 
@@ -30,6 +34,7 @@ from repro.state import (
     load_checkpoint,
     prepare_resume,
     quarantine_checkpoint,
+    restore_document,
     save_checkpoint,
 )
 from repro.workloads import get_benchmark
@@ -47,8 +52,13 @@ class Interrupt(Exception):
 # A tiny deterministic host program, replayable for resume.
 # ----------------------------------------------------------------------
 def _build(data, mult, add, mode=ExecutionMode.FLAT, fast=False,
-           sanitize=True):
-    """Fresh device + registered map kernel + uploaded inputs."""
+           sanitize=True, wild_dst=False):
+    """Fresh device + registered map kernel + uploaded inputs.
+
+    ``wild_dst`` points the output 100k words above the allocator's
+    high-water mark instead of at an allocation: in range, never
+    allocated (the sanitizer reports it; the stores still land).
+    """
     config = dataclasses.replace(
         GPUConfig.k20c(), core=("fast" if fast else "reference"), sanitize=sanitize
     )
@@ -59,7 +69,7 @@ def _build(data, mult, add, mode=ExecutionMode.FLAT, fast=False,
     dev.register(func)
     n = len(data)
     src = dev.upload(np.asarray(data, dtype=np.int64))
-    dst = dev.alloc(n)
+    dst = dev.gpu.memory.words_in_use + 100_000 if wild_dst else dev.alloc(n)
     return dev, func, n, src, dst
 
 
@@ -157,10 +167,11 @@ class TestCheckpointFiles:
 
     def test_load_rejects_unknown_format(self, tmp_path):
         doc, _ = _capture_one()
-        path = tmp_path / "future.ckpt"
-        save_checkpoint(path, dict(doc, format=999))
-        with pytest.raises(CheckpointError, match="format"):
-            load_checkpoint(path)
+        path = tmp_path / "other.ckpt"
+        for fmt in (999, 1):  # a future format, and the dense format 1
+            save_checkpoint(path, dict(doc, format=fmt))
+            with pytest.raises(CheckpointError, match="format"):
+                load_checkpoint(path)
 
     def test_load_enforces_fingerprint_binding(self, tmp_path):
         doc, _ = _capture_one()
@@ -219,10 +230,11 @@ class TestRoundTripProperty:
         stop_at=st.integers(min_value=1, max_value=3),
         fast=st.booleans(),
         mode=st.sampled_from([ExecutionMode.FLAT, ExecutionMode.DTBL]),
+        wild_dst=st.booleans(),
         data=st.data(),
     )
     def test_interrupt_resume_bit_identical(
-        self, n, mult, add, every, stop_at, fast, mode, data
+        self, n, mult, add, every, stop_at, fast, mode, wild_dst, data
     ):
         values = data.draw(
             st.lists(
@@ -231,8 +243,11 @@ class TestRoundTripProperty:
             )
         )
 
+        def build():
+            return _build(values, mult, add, mode, fast, wild_dst=wild_dst)
+
         # Golden: one uninterrupted, uncheckpointed run.
-        dev, func, _, src, dst = _build(values, mult, add, mode, fast)
+        dev, func, _, src, dst = build()
         _launch(dev, func, n, src, dst)
         dev.synchronize()
         golden = _final_state(dev, dst, n)
@@ -248,7 +263,7 @@ class TestRoundTripProperty:
                 raise Interrupt()
 
         bomb.count = 0
-        dev, func, _, src, dst = _build(values, mult, add, mode, fast)
+        dev, func, _, src, dst = build()
         dev.configure_checkpoint(every, path=str(path), on_checkpoint=bomb)
         _launch(dev, func, n, src, dst)
         try:
@@ -260,12 +275,135 @@ class TestRoundTripProperty:
         if interrupted:
             # Replay the host program and resume from the file.
             doc = load_checkpoint(path)
-            dev, func, _, src, dst = _build(values, mult, add, mode, fast)
+            dev, func, _, src, dst = build()
             _launch(dev, func, n, src, dst)
             prepare_resume(dev.gpu, doc)
             dev.synchronize()
 
         final = _final_state(dev, dst, n)
+        assert final["out"] == golden["out"]
+        assert final["stats"] == golden["stats"]
+        assert np.array_equal(final["memory"], golden["memory"])
+        assert final["sanitizer"] == golden["sanitizer"]
+
+
+# ----------------------------------------------------------------------
+# Sparse image: restore equals capture over the whole address space
+# ----------------------------------------------------------------------
+#: A quiet-NaN bit pattern with a payload, as an int64 word.
+NAN_PAYLOAD = 0x7FF8_0000_DEAD_BEEF
+
+
+def _bits(array):
+    return array.view(np.int64) if array.dtype.kind == "f" else array
+
+
+class TestSparseImage:
+    """Document-level round trips: capture -> save -> load -> restore
+    into a replay whose own memory and shadows are dirty at the top."""
+
+    def _roundtrip(self, tmp_path, prepare):
+        captured, *_ = _build(list(range(64)), 3, 7)
+        prepare(captured.gpu)
+        path = tmp_path / "image.ckpt"
+        save_checkpoint(path, capture_document(captured.gpu))
+        doc = load_checkpoint(path)
+
+        replay, *_ = _build(list(range(64)), 3, 7)
+        gpu = replay.gpu
+        gpu.memory.i[-5:] = 99
+        gpu.memory.i[1000:1010] = -1
+        gpu.sanitizer._w_value[-7] = 2.5
+        gpu.sanitizer._init[-3:] = True
+        gpu.sanitizer._r_cycle[500_000] = 12
+        restore_document(gpu, doc)
+
+        assert np.array_equal(gpu.memory.i, captured.gpu.memory.i)
+        for name in doc["state"]["sanitizer"]["shadow"]:
+            want = _bits(getattr(captured.gpu.sanitizer, name))
+            assert np.array_equal(_bits(getattr(gpu.sanitizer, name)), want), name
+        return doc, captured.gpu
+
+    def test_all_zero_memory(self, tmp_path):
+        def prepare(gpu):
+            gpu.memory.i[:] = 0
+
+        doc, _ = self._roundtrip(tmp_path, prepare)
+        assert doc["state"]["memory"]["image"].size == 0
+
+    def test_last_word_set_makes_a_full_image(self, tmp_path):
+        def prepare(gpu):
+            gpu.memory.i[-1] = 5
+            gpu.sanitizer._w_atomic[-1] = True
+
+        doc, gpu = self._roundtrip(tmp_path, prepare)
+        words = gpu.memory.size_words
+        assert doc["state"]["memory"]["image"].size == words
+        assert doc["state"]["sanitizer"]["shadow"]["_w_atomic"].size == words
+
+    def test_image_ends_at_the_last_non_zero_word(self, tmp_path):
+        doc, gpu = self._roundtrip(tmp_path, lambda gpu: None)
+        top = int(np.flatnonzero(gpu.memory.i)[-1])
+        assert doc["state"]["memory"]["image"].size == top + 1 < gpu.memory.words_in_use
+
+    def test_negative_zero_and_nan_payloads_survive(self, tmp_path):
+        def prepare(gpu):
+            gpu.memory.i[2_000_000] = NAN_PAYLOAD
+            gpu.memory.f[2_000_001] = -0.0  # the topmost set word
+            gpu.sanitizer._w_value.view(np.int64)[3_000_000] = NAN_PAYLOAD
+            gpu.sanitizer._w_value[3_000_001] = -0.0
+
+        doc, gpu = self._roundtrip(tmp_path, prepare)
+        assert doc["state"]["memory"]["image"].size == 2_000_002
+        image = doc["state"]["sanitizer"]["shadow"]["_w_value"]
+        assert image.size == 3_000_002
+        assert image.view(np.int64)[-2] == NAN_PAYLOAD
+        assert np.signbit(image[-1]) and image[-1] == 0.0
+
+    @pytest.mark.parametrize("fast", [False, True], ids=["ref", "fast"])
+    def test_replay_of_an_earlier_run_left_words_above_the_image(self, fast):
+        """Run 1 writes above the high-water mark; run 2 zeroes those
+        words again and then runs a second kernel.  A checkpoint taken
+        during that kernel has an image that ends below them, while the
+        replay — which has just re-executed run 1 — holds them non-zero
+        until the restore clears them."""
+        data = list(range(1, 65))
+
+        def program(dev, func, n, src, wild, **run2):
+            low = dev.alloc(n)
+            _launch(dev, func, n, src, wild)
+            dev.synchronize()
+            zero = map_kernel("ckpt_zero", lambda k, v: k.imul(v, 0))
+            dev.register(zero)
+            _launch(dev, zero, n, src, wild)
+            _launch(dev, func, n, src, low)
+            dev.gpu.run(**run2)
+            return low
+
+        def build():
+            return _build(data, 3, 7, fast=fast, wild_dst=True)
+
+        dev, func, n, src, wild = build()
+        low = program(dev, func, n, src, wild)
+        golden = _final_state(dev, low, n)
+        assert not golden["memory"][wild:].any()
+
+        short = []
+
+        def keep_short(doc):
+            if doc["state"]["memory"]["image"].size <= wild:
+                short.append(doc)
+
+        dev, func, n, src, wild = build()
+        program(dev, func, n, src, wild, checkpoint_every=20,
+                on_checkpoint=keep_short)
+        doc = pickle.loads(pickle.dumps(short[0]))
+        assert doc["run_index"] == 2
+
+        dev, func, n, src, wild = build()
+        prepare_resume(dev.gpu, doc)
+        low = program(dev, func, n, src, wild)
+        final = _final_state(dev, low, n)
         assert final["out"] == golden["out"]
         assert final["stats"] == golden["stats"]
         assert np.array_equal(final["memory"], golden["memory"])
@@ -331,3 +469,65 @@ class TestWorkloadRoundTrip:
         stats, sanitizer = clean_workload_stats(bench, mode, fast)
         assert result.stats.to_dict() == stats
         assert result.sanitizer.to_dict() == sanitizer
+
+    def test_format_1_file_is_quarantined_then_run_fresh(
+        self, tmp_path, clean_workload_stats
+    ):
+        """A checkpoint left behind by the dense format: ``load`` refuses
+        it, the workload sets it aside and the job runs from cycle 0."""
+        from repro.exec import JobSpec
+
+        def bomb(doc):
+            raise Interrupt()
+
+        def spec(config, resume):
+            return JobSpec.create(
+                "bht", ExecutionMode.DTBL, SCALE, 0.25, config=config,
+                checkpoint_every=4_000, checkpoint_dir=str(tmp_path),
+                resume=resume,
+            )
+
+        workload, config = _workload("bht", "dtbl", True)
+        with pytest.raises(Interrupt):
+            workload.execute_spec(spec(config, False), on_checkpoint=bomb)
+        (path,) = tmp_path.glob("*.ckpt")
+        doc = load_checkpoint(path)
+        memory = doc["state"]["memory"]
+        image = memory.pop("image")
+        memory["buffer"] = np.zeros(doc["memory_words"], dtype=np.int64)
+        memory["buffer"][: image.size] = image
+        save_checkpoint(path, dict(doc, format=1))
+        with pytest.raises(CheckpointError, match="format"):
+            load_checkpoint(path)
+
+        workload, config = _workload("bht", "dtbl", True)
+        result = workload.execute_spec(spec(config, True))
+        stats, sanitizer = clean_workload_stats("bht", "dtbl", True)
+        assert result.stats.to_dict() == stats
+        assert result.sanitizer.to_dict() == sanitizer
+        assert path.with_suffix(".ckpt.corrupt").exists()
+
+    @pytest.mark.parametrize("sanitize", [False, True], ids=["plain", "sanitized"])
+    def test_document_size_follows_the_touched_words(self, sanitize):
+        """A count, not a timing: at scale 0.1 a ``bht``/``dtbl``
+        checkpoint carries memory up to its highest non-zero word and no
+        further, and pickles far below the 32 MiB address space."""
+        from repro.exec import JobSpec, run_job
+
+        config = dataclasses.replace(GPUConfig.k20c(), sanitize=sanitize)
+        spec = JobSpec.create(
+            "bht", ExecutionMode.DTBL, 0.1, 0.25, config=config,
+            checkpoint_every=30_000,
+        )
+        docs = []
+        run_job(spec, on_checkpoint=docs.append)
+        assert docs
+        for doc in docs:
+            image = doc["state"]["memory"]["image"]
+            assert 0 < image.size < doc["memory_words"] // 8
+            assert image[-1] != 0
+            assert len(pickle.dumps(doc, protocol=4)) < 16 * 2**20
+            shadow = (doc["state"]["sanitizer"] or {}).get("shadow", {})
+            assert len(shadow) == (14 if doc["sanitize"] else 0)
+            for name, array in shadow.items():
+                assert array.size < doc["memory_words"] // 8, name
