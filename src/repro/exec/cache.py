@@ -72,7 +72,7 @@ def atomic_write(path: os.PathLike, data: bytes) -> None:
     The unique temporary file lives in the target directory, so
     ``os.replace`` is a same-filesystem atomic rename on every platform;
     it is removed again when the write or the rename fails.  Shared by
-    the result cache, checkpoint files and the daemon's result spool.
+    the result cache and checkpoint files.
     """
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)

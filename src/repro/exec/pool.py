@@ -41,9 +41,11 @@ trip is exact.
 
 Test hooks: setting ``REPRO_EXEC_TEST_CRASH`` makes *worker processes*
 (never in-process execution) die before simulating — ``always`` on every
-attempt, otherwise the value is a sentinel-file path that makes exactly
-the first attempt die.  ``REPRO_EXEC_TEST_HANG`` (seconds) makes workers
-sleep to exercise the timeout path.
+attempt (``always:<benchmark>`` only for that benchmark's jobs),
+otherwise the value is a sentinel-file path that makes exactly the first
+attempt die.  ``REPRO_EXEC_TEST_HANG`` (seconds) makes workers sleep to
+exercise the timeout path.  The hooks live in :func:`_worker_entry`,
+which the :mod:`repro.serve` daemon's resident workers run too.
 """
 
 from __future__ import annotations
@@ -71,8 +73,11 @@ def _test_fault_hook(job: JobSpec) -> None:
     crash = os.environ.get("REPRO_EXEC_TEST_CRASH")
     if not crash:
         return
-    if crash == "always":
-        os._exit(3)
+    always, _, only = crash.partition(":")
+    if always == "always":
+        if not only or only == job.benchmark:
+            os._exit(3)
+        return
     # Sentinel-file protocol: the first attempt creates the file and dies;
     # later attempts see it and proceed.
     try:
@@ -118,11 +123,25 @@ def _resumable(spec: JobSpec) -> JobSpec:
     return spec
 
 
-def _worker_entry(spec: JobSpec) -> dict:
-    """What pool workers run: fault hooks (tests) + the real execution."""
+def _worker_entry(
+    spec: JobSpec, on_checkpoint: Optional[Callable[[dict], None]] = None
+) -> dict:
+    """What every worker process runs for one job — this engine's pool
+    workers and the daemon's resident ones: fault hooks (tests) + the
+    real execution.  ``on_checkpoint`` sees each checkpoint document
+    before the crash hook does."""
     _test_fault_hook(spec)
+    hooks = [
+        hook for hook in (on_checkpoint, _test_ckpt_crash_hook())
+        if hook is not None
+    ]
+
+    def each(doc) -> None:
+        for hook in hooks:
+            hook(doc)
+
     return run_job(
-        _resumable(spec), on_checkpoint=_test_ckpt_crash_hook()
+        _resumable(spec), on_checkpoint=each if hooks else None
     ).to_payload()
 
 

@@ -13,9 +13,11 @@ Start it::
 
 and talk to it with :class:`ServeClient` (or plain ``curl`` — see
 ``docs/serving.md``).  Features: priority queue with checkpoint-backed
-preemption, per-client quotas (429), one shared warm result cache,
-fingerprint-level dedup of concurrent identical submissions, and NDJSON
-progress-event streaming.
+preemption, resident worker processes (a job is launched onto one, not
+forked for), per-client quotas (429), one shared warm result cache,
+fingerprint-level dedup of concurrent identical submissions, kept-alive
+connections with a blocking ``?wait=``, and NDJSON progress-event
+streaming.
 """
 
 from .client import JobFailed, ServeClient, ServeError

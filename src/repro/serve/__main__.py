@@ -23,7 +23,6 @@ import sys
 from .jobs import (
     DEFAULT_SERVE_CHECKPOINT_DIR,
     DEFAULT_SERVE_CHECKPOINT_EVERY,
-    DEFAULT_SERVE_SPOOL_DIR,
     ServeConfig,
 )
 from ..exec import DEFAULT_CACHE_DIR
@@ -53,8 +52,9 @@ def main(argv=None) -> int:
     parser.add_argument("--checkpoint-dir",
                         default=DEFAULT_SERVE_CHECKPOINT_DIR,
                         help="daemon checkpoint directory")
-    parser.add_argument("--spool-dir", default=DEFAULT_SERVE_SPOOL_DIR,
-                        help="worker result spool directory")
+    # Ignored: workers answer on a pipe now.  Command lines under bench/
+    # still pass it, and changing those needs a benchmark-labelled PR.
+    parser.add_argument("--spool-dir", help=argparse.SUPPRESS)
     parser.add_argument("--quiet", action="store_true",
                         help="suppress the startup line")
     args = parser.parse_args(argv)
@@ -72,7 +72,6 @@ def main(argv=None) -> int:
         cache_dir=args.cache_dir if args.cache else None,
         checkpoint_every=args.checkpoint_every or None,
         checkpoint_dir=args.checkpoint_dir,
-        spool_dir=args.spool_dir,
     )
     try:
         asyncio.run(run_server(

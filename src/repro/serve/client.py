@@ -10,11 +10,19 @@ Quickstart::
     from repro import ExecutionMode, JobSpec
     from repro.serve import ServeClient
 
-    client = ServeClient(port=8642, client="alice")
-    info = client.submit(JobSpec.create("bht", ExecutionMode.DTBL,
-                                        scale=0.1, latency_scale=0.25))
-    result = client.result(client.wait(info["id"])["id"])
-    print(result.stats.cycles, result.source)
+    with ServeClient(port=8642, client="alice") as client:
+        info = client.submit(JobSpec.create("bht", ExecutionMode.DTBL,
+                                            scale=0.1, latency_scale=0.25))
+        result = client.result(client.wait(info["id"])["id"])
+        print(result.stats.cycles, result.source)
+
+A client holds **one kept-alive connection** and sends its requests on
+it one after another, so it belongs to one thread at a time: give each
+thread its own ``ServeClient``.  (:meth:`ServeClient.events` is the
+exception — the stream ends by closing, so it takes a connection of its
+own.)  The connection opens on the first request and is reopened
+transparently when the daemon has closed it in the meantime;
+:meth:`ServeClient.close`, or leaving the ``with`` block, drops it.
 """
 
 from __future__ import annotations
@@ -43,7 +51,7 @@ class JobFailed(ServeError):
 
 
 class ServeClient:
-    """Talk to one daemon; every request is a fresh connection."""
+    """Talk to one daemon over one kept-alive connection (one thread)."""
 
     def __init__(
         self,
@@ -56,20 +64,43 @@ class ServeClient:
         self.port = port
         self.client = client
         self.timeout = timeout
+        self._conn = HTTPConnection(host, port, timeout=timeout)  # lazy connect
+
+    def close(self) -> None:
+        """Drop the connection (the next request opens a new one)."""
+        self._conn.close()
+
+    def __enter__(self) -> "ServeClient":
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self.close()
 
     # ------------------------------------------------------------------
     # Transport
     # ------------------------------------------------------------------
     def _request(self, method: str, path: str, body: Optional[dict] = None) -> dict:
-        conn = HTTPConnection(self.host, self.port, timeout=self.timeout)
+        conn = self._conn
+        encoded = json.dumps(body).encode("utf-8") if body is not None else None
+        headers = {"Content-Type": "application/json"} if encoded else {}
+        # A reused connection may have been closed by the daemon since the
+        # last response; that shows as a send error or an empty reply,
+        # before any response byte, and is worth exactly one fresh try.
+        reused = conn.sock is not None
         try:
-            encoded = json.dumps(body).encode("utf-8") if body is not None else None
-            headers = {"Content-Type": "application/json"} if encoded else {}
-            conn.request(method, path, body=encoded, headers=headers)
-            response = conn.getresponse()
+            try:
+                conn.request(method, path, body=encoded, headers=headers)
+                response = conn.getresponse()
+            except ConnectionError:
+                conn.close()
+                if not reused:
+                    raise
+                conn.request(method, path, body=encoded, headers=headers)
+                response = conn.getresponse()
             payload = json.loads(response.read().decode("utf-8") or "{}")
-        finally:
-            conn.close()
+        except BaseException:
+            conn.close()  # mid-exchange: nothing more can be framed on it
+            raise
         if response.status >= 400:
             raise ServeError(response.status, payload)
         return payload
@@ -105,20 +136,32 @@ class ServeClient:
         return self._request("GET", f"/jobs/{job_id}")
 
     def wait(self, job_id: str, timeout: float = 600.0, poll: float = 0.05) -> dict:
-        """Poll until the job is terminal; returns its final info."""
+        """Block until the job is terminal; returns its final info.
+
+        Each round is one ``GET /jobs/<id>?wait=<seconds>``, which the
+        daemon answers the moment the job ends.  A round asks for at most
+        half the socket timeout (and the daemon caps it), so a long
+        ``timeout`` is a series of rounds; ``poll`` is only the pause
+        after a round that came back non-terminal.
+        """
         deadline = time.monotonic() + timeout
         while True:
-            info = self.job(job_id)
+            hold = max(0.0, min(deadline - time.monotonic(), self.timeout / 2))
+            info = self._request("GET", f"/jobs/{job_id}?wait={hold:.3f}")
             if info["status"] in ("done", "failed", "cancelled"):
                 return info
-            if time.monotonic() >= deadline:
+            remaining = deadline - time.monotonic()
+            if remaining <= 0:
                 raise TimeoutError(
                     f"job {job_id} still {info['status']} after {timeout}s"
                 )
-            time.sleep(poll)
+            time.sleep(min(poll, remaining))
 
     def events(self, job_id: str) -> Iterator[dict]:
-        """Stream a job's NDJSON lifecycle events until it is terminal."""
+        """Stream a job's NDJSON lifecycle events until it is terminal.
+
+        On a connection of its own: the daemon ends the stream by closing.
+        """
         conn = HTTPConnection(self.host, self.port, timeout=self.timeout)
         try:
             conn.request("GET", f"/jobs/{job_id}/events")

@@ -16,21 +16,33 @@
 * **leader/follower dedup** — a submission whose fingerprint matches a
   queued or running job becomes a *follower*: it consumes no worker and
   completes with the leader's payload (``source="shared"``);
-* **process workers** — up to ``ServeConfig.workers`` jobs simulate
-  concurrently, each in its own ``multiprocessing`` process running
-  :func:`~repro.exec.jobspec.run_job` (the same single execution path as
-  the CLIs and the sweep engine, which is what makes daemon results
-  bit-identical to one-shot runs).  Workers spool their result to a
-  private JSON file; the event loop watches each process sentinel with
-  ``loop.add_reader`` — no polling;
+* **resident process workers** — up to ``ServeConfig.workers`` jobs
+  simulate concurrently, each in a ``multiprocessing`` process that is
+  forked from the warm daemon the first time a job finds no idle worker
+  and then *kept*: it loops ``recv spec -> run -> send outcome`` on one
+  pipe, running :func:`repro.exec.pool._worker_entry` — the function
+  :class:`~repro.exec.SweepEngine`'s pool workers run, around the one
+  execution path :func:`~repro.exec.jobspec.run_job`, which is what
+  makes daemon results bit-identical to one-shot runs.  A job is
+  launched onto a worker that is already there (the paper's argument,
+  applied to the serving layer); fork, import, exit and the
+  copy-on-write faults of a fresh child are paid per *worker*, not per
+  job.  The event loop watches each worker's pipe and process sentinel
+  with ``loop.add_reader`` — no polling;
 * **checkpoint-backed preemption** — when every worker is busy and a
-  higher-priority job arrives, the lowest-priority running job is
-  killed and requeued with ``resume=True``.  The daemon stamps its
-  checkpoint policy onto specs that carry none, so the victim resumes
-  from its last periodic snapshot (:mod:`repro.state.snapshot`) and —
-  because checkpoint/restore is bit-identical and the simulation is
-  deterministic — finishes with exactly the ``SimStats`` an undisturbed
-  run produces.
+  higher-priority job arrives, the lowest-priority running job's worker
+  is killed and the job requeued with ``resume=True``; a replacement
+  worker is forked on demand by the same path as the first.  The daemon
+  stamps its checkpoint policy onto specs that carry none, so the victim
+  resumes from its last periodic snapshot (:mod:`repro.state.snapshot`)
+  and — because checkpoint/restore is bit-identical and the simulation
+  is deterministic — finishes with exactly the ``SimStats`` an
+  undisturbed run produces.  Cancellation and crashes take the same
+  kill-and-replace route (a worker that dies without an outcome costs
+  its job one of ``ServeConfig.worker_retries``), so no state of a
+  disturbed job survives in a process that serves the next one;
+* **bounded history** — the most recent :data:`MAX_TERMINAL_JOBS`
+  terminal jobs stay queryable; older ones are evicted (``404``).
 
 Everything runs on one asyncio event loop thread; handlers never block
 on simulation work.
@@ -47,28 +59,32 @@ import asyncio
 import heapq
 import importlib
 import itertools
-import json
 import multiprocessing
 import os
 import pkgutil
+import signal
 import time
+from collections import deque
 from dataclasses import dataclass, field
+from multiprocessing.connection import Connection
 from pathlib import Path
-from typing import Dict, List, Optional
+from typing import Deque, Dict, List, Optional
 
-from ..exec import DEFAULT_CACHE_DIR, JobSpec, ResultCache, run_job
-from ..exec.cache import atomic_write
-from ..exec.pool import _resumable
+from ..exec import DEFAULT_CACHE_DIR, JobSpec, ResultCache
+from ..exec.pool import _worker_entry
 
 #: Default directory for daemon checkpoint files.
 DEFAULT_SERVE_CHECKPOINT_DIR = ".repro-serve/checkpoints"
-#: Default directory for worker result spool files.
-DEFAULT_SERVE_SPOOL_DIR = ".repro-serve/spool"
 #: Default checkpoint interval stamped onto submitted specs (cycles).
 DEFAULT_SERVE_CHECKPOINT_EVERY = 20_000
 
 #: Job states a client can observe.
 TERMINAL = frozenset({"done", "failed", "cancelled"})
+
+#: Terminal jobs kept queryable; the oldest beyond this are evicted.
+#: (A cache hit's job holds its own decoded payload, so an unbounded
+#: history is an unbounded leak at a few hundred hits per second.)
+MAX_TERMINAL_JOBS = 2048
 
 
 class QuotaExceeded(RuntimeError):
@@ -93,7 +109,6 @@ class ServeConfig:
     #: stamping (specs may still bring their own policy).
     checkpoint_every: Optional[int] = DEFAULT_SERVE_CHECKPOINT_EVERY
     checkpoint_dir: str = DEFAULT_SERVE_CHECKPOINT_DIR
-    spool_dir: str = DEFAULT_SERVE_SPOOL_DIR
     #: Infrastructure retries: a worker that dies without producing a
     #: result (OOM kill, crash) is re-run, resuming from its checkpoint.
     worker_retries: int = 1
@@ -108,10 +123,12 @@ _LAZY_JOB_MODULES = (
 
 
 def _warm_imports() -> None:
-    """Import what :func:`run_job` would import on a worker's only job.
+    """Import what :func:`run_job` would import on a worker's first job.
 
     A forked worker inherits the daemon's modules; anything imported
-    lazily inside the job is otherwise imported again by every worker.
+    lazily inside the job is otherwise imported again by every worker —
+    the first ones and each replacement after a preemption, cancel or
+    crash.
     """
     from .. import workloads
 
@@ -122,20 +139,23 @@ def _warm_imports() -> None:
             importlib.import_module(module.name)
 
 
-def _atomic_write_json(path: Path, payload: dict) -> None:
-    atomic_write(path, json.dumps(payload).encode("utf-8"))
+def _resident_worker(conn: Connection, daemon_ends: List[Connection]) -> None:
+    """Worker-process main: ``recv spec -> run -> send outcome`` until EOF.
 
-
-def _serve_worker(spec_data: dict, spool_path: str) -> None:
-    """Worker-process entry: run one spec, spool the outcome as JSON.
-
-    The spool file is the only channel back to the daemon; it is written
-    atomically so the parent never reads a half-written result.  Beside
-    the payload it carries how many checkpoints this attempt took.  All
-    exceptions — simulation errors, verification failures — are reported
-    through it; only an abrupt death (kill, crash) leaves no file.
+    The pipe is the only channel in either direction.  An outcome carries
+    the payload and how many checkpoints the attempt took, or the error
+    string: every exception a job raises — simulation errors,
+    verification failures — is reported, and only an abrupt death (kill,
+    crash) sends nothing.  The worker leaves when the daemon closes its
+    end or dies; for that EOF to arrive no worker may hold a copy of a
+    daemon-side end, so ``daemon_ends`` — its own pipe's and those of the
+    workers forked before it — are closed first.
     """
-    spec = JobSpec.from_dict(spec_data)
+    for end in daemon_ends:
+        end.close()
+    # A terminal's Ctrl-C goes to the whole process group; the daemon,
+    # not the signal, decides when a worker dies.
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
     delay = float(os.environ.get("REPRO_SERVE_TEST_CKPT_SLEEP") or 0)
     checkpoints = 0
 
@@ -146,12 +166,40 @@ def _serve_worker(spec_data: dict, spool_path: str) -> None:
             time.sleep(delay)
 
     try:
-        result = run_job(_resumable(spec), on_checkpoint=on_checkpoint)
-        outcome = {"ok": True, "payload": result.to_payload(),
-                   "checkpoints": checkpoints}
-    except BaseException as exc:  # report, don't vanish
-        outcome = {"ok": False, "error": f"{type(exc).__name__}: {exc}"}
-    _atomic_write_json(Path(spool_path), outcome)
+        while True:
+            spec = conn.recv()
+            checkpoints = 0
+            try:
+                payload = _worker_entry(spec, on_checkpoint)
+                outcome = {"ok": True, "payload": payload,
+                           "checkpoints": checkpoints}
+            except Exception as exc:  # report, don't vanish
+                outcome = {"ok": False, "error": f"{type(exc).__name__}: {exc}"}
+            conn.send(outcome)
+    except (EOFError, OSError):
+        return
+
+
+@dataclass
+class _Worker:
+    """One resident worker process and the daemon's end of its pipe."""
+
+    proc: multiprocessing.process.BaseProcess
+    conn: Connection
+    job: Optional["Job"] = None
+
+    def outcome(self) -> Optional[dict]:
+        """The complete outcome waiting on the pipe, if there is one.
+
+        A worker killed mid-``send`` leaves a truncated message, which
+        reads as EOF: no outcome, never half of one.
+        """
+        try:
+            if self.conn.poll():
+                return self.conn.recv()
+        except (EOFError, OSError):
+            pass
+        return None
 
 
 @dataclass
@@ -172,12 +220,12 @@ class Job:
     error: Optional[str] = None
     payload: Optional[dict] = None
     events: List[dict] = field(default_factory=list)
-    proc: Optional[multiprocessing.process.BaseProcess] = None
-    spool: Optional[Path] = None
+    #: The worker simulating this job while it is running.
+    worker: Optional[_Worker] = None
     #: Leader job id when this submission is a dedup follower.
     leader: Optional[str] = None
     followers: List[str] = field(default_factory=list)
-    #: Why the running process is being killed (``"preempt"``,
+    #: Why the job's worker is being killed (``"preempt"``,
     #: ``"cancel"`` or ``"shutdown"``); ``None`` while healthy.
     kill_reason: Optional[str] = None
 
@@ -214,6 +262,9 @@ class ManagerStats:
     quota_rejections: int = 0
     #: Checkpoints taken by the attempts that produced a result.
     checkpoints: int = 0
+    #: Worker processes forked: the first ``workers`` on demand, then one
+    #: per worker killed (preemption, cancel) or lost (crash).
+    worker_spawns: int = 0
 
 
 class JobManager:
@@ -234,14 +285,17 @@ class JobManager:
             else None
         )
         self._jobs: Dict[str, Job] = {}
+        self._terminal: Deque[str] = deque()  # retained terminal ids, oldest first
         self._heap: List = []  # (-priority, seq, job_id)
         self._running: Dict[str, Job] = {}
+        self._workers: List[_Worker] = []  # at most config.workers
         self._inflight: Dict[str, str] = {}  # fingerprint -> leader job id
         self._active_per_client: Dict[str, int] = {}
         self._seq = itertools.count()
         self._loop: Optional[asyncio.AbstractEventLoop] = None
         #: Replaced-and-set on every event append (monitor pattern);
-        #: streamers snapshot it before scanning, await the snapshot.
+        #: streamers and waiters snapshot it before looking, await the
+        #: snapshot.
         self._turn = asyncio.Event()
         self._closed = False
         try:
@@ -255,18 +309,22 @@ class JobManager:
     def start(self) -> None:
         self._loop = asyncio.get_running_loop()
         _warm_imports()
-        Path(self.config.spool_dir).mkdir(parents=True, exist_ok=True)
         if self.config.checkpoint_every is not None:
             Path(self.config.checkpoint_dir).mkdir(parents=True, exist_ok=True)
 
     def shutdown(self) -> None:
-        """Refuse new work, kill workers, cancel everything queued."""
+        """Refuse new work, end every worker, cancel everything queued.
+
+        Busy workers are killed (their jobs are cancelled when the
+        sentinel fires); idle ones see their pipe close and are joined.
+        """
         self._closed = True
-        for job in list(self._running.values()):
-            if job.kill_reason is None:
-                job.kill_reason = "shutdown"
-                if job.proc is not None:
-                    job.proc.kill()
+        for worker in list(self._workers):
+            if worker.job is None:
+                self._retire(worker)
+            elif worker.job.kill_reason is None:
+                worker.job.kill_reason = "shutdown"
+                worker.proc.kill()
         for job in list(self._jobs.values()):
             if job.status == "queued" and job.id not in self._running:
                 self._finish(job, "cancelled")
@@ -395,7 +453,7 @@ class JobManager:
         if job.id in self._running:
             if job.kill_reason is None:
                 job.kill_reason = "cancel"
-                job.proc.kill()
+                job.worker.proc.kill()
             return job.info()  # terminal once the sentinel fires
         if job.leader is not None:
             leader = self._jobs.get(job.leader)
@@ -464,43 +522,59 @@ class JobManager:
             if job.priority <= victim.priority:
                 return
             victim.kill_reason = "preempt"
-            victim.proc.kill()
+            victim.worker.proc.kill()
             self.stats.preemptions += 1
             self._event(victim, "preempting", by=job.id)
             return
 
     def _start(self, job: Job) -> None:
+        """Launch ``job`` onto an idle worker, forking one if none is."""
+        worker = next((w for w in self._workers if w.job is None), None)
+        if worker is None:
+            worker = self._spawn()
         job.status = "running"
         job.attempts += 1
-        spec = job.spec if job.attempts == 1 else _resumable(job.spec)
-        job.spool = Path(self.config.spool_dir) / f"{job.id}-{job.attempts}.json"
+        worker.job, job.worker = job, worker
+        self._running[job.id] = job
+        try:
+            worker.conn.send(job.spec)
+        except OSError:
+            pass  # it died idle: its sentinel is about to fire and retry the job
+        self._event(job, "started", attempt=job.attempts, pid=worker.proc.pid)
+
+    # ------------------------------------------------------------------
+    # Workers
+    # ------------------------------------------------------------------
+    def _spawn(self) -> _Worker:
+        ours, theirs = self._ctx.Pipe()
         proc = self._ctx.Process(
-            target=_serve_worker,
-            args=(spec.to_dict(), str(job.spool)),
+            target=_resident_worker,
+            args=(theirs, [ours] + [w.conn for w in self._workers]),
             daemon=True,
         )
         proc.start()
-        job.proc = proc
-        self._running[job.id] = job
-        self._loop.add_reader(proc.sentinel, self._on_exit, job)
-        self._event(job, "started", attempt=job.attempts)
+        theirs.close()
+        worker = _Worker(proc, ours)
+        self._workers.append(worker)
+        self.stats.worker_spawns += 1
+        self._loop.add_reader(ours.fileno(), self._on_outcome, worker)
+        self._loop.add_reader(proc.sentinel, self._on_exit, worker)
+        return worker
+
+    def _retire(self, worker: _Worker) -> None:
+        """Forget a worker that is dead, or idle and told to leave."""
+        self._loop.remove_reader(worker.conn.fileno())
+        self._loop.remove_reader(worker.proc.sentinel)
+        worker.conn.close()  # EOF on an idle worker's ``recv``: it returns
+        worker.proc.join(timeout=1.0)
+        if worker.proc.is_alive():  # pragma: no cover - defensive
+            worker.proc.kill()
+            worker.proc.join()
+        self._workers.remove(worker)
 
     # ------------------------------------------------------------------
     # Worker completion
     # ------------------------------------------------------------------
-    def _read_spool(self, job: Job) -> Optional[dict]:
-        try:
-            raw = job.spool.read_text(encoding="utf-8")
-            outcome = json.loads(raw)
-        except (OSError, ValueError):
-            return None
-        finally:
-            try:
-                job.spool.unlink()
-            except OSError:
-                pass
-        return outcome if isinstance(outcome, dict) else None
-
     def _requeue(self, job: Job, event: str) -> None:
         # Resume from the last periodic checkpoint (fingerprint-keyed
         # file; a missing one just means a fresh, still-correct start).
@@ -510,40 +584,60 @@ class JobManager:
         heapq.heappush(self._heap, (-job.priority, job.seq, job.id))
         self._event(job, event, resume=job.spec.resume)
 
-    def _on_exit(self, job: Job) -> None:
-        proc = job.proc
-        self._loop.remove_reader(proc.sentinel)
-        proc.join()
-        exitcode = proc.exitcode
-        self._running.pop(job.id, None)
-        job.proc = None
+    def _release(self, worker: _Worker) -> Job:
+        job, worker.job = worker.job, None
+        job.worker = None
+        del self._running[job.id]
+        return job
+
+    def _settle(self, job: Job, outcome: dict) -> None:
+        if outcome.get("ok"):
+            self._complete(job, outcome["payload"], outcome.get("checkpoints", 0))
+        else:
+            job.error = str(outcome.get("error"))
+            self._fail(job)
+
+    def _on_outcome(self, worker: _Worker) -> None:
+        """The worker's pipe is readable: an outcome, or the EOF of its death."""
+        job = worker.job
+        outcome = None
+        if job is not None and job.kill_reason is None:
+            outcome = worker.outcome()
+        if outcome is None:
+            # Dead, dying or being killed: the sentinel decides.  Stop
+            # watching a pipe that stays readable until then.
+            self._loop.remove_reader(worker.conn.fileno())
+            return
+        self._settle(self._release(worker), outcome)
+        self._schedule()
+
+    def _on_exit(self, worker: _Worker) -> None:
+        """The worker's process has died: killed by us, or on its own."""
+        job = worker.job
+        # An outcome sent whole before an unprovoked death still counts.
+        outcome = None
+        if job is not None and job.kill_reason is None:
+            outcome = worker.outcome()
+        self._retire(worker)
+        if job is None:
+            return  # died idle; the next job that needs one forks another
+        self._release(worker)
         reason, job.kill_reason = job.kill_reason, None
 
         if reason in ("cancel", "shutdown"):
-            if job.spool is not None:
-                try:
-                    job.spool.unlink()
-                except OSError:
-                    pass
             self._promote_follower(job)
             self._finish(job, "cancelled")
         elif reason == "preempt":
             job.preemptions += 1
             self._requeue(job, "requeued")
+        elif outcome is not None:
+            self._settle(job, outcome)
+        elif job.attempts <= self.config.worker_retries:
+            self.stats.retries += 1
+            self._requeue(job, "retrying")
         else:
-            outcome = self._read_spool(job)
-            if outcome is None:
-                if job.attempts <= self.config.worker_retries:
-                    self.stats.retries += 1
-                    self._requeue(job, "retrying")
-                else:
-                    job.error = f"worker exited with code {exitcode}"
-                    self._fail(job)
-            elif outcome.get("ok"):
-                self._complete(job, outcome["payload"], outcome.get("checkpoints", 0))
-            else:
-                job.error = str(outcome.get("error"))
-                self._fail(job)
+            job.error = f"worker exited with code {worker.proc.exitcode}"
+            self._fail(job)
         self._schedule()
 
     def _complete(self, job: Job, payload: dict, checkpoints: int) -> None:
@@ -588,6 +682,9 @@ class JobManager:
             else:
                 self._active_per_client.pop(job.client, None)
         self._event(job, status, **extra)
+        self._terminal.append(job.id)
+        while len(self._terminal) > MAX_TERMINAL_JOBS:
+            del self._jobs[self._terminal.popleft()]
 
     # ------------------------------------------------------------------
     # Events
@@ -613,3 +710,19 @@ class JobManager:
                 if event["event"] in TERMINAL:
                     return
             await turn.wait()
+
+    async def wait(self, job_id: str, timeout: float) -> Job:
+        """The job, once it is terminal or ``timeout`` seconds have passed."""
+        job = self.get(job_id)
+        loop = asyncio.get_running_loop()
+        deadline = loop.time() + timeout
+        while job.status not in TERMINAL:
+            remaining = deadline - loop.time()
+            if remaining <= 0:
+                break
+            turn = self._turn  # snapshot before sleeping: no lost wakeups
+            try:
+                await asyncio.wait_for(turn.wait(), remaining)
+            except asyncio.TimeoutError:
+                break
+        return job

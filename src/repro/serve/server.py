@@ -8,7 +8,10 @@ Method Path                      Meaning
 ====== ========================= =========================================
 POST   ``/jobs``                 submit one spec -> ``202`` job info
 POST   ``/sweeps``               submit a batch -> ``202`` list of infos
-GET    ``/jobs/<id>``            job status/info
+GET    ``/jobs/<id>``            job status/info; ``?wait=<seconds>`` holds
+                                 the answer until the job is terminal or
+                                 the wait (capped at :data:`MAX_WAIT_SECONDS`)
+                                 expires
 GET    ``/jobs/<id>/result``     result payload (``409`` until done)
 GET    ``/jobs/<id>/events``     NDJSON stream of lifecycle events
 POST   ``/jobs/<id>/cancel``     cancel (kills a running worker)
@@ -20,40 +23,82 @@ Request bodies are JSON: ``{"spec": {...}, "client": "...",
 "priority": 0}`` for ``/jobs``; ``{"specs": [...], ...}`` for
 ``/sweeps`` (``spec`` objects are :meth:`repro.exec.JobSpec.to_dict`
 documents).  Error mapping: bad spec/body -> ``400``, unknown job ->
-``404``, result not ready -> ``409``, quota exceeded -> ``429``,
-shutting down -> ``503``.
+``404``, result not ready -> ``409``, body over :data:`MAX_BODY_BYTES`
+-> ``413``, quota exceeded -> ``429``, shutting down -> ``503``.
+
+Connections are kept alive: a connection carries one request after
+another until the peer closes it or sends ``Connection: close``.  The
+server closes after the ``/events`` stream (its end *is* the close),
+after ``/shutdown``, and after a request it could not frame (over-long
+line, bad ``Content-Length``, oversized body) — what follows such a
+request on the wire cannot be trusted to be the next one.
 """
 
 from __future__ import annotations
 
 import asyncio
 import json
-from typing import Optional, Tuple
+from typing import NamedTuple, Optional, Set, Tuple
+from urllib.parse import parse_qs
 
 from ..exec import SpecError
 from .jobs import JobManager, QuotaExceeded, ServeConfig, UnknownJob
 
+#: Largest request body read (a ``/sweeps`` of a few thousand specs, at
+#: ~1.1 KB of JSON each, fits); a longer one is refused unread, ``413``.
+MAX_BODY_BYTES = 8 * 1024 * 1024
+#: Longest a ``?wait=`` is held — below :class:`ServeClient`'s default
+#: socket timeout, so an expired wait is an answer, never a client error.
+MAX_WAIT_SECONDS = 20.0
+
 _REASONS = {
     200: "OK", 202: "Accepted", 400: "Bad Request", 404: "Not Found",
-    405: "Method Not Allowed", 409: "Conflict", 429: "Too Many Requests",
-    500: "Internal Server Error", 503: "Service Unavailable",
+    405: "Method Not Allowed", 409: "Conflict", 413: "Payload Too Large",
+    429: "Too Many Requests", 500: "Internal Server Error",
+    503: "Service Unavailable",
 }
 
 
 class _BadRequest(Exception):
-    pass
+    """A request the server refuses (``status``: 400 unless given)."""
+
+    def __init__(self, message: str, status: int = 400) -> None:
+        super().__init__(message)
+        self.status = status
 
 
-async def _read_request(reader) -> Tuple[str, str, dict]:
-    """Parse one request; returns ``(method, path, json_body)``."""
-    line = await reader.readline()
+class _Request(NamedTuple):
+    method: str
+    path: str
+    query: dict
+    body: dict
+    #: The peer asked for the connection to end after this response.
+    close: bool
+
+
+async def _read_line(reader) -> bytes:
+    try:
+        return await reader.readline()
+    except ValueError:  # over the StreamReader limit (64 KiB)
+        raise _BadRequest("request line or header too long") from None
+
+
+async def _read_request(reader) -> Optional[_Request]:
+    """Parse one request; ``None`` when the peer closed instead of asking.
+
+    Raises :class:`_BadRequest` for anything it cannot frame or decode;
+    the caller answers and closes the connection.
+    """
+    line = await _read_line(reader)
+    if not line:
+        return None
     parts = line.decode("latin-1").split()
     if len(parts) != 3:
         raise _BadRequest("malformed request line")
     method, target = parts[0].upper(), parts[1]
     headers = {}
     while True:
-        line = await reader.readline()
+        line = await _read_line(reader)
         if line in (b"\r\n", b"\n", b""):
             break
         name, _, value = line.decode("latin-1").partition(":")
@@ -61,28 +106,57 @@ async def _read_request(reader) -> Tuple[str, str, dict]:
     try:
         length = int(headers.get("content-length", "0"))
     except ValueError:
-        raise _BadRequest("bad Content-Length") from None
+        length = -1
+    if length < 0:
+        raise _BadRequest("bad Content-Length")
+    if length > MAX_BODY_BYTES:
+        raise _BadRequest(
+            f"request body over {MAX_BODY_BYTES} bytes", status=413
+        )
     body: dict = {}
     if length:
-        raw = await reader.readexactly(length)
+        try:
+            raw = await reader.readexactly(length)
+        except asyncio.IncompleteReadError:
+            raise _BadRequest("request body shorter than Content-Length") from None
         try:
             body = json.loads(raw)
         except ValueError:
             raise _BadRequest("request body is not valid JSON") from None
         if not isinstance(body, dict):
             raise _BadRequest("request body must be a JSON object")
-    return method, target.split("?", 1)[0], body
+    path, _, query = target.partition("?")
+    return _Request(
+        method, path, parse_qs(query), body,
+        close=headers.get("connection", "").lower() == "close",
+    )
 
 
-def _response(status: int, payload: dict) -> bytes:
+def _response(status: int, payload: dict, close: bool = False) -> bytes:
     body = json.dumps(payload).encode("utf-8")
     head = (
         f"HTTP/1.1 {status} {_REASONS.get(status, 'Unknown')}\r\n"
         f"Content-Type: application/json\r\n"
         f"Content-Length: {len(body)}\r\n"
-        f"Connection: close\r\n\r\n"
+        + ("Connection: close\r\n" if close else "")
+        + "\r\n"
     )
     return head.encode("latin-1") + body
+
+
+def _wait_seconds(query: dict) -> float:
+    """The ``?wait=`` of a job query in seconds, capped; 0 when absent."""
+    if "wait" not in query:
+        return 0.0
+    try:
+        seconds = float(query["wait"][-1])
+        if not seconds >= 0:  # negative or NaN
+            raise ValueError
+    except ValueError:
+        raise _BadRequest(
+            "wait must be a non-negative number of seconds"
+        ) from None
+    return min(seconds, MAX_WAIT_SECONDS)
 
 
 class ReproServer:
@@ -99,6 +173,8 @@ class ReproServer:
         self.port = port
         self._server: Optional[asyncio.AbstractServer] = None
         self._stop = asyncio.Event()
+        self._handlers: Set[asyncio.Task] = set()  # one per open connection
+        self._idle: Set[asyncio.StreamWriter] = set()  # ... between requests
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -115,6 +191,15 @@ class ReproServer:
         await self._stop.wait()
         self.manager.shutdown()
         self._server.close()
+        # Idle kept-alive connections would otherwise hold the daemon
+        # open (since 3.12 ``wait_closed`` waits for every one of them):
+        # close them so their handlers see EOF.  A handler in the middle
+        # of a request answers first — a ``?wait=`` or an event stream
+        # as soon as its job is cancelled — and then closes by itself.
+        for writer in list(self._idle):
+            writer.close()
+        if self._handlers:
+            await asyncio.wait(set(self._handlers), timeout=5.0)
         await self._server.wait_closed()
 
     def stop(self) -> None:
@@ -124,50 +209,70 @@ class ReproServer:
     # Request handling
     # ------------------------------------------------------------------
     async def _handle(self, reader, writer) -> None:
+        """Serve one connection: request after request until it ends."""
+        task = asyncio.current_task()
+        self._handlers.add(task)
         try:
-            try:
-                method, path, body = await _read_request(reader)
-            except (_BadRequest, asyncio.IncompleteReadError) as exc:
-                writer.write(_response(400, {"error": str(exc)}))
-                return
-            try:
-                await self._route(method, path, body, writer)
-            except QuotaExceeded as exc:
-                writer.write(_response(429, {
-                    "error": str(exc), "quota": self.manager.config.quota,
-                }))
-            except UnknownJob as exc:
-                writer.write(_response(404, {"error": f"unknown job {exc}"}))
-            except SpecError as exc:
-                writer.write(_response(400, {"error": str(exc)}))
-            except (_BadRequest, TypeError, ValueError) as exc:
-                writer.write(_response(400, {"error": str(exc)}))
-            except RuntimeError as exc:
-                writer.write(_response(503, {"error": str(exc)}))
-            except Exception as exc:  # pragma: no cover - defensive
-                writer.write(_response(
-                    500, {"error": f"{type(exc).__name__}: {exc}"}
-                ))
-        finally:
-            try:
+            while not self._stop.is_set():
+                self._idle.add(writer)
+                try:
+                    request = await _read_request(reader)
+                except _BadRequest as exc:
+                    writer.write(_response(
+                        exc.status, {"error": str(exc)}, close=True
+                    ))
+                    break
+                finally:
+                    self._idle.discard(writer)
+                if request is None:
+                    break
+                reply = await self._answer(request, writer)
+                if reply is None:  # streamed; closing ends the stream
+                    break
+                close = request.close or self._stop.is_set()
+                writer.write(_response(*reply, close=close))
                 await writer.drain()
-                writer.close()
-                await writer.wait_closed()
-            except (ConnectionError, BrokenPipeError):
-                pass
+                if close:
+                    break
+            await writer.drain()
+            # A worker forked while this connection was open holds a copy
+            # of its socket, so closing ours alone would not end it for the
+            # peer; ``shutdown(SHUT_WR)`` does, whoever else holds it.
+            if writer.can_write_eof():
+                writer.write_eof()
+        except OSError:
+            pass  # the peer went away mid-request or mid-reply
+        finally:
+            self._handlers.discard(task)
+            writer.close()
 
-    async def _route(self, method: str, path: str, body: dict, writer) -> None:
+    async def _answer(self, request: _Request, writer) -> Optional[Tuple[int, dict]]:
+        """Route one request; ``(status, payload)``, or ``None`` if streamed."""
+        try:
+            return await self._route(request, writer)
+        except QuotaExceeded as exc:
+            return 429, {"error": str(exc), "quota": self.manager.config.quota}
+        except UnknownJob as exc:
+            return 404, {"error": f"unknown job {exc}"}
+        except (SpecError, _BadRequest, TypeError, ValueError) as exc:
+            return 400, {"error": str(exc)}
+        except RuntimeError as exc:
+            return 503, {"error": str(exc)}
+        except Exception as exc:  # pragma: no cover - defensive
+            return 500, {"error": f"{type(exc).__name__}: {exc}"}
+
+    async def _route(self, request: _Request, writer) -> Optional[Tuple[int, dict]]:
         manager = self.manager
+        method, path, body = request.method, request.path, request.body
         if path == "/jobs" and method == "POST":
             if "spec" not in body:
                 raise _BadRequest('body must carry a "spec" object')
-            info = manager.submit(
+            return 202, manager.submit(
                 body["spec"],
                 client=str(body.get("client", "anon")),
                 priority=int(body.get("priority", 0)),
             )
-            writer.write(_response(202, info))
-        elif path == "/sweeps" and method == "POST":
+        if path == "/sweeps" and method == "POST":
             specs = body.get("specs")
             if not isinstance(specs, list) or not specs:
                 raise _BadRequest('body must carry a non-empty "specs" list')
@@ -176,42 +281,42 @@ class ReproServer:
                 client=str(body.get("client", "anon")),
                 priority=int(body.get("priority", 0)),
             )
-            writer.write(_response(202, {"jobs": infos}))
-        elif path == "/status" and method == "GET":
-            writer.write(_response(200, manager.status()))
-        elif path == "/shutdown" and method == "POST":
-            writer.write(_response(200, {"status": "shutting down"}))
+            return 202, {"jobs": infos}
+        if path == "/status" and method == "GET":
+            return 200, manager.status()
+        if path == "/shutdown" and method == "POST":
             self.stop()
-        elif path.startswith("/jobs/"):
-            await self._route_job(method, path, writer)
-        else:
-            writer.write(_response(404, {"error": f"no route {method} {path}"}))
+            return 200, {"status": "shutting down"}
+        if path.startswith("/jobs/"):
+            return await self._route_job(request, writer)
+        return 404, {"error": f"no route {method} {path}"}
 
-    async def _route_job(self, method: str, path: str, writer) -> None:
+    async def _route_job(self, request: _Request, writer) -> Optional[Tuple[int, dict]]:
         manager = self.manager
-        parts = path.split("/")  # ["", "jobs", "<id>"] or + ["<verb>"]
+        method = request.method
+        parts = request.path.split("/")  # ["", "jobs", "<id>"] or + ["<verb>"]
         job_id = parts[2]
         verb = parts[3] if len(parts) > 3 else None
         if verb is None and method == "GET":
-            writer.write(_response(200, manager.get(job_id).info()))
-        elif verb == "result" and method == "GET":
+            job = await manager.wait(job_id, _wait_seconds(request.query))
+            return 200, job.info()
+        if verb == "result" and method == "GET":
             job = manager.get(job_id)
             if job.status == "done":
-                writer.write(_response(200, {
+                return 200, {
                     "id": job.id, "fingerprint": job.fingerprint,
                     "source": job.source, "payload": job.payload,
-                }))
-            elif job.status in ("failed", "cancelled"):
-                writer.write(_response(409, {
+                }
+            if job.status in ("failed", "cancelled"):
+                return 409, {
                     "error": f"job {job.id} {job.status}: {job.error}",
                     "status": job.status,
-                }))
-            else:
-                writer.write(_response(409, {
-                    "error": f"job {job.id} is {job.status}",
-                    "status": job.status,
-                }))
-        elif verb == "events" and method == "GET":
+                }
+            return 409, {
+                "error": f"job {job.id} is {job.status}",
+                "status": job.status,
+            }
+        if verb == "events" and method == "GET":
             manager.get(job_id)  # 404 before committing to a stream
             writer.write(
                 b"HTTP/1.1 200 OK\r\n"
@@ -222,10 +327,10 @@ class ReproServer:
             async for event in manager.stream(job_id):
                 writer.write(json.dumps(event).encode("utf-8") + b"\n")
                 await writer.drain()
-        elif verb == "cancel" and method == "POST":
-            writer.write(_response(200, manager.cancel(job_id)))
-        else:
-            writer.write(_response(404, {"error": f"no route {method} {path}"}))
+            return None
+        if verb == "cancel" and method == "POST":
+            return 200, manager.cancel(job_id)
+        return 404, {"error": f"no route {method} {request.path}"}
 
 
 async def run_server(

@@ -1,12 +1,13 @@
 """On-disk result cache: round trips, robustness, atomicity."""
 
 import json
+import os
 import threading
 
 import pytest
 
 from repro.exec import ResultCache
-from repro.exec.cache import ENTRY_FORMAT
+from repro.exec.cache import ENTRY_FORMAT, atomic_write
 
 KEY = "ab" * 32
 OTHER = "cd" * 32
@@ -111,6 +112,18 @@ class TestRobustness:
 
 
 class TestAtomicity:
+    def test_failed_atomic_write_leaves_no_temp_file(self, tmp_path, monkeypatch):
+        """The one helper behind cache entries and checkpoint files."""
+
+        def refuse(src, dst):
+            raise OSError("no space left on device")
+
+        monkeypatch.setattr(os, "replace", refuse)
+        target = tmp_path / "dir" / "entry.json"
+        with pytest.raises(OSError, match="no space"):
+            atomic_write(target, b"{}")
+        assert list(target.parent.iterdir()) == []
+
     def test_concurrent_writers_never_clobber(self, cache):
         """Interleaved writers + readers: every read is one complete entry.
 

@@ -129,3 +129,32 @@ class TestFaultHandling:
         with pytest.raises(WorkloadError):
             engine.run(bad)
         assert engine.stats.retries == 0
+
+
+class TestWorkerEntry:
+    """The one per-job function pool workers and daemon workers share."""
+
+    def test_on_checkpoint_observes_and_the_crash_hook_still_fires_after_it(
+        self, tmp_path, monkeypatch
+    ):
+        from repro.exec import pool
+
+        seen, fired = [], []
+        monkeypatch.setattr(
+            pool, "_test_ckpt_crash_hook",
+            lambda: lambda doc: fired.append(len(seen)),
+        )
+        job = SweepJob.create(
+            "bht", ExecutionMode.FLAT, SCALE, 0.25,
+            checkpoint_every=4000, checkpoint_dir=str(tmp_path),
+        )
+        payload = pool._worker_entry(job, on_checkpoint=seen.append)
+        assert seen and fired == list(range(1, len(seen) + 1))
+        assert payload["stats"] == run_job(job).to_payload()["stats"]
+
+    def test_crash_always_can_be_scoped_to_one_benchmark(self, monkeypatch):
+        from repro.exec import pool
+
+        monkeypatch.setenv("REPRO_EXEC_TEST_CRASH", "always:amr")
+        (job,) = _jobs(("bht", ExecutionMode.FLAT))
+        pool._test_fault_hook(job)  # not amr: returns instead of exiting

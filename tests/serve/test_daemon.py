@@ -8,24 +8,31 @@ bit-identical to a one-shot run of the same spec.
 
 ``REPRO_SERVE_TEST_CKPT_SLEEP`` stretches worker wall time (a sleep at
 every periodic checkpoint) without touching simulated state, making
-"this job is still running when ..." setups deterministic.
+"this job is still running when ..." setups deterministic.  The
+``REPRO_EXEC_TEST_CRASH`` hooks of the worker entry the daemon shares
+with :class:`repro.exec.SweepEngine` make its workers die on cue.
 """
 
 from __future__ import annotations
 
+import asyncio
 import json
 import os
 import re
 import select
+import socket
+import struct
 import subprocess
 import sys
+import threading
 import time
 from pathlib import Path
 
 import pytest
 
-from repro import ExecutionMode, JobSpec
-from repro.serve import JobFailed, ServeClient, ServeError
+from repro import ExecutionMode, JobSpec, run_job
+from repro.serve import JobFailed, JobManager, ServeClient, ServeConfig, ServeError, UnknownJob
+from repro.serve import jobs as serve_jobs
 
 GOLDEN_DIR = Path(__file__).resolve().parent.parent / "golden"
 SCALE = 0.08
@@ -44,13 +51,14 @@ class Daemon:
     """One daemon subprocess plus its discovered port."""
 
     def __init__(self, tmp_path: Path, *, workers=2, quota=8,
-                 checkpoint_every=4000, cache=True, env=None) -> None:
+                 checkpoint_every=4000, cache=True, env=None,
+                 extra_args=()) -> None:
         args = [
             sys.executable, "-m", "repro.serve", "--port", "0",
             "--workers", str(workers), "--quota", str(quota),
             "--checkpoint-every", str(checkpoint_every),
             "--checkpoint-dir", str(tmp_path / "ckpt"),
-            "--spool-dir", str(tmp_path / "spool"),
+            *extra_args,
         ]
         if cache:
             args += ["--cache-dir", str(tmp_path / "cache")]
@@ -91,6 +99,77 @@ class Daemon:
             except Exception:
                 self.proc.kill()
                 self.proc.wait(timeout=10)
+
+    def output(self) -> str:
+        """Stop the daemon; everything it printed after its address."""
+        self.stop()
+        return self.proc.stdout.read()
+
+    def raw(self) -> "RawConnection":
+        return RawConnection(self.port)
+
+
+class RawConnection:
+    """A bare socket to the daemon: the wire, without ``http.client``."""
+
+    def __init__(self, port: int) -> None:
+        self.sock = socket.create_connection(("127.0.0.1", port), timeout=30.0)
+        self.file = self.sock.makefile("rb")
+
+    def send(self, data: bytes) -> None:
+        self.sock.sendall(data)
+
+    def get(self, path: str, headers: str = "") -> tuple:
+        self.send(f"GET {path} HTTP/1.1\r\n{headers}\r\n".encode("latin-1"))
+        return self.response()
+
+    def response(self) -> tuple:
+        """``(status, headers, json_body)`` of the next response."""
+        status = int(self.file.readline().split()[1])
+        headers = {}
+        while True:
+            line = self.file.readline()
+            if line in (b"\r\n", b""):
+                break
+            name, _, value = line.decode("latin-1").partition(":")
+            headers[name.strip().lower()] = value.strip()
+        body = self.file.read(int(headers["content-length"]))
+        return status, headers, json.loads(body)
+
+    def at_eof(self) -> bool:
+        """Whether the daemon has closed the connection (waits for it)."""
+        return self.file.read(1) == b""
+
+    def close(self) -> None:
+        self.file.close()
+        self.sock.close()
+
+
+def started_pids(client: ServeClient, job_id: str) -> list:
+    """The worker pid of each attempt of a terminal job."""
+    return [event["pid"] for event in client.events(job_id)
+            if event["event"] == "started"]
+
+
+def process_gone(pid: int, timeout: float = 5.0) -> bool:
+    """Whether ``pid`` exits (or is a zombie nobody reaped) in time."""
+    deadline = time.monotonic() + timeout
+    while time.monotonic() < deadline:
+        try:
+            stat = Path(f"/proc/{pid}/stat").read_text()
+        except OSError:
+            return True
+        if stat.rpartition(")")[2].split()[0] == "Z":
+            return True
+        time.sleep(0.05)
+    return False
+
+
+def wait_running(client: ServeClient, job_id: str) -> None:
+    deadline = time.monotonic() + 20
+    while client.job(job_id)["status"] != "running":
+        assert time.monotonic() < deadline
+        time.sleep(0.02)
 
 
 @pytest.fixture
@@ -251,6 +330,14 @@ class TestPreemption:
         result = client.result(long_info["id"])
         assert result.stats.to_dict() == golden_stats("bfs_citation-dtbl-fast")
 
+        # The victim's worker was killed, not told to yield: the urgent
+        # job started on a replacement, one spawn per preemption.
+        victim_pids = started_pids(client, long_info["id"])
+        (urgent_pid,) = started_pids(urgent, urgent_info["id"])
+        assert urgent_pid != victim_pids[0]
+        stats = client.status()["stats"]
+        assert stats["worker_spawns"] == 1 + stats["preemptions"]
+
 
 class TestProtocol:
     def test_bad_spec_is_400_and_unknown_job_is_404(self, daemon_factory):
@@ -284,19 +371,21 @@ class TestProtocol:
 
 
 class TestWorkerPlumbing:
-    """In-process checks of what a worker writes and inherits."""
+    """In-process checks of what a worker sends and inherits."""
 
-    def test_failed_spool_write_leaves_no_temp_file(self, tmp_path, monkeypatch):
-        from repro.serve import jobs
-
-        def refuse(src, dst):
-            raise OSError("no space left on device")
-
-        monkeypatch.setattr(os, "replace", refuse)
-        spool = tmp_path / "spool"
-        with pytest.raises(OSError, match="no space"):
-            jobs._atomic_write_json(spool / "j000001-1.json", {"ok": True})
-        assert list(spool.iterdir()) == []
+    def test_truncated_outcome_is_no_outcome(self):
+        """A worker killed mid-``send`` leaves a header and part of a
+        body; the daemon must read that as death, not as a result."""
+        ctx = serve_jobs.multiprocessing.get_context("fork")
+        ours, theirs = ctx.Pipe()
+        theirs.send({"ok": True, "payload": {}, "checkpoints": 0})
+        worker = serve_jobs._Worker(proc=None, conn=ours)
+        assert worker.outcome() == {"ok": True, "payload": {}, "checkpoints": 0}
+        assert worker.outcome() is None  # nothing waiting
+        os.write(theirs.fileno(), struct.pack("!i", 1000) + b"x" * 10)
+        theirs.close()
+        assert worker.outcome() is None
+        ours.close()
 
     def test_started_daemon_has_imported_what_a_job_imports(self, tmp_path):
         """A forked worker inherits the daemon's modules, so after the
@@ -319,3 +408,346 @@ late = sorted(name for name in set(sys.modules) - before
 assert not late, late
 """
         subprocess.run([sys.executable, "-c", script], check=True, timeout=120)
+
+
+class TestParserRobustness:
+    """Requests the server cannot frame: answered, then the connection
+    is closed — never an exception out of the handler, never a second
+    request read off the same bytes."""
+
+    def test_unframeable_requests_get_400_or_413_and_a_close(
+        self, daemon_factory
+    ):
+        daemon = daemon_factory(workers=1)
+        long = "x" * 70_000  # over asyncio's 64 KiB readline limit
+        status_request = b"GET /status HTTP/1.1\r\n\r\n"
+        cases = [
+            (f"GET /{long} HTTP/1.1\r\n\r\n", 400),
+            (f"GET /status HTTP/1.1\r\nX-Pad: {long}\r\n\r\n", 400),
+            ("POST /jobs HTTP/1.1\r\nContent-Length: -5\r\n\r\n", 400),
+            ("POST /jobs HTTP/1.1\r\nContent-Length: five\r\n\r\n", 400),
+            ("POST /jobs HTTP/1.1\r\nContent-Length: 99999999999\r\n\r\n", 413),
+        ]
+        for request, expected in cases:
+            raw = daemon.raw()
+            # A well-formed request rides behind the bad one: it must
+            # not be answered.
+            raw.send(request.encode("latin-1") + status_request)
+            status, headers, body = raw.response()
+            assert status == expected, request[:60]
+            assert "error" in body
+            assert headers["connection"] == "close"
+            assert raw.at_eof()
+            raw.close()
+        assert daemon.client().status()["workers"] == 1  # still serving
+        log = daemon.output()
+        assert "Unhandled" not in log and "Traceback" not in log, log
+
+
+class TestTransport:
+    def test_connection_is_kept_alive_until_asked_to_close(
+        self, daemon_factory
+    ):
+        daemon = daemon_factory(workers=1)
+        raw = daemon.raw()
+        for _ in range(2):
+            status, headers, body = raw.get("/status")
+            assert status == 200 and body["workers"] == 1
+            assert "connection" not in headers
+        # An error reply does not cost the connection either.
+        assert raw.get("/jobs/j999999")[0] == 404
+        status, headers, _ = raw.get("/status", "Connection: close\r\n")
+        assert status == 200 and headers["connection"] == "close"
+        assert raw.at_eof()
+        raw.close()
+
+    def test_wait_answers_when_the_job_ends_or_the_wait_does(
+        self, daemon_factory
+    ):
+        daemon = daemon_factory(
+            workers=1, cache=False,
+            env={"REPRO_SERVE_TEST_CKPT_SLEEP": "0.25"},
+        )
+        client = daemon.client()
+        raw = daemon.raw()
+        info = client.submit(spec_for("bht", "flat"))
+
+        begin = time.monotonic()
+        status, _, body = raw.get(f"/jobs/{info['id']}?wait=0.05")
+        assert status == 200 and body["status"] in ("queued", "running")
+        assert 0.05 <= time.monotonic() - begin < 5
+
+        status, _, body = raw.get(f"/jobs/{info['id']}?wait=60")
+        answered = time.time()
+        assert status == 200 and body["status"] == "done"
+        done = list(client.events(info["id"]))[-1]
+        assert done["event"] == "done"
+        assert 0 <= answered - done["ts"] < 0.05
+
+        assert raw.get(f"/jobs/{info['id']}?wait=abc")[0] == 400
+        assert raw.get(f"/jobs/{info['id']}?wait=-1")[0] == 400
+        begin = time.monotonic()
+        assert raw.get("/jobs/j999999?wait=30")[0] == 404
+        assert time.monotonic() - begin < 5
+        raw.close()
+
+    def test_client_wait_is_one_request_not_a_poll_loop(
+        self, daemon_factory, monkeypatch
+    ):
+        daemon = daemon_factory(
+            workers=1, cache=False,
+            env={"REPRO_SERVE_TEST_CKPT_SLEEP": "0.25"},
+        )
+        client = daemon.client()
+        info = client.submit(spec_for("bht", "flat"))  # >= 1 checkpoint
+        paths = []
+        request = client._request
+
+        def counted(method, path, body=None):
+            paths.append(path)
+            return request(method, path, body)
+
+        monkeypatch.setattr(client, "_request", counted)
+        assert client.wait(info["id"], poll=0.01)["status"] == "done"
+        assert len(paths) == 1 and "?wait=" in paths[0]
+
+        with pytest.raises(TimeoutError):
+            client.wait(
+                client.submit(spec_for("bht", "flat", 0.06))["id"], timeout=0.1
+            )
+
+    def test_client_reconnects_when_its_idle_connection_was_closed(self):
+        """A server that hangs up after every reply without saying so:
+        each later request finds a dead connection and must go through
+        on a fresh one, once."""
+        reply = json.dumps({"ok": True}).encode()
+        listener = socket.create_server(("127.0.0.1", 0))
+        port = listener.getsockname()[1]
+        connections = []
+
+        def serve():
+            for _ in range(3):
+                conn, _ = listener.accept()
+                connections.append(conn)
+                conn.recv(65536)
+                conn.sendall(b"HTTP/1.1 200 OK\r\nContent-Length: %d\r\n\r\n%s"
+                             % (len(reply), reply))
+                conn.close()
+
+        thread = threading.Thread(target=serve, daemon=True)
+        thread.start()
+        try:
+            with ServeClient(port=port, timeout=10.0) as client:
+                for _ in range(3):
+                    assert client.status() == {"ok": True}
+            thread.join(timeout=5)
+            assert not thread.is_alive() and len(connections) == 3
+        finally:
+            listener.close()
+        # Nothing listening: a *fresh* connection's failure is not retried away.
+        with pytest.raises(ConnectionError):
+            ServeClient(port=port, timeout=2.0).status()
+
+
+class TestWorkerLifecycle:
+    def test_one_worker_serves_job_after_job(self, daemon_factory, tmp_path):
+        daemon = daemon_factory(
+            workers=1, cache=False,
+            extra_args=("--spool-dir", str(tmp_path / "spool")),
+        )
+        client = daemon.client()
+        pids = set()
+        for benchmark, mode in (("bht", "flat"), ("bht", "dtbl"),
+                                ("bfs_citation", "flat"), ("amr", "dtbl")):
+            info = client.submit(spec_for(benchmark, mode, 0.05))
+            assert client.wait(info["id"])["status"] == "done"
+            pids.update(started_pids(client, info["id"]))
+        assert len(pids) == 1
+        assert client.status()["stats"]["worker_spawns"] == 1
+        # ``--spool-dir`` still parses (bench/ passes it) and means nothing.
+        assert not (tmp_path / "spool").exists()
+
+    def test_cancel_kills_the_worker_and_the_next_job_gets_a_new_one(
+        self, daemon_factory
+    ):
+        daemon = daemon_factory(
+            workers=1, cache=False,
+            env={"REPRO_SERVE_TEST_CKPT_SLEEP": "0.25"},
+        )
+        client = daemon.client()
+        doomed = client.submit(spec_for("bht", "flat"))
+        wait_running(client, doomed["id"])
+        client.cancel(doomed["id"])
+        assert client.wait(doomed["id"])["status"] == "cancelled"
+        after = client.submit(spec_for("bht", "flat", 0.05))
+        assert client.wait(after["id"])["status"] == "done"
+
+        (doomed_pid,) = started_pids(client, doomed["id"])
+        (after_pid,) = started_pids(client, after["id"])
+        assert after_pid != doomed_pid
+        assert process_gone(doomed_pid)
+        stats = client.status()["stats"]
+        assert stats["worker_spawns"] == 2 and stats["cancelled"] == 1
+
+    def test_worker_that_dies_once_costs_a_retry_not_the_job(
+        self, daemon_factory, tmp_path
+    ):
+        daemon = daemon_factory(
+            workers=1, cache=False,
+            env={"REPRO_EXEC_TEST_CRASH": str(tmp_path / "crashed-once")},
+        )
+        client = daemon.client()
+        spec = spec_for("bht", "dtbl", 0.05)
+        final = client.wait(client.submit(spec)["id"])
+        assert final["status"] == "done" and final["attempts"] == 2
+        assert (client.result(final["id"]).stats.to_dict()
+                == run_job(spec).stats.to_dict())
+        first, second = started_pids(client, final["id"])
+        assert first != second
+        events = [event["event"] for event in client.events(final["id"])]
+        assert "retrying" in events
+
+        # The daemon keeps serving, on the replacement.
+        other = client.wait(client.submit(spec_for("bht", "flat", 0.05))["id"])
+        assert other["status"] == "done"
+        assert started_pids(client, other["id"]) == [second]
+        stats = client.status()["stats"]
+        assert stats["retries"] == 1 and stats["worker_spawns"] == 2
+
+    def test_worker_that_always_dies_fails_the_job_and_its_follower_only(
+        self, daemon_factory
+    ):
+        daemon = daemon_factory(
+            workers=1, cache=False,
+            env={"REPRO_EXEC_TEST_CRASH": "always:bht"},
+        )
+        client = daemon.client()
+        spec = spec_for("bht", "flat", 0.05)
+        # One request, so the second submission finds the first in flight.
+        leader, follower = client.submit_sweep([spec, spec])
+        leader_final = client.wait(leader["id"])
+        assert leader_final["status"] == "failed"
+        assert leader_final["error"] == "worker exited with code 3"
+        assert leader_final["attempts"] == 2  # worker_retries == 1
+        follower_final = client.wait(follower["id"])
+        assert follower_final["status"] == "failed"
+        assert follower_final["leader"] == leader["id"]
+        assert "worker exited with code 3" in follower_final["error"]
+        with pytest.raises(JobFailed):
+            client.result(leader["id"])
+
+        survivor = client.submit(spec_for("bfs_citation", "flat", 0.05))
+        assert client.wait(survivor["id"])["status"] == "done"
+        stats = client.status()["stats"]
+        assert stats["retries"] == 1 and stats["failed"] == 2
+        assert stats["worker_spawns"] == 3
+
+    def test_no_state_leaks_between_jobs_in_one_worker(self, daemon_factory):
+        """Eight jobs through one resident worker, then the reverse order
+        through another: every result equals a direct run."""
+        specs = [
+            spec_for(benchmark, mode, 0.05)
+            for benchmark in ("bht", "bfs_citation")
+            for mode in ("flat", "dtbl", "cdp", "persistent")
+        ]
+        direct = {spec.label(): run_job(spec).stats.to_dict() for spec in specs}
+        for order in (specs, specs[::-1]):
+            daemon = daemon_factory(workers=1, cache=False)
+            with daemon.client() as client:
+                for spec in order:
+                    served = client.run(spec)
+                    assert served.stats.to_dict() == direct[spec.label()], spec.label()
+                assert client.status()["stats"]["worker_spawns"] == 1
+            daemon.stop()
+
+
+class TestNothingOutlivesTheDaemon:
+    def test_shutdown_is_prompt_with_idle_connections_and_workers(
+        self, daemon_factory
+    ):
+        daemon = daemon_factory(
+            workers=2, cache=False,
+            env={"REPRO_SERVE_TEST_CKPT_SLEEP": "0.25"},
+        )
+        client = daemon.client()
+        # One worker left idle, one busy, two connections left open.
+        idle, busy = client.submit_sweep(
+            [spec_for("bht", "dtbl", 0.05), spec_for("bht", "flat")]
+        )
+        assert client.wait(idle["id"])["status"] == "done"
+        assert client.job(busy["id"])["status"] == "running"
+        raw = daemon.raw()
+        assert raw.get("/status")[0] == 200
+        pids = started_pids(client, idle["id"]) + [
+            event["pid"] for event in _events_so_far(daemon, busy["id"])
+            if event["event"] == "started"
+        ]
+        assert len(set(pids)) == 2
+        # ... and one request in the middle of being answered.
+        waited = []
+        waiter = threading.Thread(target=lambda: waited.append(
+            daemon.client().wait(busy["id"])["status"]))
+        waiter.start()
+        time.sleep(0.2)
+
+        begin = time.monotonic()
+        daemon.client().shutdown()
+        assert daemon.proc.wait(timeout=10) == 0
+        assert time.monotonic() - begin < 5
+        assert raw.at_eof()
+        raw.close()
+        waiter.join(timeout=5)
+        assert waited == ["cancelled"]
+        for pid in pids:
+            assert process_gone(pid)
+
+    def test_killed_daemon_leaves_no_idle_worker_behind(self, daemon_factory):
+        daemon = daemon_factory(workers=2, cache=False)
+        client = daemon.client()
+        infos = client.submit_sweep(
+            [spec_for("bht", "flat", 0.05), spec_for("bht", "dtbl", 0.05)]
+        )
+        pids = set()
+        for info in infos:
+            assert client.wait(info["id"])["status"] == "done"
+            pids.update(started_pids(client, info["id"]))
+        assert len(pids) == 2
+        daemon.proc.kill()
+        daemon.proc.wait(timeout=10)
+        for pid in pids:
+            assert process_gone(pid)
+
+
+def _events_so_far(daemon: Daemon, job_id: str) -> list:
+    """The events of a job that is still running (the stream would block)."""
+    raw = daemon.raw()
+    raw.send(f"GET /jobs/{job_id}/events HTTP/1.1\r\n\r\n".encode())
+    while raw.file.readline() not in (b"\r\n", b""):
+        pass
+    events = []
+    while not events or events[-1]["event"] != "started":
+        events.append(json.loads(raw.file.readline()))
+    raw.close()
+    return events
+
+
+class TestRetention:
+    def test_oldest_terminal_jobs_are_evicted(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(serve_jobs, "MAX_TERMINAL_JOBS", 3)
+        spec = spec_for("bht", "flat", 0.05)
+
+        async def main():
+            manager = JobManager(ServeConfig(
+                cache_dir=str(tmp_path / "cache"), checkpoint_every=None,
+            ))
+            manager.cache.store(spec.fingerprint(), {"stats": {}})
+            return manager, [manager.submit(spec)["id"] for _ in range(5)]
+
+        manager, ids = asyncio.run(main())
+        for evicted in ids[:2]:
+            with pytest.raises(UnknownJob):
+                manager.get(evicted)
+        assert [manager.get(kept).status for kept in ids[2:]] == ["done"] * 3
+        status = manager.status()
+        assert status["jobs"] == {"done": 3}  # retained jobs only
+        assert status["stats"]["completed"] == 5  # daemon lifetime

@@ -12,7 +12,10 @@ Checks the full serving loop end to end:
    :func:`repro.exec.run_job` of the same spec (bit-identical stats);
 4. resubmit the same sweep: every job must come back ``source="cache"``
    without occupying a worker (the daemon's shared warm cache);
-5. ``POST /shutdown`` and require a clean daemon exit code.
+5. require ``/status`` to report exactly ``--workers`` worker forks after
+   the cold sweep and no more after the warm one (workers are resident:
+   a job is launched onto one, not forked for);
+6. ``POST /shutdown`` and require a clean daemon exit code.
 
 Any failure exits nonzero with a diagnostic.
 """
@@ -36,6 +39,7 @@ from repro.serve import ServeClient  # noqa: E402
 
 SCALE = 0.05
 LATENCY_SCALE = 0.25
+WORKERS = 2
 SPECS = [
     JobSpec.create("bht", ExecutionMode.FLAT, SCALE, LATENCY_SCALE),
     JobSpec.create("bht", ExecutionMode.DTBL, SCALE, LATENCY_SCALE),
@@ -49,10 +53,9 @@ def start_daemon(workdir: str):
     proc = subprocess.Popen(
         [
             sys.executable, "-m", "repro.serve", "--port", "0",
-            "--workers", "2",
+            "--workers", str(WORKERS),
             "--cache-dir", str(Path(workdir) / "cache"),
             "--checkpoint-dir", str(Path(workdir) / "ckpt"),
-            "--spool-dir", str(Path(workdir) / "spool"),
         ],
         stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True, env=env,
     )
@@ -72,46 +75,59 @@ def start_daemon(workdir: str):
     return None, None
 
 
+def run_sweeps(client: ServeClient) -> bool:
+    # Cold sweep: every job simulates, events stream in order.
+    infos = client.submit_sweep(SPECS)
+    for spec, info in zip(SPECS, infos):
+        events = [e["event"] for e in client.events(info["id"])]
+        if events[0] != "queued" or "started" not in events \
+                or events[-1] != "done":
+            print(f"FAIL: {spec.label()} bad event stream: {events}")
+            return False
+        served = client.result(info["id"])
+        direct = run_job(spec)
+        if served.stats.to_dict() != direct.stats.to_dict():
+            print(f"FAIL: {spec.label()} daemon result differs "
+                  f"from a direct run")
+            return False
+        print(f"[cold] {spec.label()}: {served.cycles:,} cycles "
+              f"(source={served.source}, events={events})")
+    spawns = client.status()["stats"]["worker_spawns"]
+    if spawns != WORKERS:
+        print(f"FAIL: {len(SPECS)} cold jobs on {WORKERS} resident workers "
+              f"took {spawns} worker forks")
+        return False
+
+    # Warm sweep: bit-identical results straight from the cache.
+    for spec, info in zip(SPECS, client.submit_sweep(SPECS)):
+        if info["status"] != "done" or info["source"] != "cache":
+            print(f"FAIL: warm {spec.label()} not served from "
+                  f"cache: {info['status']}/{info['source']}")
+            return False
+        print(f"[warm] {spec.label()}: source=cache")
+
+    stats = client.status()["stats"]
+    if stats["cache_hits"] != len(SPECS):
+        print(f"FAIL: expected {len(SPECS)} cache hits, "
+              f"got {stats['cache_hits']}")
+        return False
+    if stats["worker_spawns"] != spawns:
+        print(f"FAIL: the warm rerun forked a worker "
+              f"({spawns} -> {stats['worker_spawns']})")
+        return False
+    client.shutdown()
+    return True
+
+
 def main() -> int:
     with tempfile.TemporaryDirectory(prefix="repro-serve-smoke-") as workdir:
         proc, port = start_daemon(workdir)
         if proc is None:
             return 1
         try:
-            client = ServeClient(port=port, client="ci", timeout=60.0)
-
-            # Cold sweep: every job simulates, events stream in order.
-            infos = client.submit_sweep(SPECS)
-            for spec, info in zip(SPECS, infos):
-                events = [e["event"] for e in client.events(info["id"])]
-                if events[0] != "queued" or "started" not in events \
-                        or events[-1] != "done":
-                    print(f"FAIL: {spec.label()} bad event stream: {events}")
+            with ServeClient(port=port, client="ci", timeout=60.0) as client:
+                if not run_sweeps(client):
                     return 1
-                served = client.result(info["id"])
-                direct = run_job(spec)
-                if served.stats.to_dict() != direct.stats.to_dict():
-                    print(f"FAIL: {spec.label()} daemon result differs "
-                          f"from a direct run")
-                    return 1
-                print(f"[cold] {spec.label()}: {served.cycles:,} cycles "
-                      f"(source={served.source}, events={events})")
-
-            # Warm sweep: bit-identical results straight from the cache.
-            for spec, info in zip(SPECS, client.submit_sweep(SPECS)):
-                if info["status"] != "done" or info["source"] != "cache":
-                    print(f"FAIL: warm {spec.label()} not served from "
-                          f"cache: {info['status']}/{info['source']}")
-                    return 1
-                print(f"[warm] {spec.label()}: source=cache")
-
-            stats = client.status()["stats"]
-            if stats["cache_hits"] != len(SPECS):
-                print(f"FAIL: expected {len(SPECS)} cache hits, "
-                      f"got {stats['cache_hits']}")
-                return 1
-
-            client.shutdown()
             proc.wait(timeout=30)
             if proc.returncode != 0:
                 print(f"FAIL: daemon exited with {proc.returncode}")
