@@ -9,12 +9,13 @@ the serving daemon (:mod:`repro.serve`):
   execution path every runner shares;
 * :mod:`repro.exec.fingerprint` — deterministic content hashing of a
   job's identity, so identical jobs are identical keys across processes
-  and runs (``SweepJob`` lives on as an alias of :class:`JobSpec`);
+  and runs;
 * :mod:`repro.exec.cache` — a content-addressed on-disk result store
   (:class:`ResultCache`) with atomic writes and corrupt-entry
   quarantine;
-* :mod:`repro.exec.pool` — a multi-process sweep engine
-  (:class:`SweepEngine`) with per-job timeout, bounded retry and
+* :mod:`repro.exec.pool` — the resident worker process both schedulers
+  launch jobs onto, and a multi-process sweep engine
+  (:class:`SweepEngine`) over it with per-job timeout, bounded retry and
   in-process fallback.
 
 ``spec -> fingerprint -> cache -> pool``: a requested job is
@@ -38,9 +39,6 @@ from .cli import (
 )
 from .pool import EngineStats, ProgressEvent, SweepEngine, SweepError
 
-#: Backwards-compatible alias (the original name of the job model).
-SweepJob = JobSpec
-
 __all__ = [
     "CODE_VERSION",
     "DEFAULT_CACHE_DIR",
@@ -54,7 +52,6 @@ __all__ = [
     "SpecError",
     "SweepEngine",
     "SweepError",
-    "SweepJob",
     "add_execution_flags",
     "add_job_flags",
     "canonical_json",

@@ -16,8 +16,7 @@ into every key: bumping the version orphans all previously cached results
 rather than risking a stale entry produced by different simulator code.
 
 This module holds the hashing primitives; the job model itself lives in
-:mod:`repro.exec.jobspec` (``SweepJob`` is re-exported below as a
-backwards-compatible alias of :class:`~repro.exec.jobspec.JobSpec`).
+:mod:`repro.exec.jobspec`.
 """
 
 from __future__ import annotations
@@ -61,21 +60,8 @@ def effective_sanitize(config: GPUConfig) -> bool:
     return bool(config.sanitize) or bool(os.environ.get("REPRO_SANITIZE"))
 
 
-def __getattr__(name: str):
-    # Backwards-compatible alias: the job model grew into JobSpec (which
-    # adds the execution-policy fields) but hashes the same document under
-    # the same prefix, so existing fingerprints are unchanged.  Resolved
-    # lazily to keep this module import-order independent.
-    if name == "SweepJob":
-        from .jobspec import JobSpec
-
-        return JobSpec
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-
 __all__ = [
     "CODE_VERSION",
-    "SweepJob",
     "canonical_json",
     "digest",
     "effective_sanitize",

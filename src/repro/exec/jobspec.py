@@ -1,7 +1,7 @@
 """The canonical job model: one spec, one result, one execution path.
 
 Every way of running a simulation in this repository — the two CLIs, the
-serial runner, the :class:`~repro.exec.pool.SweepEngine` worker pool, and
+:class:`~repro.exec.pool.SweepEngine` (in-process or on its workers) and
 the :mod:`repro.serve` daemon — consumes the same :class:`JobSpec`: the
 full description of *what* to simulate (benchmark, mode, dataset scale,
 launch-latency scale, GPU configuration, verification) plus the execution
@@ -15,11 +15,9 @@ Only the *what* participates in :meth:`JobSpec.fingerprint` (the
 content-addressed identity reused by the result cache and the sweep
 engine, built on :mod:`repro.exec.fingerprint`): two specs that differ
 only in checkpoint policy describe the same simulation and share one
-cache key.  The digest prefix and document layout are unchanged from the
-original ``SweepJob`` model, so fingerprints — and with them all existing
-cache entries and checkpoint filenames — are stable across the rename.
-
-``SweepJob`` remains importable as an alias of :class:`JobSpec`.
+cache key.  The digest prefix (``"SweepJob"``, the model's first name)
+and document layout have never changed, so fingerprints — and with them
+all existing cache entries and checkpoint filenames — are stable.
 """
 
 from __future__ import annotations
@@ -326,15 +324,15 @@ def run_job(
 ) -> JobResult:
     """Execute one spec in the current process: THE execution path.
 
-    The serial runner, the pool workers, the in-process fallback and the
-    daemon's job processes all come through here, which is what makes
-    them bit-identical.  With ``spec.checkpoint_dir`` set, the job
-    checkpoints to ``<dir>/<fingerprint>.ckpt`` every
-    ``spec.checkpoint_every`` cycles, and ``spec.resume`` continues from
-    such a file when one exists (stale or corrupt files are quarantined
-    and the job restarts).  Because the simulation is deterministic and a
-    restore is bit-identical, a resumed result equals an uninterrupted
-    run's.
+    The sweep engine's in-process path (serial runs, the fallback) and
+    every worker process, the engine's or the daemon's, come through
+    here, which is what makes them bit-identical.  With
+    ``spec.checkpoint_dir`` set, the job checkpoints to
+    ``<dir>/<fingerprint>.ckpt`` every ``spec.checkpoint_every`` cycles,
+    and ``spec.resume`` continues from such a file when one exists (stale
+    or corrupt files are quarantined and the job restarts).  Because the
+    simulation is deterministic and a restore is bit-identical, a resumed
+    result equals an uninterrupted run's.
     """
     from ..workloads import get_benchmark
 

@@ -1,30 +1,46 @@
-"""Multi-process sweep engine for simulation grids.
+"""Resident worker processes, and the sweep engine that schedules onto them.
 
-The paper's evaluation is one 16-benchmark x 5-mode grid of independent,
-deterministic simulations — an embarrassingly parallel sweep that the
-harness previously ran serially.  :class:`SweepEngine` fans a list of
-:class:`~repro.exec.jobspec.JobSpec`\\ s out over a
-``ProcessPoolExecutor`` (the same persistent-worker-pool shape Atos
-applies to irregular GPU work: workers drain a queue, dispatch never
-blocks on a straggler), with the failure handling a long sweep needs:
+**The worker** is the repository's one worker mechanism, owned here and
+used by both schedulers — :class:`SweepEngine` below and the
+:mod:`repro.serve` daemon's ``JobManager``.  A :class:`Worker` is a
+process forked from its owner that loops ``recv spec -> _worker_entry ->
+send outcome`` on one pipe until the owner closes its end (the
+persistent-worker shape Atos applies to irregular GPU work: new work is
+launched onto a context that is already resident and tracked
+individually).  This module owns the process main, the pipe, *spawn* and
+*retire*, and the whole-message-or-nothing :meth:`Worker.outcome`; what
+to run next, on which worker, and what a death means is the owner's
+policy.  Because each worker is its own process behind its own pipe, an
+owner always knows *which* worker died and can kill just one.
 
-* **per-job timeout** — in-flight submissions are capped at the worker
-  count, so submission time approximates start time; a job that exceeds
-  ``job_timeout`` is charged a failed attempt and the pool is rebuilt
-  (the stuck worker is killed, innocent in-flight jobs are requeued
-  without charge);
-* **bounded retry** — a job whose worker dies (``BrokenProcessPool``)
-  is requeued up to ``max_retries`` times; the pool is rebuilt around it;
-* **in-process fallback** — a job out of retries, or a pool that cannot
-  be created at all (``spawn`` failure, resource limits), degrades to
-  plain in-process execution instead of failing the sweep;
+**The engine.**  The paper's evaluation is one 16-benchmark x 5-mode grid
+of independent, deterministic simulations — an embarrassingly parallel
+sweep.  :class:`SweepEngine` launches a list of
+:class:`~repro.exec.jobspec.JobSpec`\\ s onto up to ``max_workers``
+resident workers (forked on first demand, reused job after job; dispatch
+never blocks on a straggler), with the failure handling a long sweep
+needs:
+
+* **per-job timeout** — a job that is still running ``job_timeout``
+  seconds after it was launched is charged a failed attempt and *its*
+  worker is killed; its siblings keep running.  The scheduler blocks on
+  the busy workers' pipes and process sentinels until the nearest
+  deadline — it never ticks;
+* **bounded retry** — a job whose worker dies without an outcome is
+  requeued up to ``max_retries`` times; only that job is charged, and the
+  next launch forks one replacement worker;
+* **in-process fallback** — a job out of retries, or a sweep that cannot
+  fork a worker at all (resource limits), degrades to plain in-process
+  execution instead of failing the sweep;
 * **streaming progress** — a callback receives a
   :class:`ProgressEvent` per completion / retry / fallback, so callers
   can print live progress without polling.
 
 Real exceptions raised *by the simulation itself* (``WorkloadError``,
 verification mismatches) are deterministic and propagate immediately —
-retrying them would reproduce the failure bit-for-bit.
+retrying them would reproduce the failure bit-for-bit.  The worker sends
+the exception object back when it survives pickling, so the caller
+catches the type the job raised.
 
 Each spec carries its own checkpoint policy
 (:attr:`~repro.exec.jobspec.JobSpec.checkpoint_every` /
@@ -43,22 +59,33 @@ Test hooks: setting ``REPRO_EXEC_TEST_CRASH`` makes *worker processes*
 (never in-process execution) die before simulating — ``always`` on every
 attempt (``always:<benchmark>`` only for that benchmark's jobs),
 otherwise the value is a sentinel-file path that makes exactly the first
-attempt die.  ``REPRO_EXEC_TEST_HANG`` (seconds) makes workers sleep to
-exercise the timeout path.  The hooks live in :func:`_worker_entry`,
-which the :mod:`repro.serve` daemon's resident workers run too.
+attempt die.  ``REPRO_EXEC_TEST_HANG`` (``<seconds>``, or
+``<seconds>:<benchmark>`` for that benchmark's jobs only) makes workers
+sleep to exercise the timeout path.  Those live in :func:`_worker_entry`.
+``REPRO_SERVE_TEST_CKPT_SLEEP`` (seconds) makes workers sleep at every
+checkpoint, stretching wall time deterministically without touching
+simulated state — the daemon's preemption tests use it to keep a victim
+alive long enough to be preempted.
 """
 
 from __future__ import annotations
 
+import multiprocessing
 import os
+import pickle
+import signal
 import time
 from collections import deque
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from multiprocessing.connection import Connection, wait
+from typing import Callable, List, Optional, Sequence
 
 from .jobspec import JobSpec, run_job
+
+try:
+    _CTX = multiprocessing.get_context("fork")
+except ValueError:  # pragma: no cover - non-POSIX
+    _CTX = multiprocessing.get_context("spawn")
 
 
 class SweepError(RuntimeError):
@@ -67,9 +94,9 @@ class SweepError(RuntimeError):
 
 def _test_fault_hook(job: JobSpec) -> None:
     """Crash/hang injection for the engine's own tests (workers only)."""
-    hang = os.environ.get("REPRO_EXEC_TEST_HANG")
-    if hang:
-        time.sleep(float(hang))
+    seconds, _, only = os.environ.get("REPRO_EXEC_TEST_HANG", "").partition(":")
+    if seconds and (not only or only == job.benchmark):
+        time.sleep(float(seconds))
     crash = os.environ.get("REPRO_EXEC_TEST_CRASH")
     if not crash:
         return
@@ -126,10 +153,9 @@ def _resumable(spec: JobSpec) -> JobSpec:
 def _worker_entry(
     spec: JobSpec, on_checkpoint: Optional[Callable[[dict], None]] = None
 ) -> dict:
-    """What every worker process runs for one job — this engine's pool
-    workers and the daemon's resident ones: fault hooks (tests) + the
-    real execution.  ``on_checkpoint`` sees each checkpoint document
-    before the crash hook does."""
+    """What a worker process runs for one job, whoever owns the worker:
+    fault hooks (tests) + the real execution.  ``on_checkpoint`` sees
+    each checkpoint document before the crash hook does."""
     _test_fault_hook(spec)
     hooks = [
         hook for hook in (on_checkpoint, _test_ckpt_crash_hook())
@@ -143,6 +169,115 @@ def _worker_entry(
     return run_job(
         _resumable(spec), on_checkpoint=each if hooks else None
     ).to_payload()
+
+
+def _portable(exc: Exception) -> Optional[Exception]:
+    """``exc`` if it survives a pickle round trip, else ``None``."""
+    try:
+        pickle.loads(pickle.dumps(exc))
+    except Exception:
+        return None
+    return exc
+
+
+def _worker_main(conn: Connection, owner_ends: List[Connection]) -> None:
+    """Worker-process main: ``recv spec -> run -> send outcome`` until EOF.
+
+    The pipe is the only channel in either direction.  An outcome carries
+    the payload and how many checkpoints the attempt took, or the error
+    as a ``Type: message`` string beside the exception object itself
+    when that pickles: every exception a job raises — simulation errors,
+    verification failures — is reported, and only an abrupt death (kill,
+    crash) sends nothing.  The worker leaves when its owner closes its
+    end or dies; for that EOF to arrive no worker may hold a copy of an
+    owner-side end, so ``owner_ends`` — its own pipe's and those of the
+    workers forked before it — are closed first.
+    """
+    for end in owner_ends:
+        end.close()
+    # A terminal's Ctrl-C goes to the whole process group; the owner,
+    # not the signal, decides when a worker dies.
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
+    delay = float(os.environ.get("REPRO_SERVE_TEST_CKPT_SLEEP") or 0)
+    checkpoints = 0
+
+    def on_checkpoint(doc) -> None:
+        nonlocal checkpoints
+        checkpoints += 1
+        if delay:
+            time.sleep(delay)
+
+    try:
+        while True:
+            spec = conn.recv()
+            checkpoints = 0
+            try:
+                payload = _worker_entry(spec, on_checkpoint)
+                outcome = {"ok": True, "payload": payload,
+                           "checkpoints": checkpoints}
+            except Exception as exc:  # report, don't vanish
+                outcome = {"ok": False, "exception": _portable(exc),
+                           "error": f"{type(exc).__name__}: {exc}"}
+            conn.send(outcome)
+    except (EOFError, OSError):
+        return
+
+
+@dataclass(eq=False)
+class Worker:
+    """One resident worker process and its owner's end of the pipe."""
+
+    proc: multiprocessing.process.BaseProcess
+    conn: Connection
+    #: What the owner launched onto it (``None`` while idle); the owner's
+    #: bookkeeping, never read here.
+    job: Optional[object] = None
+
+    @classmethod
+    def spawn(cls, siblings: Sequence["Worker"]) -> "Worker":
+        """Fork a worker; ``siblings`` are the owner's other live workers,
+        whose owner-side pipe ends the child must not keep open."""
+        ours, theirs = _CTX.Pipe()
+        try:
+            proc = _CTX.Process(
+                target=_worker_main,
+                args=(theirs, [ours] + [w.conn for w in siblings]),
+                daemon=True,
+            )
+            proc.start()
+        except BaseException:
+            ours.close()
+            raise
+        finally:
+            theirs.close()
+        return cls(proc, ours)
+
+    def outcome(self) -> Optional[dict]:
+        """The complete outcome waiting on the pipe, if there is one.
+
+        A worker killed mid-``send`` leaves a truncated message, which
+        reads as EOF: no outcome, never half of one.
+        """
+        try:
+            if self.conn.poll():
+                return self.conn.recv()
+        except (EOFError, OSError):
+            pass
+        return None
+
+    def retire(self) -> Optional[int]:
+        """Part with a worker that is dead, killed, or idle and to leave;
+        returns its exit code."""
+        self.conn.close()  # EOF on an idle worker's ``recv``: it returns
+        self.proc.join(timeout=1.0)
+        if self.proc.is_alive():  # pragma: no cover - defensive
+            self.proc.kill()
+            self.proc.join()
+        exitcode = self.proc.exitcode
+        # Its sentinel's descriptors go now, not when a traceback that
+        # still refers to the worker happens to be collected.
+        self.proc.close()
+        return exitcode
 
 
 @dataclass
@@ -173,16 +308,15 @@ class EngineStats:
     from_workers: int = 0
     in_process: int = 0
     retries: int = 0
-    pool_rebuilds: int = 0
+    #: Worker processes forked: up to ``max_workers`` on demand, then one
+    #: per worker lost to a crash or killed on a timeout.
+    worker_spawns: int = 0
     fallbacks: int = 0
     timeouts: int = 0
 
 
 class SweepEngine:
-    """Run independent simulation jobs across worker processes."""
-
-    #: Seconds between scheduler wakeups while futures are outstanding.
-    _TICK = 0.05
+    """Run independent simulation jobs across resident worker processes."""
 
     def __init__(
         self,
@@ -190,8 +324,6 @@ class SweepEngine:
         job_timeout: Optional[float] = None,
         max_retries: int = 2,
         fallback: bool = True,
-        mp_context=None,
-        executor_factory=None,
     ) -> None:
         if max_workers < 1:
             raise ValueError("max_workers must be >= 1")
@@ -199,45 +331,8 @@ class SweepEngine:
         self.job_timeout = job_timeout
         self.max_retries = max_retries
         self.fallback = fallback
-        self._mp_context = mp_context
-        self._executor_factory = executor_factory or self._default_factory
         self.stats = EngineStats()
 
-    # ------------------------------------------------------------------
-    # Pool lifecycle
-    # ------------------------------------------------------------------
-    def _default_factory(self) -> ProcessPoolExecutor:
-        return ProcessPoolExecutor(
-            max_workers=self.max_workers, mp_context=self._mp_context
-        )
-
-    def _make_pool(self) -> Optional[ProcessPoolExecutor]:
-        try:
-            return self._executor_factory()
-        except Exception:
-            return None
-
-    @staticmethod
-    def _kill_pool(pool: ProcessPoolExecutor) -> None:
-        """Tear a (possibly broken or stuck) pool down without waiting.
-
-        Workers are killed first: ``shutdown(wait=False)`` would leave a
-        hung worker running forever, and its job has already been charged
-        a timeout.
-        """
-        for proc in list((getattr(pool, "_processes", None) or {}).values()):
-            try:
-                proc.kill()
-            except Exception:
-                pass
-        try:
-            pool.shutdown(wait=False, cancel_futures=True)
-        except Exception:
-            pass
-
-    # ------------------------------------------------------------------
-    # Execution
-    # ------------------------------------------------------------------
     def run(
         self,
         jobs: Sequence[JobSpec],
@@ -246,14 +341,22 @@ class SweepEngine:
         """Execute every spec; payloads in input order.
 
         Simulation errors propagate; infrastructure failures (worker
-        crashes, timeouts, pool creation failure) are retried and then
-        absorbed by the in-process fallback.
+        crashes, timeouts, a worker that cannot be forked) are retried
+        and then absorbed by the in-process fallback.
         """
         self.stats = EngineStats()
         total = len(jobs)
         results: List[Optional[dict]] = [None] * total
         if total == 0:
             return []
+
+        def emit(kind: str, index: int, attempts_used: int, **fields) -> None:
+            if progress is not None:
+                progress(ProgressEvent(
+                    kind=kind, index=index, job=jobs[index],
+                    attempts=attempts_used,
+                    completed=self.stats.completed, total=total, **fields,
+                ))
 
         def finish(index: int, payload: dict, source: str, attempts_used: int) -> None:
             results[index] = payload
@@ -262,12 +365,7 @@ class SweepEngine:
                 self.stats.from_workers += 1
             else:
                 self.stats.in_process += 1
-            if progress is not None:
-                progress(ProgressEvent(
-                    kind="done", index=index, job=jobs[index], payload=payload,
-                    source=source, attempts=attempts_used,
-                    completed=self.stats.completed, total=total,
-                ))
+            emit("done", index, attempts_used, payload=payload, source=source)
 
         def run_local(index: int, attempts_used: int) -> None:
             payload = run_job(_resumable(jobs[index])).to_payload()
@@ -280,8 +378,9 @@ class SweepEngine:
 
         queue: deque = deque(range(total))
         attempts = [0] * total
-        pool = self._make_pool()
-        inflight: Dict[object, Tuple[int, float]] = {}
+        #: Live workers; a busy one's ``job`` is ``(index, launch time)``.
+        workers: List[Worker] = []
+        can_spawn = True
 
         def charge_failure(index: int, why: str) -> None:
             """A worker-side failure of job ``index``: retry or fall back."""
@@ -289,12 +388,7 @@ class SweepEngine:
             if attempts[index] <= self.max_retries:
                 self.stats.retries += 1
                 queue.append(index)
-                if progress is not None:
-                    progress(ProgressEvent(
-                        kind="retry", index=index, job=jobs[index],
-                        attempts=attempts[index],
-                        completed=self.stats.completed, total=total,
-                    ))
+                emit("retry", index, attempts[index])
                 return
             if not self.fallback:
                 raise SweepError(
@@ -302,48 +396,47 @@ class SweepEngine:
                     f"worker attempts ({why}) and fallback is disabled"
                 )
             self.stats.fallbacks += 1
-            if progress is not None:
-                progress(ProgressEvent(
-                    kind="fallback", index=index, job=jobs[index],
-                    attempts=attempts[index],
-                    completed=self.stats.completed, total=total,
-                ))
+            emit("fallback", index, attempts[index])
             run_local(index, attempts[index] + 1)
 
-        def rebuild_pool(charge_suspects: bool, why: str) -> None:
-            """Replace a broken/stuck pool; disposition in-flight jobs.
-
-            Futures that completed before the pool broke are harvested;
-            running jobs are requeued — billed an attempt when they are
-            crash suspects (a shared worker died and any of them may have
-            killed it), free when the pool is dying for unrelated reasons
-            (another job's timeout).
-            """
-            nonlocal pool
-            for future, (index, _submitted) in list(inflight.items()):
-                del inflight[future]
-                payload = None
-                if future.done():
-                    try:
-                        payload = future.result()
-                    except Exception:
-                        payload = None
-                if payload is not None:
-                    finish(index, payload, "worker", attempts[index] + 1)
-                elif charge_suspects:
-                    charge_failure(index, why)
+        def idle_worker() -> Optional[Worker]:
+            """An idle worker — forked, while fewer than ``max_workers`` exist."""
+            nonlocal can_spawn
+            worker = next((w for w in workers if w.job is None), None)
+            if worker is None and can_spawn and len(workers) < self.max_workers:
+                try:
+                    worker = Worker.spawn(workers)
+                except Exception:
+                    can_spawn = False  # make do with the workers there are
                 else:
-                    queue.append(index)
-            self._kill_pool(pool)
-            self.stats.pool_rebuilds += 1
-            pool = self._make_pool()
+                    workers.append(worker)
+                    self.stats.worker_spawns += 1
+            return worker
+
+        def lose(worker: Worker, why: str) -> None:
+            """``worker`` is dead or hung: part with it, charge its job only."""
+            worker.proc.kill()
+            worker.retire()
+            workers.remove(worker)
+            charge_failure(worker.job[0], why)
 
         try:
-            while queue or inflight:
-                if pool is None:
-                    # No usable pool (creation failed, or rebuilding did):
-                    # degrade the rest of the sweep to in-process execution.
-                    if not self.fallback:
+            while True:
+                while queue:
+                    worker = idle_worker()
+                    if worker is None:
+                        break
+                    index = queue.popleft()
+                    worker.job = (index, time.monotonic())
+                    try:
+                        worker.conn.send(jobs[index])
+                    except OSError:
+                        pass  # it died idle: found dead, and retried, below
+                busy = [worker for worker in workers if worker.job is not None]
+                if not busy:
+                    # Done — or no worker left and none to be had: degrade
+                    # the rest of the sweep to in-process execution.
+                    if queue and not self.fallback:
                         raise SweepError(
                             "worker pool unavailable and fallback disabled"
                         )
@@ -351,60 +444,48 @@ class SweepEngine:
                         index = queue.popleft()
                         self.stats.fallbacks += 1
                         run_local(index, attempts[index] + 1)
-                    continue
+                    break
 
-                # Keep at most max_workers in flight so a submission's
-                # clock approximates its start time (per-job timeout).
-                while queue and len(inflight) < self.max_workers:
-                    index = queue.popleft()
-                    try:
-                        future = pool.submit(_worker_entry, jobs[index])
-                    except Exception:
-                        queue.appendleft(index)
-                        rebuild_pool(False, "submit failed")
-                        break
-                    inflight[future] = (index, time.monotonic())
-                if pool is None or not inflight:
-                    continue
-
-                done, _ = wait(
-                    set(inflight), timeout=self._TICK,
-                    return_when=FIRST_COMPLETED,
-                )
-                broken = False
-                for future in done:
-                    index, _submitted = inflight.pop(future)
-                    try:
-                        payload = future.result()
-                    except BrokenProcessPool:
-                        broken = True
-                        charge_failure(index, "worker process died")
-                    else:
-                        finish(index, payload, "worker", attempts[index] + 1)
-                if broken:
-                    rebuild_pool(True, "worker process died")
-                    continue
-
-                if self.job_timeout is not None and inflight:
-                    now = time.monotonic()
-                    expired = [
-                        (future, index)
-                        for future, (index, submitted) in inflight.items()
-                        if now - submitted > self.job_timeout
-                    ]
-                    if expired:
-                        for future, index in expired:
-                            del inflight[future]
-                            self.stats.timeouts += 1
-                            charge_failure(
-                                index, f"exceeded {self.job_timeout}s timeout"
+                # Block until a busy worker reports or dies, or until the
+                # nearest deadline; with no timeout set, for as long as
+                # that takes.
+                timeout = None
+                if self.job_timeout is not None:
+                    oldest = min(worker.job[1] for worker in busy)
+                    timeout = max(
+                        0.0, oldest + self.job_timeout - time.monotonic()
+                    )
+                wait([end for worker in busy
+                      for end in (worker.conn, worker.proc.sentinel)], timeout)
+                for worker in busy:
+                    index, launched = worker.job
+                    outcome = worker.outcome()
+                    if outcome is not None:
+                        worker.job = None
+                        if not outcome["ok"]:
+                            # The job itself raised: deterministic, so
+                            # not retried — re-raised as what it was.
+                            raise outcome["exception"] or SweepError(
+                                f"job {jobs[index].label()} failed: "
+                                f"{outcome['error']}"
                             )
-                        # Killing the stuck worker costs the whole pool;
-                        # the innocent in-flight jobs ride along uncharged.
-                        rebuild_pool(False, "sibling job timed out")
+                        finish(
+                            index, outcome["payload"], "worker",
+                            attempts[index] + 1,
+                        )
+                    elif not worker.proc.is_alive():
+                        lose(worker, "worker process died")
+                    elif (self.job_timeout is not None
+                          and time.monotonic() - launched > self.job_timeout):
+                        self.stats.timeouts += 1
+                        lose(worker, f"exceeded {self.job_timeout}s timeout")
         finally:
-            if pool is not None:
-                self._kill_pool(pool)
+            for worker in workers:
+                if worker.job is not None:
+                    worker.proc.kill()
+                worker.conn.close()  # all are told to leave before any is waited for
+            for worker in workers:
+                worker.retire()
 
         missing = [i for i, payload in enumerate(results) if payload is None]
         if missing:  # pragma: no cover - defensive

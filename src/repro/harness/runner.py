@@ -14,8 +14,8 @@ then resolved through three layers:
    (:class:`~repro.exec.cache.ResultCache`) — warm reruns of a grid cost
    zero simulations, across processes and machines;
 3. the **sweep engine** (:class:`~repro.exec.pool.SweepEngine`) — cache
-   misses fan out over ``jobs`` worker processes, falling back to
-   in-process execution when ``jobs=1`` or the pool cannot run.
+   misses fan out over ``jobs`` worker processes; the engine itself runs
+   them in-process when ``jobs=1`` or no worker can be forked.
 
 All three paths produce bit-identical :class:`~repro.sim.stats.SimStats`
 (`tests/exec/test_pool.py` and `tests/harness/test_runner.py` assert it).
@@ -28,10 +28,8 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from ..config import GPUConfig
 from ..errors import ReproError
-from ..exec import JobSpec, ResultCache, SweepEngine, run_job
-from ..exec.pool import ProgressEvent, _resumable
+from ..exec import JobResult, JobSpec, ProgressEvent, ResultCache, SweepEngine
 from ..runtime import ExecutionMode
-from ..sim.sanitizer import SanitizerReport
 from ..sim.stats import SimStats
 from ..workloads import benchmark_names
 
@@ -57,15 +55,23 @@ class BenchmarkRun:
 
     benchmark: str
     mode: ExecutionMode
-    stats: SimStats
-    wall_seconds: float
-    #: Sanitizer report when the run was sanitized (always clean —
-    #: findings raise before a result exists); ``None`` otherwise.
-    sanitizer: Optional[SanitizerReport] = None
+    #: What the job produced, as decoded by the one payload codec
+    #: (:meth:`~repro.exec.JobResult.from_payload` / ``to_payload``).  Its
+    #: ``sanitizer`` is the report when the run was sanitized (always
+    #: clean — findings raise before a result exists), ``None`` otherwise.
+    result: JobResult
+
+    @property
+    def stats(self) -> SimStats:
+        return self.result.stats
+
+    @property
+    def wall_seconds(self) -> float:
+        return self.result.wall_seconds
 
     @property
     def cycles(self) -> int:
-        return self.stats.cycles
+        return self.result.cycles
 
 
 class GridResults:
@@ -96,32 +102,11 @@ class GridResults:
 _CACHE: Dict[str, BenchmarkRun] = {}
 
 
-def _run_from_payload(job: JobSpec, payload: dict) -> BenchmarkRun:
-    """Decode an execution/cache payload into a :class:`BenchmarkRun`."""
-    sanitizer = payload.get("sanitizer")
-    return BenchmarkRun(
-        benchmark=job.benchmark,
-        mode=job.mode,
-        stats=SimStats.from_dict(payload["stats"]),
-        wall_seconds=float(payload["wall_seconds"]),
-        sanitizer=SanitizerReport.from_dict(sanitizer) if sanitizer else None,
-    )
-
-
-def _payload_from_run(run: BenchmarkRun) -> dict:
-    """Re-encode a memoized run for disk write-through."""
-    return {
-        "stats": run.stats.to_dict(),
-        "wall_seconds": run.wall_seconds,
-        "sanitizer": run.sanitizer.to_dict() if run.sanitizer else None,
-    }
-
-
-def _print_run(job: JobSpec, run: BenchmarkRun, note: str = "") -> None:
+def _print_run(job: JobSpec, result: JobResult, note: str = "") -> None:
     suffix = f"  [{note}]" if note else ""
     print(
-        f"  {job.benchmark:14s} {job.mode.value:6s} cycles={run.cycles:>10,} "
-        f"({run.wall_seconds:.1f}s){suffix}"
+        f"  {job.benchmark:14s} {job.mode.value:6s} cycles={result.cycles:>10,} "
+        f"({result.wall_seconds:.1f}s){suffix}"
     )
 
 
@@ -135,12 +120,12 @@ def run_jobs(
     checkpoint_every: Optional[int] = None,
     checkpoint_dir=None,
 ) -> List[BenchmarkRun]:
-    """Resolve each job through memo -> disk cache -> (pool | in-process).
+    """Resolve each job through memo -> disk cache -> sweep engine.
 
     Returns one :class:`BenchmarkRun` per spec, in input order.  Within
     one call, duplicate fingerprints are simulated once.  ``engine``
-    overrides the default :class:`SweepEngine` (tests inject fault
-    configurations through it); it is only consulted when ``jobs > 1``.
+    overrides the default ``SweepEngine(max_workers=jobs)`` (tests inject
+    fault configurations through it).
 
     With ``checkpoint_dir`` set, simulations checkpoint their state every
     ``checkpoint_every`` cycles under ``<dir>/<fingerprint>.ckpt`` and
@@ -148,7 +133,7 @@ def run_jobs(
     existing checkpoint (see :mod:`repro.state`).  The policy is stamped
     onto each spec (specs that already carry one keep theirs), so one
     :class:`~repro.exec.JobSpec` is the only parameter bundle the engine
-    and the serial path ever see.
+    ever sees.
     """
     if checkpoint_every is not None or checkpoint_dir is not None:
         specs = [
@@ -170,25 +155,25 @@ def run_jobs(
             # requested job, so a warm rerun in a *fresh* process (no
             # memo) still simulates nothing.
             if cache is not None and not cache.contains(key):
-                cache.store(key, _payload_from_run(runs[i]))
+                cache.store(key, runs[i].result.to_payload())
             if verbose:
-                _print_run(job, runs[i], "memo")
+                _print_run(job, runs[i].result, "memo")
             continue
         if cache is not None:
             payload = cache.load(key)
             if payload is not None:
                 try:
-                    run = _run_from_payload(job, payload)
+                    result = JobResult.from_payload(payload, key)
                 except (ReproError, KeyError, ValueError, TypeError):
                     # Structurally valid JSON whose payload cannot be
                     # decoded by this code version: drop it and re-run.
                     cache.invalidate(key)
                 else:
-                    runs[i] = run
+                    runs[i] = BenchmarkRun(job.benchmark, job.mode, result)
                     if use_memo:
-                        _CACHE[key] = run
+                        _CACHE[key] = runs[i]
                     if verbose:
-                        _print_run(job, run, "cached")
+                        _print_run(job, result, "cached")
                     continue
         if key in seen:
             continue  # duplicate of an earlier miss; filled in below
@@ -196,44 +181,39 @@ def run_jobs(
         todo.append(i)
 
     if todo:
-        todo_jobs = [specs[i] for i in todo]
-        if jobs > 1:
-            engine = engine or SweepEngine(max_workers=jobs)
+        engine = engine or SweepEngine(max_workers=jobs)
 
-            def on_event(event: ProgressEvent) -> None:
-                if not verbose:
-                    return
-                if event.kind == "done":
-                    note = "" if event.source == "worker" else event.source
-                    if event.attempts > 1:
-                        note = (note + f" attempt {event.attempts}").strip()
-                    _print_run(
-                        event.job, _run_from_payload(event.job, event.payload),
-                        note,
-                    )
-                elif event.kind == "retry":
-                    print(f"  {event.job.label()}: worker failed, retrying "
-                          f"(attempt {event.attempts})")
-                elif event.kind == "fallback":
-                    print(f"  {event.job.label()}: retries exhausted, "
-                          f"running in-process")
+        def on_event(event: ProgressEvent) -> None:
+            if event.kind == "done":
+                note = []
+                if event.source != "worker" and engine.max_workers > 1:
+                    note.append(event.source)  # news only if workers were asked for
+                if event.attempts > 1:
+                    note.append(f"attempt {event.attempts}")
+                _print_run(
+                    event.job, JobResult.from_payload(event.payload),
+                    " ".join(note),
+                )
+            elif event.kind == "retry":
+                print(f"  {event.job.label()}: worker failed, retrying "
+                      f"(attempt {event.attempts})")
+            elif event.kind == "fallback":
+                print(f"  {event.job.label()}: retries exhausted, "
+                      f"running in-process")
 
-            payloads = engine.run(todo_jobs, progress=on_event)
-        else:
-            payloads = []
-            for job in todo_jobs:
-                payload = run_job(_resumable(job)).to_payload()
-                payloads.append(payload)
-                if verbose:
-                    _print_run(job, _run_from_payload(job, payload))
+        payloads = engine.run(
+            [specs[i] for i in todo], progress=on_event if verbose else None
+        )
         for i, payload in zip(todo, payloads):
             job, key = specs[i], keys[i]
-            run = _run_from_payload(job, payload)
+            runs[i] = BenchmarkRun(
+                job.benchmark, job.mode,
+                JobResult.from_payload(payload, key, source="run"),
+            )
             if cache is not None:
                 cache.store(key, payload)
             if use_memo:
-                _CACHE[key] = run
-            runs[i] = run
+                _CACHE[key] = runs[i]
 
     # Fill duplicates of simulated keys.
     for i, key in enumerate(keys):

@@ -17,18 +17,21 @@
   queued or running job becomes a *follower*: it consumes no worker and
   completes with the leader's payload (``source="shared"``);
 * **resident process workers** — up to ``ServeConfig.workers`` jobs
-  simulate concurrently, each in a ``multiprocessing`` process that is
-  forked from the warm daemon the first time a job finds no idle worker
-  and then *kept*: it loops ``recv spec -> run -> send outcome`` on one
-  pipe, running :func:`repro.exec.pool._worker_entry` — the function
-  :class:`~repro.exec.SweepEngine`'s pool workers run, around the one
-  execution path :func:`~repro.exec.jobspec.run_job`, which is what
-  makes daemon results bit-identical to one-shot runs.  A job is
-  launched onto a worker that is already there (the paper's argument,
-  applied to the serving layer); fork, import, exit and the
-  copy-on-write faults of a fresh child are paid per *worker*, not per
-  job.  The event loop watches each worker's pipe and process sentinel
-  with ``loop.add_reader`` — no polling;
+  simulate concurrently, each in a :class:`repro.exec.pool.Worker`: a
+  process forked from the warm daemon the first time a job finds no idle
+  worker and then *kept*, looping ``recv spec -> run -> send outcome``
+  on one pipe around the one execution path
+  :func:`~repro.exec.jobspec.run_job`, which is what makes daemon
+  results bit-identical to one-shot runs.  The worker — process main,
+  pipe, spawn, retire — belongs to :mod:`repro.exec.pool` and is the
+  same one :class:`~repro.exec.SweepEngine` schedules onto; everything
+  in this module is *policy*: which job goes next, onto which worker,
+  and what a worker's death means for its job.  A job is launched onto a
+  worker that is already there (the paper's argument, applied to the
+  serving layer); fork, import, exit and the copy-on-write faults of a
+  fresh child are paid per *worker*, not per job.  The event loop
+  watches each worker's pipe and process sentinel with
+  ``loop.add_reader`` — no polling;
 * **checkpoint-backed preemption** — when every worker is busy and a
   higher-priority job arrives, the lowest-priority running job's worker
   is killed and the job requeued with ``resume=True``; a replacement
@@ -45,12 +48,9 @@
   terminal jobs stay queryable; older ones are evicted (``404``).
 
 Everything runs on one asyncio event loop thread; handlers never block
-on simulation work.
-
-Test hook: ``REPRO_SERVE_TEST_CKPT_SLEEP`` (seconds) makes *worker
-processes* sleep at every checkpoint, stretching wall time
-deterministically without touching simulated state — the preemption
-tests use it to keep a victim alive long enough to be preempted.
+on simulation work.  (The workers' test hooks, ``REPRO_EXEC_TEST_*`` and
+``REPRO_SERVE_TEST_CKPT_SLEEP``, are documented in
+:mod:`repro.exec.pool`.)
 """
 
 from __future__ import annotations
@@ -59,19 +59,15 @@ import asyncio
 import heapq
 import importlib
 import itertools
-import multiprocessing
-import os
 import pkgutil
-import signal
 import time
 from collections import deque
 from dataclasses import dataclass, field
-from multiprocessing.connection import Connection
 from pathlib import Path
 from typing import Deque, Dict, List, Optional
 
 from ..exec import DEFAULT_CACHE_DIR, JobSpec, ResultCache
-from ..exec.pool import _worker_entry
+from ..exec.pool import Worker
 
 #: Default directory for daemon checkpoint files.
 DEFAULT_SERVE_CHECKPOINT_DIR = ".repro-serve/checkpoints"
@@ -139,69 +135,6 @@ def _warm_imports() -> None:
             importlib.import_module(module.name)
 
 
-def _resident_worker(conn: Connection, daemon_ends: List[Connection]) -> None:
-    """Worker-process main: ``recv spec -> run -> send outcome`` until EOF.
-
-    The pipe is the only channel in either direction.  An outcome carries
-    the payload and how many checkpoints the attempt took, or the error
-    string: every exception a job raises — simulation errors,
-    verification failures — is reported, and only an abrupt death (kill,
-    crash) sends nothing.  The worker leaves when the daemon closes its
-    end or dies; for that EOF to arrive no worker may hold a copy of a
-    daemon-side end, so ``daemon_ends`` — its own pipe's and those of the
-    workers forked before it — are closed first.
-    """
-    for end in daemon_ends:
-        end.close()
-    # A terminal's Ctrl-C goes to the whole process group; the daemon,
-    # not the signal, decides when a worker dies.
-    signal.signal(signal.SIGINT, signal.SIG_IGN)
-    delay = float(os.environ.get("REPRO_SERVE_TEST_CKPT_SLEEP") or 0)
-    checkpoints = 0
-
-    def on_checkpoint(doc) -> None:
-        nonlocal checkpoints
-        checkpoints += 1
-        if delay:
-            time.sleep(delay)
-
-    try:
-        while True:
-            spec = conn.recv()
-            checkpoints = 0
-            try:
-                payload = _worker_entry(spec, on_checkpoint)
-                outcome = {"ok": True, "payload": payload,
-                           "checkpoints": checkpoints}
-            except Exception as exc:  # report, don't vanish
-                outcome = {"ok": False, "error": f"{type(exc).__name__}: {exc}"}
-            conn.send(outcome)
-    except (EOFError, OSError):
-        return
-
-
-@dataclass
-class _Worker:
-    """One resident worker process and the daemon's end of its pipe."""
-
-    proc: multiprocessing.process.BaseProcess
-    conn: Connection
-    job: Optional["Job"] = None
-
-    def outcome(self) -> Optional[dict]:
-        """The complete outcome waiting on the pipe, if there is one.
-
-        A worker killed mid-``send`` leaves a truncated message, which
-        reads as EOF: no outcome, never half of one.
-        """
-        try:
-            if self.conn.poll():
-                return self.conn.recv()
-        except (EOFError, OSError):
-            pass
-        return None
-
-
 @dataclass
 class Job:
     """One submission's full lifecycle state (daemon-internal)."""
@@ -221,7 +154,7 @@ class Job:
     payload: Optional[dict] = None
     events: List[dict] = field(default_factory=list)
     #: The worker simulating this job while it is running.
-    worker: Optional[_Worker] = None
+    worker: Optional[Worker] = None
     #: Leader job id when this submission is a dedup follower.
     leader: Optional[str] = None
     followers: List[str] = field(default_factory=list)
@@ -288,7 +221,7 @@ class JobManager:
         self._terminal: Deque[str] = deque()  # retained terminal ids, oldest first
         self._heap: List = []  # (-priority, seq, job_id)
         self._running: Dict[str, Job] = {}
-        self._workers: List[_Worker] = []  # at most config.workers
+        self._workers: List[Worker] = []  # at most config.workers; .job is a Job
         self._inflight: Dict[str, str] = {}  # fingerprint -> leader job id
         self._active_per_client: Dict[str, int] = {}
         self._seq = itertools.count()
@@ -298,10 +231,6 @@ class JobManager:
         #: snapshot.
         self._turn = asyncio.Event()
         self._closed = False
-        try:
-            self._ctx = multiprocessing.get_context("fork")
-        except ValueError:  # pragma: no cover - non-POSIX
-            self._ctx = multiprocessing.get_context("spawn")
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -545,32 +474,20 @@ class JobManager:
     # ------------------------------------------------------------------
     # Workers
     # ------------------------------------------------------------------
-    def _spawn(self) -> _Worker:
-        ours, theirs = self._ctx.Pipe()
-        proc = self._ctx.Process(
-            target=_resident_worker,
-            args=(theirs, [ours] + [w.conn for w in self._workers]),
-            daemon=True,
-        )
-        proc.start()
-        theirs.close()
-        worker = _Worker(proc, ours)
+    def _spawn(self) -> Worker:
+        worker = Worker.spawn(self._workers)
         self._workers.append(worker)
         self.stats.worker_spawns += 1
-        self._loop.add_reader(ours.fileno(), self._on_outcome, worker)
-        self._loop.add_reader(proc.sentinel, self._on_exit, worker)
+        self._loop.add_reader(worker.conn.fileno(), self._on_outcome, worker)
+        self._loop.add_reader(worker.proc.sentinel, self._on_exit, worker)
         return worker
 
-    def _retire(self, worker: _Worker) -> None:
+    def _retire(self, worker: Worker) -> Optional[int]:
         """Forget a worker that is dead, or idle and told to leave."""
         self._loop.remove_reader(worker.conn.fileno())
         self._loop.remove_reader(worker.proc.sentinel)
-        worker.conn.close()  # EOF on an idle worker's ``recv``: it returns
-        worker.proc.join(timeout=1.0)
-        if worker.proc.is_alive():  # pragma: no cover - defensive
-            worker.proc.kill()
-            worker.proc.join()
         self._workers.remove(worker)
+        return worker.retire()
 
     # ------------------------------------------------------------------
     # Worker completion
@@ -584,7 +501,7 @@ class JobManager:
         heapq.heappush(self._heap, (-job.priority, job.seq, job.id))
         self._event(job, event, resume=job.spec.resume)
 
-    def _release(self, worker: _Worker) -> Job:
+    def _release(self, worker: Worker) -> Job:
         job, worker.job = worker.job, None
         job.worker = None
         del self._running[job.id]
@@ -597,7 +514,7 @@ class JobManager:
             job.error = str(outcome.get("error"))
             self._fail(job)
 
-    def _on_outcome(self, worker: _Worker) -> None:
+    def _on_outcome(self, worker: Worker) -> None:
         """The worker's pipe is readable: an outcome, or the EOF of its death."""
         job = worker.job
         outcome = None
@@ -611,14 +528,14 @@ class JobManager:
         self._settle(self._release(worker), outcome)
         self._schedule()
 
-    def _on_exit(self, worker: _Worker) -> None:
+    def _on_exit(self, worker: Worker) -> None:
         """The worker's process has died: killed by us, or on its own."""
         job = worker.job
         # An outcome sent whole before an unprovoked death still counts.
         outcome = None
         if job is not None and job.kill_reason is None:
             outcome = worker.outcome()
-        self._retire(worker)
+        exitcode = self._retire(worker)
         if job is None:
             return  # died idle; the next job that needs one forks another
         self._release(worker)
@@ -636,7 +553,7 @@ class JobManager:
             self.stats.retries += 1
             self._requeue(job, "retrying")
         else:
-            job.error = f"worker exited with code {worker.proc.exitcode}"
+            job.error = f"worker exited with code {exitcode}"
             self._fail(job)
         self._schedule()
 

@@ -7,11 +7,11 @@ Usage::
     python -m repro.workloads bht --jobs 3          # one worker per mode
     python -m repro.workloads --list
 
-Like the harness, runs go through :mod:`repro.exec`: the requested modes
-become :class:`~repro.exec.JobSpec`\\ s (built by ``JobSpec.from_args``
-from the shared flag set in :mod:`repro.exec.cli`), execute in parallel
-under ``--jobs``, and results persist in the on-disk cache
-(``--cache-dir``, default ``.repro-cache/``) unless ``--no-cache``.
+Runs go through the harness's :func:`~repro.harness.runner.run_jobs`:
+the requested modes become :class:`~repro.exec.JobSpec`\\ s (built by
+``JobSpec.from_args`` from the shared flag set in :mod:`repro.exec.cli`),
+execute in parallel under ``--jobs``, and results persist in the on-disk
+cache (``--cache-dir``, default ``.repro-cache/``) unless ``--no-cache``.
 """
 
 from __future__ import annotations
@@ -25,16 +25,13 @@ import json
 from ..exec import (
     JobSpec,
     ResultCache,
-    SweepEngine,
     add_execution_flags,
     add_job_flags,
-    run_job,
     validate_execution_flags,
 )
-from ..exec.pool import _resumable
+from ..harness.runner import run_jobs
 from ..runtime import ExecutionMode
 from ..sim import profiler as _profiler
-from ..sim.stats import SimStats
 from .registry import benchmark_names
 
 
@@ -83,32 +80,11 @@ def main(argv=None) -> int:
         for mode_name in args.mode
     ]
 
-    payloads = {}
-    missing = []
-    for job in jobs:
-        key = job.fingerprint()
-        payload = cache.load(key) if cache is not None else None
-        if payload is None:
-            missing.append(job)
-        else:
-            payloads[key] = payload
-    if missing:
-        if args.jobs > 1 and len(missing) > 1:
-            engine = SweepEngine(max_workers=args.jobs)
-            fresh = engine.run(missing)
-        else:
-            fresh = [
-                run_job(_resumable(job)).to_payload() for job in missing
-            ]
-        for job, payload in zip(missing, fresh):
-            key = job.fingerprint()
-            payloads[key] = payload
-            if cache is not None:
-                cache.store(key, payload)
+    runs = run_jobs(jobs, jobs=args.jobs, cache=cache, use_memo=False)
 
     baseline = None
-    for job in jobs:
-        stats = SimStats.from_dict(payloads[job.fingerprint()]["stats"])
+    for job, run in zip(jobs, runs):
+        stats = run.stats
         if baseline is None:
             baseline = stats.cycles
         print(f"== {args.benchmark} [{job.mode.value}]")

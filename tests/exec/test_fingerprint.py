@@ -11,7 +11,7 @@ import pytest
 import repro
 from repro.config import SEGMENT_BYTES, GPUConfig
 from repro.errors import ConfigError
-from repro.exec import SweepJob
+from repro.exec import JobSpec
 from repro.exec import fingerprint as fp_module
 from repro.runtime import ExecutionMode
 
@@ -83,7 +83,7 @@ class TestConfigFingerprint:
 
 
 class TestSweepJobFingerprint:
-    def _job(self, **overrides) -> SweepJob:
+    def _job(self, **overrides) -> JobSpec:
         defaults = dict(
             benchmark="bfs_citation",
             mode=ExecutionMode.DTBL,
@@ -93,7 +93,7 @@ class TestSweepJobFingerprint:
             verify=True,
         )
         defaults.update(overrides)
-        return SweepJob.create(**defaults)
+        return JobSpec.create(**defaults)
 
     def test_identical_jobs_identical_keys(self):
         assert self._job().fingerprint() == self._job().fingerprint()
@@ -133,3 +133,15 @@ class TestSweepJobFingerprint:
         key = self._job().fingerprint()
         assert len(key) == 64
         assert set(key) <= set("0123456789abcdef")
+
+    def test_key_value_is_pinned(self, monkeypatch):
+        """The ``SweepJob`` alias is gone; its name lives on as the digest
+        prefix, so every cache entry and checkpoint keeps its address.
+        (A deliberate salt change — a version bump — re-pins this value.)"""
+        monkeypatch.delenv("REPRO_SANITIZE", raising=False)
+        assert repro.__version__ == "1.4.0"
+        assert self._job().fingerprint() == (
+            "60d51a9de2182267395048f47983e3a71f1ea2bd209ac6e0878beb1fe8358547"
+        )
+        for module in (repro, repro.exec, fp_module):
+            assert not hasattr(module, "SweepJob")

@@ -11,7 +11,6 @@ from repro.exec import (
     JobResult,
     JobSpec,
     SpecError,
-    SweepJob,
     run_job,
 )
 
@@ -26,9 +25,6 @@ def small_spec(**overrides) -> JobSpec:
 
 
 class TestIdentity:
-    def test_sweepjob_is_an_alias(self):
-        assert SweepJob is JobSpec
-
     def test_policy_fields_do_not_change_the_fingerprint(self, tmp_path):
         spec = small_spec()
         stamped = spec.with_policy(

@@ -1,9 +1,17 @@
-"""Sweep engine: parallel/serial parity, crash retry, fallback, timeout."""
+"""Sweep engine: parallel/serial parity, crash retry, fallback, timeout,
+and the resident worker it shares with the ``repro.serve`` daemon."""
+
+import multiprocessing
+import os
+import struct
+import subprocess
+import sys
+import time
 
 import pytest
 
 from repro.errors import WorkloadError
-from repro.exec import SweepEngine, SweepError, SweepJob, run_job
+from repro.exec import JobSpec, SweepEngine, SweepError, pool, run_job
 from repro.runtime import ExecutionMode
 
 SCALE = 0.08
@@ -11,7 +19,7 @@ SCALE = 0.08
 
 def _jobs(*pairs):
     return [
-        SweepJob.create(name, mode, SCALE, 0.25)
+        JobSpec.create(name, mode, SCALE, 0.25)
         for name, mode in pairs
     ]
 
@@ -79,7 +87,7 @@ class TestFaultHandling:
         engine = SweepEngine(max_workers=2)
         (payload,) = engine.run(_jobs(GRID[0]))
         assert engine.stats.retries >= 1
-        assert engine.stats.pool_rebuilds >= 1
+        assert engine.stats.worker_spawns == 2  # the one that died, its replacement
         assert payload["stats"] == serial_payloads[0]["stats"]
 
     def test_retries_exhausted_falls_back_in_process(self, monkeypatch,
@@ -98,11 +106,13 @@ class TestFaultHandling:
         with pytest.raises(SweepError):
             engine.run(_jobs(GRID[0]))
 
-    def test_pool_creation_failure_falls_back(self, serial_payloads):
-        def broken_factory():
+    def test_pool_creation_failure_falls_back(self, monkeypatch,
+                                              serial_payloads):
+        def broken_spawn(siblings):
             raise OSError("no processes for you")
 
-        engine = SweepEngine(max_workers=2, executor_factory=broken_factory)
+        monkeypatch.setattr(pool.Worker, "spawn", broken_spawn)
+        engine = SweepEngine(max_workers=2)
         results = engine.run(_jobs(*GRID[:2]))
         assert engine.stats.in_process == 2
         assert engine.stats.fallbacks == 2
@@ -124,27 +134,169 @@ class TestFaultHandling:
     def test_simulation_errors_propagate_not_retried(self):
         """Deterministic workload failures are not infrastructure."""
         engine = SweepEngine(max_workers=2)
-        bad = [SweepJob.create("no_such_benchmark", ExecutionMode.FLAT,
+        bad = [JobSpec.create("no_such_benchmark", ExecutionMode.FLAT,
                                SCALE, 0.25)]
         with pytest.raises(WorkloadError):
             engine.run(bad)
         assert engine.stats.retries == 0
 
 
+FLAT_FIVE = [
+    (name, ExecutionMode.FLAT)
+    for name in ("bfs_citation", "amr", "bht", "clr_citation", "sssp_citation")
+]
+
+
+def _done(events):
+    """benchmark -> its ``done`` events."""
+    done = {}
+    for event in events:
+        if event.kind == "done":
+            done.setdefault(event.job.benchmark, []).append(event)
+    return done
+
+
+class TestOneWorkerPerJob:
+    """Each worker is its own process behind its own pipe, so a death or
+    a timeout is one job's business and a worker outlives its job."""
+
+    def test_a_crash_is_charged_to_the_job_whose_worker_died(self, monkeypatch):
+        monkeypatch.setenv("REPRO_EXEC_TEST_CRASH", "always:bht")
+        events = []
+        engine = SweepEngine(max_workers=2, max_retries=1)
+        engine.run(_jobs(*FLAT_FIVE), progress=events.append)
+        assert engine.stats.retries == 1 and engine.stats.fallbacks == 1
+        done = _done(events)
+        (bht,) = done.pop("bht")
+        assert (bht.source, bht.attempts) == ("in-process", 3)
+        assert len(done) == 4
+        for (event,) in done.values():
+            assert (event.source, event.attempts) == ("worker", 1)
+
+    def test_sweep_error_names_the_job_that_failed(self, monkeypatch):
+        monkeypatch.setenv("REPRO_EXEC_TEST_CRASH", "always:bht")
+        for _ in range(4):
+            engine = SweepEngine(max_workers=2, max_retries=0, fallback=False)
+            with pytest.raises(SweepError, match="job bht/flat failed 1 worker"):
+                engine.run(_jobs(*FLAT_FIVE))
+
+    def test_a_timeout_kills_one_worker_not_its_sibling(self, monkeypatch):
+        """``bht`` hangs; a sibling launched shortly before its deadline
+        (the progress callback stalls the engine until then) is still
+        running when ``bht``'s worker is killed, and is left alone."""
+        timeout = 2.0
+        monkeypatch.setenv("REPRO_EXEC_TEST_HANG", "30:bht")
+        jobs = _jobs(("bht", ExecutionMode.FLAT), ("bfs_citation", ExecutionMode.FLAT))
+        jobs.append(JobSpec.create("amr", ExecutionMode.FLAT, 1.0, 0.25))
+        events = []
+        begin = time.monotonic()
+
+        def progress(event):
+            if not events:
+                time.sleep(max(0.0, begin + timeout - 0.2 - time.monotonic()))
+            events.append(event)
+
+        engine = SweepEngine(max_workers=2, job_timeout=timeout, max_retries=0)
+        payloads = engine.run(jobs, progress=progress)
+        assert engine.stats.timeouts == 1 and engine.stats.fallbacks == 1
+        # The hung worker was not replaced (nothing was queued by then);
+        # a third spawn would mean the sibling's worker was killed too.
+        assert engine.stats.worker_spawns == 2
+        done = _done(events)
+        (bht,) = done.pop("bht")
+        assert (bht.source, bht.attempts) == ("in-process", 2)
+        for (event,) in done.values():
+            assert (event.source, event.attempts) == ("worker", 1)
+        assert payloads[2]["stats"] == run_job(jobs[2]).to_payload()["stats"]
+
+    def test_workers_are_reused_job_after_job(self):
+        engine = SweepEngine(max_workers=2)
+        engine.run(_jobs(*GRID, *FLAT_FIVE[1:]))
+        assert engine.stats.from_workers == 8
+        assert engine.stats.worker_spawns == 2
+
+    def test_exception_that_does_not_pickle_still_fails_the_sweep(
+        self, monkeypatch
+    ):
+        class Local(Exception):  # local classes cannot be pickled
+            pass
+
+        def explode(spec, on_checkpoint=None):
+            raise Local("boom")
+
+        monkeypatch.setattr(pool, "run_job", explode)  # forked workers inherit it
+        with pytest.raises(SweepError, match="bfs_citation/flat failed: Local: boom"):
+            SweepEngine(max_workers=2).run(_jobs(GRID[0]))
+
+
+class TestNothingOutlivesASweep:
+    """No worker process and no pipe end survives ``run``, however it ends."""
+
+    @staticmethod
+    def _open_fds():
+        return sorted(os.listdir("/proc/self/fd"))
+
+    def _assert_clean(self, before):
+        assert multiprocessing.active_children() == []
+        assert self._open_fds() == before
+
+    def test_after_it_returns(self):
+        before = self._open_fds()
+        SweepEngine(max_workers=2).run(_jobs(*GRID))
+        self._assert_clean(before)
+
+    def test_after_a_job_raised(self):
+        before = self._open_fds()
+        bad = JobSpec.create("no_such_benchmark", ExecutionMode.FLAT, SCALE, 0.25)
+        with pytest.raises(WorkloadError):
+            SweepEngine(max_workers=2).run(_jobs(*GRID[:2]) + [bad])
+        self._assert_clean(before)
+
+    def test_after_the_sweep_failed(self, monkeypatch):
+        monkeypatch.setenv("REPRO_EXEC_TEST_CRASH", "always:bht")
+        before = self._open_fds()
+        with pytest.raises(SweepError):
+            SweepEngine(max_workers=2, max_retries=0, fallback=False).run(
+                _jobs(*GRID)
+            )
+        self._assert_clean(before)
+
+
+class TestWorkerPlumbing:
+    def test_truncated_outcome_is_no_outcome(self):
+        """A worker killed mid-``send`` leaves a header and part of a
+        body; its owner must read that as death, not as a result."""
+        ours, theirs = multiprocessing.get_context("fork").Pipe()
+        theirs.send({"ok": True, "payload": {}, "checkpoints": 0})
+        worker = pool.Worker(proc=None, conn=ours)
+        assert worker.outcome() == {"ok": True, "payload": {}, "checkpoints": 0}
+        assert worker.outcome() is None  # nothing waiting
+        os.write(theirs.fileno(), struct.pack("!i", 1000) + b"x" * 10)
+        theirs.close()
+        assert worker.outcome() is None
+        ours.close()
+
+    def test_importing_repro_leaves_executors_and_asyncio_out(self):
+        script = (
+            "import sys, repro\n"
+            "heavy = {'concurrent.futures', 'asyncio'} & set(sys.modules)\n"
+            "assert not heavy, heavy\n"
+        )
+        subprocess.run([sys.executable, "-c", script], check=True, timeout=60)
+
+
 class TestWorkerEntry:
-    """The one per-job function pool workers and daemon workers share."""
+    """The one per-job function every worker runs, whoever owns it."""
 
     def test_on_checkpoint_observes_and_the_crash_hook_still_fires_after_it(
         self, tmp_path, monkeypatch
     ):
-        from repro.exec import pool
-
         seen, fired = [], []
         monkeypatch.setattr(
             pool, "_test_ckpt_crash_hook",
             lambda: lambda doc: fired.append(len(seen)),
         )
-        job = SweepJob.create(
+        job = JobSpec.create(
             "bht", ExecutionMode.FLAT, SCALE, 0.25,
             checkpoint_every=4000, checkpoint_dir=str(tmp_path),
         )
@@ -153,8 +305,6 @@ class TestWorkerEntry:
         assert payload["stats"] == run_job(job).to_payload()["stats"]
 
     def test_crash_always_can_be_scoped_to_one_benchmark(self, monkeypatch):
-        from repro.exec import pool
-
         monkeypatch.setenv("REPRO_EXEC_TEST_CRASH", "always:amr")
         (job,) = _jobs(("bht", ExecutionMode.FLAT))
         pool._test_fault_hook(job)  # not amr: returns instead of exiting

@@ -5,7 +5,7 @@ import pytest
 from repro.config import GPUConfig
 from repro.errors import WorkloadError
 from repro.exec import ResultCache, SweepEngine
-from repro.harness import runner as runner_module
+from repro.exec import pool as pool_module
 from repro.harness.runner import (
     BenchmarkRun,
     GridResults,
@@ -134,7 +134,8 @@ class TestDiskCache:
         def exploding_execute(job):
             raise AssertionError(f"simulated {job.label()} on a warm cache")
 
-        monkeypatch.setattr(runner_module, "run_job", exploding_execute)
+        # Every simulation, serial or not, goes through the engine's run_job.
+        monkeypatch.setattr(pool_module, "run_job", exploding_execute)
         warm_cache = ResultCache(tmp_path / "cache")
         warm = run_grid(cache=warm_cache, **SUBGRID)
         assert warm_cache.stats.hits == 4

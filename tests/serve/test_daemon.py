@@ -21,7 +21,6 @@ import os
 import re
 import select
 import socket
-import struct
 import subprocess
 import sys
 import threading
@@ -371,21 +370,7 @@ class TestProtocol:
 
 
 class TestWorkerPlumbing:
-    """In-process checks of what a worker sends and inherits."""
-
-    def test_truncated_outcome_is_no_outcome(self):
-        """A worker killed mid-``send`` leaves a header and part of a
-        body; the daemon must read that as death, not as a result."""
-        ctx = serve_jobs.multiprocessing.get_context("fork")
-        ours, theirs = ctx.Pipe()
-        theirs.send({"ok": True, "payload": {}, "checkpoints": 0})
-        worker = serve_jobs._Worker(proc=None, conn=ours)
-        assert worker.outcome() == {"ok": True, "payload": {}, "checkpoints": 0}
-        assert worker.outcome() is None  # nothing waiting
-        os.write(theirs.fileno(), struct.pack("!i", 1000) + b"x" * 10)
-        theirs.close()
-        assert worker.outcome() is None
-        ours.close()
+    """What a worker inherits (what it sends: ``tests/exec/test_pool.py``)."""
 
     def test_started_daemon_has_imported_what_a_job_imports(self, tmp_path):
         """A forked worker inherits the daemon's modules, so after the
