@@ -6,9 +6,14 @@ instead of restating the NumPy calls:
 
 * the reference interpreter (:meth:`repro.sim.warp.Warp._h_alu`)
   evaluates :data:`ALU` rows one instruction at a time;
-* the fast core (:func:`repro.sim.fast_warp.decode_program`) binds the
-  same rows into pre-decoded closures and picks the closure shape from
-  the row (``ufunc`` present, ``guard`` set, or neither);
+* the fast core (:func:`repro.sim.fast_warp.decode_program`) *generates*
+  its ALU code from the same rows: one Python function per instruction
+  and one per straight-line region, whose source calls the rows'
+  callables by name (``ufunc`` in place through ``out=`` under a full
+  mask, unmasked into a temporary otherwise, :func:`nonzero_divisor` on
+  a ``guard`` row's divisor, nothing at all for an :func:`identity` row);
+  its conflicting atomics evaluate an :data:`ATOMIC` row's ``scalar``
+  form, as the reference interpreter's per-lane loop does;
 * the peephole optimizer folds constants with a row's ``fold`` and
   eliminates dead :data:`PURE_OPS`;
 * the assembler splits off a destination register for :data:`DST_OPS`.
@@ -64,8 +69,9 @@ class AluOp(NamedTuple):
     src: str
     dst: Bank
     fn: Callable
-    #: ``fn`` as a bare ufunc, when it is one: the fast core then writes
-    #: the destination through ``out=`` / ``where=`` without a temporary.
+    #: ``fn`` as a bare ufunc, when it is one: under a full mask the fast
+    #: core then writes the destination through ``out=`` without a
+    #: temporary.
     ufunc: Optional[np.ufunc] = None
     #: The last operand is a divisor; ``ufunc`` applies after
     #: :func:`nonzero_divisor` (``fn`` already includes it).
@@ -83,8 +89,9 @@ def nonzero_divisor(b):
     return np.where(b == 0, 1, b)
 
 
-def _same(a):
-    """Moves and ``ITOF``: the cast of the destination write is the op."""
+def identity(a):
+    """Moves and ``ITOF``: the cast of the destination write is the op.
+    (Generated code passes the operand straight to that write.)"""
     return a
 
 
@@ -118,7 +125,7 @@ ALU: Dict[Opcode, AluOp] = {
     O.ISHR: _ufunc("ii", INT, np.right_shift, operator.rshift),
     O.INEG: _ufunc("i", INT, np.negative),
     O.INOT: _ufunc("i", INT, np.bitwise_not),
-    O.MOV: AluOp("i", INT, _same),
+    O.MOV: AluOp("i", INT, identity),
     O.FADD: _ufunc("ff", FLT, np.add),
     O.FSUB: _ufunc("ff", FLT, np.subtract),
     O.FMUL: _ufunc("ff", FLT, np.multiply),
@@ -131,8 +138,8 @@ ALU: Dict[Opcode, AluOp] = {
         "f", FLT, lambda a: np.sqrt(np.abs(np.asarray(a, dtype=np.float64))), sfu=True
     ),
     O.FABS: _ufunc("f", FLT, np.abs),
-    O.FMOV: AluOp("f", FLT, _same),
-    O.ITOF: AluOp("i", FLT, _same),
+    O.FMOV: AluOp("f", FLT, identity),
+    O.ITOF: AluOp("i", FLT, identity),
     O.FTOI: AluOp("f", INT, lambda a: np.asarray(a, dtype=np.float64).astype(np.int64)),
     O.SETP: AluOp("cii", INT, _compare),
     O.FSETP: AluOp("cff", INT, _compare),
@@ -140,18 +147,33 @@ ALU: Dict[Opcode, AluOp] = {
     O.SELP: AluOp("iii", INT, lambda a, b, c: np.where(np.not_equal(c, 0), a, b)),
 }
 
-#: New memory value of each atomic as ``combine(old, b, c)``; ``c`` is
-#: only supplied by ``ATOM_CAS`` (``b`` is the compare value, ``c`` the
-#: replacement).  The instruction's destination receives ``old``.  Each
-#: function takes Python ints (the reference core's per-lane loop) or
-#: lane arrays (the fast core's conflict-free gather/scatter).
-ATOMIC: Dict[Opcode, Callable] = {
-    O.ATOM_ADD: lambda old, b, c: old + b,
-    O.ATOM_MIN: lambda old, b, c: np.minimum(old, b),
-    O.ATOM_MAX: lambda old, b, c: np.maximum(old, b),
-    O.ATOM_OR: lambda old, b, c: old | b,
-    O.ATOM_EXCH: lambda old, b, c: b,
-    O.ATOM_CAS: lambda old, b, c: np.where(old == b, c, old),
+class AtomicOp(NamedTuple):
+    """New memory value of one atomic as ``combine(old, b, c)``; ``c`` is
+    only supplied by ``ATOM_CAS`` (``b`` is the compare value, ``c`` the
+    replacement).  The instruction's destination receives ``old``."""
+
+    #: Over lane arrays: the fast core's conflict-free gather/scatter.
+    fn: Callable
+    #: Over Python ints, with no NumPy call: lanes serialized in lane
+    #: order (the reference core always, the fast core on an address
+    #: conflict).
+    scalar: Callable
+
+
+def _atomic(fn: Callable, scalar: Optional[Callable] = None) -> AtomicOp:
+    return AtomicOp(fn, fn if scalar is None else scalar)
+
+
+ATOMIC: Dict[Opcode, AtomicOp] = {
+    O.ATOM_ADD: _atomic(lambda old, b, c: old + b),
+    O.ATOM_MIN: _atomic(lambda old, b, c: np.minimum(old, b), lambda old, b, c: min(old, b)),
+    O.ATOM_MAX: _atomic(lambda old, b, c: np.maximum(old, b), lambda old, b, c: max(old, b)),
+    O.ATOM_OR: _atomic(lambda old, b, c: old | b),
+    O.ATOM_EXCH: _atomic(lambda old, b, c: b),
+    O.ATOM_CAS: _atomic(
+        lambda old, b, c: np.where(old == b, c, old),
+        lambda old, b, c: c if old == b else old,
+    ),
 }
 
 #: ``READ_SPECIAL`` sources, as getters over a warp

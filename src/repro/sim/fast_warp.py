@@ -7,35 +7,48 @@ architectural state and cycle-for-cycle on the timing model — but removes
 the per-step interpretation overhead three ways:
 
 * **Pre-decoded instruction kernels.**  Each program is decoded once into
-  a table of per-instruction closures (cached on the
+  a table of per-instruction functions (cached on the
   :class:`~repro.isa.program.Program`).  What an opcode computes is read
   from :mod:`repro.isa.semantics` — the same rows the reference
-  interpreter evaluates — and bound at decode time: operand banks,
-  immediates, the closure shape and the latency class are resolved once
-  instead of on every issue.
+  interpreter evaluates — and resolved at decode time: memory and
+  control ops become closures, and every ALU-class op becomes *generated
+  source* (one module per program, compiled once and memoised per
+  process by its text) in which operand banks, register indices,
+  immediates and the latency class are literals instead of per-issue
+  tests.
 * **Extended PDOM frames.**  Stack frames carry ``[pc, reconv_pc, mask,
   active_count, full_flag]`` so the active-lane count (needed for the
   warp-activity statistic on every issue) and the common all-32-lanes case
   are O(1) instead of a ``count_nonzero`` per step.  Mask arrays are never
   mutated in place, so the cached count is exact by construction.
-* **Vectorized hot paths.**  Full-mask ALU ops use in-place ufunc forms
-  (``out=`` / ``where=``); global loads/stores generate lane addresses in
-  one vector op and feed segment sets to
-  :func:`repro.memory.coalescing.coalesce_address_list`; address-disjoint
-  atomics execute as gather/compute/scatter instead of a per-lane loop.
+* **Vectorized hot paths, for any mask.**  Generated ALU code has two
+  straight-line bodies.  Under a full mask each destination row is
+  written in place (``ufunc(a, b, out=rd)``).  Under a partial mask —
+  the steady state of the irregular workloads — every value is computed
+  *unmasked* into a temporary and each destination register is committed
+  once, under the mask, with the bank's unsafe cast: exactly what
+  ``Warp._h_alu`` does (``row.fn`` over all 32 lanes, then a masked
+  write), at a third of the cost of a ``where=`` ufunc.  Global
+  loads/stores generate lane addresses in one vector op and feed segment
+  sets to :func:`repro.memory.coalescing.coalesce_address_list`; atomics
+  gather, compute and scatter, serializing the lanes over plain Python
+  ints only when their addresses collide.
 * **Superblock fusion.**  Decode also discovers maximal straight-line
   regions of ALU-class instructions (no branches, barriers, memory ops,
-  or reconvergence points inside — :mod:`repro.isa.regions`) and a warp
-  executing with a full mask inside one of the two window forms that
-  ``GPU._run_fast`` opens (:meth:`FastWarp.step_free_window`,
-  :meth:`FastWarp.step_window`) runs a whole region in one call,
-  charging the exact per-instruction cycles and stats of unfused
-  execution.  Divergent entry (partial mask), ``sanitize=True`` and the
-  single-instruction :meth:`FastWarp.step` path all fall back to
-  per-instruction dispatch.
+  or reconvergence points inside — :mod:`repro.isa.regions`) and
+  generates one function per region.  A warp inside one of the two
+  window forms that ``GPU._run_fast`` opens
+  (:meth:`FastWarp.step_free_window`, :meth:`FastWarp.step_window`) runs
+  a whole region in one call whatever its mask, charging the exact
+  per-instruction cycles and stats of unfused execution.  In a region's
+  partial-mask body a later instruction reads an earlier one's temporary
+  instead of the register, and a register written twice is committed
+  once.  ``sanitize=True``, zero-latency configs and the
+  single-instruction :meth:`FastWarp.step` path dispatch per
+  instruction, through the same generator's regions of one.
 
 Anything rare (shared/local memory, shuffles, votes, device-runtime calls,
-atomics with intra-warp address conflicts, immediate-base memory ops)
+immediate-base memory ops, immediates NumPy cannot hold in a lane array)
 delegates to the inherited reference handler, which keeps the two cores
 trivially identical where speed does not matter.
 
@@ -45,13 +58,20 @@ Stat-exactness invariants worth keeping in mind when editing:
   the same order ``np.unique`` gives the reference core — because DRAM
   bank/row state and the L2's LRU depend on access order.
 * The reference serializes conflicting atomic lanes in lane order; the
-  vectorized path therefore only handles all-distinct address sets.
+  gather/scatter form therefore only handles all-distinct address sets
+  and colliding lanes run one at a time, in that order.
+* A partial-mask body may compute an inactive lane from values the
+  reference never saw there (an earlier temporary instead of the stale
+  register); that is sound only because temporaries reach registers
+  through the masked commit and nothing else reads them.
 """
 
 from __future__ import annotations
 
+import weakref
 from collections import OrderedDict
-from typing import List, Optional, Tuple
+from itertools import repeat
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -66,6 +86,7 @@ from ..isa.semantics import (
     FUSABLE_OPS,
     SFU_OPS,
     SPECIAL,
+    identity,
     nonzero_divisor,
 )
 from ..memory.coalescing import coalesce_address_list
@@ -111,11 +132,12 @@ def _geometry(bx: int, by: int, threads: int, warp_index: int) -> tuple:
 # Operand binding
 # ----------------------------------------------------------------------
 def _operand(kind: str, operand):
-    """Bind a source operand at decode time -> ``(idx, const, get)``.
+    """Bind a store's or an atomic's source operand at decode time ->
+    ``(idx, const, get)``.
 
-    ``kind`` is the operand's slot letter in a semantics row (``"i"`` /
-    ``"f"``).  ``idx >= 0`` is a row of the int register file (the
-    common case, fetched inline by the closures), ``idx == -1`` means
+    ``kind`` is the value's bank letter (``"i"`` / ``"f"``).  ``idx >= 0``
+    is a row of the int register file (the common case, fetched inline by
+    the closures), ``idx == -1`` means
     the value is ``const``, ``idx == -2`` means call ``get(w)``.  Mirrors
     ``Warp._val_i`` / ``Warp._val_f``: an ``i`` slot reads the int bank
     whatever the register's bank, an ``f`` slot converts an int-bank
@@ -192,110 +214,230 @@ def _lane_addrs(w, frame, base_idx: int, off: int):
 
 
 # ----------------------------------------------------------------------
+# Generated ALU code
+#
+# Every FUSABLE_OPS instruction executes as Python source assembled from
+# its semantics row by :func:`_alu_factory`: ``run(w, frame, cycle)`` for
+# one instruction (the decode table's closure shape) and ``run(w, mask,
+# full)`` for a whole fused region.  The source is that of a *factory*
+# whose parameters are the register indices and the immediates, so its
+# text depends only on the opcodes and on which operand feeds which —
+# the same few hundred shapes recur across kernels, modes and jobs.
+# Every job rebuilds its programs, so factories are memoised per process
+# by their source text (a small LRU, like ``_GEOM_CACHE``), and the ones
+# a program is first to need are compiled together, in one ``compile()``.
+# ----------------------------------------------------------------------
+_I64 = range(-(1 << 63), 1 << 63)
+
+#: Immediates as read-only lane arrays (int64 for an int, float64 for a
+#: float), shared by every generated function bound to the same value
+#: and alive as long as one of them is.
+_LANES: "weakref.WeakValueDictionary[str, np.ndarray]" = weakref.WeakValueDictionary()
+
+
+def _immediate(kind: str, value, guard: bool) -> Optional[np.ndarray]:
+    """The lane array of an immediate in an ``i`` / ``f`` slot
+    (``nonzero_divisor`` already applied to a constant divisor), or None
+    to delegate: a non-integer immediate in an ``i`` slot gets its
+    semantics from the reference core's unsafe cast, one NumPy cannot
+    hold in a lane array must raise there, at issue, and a NaN is only
+    bit-exact as the scalar the reference core passes."""
+    if kind == "i":
+        if (
+            isinstance(value, bool)
+            or not isinstance(value, (int, np.integer))
+            or int(value) not in _I64
+        ):
+            return None
+        value = int(value)
+    else:
+        try:
+            value = float(value)
+        except (TypeError, ValueError, OverflowError):
+            return None
+        if value != value:
+            # Which payload survives NaN + NaN depends on whether NumPy
+            # is handed a scalar or an array.
+            return None
+    if guard:
+        value = nonzero_divisor(value).item()
+    key = repr(value)  # keeps -0.0 apart from 0.0, and 1 from 1.0
+    lanes = _LANES.get(key)
+    if lanes is None:
+        lanes = np.full(WARP_SIZE, value, dtype=np.int64 if kind == "i" else np.float64)
+        lanes.setflags(write=False)
+        _LANES[key] = lanes
+    return lanes
+
+
+#: What generated source may name: each semantics row's callable by
+#: opcode, comparison or special register, and the write-back's few
+#: NumPy entry points (``Di`` / ``Df``: the two banks' dtypes).
+#: ``copyto`` is the C function behind ``np.copyto``, where NumPy
+#: exposes it: the ``__array_function__`` dispatch in front of it is a
+#: third of a 32-lane copy and no register row overrides it.
+_GEN_GLOBALS = {
+    "copyto": getattr(np.copyto, "_implementation", np.copyto),
+    "asarray": np.asarray, "Di": np.int64, "Df": np.float64, "nz": nonzero_divisor,
+    **{f"f_{op.name}": row.ufunc or row.fn for op, row in ALU.items()},
+    **{f"c_{cmp.name}": fn for cmp, fn in CMP.items()},
+    **{f"s_{special.name}": fn for special, fn in SPECIAL.items()},
+}
+
+_FACTORY_CACHE_LIMIT = 256
+_FACTORY_CACHE: "OrderedDict[str, object]" = OrderedDict()
+
+
+def _alu_factory(instrs, single: bool) -> Optional[Tuple[str, list]]:
+    """Source of ``make(x0, ...)``, the factory of the function running
+    ``instrs`` in order, and the arguments that bind it to them — or None
+    when an operand has no native form (only ever a region of one).
+
+    Two straight-line bodies.  Under a full mask each instruction writes
+    its destination row in place — a bare ufunc through ``out=``,
+    anything else (a comparison into an int64 ``out=`` would take NumPy's
+    buffered casting path) through a temporary and ``copyto``.  Under a
+    partial mask every value is computed unmasked into a temporary
+    ``t<n>`` — ``Warp._h_alu`` evaluates ``row.fn`` over all 32 lanes too
+    — and each destination register is committed once, at the end, under
+    the mask.  A later read of a register written earlier in the region
+    reads its temporary, first made the bank-typed value the register
+    would hold (``cast``): a comparison's bools, ``ITOF``'s ints and a
+    block-uniform special's Python int are otherwise cast only by the
+    commit.
+    """
+    mask, full = ("frame[2]", "frame[4]") if single else ("mask", "full")
+    values: list = []  # the factory's arguments, x0...
+    rows: Dict[Tuple[str, int], str] = {}  # register -> its row's source
+    whole: List[str] = []
+    part: List[str] = []
+    temps: Dict[Tuple[str, int], list] = {}  # register -> [temporary, cast]
+    aliases: Dict[int, str] = {}  # line of ``part`` -> the row its temporary *is*
+
+    def row(bank: str, idx: int) -> str:
+        source = rows.get((bank, idx))
+        if source is None:
+            source = rows[bank, idx] = f"r{bank}[x{len(values)}]"
+            values.append(idx)
+        return source
+
+    def read(kind: str, operand, guard: bool):
+        """One operand's source in each body, as ``Warp._val_i`` /
+        ``_val_f`` fetch it: an ``i`` slot reads the int bank whatever
+        the register's bank, an ``f`` slot converts an int-bank register."""
+        if type(operand) is not Reg:
+            lanes = _immediate(kind, operand.value, guard)
+            if lanes is None:
+                return None
+            values.append(lanes)
+            return (f"x{len(values) - 1}",) * 2
+        bank = "f" if kind == "f" and operand.bank == Bank.FLT else "i"
+        reg = tmp = row(bank, operand.idx)
+        held = temps.get((bank, operand.idx))
+        if held is not None:
+            tmp, cast = held
+            if cast:
+                part.append(f"{tmp} = {cast.format(tmp)}")
+                held[1] = None
+        form = "{}.astype(Df)" if kind != bank else "{}"
+        if guard:
+            form = f"nz({form})"
+        return form.format(reg), form.format(tmp)
+
+    for n, instr in enumerate(instrs):
+        if instr.op is Opcode.READ_SPECIAL:
+            bank, fn, in_place = "i", f"s_{instr.special.name}", False
+            reads, cast = [("w", "w")], "asarray({}, Di)"
+        else:
+            op = ALU[instr.op]
+            bank = "f" if op.dst == Bank.FLT else "i"
+            fn, kinds, cast = f"f_{instr.op.name}", op.src, None
+            in_place = op.ufunc is not None
+            if kinds[0] == "c":
+                # A comparison row only applies the selected comparison.
+                fn, kinds, cast = f"c_{instr.cmp.name}", kinds[1:], "{}.astype(Di)"
+            elif op.fn is identity:
+                fn = ""  # the operand itself: the write's cast is the op
+                if kinds != bank:
+                    cast = f"{{}}.astype(D{bank})"
+            operands = (instr.a, instr.b, instr.c)[: len(kinds)]
+            if fn and not any(type(operand) is Reg for operand in operands):
+                # Arithmetic on immediates alone is NumPy's on Python
+                # numbers, not on lanes (``fneg #0`` is the int 0, so
+                # +0.0): leave the constant expression to the reference.
+                return None
+            reads = [
+                read(kind, operand, op.guard and slot == 1)
+                for slot, (kind, operand) in enumerate(zip(kinds, operands))
+            ]
+            if None in reads:
+                return None
+        args, targs = (", ".join(column) for column in zip(*reads))
+        dst = row(bank, instr.dst.idx)
+        if in_place:
+            whole.append(f"{fn}({args}, out={dst})")
+        else:
+            whole.append(f"copyto({dst}, {fn}({args}), casting='unsafe')")
+        if not fn and targs in rows.values():
+            aliases[len(part)] = targs
+        part.append(f"t{n} = {fn}({targs})")
+        temps[bank, instr.dst.idx] = [f"t{n}", cast]
+    # A move's temporary is its source row, not a copy of it: make it one
+    # when that row is committed here too, or the commits could not be
+    # ordered (two moves can swap a pair of registers).
+    committed = {rows[reg] for reg in temps}
+    for line, source in aliases.items():
+        if source in committed:
+            part[line] += ".copy()"
+    part += [
+        f"copyto({rows[reg]}, {tmp}, where={mask}, casting='unsafe')"
+        for reg, (tmp, _) in temps.items()
+    ]
+    lines = [
+        f"def make({', '.join(f'x{k}' for k in range(len(values)))}):",
+        f" def run({'w, frame, cycle' if single else 'w, mask, full'}):",
+    ]
+    lines += [
+        f"  r{bank} = w.regs_{bank}" for bank in "if" if any(b == bank for b, _ in rows)
+    ]
+    lines.append(f"  if {full}:")
+    lines += ["   " + line for line in whole]
+    lines.append("  else:")
+    lines += ["   " + line for line in part]
+    if single:
+        latency = "_sfu_lat" if instrs[0].op in SFU_OPS else "_alu_lat"
+        lines += [f"  w.ready_cycle = cycle + w.{latency}", "  return False"]
+    lines.append(" return run")
+    return "\n".join(lines), values
+
+
+def _generated(shapes: List[Tuple[str, list]]) -> list:
+    """The functions of ``(factory source, arguments)`` pairs, compiling
+    the factories this process has not met in a single module."""
+    sources = [source for source, _ in shapes]
+    missing = [s for s in dict.fromkeys(sources) if s not in _FACTORY_CACHE]
+    if missing:
+        module = "\n".join(
+            source.replace("def make(", f"def make{k}(", 1)
+            for k, source in enumerate(missing)
+        )
+        exec(compile(module, "<repro.sim.fast_warp generated>", "exec"), _GEN_GLOBALS)
+        for k, source in enumerate(missing):
+            _FACTORY_CACHE[source] = _GEN_GLOBALS.pop(f"make{k}")
+    functions = []
+    for source, values in shapes:
+        _FACTORY_CACHE.move_to_end(source)
+        functions.append(_FACTORY_CACHE[source](*values))
+    while len(_FACTORY_CACHE) > _FACTORY_CACHE_LIMIT:
+        _FACTORY_CACHE.popitem(last=False)
+    return functions
+
+
+# ----------------------------------------------------------------------
 # Instruction-kernel builders.  Each returns a closure run(w, frame,
 # cycle) -> bool (True iff the pc was updated), or None to delegate to
 # the reference handler.
 # ----------------------------------------------------------------------
-def _make_alu(instr):
-    """Bind one :data:`repro.isa.semantics.ALU` row to this instruction.
-
-    The row picks the closure shape once, here: a bare ufunc writes the
-    destination row in place through ``out=`` / ``where=``, with the
-    divisor guard folded into the divisor's fetch; anything else computes
-    a temporary and ``copyto``s it with the bank's unsafe cast (a
-    comparison into an int64 ``out=`` would go through NumPy's buffered
-    casting path, which is slower than the temporary).
-    """
-    row = ALU[instr.op]
-    fn, kinds, ufunc = row.fn, row.src, row.ufunc
-    if kinds[0] == "c":
-        # A comparison row only applies the selected comparison.
-        fn, kinds = CMP[instr.cmp], kinds[1:]
-    operands = [_operand(k, x) for k, x in zip(kinds, (instr.a, instr.b, instr.c))]
-    if None in operands:
-        return None
-    if row.guard:
-        div_idx, div_const, div_get = operands[1]
-        if div_idx == -1:
-            operands[1] = -1, nonzero_divisor(div_const), None
-        elif div_idx >= 0:
-            operands[1] = -2, None, lambda w: nonzero_divisor(w.regs_i[div_idx])
-        else:
-            operands[1] = -2, None, lambda w: nonzero_divisor(div_get(w))
-    n = len(operands)
-    (ai, av, ga), (bi, bv, gb), (ci, cv, gc) = (operands + [(-1, None, None)] * 2)[:3]
-    d = instr.dst.idx
-    flt = row.dst == Bank.FLT
-    sfu = row.sfu
-
-    if ufunc is not None and n == 2:
-
-        def run(w, frame, cycle):
-            ri = w.regs_i
-            a = ri[ai] if ai >= 0 else av if ai == -1 else ga(w)
-            b = ri[bi] if bi >= 0 else bv if bi == -1 else gb(w)
-            rd = (w.regs_f if flt else ri)[d]
-            if frame[4]:
-                ufunc(a, b, out=rd)
-            else:
-                ufunc(a, b, out=rd, where=frame[2])
-            w.ready_cycle = cycle + (w._sfu_lat if sfu else w._alu_lat)
-            return False
-
-    elif ufunc is not None:
-
-        def run(w, frame, cycle):
-            ri = w.regs_i
-            a = ri[ai] if ai >= 0 else av if ai == -1 else ga(w)
-            rd = (w.regs_f if flt else ri)[d]
-            if frame[4]:
-                ufunc(a, out=rd)
-            else:
-                ufunc(a, out=rd, where=frame[2])
-            w.ready_cycle = cycle + (w._sfu_lat if sfu else w._alu_lat)
-            return False
-
-    else:
-
-        def run(w, frame, cycle):
-            ri = w.regs_i
-            a = ri[ai] if ai >= 0 else av if ai == -1 else ga(w)
-            if n == 1:
-                result = fn(a)
-            else:
-                b = ri[bi] if bi >= 0 else bv if bi == -1 else gb(w)
-                if n == 2:
-                    result = fn(a, b)
-                else:
-                    c = ri[ci] if ci >= 0 else cv if ci == -1 else gc(w)
-                    result = fn(a, b, c)
-            rd = (w.regs_f if flt else ri)[d]
-            if frame[4]:
-                np.copyto(rd, result, casting="unsafe")
-            else:
-                np.copyto(rd, result, where=frame[2], casting="unsafe")
-            w.ready_cycle = cycle + (w._sfu_lat if sfu else w._alu_lat)
-            return False
-
-    return run
-
-
-def _make_read_special(instr):
-    getter = SPECIAL[instr.special]
-    d = instr.dst.idx
-
-    def run(w, frame, cycle):
-        rd = w.regs_i[d]
-        if frame[4]:
-            np.copyto(rd, getter(w), casting="unsafe")
-        else:
-            np.copyto(rd, getter(w), where=frame[2], casting="unsafe")
-        w.ready_cycle = cycle + w._alu_lat
-        return False
-
-    return run
-
-
 def _make_load(instr):
     if type(instr.a) is not Reg:
         return None
@@ -346,7 +488,7 @@ def _make_store(instr):
 def _make_atomic(instr):
     if type(instr.a) is not Reg:
         return None
-    combine = ATOMIC[instr.op]
+    combine, scalar = ATOMIC[instr.op]
     base_idx = instr.a.idx
     off = instr.offset
     d = instr.dst.idx if instr.dst is not None else -1
@@ -357,7 +499,6 @@ def _make_atomic(instr):
         return None
     bi, bv = b[:2]
     ci, cv = c[:2]
-    ref_handler = _DISPATCH[instr.op]
 
     def run(w, frame, cycle):
         full = frame[4]
@@ -367,10 +508,6 @@ def _make_atomic(instr):
             base = base[mask]
         addrs = base + off if off else base
         alist = addrs.tolist()
-        if len(set(alist)) != len(alist):
-            # Intra-warp address conflict: the reference core serializes
-            # conflicting lanes in lane order; keep its exact semantics.
-            return ref_handler(w, instr, frame, mask, cycle)
         if alist:
             lo = min(alist)
             hi = max(alist)
@@ -385,11 +522,29 @@ def _make_atomic(instr):
         else:
             lo, hi = 0, -1
         mem = w._mem_i
-        old = mem[addrs]
         ri = w.regs_i
         vals = (ri[bi] if full else ri[bi][mask]) if bi >= 0 else bv
         new = (ri[ci] if full else ri[ci][mask]) if ci >= 0 else cv
-        mem[addrs] = combine(old, vals, new)
+        distinct = set(alist)
+        if len(distinct) == len(alist):
+            old = mem[addrs]
+            mem[addrs] = combine(old, vals, new)
+        else:
+            # Lanes collide on an address: serialize the active lanes in
+            # lane order, as the reference core (and hardware) does, over
+            # one gather of the distinct addresses and one scatter.
+            distinct = list(distinct)
+            current = dict(zip(distinct, mem[distinct].tolist()))
+            old = []
+            for addr, operand, swap in zip(
+                alist,
+                vals.tolist() if bi >= 0 else repeat(bv),
+                new.tolist() if ci >= 0 else repeat(cv),
+            ):
+                value = current[addr]
+                old.append(value)
+                current[addr] = scalar(value, operand, swap)
+            mem[distinct] = list(current.values())
         # The destination is written last: it may alias an operand.
         if d >= 0:
             if full:
@@ -475,10 +630,10 @@ def _make_exit(instr):
     return run
 
 
+#: Closure builders of the ops that are not generated (``FUSABLE_OPS``
+#: are: see :func:`_alu_factory`).
 _BUILDERS = {
-    **dict.fromkeys(ALU, _make_alu),
     **dict.fromkeys(ATOMIC, _make_atomic),
-    Opcode.READ_SPECIAL: _make_read_special,
     Opcode.LD: _make_load,
     Opcode.FLD: _make_load,
     Opcode.ST: _make_store,
@@ -522,24 +677,34 @@ _PRIVATE_OPS = FUSABLE_OPS | {Opcode.BRA, Opcode.JOIN, Opcode.NOP}
 class FusedRegion:
     """One decoded straight-line ALU region, executable in a single call.
 
-    ``runs`` are the region's per-instruction closures in pc order;
-    ``sfu_flags[i]`` says whether instruction i is SFU-class.  Latencies
-    are *not* baked in: the decode is cached on the shared Program, and
-    different GPUs may run it with different ``alu_latency`` /
-    ``sfu_latency`` values, so the region's duration is derived per warp
-    as ``n_alu * alu_lat + n_sfu * sfu_lat``.
+    ``fn(w, mask, full)`` is the region's generated function: it leaves
+    the registers as the region's instructions would, one by one, and
+    touches nothing else (the window charges issues, lanes and
+    ``ready_cycle``).  ``sfu_flags[i]`` says whether instruction i is
+    SFU-class.  Latencies are *not* baked in: the decode is cached on the
+    shared Program, and different GPUs may run it with different
+    ``alu_latency`` / ``sfu_latency`` values, so the region's duration is
+    derived per warp as ``n_alu * alu_lat + n_sfu * sfu_lat``.
+
+    ``executions`` counts the times the region ran fused, in this
+    process, on whatever GPU: a diagnostic that is not part of any
+    simulation's state (``SimStats``, fingerprints and snapshots never
+    see it).
     """
 
-    __slots__ = ("start", "length", "ops", "runs", "sfu_flags", "n_alu", "n_sfu")
+    __slots__ = (
+        "start", "length", "ops", "fn", "sfu_flags", "n_alu", "n_sfu", "executions",
+    )
 
-    def __init__(self, start: int, ops: tuple, runs: tuple) -> None:
+    def __init__(self, start: int, ops: tuple, fn) -> None:
         self.start = start
         self.length = len(ops)
         self.ops = ops
-        self.runs = runs
+        self.fn = fn
         self.sfu_flags = tuple(op in SFU_OPS for op in ops)
         self.n_sfu = sum(self.sfu_flags)
         self.n_alu = self.length - self.n_sfu
+        self.executions = 0
 
 
 def decode_program(program) -> tuple:
@@ -560,45 +725,62 @@ def decode_program(program) -> tuple:
     (``None`` when the program has no fusable region).  The result is
     cached on the program, so all warps of all launches share one
     decode.
+
+    How often a region ran fused is ``regions[start].executions`` — the
+    only place an *untraced* run's fused count can be read: a tracer
+    switches run-ahead off, so a profiler's own count covers
+    ``step_window`` alone.
     """
     cached = getattr(program, "_fast_table", None)
     if cached is not None:
         return cached
-    table: List[tuple] = []
-    native: List[bool] = []
-    for instr in program.instructions:
-        op = instr.op
-        builder = _BUILDERS.get(op)
-        run = builder(instr) if builder is not None else None
-        native.append(run is not None)
-        if run is None:
-            run = _make_ref(instr, _DISPATCH[op])
-        if native[-1] and op in _PRIVATE_OPS:
-            klass = 1
-        elif native[-1] and op in GLOBAL_MEMORY_OPS:
-            klass = 2
+    instructions = program.instructions
+    shapes: List[Tuple[str, list]] = []  # of the generated functions
+    # Per pc: a closure, the index in ``shapes`` of a generated function,
+    # or None — no native form, so the reference handler keeps its
+    # semantics (and its own error behaviour) and the pc stays a visible
+    # single step.
+    runs: list = []
+    for instr in instructions:
+        if instr.op in FUSABLE_OPS:
+            shape = _alu_factory([instr], single=True)
+            run = None
+            if shape is not None:
+                run = len(shapes)
+                shapes.append(shape)
         else:
-            klass = 0
-        table.append((run, op, klass, None))
+            builder = _BUILDERS.get(instr.op)
+            run = builder(instr) if builder is not None else None
+        runs.append(run)
 
-    # A pc is fusable only when its opcode class qualifies AND the decode
-    # produced a native closure (a reference fallback — e.g. a float
-    # immediate in an int operand — keeps reference semantics, including
-    # its own error behaviour, so it must stay a visible single step).
     def fusable(pc, instr):
-        return native[pc] and instr.op in FUSABLE_OPS
+        return instr.op in FUSABLE_OPS and runs[pc] is not None
 
-    spans = straight_line_regions(program.instructions, fusable)
+    spans = straight_line_regions(instructions, fusable)
+    first_region = len(shapes)
+    shapes += [
+        _alu_factory(instructions[start : start + length], single=False)
+        for start, length in spans
+    ]
+    functions = _generated(shapes)
+
+    table: List[tuple] = []
+    for instr, run in zip(instructions, runs):
+        op = instr.op
+        if run is None:
+            table.append((_make_ref(instr, _DISPATCH[op]), op, 0, None))
+            continue
+        if type(run) is int:
+            run = functions[run]
+        klass = 1 if op in _PRIVATE_OPS else 2 if op in GLOBAL_MEMORY_OPS else 0
+        table.append((run, op, klass, None))
     regions = None
     if spans:
         regions = {}
-        for start, length in spans:
-            ops = tuple(table[pc][1] for pc in range(start, start + length))
-            runs = tuple(table[pc][0] for pc in range(start, start + length))
-            region = FusedRegion(start, ops, runs)
-            regions[start] = region
-            run, op, klass, _ = table[start]
-            table[start] = (run, op, klass, region)
+        for (start, length), fn in zip(spans, functions[first_region:]):
+            ops = tuple(instr.op for instr in instructions[start : start + length])
+            region = regions[start] = FusedRegion(start, ops, fn)
+            table[start] = table[start][:3] + (region,)
     highest = program.max_register_index()
     cached = (table, highest["int"] + 1, highest["flt"] + 1, regions)
     program._fast_table = cached
@@ -679,13 +861,13 @@ class FastWarp(Warp):
         execution, so the warp keeps executing locally without
         round-tripping through the issue loop.
 
-        Within a window, a full-mask warp entering a decoded
-        :class:`FusedRegion` whose whole duration fits under the bound
-        executes the region in one call, charging identical
-        per-instruction stats and tracer callbacks (fusion is skipped
-        under the sanitizer: its one-``observe()``-per-step contract
-        needs the per-instruction path).  Everything else single-steps
-        with exact synthesized issue cycles.
+        Within a window, a warp entering a decoded :class:`FusedRegion`
+        whose whole duration fits under the bound executes the region in
+        one call, whatever its mask, charging identical per-instruction
+        stats and tracer callbacks (fusion is skipped under the
+        sanitizer: its one-``observe()``-per-step contract needs the
+        per-instruction path).  Everything else single-steps with exact
+        synthesized issue cycles.
 
         Returns the issue cycle of the last executed instruction; the
         caller advances ``gpu.cycle`` and the occupancy integral to it.
@@ -738,18 +920,17 @@ class FastWarp(Warp):
                         f"warp ran off the end of kernel {self.tb.func.name!r} "
                         f"at pc={pc}"
                     ) from None
-                if region is not None and fuse and frame[4]:
+                if region is not None and fuse:
                     end = cycle + region.n_alu * alu_lat + region.n_sfu * sfu_lat
                     if end <= limit:
                         n = region.length
                         issued += n
                         lanes += n * frame[3]
                         if tracer is not None:
-                            tracer.on_fused(self, pc, region, cycle)
-                        c = cycle
-                        for run in region.runs:
-                            run(self, frame, c)
-                            c = self.ready_cycle
+                            tracer.on_fused(self, pc, region, frame[3], cycle)
+                        region.executions += 1
+                        region.fn(self, frame[2], frame[4])
+                        self.ready_cycle = end
                         frame[0] = pc + n
                         last = end - (sfu_lat if region.sfu_flags[-1] else alu_lat)
                         if end < limit:
@@ -886,7 +1067,7 @@ class FastWarp(Warp):
                         f"warp ran off the end of kernel {self.tb.func.name!r} "
                         f"at pc={pc}"
                     ) from None
-                if region is not None and frame[4]:
+                if region is not None:
                     # Preconditions already guarantee no sanitizer and
                     # latencies >= 1, so a row-carried region always fuses.
                     end = cycle + region.n_alu * alu_lat + region.n_sfu * sfu_lat
@@ -894,10 +1075,9 @@ class FastWarp(Warp):
                         n = region.length
                         issued += n
                         lanes += n * frame[3]
-                        c = cycle
-                        for run in region.runs:
-                            run(self, frame, c)
-                            c = self.ready_cycle
+                        region.executions += 1
+                        region.fn(self, frame[2], frame[4])
+                        self.ready_cycle = end
                         frame[0] = pc + n
                         last = end - (sfu_lat if region.sfu_flags[-1] else alu_lat)
                         if end < hard:

@@ -21,6 +21,14 @@ harness builds devices deep inside ``Workload.execute``), the module
 also keeps one process-global *active* profiler: while installed via
 :func:`activate`, every new :class:`~repro.sim.gpu.GPU` attaches it as
 its tracer.  Simulation results are bit-identical with or without it.
+
+What a traced run cannot see: a tracer observes the global interleaving,
+so it switches off budget-safe run-ahead (``step_free_window``), where an
+untraced run executes most of its fused regions.  The fused counts here
+are therefore those of ``step_window``'s sole-actor windows only — a
+lower bound, often a distant one, on what an untraced run fuses (read
+that from :attr:`repro.sim.fast_warp.FusedRegion.executions`); issue and
+lane totals are exact either way.
 """
 
 from __future__ import annotations
@@ -28,7 +36,6 @@ from __future__ import annotations
 import time
 from typing import Dict, List, Optional, Tuple
 
-from ..config import WARP_SIZE
 from ..isa.instructions import Opcode
 from .tracing import Tracer
 
@@ -93,17 +100,19 @@ class HotPathProfiler(Tracer):
         cost.lanes += active
         self._charge(cost)
 
-    def on_fused(self, warp, pc, region, cycle) -> None:
+    def on_fused(self, warp, pc, region, active, cycle) -> None:
         # Expand the region into its member opcodes so per-opcode issue
-        # and lane totals stay equal to SimStats regardless of fusion,
-        # but attribute host time to the region as a unit.
+        # and lane totals stay equal to SimStats regardless of fusion
+        # (every instruction of a region issues with the entering
+        # frame's ``active`` lanes), but attribute host time to the
+        # region as a unit.
         opcodes = self.opcodes
         for opcode in region.ops:
             cost = opcodes.get(opcode)
             if cost is None:
                 cost = opcodes[opcode] = OpcodeCost()
             cost.issues += 1
-            cost.lanes += WARP_SIZE
+            cost.lanes += active
             cost.fused_issues += 1
         self.fused_instructions += region.length
         self.fused_executions += 1
@@ -173,6 +182,10 @@ class HotPathProfiler(Tracer):
             f"({100.0 * self.fused_instructions / total if total else 0.0:.1f}%) "
             f"in {self.fused_executions:,} region executions   "
             f"host {host_total * 1e3:.1f}ms attributed"
+        )
+        lines.append(
+            "(a traced run has no run-ahead windows: 'fused' counts sole-actor "
+            "windows only, an untraced run fuses more)"
         )
         lines.append(f"{'opcode':<14s} {'issues':>12s} {'fused%':>7s} "
                      f"{'lanes/issue':>11s} {'host_ms':>9s} {'issue%':>7s}")

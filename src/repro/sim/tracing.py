@@ -18,7 +18,6 @@ import collections
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Deque, Dict, List, Optional, Tuple
 
-from ..config import WARP_SIZE
 from ..isa.instructions import Opcode
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -31,21 +30,22 @@ class Tracer:
     def on_issue(self, warp: "Warp", pc: int, opcode: Opcode, active: int, cycle: int) -> None:
         raise NotImplementedError
 
-    def on_fused(self, warp: "Warp", pc: int, region, cycle: int) -> None:
+    def on_fused(self, warp: "Warp", pc: int, region, active: int, cycle: int) -> None:
         """A fused superblock region executed in one call (fast core).
 
         The default replays the region as per-instruction
         :meth:`on_issue` callbacks at the exact cycles unfused execution
-        would have issued them (fusion only runs with a full mask, so
-        ``active`` is the warp width), keeping every subclass's output
-        identical whether or not fusion engaged.  Profilers that want to
-        see regions as units override this instead.
+        would have issued them, each with the ``active`` lanes of the
+        frame that ran the region (a region runs under any mask, and no
+        instruction inside one can change it), keeping every subclass's
+        output identical whether or not fusion engaged.  Profilers that
+        want to see regions as units override this instead.
         """
         alu = warp._alu_lat
         sfu = warp._sfu_lat
         c = cycle
         for i, opcode in enumerate(region.ops):
-            self.on_issue(warp, pc + i, opcode, WARP_SIZE, c)
+            self.on_issue(warp, pc + i, opcode, active, c)
             c += sfu if region.sfu_flags[i] else alu
 
 

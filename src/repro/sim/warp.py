@@ -415,7 +415,7 @@ class Warp:
         addrs_full = self._val_i(instr.a)
         lanes = np.flatnonzero(mask)
         mem = self._mem_i
-        combine = ATOMIC[instr.op]
+        combine = ATOMIC[instr.op].scalar
         bvals = self._val_i(instr.b)
         cvals = self._val_i(instr.c) if instr.c is not None else None
         old = np.zeros(WARP_SIZE, dtype=np.int64)

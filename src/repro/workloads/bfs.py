@@ -264,16 +264,18 @@ class BfsWorkload(Workload):
     # ------------------------------------------------------------------
     def reference_distances(self) -> np.ndarray:
         graph = self.graph
-        dist = np.full(graph.num_vertices, INF, dtype=np.int64)
+        indptr = graph.indptr.tolist()
+        indices = graph.indices.tolist()
+        dist = [INF] * graph.num_vertices
         dist[self.source] = 0
         queue = deque([self.source])
         while queue:
             v = queue.popleft()
-            for u in graph.neighbors(v):
+            for u in indices[indptr[v] : indptr[v + 1]]:
                 if dist[u] == INF:
                     dist[u] = dist[v] + 1
-                    queue.append(int(u))
-        return dist
+                    queue.append(u)
+        return np.array(dist, dtype=np.int64)
 
     def check(self, device: Device) -> None:
         got = device.download_ints(self.dist_addr, self.graph.num_vertices)

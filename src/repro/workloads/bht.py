@@ -331,37 +331,43 @@ class BarnesHutWorkload(Workload):
         tree = self.tree
         points = self.points
         order = tree.order
-        x = points.x[order]
-        y = points.y[order]
-        mass = points.mass[order]
+        # Python lists of Python floats (the same IEEE doubles): the walk
+        # below reads one element at a time.
+        x = points.x[order].tolist()
+        y = points.y[order].tolist()
+        mass = points.mass[order].tolist()
+        cx, cy = tree.cx.tolist(), tree.cy.tolist()
+        node_mass, size = tree.mass.tolist(), tree.size.tolist()
+        node_type = tree.node_type.tolist()
+        body_start, body_count = tree.body_start.tolist(), tree.body_count.tolist()
+        children = tree.children.tolist()
         n = points.count
-        pot = np.zeros(n, dtype=np.int64)
+        pot = [0] * n
         theta2 = _THETA * _THETA
         for i in range(n):
             stack = [0]
             while stack:
                 node = stack.pop()
-                dx = tree.cx[node] - x[i]
-                dy = tree.cy[node] - y[i]
+                dx = cx[node] - x[i]
+                dy = cy[node] - y[i]
                 r2 = dx * dx + dy * dy + _EPS
-                if tree.node_type[node] == 1:
-                    start = int(tree.body_start[node])
-                    for j in range(start, start + int(tree.body_count[node])):
+                if node_type[node] == 1:
+                    start = body_start[node]
+                    for j in range(start, start + body_count[node]):
                         if j == i:
                             continue
                         ddx = x[j] - x[i]
                         ddy = y[j] - y[i]
                         rr = ddx * ddx + ddy * ddy + _EPS
                         pot[i] += int(mass[j] * _SCALE / rr)
-                elif tree.size[node] * tree.size[node] < theta2 * r2:
-                    pot[i] += int(tree.mass[node] * _SCALE / r2)
+                elif size[node] * size[node] < theta2 * r2:
+                    pot[i] += int(node_mass[node] * _SCALE / r2)
                 else:
                     # Mirror the kernel's push order (q = 0..3) and LIFO pop.
-                    for q in range(4):
-                        child = int(tree.children[node, q])
+                    for child in children[node]:
                         if child >= 0:
                             stack.append(child)
-        return pot
+        return np.array(pot, dtype=np.int64)
 
     def check(self, device: Device) -> None:
         got = device.download_ints(self.pot_addr, self.points.count)

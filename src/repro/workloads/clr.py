@@ -217,8 +217,10 @@ class ColoringWorkload(Workload):
         """The same deterministic Jones-Plassmann rounds in pure Python."""
         graph = self.graph
         n = graph.num_vertices
-        colors = np.full(n, _UNCOLORED, dtype=np.int64)
-        prio = self.priorities
+        indptr = graph.indptr.tolist()
+        indices = graph.indices.tolist()
+        colors = [_UNCOLORED] * n
+        prio = self.priorities.tolist()
         worklist = list(range(n))
         round_color = 0
         while worklist:
@@ -226,7 +228,7 @@ class ColoringWorkload(Workload):
             remaining = []
             for v in worklist:
                 is_max = True
-                for u in graph.neighbors(v):
+                for u in indices[indptr[v] : indptr[v + 1]]:
                     if colors[u] == _UNCOLORED and prio[u] > prio[v]:
                         is_max = False
                         break
@@ -235,7 +237,7 @@ class ColoringWorkload(Workload):
                 colors[v] = round_color
             worklist = remaining
             round_color += 1
-        return colors
+        return np.array(colors, dtype=np.int64)
 
     def check(self, device: Device) -> None:
         got = device.download_ints(self.colors_addr, self.graph.num_vertices)
@@ -243,10 +245,13 @@ class ColoringWorkload(Workload):
         mismatches = int((got != expected).sum())
         self.expect(mismatches == 0, f"{mismatches} colors differ from reference")
         # And the defining invariant: adjacent uncolored-pair-free.
+        indptr = self.graph.indptr.tolist()
+        indices = self.graph.indices.tolist()
+        color = got.tolist()
         for v in range(self.graph.num_vertices):
-            for u in self.graph.neighbors(v):
-                if int(u) != v:
+            for u in indices[indptr[v] : indptr[v + 1]]:
+                if u != v:
                     self.expect(
-                        got[v] != got[u] or got[v] == _UNCOLORED,
-                        f"adjacent vertices {v},{u} share color {got[v]}",
+                        color[v] != color[u] or color[v] == _UNCOLORED,
+                        f"adjacent vertices {v},{u} share color {color[v]}",
                     )

@@ -166,15 +166,20 @@ class RecommendationWorkload(Workload):
     # ------------------------------------------------------------------
     def reference_similarity(self) -> np.ndarray:
         data = self.ratings
-        sim = np.zeros(data.num_items, dtype=np.int64)
+        item_indptr = data.item_indptr.tolist()
+        item_users = data.item_users.tolist()
+        item_ratings = data.item_ratings.tolist()
+        user_indptr = data.user_indptr.tolist()
+        user_ratings = data.user_ratings.tolist()
+        sim = [0] * data.num_items
         for item in range(data.num_items):
-            lo, hi = data.item_indptr[item], data.item_indptr[item + 1]
+            lo, hi = item_indptr[item], item_indptr[item + 1]
             for slot in range(lo, hi):
-                user = data.item_users[slot]
-                r_ui = data.item_ratings[slot]
-                ulo, uhi = data.user_indptr[user], data.user_indptr[user + 1]
-                sim[item] += int(r_ui) * int(data.user_ratings[ulo:uhi].sum())
-        return sim
+                user = item_users[slot]
+                r_ui = item_ratings[slot]
+                ulo, uhi = user_indptr[user], user_indptr[user + 1]
+                sim[item] += r_ui * sum(user_ratings[ulo:uhi])
+        return np.array(sim, dtype=np.int64)
 
     def check(self, device: Device) -> None:
         got = device.download_ints(self.sim_addr, self.ratings.num_items)

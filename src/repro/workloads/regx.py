@@ -16,6 +16,7 @@ trigger near-constant prefix hits — the paper's highest-DFP benchmark.
 
 from __future__ import annotations
 
+import dataclasses
 from typing import List
 
 import numpy as np
@@ -195,14 +196,17 @@ class RegexWorkload(Workload):
 
     # ------------------------------------------------------------------
     def reference_counts(self) -> np.ndarray:
+        # The same DFA over Python lists: ``matches_at`` walks its tables
+        # and the packet one element at a time.
+        dfa = dataclasses.replace(
+            self.dfa,
+            transitions=self.dfa.transitions.tolist(),
+            accepting=self.dfa.accepting.tolist(),
+        )
         return np.array(
             [
-                sum(
-                    1
-                    for start in range(len(packet))
-                    if self.dfa.matches_at(packet, start)
-                )
-                for packet in self.packets.packets
+                sum(1 for start in range(len(text)) if dfa.matches_at(text, start))
+                for text in (packet.tolist() for packet in self.packets.packets)
             ],
             dtype=np.int64,
         )

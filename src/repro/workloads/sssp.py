@@ -182,20 +182,23 @@ class SsspWorkload(Workload):
     # ------------------------------------------------------------------
     def reference_distances(self) -> np.ndarray:
         graph = self.graph
-        dist = np.full(graph.num_vertices, INF, dtype=np.int64)
+        indptr = graph.indptr.tolist()
+        indices = graph.indices.tolist()
+        weights = graph.weights.tolist()
+        dist = [INF] * graph.num_vertices
         dist[self.source] = 0
         heap = [(0, self.source)]
         while heap:
             d, v = heapq.heappop(heap)
             if d > dist[v]:
                 continue
-            weights = graph.edge_weights(v)
-            for u, w in zip(graph.neighbors(v), weights):
-                nd = d + int(w)
+            lo, hi = indptr[v], indptr[v + 1]
+            for u, w in zip(indices[lo:hi], weights[lo:hi]):
+                nd = d + w
                 if nd < dist[u]:
                     dist[u] = nd
-                    heapq.heappush(heap, (nd, int(u)))
-        return dist
+                    heapq.heappush(heap, (nd, u))
+        return np.array(dist, dtype=np.int64)
 
     def check(self, device: Device) -> None:
         got = device.download_ints(self.dist_addr, self.graph.num_vertices)

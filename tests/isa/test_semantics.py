@@ -170,9 +170,10 @@ def test_alu_row_accepts_immediates(op):
     ids=lambda op: op.name,
 )
 def test_ufunc_form_equals_fn(op):
-    """What the fast core binds in place of ``fn`` — ``ufunc(..., out=,
-    where=)`` after the divisor guard, or the selected comparison itself
-    for a ``c`` row — writes what ``fn`` returns, and only where asked."""
+    """What the fast core's generated code calls in place of ``fn`` —
+    ``ufunc(..., out=)`` after the divisor guard, or the selected
+    comparison itself for a ``c`` row — computes what ``fn`` returns
+    (and, given ``where=``, writes it only where asked)."""
     row = ALU[op]
     sets = _lane_sets(op)
     cmps = sets.pop(0) if row.src[0] == "c" else [None]
@@ -190,8 +191,11 @@ def test_ufunc_form_equals_fn(op):
         out = np.full_like(want, 17)
         with np.errstate(all="ignore"):
             ufunc(*args, out=out, where=mask)
+            whole = np.zeros_like(want)
+            np.copyto(whole, ufunc(*args), casting="unsafe")
         np.testing.assert_array_equal(out[mask], want[mask])
         assert (out[~mask] == 17).all()
+        np.testing.assert_array_equal(whole, want)
 
 
 ATOMIC_ORACLE = {
@@ -209,12 +213,14 @@ def test_atomic_row_matches_scalar_model(op):
     combos = list(itertools.product(INT_LANES, INT_LANES, [5, I64_MIN]))
     old, b, c = (np.array(col, dtype=np.int64) for col in zip(*combos))
     with np.errstate(all="ignore"):
-        got = np.asarray(ATOMIC[op](old, b, c))
+        got = np.asarray(ATOMIC[op].fn(old, b, c))
     for lane, combo in enumerate(combos):
         assert int(np.broadcast_to(got, old.shape)[lane]) == ATOMIC_ORACLE[op](*combo)
-    # Python ints, as the reference core's per-lane loop passes them.
+    # Python ints in, a Python int out: what both cores evaluate when
+    # they serialize lanes (no NumPy scalar may leak into the loop).
     for combo in itertools.product([0, 3, -9, 1 << 40], repeat=3):
-        assert int(ATOMIC[op](*combo)) == ATOMIC_ORACLE[op](*combo)
+        got = ATOMIC[op].scalar(*combo)
+        assert type(got) is int and got == ATOMIC_ORACLE[op](*combo)
 
 
 # ----------------------------------------------------------------------
@@ -246,7 +252,9 @@ def test_both_cores_dispatch_every_opcode():
     from repro.sim.warp import _DISPATCH
 
     assert set(_DISPATCH) == set(Opcode)
-    assert set(ALU) | set(ATOMIC) <= set(_BUILDERS)
+    # The fast core generates FUSABLE_OPS and builds closures for the rest.
+    assert set(ALU) <= FUSABLE_OPS and set(ATOMIC) <= set(_BUILDERS)
+    assert not FUSABLE_OPS & set(_BUILDERS)
 
 
 def test_rows_are_well_formed():

@@ -18,7 +18,7 @@ import pytest
 
 from repro import Device, ExecutionMode, GPUConfig, KernelBuilder, KernelFunction
 from repro.isa import parse_program
-from repro.isa.instructions import Bank
+from repro.isa.instructions import Bank, Opcode
 from repro.isa.semantics import ALU
 from repro.workloads.registry import get_benchmark
 
@@ -370,6 +370,35 @@ class TestFusionAdversarial:
         ref, out_ref = _run_kernel(_divergent_entry_kernel(), False, n=500)
         assert fast == ref
         np.testing.assert_array_equal(out_fast, out_ref)
+
+    def test_divergent_entry_runs_fused(self, monkeypatch):
+        """One block of two warps, the second with 20 of its lanes in
+        range: few enough resident warps that each runs ahead in a window,
+        where the branch body's region executes in one call under either
+        mask — and stays stat-exact."""
+        from repro.sim.fast_warp import decode_program
+
+        monkeypatch.delenv("REPRO_SANITIZE", raising=False)  # needs fused regions
+
+        func = _divergent_entry_kernel()
+        (body,) = [
+            region for region in decode_program(func.program)[3].values()
+            if Opcode.IXOR in region.ops
+        ]
+        entries = []  # (active lanes, full flag) of each fused execution
+        fused = body.fn
+
+        def counting(w, mask, full):
+            entries.append((int(mask.sum()), full))
+            fused(w, mask, full)
+
+        body.fn = counting
+        fast, out_fast = _run_kernel(func, True, n=52)
+        ref, out_ref = _run_kernel(_divergent_entry_kernel(), False, n=52)
+        assert fast == ref
+        np.testing.assert_array_equal(out_fast, out_ref)
+        assert sorted(entries) == [(20, False), (32, True)]
+        assert body.executions == 2
 
     def test_predicated_branch_splits_region(self):
         func = _predicated_split_kernel()

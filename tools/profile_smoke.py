@@ -14,6 +14,11 @@ Two layers:
    simulation's ``SimStats`` counters *exactly* — the profiler must
    observe every issued instruction, fused or not.
 
+The (benchmark, mode) cell comes from ``argv`` — ``profile_smoke.py
+[bench [mode]]``, default ``bht dtbl``.  CI also runs ``amr flat``, the
+most divergent cell (0.5 % of its issues carry a full mask), so the
+totals contract is exercised with masked fused regions end to end.
+
 Exits non-zero on any mismatch.  Used by the CI ``smoke`` job.
 """
 
@@ -28,8 +33,8 @@ import tempfile
 REPO = pathlib.Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO / "src"))
 
-BENCH = "bht"
-MODE = "dtbl"
+BENCH = sys.argv[1] if len(sys.argv) > 1 else "bht"
+MODE = sys.argv[2] if len(sys.argv) > 2 else "dtbl"
 SCALE = 0.1
 
 
