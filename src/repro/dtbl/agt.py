@@ -39,6 +39,19 @@ class AggregatedGroupEntry:
         "fetch_issued",
         "record",
     )
+    STATE = (
+        ("agg_dims", "arg:value"),
+        ("param_addr", "arg:value"),
+        ("record", "arg:record"),
+        ("next", "age"),
+        ("next_block", "value"),
+        ("exe_blocks", "value"),
+        ("in_agt", "value"),
+        ("agt_index", "value"),
+        ("gate_until", "value"),
+        ("fetch_issued", "value"),
+    )
+    NOT_STATE = ("total_blocks",)  # derived from agg_dims
 
     def __init__(self, agg_dims: LaunchDims, param_addr: int, record: LaunchRecord) -> None:
         self.agg_dims = agg_dims
@@ -67,6 +80,13 @@ class AggregatedGroupEntry:
 
 class AggregatedGroupTable:
     """Fixed-size on-chip AGT with single-probe hash allocation."""
+
+    STATE = (
+        ("_slots", ["age"]),
+        ("occupied", "value", 0),
+        ("peak_occupied", "value"),
+    )
+    NOT_STATE = ("size",)  # geometry
 
     def __init__(self, entries: int) -> None:
         if entries <= 0 or entries & (entries - 1):

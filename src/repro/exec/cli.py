@@ -23,8 +23,7 @@ from typing import Optional
 from ..config import CORES
 from .cache import DEFAULT_CACHE_DIR
 
-#: Default directory for ``--checkpoint-every`` / ``--resume`` state (the
-#: only definition; :mod:`repro.state.snapshot` imports it).
+#: Default directory for ``--checkpoint-every`` / ``--resume`` state.
 DEFAULT_CHECKPOINT_DIR = ".repro-checkpoints"
 
 

@@ -17,6 +17,14 @@ from ..errors import ConfigError
 
 @dataclass
 class CacheStats:
+    STATE = (
+        ("accesses", "value"),
+        ("hits", "value"),
+        ("misses", "value"),
+        ("evictions", "value"),
+    )
+    NOT_STATE = ()
+
     accesses: int = 0
     hits: int = 0
     misses: int = 0
@@ -34,6 +42,9 @@ class Cache:
     already divided by the line size, since the coalescer produces
     line-granular transactions.
     """
+
+    STATE = (("_sets", "copy"), ("stats", CacheStats))
+    NOT_STATE = ("num_sets", "assoc", "line_bytes")  # geometry
 
     def __init__(self, size_bytes: int, line_bytes: int, assoc: int) -> None:
         if size_bytes <= 0 or line_bytes <= 0 or assoc <= 0:

@@ -21,6 +21,14 @@ from ..config import SEGMENT_WORDS, WARP_SIZE
 class CoalescingStats:
     """Aggregate coalescer counters for one simulation run."""
 
+    STATE = (
+        ("warp_accesses", "value"),
+        ("transactions", "value"),
+        ("lanes", "value"),
+        ("histogram", "copy"),
+    )
+    NOT_STATE = ()
+
     #: Warp-level memory instructions processed.
     warp_accesses: int = 0
     #: Total transactions (segments) generated.

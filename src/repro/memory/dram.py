@@ -28,6 +28,15 @@ from .cache import Cache
 class DramStats:
     """Counters backing the paper's Figure 7."""
 
+    STATE = (
+        ("n_read", "value"),
+        ("n_write", "value"),
+        ("row_hits", "value"),
+        ("row_misses", "value"),
+        ("n_activity", "value"),
+    )
+    NOT_STATE = ()
+
     n_read: int = 0
     n_write: int = 0
     row_hits: int = 0
@@ -53,27 +62,24 @@ class DramStats:
 
     def to_dict(self) -> dict:
         """All counters as a JSON-safe dictionary (exact round trip)."""
-        return {
-            "n_read": self.n_read,
-            "n_write": self.n_write,
-            "row_hits": self.row_hits,
-            "row_misses": self.row_misses,
-            "n_activity": self.n_activity,
-        }
+        return {name: getattr(self, name) for name, _kind in self.STATE}
 
     @classmethod
     def from_dict(cls, data: dict) -> "DramStats":
-        return cls(
-            n_read=int(data["n_read"]),
-            n_write=int(data["n_write"]),
-            row_hits=int(data["row_hits"]),
-            row_misses=int(data["row_misses"]),
-            n_activity=int(data["n_activity"]),
-        )
+        return cls(**{name: int(data[name]) for name, _kind in cls.STATE})
 
 
 class DramController:
     """Banked open-row DRAM with analytic (event-based) service timing."""
+
+    STATE = (
+        ("stats", DramStats),
+        ("_bank_next_free", "copy"),
+        ("_bank_open_row", "copy"),
+        ("_bus_next_free", "value"),
+        ("_activity_end", "value"),
+    )
+    NOT_STATE = ("_config", "_rows_per_segment", "_banks")  # geometry
 
     def __init__(self, config: GPUConfig) -> None:
         self._config = config
@@ -136,6 +142,9 @@ class MemorySubsystem:
     completes (loads block the warp until then; stores are fire-and-forget
     but still generate traffic).
     """
+
+    STATE = (("l2", Cache), ("dram", DramController))
+    NOT_STATE = ("_config",)
 
     def __init__(self, config: GPUConfig) -> None:
         self._config = config

@@ -10,9 +10,9 @@ Addresses used throughout the simulator are *word* indices into this store.
 A checkpoint carries the store (and every word-indexed shadow of it) as
 an *image*: the prefix that ends at the last word whose bits are not all
 zero.  :func:`trim_image` and :func:`apply_image` are that pair for any
-1-D array; :meth:`GlobalMemory.image` / :meth:`GlobalMemory.load_image`
-apply them to the store itself.  Neither side keeps a record of writes:
-the extent is found by scanning, so the store paths pay nothing for it.
+1-D array (an ``"image"`` row of a ``STATE`` table, see
+:mod:`repro.state.schema`).  Neither side keeps a record of writes: the
+extent is found by scanning, so the store paths pay nothing for it.
 """
 
 from __future__ import annotations
@@ -69,6 +69,13 @@ class GlobalMemory:
         Capacity of the store in 8-byte words.  The default (4 Mi words =
         32 MB) is ample for the scaled-down workloads.
     """
+
+    STATE = (("i", "image"), ("_next_free", "value"), ("_live", "copy"))
+    NOT_STATE = (
+        "size_words",  # constructor input
+        "_buffer", "f",  # the words of `i` under other names
+        "observer",  # wiring
+    )
 
     def __init__(self, size_words: int = 4 * 1024 * 1024) -> None:
         if size_words <= 0:
@@ -150,14 +157,6 @@ class GlobalMemory:
         if self.observer is not None:
             self.observer.on_host_write(base, arr.size)
         return base
-
-    def image(self) -> np.ndarray:
-        """The store's contents as a :func:`trim_image` of its words."""
-        return trim_image(self.i)
-
-    def load_image(self, image: np.ndarray) -> None:
-        """Set every word of the store from an :meth:`image`."""
-        apply_image(self.i, image)
 
     @property
     def words_in_use(self) -> int:

@@ -448,9 +448,10 @@ class Device:
     ) -> None:
         """Enable periodic state checkpointing (see :mod:`repro.state`).
 
-        Every ``every`` simulated cycles the full simulator state is
-        captured and written atomically to ``path`` (when given) and/or
-        passed to ``on_checkpoint(document)``.  The configuration lives on
+        At each multiple of ``every`` simulated cycles (the first cycle
+        boundary at or after it) the full simulator state is captured
+        and written atomically to ``path`` (when given) and/or passed
+        to ``on_checkpoint(document)``.  The configuration lives on
         the device so it covers every internal ``synchronize()`` a
         workload driver performs, not just one call.  ``fingerprint``
         stamps the files so a sweep job never resumes from another job's

@@ -791,6 +791,8 @@ class FastWarp(Warp):
     """Warp with pre-decoded instruction kernels and extended frames."""
 
     __slots__ = ("_table", "_regions", "_alu_lat", "_sfu_lat", "_cstats", "_mem_access")
+    # The decoded program and more hot-path references.
+    NOT_STATE = Warp.NOT_STATE + __slots__
 
     def __init__(self, tb, warp_index: int, context_slot: int) -> None:
         self._bind(tb, warp_index, context_slot)
@@ -853,7 +855,8 @@ class FastWarp(Warp):
         after the warp was popped as ready at ``cycle`` and nothing else
         is due before ``cycle + 2``.  As long as the warp's next issue
         lands strictly before the *window bound* — the earliest of
-        ``horizon`` (the watchdog), the next pending GPU event, and the
+        ``horizon`` (the watchdog or the next due checkpoint, whichever
+        is nearer), the next pending GPU event, and the
         next ready cycle of any other warp on any SMX (``heap``, the
         GPU-wide ready heap, whose stale lazy-deletion entries can only
         shrink the bound) — no scheduler decision, issue-budget check or

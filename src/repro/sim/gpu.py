@@ -24,6 +24,7 @@ from .kernel import KernelFunction, as_dims
 from .kernel_distributor import KernelDistributor
 from .kmu import DeviceLaunchSpec, KernelManagementUnit
 from .profiler import active_profiler
+from .sanitizer import Sanitizer
 from .smx import SMX
 from .smx_scheduler import SMXScheduler
 from .stats import LaunchKind, LaunchRecord, SimStats
@@ -35,8 +36,16 @@ from ..dtbl.aggregation import AggLaunchRequest
 _FAR_FUTURE = 1 << 62
 
 
+def _next_checkpoint(cycle: int, every: Optional[int]) -> int:
+    """The first multiple of ``every`` after ``cycle``; never, if unset."""
+    return cycle - cycle % every + every if every else _FAR_FUTURE
+
+
 class DeviceRuntime:
     """Device-side runtime services invoked from warp instructions."""
+
+    STATE = (("_stream_counter", "value"), ("_param_sizes", "copy"))
+    NOT_STATE = ("_gpu",)  # wiring
 
     def __init__(self, gpu: "GPU") -> None:
         self._gpu = gpu
@@ -114,6 +123,37 @@ class DeviceRuntime:
 class GPU:
     """The simulated GPU (Fig. 1 baseline plus the Fig. 4 DTBL extension)."""
 
+    # Restore order: KDE entries before what refers to them (the FCFS
+    # queue, thread blocks).
+    STATE = (
+        ("cycle", "value"),
+        ("active_warps", "value", 0),
+        ("_event_seq", "value"),
+        ("_launch_seq", "value"),
+        ("_local_arenas", "copy"),
+        ("memory", GlobalMemory),
+        ("memsys", MemorySubsystem),
+        ("stats", SimStats),
+        ("runtime", DeviceRuntime),
+        ("distributor", KernelDistributor),
+        ("scheduler", SMXScheduler),
+        ("kmu", KernelManagementUnit),
+        ("smxs", [SMX]),
+        ("sanitizer", Sanitizer),
+    )
+    NOT_STATE = (
+        # What the replayed host program supplies and the document's
+        # header vouches for.
+        "config", "latency", "kernels", "fast_core", "_run_index",
+        "_specs_by_seq",  # the host-spec registry
+        "tracer",  # a checkpoint refuses one
+        "_events",  # stored as (cycle, seq, kind, payload) through _event_fn
+        "_gheap",  # derived from the resident warps
+        # Host-side checkpoint policy.
+        "_pending_resume", "_checkpoint_every", "_checkpoint_path",
+        "_on_checkpoint", "_checkpoint_fingerprint",
+    )
+
     def __init__(
         self,
         config: Optional[GPUConfig] = None,
@@ -143,8 +183,6 @@ class GPU:
         #: beyond one attribute check in each core's step()).
         self.sanitizer = None
         if self.config.sanitize or os.environ.get("REPRO_SANITIZE", "") not in ("", "0"):
-            from .sanitizer import Sanitizer
-
             self.sanitizer = Sanitizer(self)
             self.memory.observer = self.sanitizer
         #: Resident, unfinished warps across all SMXs (occupancy integral).
@@ -316,8 +354,10 @@ class GPU:
         ``max_cycles`` is an absolute watchdog on the global cycle counter
         (which accumulates across successive :meth:`run` calls).
 
-        ``checkpoint_every`` snapshots the full simulator state every N
-        simulated cycles (see :mod:`repro.state`), writing it atomically
+        ``checkpoint_every`` snapshots the full simulator state at every
+        multiple of N simulated cycles — at the first cycle boundary at
+        or after it, the same one on both cores and across successive
+        :meth:`run` calls (see :mod:`repro.state`) — writing it atomically
         to ``checkpoint_path`` and/or passing the document to
         ``on_checkpoint``.  Explicit arguments override the stored
         configuration from ``Device.configure_checkpoint``.  A pending
@@ -410,10 +450,12 @@ class GPU:
         heappop = heapq.heappop
         heappush = heapq.heappush
         cycle = self.cycle
-        next_ckpt = cycle + ckpt_every if ckpt_every else far
+        next_ckpt = _next_checkpoint(cycle, ckpt_every)
         # One fused bound guards both the watchdog and the next periodic
         # checkpoint, so the checkpoint-off hot path pays exactly one
-        # compare per cycle advance (`next_ckpt` stays at `far`).
+        # compare per cycle advance (`next_ckpt` stays at `far`).  It is
+        # also the horizon of every window below, so no warp steps past
+        # a due checkpoint on its own.
         limit = next_ckpt if next_ckpt < watchdog_horizon else watchdog_horizon
         while True:
             # Visit `cycle`: deliver due events first — the reference
@@ -455,9 +497,7 @@ class GPU:
                     issued_n[smx_id] = 1
                 smx = smxs[smx_id]
                 if free_ok and smx.resident_warps <= width:
-                    warp.step_free_window(
-                        cycle, watchdog_horizon, events, gheap, inline_mem
-                    )
+                    warp.step_free_window(cycle, limit, events, gheap, inline_mem)
                 elif gheap and gheap[0][0] <= cycle + 1:
                     # Another entry is due at this cycle or the next, so
                     # the window bound is at most `cycle + 1` and only
@@ -471,9 +511,7 @@ class GPU:
                     warp.step(cycle)
                 else:
                     active = self.active_warps
-                    last = warp.step_window(
-                        cycle, watchdog_horizon, events, gheap
-                    )
+                    last = warp.step_window(cycle, limit, events, gheap)
                     if last > cycle:
                         # Sole-actor advance: only this warp issued over
                         # (cycle, last], with the pre-window warp count
@@ -546,7 +584,7 @@ class GPU:
                 # reset, so the captured state is exactly what a fresh
                 # loop entry would see.
                 checkpoint()
-                next_ckpt = cycle + ckpt_every
+                next_ckpt = _next_checkpoint(cycle, ckpt_every)
                 limit = (
                     next_ckpt
                     if next_ckpt < watchdog_horizon
@@ -572,7 +610,7 @@ class GPU:
         watchdog_horizon = (
             _FAR_FUTURE if max_cycles is None else max_cycles + 1
         )
-        next_ckpt = self.cycle + ckpt_every if ckpt_every else _FAR_FUTURE
+        next_ckpt = _next_checkpoint(self.cycle, ckpt_every)
         limit = next_ckpt if next_ckpt < watchdog_horizon else watchdog_horizon
         while True:
             while events and events[0][0] <= self.cycle:
@@ -605,7 +643,7 @@ class GPU:
                 )
                 self.cycle = next_cycle
                 checkpoint()
-                next_ckpt = next_cycle + ckpt_every
+                next_ckpt = _next_checkpoint(next_cycle, ckpt_every)
                 limit = (
                     next_ckpt
                     if next_ckpt < watchdog_horizon

@@ -43,6 +43,8 @@ class HardwareWorkQueue:
     """One HWQ: a FIFO of launches from the streams mapped onto it."""
 
     __slots__ = ("index", "pending", "head_inflight")
+    STATE = (("pending", ["spec"], 0), ("head_inflight", "value", False))
+    NOT_STATE = ("index",)  # position in HostQueues.hwqs
 
     def __init__(self, index: int) -> None:
         self.index = index
@@ -57,6 +59,13 @@ class HardwareWorkQueue:
 
 class HostQueues:
     """Maps software streams to HWQs and feeds the KMU."""
+
+    STATE = (
+        ("hwqs", [HardwareWorkQueue]),
+        ("_stream_to_hwq", "copy"),
+        ("_next_stream", "value"),
+    )
+    NOT_STATE = ("num_hwq",)  # geometry
 
     def __init__(self, num_hwq: int) -> None:
         self.num_hwq = num_hwq

@@ -37,6 +37,23 @@ class KDEEntry:
         "record",
         "stream_id",
     )
+    STATE = (
+        ("index", "arg:value"),
+        ("func", "arg:kernel"),
+        ("grid_dims", "arg:value"),
+        ("block_dims", "arg:value"),
+        ("param_addr", "arg:value"),
+        ("record", "arg:record"),
+        ("stream_id", "arg:value"),
+        ("next_block", "value"),
+        ("exe_blocks", "value"),
+        ("nagei", "age"),
+        ("lagei", "age"),
+        ("agg_exe_blocks", "value"),
+        ("marked", "value"),
+        ("ever_marked", "value"),
+    )
+    NOT_STATE = ("total_blocks",)  # derived from grid_dims
 
     def __init__(
         self,
@@ -132,6 +149,13 @@ class KDEEntry:
 
 class KernelDistributor:
     """Fixed pool of KDE entries (32 on the GK110 baseline)."""
+
+    STATE = (
+        ("_entries", [KDEEntry]),
+        ("occupied", "value", 0),
+        ("peak_occupied", "value"),
+    )
+    NOT_STATE = ("num_entries",)  # geometry
 
     def __init__(self, num_entries: int) -> None:
         self.num_entries = num_entries

@@ -23,6 +23,14 @@ class DeviceLaunchSpec:
     """A device-launched kernel pending in the KMU."""
 
     __slots__ = ("kernel_name", "grid_dims", "block_dims", "param_addr", "record")
+    STATE = (
+        ("kernel_name", "arg:value"),
+        ("grid_dims", "arg:value"),
+        ("block_dims", "arg:value"),
+        ("param_addr", "arg:value"),
+        ("record", "arg:record"),
+    )
+    NOT_STATE = ()
 
     def __init__(self, kernel_name, grid_dims, block_dims, param_addr, record):
         self.kernel_name = kernel_name
@@ -34,6 +42,15 @@ class DeviceLaunchSpec:
 
 class KernelManagementUnit:
     """Dispatches pending kernels into the Kernel Distributor."""
+
+    STATE = (
+        ("host_queues", HostQueues),
+        ("device_pending", [DeviceLaunchSpec], 0),
+        ("_busy_until", "value"),
+        ("_dispatch_scheduled", "value"),
+        ("_reserved_entries", "value"),
+    )
+    NOT_STATE = ("_gpu",)  # wiring
 
     def __init__(self, gpu: "GPU") -> None:
         self._gpu = gpu

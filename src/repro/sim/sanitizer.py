@@ -171,6 +171,14 @@ class SanitizerReport:
     ``max_records`` so a racy inner loop cannot make the report unbounded.
     """
 
+    STATE = (
+        ("max_records", "value"),
+        ("counts", "copy"),
+        ("findings", "copy"),
+        ("_sites", "copy"),
+    )
+    NOT_STATE = ()
+
     def __init__(self, max_records: int = 256) -> None:
         self.max_records = max_records
         self.counts: Dict[str, int] = {}
@@ -235,6 +243,34 @@ class SanitizerReport:
 
 class Sanitizer:
     """Per-GPU shadow state and detectors (see the module docstring)."""
+
+    STATE = (
+        ("report", SanitizerReport),
+        # One element per word of global memory.
+        ("_addressable", "image"),
+        ("_freed", "image"),
+        ("_init", "image"),
+        ("_w_block", "image"),
+        ("_w_thread", "image"),
+        ("_w_epoch", "image"),
+        ("_w_atomic", "image"),
+        ("_w_cycle", "image"),
+        ("_w_value", "image"),
+        ("_r_block", "image"),
+        ("_r_thread", "image"),
+        ("_r_epoch", "image"),
+        ("_r_atomic", "image"),
+        ("_r_cycle", "image"),
+        # Per-block tables: they grow, so a restore replaces them.
+        ("_alive", "copy"),
+        ("_start", "copy"),
+        ("_fence", "copy"),
+        ("_uids", "value"),
+        ("_epochs", "copy"),
+        ("_shared", "copy"),
+        ("_bar_seen", "copy"),
+    )
+    NOT_STATE = ("_gpu",)  # wiring
 
     def __init__(self, gpu: "GPU") -> None:
         self._gpu = gpu

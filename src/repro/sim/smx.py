@@ -27,6 +27,23 @@ if TYPE_CHECKING:  # pragma: no cover
 class SMX:
     """One streaming multiprocessor."""
 
+    STATE = (
+        ("free_threads", "value", "max_resident_threads"),
+        ("free_blocks", "value", "max_resident_blocks"),
+        ("free_regs", "value", "registers_per_smx"),
+        ("free_shared", "value", "shared_mem_size"),
+        ("free_warp_slots", "value", "max_resident_warps"),
+        ("resident_warps", "value", 0),
+        ("_seq", "value"),
+        ("_free_slots", "copy", "max_resident_warps"),
+        ("l1", Cache),
+        ("blocks", [ThreadBlock], 0),
+    )
+    NOT_STATE = (
+        "smx_id", "gpu", "_cfg",  # identity and wiring
+        "_ready_heap",  # derived from the resident warps
+    )
+
     def __init__(self, smx_id: int, gpu: "GPU") -> None:
         self.smx_id = smx_id
         self.gpu = gpu

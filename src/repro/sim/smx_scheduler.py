@@ -31,6 +31,15 @@ if TYPE_CHECKING:  # pragma: no cover
 class SMXScheduler:
     """FCFS controller + TB distribution + DTBL extension."""
 
+    STATE = (
+        ("fcfs", ["kde"], 0),
+        ("agt", AggregatedGroupTable),
+        ("_distribute_scheduled", "value"),
+        ("_gate_retries", "copy"),
+        ("_smx_cursor", "value"),
+    )
+    NOT_STATE = ("_gpu",)  # wiring
+
     def __init__(self, gpu: "GPU") -> None:
         self._gpu = gpu
         self.fcfs: Deque[KDEEntry] = deque()

@@ -94,6 +94,29 @@ class LaunchRecord:
 class SimStats:
     """Mutable counters for one simulation run."""
 
+    STATE = (
+        ("cycles", "value"),
+        ("issued_instructions", "value"),
+        ("active_lane_sum", "value"),
+        ("resident_warp_cycles", "value"),
+        ("footprint_bytes", "value", 0),
+        ("peak_footprint_bytes", "value"),
+        ("agg_matched", "value"),
+        ("agg_unmatched", "value"),
+        ("agt_hash_hits", "value"),
+        ("agt_hash_spills", "value"),
+        ("branches_uniform", "value"),
+        ("branches_diverged", "value"),
+        ("blocks_completed", "value"),
+        ("kernels_completed", "value"),
+        ("coalescing", CoalescingStats),
+    )
+    NOT_STATE = (
+        "config",  # constructor input
+        "dram",  # the DRAM controller's own stats object, a row there
+        "launches",  # the launch-record registry
+    )
+
     def __init__(self, config: GPUConfig) -> None:
         self.config = config
         self.cycles = 0
@@ -232,22 +255,7 @@ class SimStats:
     # ------------------------------------------------------------------
 
     #: Plain integer counters copied verbatim by to_dict/from_dict.
-    _COUNTER_FIELDS = (
-        "cycles",
-        "issued_instructions",
-        "active_lane_sum",
-        "resident_warp_cycles",
-        "footprint_bytes",
-        "peak_footprint_bytes",
-        "agg_matched",
-        "agg_unmatched",
-        "agt_hash_hits",
-        "agt_hash_spills",
-        "branches_uniform",
-        "branches_diverged",
-        "blocks_completed",
-        "kernels_completed",
-    )
+    _COUNTER_FIELDS = tuple(row[0] for row in STATE if row[1] == "value")
 
     def to_dict(self) -> dict:
         """Every counter, nested stat and launch record, JSON-safe.

@@ -41,6 +41,26 @@ class ThreadBlock:
         "_barrier_arrivals",
         "san_uid",
     )
+    STATE = (
+        ("smx", "arg:smx"),
+        ("func", "arg:kernel"),
+        ("grid_dims", "arg:value"),
+        ("block_dims", "arg:value"),
+        ("block_linear_index", "arg:value"),
+        ("param_addr", "arg:value"),
+        ("kde_entry", "arg:kde"),
+        ("age", "arg:age"),
+        ("slots", "arg:value"),
+        ("shared", "copy"),
+        ("warps", [Warp]),
+        ("_alive_warps", "value"),
+        ("_barrier_arrivals", "value"),
+        ("san_uid", "value"),
+    )
+    NOT_STATE = (
+        "gpu",  # wiring
+        "ctaid", "block_threads",  # derived from the launch dimensions
+    )
 
     def __init__(
         self,
@@ -118,3 +138,8 @@ class ThreadBlock:
     @property
     def alive_warps(self) -> int:
         return self._alive_warps
+
+    @property
+    def slots(self) -> List[int]:
+        """The warp-context slots the block was constructed with."""
+        return [warp.context_slot for warp in self.warps]

@@ -59,6 +59,24 @@ class Warp:
         "_lat",
         "_san",
     )
+    STATE = (
+        ("regs_i", "copy"),
+        ("regs_f", "copy"),
+        ("stack", "copy"),
+        ("ready_cycle", "value"),
+        ("finished", "value"),
+        ("at_barrier", "value"),
+        ("age", "value"),
+    )
+    NOT_STATE = (
+        # Constructor arguments of the owning block (context_slot through
+        # ThreadBlock.slots) and the lane geometry derived from them.
+        "tb", "warp_index", "context_slot", "hw_slot_base",
+        "tid_x", "tid_y", "tid_z", "gtid", "init_mask",
+        # Hot-path references into the GPU.
+        "_gpu", "_instrs", "_mem_i", "_mem_f", "_mem_size", "_stats", "_cfg",
+        "_lat", "_san",
+    )
 
     def __init__(self, tb: "ThreadBlock", warp_index: int, context_slot: int) -> None:
         self._bind(tb, warp_index, context_slot)

@@ -1,17 +1,17 @@
-"""Deterministic checkpoint/restore of a mid-flight simulation.
+"""Machine state: deterministic checkpoint/restore, and ways to read it.
 
-:mod:`repro.state.snapshot` serializes the *complete* simulator state —
-global memory and allocator, per-SMX thread blocks and warps, the Kernel
-Distributor, KMU and HWQ queues, AGT entries and spilled group
-descriptors, pending launch records, statistics, and the pending event
-heap — to a versioned, code-salted document that can be written
-atomically to disk and restored bit-identically into a replayed host
-program (see ``docs/architecture.md``, "Checkpoint & resume").
+Each stateful simulator class declares its state in a ``STATE`` table.
+:mod:`~repro.state.schema` walks the tables, :mod:`~repro.state.snapshot`
+turns the walk into checkpoint documents that restore bit-identically
+into a replayed host program, and :mod:`~repro.state.inspection` compares
+documents, checks a drained machine and dumps a stuck one (see
+``docs/architecture.md``, "Checkpoint & resume").
 """
 
+from .inspection import check_drained, diff, dump_state, dump_warp
+from .schema import CheckpointError
 from .snapshot import (
     CHECKPOINT_FORMAT,
-    CheckpointError,
     capture_document,
     checkpoint_path_for,
     load_checkpoint,
@@ -25,7 +25,11 @@ __all__ = [
     "CHECKPOINT_FORMAT",
     "CheckpointError",
     "capture_document",
+    "check_drained",
     "checkpoint_path_for",
+    "diff",
+    "dump_state",
+    "dump_warp",
     "load_checkpoint",
     "prepare_resume",
     "quarantine_checkpoint",

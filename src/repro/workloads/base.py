@@ -228,25 +228,35 @@ class Workload(abc.ABC):
                 on_checkpoint=on_checkpoint,
                 fingerprint=checkpoint_fingerprint,
             )
-        if resume and checkpoint_path is not None and os.path.exists(checkpoint_path):
-            from ..state import (
-                CheckpointError,
-                load_checkpoint,
-                prepare_resume,
-                quarantine_checkpoint,
-            )
+        from ..state import (
+            CheckpointError,
+            load_checkpoint,
+            prepare_resume,
+            quarantine_checkpoint,
+        )
 
+        resuming = False
+        if resume and checkpoint_path is not None and os.path.exists(checkpoint_path):
             try:
                 doc = load_checkpoint(
                     checkpoint_path, fingerprint=checkpoint_fingerprint
                 )
                 prepare_resume(device.gpu, doc)
+                resuming = True
             except CheckpointError:
                 # Stale, corrupt or foreign checkpoint: set it aside and
                 # run from the beginning.
                 quarantine_checkpoint(checkpoint_path)
-        self.run(device)
-        device.synchronize(max_cycles=max_cycles)
+        try:
+            self.run(device)
+            device.synchronize(max_cycles=max_cycles)
+        except CheckpointError:
+            # A mismatch with the replay that only the restore itself can
+            # see (inside GPU.run): the job fails, but a retry must not
+            # resume into the same error.
+            if resuming:
+                quarantine_checkpoint(checkpoint_path)
+            raise
         if persistent_runtime is not None:
             persistent_runtime.verify_drained()
         if (checkpoint_every or resume) and checkpoint_path is not None:

@@ -180,9 +180,9 @@ class TestImage:
     def test_global_memory_image_roundtrip(self):
         mem = GlobalMemory(4096)
         base = mem.alloc_array(np.arange(1, 11))
-        image = mem.image()
+        image = trim_image(mem.i)
         assert image.size == base + 10
         other = GlobalMemory(4096)
         other.i[3000:3010] = 9
-        other.load_image(image)
+        apply_image(other.i, image)
         assert np.array_equal(other.i, mem.i)

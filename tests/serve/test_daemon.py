@@ -295,10 +295,10 @@ class TestPreemption:
         """A long job preempted by a priority job resumes from its
         checkpoint and finishes with exactly the golden ``SimStats``."""
         # The sleep hook is all that keeps the victim alive: at this
-        # cadence it takes 9 checkpoints (5 with REPRO_SANITIZE=1, where
-        # the fast core reaches fewer boundaries), 0.25 s each.
+        # cadence it takes 9 checkpoints (one per 4,000 of its 38,257
+        # cycles, with REPRO_SANITIZE=1 too), 0.25 s each.
         daemon = daemon_factory(
-            workers=1, checkpoint_every=1000, cache=False,
+            workers=1, checkpoint_every=4000, cache=False,
             env={"REPRO_SERVE_TEST_CKPT_SLEEP": "0.25"},
         )
         client = daemon.client("victim")

@@ -4,7 +4,7 @@ import pytest
 
 from repro import Device, ExecutionMode
 from repro.errors import SimulationError
-from repro.sim.validation import check_drained
+from repro.state import check_drained
 from repro.workloads.amr import AmrWorkload
 from repro.workloads.bfs import BfsWorkload
 from repro.workloads.datasets import amr_grid, citation_network, join_tables
@@ -45,7 +45,10 @@ class TestDrainInvariants:
         # Manually corrupt the accounting: the checker must notice.
         device = Device()
         device.gpu.smxs[0].free_threads -= 32
-        with pytest.raises(SimulationError, match="thread slots leaked"):
+        with pytest.raises(
+            SimulationError,
+            match=r"smxs\[0\]\.free_threads holds 2016; a drained machine has 2048",
+        ):
             check_drained(device.gpu)
 
     def test_detects_unfinished_launch(self):
@@ -55,7 +58,9 @@ class TestDrainInvariants:
         device.gpu.stats.launches.append(
             LaunchRecord(LaunchKind.DEVICE_KERNEL, "ghost", 0, 1, 32)
         )
-        with pytest.raises(SimulationError, match="never completed"):
+        with pytest.raises(
+            SimulationError, match=r"launch of 'ghost' \(device_kernel\) never completed"
+        ):
             check_drained(device.gpu)
 
     def test_clean_device_passes(self):

@@ -27,10 +27,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import ExecutionMode, GPUConfig
+from repro.sim.sanitizer import Sanitizer
 from repro.state import (
     CheckpointError,
     capture_document,
     checkpoint_path_for,
+    diff,
     load_checkpoint,
     prepare_resume,
     quarantine_checkpoint,
@@ -42,6 +44,10 @@ from repro.workloads import get_benchmark
 from ..helpers import make_device, map_kernel
 
 SCALE = 0.08
+
+#: The sanitizer's word-indexed shadow arrays, which travel as images.
+SHADOWS = [name for name, kind in Sanitizer.STATE if kind == "image"]
+assert len(SHADOWS) == 14
 
 
 class Interrupt(Exception):
@@ -89,6 +95,13 @@ def _final_state(dev, dst, n):
     }
 
 
+def _assert_same_final_state(final, golden):
+    assert final["out"] == golden["out"]
+    assert final["stats"] == golden["stats"]
+    assert np.array_equal(final["memory"], golden["memory"])
+    assert final["sanitizer"] == golden["sanitizer"]
+
+
 def _capture_one(every=20, stop_at=1, **build_kwargs):
     """Run the tiny program until its ``stop_at``-th checkpoint.
 
@@ -127,7 +140,7 @@ class TestCheckpointFiles:
         save_checkpoint(path, doc)
         loaded = load_checkpoint(path)
         for key in ("format", "salt", "run_index", "cycle", "config",
-                    "memory_words", "sanitize"):
+                    "latency", "memory_words", "sanitize"):
             assert loaded[key] == doc[key]
         assert set(loaded["state"]) == set(doc["state"])
         # Atomic write leaves no temporaries behind.
@@ -168,7 +181,7 @@ class TestCheckpointFiles:
     def test_load_rejects_unknown_format(self, tmp_path):
         doc, _ = _capture_one()
         path = tmp_path / "other.ckpt"
-        for fmt in (999, 1):  # a future format, and the dense format 1
+        for fmt in (999, 2, 1):  # a future format, and the two older ones
             save_checkpoint(path, dict(doc, format=fmt))
             with pytest.raises(CheckpointError, match="format"):
                 load_checkpoint(path)
@@ -208,6 +221,30 @@ class TestValidation:
         with pytest.raises(CheckpointError):
             prepare_resume(dev.gpu, doc)
 
+    def test_prepare_resume_refuses_another_latency_model(self):
+        """``GPU.latency`` is constructor input like the config, and the
+        header vouches for it too (the ``STATE`` audit found it did not)."""
+        doc, _ = _capture_one()
+        dev, *_ = _build(list(range(64)), 3, 7)
+        dev.gpu.latency = dev.gpu.latency.scaled(0.5)
+        with pytest.raises(CheckpointError, match="latency"):
+            prepare_resume(dev.gpu, doc)
+
+    @pytest.mark.parametrize(
+        "registry,key,message",
+        [("kernels", "ckpt_prop", "kernel 'ckpt_prop'"),
+         ("_specs_by_seq", 0, "host launch seq 0")],
+    )
+    def test_restore_refuses_a_replay_missing_what_a_row_refers_to(
+        self, registry, key, message
+    ):
+        doc, _ = _capture_one(every=300)  # past the KMU's dispatch latency
+        dev, func, n, src, dst = _build(list(range(64)), 3, 7)
+        _launch(dev, func, n, src, dst)
+        del getattr(dev.gpu, registry)[key]
+        with pytest.raises(CheckpointError, match=f"did not produce {message}"):
+            restore_document(dev.gpu, doc)
+
     def test_prepare_resume_refuses_replay_already_past(self):
         doc, _ = _capture_one()
         dev, func, n, src, dst = _build(list(range(64)), 3, 7)
@@ -243,14 +280,36 @@ class TestRoundTripProperty:
             )
         )
 
-        def build():
-            return _build(values, mult, add, mode, fast, wild_dst=wild_dst)
+        def build(core=fast):
+            return _build(values, mult, add, mode, core, wild_dst=wild_dst)
+
+        def run_checkpointed(core):
+            """Uninterrupted, keeping every checkpoint document."""
+            docs = []
+            dev, func, _, src, dst = build(core)
+            dev.configure_checkpoint(every, on_checkpoint=docs.append)
+            _launch(dev, func, n, src, dst)
+            dev.synchronize()
+            return dev, dst, docs
 
         # Golden: one uninterrupted, uncheckpointed run.
         dev, func, _, src, dst = build()
         _launch(dev, func, n, src, dst)
         dev.synchronize()
         golden = _final_state(dev, dst, n)
+
+        # Checkpointing perturbs nothing, and lands where it is due: at
+        # the first cycle boundary at or after each multiple of
+        # ``every`` (never early; a multiple passed inside one
+        # instruction's latency is skipped) — the same cycles on both
+        # cores, which can differ only in how they step between them.
+        dev, dst, docs = run_checkpointed(fast)
+        _assert_same_final_state(_final_state(dev, dst, n), golden)
+        drained = capture_document(dev.gpu)
+        cycles = [doc["cycle"] for doc in docs]
+        assert cycles == [doc["cycle"] for doc in run_checkpointed(not fast)[2]]
+        for before, cycle in zip([0] + cycles, cycles):
+            assert cycle // every > before // every
 
         # Interrupt at the stop_at-th checkpoint (if the program runs
         # long enough to reach it; otherwise the clean completion below
@@ -275,16 +334,56 @@ class TestRoundTripProperty:
         if interrupted:
             # Replay the host program and resume from the file.
             doc = load_checkpoint(path)
+            resumed_docs = []
             dev, func, _, src, dst = build()
+            dev.configure_checkpoint(every, on_checkpoint=resumed_docs.append)
             _launch(dev, func, n, src, dst)
             prepare_resume(dev.gpu, doc)
             dev.synchronize()
+            # Every later checkpoint is the one the uninterrupted run
+            # took, whole state, starting with its (stop_at + 1)-th.
+            assert diff(docs[stop_at:], resumed_docs) is None
 
-        final = _final_state(dev, dst, n)
-        assert final["out"] == golden["out"]
-        assert final["stats"] == golden["stats"]
-        assert np.array_equal(final["memory"], golden["memory"])
-        assert final["sanitizer"] == golden["sanitizer"]
+        _assert_same_final_state(_final_state(dev, dst, n), golden)
+        assert diff(drained, capture_document(dev.gpu)) is None
+
+
+# ----------------------------------------------------------------------
+# Cadence: checkpoint_every is a schedule, not a lower bound
+# ----------------------------------------------------------------------
+class TestCadence:
+    @pytest.mark.parametrize("sanitize", [False, True], ids=["plain", "sanitized"])
+    @pytest.mark.parametrize("fast", [False, True], ids=["ref", "fast"])
+    def test_kth_checkpoint_lands_within_one_issue_of_k_times_every(
+        self, fast, sanitize
+    ):
+        """One warp alone on the machine in a long ALU loop: the fast
+        core steps it through sole-actor windows (run-ahead, or the
+        per-instruction window under the sanitizer), which used to carry
+        the cycle past every due checkpoint to the end of the run."""
+        from repro import KernelBuilder, KernelFunction
+
+        k = KernelBuilder("lone_spin")
+        out = k.ld(k.param(), offset=0)
+        acc = k.mov(0)
+        with k.for_range(0, 1500) as i:
+            k.iadd(acc, i, dst=acc)
+        k.st(out, acc)
+        k.exit()
+        config = dataclasses.replace(
+            GPUConfig.k20c(), core=("fast" if fast else "reference"),
+            sanitize=sanitize,
+        )
+        dev = make_device(config=config)
+        dev.register(KernelFunction("lone_spin", k.build()))
+        dev.launch("lone_spin", grid=1, block=32, params=[dev.alloc(1)])
+        cycles = []
+        every = 8_000
+        dev.gpu.run(checkpoint_every=every,
+                    on_checkpoint=lambda doc: cycles.append(doc["cycle"]))
+        assert len(cycles) == dev.gpu.cycle // every >= 4
+        for k_th, cycle in enumerate(cycles, start=1):
+            assert 0 <= cycle - k_th * every < config.alu_latency
 
 
 # ----------------------------------------------------------------------
@@ -319,7 +418,7 @@ class TestSparseImage:
         restore_document(gpu, doc)
 
         assert np.array_equal(gpu.memory.i, captured.gpu.memory.i)
-        for name in doc["state"]["sanitizer"]["shadow"]:
+        for name in SHADOWS:
             want = _bits(getattr(captured.gpu.sanitizer, name))
             assert np.array_equal(_bits(getattr(gpu.sanitizer, name)), want), name
         return doc, captured.gpu
@@ -329,7 +428,7 @@ class TestSparseImage:
             gpu.memory.i[:] = 0
 
         doc, _ = self._roundtrip(tmp_path, prepare)
-        assert doc["state"]["memory"]["image"].size == 0
+        assert doc["state"]["memory"]["i"].size == 0
 
     def test_last_word_set_makes_a_full_image(self, tmp_path):
         def prepare(gpu):
@@ -338,13 +437,13 @@ class TestSparseImage:
 
         doc, gpu = self._roundtrip(tmp_path, prepare)
         words = gpu.memory.size_words
-        assert doc["state"]["memory"]["image"].size == words
-        assert doc["state"]["sanitizer"]["shadow"]["_w_atomic"].size == words
+        assert doc["state"]["memory"]["i"].size == words
+        assert doc["state"]["sanitizer"]["_w_atomic"].size == words
 
     def test_image_ends_at_the_last_non_zero_word(self, tmp_path):
         doc, gpu = self._roundtrip(tmp_path, lambda gpu: None)
         top = int(np.flatnonzero(gpu.memory.i)[-1])
-        assert doc["state"]["memory"]["image"].size == top + 1 < gpu.memory.words_in_use
+        assert doc["state"]["memory"]["i"].size == top + 1 < gpu.memory.words_in_use
 
     def test_negative_zero_and_nan_payloads_survive(self, tmp_path):
         def prepare(gpu):
@@ -354,8 +453,8 @@ class TestSparseImage:
             gpu.sanitizer._w_value[3_000_001] = -0.0
 
         doc, gpu = self._roundtrip(tmp_path, prepare)
-        assert doc["state"]["memory"]["image"].size == 2_000_002
-        image = doc["state"]["sanitizer"]["shadow"]["_w_value"]
+        assert doc["state"]["memory"]["i"].size == 2_000_002
+        image = doc["state"]["sanitizer"]["_w_value"]
         assert image.size == 3_000_002
         assert image.view(np.int64)[-2] == NAN_PAYLOAD
         assert np.signbit(image[-1]) and image[-1] == 0.0
@@ -391,7 +490,7 @@ class TestSparseImage:
         short = []
 
         def keep_short(doc):
-            if doc["state"]["memory"]["image"].size <= wild:
+            if doc["state"]["memory"]["i"].size <= wild:
                 short.append(doc)
 
         dev, func, n, src, wild = build()
@@ -404,10 +503,7 @@ class TestSparseImage:
         prepare_resume(dev.gpu, doc)
         low = program(dev, func, n, src, wild)
         final = _final_state(dev, low, n)
-        assert final["out"] == golden["out"]
-        assert final["stats"] == golden["stats"]
-        assert np.array_equal(final["memory"], golden["memory"])
-        assert final["sanitizer"] == golden["sanitizer"]
+        _assert_same_final_state(final, golden)
 
 
 # ----------------------------------------------------------------------
@@ -443,15 +539,23 @@ class TestWorkloadRoundTrip:
     @pytest.mark.parametrize("fast", [False, True], ids=["ref", "fast"])
     @pytest.mark.parametrize(
         "bench,mode",
-        [("bht", "cdp"), ("bht", "dtbl"), ("bfs_citation", "dtbl")],
+        [("bht", "cdp"), ("bht", "dtbl"), ("bfs_citation", "dtbl"), ("amr", "dtbl")],
     )
     def test_sanitized_workload_resumes_bit_identical(
         self, tmp_path, clean_workload_stats, bench, mode, fast
     ):
         from repro.exec import JobSpec
 
+        # ``amr`` has linked aggregated groups in flight from its second
+        # checkpoint on; the others are interrupted at their first.
+        stop_at = 2 if bench == "amr" else 1
+
         def bomb(doc):
-            raise Interrupt()
+            bomb.count += 1
+            if bomb.count == stop_at:
+                raise Interrupt()
+
+        bomb.count = 0
 
         def spec(config, resume):
             return JobSpec.create(
@@ -460,52 +564,103 @@ class TestWorkloadRoundTrip:
                 resume=resume,
             )
 
-        workload, config = _workload(bench, mode, fast)
-        with pytest.raises(Interrupt):
-            workload.execute_spec(spec(config, False), on_checkpoint=bomb)
+        def run(resume, on_checkpoint):
+            """``execute_spec``, and the drained machine's document (taken
+            where the workload verifies its outputs)."""
+            workload, config = _workload(bench, mode, fast)
+            drained = []
+            verify = workload.check
 
-        workload, config = _workload(bench, mode, fast)
-        result = workload.execute_spec(spec(config, True))
+            def capture_then_verify(device):
+                drained.append(capture_document(device.gpu))
+                verify(device)
+
+            workload.check = capture_then_verify
+            result = workload.execute_spec(
+                spec(config, resume), on_checkpoint=on_checkpoint
+            )
+            return result, drained[0]
+
+        docs = []
+        _, drained = run(False, docs.append)
+        with pytest.raises(Interrupt):
+            run(False, bomb)
+        resumed_docs = []
+        result, resumed_drained = run(True, resumed_docs.append)
+
         stats, sanitizer = clean_workload_stats(bench, mode, fast)
         assert result.stats.to_dict() == stats
         assert result.sanitizer.to_dict() == sanitizer
+        # Whole state, not just what the workload reports: every later
+        # checkpoint and the drained machine equal the uninterrupted run's.
+        assert bench != "amr" or docs[stop_at - 1]["state"]["ages"]
+        assert diff(docs[stop_at:], resumed_docs) is None
+        assert diff(drained, resumed_drained) is None
 
-    def test_format_1_file_is_quarantined_then_run_fresh(
+    def test_format_2_file_is_quarantined_then_run_fresh(
         self, tmp_path, clean_workload_stats
     ):
-        """A checkpoint left behind by the dense format: ``load`` refuses
-        it, the workload sets it aside and the job runs from cycle 0."""
+        """A checkpoint left behind by the hand-walked format 2 (no
+        reader exists): ``load`` refuses it, the workload sets it aside
+        and the job runs from cycle 0."""
+        path = self._interrupted(tmp_path)
+        doc = load_checkpoint(path)
+        state = doc["state"]
+        state["memory"]["image"] = state["memory"].pop("i")
+        state["gpu"] = {"launch_seq": state.pop("_launch_seq")}
+        save_checkpoint(path, dict(doc, format=2))
+        with pytest.raises(CheckpointError, match="format"):
+            load_checkpoint(path)
+        self._resumes_fresh(tmp_path, path, clean_workload_stats)
+
+    def test_replay_mismatch_found_at_restore_quarantines_the_file(
+        self, tmp_path, clean_workload_stats
+    ):
+        """A mismatch only ``restore_document`` can see fires inside
+        ``GPU.run``, long after ``load`` + ``prepare_resume`` accepted
+        the file: the error propagates, but the file must not be left to
+        poison every retry."""
+        path = self._interrupted(tmp_path)
+        doc = load_checkpoint(path)
+        doc["state"]["_launch_seq"] += 1
+        save_checkpoint(path, doc)
+
+        workload, config = _workload("bht", "dtbl", True)
+        with pytest.raises(CheckpointError, match="replay mismatch"):
+            workload.execute_spec(self._spec(tmp_path, config, True))
+        assert not path.exists()
+        self._resumes_fresh(tmp_path, path, clean_workload_stats)
+
+    @staticmethod
+    def _spec(tmp_path, config, resume):
         from repro.exec import JobSpec
 
+        return JobSpec.create(
+            "bht", ExecutionMode.DTBL, SCALE, 0.25, config=config,
+            checkpoint_every=4_000, checkpoint_dir=str(tmp_path),
+            resume=resume,
+        )
+
+    def _interrupted(self, tmp_path):
+        """Kill ``bht``/``dtbl`` at its first checkpoint; the file's path."""
         def bomb(doc):
             raise Interrupt()
 
-        def spec(config, resume):
-            return JobSpec.create(
-                "bht", ExecutionMode.DTBL, SCALE, 0.25, config=config,
-                checkpoint_every=4_000, checkpoint_dir=str(tmp_path),
-                resume=resume,
-            )
-
         workload, config = _workload("bht", "dtbl", True)
         with pytest.raises(Interrupt):
-            workload.execute_spec(spec(config, False), on_checkpoint=bomb)
+            workload.execute_spec(
+                self._spec(tmp_path, config, False), on_checkpoint=bomb
+            )
         (path,) = tmp_path.glob("*.ckpt")
-        doc = load_checkpoint(path)
-        memory = doc["state"]["memory"]
-        image = memory.pop("image")
-        memory["buffer"] = np.zeros(doc["memory_words"], dtype=np.int64)
-        memory["buffer"][: image.size] = image
-        save_checkpoint(path, dict(doc, format=1))
-        with pytest.raises(CheckpointError, match="format"):
-            load_checkpoint(path)
+        return path
 
+    def _resumes_fresh(self, tmp_path, path, clean_workload_stats):
         workload, config = _workload("bht", "dtbl", True)
-        result = workload.execute_spec(spec(config, True))
+        result = workload.execute_spec(self._spec(tmp_path, config, True))
         stats, sanitizer = clean_workload_stats("bht", "dtbl", True)
         assert result.stats.to_dict() == stats
         assert result.sanitizer.to_dict() == sanitizer
-        assert path.with_suffix(".ckpt.corrupt").exists()
+        assert path.with_suffix(".ckpt.corrupt").exists() and not path.exists()
 
     @pytest.mark.parametrize("sanitize", [False, True], ids=["plain", "sanitized"])
     def test_document_size_follows_the_touched_words(self, sanitize):
@@ -523,11 +678,11 @@ class TestWorkloadRoundTrip:
         run_job(spec, on_checkpoint=docs.append)
         assert docs
         for doc in docs:
-            image = doc["state"]["memory"]["image"]
+            image = doc["state"]["memory"]["i"]
             assert 0 < image.size < doc["memory_words"] // 8
             assert image[-1] != 0
             assert len(pickle.dumps(doc, protocol=4)) < 16 * 2**20
-            shadow = (doc["state"]["sanitizer"] or {}).get("shadow", {})
-            assert len(shadow) == (14 if doc["sanitize"] else 0)
-            for name, array in shadow.items():
+            assert (doc["state"]["sanitizer"] is not None) == doc["sanitize"]
+            for name in SHADOWS if doc["sanitize"] else ():
+                array = doc["state"]["sanitizer"][name]
                 assert array.size < doc["memory_words"] // 8, name

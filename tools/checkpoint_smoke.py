@@ -38,11 +38,7 @@ BENCH = "bfs_citation"
 MODE = ExecutionMode.DTBL
 SCALE = 0.1
 LATENCY_SCALE = 0.25
-#: The fast core checkpoints at the first cycle boundary its issue loop
-#: visits after the due cycle, which a sole-actor window can push to the
-#: end of a ``run()``; 4,000 is a cadence every core/sanitize pairing of
-#: this point reaches (sanitized fast never reaches one at 8,000).
-CKPT_EVERY = 4_000
+CKPT_EVERY = 8_000
 
 
 class Interrupt(Exception):
@@ -76,7 +72,7 @@ def smoke_one(fast: bool) -> bool:
         print(f"[{core}] FAIL: interrupt left no checkpoint at {path}")
         return False
     doc = load_checkpoint(path)
-    extent = doc["state"]["memory"]["image"].size
+    extent = doc["state"]["memory"]["i"].size
     print(f"[{core}] checkpoint at cycle {doc['cycle']:,}: "
           f"{path.stat().st_size / 1024:.1f} KiB on disk, memory image "
           f"{extent:,} of {doc['memory_words']:,} words")
