@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import asdict, dataclass, fields, replace
+from dataclasses import dataclass, fields, replace
 
 from .errors import ConfigError
 
@@ -269,7 +269,9 @@ class GPUConfig:
     # ------------------------------------------------------------------
     def to_dict(self) -> dict:
         """All fields as a JSON-safe dictionary (exact round trip)."""
-        return asdict(self)
+        # Every field is a number, a string or a bool: nothing for
+        # ``dataclasses.asdict`` to recurse into or copy.
+        return {name: getattr(self, name) for name in _GPU_FIELDS}
 
     @classmethod
     def from_dict(cls, data: dict) -> "GPUConfig":
@@ -279,8 +281,7 @@ class GPUConfig:
         a different code version must not be silently reinterpreted);
         missing keys take the current defaults.
         """
-        known = {f.name for f in fields(cls)}
-        unknown = set(data) - known
+        unknown = set(data).difference(_GPU_FIELDS)
         if unknown:
             raise ConfigError(
                 f"unknown GPUConfig fields: {sorted(unknown)}"
@@ -332,3 +333,6 @@ class GPUConfig:
             l2_size=64 * 1024,
             agt_entries=64,
         )
+
+
+_GPU_FIELDS = tuple(f.name for f in fields(GPUConfig))

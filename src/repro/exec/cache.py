@@ -25,6 +25,7 @@ after a cached sweep).
 
 from __future__ import annotations
 
+import glob
 import json
 import os
 import tempfile
@@ -66,18 +67,23 @@ class CorruptEntry(Exception):
     """Internal: an on-disk entry is unreadable or fails validation."""
 
 
+def _temp_prefix(path: Path) -> str:
+    return f".{path.stem[:12]}-"
+
+
 def atomic_write(path: os.PathLike, data: bytes) -> None:
     """Write ``data`` to ``path`` so that no reader sees a torn file.
 
     The unique temporary file lives in the target directory, so
     ``os.replace`` is a same-filesystem atomic rename on every platform;
-    it is removed again when the write or the rename fails.  Shared by
-    the result cache and checkpoint files.
+    it is removed again when the write or the rename fails — but not when
+    the writer is killed in between: whoever owns ``path`` removes those
+    (:func:`temp_files`).  Shared by the result cache and checkpoint files.
     """
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp_name = tempfile.mkstemp(
-        prefix=f".{path.stem[:12]}-", suffix=".tmp", dir=path.parent
+        prefix=_temp_prefix(path), suffix=".tmp", dir=path.parent
     )
     try:
         with os.fdopen(fd, "wb") as handle:
@@ -89,6 +95,13 @@ def atomic_write(path: os.PathLike, data: bytes) -> None:
         except OSError:
             pass
         raise
+
+
+def temp_files(path: os.PathLike) -> list:
+    """The temporary files of :func:`atomic_write` calls for ``path`` that
+    are still there: a write in flight, or one whose writer was killed."""
+    path = Path(path)
+    return list(path.parent.glob(f"{glob.escape(_temp_prefix(path))}*.tmp"))
 
 
 def _check_key(key: str) -> str:

@@ -184,7 +184,8 @@ def _worker_main(conn: Connection, owner_ends: List[Connection]) -> None:
     """Worker-process main: ``recv spec -> run -> send outcome`` until EOF.
 
     The pipe is the only channel in either direction.  An outcome carries
-    the payload and how many checkpoints the attempt took, or the error
+    the payload, how many checkpoints the attempt took and the host time
+    it spent capturing and saving them (``checkpoint_ms``), or the error
     as a ``Type: message`` string beside the exception object itself
     when that pickles: every exception a job raises — simulation errors,
     verification failures — is reported, and only an abrupt death (kill,
@@ -193,6 +194,8 @@ def _worker_main(conn: Connection, owner_ends: List[Connection]) -> None:
     owner-side end, so ``owner_ends`` — its own pipe's and those of the
     workers forked before it — are closed first.
     """
+    from ..state.snapshot import host_seconds  # repro.state imports this package
+
     for end in owner_ends:
         end.close()
     # A terminal's Ctrl-C goes to the whole process group; the owner,
@@ -211,10 +214,12 @@ def _worker_main(conn: Connection, owner_ends: List[Connection]) -> None:
         while True:
             spec = conn.recv()
             checkpoints = 0
+            spent = host_seconds()
             try:
                 payload = _worker_entry(spec, on_checkpoint)
                 outcome = {"ok": True, "payload": payload,
-                           "checkpoints": checkpoints}
+                           "checkpoints": checkpoints,
+                           "checkpoint_ms": 1e3 * (host_seconds() - spent)}
             except Exception as exc:  # report, don't vanish
                 outcome = {"ok": False, "exception": _portable(exc),
                            "error": f"{type(exc).__name__}: {exc}"}

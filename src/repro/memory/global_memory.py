@@ -10,9 +10,17 @@ Addresses used throughout the simulator are *word* indices into this store.
 A checkpoint carries the store (and every word-indexed shadow of it) as
 an *image*: the prefix that ends at the last word whose bits are not all
 zero.  :func:`trim_image` and :func:`apply_image` are that pair for any
-1-D array (an ``"image"`` row of a ``STATE`` table, see
-:mod:`repro.state.schema`).  Neither side keeps a record of writes: the
-extent is found by scanning, so the store paths pay nothing for it.
+word-indexed array (an ``"image"`` row of a ``STATE`` table, see
+:mod:`repro.state.schema`).  Both look below a *bound* only:
+:attr:`GlobalMemory.written_end`, an upper bound on the highest word any
+write has touched, which every write site raises where its bounds check
+already has the highest address in hand (one integer compare per store
+issue; loads pay nothing).  An upper bound is enough — the image is cut
+at the last set word *below* it, wherever exactly the bound lies — and it
+is what spares a checkpoint the read of the whole 32 MB store, which no
+faster primitive removes: that scan already ran at memory bandwidth.
+:func:`image_extent` over a whole array is the oracle the bound is
+tested against (and audited with at every sanitized checkpoint).
 """
 
 from __future__ import annotations
@@ -44,20 +52,20 @@ def image_extent(array: np.ndarray) -> int:
     return 0
 
 
-def trim_image(array: np.ndarray) -> np.ndarray:
-    """Copy of ``array`` up to its :func:`image_extent`."""
-    return array[: image_extent(array)].copy()
+def trim_image(array: np.ndarray, bound: int) -> np.ndarray:
+    """Copy of ``array`` up to its last set element; nothing is set at or
+    above ``bound``."""
+    return array[: image_extent(array[:bound])].copy()
 
 
-def apply_image(array: np.ndarray, image: np.ndarray) -> None:
+def apply_image(array: np.ndarray, image: np.ndarray, bound: int) -> None:
     """Make ``array`` equal what :func:`trim_image` was taken from.
 
-    Writes ``image`` over the head of ``array`` and zeroes whatever
-    ``array`` holds above it; the untouched zero tail is left alone.
+    Writes ``image`` over the head of ``array`` and zeroes what ``array``
+    may hold above it, which ends below ``bound``.
     """
     array[: image.size] = image
-    above = array[image.size :]
-    above[: image_extent(above)] = 0
+    array[image.size : bound] = 0
 
 
 class GlobalMemory:
@@ -75,6 +83,9 @@ class GlobalMemory:
         "size_words",  # constructor input
         "_buffer", "f",  # the words of `i` under other names
         "observer",  # wiring
+        # Any upper bound serves, so a restore keeps the replay's own and
+        # raises it to the images it applies.
+        "written_end",
     )
 
     def __init__(self, size_words: int = 4 * 1024 * 1024) -> None:
@@ -91,6 +102,11 @@ class GlobalMemory:
         #: Live allocations: base address -> word count.  Freed ranges are
         #: removed; the sanitizer keeps the dead-range shadow.
         self._live: dict = {}
+        #: No word at or above this index has ever been written: every
+        #: write site — the host-side methods below, the store, local-store
+        #: and atomic paths of both cores, the sanitizer for its shadows —
+        #: raises it to one past its highest address.
+        self.written_end = 0
         #: Optional allocation/host-write observer (the sanitizer).  Must
         #: provide ``on_alloc(base, words)``, ``on_free(base, words)`` and
         #: ``on_host_write(base, words)``.
@@ -154,8 +170,7 @@ class GlobalMemory:
             self.f[base : base + arr.size] = arr.ravel()
         else:
             self.i[base : base + arr.size] = arr.ravel()
-        if self.observer is not None:
-            self.observer.on_host_write(base, arr.size)
+        self.host_wrote(base, arr.size)
         return base
 
     @property
@@ -178,8 +193,7 @@ class GlobalMemory:
     def write_int(self, addr: int, value: int) -> None:
         self.check_range(addr, 1)
         self.i[addr] = value
-        if self.observer is not None:
-            self.observer.on_host_write(addr, 1)
+        self.host_wrote(addr, 1)
 
     def read_float(self, addr: int) -> float:
         self.check_range(addr, 1)
@@ -188,8 +202,7 @@ class GlobalMemory:
     def write_float(self, addr: int, value: float) -> None:
         self.check_range(addr, 1)
         self.f[addr] = value
-        if self.observer is not None:
-            self.observer.on_host_write(addr, 1)
+        self.host_wrote(addr, 1)
 
     def read_ints(self, addr: int, count: int) -> np.ndarray:
         self.check_range(addr, count)
@@ -199,8 +212,7 @@ class GlobalMemory:
         arr = np.asarray(values, dtype=np.int64)
         self.check_range(addr, arr.size)
         self.i[addr : addr + arr.size] = arr
-        if self.observer is not None:
-            self.observer.on_host_write(addr, arr.size)
+        self.host_wrote(addr, arr.size)
 
     def read_floats(self, addr: int, count: int) -> np.ndarray:
         self.check_range(addr, count)
@@ -210,8 +222,14 @@ class GlobalMemory:
         arr = np.asarray(values, dtype=np.float64)
         self.check_range(addr, arr.size)
         self.f[addr : addr + arr.size] = arr
+        self.host_wrote(addr, arr.size)
+
+    def host_wrote(self, addr: int, count: int) -> None:
+        """What every host-side write of [addr, addr+count) ends with."""
+        if addr + count > self.written_end:
+            self.written_end = addr + count
         if self.observer is not None:
-            self.observer.on_host_write(addr, arr.size)
+            self.observer.on_host_write(addr, count)
 
     def check_range(self, addr: int, count: int = 1) -> None:
         """Raise :class:`MemoryError_` unless [addr, addr+count) is valid."""

@@ -364,8 +364,7 @@ class Device:
         memory = self._memory()
         memory.check_range(addr, words)
         memory.i[addr : addr + words] = value
-        if memory.observer is not None:
-            memory.observer.on_host_write(addr, words)
+        memory.host_wrote(addr, words)
 
     def copy_device(self, dst: int, src: int, words: int) -> None:
         """cudaMemcpyDeviceToDevice (word-granular)."""
@@ -373,8 +372,7 @@ class Device:
         memory.check_range(src, words)
         memory.check_range(dst, words)
         memory.i[dst : dst + words] = memory.i[src : src + words].copy()
-        if memory.observer is not None:
-            memory.observer.on_host_write(dst, words)
+        memory.host_wrote(dst, words)
 
     # ------------------------------------------------------------------
     # Streams

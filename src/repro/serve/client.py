@@ -16,6 +16,20 @@ Quickstart::
         result = client.result(client.wait(info["id"])["id"])
         print(result.stats.cycles, result.source)
 
+**A client keeps what it was sent.**  The daemon answers with a job's
+result wherever it says the job is ``done`` (see the server's endpoint
+table), so a terminal info that ``submit``, ``submit_sweep``, ``wait``,
+``job`` or ``cancel`` brings back is remembered: ``wait`` of such a job
+returns it without a request, and ``result`` hands the stored result
+over — once; it is dropped with the hand-over.  ``result`` makes a
+request (``GET /jobs/<id>/result``) only when the client holds nothing
+for that job: another client submitted it, nobody waited for it here, it
+was asked for a second time, or more than :data:`KEPT_JOBS` terminal
+jobs came in since and it was the oldest.  A cache hit is therefore one
+request through ``submit`` -> ``wait`` -> ``result`` and a job that had
+to run is two; the info dicts returned are what they always were (the
+result is taken out of them).
+
 A client holds **one kept-alive connection** and sends its requests on
 it one after another, so it belongs to one thread at a time: give each
 thread its own ``ServeClient``.  (:meth:`ServeClient.events` is the
@@ -29,12 +43,20 @@ from __future__ import annotations
 
 import json
 import time
+from collections import OrderedDict
 from http.client import HTTPConnection
-from typing import Iterator, List, Optional, Sequence, Union
+from typing import Iterator, List, Optional, Sequence, Tuple, Union
 
 from ..exec import JobResult, JobSpec
 
 SpecLike = Union[JobSpec, dict]
+
+_TERMINAL = ("done", "failed", "cancelled")
+
+#: Terminal jobs a client remembers (info, and result if it came along)
+#: until their result is fetched; the oldest beyond this are forgotten,
+#: which costs their ``wait`` / ``result`` a request again.
+KEPT_JOBS = 64
 
 
 class ServeError(RuntimeError):
@@ -65,6 +87,7 @@ class ServeClient:
         self.client = client
         self.timeout = timeout
         self._conn = HTTPConnection(host, port, timeout=timeout)  # lazy connect
+        self._kept: "OrderedDict[str, Tuple[dict, Optional[dict]]]" = OrderedDict()
 
     def close(self) -> None:
         """Drop the connection (the next request opens a new one)."""
@@ -109,16 +132,29 @@ class ServeClient:
     def _spec_dict(spec: SpecLike) -> dict:
         return spec.to_dict() if isinstance(spec, JobSpec) else dict(spec)
 
+    def _keep(self, info: dict) -> dict:
+        """``info`` as callers have always seen it; a terminal one, and
+        the result it carried, remembered."""
+        result = info.pop("result", None)
+        # Whatever was held under this id is older than ``info`` (a
+        # restarted daemon counts its job ids from zero again).
+        self._kept.pop(info["id"], None)
+        if info["status"] in _TERMINAL:
+            self._kept[info["id"]] = (info, result)
+            if len(self._kept) > KEPT_JOBS:
+                self._kept.popitem(last=False)
+        return info
+
     # ------------------------------------------------------------------
     # Submission
     # ------------------------------------------------------------------
     def submit(self, spec: SpecLike, priority: int = 0) -> dict:
         """Submit one job; returns its info dict (``info["id"]``)."""
-        return self._request("POST", "/jobs", {
+        return self._keep(self._request("POST", "/jobs", {
             "spec": self._spec_dict(spec),
             "client": self.client,
             "priority": priority,
-        })
+        }))
 
     def submit_sweep(self, specs: Sequence[SpecLike], priority: int = 0) -> List[dict]:
         """Submit a batch; returns one info dict per spec, in order."""
@@ -127,16 +163,17 @@ class ServeClient:
             "client": self.client,
             "priority": priority,
         })
-        return payload["jobs"]
+        return [self._keep(info) for info in payload["jobs"]]
 
     # ------------------------------------------------------------------
     # Progress
     # ------------------------------------------------------------------
     def job(self, job_id: str) -> dict:
-        return self._request("GET", f"/jobs/{job_id}")
+        return self._keep(self._request("GET", f"/jobs/{job_id}"))
 
     def wait(self, job_id: str, timeout: float = 600.0, poll: float = 0.05) -> dict:
-        """Block until the job is terminal; returns its final info.
+        """Block until the job is terminal; returns its final info — at
+        once, when this client has already been told it is.
 
         Each round is one ``GET /jobs/<id>?wait=<seconds>``, which the
         daemon answers the moment the job ends.  A round asks for at most
@@ -144,11 +181,13 @@ class ServeClient:
         ``timeout`` is a series of rounds; ``poll`` is only the pause
         after a round that came back non-terminal.
         """
+        if job_id in self._kept:
+            return self._kept[job_id][0]
         deadline = time.monotonic() + timeout
         while True:
             hold = max(0.0, min(deadline - time.monotonic(), self.timeout / 2))
-            info = self._request("GET", f"/jobs/{job_id}?wait={hold:.3f}")
-            if info["status"] in ("done", "failed", "cancelled"):
+            info = self._keep(self._request("GET", f"/jobs/{job_id}?wait={hold:.3f}"))
+            if info["status"] in _TERMINAL:
                 return info
             remaining = deadline - time.monotonic()
             if remaining <= 0:
@@ -183,14 +222,18 @@ class ServeClient:
         """The finished job's :class:`~repro.exec.JobResult`.
 
         Raises :class:`ServeError` (409) while the job is still pending
-        and :class:`JobFailed` when it failed or was cancelled.
+        and :class:`JobFailed` when it failed or was cancelled.  Costs a
+        request only when the result did not already come with an info
+        (see the module docstring).
         """
-        try:
-            payload = self._request("GET", f"/jobs/{job_id}/result")
-        except ServeError as exc:
-            if exc.payload.get("status") in ("failed", "cancelled"):
-                raise JobFailed(exc.status, exc.payload) from None
-            raise
+        _info, payload = self._kept.pop(job_id, (None, None))
+        if payload is None:
+            try:
+                payload = self._request("GET", f"/jobs/{job_id}/result")
+            except ServeError as exc:
+                if exc.payload.get("status") in ("failed", "cancelled"):
+                    raise JobFailed(exc.status, exc.payload) from None
+                raise
         return JobResult.from_payload(
             payload["payload"],
             fingerprint=payload["fingerprint"],
@@ -212,7 +255,7 @@ class ServeClient:
     # Control
     # ------------------------------------------------------------------
     def cancel(self, job_id: str) -> dict:
-        return self._request("POST", f"/jobs/{job_id}/cancel")
+        return self._keep(self._request("POST", f"/jobs/{job_id}/cancel"))
 
     def status(self) -> dict:
         return self._request("GET", "/status")

@@ -163,8 +163,9 @@ class Job:
     kill_reason: Optional[str] = None
 
     def info(self) -> dict:
-        """The JSON-safe view clients see."""
-        return {
+        """The JSON-safe view clients see; a ``done`` job's carries its
+        :meth:`result`, so whoever learns that it is done has it."""
+        info = {
             "id": self.id,
             "client": self.client,
             "priority": self.priority,
@@ -177,6 +178,16 @@ class Job:
             "preemptions": self.preemptions,
             "error": self.error,
             "leader": self.leader,
+        }
+        if self.status == "done":
+            info["result"] = self.result()
+        return info
+
+    def result(self) -> dict:
+        """What ``GET /jobs/<id>/result`` answers for a ``done`` job."""
+        return {
+            "id": self.id, "fingerprint": self.fingerprint,
+            "source": self.source, "payload": self.payload,
         }
 
 
@@ -193,8 +204,11 @@ class ManagerStats:
     preemptions: int = 0
     retries: int = 0
     quota_rejections: int = 0
-    #: Checkpoints taken by the attempts that produced a result.
+    #: Checkpoints taken by the attempts that produced a result, and the
+    #: host milliseconds their workers spent capturing and saving them:
+    #: what the daemon's cadence costs.
     checkpoints: int = 0
+    checkpoint_ms: float = 0.0
     #: Worker processes forked: the first ``workers`` on demand, then one
     #: per worker killed (preemption, cancel) or lost (crash).
     worker_spawns: int = 0
@@ -287,9 +301,9 @@ class JobManager:
         """
         if self._closed:
             raise RuntimeError("daemon is shutting down")
-        if not isinstance(spec, JobSpec):
-            spec = JobSpec.from_dict(spec)
-        spec = self._effective(spec.validate())
+        # ``from_dict`` validates what it builds.
+        spec = spec.validate() if isinstance(spec, JobSpec) else JobSpec.from_dict(spec)
+        spec = self._effective(spec)
         fingerprint = spec.fingerprint()
         seq = next(self._seq)
         job = Job(
@@ -509,7 +523,10 @@ class JobManager:
 
     def _settle(self, job: Job, outcome: dict) -> None:
         if outcome.get("ok"):
-            self._complete(job, outcome["payload"], outcome.get("checkpoints", 0))
+            self._complete(
+                job, outcome["payload"], outcome["checkpoints"],
+                outcome["checkpoint_ms"],
+            )
         else:
             job.error = str(outcome.get("error"))
             self._fail(job)
@@ -557,12 +574,17 @@ class JobManager:
             self._fail(job)
         self._schedule()
 
-    def _complete(self, job: Job, payload: dict, checkpoints: int) -> None:
+    def _complete(
+        self, job: Job, payload: dict, checkpoints: int, checkpoint_ms: float
+    ) -> None:
         if self.cache is not None:
             self.cache.store(job.fingerprint, payload)
         job.payload, job.source = payload, "run"
         self.stats.checkpoints += checkpoints
-        self._finish(job, "done", checkpoints=checkpoints)
+        self.stats.checkpoint_ms += checkpoint_ms
+        self._finish(
+            job, "done", checkpoints=checkpoints, checkpoint_ms=checkpoint_ms
+        )
         for follower_id in job.followers:
             follower = self._jobs.get(follower_id)
             if follower is None or follower.status in TERMINAL:

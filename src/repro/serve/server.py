@@ -15,9 +15,21 @@ GET    ``/jobs/<id>``            job status/info; ``?wait=<seconds>`` holds
 GET    ``/jobs/<id>/result``     result payload (``409`` until done)
 GET    ``/jobs/<id>/events``     NDJSON stream of lifecycle events
 POST   ``/jobs/<id>/cancel``     cancel (kills a running worker)
-GET    ``/status``               daemon/queue/cache counters
+GET    ``/status``               daemon/queue/cache counters, and
+                                 ``requests``: requests framed so far,
+                                 this one included
 POST   ``/shutdown``             drain and exit cleanly
 ====== ========================= =========================================
+
+**A job info that says ``done`` carries the result.**  Wherever a job
+info is answered — ``POST /jobs``, each entry of ``POST /sweeps``,
+``GET /jobs/<id>`` with or without ``?wait=``, ``cancel`` — a job that is
+``done`` at that moment has one more key, ``"result"``: the object
+``GET /jobs/<id>/result`` answers (``id``, ``fingerprint``, ``source``,
+``payload``).  The daemon holds it in its hand either way, so a cache hit
+is complete in the answer to its submission (one request) and a job that
+had to run in the answer to the wait that saw it end (two);
+``/jobs/<id>/result`` stays for whoever asks later or elsewhere.
 
 Request bodies are JSON: ``{"spec": {...}, "client": "...",
 "priority": 0}`` for ``/jobs``; ``{"specs": [...], ...}`` for
@@ -171,6 +183,8 @@ class ReproServer:
         self.manager = JobManager(config)
         self.host = host
         self.port = port
+        #: Requests framed so far, whatever was answered (``/status``).
+        self.requests = 0
         self._server: Optional[asyncio.AbstractServer] = None
         self._stop = asyncio.Event()
         self._handlers: Set[asyncio.Task] = set()  # one per open connection
@@ -226,6 +240,7 @@ class ReproServer:
                     self._idle.discard(writer)
                 if request is None:
                     break
+                self.requests += 1
                 reply = await self._answer(request, writer)
                 if reply is None:  # streamed; closing ends the stream
                     break
@@ -283,7 +298,7 @@ class ReproServer:
             )
             return 202, {"jobs": infos}
         if path == "/status" and method == "GET":
-            return 200, manager.status()
+            return 200, {**manager.status(), "requests": self.requests}
         if path == "/shutdown" and method == "POST":
             self.stop()
             return 200, {"status": "shutting down"}
@@ -303,10 +318,7 @@ class ReproServer:
         if verb == "result" and method == "GET":
             job = manager.get(job_id)
             if job.status == "done":
-                return 200, {
-                    "id": job.id, "fingerprint": job.fingerprint,
-                    "source": job.source, "payload": job.payload,
-                }
+                return 200, job.result()
             if job.status in ("failed", "cancelled"):
                 return 409, {
                     "error": f"job {job.id} {job.status}: {job.error}",

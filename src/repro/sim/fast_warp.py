@@ -473,6 +473,8 @@ def _make_store(instr):
 
     def run(w, frame, cycle):
         addrs, alist, lo, hi = _lane_addrs(w, frame, base_idx, off)
+        if hi >= w._mem.written_end:
+            w._mem.written_end = hi + 1
         src = w.regs_i[si] if si >= 0 else sv if si == -1 else gs(w)
         mem = w._mem_f if is_float else w._mem_i
         if isinstance(src, np.ndarray):
@@ -521,6 +523,8 @@ def _make_atomic(instr):
                         )
         else:
             lo, hi = 0, -1
+        if hi >= w._mem.written_end:
+            w._mem.written_end = hi + 1
         mem = w._mem_i
         ri = w.regs_i
         vals = (ri[bi] if full else ri[bi][mask]) if bi >= 0 else bv

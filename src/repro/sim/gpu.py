@@ -9,6 +9,7 @@ statistic over the skipped interval.
 
 from __future__ import annotations
 
+import functools
 import heapq
 import os
 from typing import Callable, Dict, List, Optional, Sequence, Union
@@ -257,8 +258,7 @@ class GPU:
                 self.memory.f[base + i] = value
             else:
                 self.memory.i[base + i] = int(value)
-        if self.memory.observer is not None:
-            self.memory.observer.on_host_write(base, len(values))
+        self.memory.host_wrote(base, len(values))
         return base
 
     def host_launch(
@@ -382,14 +382,10 @@ class GPU:
         if every:
             from ..state import snapshot as _snapshot
 
-            fingerprint = self._checkpoint_fingerprint
-
-            def checkpoint() -> None:
-                doc = _snapshot.capture_document(self, fingerprint)
-                if path is not None:
-                    _snapshot.save_checkpoint(path, doc)
-                if callback is not None:
-                    callback(doc)
+            checkpoint = functools.partial(
+                _snapshot.checkpoint, self, self._checkpoint_fingerprint,
+                path, callback,
+            )
 
         if self.fast_core:
             return self._run_fast(max_cycles, every, checkpoint)

@@ -308,8 +308,17 @@ class Sanitizer:
     # ------------------------------------------------------------------
     # Memory-allocator observer protocol (GlobalMemory.observer)
     # ------------------------------------------------------------------
+    def _shadowed(self, end: int) -> None:
+        """The shadows are cut at the store's bound (see
+        :mod:`repro.memory.global_memory`), so marking a word raises it:
+        an allocation or a load marks words nothing has stored to."""
+        memory = self._gpu.memory
+        if end > memory.written_end:
+            memory.written_end = end
+
     def on_alloc(self, base: int, words: int) -> None:
         end = base + words
+        self._shadowed(end)
         self._addressable[base:end] = True
         self._freed[base:end] = False
         self._init[base:end] = False
@@ -576,6 +585,7 @@ class Sanitizer:
                             break
 
         # ---------------- shadow update --------------------------------
+        self._shadowed(int(addrs.max()) + 1)
         if is_write:
             self._w_block[addrs] = uid
             self._w_thread[addrs] = tid1

@@ -51,6 +51,7 @@ class Warp:
         "init_mask",
         "_gpu",
         "_instrs",
+        "_mem",
         "_mem_i",
         "_mem_f",
         "_mem_size",
@@ -74,8 +75,8 @@ class Warp:
         "tb", "warp_index", "context_slot", "hw_slot_base",
         "tid_x", "tid_y", "tid_z", "gtid", "init_mask",
         # Hot-path references into the GPU.
-        "_gpu", "_instrs", "_mem_i", "_mem_f", "_mem_size", "_stats", "_cfg",
-        "_lat", "_san",
+        "_gpu", "_instrs", "_mem", "_mem_i", "_mem_f", "_mem_size", "_stats",
+        "_cfg", "_lat", "_san",
     )
 
     def __init__(self, tb: "ThreadBlock", warp_index: int, context_slot: int) -> None:
@@ -116,6 +117,7 @@ class Warp:
         self.age = 0
         self._gpu = gpu
         self._instrs = tb.func.program.instructions
+        self._mem = gpu.memory
         self._mem_i = gpu.memory.i
         self._mem_f = gpu.memory.f
         self._mem_size = gpu.memory.size_words
@@ -214,7 +216,7 @@ class Warp:
     # ------------------------------------------------------------------
     # Global memory
     # ------------------------------------------------------------------
-    def _lane_addresses(self, instr, mask: np.ndarray) -> np.ndarray:
+    def _lane_addresses(self, instr, mask: np.ndarray, store: bool = False) -> np.ndarray:
         base = self._val_i(instr.a)
         if isinstance(base, np.ndarray):
             addrs = base[mask] + instr.offset
@@ -228,6 +230,8 @@ class Warp:
                     f"kernel {self.tb.func.name!r}: global access out of range "
                     f"(addr {lo}..{hi}, mem size {self._mem_size})"
                 )
+            if store and hi >= self._mem.written_end:
+                self._mem.written_end = hi + 1
         return addrs
 
     def _memory_timing(self, addrs: np.ndarray, is_write: bool, cycle: int) -> None:
@@ -257,14 +261,14 @@ class Warp:
         return False
 
     def _h_st(self, instr, frame, mask, cycle):
-        addrs = self._lane_addresses(instr, mask)
+        addrs = self._lane_addresses(instr, mask, store=True)
         src = self._val_i(instr.b)
         self._mem_i[addrs] = src[mask] if isinstance(src, np.ndarray) else src
         self._memory_timing(addrs, True, cycle)
         return False
 
     def _h_fst(self, instr, frame, mask, cycle):
-        addrs = self._lane_addresses(instr, mask)
+        addrs = self._lane_addresses(instr, mask, store=True)
         src = self._val_f(instr.b)
         self._mem_f[addrs] = src[mask] if isinstance(src, np.ndarray) else src
         self._memory_timing(addrs, True, cycle)
@@ -324,7 +328,7 @@ class Warp:
     # ------------------------------------------------------------------
     # Local memory (per-thread, interleaved layout, cached in the L1)
     # ------------------------------------------------------------------
-    def _local_addresses(self, instr, mask: np.ndarray) -> np.ndarray:
+    def _local_addresses(self, instr, mask: np.ndarray, store: bool = False) -> np.ndarray:
         """Physical addresses for per-thread local offsets.
 
         CUDA's interleaved local layout: word ``offset`` of every thread
@@ -350,6 +354,11 @@ class Warp:
         base = self._gpu.local_arena_base(smx.smx_id)
         threads = self._cfg.max_resident_threads
         lane_ids = self.context_slot * WARP_SIZE + np.flatnonzero(mask)
+        if store and active.size:
+            # Every lane id is below ``threads``: the end of row ``hi``.
+            end = base + (hi + 1) * threads
+            if end > self._mem.written_end:
+                self._mem.written_end = end
         return base + active * threads + lane_ids
 
     def _local_timing(self, addrs: np.ndarray, is_write: bool, cycle: int) -> None:
@@ -378,7 +387,7 @@ class Warp:
         return False
 
     def _h_stl(self, instr, frame, mask, cycle):
-        addrs = self._local_addresses(instr, mask)
+        addrs = self._local_addresses(instr, mask, store=True)
         src = self._val_i(instr.b)
         self._mem_i[addrs] = src[mask] if isinstance(src, np.ndarray) else src
         self._local_timing(addrs, True, cycle)
@@ -453,6 +462,8 @@ class Warp:
             if cvals is not None:  # ATOM_CAS: b is compare, c is the new value
                 new = int(cvals[lane]) if isinstance(cvals, np.ndarray) else int(cvals)
             mem[addr] = combine(current, value, new)
+            if addr >= self._mem.written_end:
+                self._mem.written_end = addr + 1
         if instr.dst is not None:
             self._write_i(instr.dst, old, mask)
         self._memory_timing(active_addrs, False, cycle)

@@ -14,6 +14,7 @@ from .snapshot import (
     CHECKPOINT_FORMAT,
     capture_document,
     checkpoint_path_for,
+    discard_checkpoint,
     load_checkpoint,
     prepare_resume,
     quarantine_checkpoint,
@@ -28,6 +29,7 @@ __all__ = [
     "check_drained",
     "checkpoint_path_for",
     "diff",
+    "discard_checkpoint",
     "dump_state",
     "dump_warp",
     "load_checkpoint",

@@ -12,9 +12,11 @@ fails when an attribute is in neither.  ``kind`` is one of
     a list / dict / set / tuple / ndarray, nested freely: :func:`copied`
     out and again in, so a document never aliases a live machine;
 ``"image"``
-    a word-indexed ndarray others hold views of: trimmed on the way out
-    (:func:`~repro.memory.global_memory.trim_image`), written over the
-    live array in place on the way in;
+    a word-indexed ndarray others hold views of: the capturing side's
+    ``refs["image"](array)`` trims it on the way out, the restoring
+    side's ``refs["image"](array, image)`` writes it over the live array
+    in place (:mod:`repro.memory.global_memory`; both need the store's
+    write bound, which the snapshot has and a table does not);
 ``"record"`` / ``"age"`` / ``"kde"`` / ``"kernel"`` / ``"spec"`` / ``"smx"``
     a reference into an identity registry, stored as what the capturing
     side's ``refs[kind]`` makes of the object (an index, a name, a seq)
@@ -37,8 +39,6 @@ from __future__ import annotations
 import functools
 
 import numpy as np
-
-from ..memory.global_memory import apply_image, trim_image
 
 #: ``drained`` of a row that says nothing about the drained machine.
 ANY = object()
@@ -106,8 +106,6 @@ def encode(value, kind, refs: dict):
         return None
     if kind == "copy":
         return copied(value)
-    if kind == "image":
-        return trim_image(value)
     if type(kind) is list:
         inner = kind[0]
         if type(inner) is str:
@@ -127,7 +125,7 @@ def restore(obj, data: dict, refs: dict) -> None:
         value = data[name]
         cls = kind[0] if type(kind) is list else kind
         if kind == "image":
-            apply_image(getattr(obj, name), value)
+            refs["image"](getattr(obj, name), value)
         elif isinstance(cls, type) and not any(row[2] for row in rows(cls)):
             # Children built by the replay (no ``arg:`` rows): in place.
             current = getattr(obj, name)

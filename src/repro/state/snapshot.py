@@ -30,17 +30,29 @@ import dataclasses
 import heapq
 import os
 import pickle
+import time
 import zlib
 from pathlib import Path
 from typing import Optional
 
 from ..dtbl.agt import AggregatedGroupEntry
-from ..exec.cache import atomic_write
+from ..exec.cache import atomic_write, temp_files
 from ..exec.fingerprint import CODE_VERSION
+from ..memory.global_memory import apply_image, image_extent, trim_image
 from ..sim.hwq import HostLaunchSpec
 from ..sim.kmu import DeviceLaunchSpec
 from ..sim.stats import LaunchRecord
-from .schema import CheckpointError, build, capture, construct, decode, encode, restore
+from .schema import (
+    CheckpointError,
+    build,
+    capture,
+    components,
+    construct,
+    decode,
+    encode,
+    restore,
+    rows,
+)
 
 #: On-disk / in-memory checkpoint document format version.
 CHECKPOINT_FORMAT = 3
@@ -81,6 +93,9 @@ def capture_document(gpu, fingerprint: Optional[str] = None) -> dict:
             ages.append(age)
         return index
 
+    bound = gpu.memory.written_end
+    if gpu.sanitizer is not None:
+        _audit_bound(gpu, bound)
     refs = {
         "record": record_index,
         "age": age_index,
@@ -88,6 +103,7 @@ def capture_document(gpu, fingerprint: Optional[str] = None) -> dict:
         "kde": lambda entry: entry.index,
         "kernel": lambda func: func.name,
         "smx": lambda smx: smx.smx_id,
+        "image": lambda array: trim_image(array, bound),
     }
     state = capture(gpu, refs)
     state["launches"] = [record.to_dict() for record in gpu.stats.launches]
@@ -112,6 +128,22 @@ def capture_document(gpu, fingerprint: Optional[str] = None) -> dict:
         **_constructor_inputs(gpu),
         "state": state,
     }
+
+
+def _audit_bound(gpu, bound: int) -> None:
+    """Every ``"image"`` row scanned whole, as no checkpoint otherwise
+    does: a write site that does not raise the bound fails the first
+    sanitized checkpoint after it instead of truncating an image."""
+    for prefix, component in components(gpu):
+        for name, kind, _is_arg, _drained in rows(type(component)):
+            if kind == "image":
+                extent = image_extent(getattr(component, name))
+                if extent > bound:
+                    raise CheckpointError(
+                        f"{prefix}{name} is set up to word {extent}, above the "
+                        f"store's write bound {bound}: a write site does not "
+                        "maintain GlobalMemory.written_end"
+                    )
 
 
 def _constructor_inputs(gpu) -> dict:
@@ -169,6 +201,14 @@ def restore_document(gpu, doc: dict) -> None:
 
         return lookup
 
+    memory = gpu.memory
+    bound = memory.written_end  # the replay's: what it may have set ends here
+
+    def put_image(array, image) -> None:
+        apply_image(array, image, bound)
+        if image.size > memory.written_end:
+            memory.written_end = image.size
+
     spec = replayed(gpu._specs_by_seq, "host launch seq")
     refs = {
         "record": launches.__getitem__,
@@ -177,6 +217,7 @@ def restore_document(gpu, doc: dict) -> None:
         "kde": lambda index: gpu.distributor._entries[index],
         "kernel": replayed(gpu.kernels, "kernel"),
         "smx": gpu.smxs.__getitem__,
+        "image": put_image,
     }
     gpu.stats.launches = launches
     # Every group exists before any ``next`` link is resolved.
@@ -275,6 +316,29 @@ def checkpoint_path_for(directory, fingerprint: str) -> Path:
     return Path(directory) / f"{fingerprint}.ckpt"
 
 
+#: Host seconds this process has spent in :func:`checkpoint`'s capture and
+#: save.  It only grows: read it twice and subtract.
+_host_seconds = 0.0
+
+
+def host_seconds() -> float:
+    return _host_seconds
+
+
+def checkpoint(gpu, fingerprint, path, callback) -> None:
+    """One cadence checkpoint of :meth:`GPU.run`: capture, write to
+    ``path`` if there is one, then hand the document to ``callback`` —
+    the first two on the clock :func:`host_seconds` reads."""
+    global _host_seconds
+    began = time.perf_counter()
+    doc = capture_document(gpu, fingerprint)
+    if path is not None:
+        save_checkpoint(path, doc)
+    _host_seconds += time.perf_counter() - began
+    if callback is not None:
+        callback(doc)
+
+
 def save_checkpoint(path, doc: dict) -> None:
     """Write a document to ``path``; readers and concurrent writers never
     observe a torn file (:func:`repro.exec.cache.atomic_write`)."""
@@ -307,6 +371,21 @@ def load_checkpoint(path, fingerprint: Optional[str] = None) -> dict:
     return doc
 
 
+def discard_checkpoint(path) -> None:
+    """Remove a job's checkpoint and what writers killed mid-write left
+    of it (preemption, cancel and crash are all ``SIGKILL``).
+
+    For the checkpoint's owner, once the job has finished or the file is
+    set aside: no attempt of that job is writing then.
+    """
+    path = Path(path)
+    for leftover in [path, *temp_files(path)]:
+        try:
+            leftover.unlink()
+        except OSError:
+            pass
+
+
 def quarantine_checkpoint(path) -> Optional[Path]:
     """Move an unusable checkpoint aside to ``<name>.corrupt``.
 
@@ -318,5 +397,6 @@ def quarantine_checkpoint(path) -> Optional[Path]:
     try:
         os.replace(path, target)
     except OSError:
-        return None
+        target = None
+    discard_checkpoint(path)
     return target

@@ -230,6 +230,7 @@ class Workload(abc.ABC):
             )
         from ..state import (
             CheckpointError,
+            discard_checkpoint,
             load_checkpoint,
             prepare_resume,
             quarantine_checkpoint,
@@ -260,10 +261,7 @@ class Workload(abc.ABC):
         if persistent_runtime is not None:
             persistent_runtime.verify_drained()
         if (checkpoint_every or resume) and checkpoint_path is not None:
-            try:
-                os.unlink(checkpoint_path)
-            except OSError:
-                pass
+            discard_checkpoint(checkpoint_path)
         if verify:
             self.check(device)
         if device.sanitizing and not device.sanitizer_report().clean:

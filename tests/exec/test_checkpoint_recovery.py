@@ -11,11 +11,15 @@ The checkpoint policy rides on the :class:`~repro.exec.JobSpec` itself
 (``checkpoint_every``/``checkpoint_dir``/``resume``).
 """
 
+import multiprocessing
+import os
+import signal
+
 import pytest
 
-from repro.exec import JobSpec, SweepEngine, run_job
+from repro.exec import JobSpec, SweepEngine, cache, run_job
 from repro.runtime import ExecutionMode
-from repro.state import checkpoint_path_for
+from repro.state import checkpoint_path_for, discard_checkpoint, quarantine_checkpoint
 
 SCALE = 0.08
 CKPT_EVERY = 4_000
@@ -135,3 +139,77 @@ class TestCrashRecovery:
         clean_other = run_job(other).to_payload()
         assert payload["stats"] == clean_other["stats"]
         assert theirs.with_suffix(".ckpt.corrupt").exists()
+
+
+def _killed_inside_a_checkpoint_write(job, write: int) -> None:
+    """Child-process main: run ``job``, and die by ``SIGKILL`` — as a
+    preempted, cancelled or crashed worker does — between the ``write``-th
+    checkpoint's temporary file being written and its ``os.replace``."""
+    replace = os.replace
+    calls = []
+
+    def dying_replace(src, dst):
+        if str(dst).endswith(".ckpt"):
+            calls.append(dst)
+            if len(calls) == write:
+                os.kill(os.getpid(), signal.SIGKILL)
+        replace(src, dst)
+
+    cache.os.replace = dying_replace  # this process only: it is a fork
+    run_job(job)
+
+
+class TestKilledMidWrite:
+    """``atomic_write`` cleans up after a write that *raises*; a worker
+    killed between the write and the rename leaves ``.<stem>-*.tmp``
+    behind, and only the checkpoint's owner can know it is an orphan."""
+
+    @staticmethod
+    def _kill_at(tmp_path, write):
+        child = multiprocessing.get_context("fork").Process(
+            target=_killed_inside_a_checkpoint_write, args=(_ck_job(tmp_path), write)
+        )
+        child.start()
+        child.join(timeout=120)
+        assert child.exitcode == -signal.SIGKILL
+
+    @pytest.mark.parametrize("write", [1, 2], ids=["first-write", "second-write"])
+    def test_finishing_the_job_leaves_the_directory_empty(
+        self, tmp_path, clean_payload, write
+    ):
+        self._kill_at(tmp_path, write)
+        left = sorted(p.name for p in tmp_path.iterdir())
+        assert len([n for n in left if n.endswith(".tmp")]) == 1, left
+        assert len([n for n in left if n.endswith(".ckpt")]) == write - 1, left
+        # The retry (resuming, when a whole checkpoint landed before the
+        # kill) finishes the job and takes the orphan with the checkpoint.
+        payload = run_job(_ck_job(tmp_path, resume=True)).to_payload()
+        assert payload["stats"] == clean_payload["stats"]
+        assert not list(tmp_path.iterdir())
+
+    def test_two_kills_then_completion(self, tmp_path, clean_payload):
+        self._kill_at(tmp_path, 2)
+        self._kill_at(tmp_path, 1)
+        assert len(list(tmp_path.glob(".*.tmp"))) == 2
+        payload = run_job(_ck_job(tmp_path, resume=True)).to_payload()
+        assert payload["stats"] == clean_payload["stats"]
+        assert not list(tmp_path.iterdir())
+
+    def test_quarantine_takes_the_orphans_too(self, tmp_path):
+        self._kill_at(tmp_path, 2)
+        path = checkpoint_path_for(tmp_path, _job().fingerprint())
+        target = quarantine_checkpoint(path)
+        assert [p.name for p in tmp_path.iterdir()] == [target.name]
+
+    def test_discard_leaves_other_jobs_files_alone(self, tmp_path):
+        self._kill_at(tmp_path, 2)
+        other = JobSpec.create("bht", ExecutionMode.CDP, SCALE, 0.25)
+        theirs = checkpoint_path_for(tmp_path, other.fingerprint())
+        theirs.write_bytes(b"theirs")
+        in_flight = tmp_path / f".{theirs.stem[:12]}-abc123.tmp"
+        in_flight.write_bytes(b"being written")
+        discard_checkpoint(checkpoint_path_for(tmp_path, _job().fingerprint()))
+        assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
+            [theirs.name, in_flight.name]
+        )
+        discard_checkpoint(tmp_path / "never-there.ckpt")  # nothing to do: fine

@@ -276,6 +276,29 @@ class TestWorkerPlumbing:
         assert worker.outcome() is None
         ours.close()
 
+    def test_outcome_says_what_the_cadence_cost(self, tmp_path, monkeypatch):
+        """``checkpoint_ms``: host time inside capture + save, beside the
+        count; the test hook's sleep at each checkpoint is off that clock."""
+        monkeypatch.setenv("REPRO_SERVE_TEST_CKPT_SLEEP", "0.05")
+        worker = pool.Worker.spawn([])
+        try:
+            plain = JobSpec.create("bht", ExecutionMode.FLAT, SCALE, 0.25)
+            for spec in (
+                plain.with_policy(checkpoint_every=4_000, checkpoint_dir=str(tmp_path)),
+                plain,
+            ):
+                worker.conn.send(spec)
+                assert worker.conn.poll(120)
+                outcome = worker.outcome()
+                assert outcome["ok"]
+                if spec.checkpoint_every:
+                    assert outcome["checkpoints"] >= 2
+                    assert 0 < outcome["checkpoint_ms"] < 50 * outcome["checkpoints"]
+                else:  # per attempt, not per worker
+                    assert outcome["checkpoints"] == 0 == outcome["checkpoint_ms"]
+        finally:
+            worker.retire()
+
     def test_importing_repro_leaves_executors_and_asyncio_out(self):
         script = (
             "import sys, repro\n"

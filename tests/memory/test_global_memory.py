@@ -135,7 +135,9 @@ class TestViews:
 
 
 class TestImage:
-    """The trimmed image checkpoints carry: extent, copy, and put-back."""
+    """The trimmed image checkpoints carry: extent, copy, and put-back,
+    each looking below a bound that may lie anywhere at or above the last
+    set element."""
 
     #: Sizes and positions on both sides of every scan-block boundary.
     SIZE = 2 * _SCAN_BLOCK + 37
@@ -146,15 +148,16 @@ class TestImage:
     def test_extent_is_one_past_the_last_set_element(self, dtype):
         array = np.zeros(self.SIZE, dtype=dtype)
         assert image_extent(array) == 0
-        assert trim_image(array).size == 0
+        assert trim_image(array, 0).size == trim_image(array, self.SIZE).size == 0
         for top in self.TOPS:
             array[:] = 0
             array[top] = 1
             array[top // 2] = 1
             assert image_extent(array) == top + 1
-            image = trim_image(array)
-            assert image.dtype == array.dtype and image.size == top + 1
-            assert not np.shares_memory(image, array)
+            for bound in {top + 1, top + 2, (top + self.SIZE) // 2 + 1, self.SIZE}:
+                image = trim_image(array, bound)
+                assert image.dtype == array.dtype and image.size == top + 1
+                assert not np.shares_memory(image, array)
 
     def test_float_extent_reads_bits_not_values(self):
         array = np.zeros(100, dtype=np.float64)
@@ -171,18 +174,75 @@ class TestImage:
             source[: top + 1] = rng.integers(0, 2, top + 1)
             source[top] = 1
             for dirt in self.TOPS:
-                target = np.zeros(self.SIZE, dtype=dtype)
-                target[dirt] = 1
-                target[dirt // 3] = 1
-                apply_image(target, trim_image(source))
-                assert np.array_equal(target, source)
+                # The target's own bound: tight, or anywhere above its dirt.
+                for bound in (dirt + 1, self.SIZE):
+                    target = np.zeros(self.SIZE, dtype=dtype)
+                    target[dirt] = 1
+                    target[dirt // 3] = 1
+                    apply_image(target, trim_image(source, top + 1), bound)
+                    assert np.array_equal(target, source)
 
     def test_global_memory_image_roundtrip(self):
         mem = GlobalMemory(4096)
         base = mem.alloc_array(np.arange(1, 11))
-        image = trim_image(mem.i)
+        assert mem.written_end == base + 10
+        image = trim_image(mem.i, mem.written_end)
         assert image.size == base + 10
         other = GlobalMemory(4096)
-        other.i[3000:3010] = 9
-        apply_image(other.i, image)
+        other.write_ints(3000, np.full(10, 9))
+        assert other.written_end == 3010
+        apply_image(other.i, image, other.written_end)
         assert np.array_equal(other.i, mem.i)
+
+
+class TestWrittenEnd:
+    """Every host-side write raises the bound to one past what it wrote,
+    zeros included; reads, allocation and ``free`` leave it alone."""
+
+    def test_starts_at_zero_and_allocation_does_not_move_it(self):
+        mem = GlobalMemory(4096)
+        base = mem.alloc(100)
+        mem.read_ints(base, 100)
+        mem.read_float(base + 99)
+        assert mem.written_end == 0 == image_extent(mem.i)
+
+    def test_each_write_method_raises_it(self):
+        mem = GlobalMemory(4096)
+        a = mem.alloc_array(np.arange(1, 11))
+        assert mem.written_end == a + 10
+        b = mem.alloc_array(np.linspace(0.0, 1.0, 5))
+        assert mem.written_end == b + 5
+        mem.write_int(100, 7)
+        assert mem.written_end == 101
+        mem.write_float(200, -0.0)
+        assert mem.written_end == 201
+        mem.write_ints(300, np.zeros(8, dtype=np.int64))  # zeros: still a write
+        assert mem.written_end == 308
+        mem.write_floats(400, np.ones(4))
+        assert mem.written_end == 404
+        mem.write_int(50, 1)  # below it: the bound never falls
+        assert mem.written_end == 404
+        assert image_extent(mem.i) <= mem.written_end
+
+    def test_free_rolls_the_allocator_back_but_not_the_bound(self):
+        mem = GlobalMemory(4096)
+        mem.alloc(10)
+        top = mem.alloc_array(np.arange(1, 6))
+        mem.free(top)
+        assert mem.words_in_use == top < mem.written_end == top + 5
+        assert trim_image(mem.i, mem.written_end).size == top + 5
+
+    def test_observer_still_hears_of_every_host_write(self):
+        heard = []
+
+        class Observer:
+            def on_alloc(self, base, words): pass
+            def on_free(self, base, words): pass
+            def on_host_write(self, base, words): heard.append((base, words))
+
+        mem = GlobalMemory(4096)
+        mem.observer = Observer()
+        base = mem.alloc_array(np.arange(4))
+        mem.write_int(base, 3)
+        mem.write_floats(base + 1, np.ones(2))
+        assert heard == [(base, 4), (base, 1), (base + 1, 2)]

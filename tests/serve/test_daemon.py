@@ -290,7 +290,7 @@ class TestQuota:
 
 class TestPreemption:
     def test_preempted_job_resumes_to_bit_identical_stats(
-        self, daemon_factory
+        self, daemon_factory, tmp_path
     ):
         """A long job preempted by a priority job resumes from its
         checkpoint and finishes with exactly the golden ``SimStats``."""
@@ -336,6 +336,189 @@ class TestPreemption:
         assert urgent_pid != victim_pids[0]
         stats = client.status()["stats"]
         assert stats["worker_spawns"] == 1 + stats["preemptions"]
+
+        # What the cadence cost the attempt that finished, in host time:
+        # on its ``done`` event and summed into ``/status``.  (The sleep
+        # hook runs after the clock has stopped.)
+        done = list(client.events(long_info["id"]))[-1]
+        assert done["checkpoints"] >= 1
+        assert 0 < done["checkpoint_ms"] < 250 * done["checkpoints"]
+        assert stats["checkpoint_ms"] >= done["checkpoint_ms"]
+
+        # Both jobs are finished: nothing of theirs is left behind, not
+        # even what a worker killed inside a checkpoint write would leave.
+        assert not list((tmp_path / "ckpt").iterdir())
+
+
+def requests_used(daemon: Daemon, work) -> int:
+    """Requests the daemon framed while ``work()`` ran, by its own count
+    (``/status`` ``requests``, less the two status requests that read it)."""
+    with daemon.client("counter") as counter:
+        before = counter.status()["requests"]
+        work()
+        return counter.status()["requests"] - before - 1
+
+
+def whole(result) -> tuple:
+    """Everything a ``JobResult`` holds, comparable (``SimStats`` has no ``==``)."""
+    return result.to_payload(), result.fingerprint, result.source
+
+
+class TestOneRoundTrip:
+    """A job info that says ``done`` carries the result, and the client
+    keeps what it was sent: submit -> wait -> result is one request for a
+    cache hit and two for a job that had to run."""
+
+    def test_requests_per_hit_cold_job_and_follower(self, daemon_factory):
+        daemon = daemon_factory(
+            workers=1, env={"REPRO_SERVE_TEST_CKPT_SLEEP": "0.1"}
+        )
+        alice, bob = daemon.client("alice"), daemon.client("bob")
+        spec = spec_for("bht", "flat")
+        results = {}
+
+        def three_calls(client, name):
+            info = client.submit(spec)
+            final = client.wait(info["id"])
+            results[name] = (info, final, client.result(info["id"]))
+
+        assert requests_used(daemon, lambda: three_calls(alice, "cold")) == 2
+        info, final, cold = results["cold"]
+        assert info["status"] != "done" and final["status"] == "done"
+        assert "result" not in info and "result" not in final
+        assert cold.source == "run"
+
+        assert requests_used(daemon, lambda: three_calls(alice, "hit")) == 1
+        info, final, hit = results["hit"]
+        assert info == final and info["status"] == "done" and "result" not in info
+        assert hit.source == "cache" and hit.to_payload() == cold.to_payload()
+        assert whole(alice.run(spec)) == whole(hit)
+
+        # A dedup follower: its own submit, and the wait that sees it end.
+        other = spec_for("bht", "dtbl")
+
+        def leader_and_follower():
+            first = alice.submit(other)
+            second = bob.submit(other)
+            results["follower"] = bob.result(bob.wait(second["id"])["id"])
+            results["leader"] = alice.result(alice.wait(first["id"])["id"])
+
+        assert requests_used(daemon, leader_and_follower) == 4
+        assert {results["leader"].source, results["follower"].source} == {"run", "shared"}
+        assert results["follower"].stats.to_dict() == golden_stats("bht-dtbl-fast")
+
+    def test_run_equals_the_three_request_result(self, daemon_factory):
+        daemon = daemon_factory(workers=1)
+        with daemon.client() as client, daemon.client("other") as other:
+            first = client.run(spec_for("bht", "flat", 0.05))
+            info = client.submit(spec_for("bht", "flat", 0.05))
+            # Another client's job: nothing is held for it here, so
+            # ``result`` is the GET it always was ...
+            fetched = []
+            used = requests_used(daemon, lambda: fetched.append(other.result(info["id"])))
+            assert used == 1
+            # ... unless a wait came first: its answer brings the result.
+            used = requests_used(daemon, lambda: fetched.append(
+                other.result(other.wait(info["id"])["id"])))
+            assert used == 1
+            assert whole(fetched[0]) == whole(fetched[1])
+            fetched = fetched[0]
+            assert fetched.source == "cache"
+            # ``run`` (one request) returns what the three requests fetch.
+            assert whole(client.run(spec_for("bht", "flat", 0.05))) == whole(fetched)
+            assert fetched.to_payload() == first.to_payload()
+            assert fetched.fingerprint == first.fingerprint
+
+    def test_result_is_handed_over_once_then_fetched(self, daemon_factory):
+        daemon = daemon_factory(workers=1)
+        client = daemon.client()
+        spec = spec_for("bht", "flat", 0.05)
+        client.run(spec)
+        info = client.submit(spec)  # a hit: arrives with its result
+        fetched = []
+        used = requests_used(daemon, lambda: fetched.extend(
+            client.result(info["id"]) for _ in range(3)))
+        assert used == 2  # the first came with the info
+        assert whole(fetched[0]) == whole(fetched[1]) == whole(fetched[2])
+
+    def test_raw_answers_carry_the_result_when_done(self, daemon_factory):
+        daemon = daemon_factory(workers=1)
+        spec = spec_for("bht", "flat", 0.05)
+        with daemon.client() as client:
+            expected = client.run(spec)
+            body = json.dumps({"spec": spec.to_dict(), "client": "raw"}).encode()
+            raw = daemon.raw()
+            raw.send(b"POST /jobs HTTP/1.1\r\nContent-Length: %d\r\n\r\n%s"
+                     % (len(body), body))
+            status, _headers, info = raw.response()
+            assert status == 202 and info["status"] == "done"
+            _status, _headers, fetched = raw.get(f"/jobs/{info['id']}/result")
+            assert info["result"] == fetched
+            assert set(fetched) == {"id", "fingerprint", "source", "payload"}
+            assert fetched["payload"] == expected.to_payload()
+            _status, _headers, waited = raw.get(f"/jobs/{info['id']}?wait=1")
+            assert waited["result"] == fetched
+            raw.close()
+            # Each entry of a sweep that is already cached, likewise.
+            sweep = [spec, spec_for("bht", "dtbl", 0.05), spec]
+            infos = client.submit_sweep(sweep)
+            assert [i["status"] for i in infos] == ["done", "running", "done"]
+            used = requests_used(daemon, lambda: [
+                client.result(infos[0]["id"]), client.result(infos[2]["id"])])
+            assert used == 0
+            client.wait(infos[1]["id"])
+
+    def test_failed_and_cancelled_jobs_behave_as_before(self, daemon_factory):
+        daemon = daemon_factory(
+            workers=1, cache=False,
+            env={"REPRO_SERVE_TEST_CKPT_SLEEP": "0.25",
+                 "REPRO_EXEC_TEST_CRASH": "always:bht"},
+        )
+        client = daemon.client()
+        failed = client.submit(spec_for("bht", "flat", 0.05))
+        assert client.wait(failed["id"])["status"] == "failed"
+        # Known terminal: the second wait asks nobody ...
+        assert requests_used(daemon, lambda: client.wait(failed["id"])) == 0
+        # ... and there is no result to hold, so ``result`` asks, as ever.
+        with pytest.raises(JobFailed) as excinfo:
+            client.result(failed["id"])
+        assert excinfo.value.status == 409
+        with pytest.raises(JobFailed):
+            client.run(spec_for("bht", "dtbl", 0.05))
+
+        running = client.submit(spec_for("bfs_citation", "dtbl"))
+        wait_running(client, running["id"])
+        client.cancel(running["id"])
+        assert client.wait(running["id"])["status"] == "cancelled"
+        with pytest.raises(JobFailed):
+            client.result(running["id"])
+
+    def test_memo_is_bounded_and_an_evicted_result_is_fetched(self, daemon_factory):
+        from repro.serve import client as client_module
+
+        daemon = daemon_factory(workers=1)
+        client = daemon.client()
+        spec = spec_for("bht", "flat", 0.05)
+        expected = client.run(spec)
+        cap = client_module.KEPT_JOBS
+        hits = [client.submit(spec) for _ in range(10 * cap)]  # never consumed
+        assert all(info["status"] == "done" for info in hits)
+        assert len(client._kept) == cap
+        assert list(client._kept) == [info["id"] for info in hits[-cap:]]
+        # The oldest was dropped: its result costs the GET it always did.
+        used = requests_used(daemon, lambda: client.result(hits[0]["id"]))
+        assert used == 1
+        assert requests_used(daemon, lambda: client.result(hits[-1]["id"])) == 0
+        assert client.result(hits[0]["id"]).to_payload() == expected.to_payload()
+
+    def test_a_restarted_daemons_job_ids_do_not_meet_stale_memos(self, tmp_path):
+        """Job ids restart from zero with the daemon: a non-terminal info
+        for an id displaces whatever the client held under it."""
+        client = ServeClient(port=1)  # never connects
+        client._keep({"id": "j000000", "status": "done", "result": {"payload": 1}})
+        assert client.wait("j000000")["status"] == "done"
+        client._keep({"id": "j000000", "status": "queued"})
+        assert "j000000" not in client._kept
 
 
 class TestProtocol:

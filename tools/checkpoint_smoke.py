@@ -16,8 +16,13 @@ nonzero with a per-counter diff.
 
 Each checkpoint's file size and memory-image extent are printed, and an
 image as long as the whole address space fails the check: the document
-is meant to cost what the job has touched.  ``REPRO_SANITIZE=1`` runs
-the same three steps with the sanitizer's shadow state in the file.
+is meant to cost what the job has touched.  Beside the extent goes the
+store's write bound at that checkpoint (``GlobalMemory.written_end``,
+below which the capture looked for the image's end): an extent above it,
+found by scanning the whole store the way no checkpoint does any more,
+means a write site does not maintain the bound, and fails.
+``REPRO_SANITIZE=1`` runs the same three steps with the sanitizer's
+shadow state in the file.
 """
 
 import sys
@@ -32,13 +37,28 @@ import dataclasses  # noqa: E402
 from repro.config import GPUConfig  # noqa: E402
 from repro.exec import JobSpec, run_job  # noqa: E402
 from repro.runtime import ExecutionMode  # noqa: E402
-from repro.state import checkpoint_path_for, load_checkpoint  # noqa: E402
+from repro.memory.global_memory import image_extent  # noqa: E402
+from repro.state import checkpoint_path_for, load_checkpoint, snapshot  # noqa: E402
 
 BENCH = "bfs_citation"
 MODE = ExecutionMode.DTBL
 SCALE = 0.1
 LATENCY_SCALE = 0.25
 CKPT_EVERY = 8_000
+
+
+#: cycle -> (write bound, extent of the whole store) at each capture: a
+#: document does not carry the bound, so the capture is watched.
+BOUNDS = {}
+_capture_document = snapshot.capture_document
+
+
+def _watched_capture(gpu, fingerprint=None):
+    BOUNDS[gpu.cycle] = (gpu.memory.written_end, image_extent(gpu.memory.i))
+    return _capture_document(gpu, fingerprint)
+
+
+snapshot.capture_document = _watched_capture
 
 
 class Interrupt(Exception):
@@ -73,11 +93,16 @@ def smoke_one(fast: bool) -> bool:
         return False
     doc = load_checkpoint(path)
     extent = doc["state"]["memory"]["i"].size
+    bound, scanned = BOUNDS[doc["cycle"]]
     print(f"[{core}] checkpoint at cycle {doc['cycle']:,}: "
           f"{path.stat().st_size / 1024:.1f} KiB on disk, memory image "
-          f"{extent:,} of {doc['memory_words']:,} words")
+          f"{extent:,} of {doc['memory_words']:,} words, write bound {bound:,}")
     if extent >= doc["memory_words"]:
         print(f"[{core}] FAIL: the memory image spans the whole address space")
+        return False
+    if scanned > bound or extent != scanned:
+        print(f"[{core}] FAIL: the store is set up to word {scanned:,}, the "
+              f"image holds {extent:,} and the write bound says {bound:,}")
         return False
 
     resumed = run_job(ck_job.with_policy(resume=True)).to_payload()

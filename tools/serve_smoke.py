@@ -10,8 +10,11 @@ Checks the full serving loop end to end:
    progression;
 3. fetch every result and cross-check it against a direct in-process
    :func:`repro.exec.run_job` of the same spec (bit-identical stats);
-4. resubmit the same sweep: every job must come back ``source="cache"``
-   without occupying a worker (the daemon's shared warm cache);
+4. run the same specs again, one ``client.run`` (submit, wait, result)
+   each: every job must come back ``source="cache"`` without occupying a
+   worker (the daemon's shared warm cache), equal to its cold result,
+   and ``/status`` ``requests`` must show one request per job — a hit's
+   result arrives with the answer to its submission;
 5. require ``/status`` to report exactly ``--workers`` worker forks after
    the cold sweep and no more after the warm one (workers are resident:
    a job is launched onto one, not forked for);
@@ -78,6 +81,7 @@ def start_daemon(workdir: str):
 def run_sweeps(client: ServeClient) -> bool:
     # Cold sweep: every job simulates, events stream in order.
     infos = client.submit_sweep(SPECS)
+    cold = []
     for spec, info in zip(SPECS, infos):
         events = [e["event"] for e in client.events(info["id"])]
         if events[0] != "queued" or "started" not in events \
@@ -90,23 +94,35 @@ def run_sweeps(client: ServeClient) -> bool:
             print(f"FAIL: {spec.label()} daemon result differs "
                   f"from a direct run")
             return False
+        cold.append(served)
         print(f"[cold] {spec.label()}: {served.cycles:,} cycles "
               f"(source={served.source}, events={events})")
-    spawns = client.status()["stats"]["worker_spawns"]
+    status = client.status()
+    spawns, requests = status["stats"]["worker_spawns"], status["requests"]
     if spawns != WORKERS:
         print(f"FAIL: {len(SPECS)} cold jobs on {WORKERS} resident workers "
               f"took {spawns} worker forks")
         return False
 
-    # Warm sweep: bit-identical results straight from the cache.
-    for spec, info in zip(SPECS, client.submit_sweep(SPECS)):
-        if info["status"] != "done" or info["source"] != "cache":
+    # Warm rerun: bit-identical results straight from the cache.
+    for spec, first in zip(SPECS, cold):
+        again = client.run(spec)
+        if again.source != "cache":
             print(f"FAIL: warm {spec.label()} not served from "
-                  f"cache: {info['status']}/{info['source']}")
+                  f"cache: source={again.source}")
+            return False
+        if again.to_payload() != first.to_payload():
+            print(f"FAIL: warm {spec.label()} differs from its cold result")
             return False
         print(f"[warm] {spec.label()}: source=cache")
 
-    stats = client.status()["stats"]
+    status = client.status()
+    used = status["requests"] - requests - 1  # less this /status itself
+    if used > len(SPECS):
+        print(f"FAIL: {len(SPECS)} cache hits took {used} requests "
+              f"(a hit is one round trip)")
+        return False
+    stats = status["stats"]
     if stats["cache_hits"] != len(SPECS):
         print(f"FAIL: expected {len(SPECS)} cache hits, "
               f"got {stats['cache_hits']}")
