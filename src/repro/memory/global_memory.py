@@ -112,6 +112,19 @@ class GlobalMemory:
         #: ``on_host_write(base, words)``.
         self.observer = None
 
+    def release(self) -> None:
+        """Give the store back; what a closed device ends with.
+
+        The simulator's objects form reference cycles, so a finished GPU
+        waits for the cycle collector — and would keep every page its
+        kernels touched resident until then, several jobs' worth in a
+        process that runs one job after another.  The words go as soon as
+        nothing else holds ``i`` / ``f``: resident warps do, finished
+        blocks have let theirs go (``SMX.block_finished``).
+        """
+        self._buffer = self.i = np.zeros(0, dtype=np.int64)
+        self.f = self._buffer.view(np.float64)
+
     # ------------------------------------------------------------------
     # Allocation
     # ------------------------------------------------------------------

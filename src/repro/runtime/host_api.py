@@ -253,7 +253,10 @@ class Device:
         self.close()
 
     def close(self) -> None:
-        """Release the device; further operations raise DeviceError."""
+        """Release the device and its global memory; further operations
+        raise DeviceError."""
+        if not self._closed:
+            self.gpu.memory.release()
         self._closed = True
 
     @property

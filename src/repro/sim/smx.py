@@ -182,6 +182,10 @@ class SMX:
             self.gpu.sanitizer.on_block_finished(tb, cycle)
         self.gpu.stats.blocks_completed += 1
         self.gpu.scheduler.on_block_complete(tb, cycle)
+        # The block and its warps point at each other; without this only
+        # the cycle collector would free them, and every warp holds the
+        # global store's arrays (see ``GlobalMemory.release``).
+        tb.warps = []
 
     # ------------------------------------------------------------------
     # Issue

@@ -269,13 +269,17 @@ class Workload(abc.ABC):
                 f"{self.name} ({self.mode.value}): sanitizer findings:\n"
                 + device.sanitizer_report().format()
             )
-        return WorkloadResult(
+        result = WorkloadResult(
             name=self.name,
             mode=self.mode,
             stats=device.stats,
             cycles=device.stats.cycles,
             sanitizer=device.sanitizer_report() if device.sanitizing else None,
         )
+        # Not left to the cycle collector: the next job in this process
+        # would run beside this one's 32 MB store (see Device.close).
+        device.close()
+        return result
 
     # ------------------------------------------------------------------
     # Helpers shared by the drivers

@@ -279,12 +279,14 @@ class TestWorkerPlumbing:
     def test_outcome_says_what_the_cadence_cost(self, tmp_path, monkeypatch):
         """``checkpoint_ms``: host time inside capture + save, beside the
         count; the test hook's sleep at each checkpoint is off that clock."""
-        monkeypatch.setenv("REPRO_SERVE_TEST_CKPT_SLEEP", "0.05")
+        # A sanitized checkpoint scans fifteen whole arrays (~25 ms): the
+        # sleep is long enough to tell from that on a loaded host too.
+        monkeypatch.setenv("REPRO_SERVE_TEST_CKPT_SLEEP", "0.2")
         worker = pool.Worker.spawn([])
         try:
             plain = JobSpec.create("bht", ExecutionMode.FLAT, SCALE, 0.25)
             for spec in (
-                plain.with_policy(checkpoint_every=4_000, checkpoint_dir=str(tmp_path)),
+                plain.with_policy(checkpoint_every=8_000, checkpoint_dir=str(tmp_path)),
                 plain,
             ):
                 worker.conn.send(spec)
@@ -293,7 +295,7 @@ class TestWorkerPlumbing:
                 assert outcome["ok"]
                 if spec.checkpoint_every:
                     assert outcome["checkpoints"] >= 2
-                    assert 0 < outcome["checkpoint_ms"] < 50 * outcome["checkpoints"]
+                    assert 0 < outcome["checkpoint_ms"] < 200 * outcome["checkpoints"]
                 else:  # per attempt, not per worker
                     assert outcome["checkpoints"] == 0 == outcome["checkpoint_ms"]
         finally:

@@ -1,5 +1,10 @@
 """The redesigned host API: DeviceArray, Event, Stream, Device lifecycle."""
 
+import dataclasses
+import gc
+import tracemalloc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -190,6 +195,52 @@ class TestDeviceLifecycle:
         dev.close()
         dev.close()
         assert dev.closed
+
+    @pytest.mark.parametrize("core", ["fast", "reference"])
+    def test_close_frees_the_store_without_the_cycle_collector(self, core):
+        """A GPU is full of reference cycles; its global store must not
+        wait for them.  Finished blocks let their warps go, so after a
+        kernel ran nothing but the GlobalMemory holds the arrays."""
+        gc.collect()
+        gc.disable()
+        try:
+            dev = Device(config=dataclasses.replace(GPUConfig.small(), core=core),
+                         memory_words=1 << 16)
+            dev.register(map_kernel("inc", lambda k, v: k.iadd(v, 1)))
+            n = 256
+            src = dev.upload(np.arange(n))
+            dst = dev.alloc(n)
+            dev.launch("inc", grid=2, block=128, params=[n, src, dst]).wait()
+            np.testing.assert_array_equal(dst.download(), np.arange(n) + 1)
+            store = weakref.ref(dev.gpu.memory.i)
+            dev.close()
+            assert store() is None
+            assert dev.gpu.memory.i.size == 0 and dev.gpu.memory.f.size == 0
+        finally:
+            gc.enable()
+
+    def test_a_finished_job_leaves_no_store_behind(self, monkeypatch):
+        """run_job closes the device it made: with the collector off, the
+        32 MB stores of jobs run one after another do not pile up.  (The
+        sanitizer's shadows still wait for the collector.)"""
+        from repro import JobSpec, run_job
+
+        monkeypatch.delenv("REPRO_SANITIZE", raising=False)
+
+        spec = JobSpec.create("bfs_citation", "dtbl", scale=0.1, latency_scale=0.1)
+        store_bytes = 8 * 4 * 1024 * 1024
+        gc.collect()
+        gc.disable()
+        tracemalloc.start()
+        try:
+            for _ in range(2):
+                run_job(spec)
+                held, peak = tracemalloc.get_traced_memory()
+                assert peak > store_bytes  # the store is traced ...
+                assert held < store_bytes // 4  # ... and gone
+        finally:
+            tracemalloc.stop()
+            gc.enable()
 
 
 class TestModeLatencyValidation:
