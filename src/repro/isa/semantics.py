@@ -4,8 +4,9 @@ This module is the one place the functional semantics and the timing
 class of the register-level ISA are stated.  Every consumer reads it
 instead of restating the NumPy calls:
 
-* the reference interpreter (:meth:`repro.sim.warp.Warp._h_alu`)
-  evaluates :data:`ALU` rows one instruction at a time;
+* the reference interpreter evaluates :data:`ALU` rows
+  (:meth:`repro.sim.warp.Warp._h_alu`) and :data:`MEMORY` rows
+  (:meth:`~repro.sim.warp.Warp._h_memory`) one instruction at a time;
 * the fast core (:func:`repro.sim.fast_warp.decode_program`) *generates*
   its ALU code from the same rows: one Python function per instruction
   and one per straight-line region, whose source calls the rows'
@@ -13,7 +14,9 @@ instead of restating the NumPy calls:
   mask, unmasked into a temporary otherwise, :func:`nonzero_divisor` on
   a ``guard`` row's divisor, nothing at all for an :func:`identity` row);
   its conflicting atomics evaluate an :data:`ATOMIC` row's ``scalar``
-  form, as the reference interpreter's per-lane loop does;
+  form, as the reference interpreter's per-lane loop does, and one
+  builder (``fast_warp._make_memory``) binds any :data:`MEMORY` row to
+  either address form;
 * the peephole optimizer folds constants with a row's ``fold`` and
   eliminates dead :data:`PURE_OPS`;
 * the assembler splits off a destination register for :data:`DST_OPS`.
@@ -176,6 +179,49 @@ ATOMIC: Dict[Opcode, AtomicOp] = {
     ),
 }
 
+
+class MemoryOp(NamedTuple):
+    """One load or store: ``space[a + offset]`` to ``dst``, or ``b`` to
+    ``space[a + offset]``, for the active lanes.  The address operand
+    ``a`` is an int-bank register (one address a lane) or an immediate
+    (one address for all of them: every active lane of a store writes
+    it, and the highest one's value stays).
+
+    ``space`` names the words, their bound and the timing class:
+
+    ``"global"``
+        the device store, below its size; the active lanes' addresses
+        coalesce into 128-byte segments, each a transaction through the
+        L2 and DRAM; a load waits for the last one, a store retires
+        after ``alu_latency``;
+    ``"shared"``
+        the block's scratchpad, below the kernel's ``shared_words``;
+        ``shared_latency`` times the conflict degree (the most distinct
+        addresses on one of ``shared_banks`` banks), nothing counted;
+    ``"local"``
+        per-thread words below the kernel's ``local_words``, interleaved
+        across the SMX's threads in the device store; coalesced like
+        global accesses, through the SMX's L1 first.
+    """
+
+    space: str
+    store: bool
+    #: Register bank of the data (``dst`` of a load, ``b`` of a store)
+    #: and view of the device store's words.
+    bank: Bank
+
+
+MEMORY: Dict[Opcode, MemoryOp] = {
+    O.LD: MemoryOp("global", False, INT),
+    O.FLD: MemoryOp("global", False, FLT),
+    O.ST: MemoryOp("global", True, INT),
+    O.FST: MemoryOp("global", True, FLT),
+    O.LDS: MemoryOp("shared", False, INT),
+    O.STS: MemoryOp("shared", True, INT),
+    O.LDL: MemoryOp("local", False, INT),
+    O.STL: MemoryOp("local", True, INT),
+}
+
 #: ``READ_SPECIAL`` sources, as getters over a warp
 #: (:class:`repro.sim.warp.Warp`): per-lane arrays for thread indices,
 #: block-uniform ints for everything else.
@@ -216,5 +262,6 @@ PURE_OPS = FUSABLE_OPS | {
 
 #: Opcodes whose first operand is a destination register.
 DST_OPS = PURE_OPS | frozenset(ATOMIC) | {
-    O.LD, O.FLD, O.LDS, O.LDL, O.STREAM_CREATE, O.GET_PARAM_BUF,
+    *(op for op, row in MEMORY.items() if not row.store),
+    O.STREAM_CREATE, O.GET_PARAM_BUF,
 }

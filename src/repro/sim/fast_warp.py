@@ -47,10 +47,15 @@ the per-step interpretation overhead three ways:
   single-instruction :meth:`FastWarp.step` path dispatch per
   instruction, through the same generator's regions of one.
 
-Anything rare (shared/local memory, shuffles, votes, device-runtime calls,
-immediate-base memory ops, immediates NumPy cannot hold in a lane array)
-delegates to the inherited reference handler, which keeps the two cores
-trivially identical where speed does not matter.
+Only an allow-list still delegates to the inherited reference handler:
+the opcodes of :data:`REFERENCE_OPS` (the launch API, shuffles and
+votes), and an instruction with an immediate that has no lane array (a
+non-integer in an int slot or as an address, a NaN, float arithmetic on
+int immediates alone).  :func:`decode_program` reports those pcs
+(``fallback_pcs``), a test holds every kernel of the suite to the list,
+and ``HotPathProfiler`` counts their issues.  Every memory op — global,
+shared or local, from a register or an immediate address — and every
+atomic is native: one builder over the :data:`MEMORY` rows.
 
 Stat-exactness invariants worth keeping in mind when editing:
 
@@ -77,20 +82,21 @@ import numpy as np
 
 from ..config import SEGMENT_WORDS, WARP_SIZE
 from ..errors import ExecutionError
-from ..isa.instructions import GLOBAL_MEMORY_OPS, Bank, Opcode, Reg
+from ..isa.instructions import Bank, Opcode, Reg
 from ..isa.regions import straight_line_regions
 from ..isa.semantics import (
     ALU,
     ATOMIC,
     CMP,
     FUSABLE_OPS,
+    MEMORY,
     SFU_OPS,
     SPECIAL,
     identity,
     nonzero_divisor,
 )
 from ..memory.coalescing import coalesce_address_list
-from .warp import _DISPATCH, Warp
+from .warp import _DISPATCH, Warp, out_of_range
 
 # ----------------------------------------------------------------------
 # Shared warp geometry
@@ -186,31 +192,48 @@ def _global_timing(w, alist: list, is_write: bool, cycle: int, lo: int, hi: int)
         w.ready_cycle = completion
 
 
-def _lane_addrs(w, frame, base_idx: int, off: int):
-    """Active-lane global addresses (register base), bounds-checked.
+def _address_form(instr):
+    """Bind a memory op's address operand at decode time -> ``lanes(w,
+    frame)``, or None for an immediate base that is no int64.
 
-    Returns ``(addrs, alist, lo, hi)``: the address ndarray (for the
+    ``lanes`` returns ``(addrs, alist, lo, hi)`` for the active lanes,
+    not yet checked against any bound: the address ndarray (for the
     gather or scatter itself), its Python-int list, and the address
-    range — one ``tolist()`` plus two C-level ``min``/``max`` calls
-    beat two numpy reductions on 32-element arrays, and the bounds feed
+    range — one ``tolist()`` plus two C-level ``min``/``max`` calls beat
+    two numpy reductions on 32-element arrays, and the bounds feed
     :func:`_global_timing`'s small-range segment fast path.  ``(0, -1)``
-    signals an empty lane set."""
-    base = w.regs_i[base_idx]
-    if not frame[4]:
-        base = base[frame[2]]
-    addrs = base + off if off else base
-    alist = addrs.tolist()
-    if alist:
-        lo = min(alist)
-        hi = max(alist)
-        if lo < 0 or hi >= w._mem_size:
-            raise ExecutionError(
-                f"kernel {w.tb.func.name!r}: global access out of range "
-                f"(addr {lo}..{hi}, mem size {w._mem_size})"
-            )
-    else:
-        lo, hi = 0, -1
-    return addrs, alist, lo, hi
+    is the range of an empty lane set: inside every bound.  An immediate
+    base is one address for all the active lanes — as many copies of it,
+    so that a gather broadcasts and a scatter keeps the last lane's
+    value, as ``Warp._h_memory``'s ``np.full`` does.
+    """
+    off = instr.offset
+    if type(instr.a) is Reg:
+        base_idx = instr.a.idx
+
+        def lanes(w, frame):
+            base = w.regs_i[base_idx]
+            if not frame[4]:
+                base = base[frame[2]]
+            addrs = base + off if off else base
+            alist = addrs.tolist()
+            if alist:
+                return addrs, alist, min(alist), max(alist)
+            return addrs, alist, 0, -1
+
+        return lanes
+    addr = instr.a.value + off
+    every = _immediate("i", addr, False)
+    if every is None:
+        return None
+
+    def lanes_of_one(w, frame):
+        n = frame[3]
+        if n:
+            return every[:n], [addr] * n, addr, addr
+        return every[:0], [], 0, -1
+
+    return lanes_of_one
 
 
 # ----------------------------------------------------------------------
@@ -361,10 +384,14 @@ def _alu_factory(instrs, single: bool) -> Optional[Tuple[str, list]]:
                 if kinds != bank:
                     cast = f"{{}}.astype(D{bank})"
             operands = (instr.a, instr.b, instr.c)[: len(kinds)]
-            if fn and not any(type(operand) is Reg for operand in operands):
-                # Arithmetic on immediates alone is NumPy's on Python
-                # numbers, not on lanes (``fneg #0`` is the int 0, so
-                # +0.0): leave the constant expression to the reference.
+            if fn and not any(
+                type(operand) is Reg or kind == "i" or isinstance(operand.value, float)
+                for kind, operand in zip(kinds, operands)
+            ):
+                # Float arithmetic on int immediates alone is NumPy's on
+                # Python ints, not on float lanes (``fneg #0`` is the int
+                # 0, so +0.0): leave that constant expression to the
+                # reference.
                 return None
             reads = [
                 read(kind, operand, op.guard and slot == 1)
@@ -438,61 +465,70 @@ def _generated(shapes: List[Tuple[str, list]]) -> list:
 # cycle) -> bool (True iff the pc was updated), or None to delegate to
 # the reference handler.
 # ----------------------------------------------------------------------
-def _make_load(instr):
-    if type(instr.a) is not Reg:
+def _make_memory(instr):
+    """Any :data:`MEMORY` row with either address form: what
+    ``Warp._h_memory`` does, with the row resolved at decode time."""
+    row = MEMORY[instr.op]
+    lanes = _address_form(instr)
+    if lanes is None:
         return None
-    is_float = instr.op == Opcode.FLD
-    d = instr.dst.idx
-    base_idx = instr.a.idx
-    off = instr.offset
+    space, is_store = row.space, row.store
+    shared, local = space == "shared", space == "local"
+    raises_bound = is_store and space == "global"  # GlobalMemory.written_end
+    is_float = row.bank == Bank.FLT
+    if is_store:
+        src_operand = _operand("f" if is_float else "i", instr.b)
+        if src_operand is None:
+            return None
+        si, sv, gs = src_operand
+    else:
+        d = instr.dst.idx
 
     def run(w, frame, cycle):
-        addrs, alist, lo, hi = _lane_addrs(w, frame, base_idx, off)
-        mem = w._mem_f if is_float else w._mem_i
-        reg = (w.regs_f if is_float else w.regs_i)[d]
-        if frame[4]:
-            reg[:] = mem[addrs]
+        addrs, alist, lo, hi = lanes(w, frame)
+        if shared:
+            words = w.tb.shared
+            limit = words.size
         else:
-            reg[frame[2]] = mem[addrs]
-        _global_timing(w, alist, False, cycle, lo, hi)
-        return False
-
-    return run
-
-
-def _make_store(instr):
-    if type(instr.a) is not Reg:
-        return None
-    is_float = instr.op == Opcode.FST
-    base_idx = instr.a.idx
-    off = instr.offset
-    src_operand = _operand("f" if is_float else "i", instr.b)
-    if src_operand is None:
-        return None
-    si, sv, gs = src_operand
-
-    def run(w, frame, cycle):
-        addrs, alist, lo, hi = _lane_addrs(w, frame, base_idx, off)
-        if hi >= w._mem.written_end:
+            words = w._mem_f if is_float else w._mem_i
+            limit = w.tb.func.local_words if local else w._mem_size
+        if lo < 0 or hi >= limit:
+            raise out_of_range(w, space, lo, hi, limit)
+        if local:
+            addrs = w._local_physical(addrs, frame[2], hi, is_store)
+        elif raises_bound and hi >= w._mem.written_end:
             w._mem.written_end = hi + 1
-        src = w.regs_i[si] if si >= 0 else sv if si == -1 else gs(w)
-        mem = w._mem_f if is_float else w._mem_i
-        if isinstance(src, np.ndarray):
-            mem[addrs] = src if frame[4] else src[frame[2]]
+        if is_store:
+            src = w.regs_i[si] if si >= 0 else sv if si == -1 else gs(w)
+            if isinstance(src, np.ndarray):
+                words[addrs] = src if frame[4] else src[frame[2]]
+            else:
+                words[addrs] = src
         else:
-            mem[addrs] = src
-        _global_timing(w, alist, True, cycle, lo, hi)
+            reg = (w.regs_f if is_float else w.regs_i)[d]
+            if frame[4]:
+                reg[:] = words[addrs]
+            else:
+                reg[frame[2]] = words[addrs]
+        if shared:
+            # Addresses less than a bank count apart are on distinct banks.
+            cfg = w._cfg
+            degree = 1 if hi - lo < cfg.shared_banks else w._shared_conflict_degree(addrs)
+            w.ready_cycle = cycle + cfg.shared_latency * degree
+        elif local:
+            w._memory_timing(addrs, is_store, cycle, w.tb.smx.l1)
+        else:
+            _global_timing(w, alist, is_store, cycle, lo, hi)
         return False
 
     return run
 
 
 def _make_atomic(instr):
-    if type(instr.a) is not Reg:
+    lanes = _address_form(instr)
+    if lanes is None:
         return None
     combine, scalar = ATOMIC[instr.op]
-    base_idx = instr.a.idx
-    off = instr.offset
     d = instr.dst.idx if instr.dst is not None else -1
     # b is the operand (the compare value for ATOM_CAS), c its new value.
     b = _operand("i", instr.b)
@@ -505,24 +541,15 @@ def _make_atomic(instr):
     def run(w, frame, cycle):
         full = frame[4]
         mask = frame[2]
-        base = w.regs_i[base_idx]
-        if not full:
-            base = base[mask]
-        addrs = base + off if off else base
-        alist = addrs.tolist()
-        if alist:
-            lo = min(alist)
-            hi = max(alist)
-            if lo < 0 or hi >= w._mem_size:
-                # Cold path: report the first offending address in lane
-                # order, exactly as the reference core does.
-                for a in alist:
-                    if a < 0 or a >= w._mem_size:
-                        raise ExecutionError(
-                            f"kernel {w.tb.func.name!r}: atomic out of range at {a}"
-                        )
-        else:
-            lo, hi = 0, -1
+        addrs, alist, lo, hi = lanes(w, frame)
+        if lo < 0 or hi >= w._mem_size:
+            # Cold path: report the first offending address in lane
+            # order, exactly as the reference core does.
+            for a in alist:
+                if a < 0 or a >= w._mem_size:
+                    raise ExecutionError(
+                        f"kernel {w.tb.func.name!r}: atomic out of range at {a}"
+                    )
         if hi >= w._mem.written_end:
             w._mem.written_end = hi + 1
         mem = w._mem_i
@@ -638,10 +665,7 @@ def _make_exit(instr):
 #: are: see :func:`_alu_factory`).
 _BUILDERS = {
     **dict.fromkeys(ATOMIC, _make_atomic),
-    Opcode.LD: _make_load,
-    Opcode.FLD: _make_load,
-    Opcode.ST: _make_store,
-    Opcode.FST: _make_store,
+    **dict.fromkeys(MEMORY, _make_memory),
     Opcode.BRA: _make_bra,
     Opcode.JOIN: _make_join,
     Opcode.NOP: _make_join,
@@ -676,6 +700,20 @@ def _make_ref(instr, handler):
 #: fallback never qualifies (the decode's per-pc class also requires a
 #: native closure).
 _PRIVATE_OPS = FUSABLE_OPS | {Opcode.BRA, Opcode.JOIN, Opcode.NOP}
+
+#: Opcodes whose native closures read or write what other warps see, and
+#: nothing else (decode class 2: see :func:`decode_program`).
+_MEMORY_OPS = frozenset(MEMORY) | frozenset(ATOMIC)
+
+#: The allow-list: opcodes with no native form.  Every issue of one runs
+#: the inherited reference handler (through :func:`_make_ref`) and ends
+#: a window.  All are rare in the benchmarks, and the launch API's cost
+#: is the device runtime's, not the handler's.
+REFERENCE_OPS = frozenset({
+    Opcode.SHFL_IDX, Opcode.SHFL_DOWN,
+    Opcode.VOTE_ANY, Opcode.VOTE_ALL, Opcode.VOTE_BALLOT,
+    Opcode.STREAM_CREATE, Opcode.GET_PARAM_BUF, Opcode.LAUNCH_DEVICE, Opcode.LAUNCH_AGG,
+})
 
 
 class FusedRegion:
@@ -712,23 +750,27 @@ class FusedRegion:
 
 
 def decode_program(program) -> tuple:
-    """Decode a finalized program into (table, n_int, n_flt, regions).
+    """Decode a finalized program into (table, n_int, n_flt, regions,
+    fallback_pcs).
 
     The table holds one ``(closure, opcode, klass, region)`` row per
     pc.  ``klass`` drives budget-safe run-ahead: 1 = warp-private
-    (native closure, opcode in :data:`_PRIVATE_OPS`), 2 = native
-    global-memory op (``GLOBAL_MEMORY_OPS``: shared DRAM/L2 state, so
-    run-ahead may only inline it in global time order, under the
-    scheduler heap's bound, while every other memory client is bounded
-    below by that heap, the next event or the horizon), 0 = everything
-    else (barriers, exits, launches, reference fallbacks — run-ahead
-    always stops before these).  ``region`` is the :class:`FusedRegion`
-    starting at this pc, or ``None`` — carried in the row so the hot
-    window loops pay one table fetch instead of a separate dict probe
-    per instruction.  ``regions`` maps each start pc to its region
-    (``None`` when the program has no fusable region).  The result is
-    cached on the program, so all warps of all launches share one
-    decode.
+    (native closure, opcode in :data:`_PRIVATE_OPS`), 2 = native memory
+    op (a :data:`MEMORY` row or an atomic: state other warps see — DRAM,
+    L2 and L1, the block's shared words — so run-ahead may only inline
+    it in global time order, under the scheduler heap's bound, while
+    every other memory client is bounded below by that heap, the next
+    event or the horizon; it schedules no event and wakes no warp), 0 =
+    everything else (barriers, exits, launches, reference fallbacks —
+    run-ahead always stops before these).  ``region`` is the
+    :class:`FusedRegion` starting at this pc, or ``None`` — carried in
+    the row so the hot window loops pay one table fetch instead of a
+    separate dict probe per instruction.  ``regions`` maps each start pc
+    to its region (``None`` when the program has no fusable region).
+    ``fallback_pcs`` is the set of pcs that delegate to the reference
+    handler: an opcode of :data:`REFERENCE_OPS`, or an operand with no
+    native form.  The result is cached on the program, so all warps of
+    all launches share one decode.
 
     How often a region ran fused is ``regions[start].executions`` — the
     only place an *untraced* run's fused count can be read: a tracer
@@ -752,9 +794,10 @@ def decode_program(program) -> tuple:
             if shape is not None:
                 run = len(shapes)
                 shapes.append(shape)
+        elif instr.op in REFERENCE_OPS:
+            run = None
         else:
-            builder = _BUILDERS.get(instr.op)
-            run = builder(instr) if builder is not None else None
+            run = _BUILDERS[instr.op](instr)
         runs.append(run)
 
     def fusable(pc, instr):
@@ -776,8 +819,9 @@ def decode_program(program) -> tuple:
             continue
         if type(run) is int:
             run = functions[run]
-        klass = 1 if op in _PRIVATE_OPS else 2 if op in GLOBAL_MEMORY_OPS else 0
+        klass = 1 if op in _PRIVATE_OPS else 2 if op in _MEMORY_OPS else 0
         table.append((run, op, klass, None))
+    fallback_pcs = frozenset(pc for pc, run in enumerate(runs) if run is None)
     regions = None
     if spans:
         regions = {}
@@ -786,7 +830,7 @@ def decode_program(program) -> tuple:
             region = regions[start] = FusedRegion(start, ops, fn)
             table[start] = table[start][:3] + (region,)
     highest = program.max_register_index()
-    cached = (table, highest["int"] + 1, highest["flt"] + 1, regions)
+    cached = (table, highest["int"] + 1, highest["flt"] + 1, regions, fallback_pcs)
     program._fast_table = cached
     return cached
 
@@ -794,7 +838,7 @@ def decode_program(program) -> tuple:
 class FastWarp(Warp):
     """Warp with pre-decoded instruction kernels and extended frames."""
 
-    __slots__ = ("_table", "_regions", "_alu_lat", "_sfu_lat", "_cstats", "_mem_access")
+    __slots__ = ("_table", "fallback_pcs", "_alu_lat", "_sfu_lat", "_cstats", "_mem_access")
     # The decoded program and more hot-path references.
     NOT_STATE = Warp.NOT_STATE + __slots__
 
@@ -808,9 +852,10 @@ class FastWarp(Warp):
         self._cstats = gpu.stats.coalescing
         self._mem_access = gpu.memsys.warp_access_list
 
-        table, n_int, n_flt, regions = decode_program(tb.func.program)
+        table, n_int, n_flt, _, fallback_pcs = decode_program(tb.func.program)
         self._table = table
-        self._regions = regions
+        #: The pcs this warp executes on the reference core's handlers.
+        self.fallback_pcs = fallback_pcs
         self.regs_i = np.zeros((n_int, WARP_SIZE), dtype=np.int64)
         self.regs_f = np.zeros((n_flt, WARP_SIZE), dtype=np.float64)
 
@@ -1026,16 +1071,17 @@ class FastWarp(Warp):
         advances pop-to-pop, so earlier-due warps keep their exact
         issue cycles.
 
-        With ``inline_mem`` (burst mode only: this SMX is the sole
-        runnable one, so every other memory client is bounded below by
-        ``heap[0][0]``, the next event, or the burst horizon), native
-        global-memory ops (decode klass 2) also run mid-window as long
-        as their issue cycle is strictly below ``min(hard,
-        heap[0][0])`` — that keeps every memory-system access in global
-        time order, which the DRAM controller's arrival bookkeeping and
-        cache LRU state require.  The caller additionally guarantees
-        ``l1_hit_latency >= 1`` and ``l2_hit_latency >= 1`` so inlined
-        loads and atomics always advance time (stores complete at
+        With ``inline_mem`` (every other memory client is bounded below
+        by ``heap[0][0]``, the next event, or the horizon), native
+        memory ops (decode klass 2: global, shared, local, atomic) also
+        run mid-window as long as their issue cycle is strictly below
+        ``min(hard, heap[0][0])`` — that keeps every access in global
+        time order, which the DRAM controller's arrival bookkeeping,
+        cache LRU state and the other warps of the block reading its
+        shared words require.  The caller additionally guarantees
+        ``l1_hit_latency >= 1``, ``l2_hit_latency >= 1`` and
+        ``shared_latency >= 1`` so inlined loads, atomics and shared
+        accesses always advance time (stores complete at
         ``alu_latency``, already bounded by the base preconditions).
         """
         stats = self._stats

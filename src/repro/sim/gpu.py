@@ -438,7 +438,10 @@ class GPU:
             and cfg.sfu_latency >= 1
         )
         inline_mem = (
-            free_ok and cfg.l1_hit_latency >= 1 and cfg.l2_hit_latency >= 1
+            free_ok
+            and cfg.l1_hit_latency >= 1
+            and cfg.l2_hit_latency >= 1
+            and cfg.shared_latency >= 1
         )
         n = len(smxs)
         issue_at = [-1] * n  # last cycle each SMX issued at ...

@@ -77,20 +77,28 @@ class HotPathProfiler(Tracer):
         self.fused_instructions = 0
         #: Total fused-region executions (one per region entry).
         self.fused_executions = 0
+        #: Issues a fast-core warp ran on the reference core's handlers
+        #: (``FastWarp.fallback_pcs``), and the host time charged to them.
+        self.fallback_issues = 0
+        self.fallback_host_seconds = 0.0
         self._clock = clock
         self._prev: Optional[object] = None  # OpcodeCost | RegionCost
         self._prev_t: float = 0.0
+        self._prev_fallback = False
 
     # ------------------------------------------------------------------
     # Tracer hooks
     # ------------------------------------------------------------------
-    def _charge(self, entry) -> None:
+    def _charge(self, entry, fallback: bool = False) -> None:
         now = self._clock()
         prev = self._prev
         if prev is not None:
             prev.host_seconds += now - self._prev_t
+            if self._prev_fallback:
+                self.fallback_host_seconds += now - self._prev_t
         self._prev = entry
         self._prev_t = now
+        self._prev_fallback = fallback
 
     def on_issue(self, warp, pc, opcode, active, cycle) -> None:
         cost = self.opcodes.get(opcode)
@@ -98,7 +106,9 @@ class HotPathProfiler(Tracer):
             cost = self.opcodes[opcode] = OpcodeCost()
         cost.issues += 1
         cost.lanes += active
-        self._charge(cost)
+        fallback = pc in getattr(warp, "fallback_pcs", ())
+        self.fallback_issues += fallback
+        self._charge(cost, fallback)
 
     def on_fused(self, warp, pc, region, active, cycle) -> None:
         # Expand the region into its member opcodes so per-opcode issue
@@ -143,6 +153,8 @@ class HotPathProfiler(Tracer):
             "total_lanes": self.total_lanes,
             "fused_instructions": self.fused_instructions,
             "fused_executions": self.fused_executions,
+            "fallback_issues": self.fallback_issues,
+            "fallback_host_seconds": self.fallback_host_seconds,
             "opcodes": {
                 opcode.name.lower(): {
                     "issues": cost.issues,
@@ -186,6 +198,12 @@ class HotPathProfiler(Tracer):
         lines.append(
             "(a traced run has no run-ahead windows: 'fused' counts sole-actor "
             "windows only, an untraced run fuses more)"
+        )
+        lines.append(
+            f"reference fallbacks {self.fallback_issues:,} issues "
+            f"({100.0 * self.fallback_issues / total if total else 0.0:.2f}%)   "
+            f"host {self.fallback_host_seconds * 1e3:.1f}ms "
+            f"({100.0 * self.fallback_host_seconds / host_total if host_total else 0.0:.2f}%)"
         )
         lines.append(f"{'opcode':<14s} {'issues':>12s} {'fused%':>7s} "
                      f"{'lanes/issue':>11s} {'host_ms':>9s} {'issue%':>7s}")

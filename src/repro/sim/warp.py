@@ -22,11 +22,26 @@ import numpy as np
 from ..config import WARP_SIZE
 from ..errors import ExecutionError
 from ..isa.instructions import Bank, Opcode, Reg
-from ..isa.semantics import ALU, ATOMIC, CMP, SPECIAL
+from ..isa.semantics import ALU, ATOMIC, CMP, MEMORY, SPECIAL
 from ..memory.coalescing import coalesce_addresses
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from .thread_block import ThreadBlock
+
+
+_OUT_OF_RANGE = {
+    "global": "global access out of range (addr {}..{}, mem size {})",
+    "shared": "shared access out of range (addr {}..{}, shared words {})",
+    "local": "local access out of range (offset {}..{}, local_words {})",
+}
+
+
+def out_of_range(warp: "Warp", space: str, lo: int, hi: int, limit: int) -> ExecutionError:
+    """What either core raises when the active lanes' addresses ``lo..hi``
+    leave a :data:`~repro.isa.semantics.MEMORY` space of ``limit`` words."""
+    return ExecutionError(
+        f"kernel {warp.tb.func.name!r}: " + _OUT_OF_RANGE[space].format(lo, hi, limit)
+    )
 
 
 class Warp:
@@ -214,85 +229,70 @@ class Warp:
         return False
 
     # ------------------------------------------------------------------
-    # Global memory
+    # Memory: one handler over the MEMORY rows, and the helpers of each
+    # space's address translation and timing (the fast core's too)
     # ------------------------------------------------------------------
-    def _lane_addresses(self, instr, mask: np.ndarray, store: bool = False) -> np.ndarray:
+    def _h_memory(self, instr, frame, mask, cycle):
+        """Interpret one :data:`repro.isa.semantics.MEMORY` row."""
+        row = MEMORY[instr.op]
+        space = row.space
+        flt = row.bank == Bank.FLT
         base = self._val_i(instr.a)
         if isinstance(base, np.ndarray):
             addrs = base[mask] + instr.offset
         else:
             addrs = np.full(int(np.count_nonzero(mask)), base + instr.offset, dtype=np.int64)
+        if space == "shared":
+            words = self.tb.shared
+            limit = words.size
+        else:
+            words = self._mem_f if flt else self._mem_i
+            limit = self.tb.func.local_words if space == "local" else self._mem_size
+        hi = -1
         if addrs.size:
             lo = int(addrs.min())
             hi = int(addrs.max())
-            if lo < 0 or hi >= self._mem_size:
-                raise ExecutionError(
-                    f"kernel {self.tb.func.name!r}: global access out of range "
-                    f"(addr {lo}..{hi}, mem size {self._mem_size})"
-                )
-            if store and hi >= self._mem.written_end:
-                self._mem.written_end = hi + 1
-        return addrs
+            if lo < 0 or hi >= limit:
+                raise out_of_range(self, space, lo, hi, limit)
+        if space == "local":
+            addrs = self._local_physical(addrs, mask, hi, row.store)
+        elif space == "global" and row.store and hi >= self._mem.written_end:
+            self._mem.written_end = hi + 1
+        if row.store:
+            src = self._val_f(instr.b) if flt else self._val_i(instr.b)
+            words[addrs] = src[mask] if isinstance(src, np.ndarray) else src
+        else:
+            values = np.zeros(WARP_SIZE, dtype=words.dtype)
+            values[mask] = words[addrs]
+            (self._write_f if flt else self._write_i)(instr.dst, values, mask)
+        if space == "shared":
+            degree = self._shared_conflict_degree(addrs)
+            self.ready_cycle = cycle + self._cfg.shared_latency * degree
+        else:
+            l1 = self.tb.smx.l1 if space == "local" else None
+            self._memory_timing(addrs, row.store, cycle, l1)
+        return False
 
-    def _memory_timing(self, addrs: np.ndarray, is_write: bool, cycle: int) -> None:
+    def _memory_timing(self, addrs: np.ndarray, is_write: bool, cycle: int, l1=None) -> None:
+        """Coalesce, count and time one access to the device store.  Local
+        memory is cached: it probes the SMX's ``l1`` and sends on only the
+        segments that miss."""
         segments = coalesce_addresses(addrs)
         self._stats.coalescing.record(addrs.size, segments.size)
-        completion = self._gpu.memsys.warp_access(segments, is_write, cycle)
+        memsys = self._gpu.memsys
+        if l1 is None:
+            completion = memsys.warp_access(segments, is_write, cycle)
+        else:
+            completion = cycle + self._cfg.l1_hit_latency
+            missing = [int(seg) for seg in segments if not l1.access(int(seg))]
+            if missing:
+                done = memsys.warp_access(np.asarray(missing, dtype=np.int64), is_write, cycle)
+                completion = max(completion, done)
         if is_write:
             # Stores retire into the memory system; the warp does not wait.
             self.ready_cycle = cycle + self._cfg.alu_latency
         else:
             self.ready_cycle = completion
-
-    def _h_ld(self, instr, frame, mask, cycle):
-        addrs = self._lane_addresses(instr, mask)
-        values = np.zeros(WARP_SIZE, dtype=np.int64)
-        values[mask] = self._mem_i[addrs]
-        self._write_i(instr.dst, values, mask)
-        self._memory_timing(addrs, False, cycle)
-        return False
-
-    def _h_fld(self, instr, frame, mask, cycle):
-        addrs = self._lane_addresses(instr, mask)
-        values = np.zeros(WARP_SIZE, dtype=np.float64)
-        values[mask] = self._mem_f[addrs]
-        self._write_f(instr.dst, values, mask)
-        self._memory_timing(addrs, False, cycle)
-        return False
-
-    def _h_st(self, instr, frame, mask, cycle):
-        addrs = self._lane_addresses(instr, mask, store=True)
-        src = self._val_i(instr.b)
-        self._mem_i[addrs] = src[mask] if isinstance(src, np.ndarray) else src
-        self._memory_timing(addrs, True, cycle)
-        return False
-
-    def _h_fst(self, instr, frame, mask, cycle):
-        addrs = self._lane_addresses(instr, mask, store=True)
-        src = self._val_f(instr.b)
-        self._mem_f[addrs] = src[mask] if isinstance(src, np.ndarray) else src
-        self._memory_timing(addrs, True, cycle)
-        return False
-
-    # ------------------------------------------------------------------
-    # Shared memory
-    # ------------------------------------------------------------------
-    def _shared_addresses(self, instr, mask: np.ndarray) -> np.ndarray:
-        base = self._val_i(instr.a)
-        if isinstance(base, np.ndarray):
-            addrs = base[mask] + instr.offset
-        else:
-            addrs = np.full(int(np.count_nonzero(mask)), base + instr.offset, dtype=np.int64)
-        size = self.tb.shared.size
-        if addrs.size:
-            lo = int(addrs.min())
-            hi = int(addrs.max())
-            if lo < 0 or hi >= size:
-                raise ExecutionError(
-                    f"kernel {self.tb.func.name!r}: shared access out of range "
-                    f"(addr {lo}..{hi}, shared words {size})"
-                )
-        return addrs
 
     def _shared_conflict_degree(self, addrs: np.ndarray) -> int:
         """n-way bank conflict factor: max distinct addresses per bank.
@@ -308,90 +308,24 @@ class Warp:
         banks = distinct % self._cfg.shared_banks
         return int(np.bincount(banks).max())
 
-    def _h_lds(self, instr, frame, mask, cycle):
-        addrs = self._shared_addresses(instr, mask)
-        values = np.zeros(WARP_SIZE, dtype=np.int64)
-        values[mask] = self.tb.shared[addrs]
-        self._write_i(instr.dst, values, mask)
-        degree = self._shared_conflict_degree(addrs)
-        self.ready_cycle = cycle + self._cfg.shared_latency * degree
-        return False
-
-    def _h_sts(self, instr, frame, mask, cycle):
-        addrs = self._shared_addresses(instr, mask)
-        src = self._val_i(instr.b)
-        self.tb.shared[addrs] = src[mask] if isinstance(src, np.ndarray) else src
-        degree = self._shared_conflict_degree(addrs)
-        self.ready_cycle = cycle + self._cfg.shared_latency * degree
-        return False
-
-    # ------------------------------------------------------------------
-    # Local memory (per-thread, interleaved layout, cached in the L1)
-    # ------------------------------------------------------------------
-    def _local_addresses(self, instr, mask: np.ndarray, store: bool = False) -> np.ndarray:
-        """Physical addresses for per-thread local offsets.
+    def _local_physical(
+        self, offsets: np.ndarray, mask: np.ndarray, hi: int, store: bool
+    ) -> np.ndarray:
+        """Physical addresses of the active lanes' local word offsets
+        (bounds-checked; ``hi`` is the highest, -1 for no lane).
 
         CUDA's interleaved local layout: word ``offset`` of every thread
         is contiguous across lanes, so lane-uniform offsets coalesce.
         """
-        offsets = self._val_i(instr.a)
-        if isinstance(offsets, np.ndarray):
-            active = offsets[mask] + instr.offset
-        else:
-            active = np.full(
-                int(np.count_nonzero(mask)), offsets + instr.offset, dtype=np.int64
-            )
-        limit = self.tb.func.local_words
-        if active.size:
-            lo = int(active.min())
-            hi = int(active.max())
-            if lo < 0 or hi >= limit:
-                raise ExecutionError(
-                    f"kernel {self.tb.func.name!r}: local access out of range "
-                    f"(offset {lo}..{hi}, local_words {limit})"
-                )
-        smx = self.tb.smx
-        base = self._gpu.local_arena_base(smx.smx_id)
+        base = self._gpu.local_arena_base(self.tb.smx.smx_id)
         threads = self._cfg.max_resident_threads
-        lane_ids = self.context_slot * WARP_SIZE + np.flatnonzero(mask)
-        if store and active.size:
+        if store and hi >= 0:
             # Every lane id is below ``threads``: the end of row ``hi``.
             end = base + (hi + 1) * threads
             if end > self._mem.written_end:
                 self._mem.written_end = end
-        return base + active * threads + lane_ids
-
-    def _local_timing(self, addrs: np.ndarray, is_write: bool, cycle: int) -> None:
-        segments = coalesce_addresses(addrs)
-        self._stats.coalescing.record(addrs.size, segments.size)
-        l1 = self.tb.smx.l1
-        completion = cycle + self._cfg.l1_hit_latency
-        missing = [int(seg) for seg in segments if not l1.access(int(seg))]
-        if missing:
-            done = self._gpu.memsys.warp_access(
-                np.asarray(missing, dtype=np.int64), is_write, cycle
-            )
-            if done > completion:
-                completion = done
-        if is_write:
-            self.ready_cycle = cycle + self._cfg.alu_latency
-        else:
-            self.ready_cycle = completion
-
-    def _h_ldl(self, instr, frame, mask, cycle):
-        addrs = self._local_addresses(instr, mask)
-        values = np.zeros(WARP_SIZE, dtype=np.int64)
-        values[mask] = self._mem_i[addrs]
-        self._write_i(instr.dst, values, mask)
-        self._local_timing(addrs, False, cycle)
-        return False
-
-    def _h_stl(self, instr, frame, mask, cycle):
-        addrs = self._local_addresses(instr, mask, store=True)
-        src = self._val_i(instr.b)
-        self._mem_i[addrs] = src[mask] if isinstance(src, np.ndarray) else src
-        self._local_timing(addrs, True, cycle)
-        return False
+        lane_ids = self.context_slot * WARP_SIZE + np.flatnonzero(mask)
+        return base + offsets * threads + lane_ids
 
     # ------------------------------------------------------------------
     # Warp-level primitives (shuffle / vote)
@@ -592,14 +526,7 @@ class Warp:
 _DISPATCH: Dict[Opcode, Callable] = {
     **dict.fromkeys(ALU, Warp._h_alu),
     **dict.fromkeys(ATOMIC, Warp._h_atomic),
-    Opcode.LD: Warp._h_ld,
-    Opcode.ST: Warp._h_st,
-    Opcode.FLD: Warp._h_fld,
-    Opcode.FST: Warp._h_fst,
-    Opcode.LDS: Warp._h_lds,
-    Opcode.STS: Warp._h_sts,
-    Opcode.LDL: Warp._h_ldl,
-    Opcode.STL: Warp._h_stl,
+    **dict.fromkeys(MEMORY, Warp._h_memory),
     Opcode.SHFL_IDX: Warp._h_shfl_idx,
     Opcode.SHFL_DOWN: Warp._h_shfl_down,
     Opcode.VOTE_ANY: Warp._h_vote,

@@ -87,7 +87,7 @@ def test_min_length_drops_singletons():
 
 def test_decode_attaches_regions_to_table_rows():
     func = _build(lambda k: k.ixor(k.iadd(k.imul(k.gtid(), 3), 7), 1))
-    table, _n_int, _n_flt, regions = decode_program(func.program)
+    table, _n_int, _n_flt, regions, _ = decode_program(func.program)
     assert regions is not None
     for start, region in regions.items():
         assert table[start][3] is region
@@ -108,7 +108,7 @@ def test_decode_without_fusable_runs_has_no_regions():
         k.st(n, 1)
 
     func = _build(body)
-    _table, _n_int, _n_flt, regions = decode_program(func.program)
+    _table, _n_int, _n_flt, regions, _ = decode_program(func.program)
     if regions is not None:
         # The implicit READ_SPECIAL/param prelude may fuse; any region
         # must still satisfy the invariants.

@@ -23,6 +23,7 @@ from repro.isa.semantics import (
     CMP,
     DST_OPS,
     FUSABLE_OPS,
+    MEMORY,
     PURE_OPS,
     SFU_OPS,
     SPECIAL,
@@ -229,7 +230,6 @@ def test_atomic_row_matches_scalar_model(op):
 #: Opcodes whose behaviour lives in the cores (memory system, SIMT stack,
 #: warp-wide exchange, device runtime), not in a semantics table.
 NON_TABLE_OPS = {
-    O.LD, O.ST, O.FLD, O.FST, O.LDS, O.STS, O.LDL, O.STL,
     O.SHFL_IDX, O.SHFL_DOWN, O.VOTE_ANY, O.VOTE_ALL, O.VOTE_BALLOT,
     O.BRA, O.JOIN, O.BAR, O.EXIT, O.NOP,
     O.READ_SPECIAL,  # its operand table is SPECIAL
@@ -238,7 +238,7 @@ NON_TABLE_OPS = {
 
 
 def test_every_opcode_is_in_exactly_one_place():
-    tables = [set(ALU), set(ATOMIC), NON_TABLE_OPS]
+    tables = [set(ALU), set(ATOMIC), set(MEMORY), NON_TABLE_OPS]
     assert set().union(*tables) == set(Opcode)
     assert sum(len(t) for t in tables) == len(Opcode)
     assert set(ORACLE) == set(ALU) and set(ATOMIC_ORACLE) == set(ATOMIC)
@@ -248,16 +248,24 @@ def test_every_opcode_is_in_exactly_one_place():
 
 
 def test_both_cores_dispatch_every_opcode():
-    from repro.sim.fast_warp import _BUILDERS
+    from repro.sim.fast_warp import _BUILDERS, REFERENCE_OPS
     from repro.sim.warp import _DISPATCH
 
     assert set(_DISPATCH) == set(Opcode)
-    # The fast core generates FUSABLE_OPS and builds closures for the rest.
-    assert set(ALU) <= FUSABLE_OPS and set(ATOMIC) <= set(_BUILDERS)
+    # The fast core generates FUSABLE_OPS, builds closures for the rest
+    # and lists what it leaves to the reference handlers.
+    assert set(ALU) <= FUSABLE_OPS and set(ATOMIC) | set(MEMORY) <= set(_BUILDERS)
     assert not FUSABLE_OPS & set(_BUILDERS)
+    assert FUSABLE_OPS | set(_BUILDERS) | REFERENCE_OPS == set(Opcode)
 
 
 def test_rows_are_well_formed():
+    for op, row in MEMORY.items():
+        # The opcode's name says the same: L/S, then the space, F for floats.
+        name = op.name.removeprefix("F")
+        assert row.store == name.startswith("ST"), op
+        assert row.bank == (Bank.FLT if op.name[0] == "F" else Bank.INT), op
+        assert row.space == {"": "global", "S": "shared", "L": "local"}[name[2:]], op
     for op, row in ALU.items():
         assert set(row.src) <= set("ifc") and 1 <= len(row.src.lstrip("c")) <= 3, op
         assert row.src.count("c") == row.src.startswith("c"), op

@@ -110,6 +110,10 @@ def _check(instrs, mask, ints=None, floats=None):
     return region
 
 
+ALL = [True] * WARP_SIZE
+ODD = [lane % 2 == 1 for lane in range(WARP_SIZE)]
+ONE = [lane == 13 for lane in range(WARP_SIZE)]
+
 # ----------------------------------------------------------------------
 # Random straight-line runs over all of FUSABLE_OPS
 # ----------------------------------------------------------------------
@@ -132,9 +136,11 @@ def _instruction(draw):
     row = ALU[op]
     kinds = row.src.lstrip("c")
     operands = [draw(_regs | (_flt_imm if kind == "f" else _int_imm)) for kind in kinds]
-    if row.fn is not identity and not any(type(operand) is Reg for operand in operands):
-        # Arithmetic on immediates alone has no generated form (see
-        # test_non_native_immediates_...): give it a register to read.
+    if row.fn is not identity and "f" in kinds and not any(
+        type(operand) is Reg or isinstance(operand.value, float) for operand in operands
+    ):
+        # Float arithmetic on int immediates alone has no generated form
+        # (see test_non_native_immediates_...): give it a register to read.
         operands[0] = draw(_regs)
     cmp = draw(st.sampled_from(sorted(Cmp))) if row.src[0] == "c" else None
     return Instr(op, Reg(row.dst, dst), *operands, cmp=cmp)
@@ -162,21 +168,24 @@ def test_random_runs_match_the_reference_core(instrs, mask, ints, floats):
 
 def test_every_fusable_opcode_can_be_generated():
     """The random rule's alphabet is the whole of ``FUSABLE_OPS``, and each
-    opcode has a native (generated) form for register operands."""
+    opcode has a native (generated) form for register operands and for
+    immediates alone (``iadd %r24 #16 #15`` is in ``amr``'s launch path):
+    NumPy's arithmetic on those Python numbers is the lanes'."""
     assert set(_OPS) == set(FUSABLE_OPS) == set(ALU) | {Opcode.READ_SPECIAL}
     for op in ALU:
         kinds = ALU[op].src.lstrip("c")
-        instr = Instr(op, Reg(ALU[op].dst, 0), *[Reg(Bank.INT, 1)] * len(kinds),
-                      cmp=Cmp.LT if ALU[op].src[0] == "c" else None)
-        assert fast_warp._alu_factory([instr], single=True) is not None, op
+        cmp = Cmp.LT if ALU[op].src[0] == "c" else None
+        constants = [Imm(value) for value in ((-2.5, 0.0, 7.0) if "f" in kinds else (-16, 0, 15))]
+        for operands in ([Reg(Bank.INT, 1)] * len(kinds), constants[: len(kinds)]):
+            instr = Instr(op, Reg(ALU[op].dst, 0), *operands, cmp=cmp)
+            assert fast_warp._alu_factory([instr], single=True) is not None, instr
+            for mask in (ALL, ODD):
+                _check([instr, Instr(Opcode.MOV, Reg(Bank.INT, 1), Reg(Bank.INT, 0))], mask)
 
 
 # ----------------------------------------------------------------------
 # Directed cases
 # ----------------------------------------------------------------------
-ALL = [True] * WARP_SIZE
-ODD = [lane % 2 == 1 for lane in range(WARP_SIZE)]
-ONE = [lane == 13 for lane in range(WARP_SIZE)]
 MASKS = pytest.mark.parametrize("mask", [ALL, ODD, ONE], ids=["full", "odd", "one"])
 
 
@@ -344,7 +353,7 @@ def test_non_native_immediates_stay_single_steps_and_split_the_run():
         # NaN + NaN: which payload survives depends on scalar vs array.
         Instr(Opcode.FADD, Reg(Bank.FLT, 3), Reg(Bank.FLT, 3), Imm(math.nan)),
     ])
-    table, _ni, _nf, regions = decode_program(program)
+    table, _ni, _nf, regions, _ = decode_program(program)
     runs = {start: region.length for start, region in regions.items() if start < 10}
     assert runs == {0: 2, 3: 2, 6: 2}
     for pc in (2, 5, 8, 9):

@@ -87,6 +87,28 @@ class TestHotPathProfiler:
         # must be attributed somewhere.
         assert total > 0
 
+    @pytest.mark.parametrize("fast", [True, False], ids=["fast", "reference"])
+    def test_reference_fallbacks_are_counted_and_timed(self, fast):
+        """A vote has no native form: each of its issues on the fast core
+        is a fallback, charged one tick of the fake clock.  The reference
+        core has no fallbacks (it is the reference)."""
+        k = KernelBuilder("votes")
+        gtid = k.gtid()
+        out = k.ld(k.param(), offset=0)
+        k.st(k.iadd(out, gtid), k.vote_any(k.lt(gtid, 40)))
+        k.exit()
+        prof = HotPathProfiler(clock=iter(range(10**6)).__next__)
+        config = dataclasses.replace(GPUConfig.small(), core=("fast" if fast else "reference"))
+        with Device(config=config) as dev:
+            dev.attach_tracer(prof)
+            dev.register(KernelFunction("votes", k.build()))
+            dev.launch("votes", grid=2, block=64, params=[dev.alloc(128)])
+            dev.synchronize()
+        doc = prof.to_dict()
+        assert doc["fallback_issues"] == (4 if fast else 0)
+        assert doc["fallback_host_seconds"] == doc["fallback_issues"]
+        assert f"reference fallbacks {doc['fallback_issues']} issues" in prof.report()
+
     def test_to_dict_and_report_are_consistent(self, monkeypatch):
         monkeypatch.delenv("REPRO_SANITIZE", raising=False)  # needs fused regions
         prof = HotPathProfiler()

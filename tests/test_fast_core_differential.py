@@ -12,14 +12,20 @@ compare a complete fingerprint of :class:`~repro.sim.stats.SimStats`.
 from __future__ import annotations
 
 import dataclasses
+import itertools
 
 import numpy as np
 import pytest
 
 from repro import Device, ExecutionMode, GPUConfig, KernelBuilder, KernelFunction
+from repro.config import WARP_SIZE
 from repro.isa import parse_program
-from repro.isa.instructions import Bank, Opcode
-from repro.isa.semantics import ALU
+from repro.isa.instructions import Bank, Imm, Instr, Opcode, Reg
+from repro.isa.program import Program
+from repro.isa.semantics import ALU, ATOMIC, MEMORY
+from repro.sim.fast_warp import decode_program
+from repro.sim.gpu import GPU
+from repro.sim.thread_block import ThreadBlock
 from repro.workloads.registry import get_benchmark
 
 from tests.helpers import reduce_kernel
@@ -170,6 +176,34 @@ def _barrier_kernel() -> KernelFunction:
     return KernelFunction("barrier", k.build(), shared_words=64)
 
 
+def _racy_mailbox_kernel() -> KernelFunction:
+    """Warps of a block exchange values through shared words with no
+    barrier in between, each at its own pace; per-thread local words, and
+    immediate-base global words every thread polls and bumps.  What each
+    thread reads depends on the exact interleaving of the warps' issues."""
+    k = KernelBuilder("mailbox")
+    gtid = k.gtid()
+    tid = k.tid()
+    out = k.ld(k.param(), offset=2)
+    counter = 40  # a word of the input buffer (allocated first, at 1)
+    acc = k.mov(0)
+    k.stl(0, tid)
+    k.sts(tid, gtid)
+    with k.for_range(0, k.iadd(3, k.ishr(tid, 5))) as i:  # later warps loop longer
+        other = k.imod(k.iadd(tid, 32), k.ntid())
+        k.iadd(acc, k.lds(other), dst=acc)
+        k.sts(tid, k.iadd(acc, i))
+        k.stl(1, k.iadd(k.ldl(0), k.lds(5)))
+        k.iadd(acc, k.ld(counter), dst=acc)
+        with k.if_(k.eq(k.iand(tid, 7), 0)):
+            k.atom_add(counter, 1)
+            k.st(counter + 1, tid)
+        k.iadd(acc, k.ldl(1), dst=acc)
+    k.st(k.iadd(out, gtid), k.iadd(acc, k.ld(counter + 1)))
+    k.exit()
+    return KernelFunction("mailbox", k.build(), shared_words=128, local_words=2)
+
+
 _ALU_PROLOGUE = """
     read_special %r0 gtid
     read_special %r1 param
@@ -220,7 +254,215 @@ def _alu_kernel(op, variant: str) -> KernelFunction:
     return KernelFunction(name, parse_program(text))
 
 
+# One memory instruction, stepped on a hand-built warp of each core.
+_LANES = np.arange(WARP_SIZE, dtype=np.int64)
+#: Word offsets of the 32 lanes from the region's base (a register base),
+#: or the one word an immediate base names.
+_ADDRESSES = {
+    "unit": _LANES,
+    "scattered": _LANES * 37 % 509,
+    "equal": np.full(WARP_SIZE, 5, dtype=np.int64),
+    "bank": _LANES * 32,  # one shared bank, 32 ways; one global segment a lane
+    "imm": None,
+}
+_MEM_MASKS = {
+    "full": np.ones(WARP_SIZE, dtype=bool),
+    "partial": _LANES % 3 != 1,
+    "one": _LANES == 13,
+    "none": np.zeros(WARP_SIZE, dtype=bool),
+}
+_REGION = 64  # base of the int words the global accesses fall in ...
+_FLOATS = 1101  # ... and of the float words
+_SHARED_WORDS = 1024
+_LOCAL_WORDS = 64
+
+
+def _region(op) -> int:
+    """Where the words ``op`` is pointed at begin (an atomic is no row)."""
+    row = MEMORY.get(op)
+    if row is not None and row.space != "global":
+        return 0
+    return _FLOATS if row is not None and row.bank == Bank.FLT else _REGION
+
+
+def _memory_instr(op, imm_base: bool, imm_source: bool = False, offset: int = 3) -> Instr:
+    """``op`` with %r0 (or an immediate) as its address, %r1 / %f1 (or an
+    immediate) as its data source, %r2 as a CAS's new value and %r3 / %f3
+    as its destination."""
+    row = MEMORY.get(op)
+    bank = Bank.INT if row is None else row.bank
+    a = Imm(_region(op) + 5) if imm_base else Reg(Bank.INT, 0)
+    if row is not None and not row.store:
+        return Instr(op, dst=Reg(bank, 3), a=a, offset=offset)
+    source = Imm(2.5 if bank == Bank.FLT else -7) if imm_source else Reg(bank, 1)
+    if row is not None:
+        return Instr(op, a=a, b=source, offset=offset)
+    return Instr(op, dst=Reg(Bank.INT, 3), a=a, b=source, offset=offset,
+                 c=Reg(Bank.INT, 2) if op is Opcode.ATOM_CAS else None)
+
+
+def _memory_warp(instr: Instr, core: str, addresses, sanitize: bool = False):
+    """Warp 1 of a 64-thread block on SMX 0 of a small GPU, about to
+    execute ``instr`` at pc 0, with every word it may touch seeded:
+    ints in [1, 1101), floats in [1101, 2201), then SMX 0's local arena."""
+    program = Program("mem")
+    program.emit(instr)
+    program.emit(Instr(Opcode.EXIT))
+    for bank, mov in ((Bank.INT, Opcode.MOV), (Bank.FLT, Opcode.FMOV)):
+        program.emit(Instr(mov, dst=Reg(bank, 3), a=Reg(bank, 3)))
+    program.finalize()
+    config = dataclasses.replace(GPUConfig.small(), core=core, sanitize=sanitize)
+    gpu = GPU(config, memory_words=1 << 16)
+    func = KernelFunction("mem", program, shared_words=_SHARED_WORDS, local_words=_LOCAL_WORDS)
+    block = ThreadBlock(gpu.smxs[0], func, (1, 1, 1), (64, 1, 1), 0, 0, None, None, [0, 1])
+    warp = block.warps[1]
+    memory = gpu.memory
+    words = np.arange(1100, dtype=np.int64)
+    memory.write_ints(memory.alloc(1100), words * 3 % 101)
+    memory.write_floats(memory.alloc(1100), words * 0.25 - 60)
+    arena = config.max_resident_threads * config.max_local_words
+    memory.write_ints(gpu.local_arena_base(0), np.arange(arena, dtype=np.int64) * 7 % 103)
+    memory.written_end = 0  # so that the instruction's own bound shows
+    block.shared[:] = np.arange(_SHARED_WORDS) * 5 % 89
+    if addresses is not None:
+        if instr.op in (Opcode.LDL, Opcode.STL):
+            addresses = addresses % (_LOCAL_WORDS - instr.offset)
+        warp.regs_i[0] = addresses + _region(instr.op)
+    warp.regs_i[1] = _LANES * 11 - 40
+    warp.regs_i[2] = 1000 + _LANES
+    warp.regs_i[3] = -1
+    warp.regs_f[1] = _LANES * 0.5 - 3
+    warp.regs_f[3] = -1.0
+    return gpu, warp
+
+
+def _step_memory(gpu, warp, mask, cycle: int = 100):
+    """Issue the warp's next instruction under ``mask``; everything that
+    may differ afterwards, or the error it raised."""
+    active = int(mask.sum())
+    frame = [0, -1, mask.copy()]
+    warp.stack[:] = [frame + [active, active == WARP_SIZE] if gpu.fast_core else frame]
+    try:
+        warp.step(cycle)
+    except Exception as exc:  # compared, not hidden
+        return type(exc).__name__, str(exc)
+    stats = gpu.stats.to_dict()
+    del stats["config"]
+    caches = [vars(cache.stats) for cache in (gpu.memsys.l2, warp.tb.smx.l1)]
+    report = gpu.sanitizer.report.format() if gpu.sanitizer is not None else None
+    return (
+        warp.regs_i.tobytes(), warp.regs_f.tobytes(), gpu.memory.i.tobytes(),
+        warp.tb.shared.tobytes(), stats, caches, warp.ready_cycle, warp.stack[-1][0],
+        gpu.memory.written_end, report,
+    )
+
+
+def _both_cores(instr, addresses, mask, sanitize=False):
+    out = [
+        _step_memory(*_memory_warp(instr, core, addresses, sanitize), mask)
+        for core in ("fast", "reference")
+    ]
+    assert out[0] == out[1], (instr, mask)
+    return out[0]
+
+
 class TestMicroKernelDifferential:
+    @pytest.mark.parametrize("addresses", list(_ADDRESSES))
+    @pytest.mark.parametrize("op", list(MEMORY) + list(ATOMIC), ids=lambda op: op.name)
+    def test_single_memory_instruction(self, op, addresses):
+        """Every ``MEMORY`` row and every atomic, one issue on each core:
+        equal register files, memory, shared memory, ``SimStats``, cache
+        counters, ``ready_cycle``, ``written_end`` and sanitizer report."""
+        row = MEMORY.get(op)
+        sources = (False, True) if row is None or row.store else (False,)
+        for imm_source in sources:
+            instr = _memory_instr(op, addresses == "imm", imm_source)
+            for name in ("full", "partial", "one"):
+                for sanitize in (False, True):
+                    out = _both_cores(instr, _ADDRESSES[addresses], _MEM_MASKS[name], sanitize)
+                    assert len(out) == 10, f"{instr} raised {out}"
+
+    @pytest.mark.parametrize("op", [Opcode.ST, Opcode.FST, Opcode.STS], ids=lambda op: op.name)
+    @pytest.mark.parametrize("mask", ["full", "partial"])
+    def test_store_to_an_immediate_address_keeps_the_last_active_lane(self, op, mask):
+        """Every active lane stores its own value to the one word: the
+        highest lane's survives (NumPy assigns a repeated index last)."""
+        instr = _memory_instr(op, imm_base=True)
+        last = int(np.flatnonzero(_MEM_MASKS[mask])[-1])
+        for core in ("fast", "reference"):
+            gpu, warp = _memory_warp(instr, core, None)
+            _step_memory(gpu, warp, _MEM_MASKS[mask])
+            addr = instr.a.value + instr.offset
+            if op is Opcode.FST:
+                assert gpu.memory.f[addr] == warp.regs_f[1][last] == last * 0.5 - 3
+            else:
+                words = warp.tb.shared if op is Opcode.STS else gpu.memory.i
+                assert words[addr] == warp.regs_i[1][last] == last * 11 - 40
+        _both_cores(instr, None, _MEM_MASKS[mask])
+
+    @pytest.mark.parametrize("imm_base", [False, True], ids=["register", "immediate"])
+    @pytest.mark.parametrize(
+        "op", [Opcode.LD, Opcode.FST, Opcode.ATOM_ADD, Opcode.LDL, Opcode.STL, Opcode.LDS],
+        ids=lambda op: op.name,
+    )
+    def test_an_issue_with_no_active_lane_is_a_zero_transaction_access(self, op, imm_base):
+        """It is counted (``histogram[0]``) and the memory system is still
+        asked: a load comes back after an L2 hit's latency (an L1 hit's
+        from local memory) with no segment probed, and no bounds check
+        applies — there is no address."""
+        instr = _memory_instr(op, imm_base)
+        if imm_base:
+            instr.a = Imm(-5)
+        for core in ("fast", "reference"):
+            gpu, warp = _memory_warp(instr, core, _ADDRESSES["unit"] - 1000)
+            before = warp.regs_i.copy(), gpu.memory.i.copy(), warp.tb.shared.copy()
+            _step_memory(gpu, warp, _MEM_MASKS["none"], cycle=100)
+            for was, now in zip(before, (warp.regs_i, gpu.memory.i, warp.tb.shared)):
+                np.testing.assert_array_equal(was, now)
+            coalescing, config = gpu.stats.coalescing, gpu.config
+            if op is Opcode.LDS:
+                assert coalescing.warp_accesses == 0
+                assert warp.ready_cycle == 100 + config.shared_latency
+                continue
+            assert (coalescing.warp_accesses, coalescing.transactions) == (1, 0)
+            assert coalescing.histogram[0] == 1 and gpu.memsys.l2.stats.accesses == 0
+            latency = {
+                Opcode.LDL: config.l1_hit_latency, Opcode.LD: config.l2_hit_latency,
+                Opcode.ATOM_ADD: config.l2_hit_latency,
+            }.get(op, config.alu_latency)
+            assert warp.ready_cycle == 100 + latency
+        _both_cores(instr, _ADDRESSES["unit"] - 1000, _MEM_MASKS["none"])
+
+    @pytest.mark.parametrize("imm_base", [False, True], ids=["register", "immediate"])
+    @pytest.mark.parametrize("op", list(MEMORY) + [Opcode.ATOM_MAX], ids=lambda op: op.name)
+    def test_out_of_range_message_is_the_same_on_both_cores(self, op, imm_base):
+        row = MEMORY.get(op)
+        space = "atomic" if row is None else row.space
+        limit = {"global": 1 << 16, "atomic": 1 << 16, "shared": _SHARED_WORDS,
+                 "local": _LOCAL_WORDS}[space]
+        instr = _memory_instr(op, imm_base, offset=2)
+        for stray, mask in itertools.product((-9, limit - 2), ("full", "one")):
+            # Lane 13 strays below zero or past the end.
+            addresses = np.full(WARP_SIZE, 4, dtype=np.int64)
+            addresses[13] = stray
+            touched = addresses[_MEM_MASKS[mask]] + 2
+            if imm_base:
+                instr.a = Imm(stray)
+                touched = touched[touched == stray + 2]
+            lo, hi = touched.min(), touched.max()
+            expected = {
+                "global": f"global access out of range (addr {lo}..{hi}, mem size {limit})",
+                "atomic": f"atomic out of range at {stray + 2}",
+                "shared": f"shared access out of range (addr {lo}..{hi}, shared words {limit})",
+                "local": f"local access out of range (offset {lo}..{hi}, local_words {limit})",
+            }[space]
+            out = []
+            for core in ("fast", "reference"):
+                gpu, warp = _memory_warp(instr, core, None)
+                warp.regs_i[0] = addresses
+                out.append(_step_memory(gpu, warp, _MEM_MASKS[mask]))
+            assert out[0] == out[1] == ("ExecutionError", f"kernel 'mem': {expected}")
+
     @pytest.mark.parametrize("variant", _ALU_VARIANTS)
     @pytest.mark.parametrize("op", list(ALU), ids=lambda op: op.name)
     def test_single_alu_instruction(self, op, variant):
@@ -243,6 +485,18 @@ class TestMicroKernelDifferential:
         ref, out_ref = _run_kernel(_barrier_kernel(), fast=False)
         assert fast == ref
         np.testing.assert_array_equal(out_fast, out_ref)
+
+    @pytest.mark.parametrize("block", [64, 128])
+    def test_unsynchronised_shared_local_and_immediate_base_traffic(self, block, monkeypatch):
+        """Two warps an SMX (block 64) or four on one (block 128): few
+        enough to run ahead, where native memory ops are inlined in global
+        time order — which is all that decides what the racing warps read."""
+        monkeypatch.delenv("REPRO_SANITIZE", raising=False)  # run-ahead needs no observer
+        fast, out_fast = _run_kernel(_racy_mailbox_kernel(), fast=True, n=128, block=block)
+        ref, out_ref = _run_kernel(_racy_mailbox_kernel(), fast=False, n=128, block=block)
+        assert fast == ref
+        np.testing.assert_array_equal(out_fast, out_ref)
+        assert not decode_program(_racy_mailbox_kernel().program)[4]
 
     def test_atomic_destination_aliases_operand(self):
         """``atom_add v [a] v``: memory must receive the operand's value
@@ -291,9 +545,7 @@ class TestMicroKernelDifferential:
 # sanitizer forcing per-instruction fallback) while staying stat-exact.
 # ----------------------------------------------------------------------
 def _decoded_region_starts(func: KernelFunction):
-    from repro.sim.fast_warp import decode_program
-
-    _table, _ni, _nf, regions = decode_program(func.program)
+    _table, _ni, _nf, regions, _ = decode_program(func.program)
     return set(regions) if regions else set()
 
 
@@ -376,8 +628,6 @@ class TestFusionAdversarial:
         range: few enough resident warps that each runs ahead in a window,
         where the branch body's region executes in one call under either
         mask — and stays stat-exact."""
-        from repro.sim.fast_warp import decode_program
-
         monkeypatch.delenv("REPRO_SANITIZE", raising=False)  # needs fused regions
 
         func = _divergent_entry_kernel()

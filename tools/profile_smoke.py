@@ -7,7 +7,10 @@ Two layers:
 1. **CLI**: runs ``python -m repro.workloads <bench> --profile
    --profile-json <tmp>`` in a subprocess and checks the JSON report
    parses and is internally consistent (per-opcode issues sum to the
-   reported total; fused counters match the region list).
+   reported total; fused counters match the region list), and that the
+   reference-fallback line is there with under 1 % of the issues: what
+   the fast core still delegates is the launch API and the warp-wide
+   exchanges, never a hot instruction.
 2. **In-process**: re-runs the same (benchmark, mode) with a
    :class:`~repro.sim.profiler.HotPathProfiler` installed and asserts
    the profiler's opcode issue / active-lane totals equal the
@@ -17,7 +20,10 @@ Two layers:
 The (benchmark, mode) cell comes from ``argv`` — ``profile_smoke.py
 [bench [mode]]``, default ``bht dtbl``.  CI also runs ``amr flat``, the
 most divergent cell (0.5 % of its issues carry a full mask), so the
-totals contract is exercised with masked fused regions end to end.
+totals contract is exercised with masked fused regions end to end, and
+``bfs_cage15 persistent``, whose task-queue polls (one-lane loads from an
+immediate address) and worker mailbox (shared memory) ran on the
+reference handlers, one issue in six, before they had a native form.
 
 Exits non-zero on any mismatch.  Used by the CI ``smoke`` job.
 """
@@ -59,6 +65,8 @@ def check_cli_report() -> None:
             fail(f"CLI run failed (exit {result.returncode}):\n{result.stderr[-2000:]}")
         if "== hot-path profile ==" not in result.stdout:
             fail("CLI output lacks the hot-path profile table")
+        if "reference fallbacks " not in result.stdout:
+            fail("CLI output lacks the reference-fallback line")
         try:
             report = json.loads(out.read_text())
         except (OSError, json.JSONDecodeError) as exc:
@@ -83,11 +91,19 @@ def check_cli_report() -> None:
                 f"region executions imply {region_instrs} fused "
                 f"instructions, report says {report['fused_instructions']}"
             )
+        fallback_share = report["fallback_issues"] / report["total_issues"]
+        if fallback_share >= 0.01:
+            fail(
+                f"{report['fallback_issues']} of {report['total_issues']} issues "
+                f"({100 * fallback_share:.2f}%) ran on the reference core's handlers"
+            )
         print(
             f"profile smoke: CLI report OK "
             f"({report['total_issues']:,} issues, "
             f"{report['fused_instructions']:,} fused in "
-            f"{len(report['regions'])} regions)"
+            f"{len(report['regions'])} regions, "
+            f"{report['fallback_issues']:,} reference fallbacks "
+            f"with {1e3 * report['fallback_host_seconds']:.1f} ms of host time)"
         )
 
 
