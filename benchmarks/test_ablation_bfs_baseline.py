@@ -9,27 +9,22 @@ necessarily close) the cycle gap.
 """
 
 from repro import ExecutionMode
+from repro.harness.runner import DEFAULT_LATENCY_SCALE
 from repro.workloads.bfs import BfsWorkload
 from repro.workloads.datasets.graphs import citation_network
 
-from .conftest import BENCH_LATENCY_SCALE
 
-
-def test_warp_expansion_narrows_the_dynamic_gap(benchmark):
+def test_warp_expansion_narrows_the_dynamic_gap():
     graph = citation_network(n=1200, attach=4)
 
-    def run_all():
-        results = {}
-        for key, mode, expansion in (
-            ("flat_thread", ExecutionMode.FLAT, "thread"),
-            ("flat_warp", ExecutionMode.FLAT, "warp"),
-            ("dtbl", ExecutionMode.DTBL, "thread"),
-        ):
-            workload = BfsWorkload("bfs", mode, graph, expansion=expansion)
-            results[key] = workload.execute(latency_scale=BENCH_LATENCY_SCALE).stats
-        return results
-
-    results = benchmark.pedantic(run_all, rounds=1, iterations=1)
+    results = {}
+    for key, mode, expansion in (
+        ("flat_thread", ExecutionMode.FLAT, "thread"),
+        ("flat_warp", ExecutionMode.FLAT, "warp"),
+        ("dtbl", ExecutionMode.DTBL, "thread"),
+    ):
+        workload = BfsWorkload("bfs", mode, graph, expansion=expansion)
+        results[key] = workload.execute(latency_scale=DEFAULT_LATENCY_SCALE).stats
     print()
     for key, stats in results.items():
         print(

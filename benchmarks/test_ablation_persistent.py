@@ -21,34 +21,29 @@ cost the paper argues DTBL moves into hardware (§6).
 
 from repro import ExecutionMode
 from repro.exec import JobSpec
+from repro.harness.runner import DEFAULT_LATENCY_SCALE
 from repro.workloads.bfs import BfsWorkload
 from repro.workloads.datasets.graphs import citation_network
 
-from .conftest import BENCH_LATENCY_SCALE
 
-
-def test_dynamic_work_schemes(benchmark):
+def test_dynamic_work_schemes():
     graph = citation_network(n=1200, attach=4)
 
-    def run_all():
-        results = {}
-        for key, mode, expansion in (
-            ("flat/thread", ExecutionMode.FLAT, "thread"),
-            ("flat/warp", ExecutionMode.FLAT, "warp"),
-            ("flat/persistent", ExecutionMode.FLAT, "persistent"),
-            ("dtbl", ExecutionMode.DTBL, "thread"),
-        ):
-            workload = BfsWorkload("bfs", mode, graph, expansion=expansion)
-            spec = JobSpec(
-                benchmark=f"bfs_ablation/{key}",
-                mode=mode,
-                scale=1.0,
-                latency_scale=BENCH_LATENCY_SCALE,
-            ).validate()
-            results[key] = workload.execute_spec(spec).stats
-        return results
-
-    results = benchmark.pedantic(run_all, rounds=1, iterations=1)
+    results = {}
+    for key, mode, expansion in (
+        ("flat/thread", ExecutionMode.FLAT, "thread"),
+        ("flat/warp", ExecutionMode.FLAT, "warp"),
+        ("flat/persistent", ExecutionMode.FLAT, "persistent"),
+        ("dtbl", ExecutionMode.DTBL, "thread"),
+    ):
+        workload = BfsWorkload("bfs", mode, graph, expansion=expansion)
+        spec = JobSpec(
+            benchmark=f"bfs_ablation/{key}",
+            mode=mode,
+            scale=1.0,
+            latency_scale=DEFAULT_LATENCY_SCALE,
+        ).validate()
+        results[key] = workload.execute_spec(spec).stats
     print()
     base = results["flat/thread"].cycles
     for key, stats in results.items():

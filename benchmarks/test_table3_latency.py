@@ -1,23 +1,9 @@
-"""Table 3: regenerate the CDP/DTBL latency model and verify the simulator
-actually charges those latencies on the launch path."""
-
-import numpy as np
+"""Table 3 on the launch path: one hand-built launch through the simulator
+is charged what the latency model says (the values themselves are the
+``table3.latency`` claim row)."""
 
 from repro import Device, ExecutionMode, KernelBuilder, KernelFunction
 from repro.config import LatencyModel
-from repro.harness.experiments import table3_latency
-
-from .conftest import show
-
-
-def test_table3_values(benchmark):
-    experiment = benchmark.pedantic(table3_latency, rounds=1, iterations=1)
-    show(experiment)
-    rows = {row[0]: row for row in experiment.rows}
-    assert rows["cudaStreamCreateWithFlags (CDP only)"][1] == 7165
-    assert rows["cudaGetParameterBuffer (CDP and DTBL)"][2:] == [8023, 129]
-    assert rows["cudaLaunchDevice (CDP only)"][2:] == [12187, 1592]
-    assert rows["Kernel dispatching"][1] == 283
 
 
 def _one_thread_launch_kernel(use_dtbl: bool) -> KernelFunction:
@@ -51,7 +37,7 @@ def _single_launch_cycles(mode: ExecutionMode) -> int:
     return dev.synchronize().cycles
 
 
-def test_cdp_launch_path_charges_table3(benchmark):
+def test_cdp_launch_path_charges_table3():
     """One CDP launch must cost at least stream + param + launch + dispatch."""
     lat = LatencyModel.measured_k20c()
     floor = (
@@ -60,23 +46,13 @@ def test_cdp_launch_path_charges_table3(benchmark):
         + lat.launch_device_cycles(1)
         + lat.kernel_dispatch
     )
-    cycles = benchmark.pedantic(
-        _single_launch_cycles, args=(ExecutionMode.CDP,), rounds=1, iterations=1
-    )
-    assert cycles >= floor
+    assert _single_launch_cycles(ExecutionMode.CDP) >= floor
 
 
-def test_dtbl_launch_path_is_cheaper(benchmark):
+def test_dtbl_launch_path_is_cheaper():
     """The DTBL launch path must beat CDP's by roughly the Table 3 gap."""
-
-    def run_pair():
-        return {
-            mode: _single_launch_cycles(mode)
-            for mode in (ExecutionMode.CDP, ExecutionMode.DTBL)
-        }
-
-    results = benchmark.pedantic(run_pair, rounds=1, iterations=1)
     lat = LatencyModel.measured_k20c()
-    gap = results[ExecutionMode.CDP] - results[ExecutionMode.DTBL]
+    gap = (_single_launch_cycles(ExecutionMode.CDP)
+           - _single_launch_cycles(ExecutionMode.DTBL))
     # stream_create + cudaLaunchDevice are CDP-only costs.
     assert gap >= lat.stream_create

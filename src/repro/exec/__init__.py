@@ -35,6 +35,7 @@ from .cli import (
     DEFAULT_CHECKPOINT_DIR,
     add_execution_flags,
     add_job_flags,
+    config_from_flags,
     validate_execution_flags,
 )
 from .pool import EngineStats, ProgressEvent, SweepEngine, SweepError
@@ -55,6 +56,7 @@ __all__ = [
     "add_execution_flags",
     "add_job_flags",
     "canonical_json",
+    "config_from_flags",
     "digest",
     "run_job",
     "validate_execution_flags",

@@ -12,15 +12,18 @@ module is the single definition:
 * :func:`add_execution_flags` declares the execution-policy flags
   (``--jobs``, ``--cache*``, ``--profile*``, ``--checkpoint*``,
   ``--resume``);
-* :func:`validate_execution_flags` applies the shared consistency rules.
+* :func:`validate_execution_flags` applies the shared consistency rules;
+* :func:`config_from_flags` applies ``--core`` / ``--sanitize`` to the
+  Table 2 GPU, so neither CLI reaches for the environment.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 from typing import Optional
 
-from ..config import CORES
+from ..config import CORES, GPUConfig
 from .cache import DEFAULT_CACHE_DIR
 
 #: Default directory for ``--checkpoint-every`` / ``--resume`` state.
@@ -46,6 +49,21 @@ def add_job_flags(
                         help="run every simulation with the execution "
                              "sanitizer (race/OOB/uninit/barrier/launch "
                              "checks); any finding fails the run")
+
+
+def config_from_flags(args: argparse.Namespace) -> GPUConfig:
+    """The Table 2 GPU with ``--core`` / ``--sanitize`` applied.
+
+    Both are :class:`~repro.config.GPUConfig` fields and both are in the
+    job fingerprint, so the flags travel with each spec to whichever
+    process runs it.
+    """
+    changes = {}
+    if getattr(args, "core", None):
+        changes["core"] = args.core
+    if getattr(args, "sanitize", False):
+        changes["sanitize"] = True
+    return dataclasses.replace(GPUConfig.k20c(), **changes)
 
 
 def add_execution_flags(

@@ -31,6 +31,7 @@ from ..config import GPUConfig
 from ..runtime import ExecutionMode
 from ..sim.sanitizer import SanitizerReport
 from ..sim.stats import SimStats
+from .cli import config_from_flags
 from .fingerprint import digest, effective_sanitize
 
 
@@ -162,21 +163,17 @@ class JobSpec:
 
         Reads the shared flags declared by ``add_job_flags`` /
         ``add_execution_flags``: ``--scale``, ``--latency-scale``,
-        ``--core``, ``--no-verify`` (when the CLI declares it), and the
+        ``--core``, ``--sanitize``, ``--no-verify`` (when the CLI declares it), and the
         checkpoint flags.  ``checkpoint_dir`` is the *validated*
         directory from ``validate_execution_flags`` — ``None`` unless
         checkpointing or resuming was requested.
         """
-        core = getattr(args, "core", None)
-        config = None
-        if core:
-            config = dataclasses.replace(GPUConfig.k20c(), core=core)
         return cls.create(
             benchmark,
             mode,
             getattr(args, "scale", 1.0),
             getattr(args, "latency_scale", 1.0),
-            config=config,
+            config=config_from_flags(args),
             verify=not getattr(args, "no_verify", False),
             checkpoint_every=getattr(args, "checkpoint_every", None),
             checkpoint_dir=checkpoint_dir,
@@ -297,7 +294,10 @@ class JobResult:
         return {
             "stats": self.stats.to_dict(),
             "wall_seconds": self.wall_seconds,
-            "sanitizer": self.sanitizer.to_dict() if self.sanitizer else None,
+            # "is not None": a clean report has length 0 and must survive.
+            "sanitizer": (
+                self.sanitizer.to_dict() if self.sanitizer is not None else None
+            ),
         }
 
     @classmethod

@@ -1,37 +1,27 @@
-"""Experiment harness: runs the benchmark grid and regenerates every table
-and figure of the paper's evaluation (Section 5).
+"""Experiment harness: states the paper's tables, figures and claims as
+rows (:mod:`.paper`), resolves the cells they need and regenerates the
+evaluation of Section 5 from them (:func:`evaluate`).
 """
 
-from .runner import BenchmarkRun, run_benchmark, run_grid, run_jobs, GridResults
-from .experiments import (
-    figure6_warp_activity,
-    figure7_dram_efficiency,
-    figure8_smx_occupancy,
-    figure9_waiting_time,
-    figure10_memory_footprint,
-    figure11_speedup,
-    figure12_agt_sensitivity,
-    table2_configuration,
-    table3_latency,
-    table4_benchmarks,
-)
+from .claims import Cells, Claim, ClaimError, Expect, Figure, Needs, Verdict
+from .experiments import Evaluation, Experiment, evaluate
+from .paper import CLAIMS, FIGURES
 from .reporting import format_table
+from .runner import run_jobs
 
 __all__ = [
-    "BenchmarkRun",
-    "GridResults",
-    "figure6_warp_activity",
-    "figure7_dram_efficiency",
-    "figure8_smx_occupancy",
-    "figure9_waiting_time",
-    "figure10_memory_footprint",
-    "figure11_speedup",
-    "figure12_agt_sensitivity",
+    "CLAIMS",
+    "FIGURES",
+    "Cells",
+    "Claim",
+    "ClaimError",
+    "Evaluation",
+    "Expect",
+    "Experiment",
+    "Figure",
+    "Needs",
+    "Verdict",
+    "evaluate",
     "format_table",
-    "run_benchmark",
-    "run_grid",
     "run_jobs",
-    "table2_configuration",
-    "table3_latency",
-    "table4_benchmarks",
 ]

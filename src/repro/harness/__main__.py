@@ -10,8 +10,11 @@ Usage::
     python -m repro.harness --no-cache           # ignore .repro-cache/
     python -m repro.harness --checkpoint-every 2000000 --resume
 
-Results persist in a content-addressed on-disk cache (``--cache-dir``,
-default ``.repro-cache/``): a warm rerun of any figure simulates nothing.
+Standard output is the document alone — EXPERIMENTS.md for a full run,
+one table for ``--figure`` — so two runs compare equal; progress, cache
+statistics and timing go to standard error.  Results persist in a
+content-addressed on-disk cache (``--cache-dir``, default
+``.repro-cache/``): a warm rerun simulates nothing.
 ``--checkpoint-every`` snapshots long simulations periodically so an
 interrupted sweep can ``--resume`` from where it stopped.
 """
@@ -19,50 +22,21 @@ interrupted sweep can ``--resume`` from where it stopped.
 from __future__ import annotations
 
 import argparse
-import dataclasses
-import os
+import functools
 import sys
 import time
 
-from .experiments import (
-    figure6_warp_activity,
-    figure7_dram_efficiency,
-    figure8_smx_occupancy,
-    figure9_waiting_time,
-    figure10_memory_footprint,
-    figure11_speedup,
-    figure12_agt_sensitivity,
-    overhead_analysis,
-    run_all_figures,
-    table2_configuration,
-    table3_latency,
-    table4_benchmarks,
-)
 from ..exec import (
     ResultCache,
     add_execution_flags,
     add_job_flags,
+    config_from_flags,
     validate_execution_flags,
 )
-from ..config import GPUConfig
 from ..sim import profiler as _profiler
-from .runner import DEFAULT_LATENCY_SCALE, run_grid
-
-_GRID_FIGURES = {
-    "6": figure6_warp_activity,
-    "7": figure7_dram_efficiency,
-    "8": figure8_smx_occupancy,
-    "9": figure9_waiting_time,
-    "10": figure10_memory_footprint,
-    "11": figure11_speedup,
-}
-
-_STATIC = {
-    "table2": table2_configuration,
-    "table3": table3_latency,
-    "table4": table4_benchmarks,
-    "overhead": overhead_analysis,
-}
+from .experiments import evaluate
+from .paper import FIGURES
+from .runner import DEFAULT_LATENCY_SCALE, run_jobs
 
 
 def main(argv=None) -> int:
@@ -72,7 +46,8 @@ def main(argv=None) -> int:
     )
     parser.add_argument("--benchmarks", nargs="*", default=None,
                         help="benchmark subset (default: all of Table 4)")
-    parser.add_argument("--figure", default=None,
+    parser.add_argument("--figure", default=None, metavar="FIGURE",
+                        choices=[figure.id for figure in FIGURES],
                         help="one of: 6-12, table2, table3, table4, overhead")
     add_job_flags(parser, latency_scale_default=DEFAULT_LATENCY_SCALE)
     add_execution_flags(parser)
@@ -89,77 +64,43 @@ def main(argv=None) -> int:
         profiler = _profiler.activate()
     cache = ResultCache(args.cache_dir) if args.cache else None
 
-    if args.sanitize:
-        # The env switch reaches every GPU the workloads construct,
-        # including figure paths that build their own configs; a finding
-        # raises WorkloadError out of Workload.execute with the report.
-        os.environ["REPRO_SANITIZE"] = "1"
-
-    config = None
-    if args.core:
-        config = dataclasses.replace(GPUConfig.k20c(), core=args.core)
-
-    verbose = not args.quiet
     start = time.time()
+    evaluation = evaluate(
+        functools.partial(
+            run_jobs, jobs=args.jobs, cache=cache, verbose=not args.quiet,
+            checkpoint_every=args.checkpoint_every, checkpoint_dir=checkpoint_dir,
+        ),
+        figure=args.figure,
+        benchmarks=args.benchmarks or None,
+        scale=args.scale,
+        latency_scale=args.latency_scale,
+        config=config_from_flags(args),
+    )
     if args.figure is None:
-        experiments = run_all_figures(
-            scale=args.scale,
-            latency_scale=args.latency_scale,
-            benchmarks=args.benchmarks,
-            verbose=verbose,
-            agt_benchmarks=args.benchmarks
-            or ["bht", "regx_string", "amr", "bfs_citation"],
-            jobs=args.jobs,
-            cache=cache,
-            checkpoint_every=args.checkpoint_every,
-            checkpoint_dir=checkpoint_dir,
-            config=config,
-        )
-        for experiment in experiments:
-            print()
-            print(experiment.render())
-    elif args.figure in _STATIC:
-        print(_STATIC[args.figure]().render())
-    elif args.figure == "12":
-        print(
-            figure12_agt_sensitivity(
-                benchmarks=args.benchmarks
-                or ["bht", "regx_string", "amr", "bfs_citation"],
-                scale=args.scale,
-                latency_scale=args.latency_scale,
-                verbose=verbose,
-                jobs=args.jobs,
-                cache=cache,
-                checkpoint_every=args.checkpoint_every,
-                checkpoint_dir=checkpoint_dir,
-                core=args.core,
-            ).render()
-        )
-    elif args.figure in _GRID_FIGURES:
-        grid = run_grid(
-            benchmarks=args.benchmarks,
-            scale=args.scale,
-            latency_scale=args.latency_scale,
-            verbose=verbose,
-            jobs=args.jobs,
-            cache=cache,
-            checkpoint_every=args.checkpoint_every,
-            checkpoint_dir=checkpoint_dir,
-            config=config,
-        )
-        print(_GRID_FIGURES[args.figure](grid).render())
+        sys.stdout.write(evaluation.document())
     else:
-        parser.error(f"unknown figure {args.figure!r}")
+        print(evaluation.experiments[args.figure].render())
+
+    def note(text: str) -> None:
+        print(text, file=sys.stderr)
+
     if args.sanitize:
-        print("sanitizer: clean (no findings across all simulations)")
+        # A finding raises out of its simulation; a result without a
+        # report means the flag did not reach that cell's GPU.
+        unchecked = [r for r in evaluation.results
+                     if r.sanitizer is None or not r.sanitizer.clean]
+        if unchecked:
+            note(f"sanitizer: {len(unchecked)} results carry no clean report")
+            return 1
+        note(f"sanitizer: clean (no findings across {len(evaluation.results)} "
+             "simulations)")
     if profiler is not None:
         _profiler.deactivate()
-        print()
-        print(profiler.report())
-    if verbose:
+        note("\n" + profiler.report())
+    if not args.quiet:
         if cache is not None:
-            print(f"\n[cache] {cache.stats.format()} ({args.cache_dir})")
-        print(f"[{time.time() - start:.1f}s]")
+            note(f"\n[cache] {cache.stats.format()} ({args.cache_dir})")
+        note(f"[{time.time() - start:.1f}s]")
     return 0
 
 

@@ -1,48 +1,26 @@
-"""One function per table / figure of the paper's evaluation.
+"""The one evaluator of the paper's rows (:mod:`repro.harness.paper`).
 
-Each function consumes a :class:`~repro.harness.runner.GridResults` (or
-runs the sub-grid it needs) and returns an :class:`Experiment` carrying
-the regenerated rows, headline aggregates, and the paper's reported
-numbers for side-by-side comparison in EXPERIMENTS.md.
+:func:`evaluate` computes, from the rows alone, the set of
+:class:`~repro.exec.JobSpec`\\ s a selection needs, resolves them through
+**one** injected ``resolve(specs) -> results`` call (the CLI binds
+:func:`~repro.harness.runner.run_jobs` to its execution flags; tests pass
+a fake), and renders the tables, the verdicts and the whole of
+EXPERIMENTS.md from the resolved cells.
 """
 
 from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import Callable, Dict, List, Optional, Sequence
 
-from ..config import GPUConfig, LatencyModel
-from ..dtbl.overhead import overhead_report
-from ..exec import JobSpec, ResultCache
-from ..runtime import ExecutionMode
-from ..workloads import benchmark_names, get_benchmark
-from .reporting import format_table, geomean, mean
-from .runner import (
-    DEFAULT_LATENCY_SCALE,
-    GridResults,
-    run_grid,
-    run_jobs,
-)
-
-FLAT = ExecutionMode.FLAT
-CDP = ExecutionMode.CDP
-CDPI = ExecutionMode.CDP_IDEAL
-DTBL = ExecutionMode.DTBL
-DTBLI = ExecutionMode.DTBL_IDEAL
-
-#: Every non-flat mode in the enum's canonical comparison order.  The
-#: Fig. 11 grid derives its columns from this, so modes added to
-#: :class:`ExecutionMode` (e.g. the compiler-optimized ``cdpa`` /
-#: ``cons``) appear automatically instead of being hand-listed here.
-DYNAMIC_MODES = tuple(
-    mode for mode in ExecutionMode.comparison_order() if mode is not FLAT
-)
-
-
-def mode_column(mode: ExecutionMode) -> str:
-    """Table-column label for a mode (the paper's shorthand)."""
-    return mode.value.upper()
+from ..config import GPUConfig
+from ..exec import JobResult, JobSpec
+from ..workloads import benchmark_names
+from .claims import STATUSES, VARIANTS, CellKey, Cells, Claim, ClaimError, Needs, Verdict
+from .paper import CLAIMS, FIGURES, INTRO, LEGEND, NOTES
+from .reporting import format_table, render_value
+from .runner import DEFAULT_LATENCY_SCALE, DEFAULT_SCALE
 
 
 @dataclass
@@ -60,387 +38,147 @@ class Experiment:
     note: str = ""
 
     def render(self) -> str:
-        lines = [format_table(f"{self.experiment_id}: {self.title}", self.headers, self.rows, self.note)]
+        lines = [format_table(
+            f"{self.experiment_id} — {self.title}", self.headers, self.rows, self.note
+        )]
         if self.summary:
             lines.append("")
-            for key, value in self.summary.items():
-                paper_value = self.paper.get(key)
-                suffix = f"   (paper: {paper_value})" if paper_value is not None else ""
-                lines.append(f"  {key}: {value:.3f}{suffix}")
+        for key, value in self.summary.items():
+            suffix = ""
+            if key in self.paper:  # in the measured value's format
+                suffix = f" (paper: {render_value(type(value)(self.paper[key]))})"
+            lines.append(f"- {key}: {render_value(value)}{suffix}")
         return "\n".join(lines)
 
 
-# ----------------------------------------------------------------------
-# Tables 2-4 (static)
-# ----------------------------------------------------------------------
+@dataclass
+class Evaluation:
+    """What one :func:`evaluate` call resolved and derived."""
 
-def table2_configuration(config: Optional[GPUConfig] = None) -> Experiment:
-    """Table 2: GPGPU-Sim configuration parameters."""
-    cfg = config or GPUConfig.k20c()
-    rows = [
-        ["SMX Clock Freq.", f"{cfg.smx_clock_mhz}MHz"],
-        ["Memory Clock Freq.", f"{cfg.memory_clock_mhz}MHz"],
-        ["# of SMX", cfg.num_smx],
-        ["Max # of Resident Thread Blocks per SMX", cfg.max_resident_blocks],
-        ["Max # of Resident Threads per SMX", cfg.max_resident_threads],
-        ["# of 32-bit Registers per SMX", cfg.registers_per_smx],
-        ["L1 Cache / Shared Mem Size per SMX", f"{cfg.l1_size // 1024}KB / {cfg.shared_mem_size // 1024}KB"],
-        ["Max # of Concurrent Kernels", cfg.max_concurrent_kernels],
-    ]
-    return Experiment("Table 2", "GPU Configuration Parameters", ["Parameter", "Value"], rows)
+    scale: float
+    latency_scale: float
+    #: The benchmarks the figures cover, in row order.
+    benchmarks: Sequence[str]
+    #: One result per distinct simulation, as ``resolve`` returned them.
+    results: List[JobResult]
+    #: Keyed by what ``--figure`` calls each, in paper order.
+    experiments: Dict[str, Experiment]
+    verdicts: List[Verdict]
+    #: Claims whose cells lie outside the selected benchmarks.
+    unjudged: List[Claim]
 
+    def failures(self) -> List[str]:
+        return [v.failure() for v in self.verdicts if not v.ok]
 
-def table3_latency() -> Experiment:
-    """Table 3: CDP / DTBL device-runtime latency model (cycles)."""
-    lat = LatencyModel.measured_k20c()
-    rows = [
-        ["cudaStreamCreateWithFlags (CDP only)", lat.stream_create, "-", "-"],
-        ["cudaGetParameterBuffer (CDP and DTBL)", "-", lat.param_buffer_base, lat.param_buffer_per_thread],
-        ["cudaLaunchDevice (CDP only)", "-", lat.launch_device_base, lat.launch_device_per_thread],
-        ["Kernel dispatching", lat.kernel_dispatch, "-", "-"],
-    ]
-    return Experiment(
-        "Table 3",
-        "Latency Modeling for CDP and DTBL (cycles; b + A*x per warp)",
-        ["API", "flat", "b", "A"],
-        rows,
-    )
-
-
-def table4_benchmarks() -> Experiment:
-    """Table 4: the benchmark / input configurations."""
-    rows = []
-    for name in benchmark_names():
-        workload = get_benchmark(name, FLAT)
-        rows.append([name, workload.app_name, type(workload).__name__])
-    return Experiment(
-        "Table 4",
-        "Benchmarks used in the experimental evaluation",
-        ["Configuration", "Application", "Workload class"],
-        rows,
-    )
-
-
-# ----------------------------------------------------------------------
-# Figures 6-11 (full grid)
-# ----------------------------------------------------------------------
-
-def figure6_warp_activity(grid: GridResults) -> Experiment:
-    """Fig. 6: average percentage of active threads in a warp."""
-    rows = []
-    deltas = []
-    for name in grid.benchmarks():
-        flat = grid.get(name, FLAT).stats.warp_activity_pct
-        cdp = grid.get(name, CDP).stats.warp_activity_pct
-        dtbl = grid.get(name, DTBL).stats.warp_activity_pct
-        rows.append([name, round(flat, 1), round(cdp, 1), round(dtbl, 1)])
-        deltas.append(dtbl - flat)
-    exp = Experiment(
-        "Figure 6",
-        "Warp Activity Percentage",
-        ["benchmark", "Flat", "CDP", "DTBL"],
-        rows,
-        summary={"avg warp-activity gain (DTBL - flat, pp)": mean(deltas)},
-        paper={"avg warp-activity gain (DTBL - flat, pp)": 10.7},
-    )
-    return exp
+    def document(self) -> str:
+        """EXPERIMENTS.md: this run's tables and verdicts, byte for byte."""
+        tally = dict.fromkeys(STATUSES, 0)
+        rows, reasons = [], []
+        for verdict in self.verdicts:
+            claim = verdict.claim
+            tally[claim.status] += 1
+            paper = "" if claim.paper is None else render_value(claim.paper)
+            status = claim.status if verdict.ok else f"**DRIFTED** ({claim.status})"
+            rows.append([claim.id, paper, render_value(verdict.measured),
+                         claim.expected(), status, claim.text])
+            if claim.reason:
+                reasons.append(f"- `{claim.id}` ({claim.status}): {claim.reason}.")
+        parts = [
+            "# EXPERIMENTS — paper vs. measured",
+            INTRO,
+            f"**This run.** Dataset scale {self.scale:g}, launch latencies = "
+            f"Table 3 x {self.latency_scale:g}, {len(self.benchmarks)} of Table 4's "
+            f"{len(benchmark_names())} benchmarks, {len(self.results)} simulations.",
+            format_table(
+                "Verdicts",
+                ["claim", "paper", "measured", "expected", "status",
+                 "what the paper says (what is measured)"],
+                rows,
+                f"{len(rows)} claims: " + ", ".join(
+                    f"{n} {status}" for status, n in tally.items()
+                ) + f"; {len(self.failures())} drifted from their recorded status"
+                + (f"; {len(self.unjudged)} not judged (their cells lie outside "
+                   "the selected benchmarks)" if self.unjudged else "") + ".",
+            ),
+            LEGEND,
+            "\n".join(reasons),
+            *(experiment.render() for experiment in self.experiments.values()),
+            NOTES,
+        ]
+        return "\n\n".join(parts) + "\n"
 
 
-def figure7_dram_efficiency(grid: GridResults) -> Experiment:
-    """Fig. 7: DRAM efficiency (the paper's (n_rd+n_wr)/n_activity)."""
-    rows = []
-    cdp_gain = []
-    dtbl_gain = []
-    for name in grid.benchmarks():
-        flat = grid.get(name, FLAT).stats.dram_efficiency
-        cdp = grid.get(name, CDP).stats.dram_efficiency
-        dtbl = grid.get(name, DTBL).stats.dram_efficiency
-        rows.append([name, flat, cdp, dtbl])
-        cdp_gain.append(cdp - flat)
-        dtbl_gain.append(dtbl - flat)
-    return Experiment(
-        "Figure 7",
-        "DRAM Efficiency",
-        ["benchmark", "Flat", "CDP", "DTBL"],
-        rows,
-        summary={
-            "avg DRAM-efficiency gain CDP - flat": mean(cdp_gain),
-            "avg DRAM-efficiency gain DTBL - flat": mean(dtbl_gain),
-        },
-        paper={
-            "avg DRAM-efficiency gain CDP - flat": 0.029,
-            "avg DRAM-efficiency gain DTBL - flat": 0.053,
-        },
-    )
-
-
-def figure8_smx_occupancy(grid: GridResults) -> Experiment:
-    """Fig. 8: SMX occupancy for CDPI / DTBLI / CDP / DTBL."""
-    rows = []
-    ratios = []
-    cdp_drop = []
-    dtbl_drop = []
-    for name in grid.benchmarks():
-        cdpi = grid.get(name, CDPI).stats.smx_occupancy_pct
-        dtbli = grid.get(name, DTBLI).stats.smx_occupancy_pct
-        cdp = grid.get(name, CDP).stats.smx_occupancy_pct
-        dtbl = grid.get(name, DTBL).stats.smx_occupancy_pct
-        rows.append([name, round(cdpi, 1), round(dtbli, 1), round(cdp, 1), round(dtbl, 1)])
-        if cdpi > 0:
-            ratios.append(dtbli / cdpi)
-        cdp_drop.append(cdp - cdpi)
-        dtbl_drop.append(dtbl - dtbli)
-    return Experiment(
-        "Figure 8",
-        "SMX Occupancy (%)",
-        ["benchmark", "CDPI", "DTBLI", "CDP", "DTBL"],
-        rows,
-        summary={
-            "DTBLI / CDPI occupancy ratio (geomean)": geomean(ratios),
-            "avg occupancy drop CDP vs CDPI (pp)": mean(cdp_drop),
-            "avg occupancy drop DTBL vs DTBLI (pp)": mean(dtbl_drop),
-        },
-        paper={
-            "DTBLI / CDPI occupancy ratio (geomean)": 1.24,
-            "avg occupancy drop CDP vs CDPI (pp)": -10.7,
-            "avg occupancy drop DTBL vs DTBLI (pp)": -5.2,
-        },
-    )
-
-
-def figure9_waiting_time(grid: GridResults) -> Experiment:
-    """Fig. 9: average waiting time per dynamic kernel / aggregated group."""
-    rows = []
-    ideal_deltas = []
-    real_deltas = []
-    for name in grid.benchmarks():
-        cdpi = grid.get(name, CDPI).stats.avg_waiting_cycles
-        dtbli = grid.get(name, DTBLI).stats.avg_waiting_cycles
-        cdp = grid.get(name, CDP).stats.avg_waiting_cycles
-        dtbl = grid.get(name, DTBL).stats.avg_waiting_cycles
-        if cdp == 0 and dtbl == 0:
-            continue  # no dynamic launches in this benchmark
-        rows.append([name, round(cdpi), round(dtbli), round(cdp), round(dtbl)])
-        if cdpi > 0:
-            ideal_deltas.append((dtbli - cdpi) / cdpi)
-        if cdp > 0:
-            real_deltas.append((dtbl - cdp) / cdp)
-    return Experiment(
-        "Figure 9",
-        "Average Waiting Time for a Kernel or an Aggregated Group (cycles)",
-        ["benchmark", "CDPI", "DTBLI", "CDP", "DTBL"],
-        rows,
-        summary={
-            "avg waiting-time change DTBLI vs CDPI": mean(ideal_deltas),
-            "avg waiting-time change DTBL vs CDP": mean(real_deltas),
-        },
-        paper={
-            "avg waiting-time change DTBLI vs CDPI": -0.188,
-            "avg waiting-time change DTBL vs CDP": -0.241,
-        },
-    )
-
-
-def figure10_memory_footprint(grid: GridResults) -> Experiment:
-    """Fig. 10: memory footprint reduction of DTBL relative to CDP."""
-    rows = []
-    reductions = []
-    for name in grid.benchmarks():
-        cdp = grid.get(name, CDP).stats.peak_footprint_bytes
-        dtbl = grid.get(name, DTBL).stats.peak_footprint_bytes
-        if cdp == 0:
-            continue
-        reduction_pct = 100.0 * (cdp - dtbl) / cdp
-        rows.append([name, cdp, dtbl, round(reduction_pct, 1)])
-        reductions.append(reduction_pct)
-    return Experiment(
-        "Figure 10",
-        "Memory Footprint Reduction of DTBL from CDP",
-        ["benchmark", "CDP peak (B)", "DTBL peak (B)", "reduction (%)"],
-        rows,
-        summary={"avg footprint reduction (%)": mean(reductions)},
-        paper={"avg footprint reduction (%)": 25.6},
-    )
-
-
-def figure11_speedup(grid: GridResults) -> Experiment:
-    """Fig. 11: overall speedup over the flat implementation."""
-    rows = []
-    agg = {mode: [] for mode in DYNAMIC_MODES}
-    for name in grid.benchmarks():
-        row = [name]
-        for mode in DYNAMIC_MODES:
-            speedup = grid.speedup(name, mode)
-            row.append(round(speedup, 2))
-            agg[mode].append(speedup)
-        rows.append(row)
-    return Experiment(
-        "Figure 11",
-        "Overall Performance: Speedup over Flat Implementation",
-        ["benchmark"] + [mode_column(mode) for mode in DYNAMIC_MODES],
-        rows,
-        summary={
-            f"{mode_column(mode)} speedup (geomean)": geomean(agg[mode])
-            for mode in DYNAMIC_MODES
-        },
-        paper={
-            "CDPI speedup (geomean)": 1.43,
-            "DTBLI speedup (geomean)": 1.63,
-            "CDP speedup (geomean)": 0.86,
-            "DTBL speedup (geomean)": 1.21,
-        },
-        note="Paper averages are arithmetic; geomean shown here is less "
-        "sensitive to the scaled-down outliers (see EXPERIMENTS.md).",
-    )
-
-
-# ----------------------------------------------------------------------
-# Figure 12: AGT-size sensitivity (its own sub-grid)
-# ----------------------------------------------------------------------
-
-def figure12_agt_sensitivity(
+def evaluate(
+    resolve: Callable[[List[JobSpec]], List[JobResult]],
+    figure: Optional[str] = None,
     benchmarks: Optional[Sequence[str]] = None,
-    sizes: Sequence[int] = (512, 1024, 2048),
-    scale: float = 1.0,
+    scale: float = DEFAULT_SCALE,
     latency_scale: float = DEFAULT_LATENCY_SCALE,
-    verbose: bool = False,
-    jobs: int = 1,
-    cache: Optional[ResultCache] = None,
-    checkpoint_every: Optional[int] = None,
-    checkpoint_dir=None,
-    core: Optional[str] = None,
-) -> Experiment:
-    """Fig. 12: DTBL performance sensitivity to the AGT size.
-
-    Runs the DTBL mode under each AGT size and normalizes each
-    benchmark's performance (1/cycles) to the 1024-entry baseline.
-    The (benchmark x AGT size) sub-grid goes through the same
-    fingerprint -> cache -> pool path as the main grid.  ``core``
-    selects the execution core (all cores are statistic-exact, so the
-    figure itself is core-independent — the knob exists so a sweep can
-    share one cache population).
-    """
-    names = list(benchmarks) if benchmarks is not None else benchmark_names()
-
-    def agt_config(size: int) -> GPUConfig:
-        config = GPUConfig.k20c().with_agt_entries(size)
-        if core:
-            config = dataclasses.replace(config, core=core)
-        return config
-
-    specs = [
-        JobSpec.create(
-            name, DTBL, scale, latency_scale, config=agt_config(size),
-        )
-        for name in names
-        for size in sizes
-    ]
-    runs = run_jobs(
-        specs, jobs=jobs, cache=cache,
-        checkpoint_every=checkpoint_every, checkpoint_dir=checkpoint_dir,
-    )
-    cycles_by_name: Dict[str, Dict[int, int]] = {name: {} for name in names}
-    for spec, run in zip(specs, runs):
-        cycles_by_name[spec.benchmark][spec.config.agt_entries] = run.cycles
-        if verbose:
-            print(
-                f"  {spec.benchmark} AGT={spec.config.agt_entries}: "
-                f"{run.cycles:,} cycles"
-            )
-    rows = []
-    norm: Dict[int, List[float]] = {size: [] for size in sizes}
-    for name in names:
-        cycles = cycles_by_name[name]
-        base = cycles.get(1024) or cycles[sizes[len(sizes) // 2]]
-        row = [name]
-        for size in sizes:
-            normalized = base / cycles[size] if cycles[size] else 0.0
-            row.append(round(normalized, 3))
-            norm[size].append(normalized)
-        rows.append(row)
-    summary = {
-        f"normalized speedup @ AGT {size} (geomean)": geomean(norm[size]) for size in sizes
-    }
-    paper = {}
-    if 512 in sizes:
-        paper["normalized speedup @ AGT 512 (geomean)"] = 1 / 1.31
-    if 1024 in sizes:
-        paper["normalized speedup @ AGT 1024 (geomean)"] = 1.0
-    if 2048 in sizes:
-        paper["normalized speedup @ AGT 2048 (geomean)"] = 1.20
-    return Experiment(
-        "Figure 12",
-        "Performance Sensitivity to AGT Size (normalized to 1024 entries)",
-        ["benchmark"] + [str(s) for s in sizes],
-        rows,
-        summary=summary,
-        paper=paper,
-    )
-
-
-# ----------------------------------------------------------------------
-# Section 4.3 overhead analysis
-# ----------------------------------------------------------------------
-
-def overhead_analysis(config: Optional[GPUConfig] = None) -> Experiment:
-    """Section 4.3: on-chip SRAM overhead of the DTBL extension."""
-    report = overhead_report(config or GPUConfig.k20c())
-    return Experiment(
-        "Section 4.3",
-        "DTBL Hardware Overhead",
-        ["quantity", "value"],
-        [list(row) for row in report.rows()],
-        summary={
-            "AGT SRAM bytes": float(report.agt_sram_bytes),
-            "extra register bytes": float(report.register_bytes),
-        },
-        paper={"AGT SRAM bytes": 20 * 1024, "extra register bytes": 1096},
-    )
-
-
-def run_all_figures(
-    scale: float = 1.0,
-    latency_scale: float = DEFAULT_LATENCY_SCALE,
-    benchmarks: Optional[Sequence[str]] = None,
-    verbose: bool = False,
-    agt_benchmarks: Optional[Sequence[str]] = None,
-    jobs: int = 1,
-    cache: Optional[ResultCache] = None,
-    checkpoint_every: Optional[int] = None,
-    checkpoint_dir=None,
     config: Optional[GPUConfig] = None,
-) -> List[Experiment]:
-    """Regenerate every table and figure; returns them in paper order.
+) -> Evaluation:
+    """Evaluate one figure (``--figure``'s name) or, by default, everything.
 
-    ``jobs`` parallelizes the underlying sweeps across worker processes;
-    ``cache`` persists every simulation result on disk;
-    ``checkpoint_every``/``checkpoint_dir`` checkpoint long simulations
-    for crash recovery (see :func:`repro.harness.runner.run_jobs`);
-    ``config`` overrides the grid's GPU configuration (e.g. a non-default
-    execution core).
+    ``benchmarks`` restricts the figures to a subset of Table 4 (claims
+    that need a benchmark outside it are not judged); ``config`` is the
+    base GPU every cell's variant is applied to (``--core``,
+    ``--sanitize``).  A single figure is rendered without verdicts.
     """
-    grid = run_grid(
-        benchmarks=benchmarks, scale=scale, latency_scale=latency_scale,
-        verbose=verbose, jobs=jobs, cache=cache,
-        checkpoint_every=checkpoint_every, checkpoint_dir=checkpoint_dir,
-        config=config,
-    )
-    experiments = [
-        table2_configuration(),
-        table3_latency(),
-        table4_benchmarks(),
-        figure6_warp_activity(grid),
-        figure7_dram_efficiency(grid),
-        figure8_smx_occupancy(grid),
-        figure9_waiting_time(grid),
-        figure10_memory_footprint(grid),
-        figure11_speedup(grid),
-        figure12_agt_sensitivity(
-            benchmarks=agt_benchmarks, scale=scale, latency_scale=latency_scale,
-            verbose=verbose, jobs=jobs, cache=cache,
-            checkpoint_every=checkpoint_every, checkpoint_dir=checkpoint_dir,
-            core=config.core if config is not None else None,
-        ),
-        overhead_analysis(),
+    figures = [f for f in FIGURES if figure in (None, f.id)]
+    if not figures:
+        raise ClaimError(f"unknown figure {figure!r}")
+    everything = benchmark_names()
+    selected = sorted(set(benchmarks)) if benchmarks is not None else None
+    base = config if config is not None else GPUConfig.k20c()
+
+    def shown(needs: Needs) -> Sequence[str]:
+        """The benchmarks a figure (or its aggregate) covers in this run."""
+        return selected or needs.benchmarks or everything
+
+    judged, unjudged = [], []
+    if figure is None:
+        for claim in CLAIMS:
+            needed = set(claim.needs.benchmarks or everything)
+            (judged if needed <= set(selected or everything) else unjudged).append(claim)
+
+    wanted: List[CellKey] = []
+    for fig in figures:
+        wanted += fig.needs.cells(shown(fig.needs))
+        for claim in fig.summary:
+            wanted += claim.needs.cells(shown(claim.needs))
+    for claim in judged:
+        wanted += claim.needs.cells(claim.needs.benchmarks or everything)
+
+    specs: Dict[CellKey, JobSpec] = {
+        (name, mode, variant): JobSpec.create(
+            name, mode, scale, latency_scale,
+            config=dataclasses.replace(base, **VARIANTS[variant]),
+        )
+        for name, mode, variant in dict.fromkeys(wanted)
+    }
+    # Two cells can be one simulation (a variant that restates a default).
+    prints = {key: spec.fingerprint() for key, spec in specs.items()}
+    distinct = {prints[key]: spec for key, spec in specs.items()}
+    results = resolve(list(distinct.values())) if distinct else []
+    by_print = dict(zip(distinct, results))
+    stats = {key: by_print[prints[key]].stats for key in specs}
+
+    experiments = {}
+    for fig in figures:
+        cells = Cells(stats, fig.needs, shown(fig.needs))
+        summary = {
+            claim.text: claim.measure(Cells(stats, claim.needs, shown(claim.needs)))
+            for claim in fig.summary
+        }
+        paper = {c.text: c.paper for c in fig.summary if c.paper is not None}
+        headers = list(fig.headers) or ["benchmark"] + [h for h, _ in fig.columns]
+        experiments[fig.id] = Experiment(
+            fig.label, fig.title, headers, fig.rows(cells), summary, paper, fig.note
+        )
+    verdicts = [
+        claim.judge(Cells(stats, claim.needs, claim.needs.benchmarks or everything))
+        for claim in judged
     ]
-    return experiments
+    return Evaluation(
+        scale, latency_scale, selected or everything, results, experiments,
+        verdicts, unjudged,
+    )

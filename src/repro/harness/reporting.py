@@ -1,16 +1,23 @@
-"""Plain-text table formatting for experiment reports."""
+"""Markdown table formatting and the two averages the figures use."""
 
 from __future__ import annotations
 
-from typing import List, Sequence, Union
+from typing import Iterable, List, Sequence, Union
 
 Cell = Union[str, int, float]
 
 
-def _render(cell: Cell) -> str:
-    if isinstance(cell, float):
-        return f"{cell:.3f}"
-    return str(cell)
+def render_value(value) -> str:
+    """One number as every table, summary line and verdict prints it."""
+    if isinstance(value, bool):
+        return str(value)
+    if isinstance(value, float):
+        return f"{value:.3f}"
+    if isinstance(value, int):
+        return f"{value:,}"
+    if isinstance(value, tuple):
+        return " / ".join(render_value(v) for v in value)
+    return str(value)
 
 
 def format_table(
@@ -19,46 +26,39 @@ def format_table(
     rows: Sequence[Sequence[Cell]],
     note: str = "",
 ) -> str:
-    """Render an aligned ASCII table with a title and optional footnote."""
-    rendered: List[List[str]] = [[_render(c) for c in row] for row in rows]
-    widths = [len(h) for h in headers]
+    """Render a Markdown table under a ``##`` title, with an optional footnote.
+
+    Cells are padded to the column width, so the source reads as an
+    aligned table too.
+    """
+    rendered: List[List[str]] = [[render_value(c) for c in row] for row in rows]
+    widths = [max(3, len(h)) for h in headers]
     for row in rendered:
         for i, cell in enumerate(row):
             widths[i] = max(widths[i], len(cell))
 
     def fmt_row(cells: Sequence[str]) -> str:
-        return "  ".join(cell.rjust(widths[i]) for i, cell in enumerate(cells))
+        return "| " + " | ".join(
+            cell.rjust(widths[i]) for i, cell in enumerate(cells)
+        ) + " |"
 
-    lines = [title, "=" * len(title), fmt_row(headers), fmt_row(["-" * w for w in widths])]
+    lines = [f"## {title}", "", fmt_row(headers)]
+    lines.append(fmt_row(["-" * (w - 1) + ":" for w in widths]))
     lines.extend(fmt_row(row) for row in rendered)
     if note:
-        lines.append("")
-        lines.append(note)
+        lines += ["", note]
     return "\n".join(lines)
 
 
-def format_bars(
-    title: str,
-    labels: Sequence[str],
-    values: Sequence[float],
-    width: int = 40,
-    unit: str = "",
-) -> str:
-    """Horizontal ASCII bar chart (for CLI figure output)."""
-    if len(labels) != len(values):
-        raise ValueError("labels and values must have the same length")
-    peak = max((v for v in values if v > 0), default=1.0)
-    label_width = max((len(label) for label in labels), default=0)
-    lines = [title, "=" * len(title)]
-    for label, value in zip(labels, values):
-        bar = "#" * max(0, int(round(width * value / peak)))
-        lines.append(f"{label.rjust(label_width)}  {bar} {value:.3g}{unit}")
-    return "\n".join(lines)
+def geomean(values: Iterable[float]) -> float:
+    """Geometric mean (0 for an empty sequence).
 
-
-def geomean(values: Sequence[float]) -> float:
-    """Geometric mean (0 for an empty sequence)."""
-    vals = [v for v in values if v > 0]
+    A non-positive entry is a broken cell, not a value to average around:
+    it raises instead of vanishing from the mean.
+    """
+    vals = list(values)
+    if any(v <= 0 for v in vals):
+        raise ValueError(f"geomean of a non-positive value in {vals}")
     if not vals:
         return 0.0
     product = 1.0
@@ -67,5 +67,6 @@ def geomean(values: Sequence[float]) -> float:
     return product ** (1.0 / len(vals))
 
 
-def mean(values: Sequence[float]) -> float:
-    return sum(values) / len(values) if values else 0.0
+def mean(values: Iterable[float]) -> float:
+    vals = list(values)
+    return sum(vals) / len(vals) if vals else 0.0

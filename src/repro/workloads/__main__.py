@@ -17,7 +17,6 @@ cache (``--cache-dir``, default ``.repro-cache/``) unless ``--no-cache``.
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 
 import json
@@ -64,11 +63,6 @@ def main(argv=None) -> int:
         args.jobs = 1
         args.cache = False
         profiler = _profiler.activate()
-    if args.sanitize:
-        # The env switch reaches every GPU the workload constructs; a
-        # finding raises WorkloadError out of the run with the report.
-        os.environ["REPRO_SANITIZE"] = "1"
-
     cache = ResultCache(args.cache_dir) if args.cache else None
     jobs = [
         JobSpec.from_args(
@@ -80,7 +74,7 @@ def main(argv=None) -> int:
         for mode_name in args.mode
     ]
 
-    runs = run_jobs(jobs, jobs=args.jobs, cache=cache, use_memo=False)
+    runs = run_jobs(jobs, jobs=args.jobs, cache=cache)
 
     baseline = None
     for job, run in zip(jobs, runs):

@@ -3,13 +3,18 @@
 import csv
 import json
 
-from repro.harness.experiments import Experiment, table2_configuration
+from repro.harness.experiments import Experiment, evaluate
 from repro.harness.export import (
     experiment_to_csv,
     experiment_to_dict,
     experiments_to_json,
     write_experiments,
 )
+
+
+def table2() -> Experiment:
+    """A real experiment: Table 2 reads no cell, so nothing is resolved."""
+    return evaluate(resolve=None, figure="table2").experiments["table2"]
 
 
 def sample_experiment() -> Experiment:
@@ -33,7 +38,7 @@ class TestCsv:
         assert rows[2] == ["b", "2"]
 
     def test_real_experiment(self):
-        text = experiment_to_csv(table2_configuration())
+        text = experiment_to_csv(table2())
         assert "706MHz" in text
 
 
@@ -45,7 +50,7 @@ class TestJson:
         assert data["paper"]["avg"] == 2.0
 
     def test_json_serializable(self):
-        text = experiments_to_json([sample_experiment(), table2_configuration()])
+        text = experiments_to_json([sample_experiment(), table2()])
         parsed = json.loads(text)
         assert len(parsed) == 2
 

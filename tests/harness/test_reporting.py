@@ -9,9 +9,9 @@ class TestFormatTable:
     def test_basic_render(self):
         out = format_table("Title", ["a", "bb"], [[1, 2.5], ["x", "y"]])
         lines = out.splitlines()
-        assert lines[0] == "Title"
-        assert lines[1] == "====="
-        assert "a" in lines[2] and "bb" in lines[2]
+        assert lines[0] == "## Title"
+        assert [cell.strip() for cell in lines[2].strip("|").split("|")] == ["a", "bb"]
+        assert set(lines[3]) <= set("|-: ")  # the Markdown delimiter row
         assert "2.500" in out
         assert "x" in out
 
@@ -19,31 +19,11 @@ class TestFormatTable:
         out = format_table("T", ["col"], [[123456], [1]])
         rows = out.splitlines()[-2:]
         assert len(rows[0]) == len(rows[1])
+        assert "123,456" in rows[0]
 
     def test_note(self):
         out = format_table("T", ["c"], [[1]], note="a footnote")
         assert out.endswith("a footnote")
-
-
-class TestFormatBars:
-    def test_bar_lengths_proportional(self):
-        from repro.harness.reporting import format_bars
-
-        out = format_bars("T", ["a", "b"], [1.0, 2.0], width=10)
-        lines = out.splitlines()
-        assert lines[2].count("#") == 5
-        assert lines[3].count("#") == 10
-
-    def test_mismatched_lengths_rejected(self):
-        from repro.harness.reporting import format_bars
-
-        with pytest.raises(ValueError):
-            format_bars("T", ["a"], [1.0, 2.0])
-
-    def test_unit_suffix(self):
-        from repro.harness.reporting import format_bars
-
-        assert "1.5x" in format_bars("T", ["a"], [1.5], unit="x")
 
 
 class TestAggregates:
@@ -52,8 +32,10 @@ class TestAggregates:
         assert geomean([]) == 0.0
         assert geomean([1.0, 1.0, 1.0]) == pytest.approx(1.0)
 
-    def test_geomean_skips_nonpositive(self):
-        assert geomean([0.0, 4.0]) == pytest.approx(4.0)
+    def test_geomean_rejects_nonpositive(self):
+        """A broken cell fails the average instead of vanishing from it."""
+        with pytest.raises(ValueError):
+            geomean([0.0, 4.0])
 
     def test_mean(self):
         assert mean([1.0, 2.0, 3.0]) == pytest.approx(2.0)

@@ -1,9 +1,11 @@
 """Command-line entry points."""
 
+import json
+import os
+
 import pytest
 
 from repro.harness.__main__ import main as harness_main
-from repro.harness.runner import clear_cache
 from repro.workloads.__main__ import main as workloads_main
 
 
@@ -99,7 +101,6 @@ class TestHarnessCli:
         ]
         assert harness_main(base) == 0
         serial = capsys.readouterr().out
-        clear_cache()  # force the second pass through the worker pool
         assert harness_main(base + ["--jobs", "2"]) == 0
         parallel = capsys.readouterr().out
         assert parallel == serial
@@ -114,8 +115,34 @@ class TestHarnessCli:
             ]
         )
         assert code == 0
-        out = capsys.readouterr().out
-        assert "[cache] hits=" in out
+        captured = capsys.readouterr()
+        assert "[cache] hits=" in captured.err
+        assert "[cache]" not in captured.out  # stdout is the figure alone
+
+    def test_sanitize_travels_in_the_config_not_the_environment(
+        self, tmp_path, capsys
+    ):
+        before = dict(os.environ)
+        code = harness_main(
+            [
+                "--figure", "12",
+                "--benchmarks", "bht",
+                "--scale", "0.1",
+                "--sanitize",
+                "--cache-dir", str(tmp_path / "cache"),
+            ]
+        )
+        assert code == 0
+        assert dict(os.environ) == before
+        assert "sanitizer: clean (no findings across 3 simulations)" in (
+            capsys.readouterr().err
+        )
+        reports = [
+            json.loads(path.read_text(encoding="utf-8"))["payload"]["sanitizer"]
+            for path in (tmp_path / "cache").glob("??/*.json")
+        ]
+        assert len(reports) == 3  # Fig. 12's variants built their own configs
+        assert all(report is not None and not report["findings"] for report in reports)
 
     def test_unknown_figure_errors(self):
         with pytest.raises(SystemExit):

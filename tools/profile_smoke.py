@@ -108,16 +108,16 @@ def check_cli_report() -> None:
 
 
 def check_against_simstats() -> None:
-    from repro.harness.runner import run_benchmark
+    from repro.exec import JobSpec, run_job
+    from repro.harness.runner import DEFAULT_LATENCY_SCALE
     from repro.runtime.modes import ExecutionMode
     from repro.sim import profiler as profiler_mod
 
     prof = profiler_mod.activate()
     try:
-        run = run_benchmark(
-            BENCH, ExecutionMode(MODE), scale=SCALE,
-            use_cache=False, cache=None,
-        )
+        run = run_job(JobSpec.create(
+            BENCH, ExecutionMode(MODE), SCALE, DEFAULT_LATENCY_SCALE
+        ))
     finally:
         profiler_mod.deactivate()
     stats = run.stats
