@@ -263,6 +263,12 @@ class GPUConfig:
             raise ConfigError("warp_scheduler must be 'gto' or 'rr'")
         if self.l2_line != SEGMENT_BYTES:
             raise ConfigError("l2_line must equal the coalescing segment size")
+        for name in ("alu_latency", "sfu_latency", "shared_latency",
+                     "l1_hit_latency", "l2_hit_latency"):
+            if getattr(self, name) < 1:
+                # Then every issue but a launch-API op advances its warp's
+                # time, which the fast core's run-ahead relies on.
+                raise ConfigError(f"{name} must be at least one cycle")
 
     # ------------------------------------------------------------------
     # Serialization / identity

@@ -87,7 +87,7 @@ def add_execution_flags(
                         help=f"cache directory (default {DEFAULT_CACHE_DIR})")
     parser.add_argument("--profile", action="store_true",
                         help="profile the simulation hot path (issues and "
-                             "host time per opcode / fused region); forces "
+                             "host time per opcode); forces "
                              "--jobs 1 and bypasses the result cache")
     if profile_json:
         parser.add_argument("--profile-json", metavar="PATH", default=None,

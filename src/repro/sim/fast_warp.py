@@ -36,16 +36,16 @@ the per-step interpretation overhead three ways:
 * **Superblock fusion.**  Decode also discovers maximal straight-line
   regions of ALU-class instructions (no branches, barriers, memory ops,
   or reconvergence points inside — :mod:`repro.isa.regions`) and
-  generates one function per region.  A warp inside one of the two
-  window forms that ``GPU._run_fast`` opens
-  (:meth:`FastWarp.step_free_window`, :meth:`FastWarp.step_window`) runs
-  a whole region in one call whatever its mask, charging the exact
-  per-instruction cycles and stats of unfused execution.  In a region's
-  partial-mask body a later instruction reads an earlier one's temporary
-  instead of the register, and a register written twice is committed
-  once.  ``sanitize=True``, zero-latency configs and the
-  single-instruction :meth:`FastWarp.step` path dispatch per
-  instruction, through the same generator's regions of one.
+  generates one function per region.  ``GPU._run_fast`` issues a popped
+  warp through one of two entry points.  Inside the run-ahead window
+  (:meth:`FastWarp.step_free_window`) a warp runs a whole region in one
+  call whatever its mask, charging the exact per-instruction cycles and
+  stats of unfused execution.  In a region's partial-mask body a later
+  instruction reads an earlier one's temporary instead of the register,
+  and a register written twice is committed once.  Everywhere else —
+  a tracer, ``sanitize=True``, ``rr`` scheduling, an SMX with more
+  resident warps than issue slots — :meth:`FastWarp.step` dispatches
+  per instruction, through the same generator's regions of one.
 
 Only an allow-list still delegates to the inherited reference handler:
 the opcodes of :data:`REFERENCE_OPS` (the launch API, shuffles and
@@ -722,9 +722,8 @@ class FusedRegion:
     ``fn(w, mask, full)`` is the region's generated function: it leaves
     the registers as the region's instructions would, one by one, and
     touches nothing else (the window charges issues, lanes and
-    ``ready_cycle``).  ``sfu_flags[i]`` says whether instruction i is
-    SFU-class.  Latencies are *not* baked in: the decode is cached on the
-    shared Program, and different GPUs may run it with different
+    ``ready_cycle``).  Latencies are *not* baked in: the decode is cached
+    on the shared Program, and different GPUs may run it with different
     ``alu_latency`` / ``sfu_latency`` values, so the region's duration is
     derived per warp as ``n_alu * alu_lat + n_sfu * sfu_lat``.
 
@@ -734,17 +733,14 @@ class FusedRegion:
     see it).
     """
 
-    __slots__ = (
-        "start", "length", "ops", "fn", "sfu_flags", "n_alu", "n_sfu", "executions",
-    )
+    __slots__ = ("start", "length", "ops", "fn", "n_alu", "n_sfu", "executions")
 
     def __init__(self, start: int, ops: tuple, fn) -> None:
         self.start = start
         self.length = len(ops)
         self.ops = ops
         self.fn = fn
-        self.sfu_flags = tuple(op in SFU_OPS for op in ops)
-        self.n_sfu = sum(self.sfu_flags)
+        self.n_sfu = sum(op in SFU_OPS for op in ops)
         self.n_alu = self.length - self.n_sfu
         self.executions = 0
 
@@ -772,10 +768,9 @@ def decode_program(program) -> tuple:
     native form.  The result is cached on the program, so all warps of
     all launches share one decode.
 
-    How often a region ran fused is ``regions[start].executions`` — the
-    only place an *untraced* run's fused count can be read: a tracer
-    switches run-ahead off, so a profiler's own count covers
-    ``step_window`` alone.
+    How often a region ran fused is ``regions[start].executions``: only
+    run-ahead fuses, and a tracer switches it off, so a traced run
+    executes every instruction singly.
     """
     cached = getattr(program, "_fast_table", None)
     if cached is not None:
@@ -897,142 +892,7 @@ class FastWarp(Warp):
         if not run(self, frame, cycle):
             frame[0] = pc + 1
 
-    def step_window(self, cycle: int, horizon: int, events: list, heap: list) -> int:
-        """Execute this warp repeatedly while it is provably the sole actor.
-
-        Called only from ``GPU._run_fast`` in place of :meth:`step`,
-        after the warp was popped as ready at ``cycle`` and nothing else
-        is due before ``cycle + 2``.  As long as the warp's next issue
-        lands strictly before the *window bound* — the earliest of
-        ``horizon`` (the watchdog or the next due checkpoint, whichever
-        is nearer), the next pending GPU event, and the
-        next ready cycle of any other warp on any SMX (``heap``, the
-        GPU-wide ready heap, whose stale lazy-deletion entries can only
-        shrink the bound) — no scheduler decision, issue-budget check or
-        event delivery could interleave with it in the reference
-        execution, so the warp keeps executing locally without
-        round-tripping through the issue loop.
-
-        Within a window, a warp entering a decoded :class:`FusedRegion`
-        whose whole duration fits under the bound executes the region in
-        one call, whatever its mask, charging identical per-instruction
-        stats and tracer callbacks (fusion is skipped under the
-        sanitizer: its one-``observe()``-per-step contract needs the
-        per-instruction path).  Everything else single-steps with exact
-        synthesized issue cycles.
-
-        Returns the issue cycle of the last executed instruction; the
-        caller advances ``gpu.cycle`` and the occupancy integral to it.
-        """
-        gpu = self._gpu
-        table = self._table
-        stats = self._stats
-        san = self._san
-        tracer = gpu.tracer
-        instrs = self._instrs
-        alu_lat = self._alu_lat
-        sfu_lat = self._sfu_lat
-        # Fused timing arithmetic needs strictly increasing issue cycles
-        # (latency >= 1); degenerate zero-latency configs single-step.
-        # (Rows carry a region only when the decode found one, so no
-        # separate regions-present check is needed.)
-        fuse = san is None and alu_lat >= 1 and sfu_lat >= 1
-        stack = self.stack
-        last = cycle
-        # The window bound is invariant across private and memory ops:
-        # only klass-0 ops (launches, barriers, reference fallbacks) can
-        # schedule events or wake warps, and the caller owns all pops.
-        # Cache it and refresh only after those.
-        limit = horizon
-        if events:
-            e0 = events[0][0]
-            if e0 < limit:
-                limit = e0
-        if heap:
-            h0 = heap[0][0]
-            if h0 < limit:
-                limit = h0
-        # Issue counters accumulate in locals and flush once per window
-        # (exact under exceptions via the finally; nothing observes the
-        # running totals mid-window — tracer and sanitizer callbacks get
-        # the per-op values as arguments).
-        issued = 0
-        lanes = 0
-        try:
-            while True:
-                frame = stack[-1]
-                while len(stack) > 1 and frame[1] >= 0 and frame[0] == frame[1]:
-                    stack.pop()
-                    frame = stack[-1]
-                pc = frame[0]
-                try:
-                    run, op, klass, region = table[pc]
-                except IndexError:
-                    raise ExecutionError(
-                        f"warp ran off the end of kernel {self.tb.func.name!r} "
-                        f"at pc={pc}"
-                    ) from None
-                if region is not None and fuse:
-                    end = cycle + region.n_alu * alu_lat + region.n_sfu * sfu_lat
-                    if end <= limit:
-                        n = region.length
-                        issued += n
-                        lanes += n * frame[3]
-                        if tracer is not None:
-                            tracer.on_fused(self, pc, region, frame[3], cycle)
-                        region.executions += 1
-                        region.fn(self, frame[2], frame[4])
-                        self.ready_cycle = end
-                        frame[0] = pc + n
-                        last = end - (sfu_lat if region.sfu_flags[-1] else alu_lat)
-                        if end < limit:
-                            cycle = end
-                            continue
-                        return last
-                issued += 1
-                lanes += frame[3]
-                if tracer is not None:
-                    tracer.on_issue(self, pc, op, frame[3], cycle)
-                if san is not None:
-                    san.observe(self, pc, instrs[pc], frame[2], cycle)
-                if not run(self, frame, cycle):
-                    frame[0] = pc + 1
-                last = cycle
-                if self.finished or self.at_barrier:
-                    return last
-                nxt = self.ready_cycle
-                if nxt <= cycle:
-                    # Zero-latency op: a same-cycle reissue competes for the
-                    # issue budget, which only the caller's loop models.
-                    return last
-                if klass == 0:
-                    # The instruction may have scheduled an event (launch
-                    # delivery) or woken warps (barrier release, new block):
-                    # re-derive the cached bound.
-                    limit = horizon
-                    if events:
-                        e0 = events[0][0]
-                        if e0 < limit:
-                            limit = e0
-                    if heap:
-                        h0 = heap[0][0]
-                        if h0 < limit:
-                            limit = h0
-                if nxt >= limit:
-                    return last
-                cycle = nxt
-        finally:
-            stats.issued_instructions += issued
-            stats.active_lane_sum += lanes
-
-    def step_free_window(
-        self,
-        cycle: int,
-        horizon: int,
-        events: list,
-        heap: Optional[list] = None,
-        inline_mem: bool = False,
-    ) -> int:
+    def step_free_window(self, cycle: int, horizon: int, events: list, heap: list) -> None:
         """Budget-safe run-ahead: execute register-private ops at their
         exact future issue cycles, past other warps' ready times.
 
@@ -1048,10 +908,11 @@ class FastWarp(Warp):
           heap's tie-breaking;
         * no tracer and no sanitizer — both observe the global
           interleaving, which run-ahead reorders (per-instruction cycles
-          stay exact, only callback order changes);
-        * ``alu_latency >= 1`` and ``sfu_latency >= 1`` — private ops
-          then always advance time, so at most one issue per cycle can
-          bypass the caller's per-pop budget counting.
+          stay exact, only callback order changes).
+
+        ``GPUConfig`` holds every pipeline latency at one cycle or more,
+        so every op after the first advances time and at most one issue
+        per cycle bypasses the caller's per-pop budget counting.
 
         Under those conditions an op whose decoded closure touches only
         this warp's registers, divergence stack and additive stats
@@ -1059,39 +920,30 @@ class FastWarp(Warp):
         every other warp's execution, so it runs as soon as its issue
         cycle is known, bounded only by the next GPU event and
         ``horizon`` (events can add blocks, breaking the preconditions).
-        The first op — popped due by the caller — always executes; after
-        that the window stops *before* the next shared-state op (memory
-        system, barrier, exit, device launches, reference fallbacks),
-        leaving ``ready_cycle`` at that op's issue time so the warp
-        re-enters the scheduler heap and the op executes when this warp
-        is again the globally next issuer.  Fused superblock regions
-        (all-private by construction) run whole whenever they fit under
-        the bound.  Returns the last executed issue cycle; the caller
-        does *not* advance ``gpu.cycle`` to it — global time still
-        advances pop-to-pop, so earlier-due warps keep their exact
-        issue cycles.
-
-        With ``inline_mem`` (every other memory client is bounded below
-        by ``heap[0][0]``, the next event, or the horizon), native
-        memory ops (decode klass 2: global, shared, local, atomic) also
+        The first op — popped due by the caller — always executes.
+        Native memory ops (decode klass 2: global, shared, local, atomic)
         run mid-window as long as their issue cycle is strictly below
-        ``min(hard, heap[0][0])`` — that keeps every access in global
-        time order, which the DRAM controller's arrival bookkeeping,
-        cache LRU state and the other warps of the block reading its
-        shared words require.  The caller additionally guarantees
-        ``l1_hit_latency >= 1``, ``l2_hit_latency >= 1`` and
-        ``shared_latency >= 1`` so inlined loads, atomics and shared
-        accesses always advance time (stores complete at
-        ``alu_latency``, already bounded by the base preconditions).
+        ``min(hard, heap[0][0])``: every other memory client is bounded
+        below by the heap head, the next event or the horizon, so that
+        keeps every access in global time order, which the DRAM
+        controller's arrival bookkeeping, cache LRU state and the other
+        warps of the block reading its shared words require.  The window
+        stops *before* any other shared-state op (barrier, exit, device
+        launches, reference fallbacks), leaving ``ready_cycle`` at that
+        op's issue time so the warp re-enters the scheduler heap and the
+        op executes when this warp is again the globally next issuer.
+        Fused superblock regions (all-private by construction) run whole
+        whenever they fit under the bound.  The caller does *not* advance
+        ``gpu.cycle`` past the window — global time still advances
+        pop-to-pop, so earlier-due warps keep their exact issue cycles.
         """
         stats = self._stats
         table = self._table
         alu_lat = self._alu_lat
         sfu_lat = self._sfu_lat
         stack = self.stack
-        last = cycle
         first = True
-        # Private and inlined-memory ops never schedule events, so the
+        # Private and memory ops never schedule events, so the
         # event bound is loop-invariant except across the (single
         # possible) klass-0 first op; cache it.
         hard = horizon
@@ -1112,7 +964,7 @@ class FastWarp(Warp):
                     frame = stack[-1]
                 pc = frame[0]
                 if not first and cycle >= hard:
-                    return last
+                    return
                 try:
                     run, op, klass, region = table[pc]
                 except IndexError:
@@ -1121,8 +973,8 @@ class FastWarp(Warp):
                         f"at pc={pc}"
                     ) from None
                 if region is not None:
-                    # Preconditions already guarantee no sanitizer and
-                    # latencies >= 1, so a row-carried region always fuses.
+                    # No sanitizer here, so a row-carried region fuses
+                    # whenever it fits.
                     end = cycle + region.n_alu * alu_lat + region.n_sfu * sfu_lat
                     if end <= hard:
                         n = region.length
@@ -1132,18 +984,17 @@ class FastWarp(Warp):
                         region.fn(self, frame[2], frame[4])
                         self.ready_cycle = end
                         frame[0] = pc + n
-                        last = end - (sfu_lat if region.sfu_flags[-1] else alu_lat)
                         if end < hard:
                             cycle = end
                             first = False
                             continue
-                        return last
+                        return
                 if not first and klass != 1:
-                    if klass != 2 or not inline_mem:
+                    if klass != 2:
                         # The next op touches shared state: it must execute
                         # in global time order, i.e. on this warp's next
                         # pop.  Its issue time is already in ready_cycle.
-                        return last
+                        return
                     order = hard
                     if heap:
                         h0 = heap[0][0]
@@ -1152,19 +1003,19 @@ class FastWarp(Warp):
                     if cycle >= order:
                         # Another warp (or event) may touch the memory
                         # system first — defer to the next pop.
-                        return last
+                        return
                 issued += 1
                 lanes += frame[3]
                 if not run(self, frame, cycle):
                     frame[0] = pc + 1
-                last = cycle
                 if self.finished or self.at_barrier:
-                    return last
+                    return
                 nxt = self.ready_cycle
                 if nxt <= cycle:
-                    # Zero-latency (first) op: a same-cycle reissue competes
-                    # for the issue budget, which the caller counts per pop.
-                    return last
+                    # A launch-API first op under an ideal latency model
+                    # costs 0 cycles: a same-cycle reissue competes for the
+                    # issue budget, which the caller counts per pop.
+                    return
                 cycle = nxt
                 first = False
                 if klass == 0:

@@ -409,14 +409,13 @@ class GPU:
         age)`` (the per-SMX GTO heap key), and at most ``issue_width``
         issues per SMX per visited cycle.
 
-        Each popped warp executes through one of the window forms of
-        :class:`~repro.sim.fast_warp.FastWarp`, bounded by the heap head
-        and the event queue.  Because the heap covers every runnable
-        warp on every SMX, the sole-actor window (which advances
-        ``self.cycle`` past multi-instruction spans) and budget-safe
-        run-ahead with in-order memory-op inlining apply GPU-wide — the
-        per-SMX predecessor of this loop could only prove those bounds
-        while a single SMX was runnable.
+        A popped warp issues through budget-safe run-ahead
+        (:meth:`~repro.sim.fast_warp.FastWarp.step_free_window`) when
+        its preconditions hold, and through one
+        :meth:`~repro.sim.fast_warp.FastWarp.step` otherwise.  Because
+        the heap covers every runnable warp on every SMX, run-ahead's
+        bounds — the heap head for memory ops, the event queue and
+        ``limit`` for everything — hold GPU-wide.
         """
         events = self._events
         gheap = self._gheap
@@ -428,21 +427,8 @@ class GPU:
         width = cfg.issue_width
         round_robin = cfg.warp_scheduler == "rr"
         # Budget-safe run-ahead preconditions (see FastWarp.step_free_window):
-        # GTO ages, no interleaving observers, and op latencies that always
-        # advance time so per-pop budget counting stays exact.
-        free_ok = (
-            not round_robin
-            and self.tracer is None
-            and self.sanitizer is None
-            and cfg.alu_latency >= 1
-            and cfg.sfu_latency >= 1
-        )
-        inline_mem = (
-            free_ok
-            and cfg.l1_hit_latency >= 1
-            and cfg.l2_hit_latency >= 1
-            and cfg.shared_latency >= 1
-        )
+        # GTO ages and no interleaving observers.
+        free_ok = not round_robin and self.tracer is None and self.sanitizer is None
         n = len(smxs)
         issue_at = [-1] * n  # last cycle each SMX issued at ...
         issued_n = [0] * n  # ... and how many issues it made there
@@ -453,8 +439,8 @@ class GPU:
         # One fused bound guards both the watchdog and the next periodic
         # checkpoint, so the checkpoint-off hot path pays exactly one
         # compare per cycle advance (`next_ckpt` stays at `far`).  It is
-        # also the horizon of every window below, so no warp steps past
-        # a due checkpoint on its own.
+        # also the horizon of run-ahead below, so no warp steps past a
+        # due checkpoint on its own.
         limit = next_ckpt if next_ckpt < watchdog_horizon else watchdog_horizon
         while True:
             # Visit `cycle`: deliver due events first — the reference
@@ -496,29 +482,9 @@ class GPU:
                     issued_n[smx_id] = 1
                 smx = smxs[smx_id]
                 if free_ok and smx.resident_warps <= width:
-                    warp.step_free_window(cycle, limit, events, gheap, inline_mem)
-                elif gheap and gheap[0][0] <= cycle + 1:
-                    # Another entry is due at this cycle or the next, so
-                    # the window bound is at most `cycle + 1` and only
-                    # one instruction can issue before it (ops that
-                    # advance time land at `cycle + latency >= bound`;
-                    # zero-latency ops end the window on their own, and
-                    # fused regions need `>= 2` cycles of room): skip
-                    # the window machinery entirely.  (A stale head only
-                    # shortens the window we would have opened — never
-                    # changes the result.)
-                    warp.step(cycle)
+                    warp.step_free_window(cycle, limit, events, gheap)
                 else:
-                    active = self.active_warps
-                    last = warp.step_window(cycle, limit, events, gheap)
-                    if last > cycle:
-                        # Sole-actor advance: only this warp issued over
-                        # (cycle, last], with the pre-window warp count
-                        # resident throughout (EXIT can only end a
-                        # window).  Budget counters reset lazily at the
-                        # new cycle.
-                        stats.resident_warp_cycles += active * (last - cycle)
-                        self.cycle = cycle = last
+                    warp.step(cycle)
                 if not warp.finished and not warp.at_barrier:
                     if round_robin:
                         warp.age = smx._seq

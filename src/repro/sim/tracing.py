@@ -10,6 +10,12 @@ implementations ship:
   opcode, active) records for debugging execution order.
 
 Tracing costs one attribute check per issued instruction when disabled.
+A traced fast core issues every instruction singly, through
+``FastWarp.step``: run-ahead, the only path that fuses a superblock
+region, reorders the global interleaving a tracer observes, so attaching
+one switches it off.  Every instruction is therefore one :meth:`on_issue`
+call at its exact cycle, on either core, and simulated statistics are
+unchanged.
 """
 
 from __future__ import annotations
@@ -29,24 +35,6 @@ class Tracer:
 
     def on_issue(self, warp: "Warp", pc: int, opcode: Opcode, active: int, cycle: int) -> None:
         raise NotImplementedError
-
-    def on_fused(self, warp: "Warp", pc: int, region, active: int, cycle: int) -> None:
-        """A fused superblock region executed in one call (fast core).
-
-        The default replays the region as per-instruction
-        :meth:`on_issue` callbacks at the exact cycles unfused execution
-        would have issued them, each with the ``active`` lanes of the
-        frame that ran the region (a region runs under any mask, and no
-        instruction inside one can change it), keeping every subclass's
-        output identical whether or not fusion engaged.  Profilers that
-        want to see regions as units override this instead.
-        """
-        alu = warp._alu_lat
-        sfu = warp._sfu_lat
-        c = cycle
-        for i, opcode in enumerate(region.ops):
-            self.on_issue(warp, pc + i, opcode, active, c)
-            c += sfu if region.sfu_flags[i] else alu
 
 
 @dataclass

@@ -1,9 +1,13 @@
 """Execution tracing and profiling."""
 
-import numpy as np
+import dataclasses
 
-from repro import KernelBuilder, KernelFunction
+import numpy as np
+import pytest
+
+from repro import GPUConfig, KernelBuilder, KernelFunction
 from repro.isa.instructions import Opcode
+from repro.sim.fast_warp import decode_program
 from repro.sim.tracing import InstructionTrace, OpcodeProfiler
 
 from tests.helpers import make_device, map_kernel
@@ -69,6 +73,49 @@ class TestInstructionTrace:
         text = trace.format(limit=5)
         assert len(text.splitlines()) == 5
         assert "traced" in text
+
+
+def _two_regions() -> KernelFunction:
+    """A fusable region every warp enters with its whole mask, and one in
+    a bounds check that a partly filled warp enters with part of it."""
+    k = KernelBuilder("two_regions")
+    gtid = k.gtid()
+    param = k.param()
+    n = k.ld(param, offset=0)
+    dst = k.ld(param, offset=1)
+    a = k.imul(gtid, 3)
+    b = k.ixor(k.iadd(a, 7), gtid)
+    with k.if_(k.lt(gtid, n)):
+        c = k.iadd(k.imul(b, 5), a)
+        k.st(k.iadd(dst, gtid), k.ixor(c, 11))
+    k.exit()
+    return KernelFunction("two_regions", k.build())
+
+
+class TestTraceAcrossCores:
+    @pytest.mark.parametrize("block", [64, 256], ids=["2-warps", "8-warps"])
+    def test_records_are_equal_on_both_cores(self, block):
+        """Every issue is one record with the same (cycle, smx, kernel, pc,
+        opcode, active) on both cores, for blocks of fewer and of more
+        warps than an SMX issues per cycle; the last warp has 20 lanes
+        inside the bounds check."""
+        n = 2 * block - 12
+        traces = []
+        for core in ("reference", "fast"):
+            config = dataclasses.replace(GPUConfig.small(), core=core)
+            trace = InstructionTrace()
+            dev = make_device(config=config)
+            dev.attach_tracer(trace)
+            dev.register(_two_regions())
+            dev.launch("two_regions", grid=2, block=block, params=[n, dev.alloc(n)])
+            dev.synchronize()
+            assert len(trace.records) == dev.stats.issued_instructions
+            traces.append(list(trace.records))
+        assert traces[0] == traces[1]
+        # The two ALU regions (the first is the two special-register reads).
+        outer, inner = sorted(decode_program(_two_regions().program)[3])[-2:]
+        entries = {(r.pc, r.active) for r in traces[1]}
+        assert {(outer, 32), (inner, 32), (inner, 20)} <= entries
 
 
 class TestNoTracerOverheadPath:

@@ -358,9 +358,11 @@ class TestCadence:
         self, fast, sanitize
     ):
         """One warp alone on the machine in a long ALU loop: the fast
-        core steps it through sole-actor windows (run-ahead, or the
-        per-instruction window under the sanitizer), which used to carry
-        the cycle past every due checkpoint to the end of the run."""
+        core runs it ahead, past every other warp's ready cycle and
+        bounded by the next due checkpoint (or steps it one instruction
+        at a time under the sanitizer); a window bounded by the watchdog
+        alone used to carry the cycle past every due checkpoint to the
+        end of the run."""
         from repro import KernelBuilder, KernelFunction
 
         k = KernelBuilder("lone_spin")

@@ -65,6 +65,15 @@ class TestGPUConfigValidation:
         with pytest.raises(ConfigError):
             GPUConfig(agt_entries=1000)
 
+    @pytest.mark.parametrize("field", [
+        "alu_latency", "sfu_latency", "shared_latency", "l1_hit_latency", "l2_hit_latency",
+    ])
+    def test_pipeline_latency_below_one_cycle_rejected(self, field):
+        for value in (0, -1):
+            with pytest.raises(ConfigError, match=field):
+                GPUConfig(**{field: value})
+        assert getattr(GPUConfig(**{field: 1}), field) == 1
+
     def test_with_agt_entries(self):
         cfg = GPUConfig.k20c().with_agt_entries(512)
         assert cfg.agt_entries == 512
