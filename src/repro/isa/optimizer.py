@@ -30,13 +30,7 @@ from typing import Dict, List, Optional, Set, Tuple
 from ..errors import AssemblyError
 from .instructions import Imm, Instr, Opcode, Reg
 from .program import Program
-from .semantics import ALU, PURE_OPS
-
-_WRAP = 1 << 64
-
-
-def _wrap64(value: int) -> int:
-    return ((value + (1 << 63)) % _WRAP) - (1 << 63)
+from .semantics import ALU, PURE_OPS, wrap64
 
 
 def _clone(instr: Instr, **overrides) -> Instr:
@@ -101,7 +95,7 @@ def constant_fold(program: Program) -> Program:
             a = state.lookup(instr.a)
             b = state.lookup(instr.b)
             if a is not None and b is not None:
-                value = _wrap64(row.fold(a, b))
+                value = wrap64(row.fold(a, b))
                 new = _clone(instr, op=Opcode.MOV, a=Imm(value), b=None)
             elif instr.op is Opcode.IADD and b == 0:
                 new = _clone(instr, op=Opcode.MOV, b=None)

@@ -13,10 +13,10 @@ instead of restating the NumPy calls:
   callables by name (``ufunc`` in place through ``out=`` under a full
   mask, unmasked into a temporary otherwise, :func:`nonzero_divisor` on
   a ``guard`` row's divisor, nothing at all for an :func:`identity` row);
-  its conflicting atomics evaluate an :data:`ATOMIC` row's ``scalar``
-  form, as the reference interpreter's per-lane loop does, and one
-  builder (``fast_warp._make_memory``) binds any :data:`MEMORY` row to
-  either address form;
+  its colliding and one-word atomics evaluate an :data:`ATOMIC` row's
+  ``scalar`` form, as the reference interpreter's per-lane loop does,
+  and one builder (``fast_warp._make_memory``) binds any :data:`MEMORY`
+  row to either address form;
 * the peephole optimizer folds constants with a row's ``fold`` and
   eliminates dead :data:`PURE_OPS`;
 * the assembler splits off a destination register for :data:`DST_OPS`.
@@ -150,6 +150,12 @@ ALU: Dict[Opcode, AluOp] = {
     O.SELP: AluOp("iii", INT, lambda a, b, c: np.where(np.not_equal(c, 0), a, b)),
 }
 
+
+def wrap64(value: int) -> int:
+    """A Python int wrapped to int64, as an int64 lane array wraps it."""
+    return ((value + (1 << 63)) & ((1 << 64) - 1)) - (1 << 63)
+
+
 class AtomicOp(NamedTuple):
     """New memory value of one atomic as ``combine(old, b, c)``; ``c`` is
     only supplied by ``ATOM_CAS`` (``b`` is the compare value, ``c`` the
@@ -157,9 +163,10 @@ class AtomicOp(NamedTuple):
 
     #: Over lane arrays: the fast core's conflict-free gather/scatter.
     fn: Callable
-    #: Over Python ints, with no NumPy call: lanes serialized in lane
-    #: order (the reference core always, the fast core on an address
-    #: conflict).
+    #: Over Python ints, with no NumPy call and an int64 result: lanes
+    #: serialized in lane order (the reference core always; the fast core
+    #: when active lanes collide, and folded over one word when they all
+    #: name the same one).
     scalar: Callable
 
 
@@ -168,7 +175,11 @@ def _atomic(fn: Callable, scalar: Optional[Callable] = None) -> AtomicOp:
 
 
 ATOMIC: Dict[Opcode, AtomicOp] = {
-    O.ATOM_ADD: _atomic(lambda old, b, c: old + b),
+    O.ATOM_ADD: _atomic(
+        lambda old, b, c: old + b,
+        # The range test first: it runs once a lane, and rarely fails.
+        lambda old, b, c: s if -(1 << 63) <= (s := old + b) < (1 << 63) else wrap64(s),
+    ),
     O.ATOM_MIN: _atomic(lambda old, b, c: np.minimum(old, b), lambda old, b, c: min(old, b)),
     O.ATOM_MAX: _atomic(lambda old, b, c: np.maximum(old, b), lambda old, b, c: max(old, b)),
     O.ATOM_OR: _atomic(lambda old, b, c: old | b),

@@ -20,7 +20,10 @@ the per-step interpretation overhead three ways:
   active_count, full_flag]`` so the active-lane count (needed for the
   warp-activity statistic on every issue) and the common all-32-lanes case
   are O(1) instead of a ``count_nonzero`` per step.  Mask arrays are never
-  mutated in place, so the cached count is exact by construction.
+  mutated in place, so the cached count is exact by construction.  A
+  branch counts its predicate row's true lanes in one C call (on the
+  row itself under a full mask) and builds the taken and fall-through
+  masks only when it diverges.
 * **Vectorized hot paths, for any mask.**  Generated ALU code has two
   straight-line bodies.  Under a full mask each destination row is
   written in place (``ufunc(a, b, out=rd)``).  Under a partial mask —
@@ -31,8 +34,9 @@ the per-step interpretation overhead three ways:
   write), at a third of the cost of a ``where=`` ufunc.  Global
   loads/stores generate lane addresses in one vector op and feed segment
   sets to :func:`repro.memory.coalescing.coalesce_address_list`; atomics
-  gather, compute and scatter, serializing the lanes over plain Python
-  ints only when their addresses collide.
+  on distinct addresses gather, compute and scatter, and lanes that
+  collide are serialized over plain Python ints — with no array at all
+  when every active lane names one word.
 * **Superblock fusion.**  Decode also discovers maximal straight-line
   regions of ALU-class instructions (no branches, barriers, memory ops,
   or reconvergence points inside — :mod:`repro.isa.regions`) and
@@ -64,7 +68,9 @@ Stat-exactness invariants worth keeping in mind when editing:
   bank/row state and the L2's LRU depend on access order.
 * The reference serializes conflicting atomic lanes in lane order; the
   gather/scatter form therefore only handles all-distinct address sets
-  and colliding lanes run one at a time, in that order.
+  and colliding lanes run one at a time, in that order.  The row's
+  ``scalar`` form wraps to int64 as its lane-array form does, so the
+  three paths agree on an overflowing ``ATOM_ADD``.
 * A partial-mask body may compute an inactive lane from values the
   reference never saw there (an earlier temporary instead of the stale
   register); that is sound only because temporaries reach registers
@@ -97,6 +103,13 @@ from ..isa.semantics import (
 )
 from ..memory.coalescing import coalesce_address_list
 from .warp import _DISPATCH, Warp, out_of_range
+
+# The C ``count_nonzero`` behind ``np.count_nonzero``, whose Python
+# wrapper (an ``axis`` / ``keepdims`` test) costs more than the count.
+try:
+    from numpy._core.multiarray import count_nonzero as _count_nonzero
+except ImportError:  # NumPy 1
+    from numpy.core.multiarray import count_nonzero as _count_nonzero
 
 # ----------------------------------------------------------------------
 # Shared warp geometry
@@ -556,8 +569,19 @@ def _make_atomic(instr):
         ri = w.regs_i
         vals = (ri[bi] if full else ri[bi][mask]) if bi >= 0 else bv
         new = (ri[ci] if full else ri[ci][mask]) if ci >= 0 else cv
-        distinct = set(alist)
-        if len(distinct) == len(alist):
+        if lo == hi:
+            # Every active lane on one word (one lane, or a warp appending
+            # to a worklist): fold the lanes in lane order, over Python ints.
+            value = mem.item(lo)
+            old = []
+            for operand, swap in zip(
+                vals.tolist() if bi >= 0 else repeat(bv, len(alist)),
+                new.tolist() if ci >= 0 else repeat(cv),
+            ):
+                old.append(value)
+                value = scalar(value, operand, swap)
+            mem[lo] = value
+        elif len(distinct := set(alist)) == len(alist):
             old = mem[addrs]
             mem[addrs] = combine(old, vals, new)
         else:
@@ -605,22 +629,27 @@ def _make_bra(instr):
 
     def run(w, frame, cycle):
         w.ready_cycle = cycle + w._alu_lat
-        predv = w.regs_i[p] != 0
-        if not sense:
-            predv = ~predv
+        row = w.regs_i[p]
         mask = frame[2]
-        taken = mask & predv
-        n_taken = int(np.count_nonzero(taken))
+        n_active = frame[3]
+        # Count the predicate's true lanes on the row itself: a uniform
+        # branch, the common case, builds no lane array.
+        n_taken = int(_count_nonzero(row if frame[4] else row[mask]))
+        if not sense:
+            n_taken = n_active - n_taken
         if n_taken == 0:
             w._stats.branches_uniform += 1
             frame[0] += 1
             return True
-        n_active = frame[3]
         if n_taken == n_active:
             w._stats.branches_uniform += 1
             frame[0] = target
             return True
         w._stats.branches_diverged += 1
+        predv = row != 0
+        if not sense:
+            predv = ~predv
+        taken = mask & predv
         fall = mask & ~predv
         pc = frame[0]
         frame[0] = rpc

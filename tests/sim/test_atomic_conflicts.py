@@ -2,10 +2,12 @@
 
 The reference core serializes every atomic's active lanes in lane order
 (``Warp._h_atomic``).  The fast core gathers, computes and scatters when
-the addresses are distinct, and on a collision serializes the lanes
-itself, over Python ints (``ATOMIC[op].scalar``) — it no longer hands the
-instruction to the reference handler.  Memory, the destination register,
-the coalescing statistics and every cycle must be equal either way.
+the addresses are distinct, folds the lanes over one word when they all
+name it (a single lane, a worklist append), and otherwise serializes the
+lanes itself, over Python ints (``ATOMIC[op].scalar``) — it no longer
+hands the instruction to the reference handler.  Memory, the destination
+register, the coalescing statistics and every cycle must be equal either
+way.
 """
 
 from __future__ import annotations
@@ -114,6 +116,67 @@ def test_colliding_lanes_equal_the_reference_core(op, pattern, alias, odd_only):
     alone = _run(func(), True, slots, values, swaps, cells, n=20)
     active = (LANES < 20) & ((LANES % 2 == 1) if odd_only else True)
     assert alone[1:] == _serialized(op, slots, values, swaps, cells, active)
+
+
+@pytest.mark.parametrize("op", OPS, ids=lambda op: op.name)
+def test_a_one_lane_warp_equals_the_reference_core(op):
+    """65 threads: the second block's first warp issues the atomic with
+    a single active lane, one word whatever the slot pattern."""
+    values = (LANES * 37 + 11) % 23 - 7
+    cells = (np.arange(CELLS) * 5) % 9 - 2
+    for pattern, slots in sorted(SLOTS.items()):
+        results = [
+            _run(_kernel(op), fast, slots, values, LANES, cells, n=65) for fast in (True, False)
+        ]
+        assert results[0] == results[1], pattern
+
+
+def _append_kernel(cell) -> KernelFunction:
+    """``ticket[gtid] = atom_add(cell, #1)``: the worklist append, with the
+    counter's address in a register (``cell`` None: the cell buffer's
+    first word) or an immediate."""
+    k = KernelBuilder("append")
+    gtid = k.gtid()
+    param = k.param()
+    with k.if_(k.lt(gtid, k.ld(param, offset=0))):
+        ticket = k.atom_add(k.ld(param, offset=1) if cell is None else cell, 1)
+        k.st(k.iadd(k.ld(param, offset=5), gtid), ticket)
+    k.exit()
+    return KernelFunction("append", k.build())
+
+
+@pytest.mark.parametrize("cell", [None, 1], ids=["register_cell", "immediate_cell"])
+def test_worklist_append_hands_out_tickets_in_lane_order(cell):
+    """Every lane bumps one counter by the immediate 1: the counter ends
+    at the thread count, each warp's tickets are consecutive in lane
+    order, and both cores hand out the same ones.  (The cell buffer is
+    the first allocation, at word 1.)"""
+    results = [
+        _run(_append_kernel(cell), fast, LANES, LANES, LANES, np.zeros(CELLS, dtype=np.int64))
+        for fast in (True, False)
+    ]
+    assert results[0] == results[1]
+    _stats, memory, tickets = results[0]
+    assert memory[0] == N and sorted(tickets) == list(range(N))
+    for start in range(0, N, 32):
+        warp = tickets[start : start + 32]
+        assert warp == list(range(warp[0], warp[0] + len(warp)))
+
+
+@pytest.mark.parametrize("pattern", ["distinct", "one_address", "mixed"])
+def test_an_overflowing_add_wraps_on_both_cores(pattern):
+    """Adding 1 to ``2**63 - 1`` gives ``-2**63`` on every path — lane
+    arrays for distinct words, the one-word fold, the collision loop —
+    and on the reference core, instead of an ``OverflowError``."""
+    slots = LANES % 32 if pattern == "distinct" else SLOTS[pattern]
+    cells = np.full(CELLS, 2**63 - 1, dtype=np.int64)
+    results = [
+        _run(_kernel(Opcode.ATOM_ADD), fast, slots, np.ones(N), LANES, cells)
+        for fast in (True, False)
+    ]
+    assert results[0] == results[1]
+    adds = np.bincount(slots, minlength=CELLS).tolist()
+    assert results[0][1] == [-(2**63) + k - 1 if k else 2**63 - 1 for k in adds]
 
 
 def test_cas_chain_sees_the_value_an_earlier_lane_wrote():

@@ -1,9 +1,13 @@
 """Execution-mode semantics."""
 
+import dataclasses
+import functools
+
 import pytest
 
-from repro.config import LatencyModel
+from repro.config import GPUConfig, LatencyModel
 from repro.runtime import ExecutionMode
+from repro.workloads import BENCHMARKS, get_benchmark
 
 
 class TestModes:
@@ -135,10 +139,8 @@ class TestPersistentEquivalence:
     LATENCY_SCALE = 0.25
 
     @pytest.mark.parametrize("mode_name", ["persistent", "persistent-async"])
-    @pytest.mark.parametrize("bench", sorted(__import__("repro.workloads", fromlist=["BENCHMARKS"]).BENCHMARKS))
+    @pytest.mark.parametrize("bench", sorted(BENCHMARKS))
     def test_every_workload_matches_flat(self, bench, mode_name):
-        from repro.workloads import get_benchmark
-
         wl = get_benchmark(bench, ExecutionMode.parse(mode_name), scale=self.SCALE)
         result = wl.execute(latency_scale=self.LATENCY_SCALE)
         assert result.cycles > 0
@@ -152,11 +154,6 @@ class TestPersistentEquivalence:
         ],
     )
     def test_cores_agree_exactly(self, bench, mode_name):
-        import dataclasses
-
-        from repro.config import GPUConfig
-        from repro.workloads import get_benchmark
-
         stats = {}
         for core in ("reference", "fast"):
             config = dataclasses.replace(GPUConfig.k20c(), core=core)
@@ -169,3 +166,66 @@ class TestPersistentEquivalence:
             data.pop("config")  # records the core name itself
             stats[core] = data
         assert stats["reference"] == stats["fast"]
+
+
+@functools.lru_cache(maxsize=None)
+def _sanitized_run(bench: str, mode: ExecutionMode, scale: float):
+    """One verified, sanitized run's ``SimStats`` (outputs equal the host
+    reference, the task queue drains, the sanitizer stays clean)."""
+    config = dataclasses.replace(GPUConfig.k20c(), sanitize=True)
+    stats = get_benchmark(bench, mode, scale).execute(
+        config=config, latency_scale=0.25, verify=True
+    ).stats
+    assert stats.cycles > 0
+    return stats
+
+
+class TestModeOrderings:
+    """The orderings the nine modes promise, on whole verified and
+    sanitized jobs: the full grid on ``bfs_cage15`` at a scale where its
+    DFP thresholds fire, and the persistent sweep on two more benchmarks.
+    The persistent modes spin on branches and atomics."""
+
+    PERSISTENT = [("bfs_cage15", 0.2), ("sssp_citation", 0.1), ("bht", 0.1)]
+
+    def grid(self, mode):
+        return _sanitized_run("bfs_cage15", mode, 0.2)
+
+    def launches(self, mode):
+        return len(self.grid(mode).dynamic_launches())
+
+    def test_flat_makes_no_launches_and_cdp_some(self):
+        assert self.launches(ExecutionMode.FLAT) == 0
+        assert self.launches(ExecutionMode.CDP) > 0
+
+    @pytest.mark.parametrize(
+        "ideal,measured",
+        [(ExecutionMode.CDP_IDEAL, ExecutionMode.CDP), (ExecutionMode.DTBL_IDEAL, ExecutionMode.DTBL)],
+        ids=["cdp", "dtbl"],
+    )
+    def test_ideal_is_no_slower_than_measured(self, ideal, measured):
+        assert self.grid(ideal).cycles <= self.grid(measured).cycles
+
+    @pytest.mark.parametrize(
+        "mode", [ExecutionMode.CDP_AGG, ExecutionMode.CONSOLIDATED], ids=["cdpa", "cons"]
+    )
+    def test_compiler_modes_make_no_more_launches_than_cdp(self, mode):
+        assert self.launches(mode) <= self.launches(ExecutionMode.CDP)
+
+    def test_cons_uses_no_more_blocks_than_cdpa(self):
+        def blocks(mode):
+            return sum(r.total_blocks for r in self.grid(mode).dynamic_launches())
+
+        assert blocks(ExecutionMode.CONSOLIDATED) <= blocks(ExecutionMode.CDP_AGG)
+
+    @pytest.mark.parametrize("mode", [ExecutionMode.PERSISTENT, ExecutionMode.PERSISTENT_ASYNC],
+                             ids=lambda mode: mode.value)
+    @pytest.mark.parametrize("bench,scale", PERSISTENT, ids=[b for b, _ in PERSISTENT])
+    def test_persistent_modes_launch_nothing_and_issue_more_than_flat(self, bench, scale, mode):
+        """Every launch site became a queue push, and the software
+        scheduler (polls, claim CAS, publish and finish atomics) costs
+        instructions."""
+        stats = _sanitized_run(bench, mode, scale)
+        assert len(stats.dynamic_launches()) == 0
+        flat = _sanitized_run(bench, ExecutionMode.FLAT, scale)
+        assert stats.issued_instructions > flat.issued_instructions
