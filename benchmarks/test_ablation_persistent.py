@@ -8,7 +8,8 @@ power-law graph:
 
 * ``flat/thread`` — serial per-thread expansion (the naive baseline);
 * ``flat/warp``   — warp-level cooperative expansion;
-* ``flat/persistent`` — resident workers + software worklist;
+* ``persistent-async`` — resident workers pulling block-tasks from a
+  software task queue (the Atos-style runtime of that mode);
 * ``dtbl``        — hardware-launched aggregated thread blocks.
 
 The assertable shape: DTBL beats the naive serial baseline outright, and
@@ -33,7 +34,7 @@ def test_dynamic_work_schemes():
     for key, mode, expansion in (
         ("flat/thread", ExecutionMode.FLAT, "thread"),
         ("flat/warp", ExecutionMode.FLAT, "warp"),
-        ("flat/persistent", ExecutionMode.FLAT, "persistent"),
+        ("persistent-async", ExecutionMode.PERSISTENT_ASYNC, "thread"),
         ("dtbl", ExecutionMode.DTBL, "thread"),
     ):
         workload = BfsWorkload("bfs", mode, graph, expansion=expansion)
@@ -55,14 +56,14 @@ def test_dynamic_work_schemes():
         )
     # Hardware-launched dynamic work beats naive serial expansion; the
     # software scheme stays within the same order of magnitude but pays
-    # for the sequenced-ring worklist protocol (per-slot spin, claim
+    # for the sequenced-ring queue protocol (per-slot spin, claim
     # CAS, publish/finish atomics) in cycles.
     assert results["dtbl"].cycles < base
-    assert results["flat/persistent"].cycles < base * 2
+    assert results["persistent-async"].cycles < base * 2
     # The persistent scheme executes far more instructions than DTBL for
     # the same traversal: spin polling plus worklist atomics — the
     # software-scheduling overhead DTBL moves into hardware.
     assert (
-        results["flat/persistent"].issued_instructions
+        results["persistent-async"].issued_instructions
         > 2 * results["dtbl"].issued_instructions
     )

@@ -15,15 +15,15 @@ the serving daemon (:mod:`repro.serve`):
   quarantine;
 * :mod:`repro.exec.pool` — the resident worker process both schedulers
   launch jobs onto, and a multi-process sweep engine
-  (:class:`SweepEngine`) over it with per-job timeout, bounded retry and
-  in-process fallback.
+  (:class:`SweepEngine`) over it with bounded retry and in-process
+  fallback.
 
 ``spec -> fingerprint -> cache -> pool``: a requested job is
 fingerprinted, the cache is consulted, and only misses are simulated —
 in parallel.
 
 :mod:`repro.exec.cli` holds the argparse flags both command-line entry
-points share, including ``--checkpoint-every``/``--resume`` backed by
+points share, including ``--checkpoint-every`` backed by
 :mod:`repro.state`; ``JobSpec.from_args`` turns a parsed namespace into
 specs, so every flag is declared exactly once.
 """

@@ -3,15 +3,14 @@
 ``python -m repro.harness``, ``python -m repro.workloads`` and
 ``python -m repro.serve`` expose the same execution surface — worker
 processes, the on-disk result cache, the hot-path profiler, and
-checkpoint/resume — and used to duplicate the argparse wiring.  This
+checkpointing — and used to duplicate the argparse wiring.  This
 module is the single definition:
 
 * :func:`add_job_flags` declares the job-shape flags (``--scale``,
   ``--latency-scale``, ``--core``, ``--sanitize``) that feed
   :meth:`repro.exec.jobspec.JobSpec.from_args`;
 * :func:`add_execution_flags` declares the execution-policy flags
-  (``--jobs``, ``--cache*``, ``--profile*``, ``--checkpoint*``,
-  ``--resume``);
+  (``--jobs``, ``--cache*``, ``--profile*``, ``--checkpoint*``);
 * :func:`validate_execution_flags` applies the shared consistency rules;
 * :func:`config_from_flags` applies ``--core`` / ``--sanitize`` to the
   Table 2 GPU, so neither CLI reaches for the environment.
@@ -26,7 +25,7 @@ from typing import Optional
 from ..config import CORES, GPUConfig
 from .cache import DEFAULT_CACHE_DIR
 
-#: Default directory for ``--checkpoint-every`` / ``--resume`` state.
+#: Default directory for ``--checkpoint-every`` state.
 DEFAULT_CHECKPOINT_DIR = ".repro-checkpoints"
 
 
@@ -96,16 +95,14 @@ def add_execution_flags(
     parser.add_argument("--checkpoint-every", type=int, default=None,
                         metavar="CYCLES",
                         help="checkpoint each simulation's full state every "
-                             "CYCLES simulated cycles; crashed or timed-out "
-                             "jobs resume from their last checkpoint")
+                             "CYCLES simulated cycles; a job continues from "
+                             "its checkpoint in --checkpoint-dir when one "
+                             "exists (a crashed job's retry, or a rerun of "
+                             "an interrupted sweep; stale or corrupt files "
+                             "are quarantined and the job starts fresh)")
     parser.add_argument("--checkpoint-dir", default=DEFAULT_CHECKPOINT_DIR,
                         help="checkpoint directory (default "
                              f"{DEFAULT_CHECKPOINT_DIR})")
-    parser.add_argument("--resume", action="store_true",
-                        help="resume interrupted simulations from existing "
-                             "checkpoints in --checkpoint-dir (stale or "
-                             "corrupt files are quarantined and the run "
-                             "starts fresh)")
 
 
 def validate_execution_flags(
@@ -114,7 +111,7 @@ def validate_execution_flags(
     """Apply the shared consistency rules; returns the checkpoint dir.
 
     Returns the effective checkpoint directory — ``None`` unless
-    checkpointing or resuming was requested — after validating that
+    checkpointing was requested — after validating that
 
     * ``--jobs`` is positive,
     * ``--checkpoint-every`` is positive when given, and
@@ -132,11 +129,11 @@ def validate_execution_flags(
         parser.error("--checkpoint-every must be >= 1")
     if getattr(args, "profile_json", None):
         args.profile = True
-    if args.profile and (args.checkpoint_every or args.resume):
+    if args.profile and args.checkpoint_every:
         parser.error(
-            "--profile cannot be combined with --checkpoint-every/--resume: "
+            "--profile cannot be combined with --checkpoint-every: "
             "profiler state is not checkpointable"
         )
-    if args.checkpoint_every or args.resume:
+    if args.checkpoint_every:
         return args.checkpoint_dir
     return None

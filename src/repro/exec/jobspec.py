@@ -5,9 +5,9 @@ Every way of running a simulation in this repository — the two CLIs, the
 the :mod:`repro.serve` daemon — consumes the same :class:`JobSpec`: the
 full description of *what* to simulate (benchmark, mode, dataset scale,
 launch-latency scale, GPU configuration, verification) plus the execution
-policy for *how* to run it (periodic checkpointing, checkpoint directory,
-resume).  :func:`run_job` is the single function that turns a spec into a
-:class:`JobResult`; everything else is routing.
+policy for *how* to run it (periodic checkpointing and the checkpoint
+directory a job continues from).  :func:`run_job` is the single function
+that turns a spec into a :class:`JobResult`; everything else is routing.
 
 Identity vs. policy
 -------------------
@@ -59,10 +59,9 @@ class JobSpec:
     #: Snapshot the full simulator state every N cycles (``None``: never).
     checkpoint_every: Optional[int] = None
     #: Directory for ``<fingerprint>.ckpt`` files (``None``: in-memory
-    #: checkpoint callbacks only, no files).
+    #: checkpoint callbacks only, no files).  A job continues from its
+    #: file there whenever one exists.
     checkpoint_dir: Optional[str] = None
-    #: Continue from an existing checkpoint when one is present.
-    resume: bool = False
 
     # ------------------------------------------------------------------
     # Identity
@@ -113,8 +112,6 @@ class JobSpec:
             raise SpecError(
                 f"checkpoint_every must be >= 1, got {self.checkpoint_every!r}"
             )
-        if self.resume and self.checkpoint_dir is None:
-            raise SpecError("resume=True requires a checkpoint_dir")
         return self
 
     # ------------------------------------------------------------------
@@ -131,7 +128,6 @@ class JobSpec:
         verify: bool = True,
         checkpoint_every: Optional[int] = None,
         checkpoint_dir: Optional[str] = None,
-        resume: bool = False,
     ) -> "JobSpec":
         """Build a spec, canonicalizing ``config=None`` to the default.
 
@@ -148,7 +144,6 @@ class JobSpec:
             verify=verify,
             checkpoint_every=checkpoint_every,
             checkpoint_dir=checkpoint_dir,
-            resume=resume,
         )
 
     @classmethod
@@ -166,7 +161,7 @@ class JobSpec:
         ``--core``, ``--sanitize``, ``--no-verify`` (when the CLI declares it), and the
         checkpoint flags.  ``checkpoint_dir`` is the *validated*
         directory from ``validate_execution_flags`` — ``None`` unless
-        checkpointing or resuming was requested.
+        checkpointing was requested.
         """
         return cls.create(
             benchmark,
@@ -177,14 +172,12 @@ class JobSpec:
             verify=not getattr(args, "no_verify", False),
             checkpoint_every=getattr(args, "checkpoint_every", None),
             checkpoint_dir=checkpoint_dir,
-            resume=bool(getattr(args, "resume", False)),
         ).validate()
 
     def with_policy(
         self,
         checkpoint_every: Optional[int] = None,
         checkpoint_dir: Optional[str] = None,
-        resume: Optional[bool] = None,
     ) -> "JobSpec":
         """A copy with the given execution-policy fields replaced.
 
@@ -196,9 +189,21 @@ class JobSpec:
             changes["checkpoint_every"] = checkpoint_every
         if checkpoint_dir is not None:
             changes["checkpoint_dir"] = str(checkpoint_dir)
-        if resume is not None:
-            changes["resume"] = resume
         return dataclasses.replace(self, **changes) if changes else self
+
+    def with_default_policy(
+        self,
+        checkpoint_every: Optional[int] = None,
+        checkpoint_dir: Optional[str] = None,
+    ) -> "JobSpec":
+        """This spec, with the given checkpoint policy if it has none.
+
+        A spec that sets either checkpoint field keeps its own policy
+        whole; otherwise the fields are replaced as by :meth:`with_policy`.
+        """
+        if self.checkpoint_every is not None or self.checkpoint_dir is not None:
+            return self
+        return self.with_policy(checkpoint_every, checkpoint_dir)
 
     # ------------------------------------------------------------------
     # Serialization (the daemon's wire format)
@@ -214,7 +219,6 @@ class JobSpec:
             "verify": self.verify,
             "checkpoint_every": self.checkpoint_every,
             "checkpoint_dir": self.checkpoint_dir,
-            "resume": self.resume,
         }
 
     @classmethod
@@ -230,7 +234,7 @@ class JobSpec:
             raise SpecError(f"spec must be an object, not {type(data).__name__}")
         known = {
             "benchmark", "mode", "scale", "latency_scale", "config",
-            "verify", "checkpoint_every", "checkpoint_dir", "resume",
+            "verify", "checkpoint_every", "checkpoint_dir",
         }
         unknown = set(data) - known
         if unknown:
@@ -262,7 +266,6 @@ class JobSpec:
             verify=bool(data.get("verify", True)),
             checkpoint_every=data.get("checkpoint_every"),
             checkpoint_dir=str(checkpoint_dir) if checkpoint_dir else None,
-            resume=bool(data.get("resume", False)),
         ).validate()
 
 
@@ -329,8 +332,8 @@ def run_job(
     here, which is what makes them bit-identical.  With
     ``spec.checkpoint_dir`` set, the job checkpoints to
     ``<dir>/<fingerprint>.ckpt`` every ``spec.checkpoint_every`` cycles,
-    and ``spec.resume`` continues from such a file when one exists (stale
-    or corrupt files are quarantined and the job restarts).  Because the
+    and continues from such a file when one exists (stale or corrupt
+    files are quarantined and the job starts fresh).  Because the
     simulation is deterministic and a restore is bit-identical, a resumed
     result equals an uninterrupted run's.
     """

@@ -19,15 +19,11 @@ sweep.  :class:`SweepEngine` launches a list of
 :class:`~repro.exec.jobspec.JobSpec`\\ s onto up to ``max_workers``
 resident workers (forked on first demand, reused job after job; dispatch
 never blocks on a straggler), with the failure handling a long sweep
-needs:
+needs.  The scheduler blocks on the busy workers' pipes and process
+sentinels — it never ticks:
 
-* **per-job timeout** — a job that is still running ``job_timeout``
-  seconds after it was launched is charged a failed attempt and *its*
-  worker is killed; its siblings keep running.  The scheduler blocks on
-  the busy workers' pipes and process sentinels until the nearest
-  deadline — it never ticks;
 * **bounded retry** — a job whose worker dies without an outcome is
-  requeued up to ``max_retries`` times; only that job is charged, and the
+  requeued up to :data:`RETRIES` times; only that job is charged, and the
   next launch forks one replacement worker;
 * **in-process fallback** — a job out of retries, or a sweep that cannot
   fork a worker at all (resource limits), degrades to plain in-process
@@ -45,9 +41,9 @@ catches the type the job raised.
 Each spec carries its own checkpoint policy
 (:attr:`~repro.exec.jobspec.JobSpec.checkpoint_every` /
 ``checkpoint_dir``): workers checkpoint their job periodically and every
-(re)attempt — including the in-process fallback — resumes from the last
-checkpoint, so a crashed or timed-out job loses at most one checkpoint
-interval of simulation within its retry budget.
+(re)attempt — including the in-process fallback — continues from the
+last checkpoint, so a crashed job loses at most one checkpoint interval
+of simulation within its retry budget.
 
 Results are returned as JSON-safe payload dictionaries (produced by
 :meth:`~repro.exec.jobspec.JobResult.to_payload`) in input order,
@@ -59,9 +55,7 @@ Test hooks: setting ``REPRO_EXEC_TEST_CRASH`` makes *worker processes*
 (never in-process execution) die before simulating — ``always`` on every
 attempt (``always:<benchmark>`` only for that benchmark's jobs),
 otherwise the value is a sentinel-file path that makes exactly the first
-attempt die.  ``REPRO_EXEC_TEST_HANG`` (``<seconds>``, or
-``<seconds>:<benchmark>`` for that benchmark's jobs only) makes workers
-sleep to exercise the timeout path.  Those live in :func:`_worker_entry`.
+attempt die (see :func:`_worker_entry`).
 ``REPRO_SERVE_TEST_CKPT_SLEEP`` (seconds) makes workers sleep at every
 checkpoint, stretching wall time deterministically without touching
 simulated state — the daemon's preemption tests use it to keep a victim
@@ -88,15 +82,18 @@ except ValueError:  # pragma: no cover - non-POSIX
     _CTX = multiprocessing.get_context("spawn")
 
 
+#: Worker attempts a job may lose (its worker died without an outcome)
+#: before it runs in-process.
+RETRIES = 2
+
+
 class SweepError(RuntimeError):
-    """The engine could not complete a sweep (fallback disabled)."""
+    """A job failed with an exception that could not be re-raised as
+    itself (it does not pickle)."""
 
 
 def _test_fault_hook(job: JobSpec) -> None:
-    """Crash/hang injection for the engine's own tests (workers only)."""
-    seconds, _, only = os.environ.get("REPRO_EXEC_TEST_HANG", "").partition(":")
-    if seconds and (not only or only == job.benchmark):
-        time.sleep(float(seconds))
+    """Crash injection for the engine's own tests (workers only)."""
     crash = os.environ.get("REPRO_EXEC_TEST_CRASH")
     if not crash:
         return
@@ -138,18 +135,6 @@ def _test_ckpt_crash_hook():
     return on_checkpoint
 
 
-def _resumable(spec: JobSpec) -> JobSpec:
-    """Arm resume on a spec that checkpoints to disk.
-
-    Retried attempts — worker or fallback — must pick up from the last
-    checkpoint instead of restarting; a first attempt simply finds no
-    file and starts fresh.
-    """
-    if spec.checkpoint_dir is not None and not spec.resume:
-        return spec.with_policy(resume=True)
-    return spec
-
-
 def _worker_entry(
     spec: JobSpec, on_checkpoint: Optional[Callable[[dict], None]] = None
 ) -> dict:
@@ -166,9 +151,7 @@ def _worker_entry(
         for hook in hooks:
             hook(doc)
 
-    return run_job(
-        _resumable(spec), on_checkpoint=each if hooks else None
-    ).to_payload()
+    return run_job(spec, on_checkpoint=each if hooks else None).to_payload()
 
 
 def _portable(exc: Exception) -> Optional[Exception]:
@@ -314,28 +297,18 @@ class EngineStats:
     in_process: int = 0
     retries: int = 0
     #: Worker processes forked: up to ``max_workers`` on demand, then one
-    #: per worker lost to a crash or killed on a timeout.
+    #: per worker lost to a crash.
     worker_spawns: int = 0
     fallbacks: int = 0
-    timeouts: int = 0
 
 
 class SweepEngine:
     """Run independent simulation jobs across resident worker processes."""
 
-    def __init__(
-        self,
-        max_workers: int,
-        job_timeout: Optional[float] = None,
-        max_retries: int = 2,
-        fallback: bool = True,
-    ) -> None:
+    def __init__(self, max_workers: int) -> None:
         if max_workers < 1:
             raise ValueError("max_workers must be >= 1")
         self.max_workers = max_workers
-        self.job_timeout = job_timeout
-        self.max_retries = max_retries
-        self.fallback = fallback
         self.stats = EngineStats()
 
     def run(
@@ -346,8 +319,8 @@ class SweepEngine:
         """Execute every spec; payloads in input order.
 
         Simulation errors propagate; infrastructure failures (worker
-        crashes, timeouts, a worker that cannot be forked) are retried
-        and then absorbed by the in-process fallback.
+        crashes, a worker that cannot be forked) are retried and then
+        absorbed by the in-process fallback.
         """
         self.stats = EngineStats()
         total = len(jobs)
@@ -373,7 +346,7 @@ class SweepEngine:
             emit("done", index, attempts_used, payload=payload, source=source)
 
         def run_local(index: int, attempts_used: int) -> None:
-            payload = run_job(_resumable(jobs[index])).to_payload()
+            payload = run_job(jobs[index]).to_payload()
             finish(index, payload, "in-process", attempts_used)
 
         if self.max_workers == 1:
@@ -383,23 +356,22 @@ class SweepEngine:
 
         queue: deque = deque(range(total))
         attempts = [0] * total
-        #: Live workers; a busy one's ``job`` is ``(index, launch time)``.
+        #: Live workers; a busy one's ``job`` is its job's index.
         workers: List[Worker] = []
         can_spawn = True
 
-        def charge_failure(index: int, why: str) -> None:
-            """A worker-side failure of job ``index``: retry or fall back."""
+        def lose(worker: Worker) -> None:
+            """``worker`` died: part with it, charge its job only — a
+            retry, or in-process once out of them."""
+            worker.retire()
+            workers.remove(worker)
+            index = worker.job
             attempts[index] += 1
-            if attempts[index] <= self.max_retries:
+            if attempts[index] <= RETRIES:
                 self.stats.retries += 1
                 queue.append(index)
                 emit("retry", index, attempts[index])
                 return
-            if not self.fallback:
-                raise SweepError(
-                    f"job {jobs[index].label()} failed {attempts[index]} "
-                    f"worker attempts ({why}) and fallback is disabled"
-                )
             self.stats.fallbacks += 1
             emit("fallback", index, attempts[index])
             run_local(index, attempts[index] + 1)
@@ -418,13 +390,6 @@ class SweepEngine:
                     self.stats.worker_spawns += 1
             return worker
 
-        def lose(worker: Worker, why: str) -> None:
-            """``worker`` is dead or hung: part with it, charge its job only."""
-            worker.proc.kill()
-            worker.retire()
-            workers.remove(worker)
-            charge_failure(worker.job[0], why)
-
         try:
             while True:
                 while queue:
@@ -432,7 +397,7 @@ class SweepEngine:
                     if worker is None:
                         break
                     index = queue.popleft()
-                    worker.job = (index, time.monotonic())
+                    worker.job = index
                     try:
                         worker.conn.send(jobs[index])
                     except OSError:
@@ -441,29 +406,17 @@ class SweepEngine:
                 if not busy:
                     # Done — or no worker left and none to be had: degrade
                     # the rest of the sweep to in-process execution.
-                    if queue and not self.fallback:
-                        raise SweepError(
-                            "worker pool unavailable and fallback disabled"
-                        )
                     while queue:
                         index = queue.popleft()
                         self.stats.fallbacks += 1
                         run_local(index, attempts[index] + 1)
                     break
 
-                # Block until a busy worker reports or dies, or until the
-                # nearest deadline; with no timeout set, for as long as
-                # that takes.
-                timeout = None
-                if self.job_timeout is not None:
-                    oldest = min(worker.job[1] for worker in busy)
-                    timeout = max(
-                        0.0, oldest + self.job_timeout - time.monotonic()
-                    )
+                # Block until a busy worker reports or dies.
                 wait([end for worker in busy
-                      for end in (worker.conn, worker.proc.sentinel)], timeout)
+                      for end in (worker.conn, worker.proc.sentinel)])
                 for worker in busy:
-                    index, launched = worker.job
+                    index = worker.job
                     outcome = worker.outcome()
                     if outcome is not None:
                         worker.job = None
@@ -479,11 +432,7 @@ class SweepEngine:
                             attempts[index] + 1,
                         )
                     elif not worker.proc.is_alive():
-                        lose(worker, "worker process died")
-                    elif (self.job_timeout is not None
-                          and time.monotonic() - launched > self.job_timeout):
-                        self.stats.timeouts += 1
-                        lose(worker, f"exceeded {self.job_timeout}s timeout")
+                        lose(worker)
         finally:
             for worker in workers:
                 if worker.job is not None:

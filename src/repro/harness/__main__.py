@@ -8,15 +8,15 @@ Usage::
     python -m repro.harness --scale 0.25         # quick, scaled-down pass
     python -m repro.harness --figure 11          # a single figure
     python -m repro.harness --no-cache           # ignore .repro-cache/
-    python -m repro.harness --checkpoint-every 2000000 --resume
+    python -m repro.harness --checkpoint-every 2000000
 
 Standard output is the document alone — EXPERIMENTS.md for a full run,
 one table for ``--figure`` — so two runs compare equal; progress, cache
 statistics and timing go to standard error.  Results persist in a
 content-addressed on-disk cache (``--cache-dir``, default
 ``.repro-cache/``): a warm rerun simulates nothing.
-``--checkpoint-every`` snapshots long simulations periodically so an
-interrupted sweep can ``--resume`` from where it stopped.
+``--checkpoint-every`` snapshots long simulations periodically, and a
+rerun of an interrupted sweep continues each job from its checkpoint.
 """
 
 from __future__ import annotations

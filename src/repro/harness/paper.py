@@ -482,7 +482,8 @@ rows of `src/repro/harness/paper.py`, and `pytest benchmarks` fails when a
 verdict stops holding or when this file is not what the harness prints.
 Do not edit it: edit a row and regenerate it
 (`python -m repro.harness --jobs 2 > EXPERIMENTS.md`; `--figure N` prints
-one table; `--checkpoint-every N --resume` makes a long sweep interruptible).
+one table; with `--checkpoint-every N` a rerun of an interrupted sweep
+continues from its checkpoints).
 
 **Configuration.** Table 2 GPU (13 SMXs, 64 resident warps/SMX, 32-entry
 Kernel Distributor, 1024-entry AGT), L2 = 96 KB (scaled with the

@@ -69,26 +69,21 @@ def run_jobs(
     Returns one :class:`~repro.exec.JobResult` per spec, in input order.
     Within one call, duplicate fingerprints are simulated once and share
     one result.  ``engine`` overrides the default
-    ``SweepEngine(max_workers=jobs)`` (tests inject fault configurations
-    through it).
+    ``SweepEngine(max_workers=jobs)`` (tests pass one in to read its
+    ``stats``).
 
     With ``checkpoint_dir`` set, simulations checkpoint their state every
     ``checkpoint_every`` cycles under ``<dir>/<fingerprint>.ckpt`` and
-    every attempt — serial, worker, retry or fallback — resumes from an
+    every attempt — serial, worker, retry or fallback — continues from an
     existing checkpoint (see :mod:`repro.state`).  The policy is stamped
     onto each spec (specs that already carry one keep theirs), so one
     :class:`~repro.exec.JobSpec` is the only parameter bundle the engine
     ever sees.
     """
-    if checkpoint_every is not None or checkpoint_dir is not None:
-        specs = [
-            spec.with_policy(
-                checkpoint_every=checkpoint_every, checkpoint_dir=checkpoint_dir
-            )
-            if spec.checkpoint_every is None and spec.checkpoint_dir is None
-            else spec
-            for spec in specs
-        ]
+    specs = [
+        spec.with_default_policy(checkpoint_every, checkpoint_dir)
+        for spec in specs
+    ]
     keys = [job.fingerprint() for job in specs]
     results: Dict[str, JobResult] = {}
     todo: Dict[str, JobSpec] = {}

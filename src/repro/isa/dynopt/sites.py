@@ -19,7 +19,7 @@ degrade to plain CDP rather than guess.
 from __future__ import annotations
 
 import dataclasses
-from typing import Dict, List, Optional, Set
+from typing import List, Optional, Set
 
 from ..instructions import Imm, Instr, Opcode, Reg
 from ..program import Program
@@ -175,7 +175,3 @@ def find_launch_sites(program: Program) -> List[LaunchSite]:
             )
         )
     return sites
-
-
-def sites_by_index(sites) -> Dict[int, LaunchSite]:
-    return {site.index: site for site in sites}

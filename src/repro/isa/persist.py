@@ -68,7 +68,8 @@ _WORKER_SPECIALS = {
     Special.NCTAID_X,
 }
 
-DEFAULT_WORKER_NAME = "__persist_worker"
+#: Name of the generated worker kernel.
+WORKER_NAME = "__persist_worker"
 
 
 class PersistError(RuntimeError):
@@ -242,7 +243,6 @@ def persist_transform(
     queue: QueueLayout,
     *,
     async_: bool = False,
-    worker_name: str = DEFAULT_WORKER_NAME,
     defect: Optional[str] = None,
 ) -> PersistResult:
     """Rewrite a CDP kernel set for the persistent-threads runtime."""
@@ -308,7 +308,7 @@ def persist_transform(
         )
 
     bodies = [(kernel_ids[name], rewritten[name]) for name in kernel_ids]
-    worker_program = _build_worker(worker_name, bodies, queue, async_)
+    worker_program = _build_worker(WORKER_NAME, bodies, queue, async_)
     worker_local = max(by_name[name].local_words for name in kernel_ids)
 
     out: List[KernelFunction] = []
@@ -326,10 +326,10 @@ def persist_transform(
             out.append(func)
     out.append(
         KernelFunction(
-            worker_name,
+            WORKER_NAME,
             worker_program,
             shared_words=WORKER_SHARED_WORDS,
             local_words=worker_local,
         )
     )
-    return PersistResult(out, worker_name, kernel_ids, max_block)
+    return PersistResult(out, WORKER_NAME, kernel_ids, max_block)

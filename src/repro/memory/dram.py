@@ -55,11 +55,6 @@ class DramStats:
             return 0.0
         return self.commands / self.n_activity
 
-    @property
-    def row_hit_rate(self) -> float:
-        total = self.row_hits + self.row_misses
-        return self.row_hits / total if total else 0.0
-
     def to_dict(self) -> dict:
         """All counters as a JSON-safe dictionary (exact round trip)."""
         return {name: getattr(self, name) for name, _kind in self.STATE}

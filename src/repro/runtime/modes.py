@@ -118,11 +118,6 @@ class ExecutionMode(enum.Enum):
             f"unknown execution mode {name!r} (valid modes: {valid})"
         )
 
-    # Backwards-compatible alias; ``parse`` is the canonical spelling.
-    @classmethod
-    def from_name(cls, name: str) -> "ExecutionMode":
-        return cls.parse(name)
-
     @classmethod
     def comparison_order(cls) -> Tuple["ExecutionMode", ...]:
         """Canonical mode order for comparison grids and figures.

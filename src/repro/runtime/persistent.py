@@ -29,14 +29,7 @@ from __future__ import annotations
 import dataclasses
 from typing import Dict, Optional, Sequence
 
-import numpy as np
-
-from ..isa.persist import (
-    DEFAULT_WORKER_NAME,
-    RECORD_WORDS,
-    PersistResult,
-    persist_transform,
-)
+from ..isa.persist import RECORD_WORDS, PersistResult, persist_transform
 from ..isa.taskqueue import (
     OFF_CLAIMED,
     OFF_DROPPED,
@@ -46,18 +39,15 @@ from ..isa.taskqueue import (
     OFF_RESERVED,
     QueueLayout,
 )
-from ..sim.kernel import KernelFunction
+from ..sim.kernel import KernelFunction, as_dims, dims_total
+
+#: Task-queue slots (``verify_drained`` checks the high-water mark
+#: against it).
+QUEUE_CAPACITY = 16384
 
 
 class PersistentRuntimeError(RuntimeError):
     """The task queue violated a drain invariant."""
-
-
-def _total(dims) -> int:
-    """Flatten an int or (x, y, z) launch dimension into a count."""
-    if isinstance(dims, (tuple, list)):
-        return int(np.prod([int(d) for d in dims])) if dims else 1
-    return int(dims)
 
 
 class PersistentRuntime:
@@ -68,15 +58,12 @@ class PersistentRuntime:
         device,
         *,
         async_: bool = False,
-        capacity: int = 16384,
-        workers_per_smx: int = 1,
         defect: Optional[str] = None,
     ) -> None:
         self.device = device
         self.async_ = async_
-        self.workers_per_smx = workers_per_smx
         self._defect = defect
-        shape = QueueLayout(0, capacity, RECORD_WORDS)
+        shape = QueueLayout(0, QUEUE_CAPACITY, RECORD_WORDS)
         base = int(device.upload(shape.init_image()))
         self.queue = dataclasses.replace(shape, base=base)
         self._result: Optional[PersistResult] = None
@@ -97,10 +84,6 @@ class PersistentRuntime:
         return self._result.kernels
 
     @property
-    def worker_name(self) -> str:
-        return self._result.worker if self._result else DEFAULT_WORKER_NAME
-
-    @property
     def kernel_ids(self) -> Dict[str, int]:
         return dict(self._result.kernel_ids) if self._result else {}
 
@@ -116,8 +99,8 @@ class PersistentRuntime:
         self.device.synchronize()
         self.verify_drained()
 
-        blocks = _total(grid)
-        block_threads = _total(block)
+        blocks = dims_total(as_dims(grid))
+        block_threads = dims_total(as_dims(block))
         kid = result.kernel_ids[kernel_name]
         param_addr = self.device.gpu.write_params(tuple(params))
         for cta in range(blocks):
@@ -137,11 +120,10 @@ class PersistentRuntime:
             queue.field(OFF_CLAIMED), self._reserved - blocks
         )
 
-        workers = self.device.gpu.config.num_smx * self.workers_per_smx
         worker_block = max(result.max_block, block_threads)
         return self.device.launch(
             result.worker,
-            grid=workers,
+            grid=self.device.gpu.config.num_smx,
             block=worker_block,
             stream=stream,
         )

@@ -34,9 +34,10 @@
   ``loop.add_reader`` — no polling;
 * **checkpoint-backed preemption** — when every worker is busy and a
   higher-priority job arrives, the lowest-priority running job's worker
-  is killed and the job requeued with ``resume=True``; a replacement
-  worker is forked on demand by the same path as the first.  The daemon
-  stamps its checkpoint policy onto specs that carry none, so the victim
+  is killed and the job requeued; a replacement worker is forked on
+  demand by the same path as the first.  The daemon stamps its
+  checkpoint policy onto specs that carry none, and a job with a
+  checkpoint directory continues from its file there, so the victim
   resumes from its last periodic snapshot (:mod:`repro.state.snapshot`)
   and — because checkpoint/restore is bit-identical and the simulation
   is deterministic — finishes with exactly the ``SimStats`` an
@@ -279,19 +280,6 @@ class JobManager:
     # ------------------------------------------------------------------
     # Submission
     # ------------------------------------------------------------------
-    def _effective(self, spec: JobSpec) -> JobSpec:
-        """Stamp the daemon's checkpoint policy onto policy-free specs."""
-        if (
-            self.config.checkpoint_every is not None
-            and spec.checkpoint_every is None
-            and spec.checkpoint_dir is None
-        ):
-            spec = spec.with_policy(
-                checkpoint_every=self.config.checkpoint_every,
-                checkpoint_dir=self.config.checkpoint_dir,
-            )
-        return spec
-
     def submit(self, spec, client: str = "anon", priority: int = 0) -> dict:
         """Register one job; returns its info dict immediately.
 
@@ -303,7 +291,10 @@ class JobManager:
             raise RuntimeError("daemon is shutting down")
         # ``from_dict`` validates what it builds.
         spec = spec.validate() if isinstance(spec, JobSpec) else JobSpec.from_dict(spec)
-        spec = self._effective(spec)
+        if self.config.checkpoint_every is not None:
+            spec = spec.with_default_policy(
+                self.config.checkpoint_every, self.config.checkpoint_dir
+            )
         fingerprint = spec.fingerprint()
         seq = next(self._seq)
         job = Job(
@@ -423,8 +414,6 @@ class JobManager:
             leader.followers = []
             # The checkpoint file is keyed by fingerprint, so the heir
             # resumes whatever progress the leader had banked.
-            if heir.spec.checkpoint_dir is not None:
-                heir.spec = heir.spec.with_policy(resume=True)
             self._inflight[heir.fingerprint] = heir.id
             heapq.heappush(self._heap, (-heir.priority, heir.seq, heir.id))
             self._event(heir, "promoted")
@@ -507,13 +496,12 @@ class JobManager:
     # Worker completion
     # ------------------------------------------------------------------
     def _requeue(self, job: Job, event: str) -> None:
-        # Resume from the last periodic checkpoint (fingerprint-keyed
-        # file; a missing one just means a fresh, still-correct start).
-        if job.spec.checkpoint_dir is not None:
-            job.spec = job.spec.with_policy(resume=True)
+        # The next attempt continues from the last periodic checkpoint
+        # (fingerprint-keyed file; a missing one just means a fresh,
+        # still-correct start).
         job.status = "queued"
         heapq.heappush(self._heap, (-job.priority, job.seq, job.id))
-        self._event(job, event, resume=job.spec.resume)
+        self._event(job, event)
 
     def _release(self, worker: Worker) -> Job:
         job, worker.job = worker.job, None

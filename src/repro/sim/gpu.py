@@ -23,12 +23,12 @@ from ..memory.global_memory import GlobalMemory
 from .hwq import HostLaunchSpec
 from .kernel import KernelFunction, as_dims
 from .kernel_distributor import KernelDistributor
-from .kmu import DeviceLaunchSpec, KernelManagementUnit
+from .kmu import KernelManagementUnit
 from .profiler import active_profiler
 from .sanitizer import Sanitizer
 from .smx import SMX
 from .smx_scheduler import SMXScheduler
-from .stats import LaunchKind, LaunchRecord, SimStats
+from .stats import SimStats
 
 from ..config import WORD_BYTES
 from ..dtbl.aggregation import AggLaunchRequest
@@ -83,24 +83,10 @@ class DeviceRuntime:
     def _deliver_device_batch(self, requests: Sequence[tuple], cycle: int) -> None:
         gpu = self._gpu
         for kernel_name, param_addr, grid, block, _hw_tid in requests:
-            func = gpu.kernels[kernel_name]
-            func.validate_block(block, gpu.config.max_resident_threads)
-            blocks = grid[0] * grid[1] * grid[2]
-            threads = blocks * block[0] * block[1] * block[2]
-            record = LaunchRecord(
-                kind=LaunchKind.DEVICE_KERNEL,
-                kernel_name=kernel_name,
-                launch_cycle=cycle,
-                total_blocks=blocks,
-                total_threads=threads,
-                param_bytes=self.param_bytes_for(param_addr),
-                record_bytes=gpu.config.cdp_pending_kernel_bytes,
+            gpu.kernels[kernel_name].validate_block(
+                block, gpu.config.max_resident_threads
             )
-            gpu.stats.launches.append(record)
-            gpu.stats.add_footprint(record.pending_bytes)
-            gpu.kmu.enqueue_device(
-                DeviceLaunchSpec(kernel_name, grid, block, param_addr, record)
-            )
+            gpu.kmu.launch_device(kernel_name, grid, block, param_addr, cycle)
 
     def submit_agg_launches(self, requests: Sequence[tuple], deliver_cycle: int) -> None:
         """Deliver a warp's aggregation operation command to the scheduler."""
@@ -342,28 +328,20 @@ class GPU:
             or bool(self._events)
         )
 
-    def run(
-        self,
-        max_cycles: Optional[int] = 200_000_000,
-        checkpoint_every: Optional[int] = None,
-        checkpoint_path=None,
-        on_checkpoint=None,
-    ) -> SimStats:
+    def run(self, max_cycles: Optional[int] = 200_000_000) -> SimStats:
         """Simulate until the GPU drains; returns the stats object.
 
         ``max_cycles`` is an absolute watchdog on the global cycle counter
         (which accumulates across successive :meth:`run` calls).
 
-        ``checkpoint_every`` snapshots the full simulator state at every
-        multiple of N simulated cycles — at the first cycle boundary at
-        or after it, the same one on both cores and across successive
-        :meth:`run` calls (see :mod:`repro.state`) — writing it atomically
-        to ``checkpoint_path`` and/or passing the document to
-        ``on_checkpoint``.  Explicit arguments override the stored
-        configuration from ``Device.configure_checkpoint``.  A pending
-        resume armed via :func:`repro.state.prepare_resume` is consumed
-        at the entry of the :meth:`run` call whose index matches the
-        checkpoint's, restoring the saved cycle and continuing.
+        With checkpointing configured (``Device.configure_checkpoint``),
+        the full simulator state is snapshotted at every multiple of N
+        simulated cycles — at the first cycle boundary at or after it,
+        the same one on both cores and across successive :meth:`run`
+        calls (see :mod:`repro.state`).  A pending resume armed via
+        :func:`repro.state.prepare_resume` is consumed at the entry of
+        the :meth:`run` call whose index matches the checkpoint's,
+        restoring the saved cycle and continuing.
         """
         self._run_index += 1
         if (
@@ -375,16 +353,14 @@ class GPU:
             doc = self._pending_resume[1]
             self._pending_resume = None
             _snapshot.restore_document(self, doc)
-        every = checkpoint_every if checkpoint_every is not None else self._checkpoint_every
-        path = checkpoint_path if checkpoint_path is not None else self._checkpoint_path
-        callback = on_checkpoint if on_checkpoint is not None else self._on_checkpoint
+        every = self._checkpoint_every
         checkpoint = None
         if every:
             from ..state import snapshot as _snapshot
 
             checkpoint = functools.partial(
                 _snapshot.checkpoint, self, self._checkpoint_fingerprint,
-                path, callback,
+                self._checkpoint_path, self._on_checkpoint,
             )
 
         if self.fast_core:

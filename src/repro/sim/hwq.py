@@ -108,7 +108,3 @@ class HostQueues:
         if stream_id is None:
             return
         self.hwq_for_stream(stream_id).head_inflight = False
-
-    @property
-    def any_pending(self) -> bool:
-        return any(hwq.pending for hwq in self.hwqs)

@@ -4,7 +4,7 @@ The KMU inspects the HWQ heads and the queue of device-launched kernels
 and dispatches them — one at a time, each taking the kernel-dispatch
 latency (Table 3: 283 cycles) — into free Kernel Distributor entries.
 Device-side launches (CDP, or DTBL fall-back launches when no eligible
-kernel exists) arrive through :meth:`enqueue_device`.
+kernel exists) arrive through :meth:`launch_device`.
 """
 
 from __future__ import annotations
@@ -13,6 +13,7 @@ from collections import deque
 from typing import TYPE_CHECKING, Deque, Optional
 
 from .hwq import HostLaunchSpec, HostQueues
+from .kernel import dims_total
 from .stats import LaunchKind, LaunchRecord
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -71,9 +72,28 @@ class KernelManagementUnit:
         self.host_queues.enqueue(spec)
         self.try_dispatch(self._gpu.cycle)
 
-    def enqueue_device(self, spec: DeviceLaunchSpec) -> None:
-        self.device_pending.append(spec)
-        self.try_dispatch(self._gpu.cycle)
+    def launch_device(
+        self, kernel_name: str, grid_dims, block_dims, param_addr: int, cycle: int
+    ) -> None:
+        """A device-launched kernel (CDP, or a DTBL group with no eligible
+        kernel): record it, charge its pending footprint, queue it."""
+        gpu = self._gpu
+        blocks = dims_total(grid_dims)
+        record = LaunchRecord(
+            kind=LaunchKind.DEVICE_KERNEL,
+            kernel_name=kernel_name,
+            launch_cycle=cycle,
+            total_blocks=blocks,
+            total_threads=blocks * dims_total(block_dims),
+            param_bytes=gpu.runtime.param_bytes_for(param_addr),
+            record_bytes=gpu.config.cdp_pending_kernel_bytes,
+        )
+        gpu.stats.launches.append(record)
+        gpu.stats.add_footprint(record.pending_bytes)
+        self.device_pending.append(
+            DeviceLaunchSpec(kernel_name, grid_dims, block_dims, param_addr, record)
+        )
+        self.try_dispatch(gpu.cycle)
 
     # ------------------------------------------------------------------
     def _kde_available(self) -> bool:
@@ -132,8 +152,8 @@ class KernelManagementUnit:
                 kind=LaunchKind.HOST_KERNEL,
                 kernel_name=spec.kernel_name,
                 launch_cycle=cycle,
-                total_blocks=_total(spec.grid_dims),
-                total_threads=_total(spec.grid_dims) * _total(spec.block_dims),
+                total_blocks=dims_total(spec.grid_dims),
+                total_threads=dims_total(spec.grid_dims) * dims_total(spec.block_dims),
             )
             gpu.stats.launches.append(record)
             spec.record = record
@@ -157,7 +177,3 @@ class KernelManagementUnit:
         if not self._dispatch_scheduled:
             self._dispatch_scheduled = True
             self._gpu.schedule_event(cycle, kind="kmu_retry")
-
-
-def _total(dims) -> int:
-    return dims[0] * dims[1] * dims[2]

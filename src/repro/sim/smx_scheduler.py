@@ -19,7 +19,6 @@ from ..dtbl.agt import AggregatedGroupEntry, AggregatedGroupTable
 from ..dtbl.aggregation import AggLaunchRequest
 from .kernel import dims_total
 from .kernel_distributor import KDEEntry
-from .kmu import DeviceLaunchSpec
 from .stats import LaunchKind, LaunchRecord
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -242,41 +241,23 @@ class SMXScheduler:
                 entry = None
             else:
                 entry = gpu.distributor.find_eligible(func, req.block_dims)
-            param_bytes = gpu.runtime.param_bytes_for(req.param_addr)
-            blocks = dims_total(req.agg_dims)
-            threads = blocks * dims_total(req.block_dims)
             if entry is None:
                 # No eligible kernel: launch the group as a device kernel.
                 stats.agg_unmatched += 1
-                record = LaunchRecord(
-                    kind=LaunchKind.DEVICE_KERNEL,
-                    kernel_name=req.kernel_name,
-                    launch_cycle=cycle,
-                    total_blocks=blocks,
-                    total_threads=threads,
-                    param_bytes=param_bytes,
-                    record_bytes=gpu.config.cdp_pending_kernel_bytes,
-                )
-                stats.launches.append(record)
-                stats.add_footprint(record.pending_bytes)
-                gpu.kmu.enqueue_device(
-                    DeviceLaunchSpec(
-                        req.kernel_name,
-                        req.agg_dims,
-                        req.block_dims,
-                        req.param_addr,
-                        record,
-                    )
+                gpu.kmu.launch_device(
+                    req.kernel_name, req.agg_dims, req.block_dims,
+                    req.param_addr, cycle,
                 )
                 continue
             stats.agg_matched += 1
+            blocks = dims_total(req.agg_dims)
             record = LaunchRecord(
                 kind=LaunchKind.AGG_GROUP,
                 kernel_name=req.kernel_name,
                 launch_cycle=cycle,
                 total_blocks=blocks,
-                total_threads=threads,
-                param_bytes=param_bytes,
+                total_threads=blocks * dims_total(req.block_dims),
+                param_bytes=gpu.runtime.param_bytes_for(req.param_addr),
                 record_bytes=gpu.config.dtbl_pending_group_bytes,
             )
             stats.launches.append(record)

@@ -145,14 +145,6 @@ class Warp:
         self.at_barrier = False
 
     # ------------------------------------------------------------------
-    # Scheduling predicates
-    # ------------------------------------------------------------------
-    def executable(self, cycle: int) -> bool:
-        return (
-            not self.finished and not self.at_barrier and self.ready_cycle <= cycle
-        )
-
-    # ------------------------------------------------------------------
     # Operand access
     # ------------------------------------------------------------------
     def _val_i(self, operand):

@@ -30,6 +30,10 @@ from ..sim.kernel import KernelFunction
 from ..sim.sanitizer import SanitizerReport
 from ..sim.stats import SimStats
 
+#: Watchdog on the drain that ends every workload run: the absolute
+#: simulated cycle it may not pass.
+MAX_CYCLES = 500_000_000
+
 
 @dataclass
 class WorkloadResult:
@@ -95,22 +99,16 @@ class Workload(abc.ABC):
     # ------------------------------------------------------------------
     # Execution
     # ------------------------------------------------------------------
-    def execute_spec(
-        self,
-        spec,
-        on_checkpoint=None,
-        memory_words: int = 4 * 1024 * 1024,
-        max_cycles: Optional[int] = 500_000_000,
-        optimize_kernels: bool = False,
-    ) -> WorkloadResult:
+    def execute_spec(self, spec, on_checkpoint=None) -> WorkloadResult:
         """Run this workload as described by a :class:`~repro.exec.JobSpec`.
 
         The canonical execution entry point: config, latency scale,
-        verification and the whole checkpoint policy come from the spec
-        (``<checkpoint_dir>/<fingerprint>.ckpt``, stamped with the spec's
-        content fingerprint so a job never resumes from another job's
-        checkpoint).  :func:`repro.exec.run_job` is a thin wrapper that
-        also builds the workload from the spec.
+        verification and the whole checkpoint policy come from the spec.
+        A spec with a ``checkpoint_dir`` checkpoints to, and continues
+        from, ``<checkpoint_dir>/<fingerprint>.ckpt`` (stamped with the
+        spec's content fingerprint, so a job never resumes from another
+        job's checkpoint).  :func:`repro.exec.run_job` is a thin wrapper
+        that also builds the workload from the spec.
         """
         if spec.mode is not self.mode:
             raise WorkloadError(
@@ -126,15 +124,11 @@ class Workload(abc.ABC):
                 checkpoint_path_for(spec.checkpoint_dir, fingerprint)
             )
         return self._execute(
-            config=spec.config,
-            memory_words=memory_words,
-            verify=spec.verify,
-            max_cycles=max_cycles,
-            latency_scale=spec.latency_scale,
-            optimize_kernels=optimize_kernels,
+            spec.config,
+            spec.verify,
+            spec.latency_scale,
             checkpoint_every=spec.checkpoint_every,
             checkpoint_path=checkpoint_path,
-            resume=spec.resume,
             on_checkpoint=on_checkpoint,
             checkpoint_fingerprint=fingerprint,
         )
@@ -142,41 +136,25 @@ class Workload(abc.ABC):
     def execute(
         self,
         config: Optional[GPUConfig] = None,
-        memory_words: int = 4 * 1024 * 1024,
         verify: bool = True,
-        max_cycles: Optional[int] = 500_000_000,
         latency_scale: float = 1.0,
-        optimize_kernels: bool = False,
     ) -> WorkloadResult:
         """Build, run and (optionally) verify this workload end to end.
 
         ``latency_scale`` shrinks the measured Table 3 launch latencies to
-        match a scaled-down dataset (see ``LatencyModel.scaled``);
-        ``optimize_kernels`` runs the peephole optimizer over every kernel
-        before registration (results are still verified).  Checkpointing
-        and resume are a :class:`~repro.exec.JobSpec` policy: see
+        match a scaled-down dataset (see ``LatencyModel.scaled``).
+        Checkpointing is a :class:`~repro.exec.JobSpec` policy: see
         :meth:`execute_spec` and :func:`repro.exec.run_job`.
         """
-        return self._execute(
-            config=config,
-            memory_words=memory_words,
-            verify=verify,
-            max_cycles=max_cycles,
-            latency_scale=latency_scale,
-            optimize_kernels=optimize_kernels,
-        )
+        return self._execute(config, verify, latency_scale)
 
     def _execute(
         self,
         config: Optional[GPUConfig],
-        memory_words: int,
         verify: bool,
-        max_cycles: Optional[int],
         latency_scale: float,
-        optimize_kernels: bool,
         checkpoint_every: Optional[int] = None,
         checkpoint_path=None,
-        resume: bool = False,
         on_checkpoint=None,
         checkpoint_fingerprint: Optional[str] = None,
     ) -> WorkloadResult:
@@ -185,7 +163,6 @@ class Workload(abc.ABC):
             config=config or GPUConfig.k20c(),
             mode=self.mode,
             latency=self.mode.latency_model(latency_scale),
-            memory_words=memory_words,
         )
         kernels = self.build_kernels()
         if self.mode.compiler_optimized:
@@ -209,16 +186,6 @@ class Workload(abc.ABC):
             )
             kernels = persistent_runtime.transform(kernels)
         for func in kernels:
-            if optimize_kernels:
-                from ..isa.optimizer import optimized_copy
-                from ..sim.kernel import KernelFunction
-
-                func = KernelFunction(
-                    func.name,
-                    optimized_copy(func.program),
-                    shared_words=func.shared_words,
-                    local_words=func.local_words,
-                )
             device.register(func)
         self.setup(device)
         if checkpoint_every:
@@ -237,7 +204,7 @@ class Workload(abc.ABC):
         )
 
         resuming = False
-        if resume and checkpoint_path is not None and os.path.exists(checkpoint_path):
+        if checkpoint_path is not None and os.path.exists(checkpoint_path):
             try:
                 doc = load_checkpoint(
                     checkpoint_path, fingerprint=checkpoint_fingerprint
@@ -250,7 +217,7 @@ class Workload(abc.ABC):
                 quarantine_checkpoint(checkpoint_path)
         try:
             self.run(device)
-            device.synchronize(max_cycles=max_cycles)
+            device.synchronize(max_cycles=MAX_CYCLES)
         except CheckpointError:
             # A mismatch with the replay that only the restore itself can
             # see (inside GPU.run): the job fails, but a retry must not
@@ -260,7 +227,7 @@ class Workload(abc.ABC):
             raise
         if persistent_runtime is not None:
             persistent_runtime.verify_drained()
-        if (checkpoint_every or resume) and checkpoint_path is not None:
+        if checkpoint_path is not None:
             discard_checkpoint(checkpoint_path)
         if verify:
             self.check(device)

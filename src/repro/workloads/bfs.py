@@ -149,11 +149,10 @@ class BfsWorkload(Workload):
         expansion: str = "thread",
     ) -> None:
         """``expansion`` selects the flat baseline: "thread" (serial
-        per-thread neighbor loops), "warp" (cooperative warp-level
-        expansion) or "persistent" (Gupta et al. persistent threads over a
-        software worklist); the latter two are FLAT-mode-only baselines."""
+        per-thread neighbor loops) or "warp" (cooperative warp-level
+        expansion, a FLAT-mode-only baseline)."""
         super().__init__(name, mode)
-        if expansion not in ("thread", "warp", "persistent"):
+        if expansion not in ("thread", "warp"):
             raise ValueError(f"unknown expansion strategy {expansion!r}")
         if expansion != "thread" and mode.is_dynamic:
             raise ValueError(f"{expansion}-expansion is a flat-only baseline")
@@ -167,11 +166,6 @@ class BfsWorkload(Workload):
     def build_kernels(self) -> List[KernelFunction]:
         if self.expansion == "warp":
             return [build_bfs_warp_kernel()]
-        if self.expansion == "persistent":
-            # The worklist kernel bakes the queue descriptor's address
-            # into its IR, so it is built (and registered) lazily by
-            # ``_run_persistent`` once ``setup`` has allocated the queue.
-            return []
         kernels = [build_bfs_kernel(self.mode, self.child_threshold, self.child_block)]
         if self.mode.is_dynamic:
             kernels.append(build_bfs_child(self.child_block))
@@ -184,56 +178,12 @@ class BfsWorkload(Workload):
         dist0 = np.full(n, INF, dtype=np.int64)
         dist0[self.source] = 0
         self.dist_addr = device.upload(dist0)
-        if self.expansion == "persistent":
-            import dataclasses
-
-            from ..isa.taskqueue import QueueLayout
-
-            self.inflag_addr = device.upload(np.zeros(n, dtype=np.int64))
-            shape = QueueLayout(0, max(4 * n, 1024), record_words=1)
-            base = int(device.upload(shape.init_image()))
-            self.queue = dataclasses.replace(shape, base=base)
-            return
         self.frontier_a = device.alloc(n + 1)
         self.frontier_b = device.alloc(n + 1)
         self.count_addr = device.alloc(1)
         device.write_int(self.frontier_a, self.source)
 
-    def _run_persistent(self, device: Device) -> None:
-        """Single launch of resident workers over the software worklist."""
-        from ..isa.taskqueue import OFF_PUBLISHED, OFF_RESERVED
-        from .persistent import build_bfs_persistent_kernel
-
-        queue = self.queue
-        device.register(build_bfs_persistent_kernel(queue))
-        # Publish the source vertex from the host: payload, then the
-        # slot's sequence word, then the counters (the device is idle,
-        # so these are ordinary host initialization).
-        slot = queue.slot(0)
-        device.write_int(slot + 1, self.source)
-        device.write_int(slot, 1)  # sequence: ticket 0 published
-        device.write_int(queue.field(OFF_RESERVED), 1)
-        device.write_int(queue.field(OFF_PUBLISHED), 1)
-        device.write_int(self.inflag_addr + self.source, 1)
-        # Enough resident workers to fill a good share of the machine
-        # without drowning the worklist in spinners.
-        device.launch(
-            "bfs_persistent",
-            grid=13,
-            block=64,
-            params=[
-                self.dgraph.indptr,
-                self.dgraph.indices,
-                self.dist_addr,
-                self.inflag_addr,
-            ],
-        )
-        device.synchronize()
-
     def run(self, device: Device) -> None:
-        if self.expansion == "persistent":
-            self._run_persistent(device)
-            return
         fsize = 1
         level = 1
         fin, fout = self.frontier_a, self.frontier_b

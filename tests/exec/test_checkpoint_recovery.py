@@ -8,18 +8,27 @@ must resume from it.  Every recovered payload is compared bit-for-bit
 against an uninterrupted serial run.
 
 The checkpoint policy rides on the :class:`~repro.exec.JobSpec` itself
-(``checkpoint_every``/``checkpoint_dir``/``resume``).
+(``checkpoint_every``/``checkpoint_dir``), and a job with a checkpoint
+directory continues from its file there whenever one exists.
 """
 
+import dataclasses
 import multiprocessing
 import os
 import signal
 
 import pytest
 
+from repro import GPUConfig
 from repro.exec import JobSpec, SweepEngine, cache, run_job
 from repro.runtime import ExecutionMode
-from repro.state import checkpoint_path_for, discard_checkpoint, quarantine_checkpoint
+from repro.state import (
+    CHECKPOINT_FORMAT,
+    checkpoint_path_for,
+    discard_checkpoint,
+    quarantine_checkpoint,
+    save_checkpoint,
+)
 
 SCALE = 0.08
 CKPT_EVERY = 4_000
@@ -29,15 +38,14 @@ class Interrupt(Exception):
     pass
 
 
-def _job(**policy):
-    return JobSpec.create("bht", ExecutionMode.DTBL, SCALE, 0.25, **policy)
-
-
-def _ck_job(tmp_path, resume=False):
-    return _job(
-        checkpoint_every=CKPT_EVERY, checkpoint_dir=str(tmp_path),
-        resume=resume,
+def _job(config=None, **policy):
+    return JobSpec.create(
+        "bht", ExecutionMode.DTBL, SCALE, 0.25, config=config, **policy
     )
+
+
+def _ck_job(tmp_path, config=None):
+    return _job(config, checkpoint_every=CKPT_EVERY, checkpoint_dir=str(tmp_path))
 
 
 @pytest.fixture(scope="module")
@@ -63,32 +71,48 @@ class TestCrashRecovery:
         # Completion deletes the checkpoint so a rerun starts fresh.
         assert not list(ckdir.glob("*.ckpt"))
 
-    def test_serial_interrupt_then_resume(self, tmp_path, clean_payload):
-        """The serial path resumes from its own checkpoint."""
-        job = _ck_job(tmp_path)
+    def test_serial_interrupt_then_resume(self, tmp_path):
+        """A job whose first attempt finds its own checkpoint file
+        continues from it, bit-identically to an uninterrupted run, on
+        both cores."""
+        for core in ("reference", "fast"):
+            config = dataclasses.replace(GPUConfig.k20c(), core=core)
+            job = _ck_job(tmp_path / core, config)
+            cycles = []
 
-        def bomb(doc):
-            raise Interrupt()
+            def bomb(doc):
+                cycles.append(doc["cycle"])
+                raise Interrupt()
 
-        with pytest.raises(Interrupt):
-            run_job(job, on_checkpoint=bomb)
-        path = checkpoint_path_for(str(tmp_path), job.fingerprint())
-        assert path.exists(), "interrupt left no checkpoint behind"
-        payload = run_job(_ck_job(tmp_path, resume=True)).to_payload()
-        assert payload["stats"] == clean_payload["stats"]
-        assert not path.exists()
+            with pytest.raises(Interrupt):
+                run_job(job, on_checkpoint=bomb)
+            path = checkpoint_path_for(tmp_path / core, job.fingerprint())
+            assert path.exists(), "interrupt left no checkpoint behind"
+            payload = run_job(
+                job, on_checkpoint=lambda doc: cycles.append(doc["cycle"])
+            ).to_payload()
+            assert cycles[1] > cycles[0]  # continued past it, not from cycle 0
+            assert payload["stats"] == run_job(_job(config)).to_payload()["stats"]
+            assert not path.exists()
 
     def test_corrupt_checkpoint_quarantined_then_fresh_run(
         self, tmp_path, clean_payload
     ):
-        """Undecodable checkpoint bytes: quarantine, then run fresh."""
+        """Undecodable checkpoint bytes, or a file an older code version
+        wrote (stale salt): quarantine, then run fresh."""
         path = checkpoint_path_for(tmp_path, _job().fingerprint())
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_bytes(b"REPRO-CKPT\x00garbage-not-zlib")
-        payload = run_job(_ck_job(tmp_path, resume=True)).to_payload()
-        assert payload["stats"] == clean_payload["stats"]
-        assert not path.exists()
-        assert path.with_suffix(".ckpt.corrupt").exists()
+        stale = {"format": CHECKPOINT_FORMAT, "salt": "repro-0.0.0:fp0"}
+        for write in (
+            lambda: path.write_bytes(b"REPRO-CKPT\x00garbage-not-zlib"),
+            lambda: save_checkpoint(path, stale),
+        ):
+            write()
+            payload = run_job(_ck_job(tmp_path)).to_payload()
+            assert payload["stats"] == clean_payload["stats"]
+            assert not path.exists()
+            quarantined = path.with_suffix(".ckpt.corrupt")
+            assert quarantined.exists()
+            quarantined.unlink()
 
     def test_truncated_checkpoint_quarantined_then_fresh_run(
         self, tmp_path, clean_payload
@@ -104,13 +128,14 @@ class TestCrashRecovery:
         path = checkpoint_path_for(str(tmp_path), job.fingerprint())
         raw = path.read_bytes()
         path.write_bytes(raw[: len(raw) // 2])
-        payload = run_job(_ck_job(tmp_path, resume=True)).to_payload()
+        payload = run_job(_ck_job(tmp_path)).to_payload()
         assert payload["stats"] == clean_payload["stats"]
         assert path.with_suffix(".ckpt.corrupt").exists()
 
     def test_resume_without_checkpoint_runs_fresh(self, tmp_path, clean_payload):
-        """``resume=True`` with no file present is a plain fresh run."""
-        payload = run_job(_ck_job(tmp_path, resume=True)).to_payload()
+        """A checkpoint directory with no file for the job in it: a plain
+        fresh run."""
+        payload = run_job(_ck_job(tmp_path)).to_payload()
         assert payload["stats"] == clean_payload["stats"]
 
     def test_foreign_fingerprint_checkpoint_rejected(
@@ -132,8 +157,7 @@ class TestCrashRecovery:
         mine.rename(theirs)
         payload = run_job(
             other.with_policy(
-                checkpoint_every=CKPT_EVERY, checkpoint_dir=str(tmp_path),
-                resume=True,
+                checkpoint_every=CKPT_EVERY, checkpoint_dir=str(tmp_path)
             )
         ).to_payload()
         clean_other = run_job(other).to_payload()
@@ -183,7 +207,7 @@ class TestKilledMidWrite:
         assert len([n for n in left if n.endswith(".ckpt")]) == write - 1, left
         # The retry (resuming, when a whole checkpoint landed before the
         # kill) finishes the job and takes the orphan with the checkpoint.
-        payload = run_job(_ck_job(tmp_path, resume=True)).to_payload()
+        payload = run_job(_ck_job(tmp_path)).to_payload()
         assert payload["stats"] == clean_payload["stats"]
         assert not list(tmp_path.iterdir())
 
@@ -191,7 +215,7 @@ class TestKilledMidWrite:
         self._kill_at(tmp_path, 2)
         self._kill_at(tmp_path, 1)
         assert len(list(tmp_path.glob(".*.tmp"))) == 2
-        payload = run_job(_ck_job(tmp_path, resume=True)).to_payload()
+        payload = run_job(_ck_job(tmp_path)).to_payload()
         assert payload["stats"] == clean_payload["stats"]
         assert not list(tmp_path.iterdir())
 

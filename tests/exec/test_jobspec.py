@@ -28,11 +28,14 @@ class TestIdentity:
     def test_policy_fields_do_not_change_the_fingerprint(self, tmp_path):
         spec = small_spec()
         stamped = spec.with_policy(
-            checkpoint_every=1000, checkpoint_dir=str(tmp_path), resume=True
+            checkpoint_every=1000, checkpoint_dir=str(tmp_path)
         )
         assert stamped.fingerprint() == spec.fingerprint()
         assert stamped.checkpoint_every == 1000
-        assert stamped.resume is True
+        # A default policy reaches only a spec that has none of its own.
+        assert spec.with_default_policy(1000, str(tmp_path)) == stamped
+        assert stamped.with_default_policy(5, "elsewhere") is stamped
+        assert spec.with_default_policy() is spec
 
     def test_default_config_and_explicit_k20c_are_one_key(self):
         assert (
@@ -68,10 +71,6 @@ class TestValidation:
         with pytest.raises(SpecError):
             small_spec(**overrides).validate()
 
-    def test_resume_requires_a_checkpoint_dir(self):
-        with pytest.raises(SpecError):
-            small_spec(resume=True).validate()
-
     def test_spec_error_is_a_value_error(self):
         assert issubclass(SpecError, ValueError)
 
@@ -79,7 +78,7 @@ class TestValidation:
 class TestWireFormat:
     def test_roundtrip_preserves_identity_and_policy(self, tmp_path):
         spec = small_spec(
-            checkpoint_every=500, checkpoint_dir=str(tmp_path), resume=True
+            checkpoint_every=500, checkpoint_dir=str(tmp_path)
         )
         clone = JobSpec.from_dict(spec.to_dict())
         assert clone == spec
@@ -97,6 +96,9 @@ class TestWireFormat:
             JobSpec.from_dict(
                 {"benchmark": "bht", "mode": "flat", "latency": 0.5}
             )
+        # Whether a job resumes is what its checkpoint file implies.
+        with pytest.raises(SpecError, match="resume"):
+            JobSpec.from_dict({"benchmark": "bht", "mode": "flat", "resume": True})
         # A bad config is a SpecError too (the daemon's 400), not a
         # ConfigError escaping from_dict.
         for config in ({"core": "vector"}, {"fast_core": True}):
@@ -118,7 +120,7 @@ class TestFromArgs:
     def make_args(self, **overrides):
         namespace = argparse.Namespace(
             scale=0.05, latency_scale=0.25, no_verify=False,
-            checkpoint_every=None, resume=False,
+            checkpoint_every=None,
         )
         for key, value in overrides.items():
             setattr(namespace, key, value)
@@ -158,7 +160,8 @@ class TestExecution:
 
     def test_spec_policy_checkpoints_and_resumes(self, tmp_path):
         """The spec's checkpoint policy drives periodic snapshots, and a
-        completed run cleans its checkpoint file up."""
+        completed run cleans its checkpoint file up, so a rerun starts
+        fresh."""
         spec = small_spec(
             checkpoint_every=1000, checkpoint_dir=str(tmp_path)
         )
@@ -167,7 +170,7 @@ class TestExecution:
         checkpointed = run_job(spec, on_checkpoint=seen.append)
         assert len(seen) >= baseline.cycles // 1000 - 1
         assert not list(tmp_path.glob("*.ckpt"))  # removed on success
-        resumed = run_job(spec.with_policy(resume=True))
+        rerun = run_job(spec)
         assert checkpointed.stats.to_dict() == baseline.stats.to_dict()
-        assert resumed.stats.to_dict() == baseline.stats.to_dict()
+        assert rerun.stats.to_dict() == baseline.stats.to_dict()
 

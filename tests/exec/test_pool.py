@@ -1,12 +1,11 @@
-"""Sweep engine: parallel/serial parity, crash retry, fallback, timeout,
-and the resident worker it shares with the ``repro.serve`` daemon."""
+"""Sweep engine: parallel/serial parity, crash retry, fallback, and the
+resident worker it shares with the ``repro.serve`` daemon."""
 
 import multiprocessing
 import os
 import struct
 import subprocess
 import sys
-import time
 
 import pytest
 
@@ -94,17 +93,12 @@ class TestFaultHandling:
                                                      serial_payloads):
         """Workers that always die degrade to in-process execution."""
         monkeypatch.setenv("REPRO_EXEC_TEST_CRASH", "always")
-        engine = SweepEngine(max_workers=2, max_retries=1)
+        engine = SweepEngine(max_workers=2)
         (payload,) = engine.run(_jobs(GRID[0]))
-        assert engine.stats.fallbacks >= 1
+        assert engine.stats.retries == pool.RETRIES
+        assert engine.stats.fallbacks == 1
         assert engine.stats.in_process == 1
         assert payload["stats"] == serial_payloads[0]["stats"]
-
-    def test_fallback_disabled_raises(self, monkeypatch):
-        monkeypatch.setenv("REPRO_EXEC_TEST_CRASH", "always")
-        engine = SweepEngine(max_workers=2, max_retries=0, fallback=False)
-        with pytest.raises(SweepError):
-            engine.run(_jobs(GRID[0]))
 
     def test_pool_creation_failure_falls_back(self, monkeypatch,
                                               serial_payloads):
@@ -119,17 +113,6 @@ class TestFaultHandling:
         assert [p["stats"] for p in results] == [
             p["stats"] for p in serial_payloads[:2]
         ]
-
-    def test_job_timeout_recovers(self, monkeypatch, serial_payloads):
-        """A hung worker is killed and the job completes in-process."""
-        monkeypatch.setenv("REPRO_EXEC_TEST_HANG", "30")
-        engine = SweepEngine(
-            max_workers=2, job_timeout=0.4, max_retries=0
-        )
-        (payload,) = engine.run(_jobs(GRID[0]))
-        assert engine.stats.timeouts >= 1
-        assert engine.stats.in_process == 1
-        assert payload["stats"] == serial_payloads[0]["stats"]
 
     def test_simulation_errors_propagate_not_retried(self):
         """Deterministic workload failures are not infrastructure."""
@@ -156,58 +139,42 @@ def _done(events):
     return done
 
 
+def _explode_on(benchmark):
+    """A ``run_job`` stand-in that raises an exception which does not
+    pickle for ``benchmark``'s jobs and runs every other job."""
+    class Local(Exception):  # local classes cannot be pickled
+        pass
+
+    def run(spec, on_checkpoint=None):
+        if spec.benchmark == benchmark:
+            raise Local("boom")
+        return run_job(spec, on_checkpoint=on_checkpoint)
+
+    return run
+
+
 class TestOneWorkerPerJob:
-    """Each worker is its own process behind its own pipe, so a death or
-    a timeout is one job's business and a worker outlives its job."""
+    """Each worker is its own process behind its own pipe, so a death is
+    one job's business and a worker outlives its job."""
 
     def test_a_crash_is_charged_to_the_job_whose_worker_died(self, monkeypatch):
         monkeypatch.setenv("REPRO_EXEC_TEST_CRASH", "always:bht")
         events = []
-        engine = SweepEngine(max_workers=2, max_retries=1)
+        engine = SweepEngine(max_workers=2)
         engine.run(_jobs(*FLAT_FIVE), progress=events.append)
-        assert engine.stats.retries == 1 and engine.stats.fallbacks == 1
+        assert engine.stats.retries == pool.RETRIES and engine.stats.fallbacks == 1
         done = _done(events)
         (bht,) = done.pop("bht")
-        assert (bht.source, bht.attempts) == ("in-process", 3)
+        assert (bht.source, bht.attempts) == ("in-process", pool.RETRIES + 2)
         assert len(done) == 4
         for (event,) in done.values():
             assert (event.source, event.attempts) == ("worker", 1)
 
     def test_sweep_error_names_the_job_that_failed(self, monkeypatch):
-        monkeypatch.setenv("REPRO_EXEC_TEST_CRASH", "always:bht")
+        monkeypatch.setattr(pool, "run_job", _explode_on("bht"))  # forked workers inherit it
         for _ in range(4):
-            engine = SweepEngine(max_workers=2, max_retries=0, fallback=False)
-            with pytest.raises(SweepError, match="job bht/flat failed 1 worker"):
-                engine.run(_jobs(*FLAT_FIVE))
-
-    def test_a_timeout_kills_one_worker_not_its_sibling(self, monkeypatch):
-        """``bht`` hangs; a sibling launched shortly before its deadline
-        (the progress callback stalls the engine until then) is still
-        running when ``bht``'s worker is killed, and is left alone."""
-        timeout = 2.0
-        monkeypatch.setenv("REPRO_EXEC_TEST_HANG", "30:bht")
-        jobs = _jobs(("bht", ExecutionMode.FLAT), ("bfs_citation", ExecutionMode.FLAT))
-        jobs.append(JobSpec.create("amr", ExecutionMode.FLAT, 1.0, 0.25))
-        events = []
-        begin = time.monotonic()
-
-        def progress(event):
-            if not events:
-                time.sleep(max(0.0, begin + timeout - 0.2 - time.monotonic()))
-            events.append(event)
-
-        engine = SweepEngine(max_workers=2, job_timeout=timeout, max_retries=0)
-        payloads = engine.run(jobs, progress=progress)
-        assert engine.stats.timeouts == 1 and engine.stats.fallbacks == 1
-        # The hung worker was not replaced (nothing was queued by then);
-        # a third spawn would mean the sibling's worker was killed too.
-        assert engine.stats.worker_spawns == 2
-        done = _done(events)
-        (bht,) = done.pop("bht")
-        assert (bht.source, bht.attempts) == ("in-process", 2)
-        for (event,) in done.values():
-            assert (event.source, event.attempts) == ("worker", 1)
-        assert payloads[2]["stats"] == run_job(jobs[2]).to_payload()["stats"]
+            with pytest.raises(SweepError, match="job bht/flat failed: Local: boom"):
+                SweepEngine(max_workers=2).run(_jobs(*FLAT_FIVE))
 
     def test_workers_are_reused_job_after_job(self):
         engine = SweepEngine(max_workers=2)
@@ -218,13 +185,7 @@ class TestOneWorkerPerJob:
     def test_exception_that_does_not_pickle_still_fails_the_sweep(
         self, monkeypatch
     ):
-        class Local(Exception):  # local classes cannot be pickled
-            pass
-
-        def explode(spec, on_checkpoint=None):
-            raise Local("boom")
-
-        monkeypatch.setattr(pool, "run_job", explode)  # forked workers inherit it
+        monkeypatch.setattr(pool, "run_job", _explode_on("bfs_citation"))
         with pytest.raises(SweepError, match="bfs_citation/flat failed: Local: boom"):
             SweepEngine(max_workers=2).run(_jobs(GRID[0]))
 
@@ -253,12 +214,10 @@ class TestNothingOutlivesASweep:
         self._assert_clean(before)
 
     def test_after_the_sweep_failed(self, monkeypatch):
-        monkeypatch.setenv("REPRO_EXEC_TEST_CRASH", "always:bht")
+        monkeypatch.setattr(pool, "run_job", _explode_on("bht"))
         before = self._open_fds()
         with pytest.raises(SweepError):
-            SweepEngine(max_workers=2, max_retries=0, fallback=False).run(
-                _jobs(*GRID)
-            )
+            SweepEngine(max_workers=2).run(_jobs(*GRID))
         self._assert_clean(before)
 
 

@@ -190,7 +190,7 @@ class TestParallelGrid:
         """Retry exhaustion degrades to in-process, still completing."""
         serial = run_jobs(SUBGRID)
         monkeypatch.setenv("REPRO_EXEC_TEST_CRASH", "always")
-        engine = SweepEngine(max_workers=2, max_retries=0)
+        engine = SweepEngine(max_workers=2)
         fallen = run_jobs(SUBGRID, jobs=2, engine=engine)
         assert engine.stats.fallbacks == 4
         assert engine.stats.in_process == 4

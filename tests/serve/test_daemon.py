@@ -233,17 +233,30 @@ class TestConcurrentClients:
         assert "checkpoints" not in result_a.to_payload()
 
     def test_sweep_submission_streams_events(self, daemon_factory):
+        """Three jobs on two resident workers: each streams ``queued ->
+        started -> done`` and equals a direct run; the warm rerun comes
+        from the cache and forks nothing."""
         daemon = daemon_factory(workers=2)
         client = daemon.client("sweeper")
-        infos = client.submit_sweep(
-            [spec_for("bht", "flat", 0.05), spec_for("bht", "dtbl", 0.05)]
-        )
-        assert len(infos) == 2
-        for info in infos:
+        specs = [
+            spec_for("bht", "flat", 0.05), spec_for("bht", "dtbl", 0.05),
+            spec_for("bfs_citation", "dtbl", 0.05),
+        ]
+        infos = client.submit_sweep(specs)
+        assert len(infos) == 3
+        cold = []
+        for spec, info in zip(specs, infos):
             events = [event["event"] for event in client.events(info["id"])]
             assert events[0] == "queued"
             assert "started" in events
             assert events[-1] == "done"
+            cold.append(client.result(info["id"]))
+            assert cold[-1].stats.to_dict() == run_job(spec).stats.to_dict()
+        assert client.status()["stats"]["worker_spawns"] == 2
+        for spec, first in zip(specs, cold):
+            again = client.run(spec)
+            assert again.source == "cache" and again.to_payload() == first.to_payload()
+        assert client.status()["stats"]["worker_spawns"] == 2
 
 
 class TestQuota:

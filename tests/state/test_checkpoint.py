@@ -381,8 +381,10 @@ class TestCadence:
         dev.launch("lone_spin", grid=1, block=32, params=[dev.alloc(1)])
         cycles = []
         every = 8_000
-        dev.gpu.run(checkpoint_every=every,
-                    on_checkpoint=lambda doc: cycles.append(doc["cycle"]))
+        dev.configure_checkpoint(
+            every, on_checkpoint=lambda doc: cycles.append(doc["cycle"])
+        )
+        dev.gpu.run()
         assert len(cycles) == dev.gpu.cycle // every >= 4
         for k_th, cycle in enumerate(cycles, start=1):
             assert 0 <= cycle - k_th * every < config.alu_latency
@@ -474,7 +476,7 @@ class TestSparseImage:
         until the restore clears them."""
         data = list(range(1, 65))
 
-        def program(dev, func, n, src, wild, **run2):
+        def program(dev, func, n, src, wild, every=None, on_checkpoint=None):
             low = dev.alloc(n)
             _launch(dev, func, n, src, wild)
             dev.synchronize()
@@ -482,7 +484,8 @@ class TestSparseImage:
             dev.register(zero)
             _launch(dev, zero, n, src, wild)
             _launch(dev, func, n, src, low)
-            dev.gpu.run(**run2)
+            dev.configure_checkpoint(every, on_checkpoint=on_checkpoint)
+            dev.gpu.run()
             return low
 
         def build():
@@ -500,8 +503,7 @@ class TestSparseImage:
                 short.append(doc)
 
         dev, func, n, src, wild = build()
-        program(dev, func, n, src, wild, checkpoint_every=20,
-                on_checkpoint=keep_short)
+        program(dev, func, n, src, wild, every=20, on_checkpoint=keep_short)
         doc = pickle.loads(pickle.dumps(short[0]))
         assert doc["run_index"] == 2
 
@@ -563,14 +565,13 @@ class TestWorkloadRoundTrip:
 
         bomb.count = 0
 
-        def spec(config, resume):
+        def spec(config):
             return JobSpec.create(
                 bench, ExecutionMode(mode), SCALE, 0.25, config=config,
                 checkpoint_every=4_000, checkpoint_dir=str(tmp_path),
-                resume=resume,
             )
 
-        def run(resume, on_checkpoint):
+        def run(on_checkpoint):
             """``execute_spec``, and the drained machine's document (taken
             where the workload verifies its outputs)."""
             workload, config = _workload(bench, mode, fast)
@@ -582,17 +583,16 @@ class TestWorkloadRoundTrip:
                 verify(device)
 
             workload.check = capture_then_verify
-            result = workload.execute_spec(
-                spec(config, resume), on_checkpoint=on_checkpoint
-            )
+            result = workload.execute_spec(spec(config), on_checkpoint=on_checkpoint)
             return result, drained[0]
 
         docs = []
-        _, drained = run(False, docs.append)
+        _, drained = run(docs.append)
         with pytest.raises(Interrupt):
-            run(False, bomb)
+            run(bomb)
+        # The same job again finds the interrupted run's file and continues.
         resumed_docs = []
-        result, resumed_drained = run(True, resumed_docs.append)
+        result, resumed_drained = run(resumed_docs.append)
 
         stats, sanitizer = clean_workload_stats(bench, mode, fast)
         assert result.stats.to_dict() == stats
@@ -633,18 +633,17 @@ class TestWorkloadRoundTrip:
 
         workload, config = _workload("bht", "dtbl", True)
         with pytest.raises(CheckpointError, match="replay mismatch"):
-            workload.execute_spec(self._spec(tmp_path, config, True))
+            workload.execute_spec(self._spec(tmp_path, config))
         assert not path.exists()
         self._resumes_fresh(tmp_path, path, clean_workload_stats)
 
     @staticmethod
-    def _spec(tmp_path, config, resume):
+    def _spec(tmp_path, config):
         from repro.exec import JobSpec
 
         return JobSpec.create(
             "bht", ExecutionMode.DTBL, SCALE, 0.25, config=config,
             checkpoint_every=4_000, checkpoint_dir=str(tmp_path),
-            resume=resume,
         )
 
     def _interrupted(self, tmp_path):
@@ -654,15 +653,13 @@ class TestWorkloadRoundTrip:
 
         workload, config = _workload("bht", "dtbl", True)
         with pytest.raises(Interrupt):
-            workload.execute_spec(
-                self._spec(tmp_path, config, False), on_checkpoint=bomb
-            )
+            workload.execute_spec(self._spec(tmp_path, config), on_checkpoint=bomb)
         (path,) = tmp_path.glob("*.ckpt")
         return path
 
     def _resumes_fresh(self, tmp_path, path, clean_workload_stats):
         workload, config = _workload("bht", "dtbl", True)
-        result = workload.execute_spec(self._spec(tmp_path, config, True))
+        result = workload.execute_spec(self._spec(tmp_path, config))
         stats, sanitizer = clean_workload_stats("bht", "dtbl", True)
         assert result.stats.to_dict() == stats
         assert result.sanitizer.to_dict() == sanitizer

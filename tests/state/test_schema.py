@@ -71,8 +71,9 @@ def machines():
         dev.register(func)
         src = dev.upload(np.arange(256, dtype=np.int64))
         dev.launch(func.name, grid=2, block=128, params=[256, src, dev.alloc(256)])
+        dev.configure_checkpoint(300, on_checkpoint=_stop)
         with pytest.raises(_Stop):
-            dev.gpu.run(checkpoint_every=300, on_checkpoint=_stop)
+            dev.gpu.run()
         assert any(smx.blocks for smx in dev.gpu.smxs)
         gpus.append(dev.gpu)
     return gpus
@@ -160,5 +161,6 @@ class TestReadyHeapIsDerived:
             boundaries += 1
             deferred += sum(entry[0] > entry[2] for entry in live)
 
-        gpu.run(checkpoint_every=1, on_checkpoint=compare)
+        dev.configure_checkpoint(1, on_checkpoint=compare)
+        gpu.run()
         assert boundaries > 100 and deferred > 0

@@ -229,7 +229,8 @@ def _program(core, every=None, on_checkpoint=None, dirt=None):
     if dirt is not None:
         dirt(dev)
     dev.launch(func.name, grid=2, block=128, params=[data])
-    dev.gpu.run(checkpoint_every=every, on_checkpoint=on_checkpoint)
+    dev.configure_checkpoint(every, on_checkpoint=on_checkpoint)
+    dev.gpu.run()
     return dev, data
 
 

@@ -60,7 +60,9 @@ class TestWorkloadsCli:
         assert warm == cold
 
     def test_bad_jobs_errors(self):
-        for argv in (["bht", "--jobs", "0"], ["bht", "--core", "vector"]):
+        for argv in (
+            ["bht", "--jobs", "0"], ["bht", "--core", "vector"], ["bht", "--resume"],
+        ):
             with pytest.raises(SystemExit) as excinfo:
                 workloads_main(argv)
             assert excinfo.value.code == 2
@@ -149,7 +151,7 @@ class TestHarnessCli:
             harness_main(["--figure", "nope"])
 
     def test_bad_jobs_errors(self):
-        for argv in (["--jobs", "0"], ["--core", "vector"]):
+        for argv in (["--jobs", "0"], ["--core", "vector"], ["--resume"]):
             with pytest.raises(SystemExit) as excinfo:
                 harness_main(argv)
             assert excinfo.value.code == 2

@@ -43,15 +43,10 @@ class TestModes:
     def test_ideal_ignores_scale(self):
         assert ExecutionMode.DTBL_IDEAL.latency_model(scale=0.1) == LatencyModel.ideal()
 
-    def test_from_name(self):
-        assert ExecutionMode.from_name("dtbl") is ExecutionMode.DTBL
-        assert ExecutionMode.from_name("CDPI") is ExecutionMode.CDP_IDEAL
-        with pytest.raises(ValueError):
-            ExecutionMode.from_name("warp-speed")
-
     def test_parse(self):
         assert ExecutionMode.parse("cdpa") is ExecutionMode.CDP_AGG
         assert ExecutionMode.parse("CONS") is ExecutionMode.CONSOLIDATED
+        assert ExecutionMode.parse("CDPI") is ExecutionMode.CDP_IDEAL
 
     def test_parse_error_lists_valid_modes(self):
         with pytest.raises(ValueError) as excinfo:

@@ -8,7 +8,9 @@ import numpy as np
 import pytest
 
 from repro.errors import WorkloadError
+from repro.isa.optimizer import optimized_copy
 from repro.runtime import ExecutionMode
+from repro.sim.kernel import KernelFunction
 from repro.workloads.amr import AmrWorkload
 from repro.workloads.bfs import BfsWorkload
 from repro.workloads.bht import BarnesHutWorkload
@@ -149,25 +151,39 @@ class TestWorkloadBehaviour:
             workload.expect(False, "boom")
 
 
+def optimized(workload):
+    """``workload`` with the peephole optimizer run over every kernel it
+    builds, before registration."""
+    build = workload.build_kernels
+    workload.build_kernels = lambda: [
+        KernelFunction(
+            func.name,
+            optimized_copy(func.program),
+            shared_words=func.shared_words,
+            local_words=func.local_words,
+        )
+        for func in build()
+    ]
+    return workload
+
+
 class TestOptimizedKernels:
     """The peephole optimizer must preserve every workload's results."""
 
     def test_bfs_optimized_matches_reference(self):
         graph = citation_network(n=200, attach=4)
-        result = BfsWorkload("bfs_opt", ExecutionMode.DTBL_IDEAL, graph).execute(
-            latency_scale=LS, optimize_kernels=True
-        )
+        result = optimized(
+            BfsWorkload("bfs_opt", ExecutionMode.DTBL_IDEAL, graph)
+        ).execute(latency_scale=LS)
         assert result.stats.cycles > 0  # check() inside execute verified it
 
     def test_amr_optimized_matches_reference(self):
-        AmrWorkload("amr_opt", ExecutionMode.FLAT, amr_grid(side=8)).execute(
-            optimize_kernels=True
-        )
+        optimized(AmrWorkload("amr_opt", ExecutionMode.FLAT, amr_grid(side=8))).execute()
 
     def test_join_optimized_matches_reference(self):
         data = join_tables("gaussian", r_size=300, s_size=150)
-        JoinWorkload("join_opt", ExecutionMode.CDP_IDEAL, data).execute(
-            latency_scale=LS, optimize_kernels=True
+        optimized(JoinWorkload("join_opt", ExecutionMode.CDP_IDEAL, data)).execute(
+            latency_scale=LS
         )
 
 
@@ -194,28 +210,28 @@ class TestRegexPipelineWithExtendedSyntax:
 
 
 class TestPersistentThreadsBfs:
-    """The Section 6 persistent-threads baseline."""
+    """The Section 6 persistent-threads baseline: BFS on the task-queue
+    runtime's resident workers."""
 
     def test_distances_correct(self):
         graph = citation_network(n=250, attach=4)
-        BfsWorkload(
-            "bfs_pt", ExecutionMode.FLAT, graph, expansion="persistent"
-        ).execute(max_cycles=100_000_000)
+        BfsWorkload("bfs_pt", ExecutionMode.PERSISTENT_ASYNC, graph).execute()
 
     def test_disconnected_graph_terminates(self):
         # Quiescence detection must not hang when most vertices are
         # unreachable (tiny worklist, many idle workers).
         graph = usa_road(n=36)
         BfsWorkload(
-            "bfs_pt2", ExecutionMode.FLAT, graph, source=0, expansion="persistent"
-        ).execute(max_cycles=100_000_000)
+            "bfs_pt2", ExecutionMode.PERSISTENT_ASYNC, graph, source=0
+        ).execute()
 
     def test_rejected_in_dynamic_modes(self):
         graph = citation_network(n=64)
         with pytest.raises(ValueError):
-            BfsWorkload("x", ExecutionMode.DTBL, graph, expansion="persistent")
+            BfsWorkload("x", ExecutionMode.DTBL, graph, expansion="warp")
 
     def test_unknown_expansion_rejected(self):
         graph = citation_network(n=64)
-        with pytest.raises(ValueError):
-            BfsWorkload("x", ExecutionMode.FLAT, graph, expansion="blocks")
+        for expansion in ("blocks", "persistent"):
+            with pytest.raises(ValueError):
+                BfsWorkload("x", ExecutionMode.FLAT, graph, expansion=expansion)
