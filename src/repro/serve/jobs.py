@@ -44,7 +44,11 @@
   undisturbed run produces.  Cancellation and crashes take the same
   kill-and-replace route (a worker that dies without an outcome costs
   its job one of ``ServeConfig.worker_retries``), so no state of a
-  disturbed job survives in a process that serves the next one;
+  disturbed job survives in a process that serves the next one.  The
+  one exception is the input memo (:mod:`repro.workloads.datasets.memo`):
+  a worker keeps the datasets and host reference answers it built.  That
+  is safe because they are pure functions of their key, and frozen (read-only
+  arrays, frozen dataclasses), so no job can leave a mark on them;
 * **bounded history** — the most recent :data:`MAX_TERMINAL_JOBS`
   terminal jobs stay queryable; older ones are evicted (``404``).
 

@@ -164,89 +164,89 @@ class Workload(abc.ABC):
             mode=self.mode,
             latency=self.mode.latency_model(latency_scale),
         )
-        kernels = self.build_kernels()
-        if self.mode.compiler_optimized:
-            # CDP_AGG / CONSOLIDATED: the workload built plain CDP
-            # kernels; rewrite them (and generate the batched-launch
-            # wrappers) before registration.
-            from ..isa.dynopt import transform_kernels
+        # Closed however the job ends, failures included, not left to the
+        # cycle collector: the next job in this process would run beside
+        # this one's 32 MB store (see Device.close).
+        with device:
+            kernels = self.build_kernels()
+            if self.mode.compiler_optimized:
+                # CDP_AGG / CONSOLIDATED: the workload built plain CDP
+                # kernels; rewrite them (and generate the batched-launch
+                # wrappers) before registration.
+                from ..isa.dynopt import transform_kernels
 
-            kernels = transform_kernels(kernels, self.mode)
-        persistent_runtime = None
-        if self.mode.persistent:
-            # PERSISTENT / PERSISTENT_ASYNC: rewrite the CDP launch
-            # sites into task-queue pushes and intercept host launches
-            # with a resident worker grid (see repro.runtime.persistent).
-            from ..runtime.modes import ExecutionMode
-            from ..runtime.persistent import PersistentRuntime
+                kernels = transform_kernels(kernels, self.mode)
+            persistent_runtime = None
+            if self.mode.persistent:
+                # PERSISTENT / PERSISTENT_ASYNC: rewrite the CDP launch
+                # sites into task-queue pushes and intercept host launches
+                # with a resident worker grid (see repro.runtime.persistent).
+                from ..runtime.modes import ExecutionMode
+                from ..runtime.persistent import PersistentRuntime
 
-            persistent_runtime = PersistentRuntime(
-                device,
-                async_=self.mode is ExecutionMode.PERSISTENT_ASYNC,
-            )
-            kernels = persistent_runtime.transform(kernels)
-        for func in kernels:
-            device.register(func)
-        self.setup(device)
-        if checkpoint_every:
-            device.configure_checkpoint(
-                checkpoint_every,
-                path=checkpoint_path,
-                on_checkpoint=on_checkpoint,
-                fingerprint=checkpoint_fingerprint,
-            )
-        from ..state import (
-            CheckpointError,
-            discard_checkpoint,
-            load_checkpoint,
-            prepare_resume,
-            quarantine_checkpoint,
-        )
-
-        resuming = False
-        if checkpoint_path is not None and os.path.exists(checkpoint_path):
-            try:
-                doc = load_checkpoint(
-                    checkpoint_path, fingerprint=checkpoint_fingerprint
+                persistent_runtime = PersistentRuntime(
+                    device,
+                    async_=self.mode is ExecutionMode.PERSISTENT_ASYNC,
                 )
-                prepare_resume(device.gpu, doc)
-                resuming = True
-            except CheckpointError:
-                # Stale, corrupt or foreign checkpoint: set it aside and
-                # run from the beginning.
-                quarantine_checkpoint(checkpoint_path)
-        try:
-            self.run(device)
-            device.synchronize(max_cycles=MAX_CYCLES)
-        except CheckpointError:
-            # A mismatch with the replay that only the restore itself can
-            # see (inside GPU.run): the job fails, but a retry must not
-            # resume into the same error.
-            if resuming:
-                quarantine_checkpoint(checkpoint_path)
-            raise
-        if persistent_runtime is not None:
-            persistent_runtime.verify_drained()
-        if checkpoint_path is not None:
-            discard_checkpoint(checkpoint_path)
-        if verify:
-            self.check(device)
-        if device.sanitizing and not device.sanitizer_report().clean:
-            raise WorkloadError(
-                f"{self.name} ({self.mode.value}): sanitizer findings:\n"
-                + device.sanitizer_report().format()
+                kernels = persistent_runtime.transform(kernels)
+            for func in kernels:
+                device.register(func)
+            self.setup(device)
+            if checkpoint_every:
+                device.configure_checkpoint(
+                    checkpoint_every,
+                    path=checkpoint_path,
+                    on_checkpoint=on_checkpoint,
+                    fingerprint=checkpoint_fingerprint,
+                )
+            from ..state import (
+                CheckpointError,
+                discard_checkpoint,
+                load_checkpoint,
+                prepare_resume,
+                quarantine_checkpoint,
             )
-        result = WorkloadResult(
-            name=self.name,
-            mode=self.mode,
-            stats=device.stats,
-            cycles=device.stats.cycles,
-            sanitizer=device.sanitizer_report() if device.sanitizing else None,
-        )
-        # Not left to the cycle collector: the next job in this process
-        # would run beside this one's 32 MB store (see Device.close).
-        device.close()
-        return result
+
+            resuming = False
+            if checkpoint_path is not None and os.path.exists(checkpoint_path):
+                try:
+                    doc = load_checkpoint(
+                        checkpoint_path, fingerprint=checkpoint_fingerprint
+                    )
+                    prepare_resume(device.gpu, doc)
+                    resuming = True
+                except CheckpointError:
+                    # Stale, corrupt or foreign checkpoint: set it aside and
+                    # run from the beginning.
+                    quarantine_checkpoint(checkpoint_path)
+            try:
+                self.run(device)
+                device.synchronize(max_cycles=MAX_CYCLES)
+            except CheckpointError:
+                # A mismatch with the replay that only the restore itself can
+                # see (inside GPU.run): the job fails, but a retry must not
+                # resume into the same error.
+                if resuming:
+                    quarantine_checkpoint(checkpoint_path)
+                raise
+            if persistent_runtime is not None:
+                persistent_runtime.verify_drained()
+            if checkpoint_path is not None:
+                discard_checkpoint(checkpoint_path)
+            if verify:
+                self.check(device)
+            if device.sanitizing and not device.sanitizer_report().clean:
+                raise WorkloadError(
+                    f"{self.name} ({self.mode.value}): sanitizer findings:\n"
+                    + device.sanitizer_report().format()
+                )
+            return WorkloadResult(
+                name=self.name,
+                mode=self.mode,
+                stats=device.stats,
+                cycles=device.stats.cycles,
+                sanitizer=device.sanitizer_report() if device.sanitizing else None,
+            )
 
     # ------------------------------------------------------------------
     # Helpers shared by the drivers

@@ -31,6 +31,7 @@ from ..runtime import Device, ExecutionMode
 from ..sim.kernel import KernelFunction
 from .base import Workload
 from .common import emit_dfp, emit_dynamic_launch
+from .datasets.memo import memoised_reference
 from .datasets.points import PointSet
 
 #: Fixed-point scale for accumulated potentials.
@@ -327,6 +328,7 @@ class BarnesHutWorkload(Workload):
         )
 
     # ------------------------------------------------------------------
+    @memoised_reference("points", "leaf_capacity")
     def reference_potentials(self) -> np.ndarray:
         tree = self.tree
         points = self.points

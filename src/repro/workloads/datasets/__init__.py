@@ -3,7 +3,8 @@
 Each generator is seeded and deterministic, and reproduces the *property*
 of the original input that the paper's result depends on — degree
 distribution shape, key skew, match density — at a size the pure-Python
-simulator can run in seconds (see DESIGN.md, "Substitutions").
+simulator can run in seconds (see DESIGN.md, "Substitutions").  Each is
+built once per process and returned frozen (see :mod:`.memo`).
 """
 
 from .graphs import (

@@ -23,8 +23,10 @@ from typing import List, Optional
 
 import numpy as np
 
+from .memo import memoised
 
-@dataclass
+
+@dataclass(frozen=True)
 class Graph:
     """A directed graph in CSR form, optionally edge-weighted."""
 
@@ -85,6 +87,7 @@ def _csr_from_adjacency(
     return graph
 
 
+@memoised
 def citation_network(
     n: int = 1200, attach: int = 3, seed: int = 7, weighted: bool = False
 ) -> Graph:
@@ -115,6 +118,7 @@ def citation_network(
     return _csr_from_adjacency(adjacency, "citation", rng, weighted)
 
 
+@memoised
 def usa_road(n: int = 1600, seed: int = 11, weighted: bool = False) -> Graph:
     """Road-network stand-in: a jittered 2D lattice, degree 2–4."""
     rng = np.random.default_rng(seed)
@@ -136,6 +140,7 @@ def usa_road(n: int = 1600, seed: int = 11, weighted: bool = False) -> Graph:
     return _csr_from_adjacency(arrays, "usa_road", rng, weighted)
 
 
+@memoised
 def cage15_like(
     n: int = 1100, degree_lo: int = 12, degree_hi: int = 40, seed: int = 13,
     weighted: bool = False,
@@ -162,6 +167,7 @@ def cage15_like(
     return _csr_from_adjacency(adjacency, "cage15", rng, weighted)
 
 
+@memoised
 def graph500_like(n: int = 1100, degree: int = 16, seed: int = 17) -> Graph:
     """Balanced-degree graph for coloring (the paper's graph500 behaviour:
     small degree variance, so flat implementations are already balanced)."""
@@ -177,6 +183,7 @@ def graph500_like(n: int = 1100, degree: int = 16, seed: int = 17) -> Graph:
     return _csr_from_adjacency(adjacency, "graph500", rng, False)
 
 
+@memoised
 def flight_network(
     n: int = 700, hubs: Optional[int] = None, seed: int = 23, weighted: bool = False
 ) -> Graph:

@@ -12,8 +12,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .memo import memoised
 
-@dataclass
+
+@dataclass(frozen=True)
 class AmrGrid:
     """Initial level-0 grid for adaptive mesh refinement."""
 
@@ -32,6 +34,7 @@ class AmrGrid:
         return self.side * self.side
 
 
+@memoised
 def amr_grid(
     side: int = 28,
     hot_spots: int = 5,

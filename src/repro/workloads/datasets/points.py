@@ -11,8 +11,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .memo import memoised
 
-@dataclass
+
+@dataclass(frozen=True)
 class PointSet:
     """2D bodies with masses for the Barnes–Hut benchmark."""
 
@@ -25,6 +27,7 @@ class PointSet:
         return len(self.x)
 
 
+@memoised
 def random_points(n: int = 1400, clusters: int = 6, seed: int = 31) -> PointSet:
     """Gaussian-mixture point cloud in the unit square."""
     rng = np.random.default_rng(seed)

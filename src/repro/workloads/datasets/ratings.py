@@ -11,8 +11,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 import numpy as np
 
+from .memo import memoised
 
-@dataclass
+
+@dataclass(frozen=True)
 class RatingSet:
     """User-item ratings in both item-major and user-major CSR forms."""
 
@@ -32,6 +34,7 @@ class RatingSet:
         return len(self.item_users)
 
 
+@memoised
 def movielens_like(
     num_users: int = 360,
     num_items: int = 160,

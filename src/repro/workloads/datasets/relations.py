@@ -12,8 +12,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .memo import memoised
 
-@dataclass
+
+@dataclass(frozen=True)
 class JoinInput:
     """Build relation R and probe relation S, keys plus payload values."""
 
@@ -32,6 +34,7 @@ class JoinInput:
         return len(self.s_keys)
 
 
+@memoised
 def join_tables(
     distribution: str = "uniform",
     r_size: int = 1600,

@@ -13,17 +13,20 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List
+from typing import List, Sequence
 
 import numpy as np
 
+from .memo import memoised
 
-@dataclass
+
+@dataclass(frozen=True)
 class PacketSet:
-    """Byte strings encoded as int arrays plus the patterns to match."""
+    """Byte strings encoded as int arrays plus the patterns to match
+    (tuples in a memoised build)."""
 
-    packets: List[np.ndarray]
-    patterns: List[str]
+    packets: Sequence[np.ndarray]
+    patterns: Sequence[str]
     alphabet: int
 
     @property
@@ -34,6 +37,7 @@ class PacketSet:
 _PROTOCOL_HEADERS = [b"GET ", b"POST", b"HELO", b"USER", b"\x00\x01\x02\x03"]
 
 
+@memoised
 def darpa_packets(
     n: int = 360, min_len: int = 48, max_len: int = 200, seed: int = 37
 ) -> PacketSet:
@@ -63,6 +67,7 @@ def darpa_packets(
     return PacketSet(packets=packets, patterns=patterns, alphabet=256)
 
 
+@memoised
 def random_strings(
     n: int = 320, min_len: int = 64, max_len: int = 220, alphabet: int = 8, seed: int = 41
 ) -> PacketSet:

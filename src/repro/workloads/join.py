@@ -24,6 +24,7 @@ from ..runtime import Device, ExecutionMode
 from ..sim.kernel import KernelFunction
 from .base import Workload
 from .common import emit_dfp, emit_dynamic_launch
+from .datasets.memo import memoised_reference
 from .datasets.relations import JoinInput
 
 _NUM_BUCKETS = 64
@@ -174,6 +175,7 @@ class JoinWorkload(Workload):
         )
 
     # ------------------------------------------------------------------
+    @memoised_reference("data")
     def reference(self) -> tuple:
         data = self.data
         count = 0

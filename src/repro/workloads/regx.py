@@ -26,6 +26,7 @@ from ..runtime import Device, ExecutionMode
 from ..sim.kernel import KernelFunction
 from .base import Workload
 from .common import emit_dfp, emit_dynamic_launch
+from .datasets.memo import memoised_reference
 from .datasets.strings import PacketSet
 from .regex_engine import Dfa, build_anchored_dfa
 
@@ -195,6 +196,7 @@ class RegexWorkload(Workload):
         )
 
     # ------------------------------------------------------------------
+    @memoised_reference("packets")
     def reference_counts(self) -> np.ndarray:
         # The same DFA over Python lists: ``matches_at`` walks its tables
         # and the packet one element at a time.

@@ -13,6 +13,7 @@ from repro.exec import (
     SpecError,
     run_job,
 )
+from repro.workloads.datasets import memo
 
 
 def small_spec(**overrides) -> JobSpec:
@@ -174,3 +175,20 @@ class TestExecution:
         assert checkpointed.stats.to_dict() == baseline.stats.to_dict()
         assert rerun.stats.to_dict() == baseline.stats.to_dict()
 
+
+    @pytest.mark.parametrize("name, mode", [
+        ("bfs_cage15", ExecutionMode.FLAT),
+        ("regx_darpa", ExecutionMode.DTBL),
+        ("amr", ExecutionMode.CDP),
+        ("sssp_citation", ExecutionMode.PERSISTENT),
+    ])
+    def test_a_memo_hit_simulates_the_same_machine(self, name, mode):
+        """The second job finds its input and reference in the memo and
+        must still simulate, download and compare exactly as the first."""
+        memo.clear()
+        spec = small_spec(benchmark=name, mode=mode, scale=0.1)
+        first = run_job(spec)
+        (built,) = [entry.value for entry in memo._entries.values()]
+        second = run_job(spec)
+        assert [entry.value for entry in memo._entries.values()] == [built]
+        assert second.stats.to_dict() == first.stats.to_dict()

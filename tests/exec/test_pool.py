@@ -12,6 +12,7 @@ import pytest
 from repro.errors import WorkloadError
 from repro.exec import JobSpec, SweepEngine, SweepError, pool, run_job
 from repro.runtime import ExecutionMode
+from repro.workloads.datasets import memo
 
 SCALE = 0.08
 
@@ -62,6 +63,13 @@ class TestParity:
         assert [p["stats"] for p in results] == [
             p["stats"] for p in serial_payloads[::-1]
         ]
+
+    def test_memo_hits_in_a_one_worker_engine(self, serial_payloads):
+        memo.clear()
+        jobs = _jobs(GRID[0], GRID[2])
+        results = SweepEngine(max_workers=1).run(jobs + jobs)  # then hits
+        stats = [p["stats"] for p in results]
+        assert stats == [serial_payloads[0]["stats"], serial_payloads[2]["stats"]] * 2
 
     def test_empty_sweep(self):
         assert SweepEngine(max_workers=2).run([]) == []

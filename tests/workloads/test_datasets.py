@@ -1,8 +1,14 @@
-"""Dataset generator invariants."""
+"""Dataset generator invariants, and the memo that builds each once."""
+
+import dataclasses
 
 import numpy as np
 import pytest
 
+from repro import ExecutionMode
+from repro.workloads import benchmark_names, get_benchmark
+from repro.workloads.bfs import BfsWorkload
+from repro.workloads.datasets import memo
 from repro.workloads.datasets import (
     amr_grid,
     cage15_like,
@@ -137,3 +143,153 @@ class TestNonGraphData:
     def test_join_unknown_distribution(self):
         with pytest.raises(ValueError):
             join_tables("zipf")
+
+
+GENERATORS = [
+    citation_network, usa_road, cage15_like, graph500_like, flight_network,
+    amr_grid, random_points, movielens_like, join_tables, darpa_packets,
+    random_strings,
+]
+
+#: Where each benchmark's workload keeps its dataset.
+_DATASET_ATTRS = ("graph", "grid", "points", "packets", "ratings", "data")
+_REFERENCE_METHODS = (
+    "reference_distances", "reference_potentials", "reference_colors",
+    "reference_similarity", "reference_counts", "reference",
+)
+
+
+def _arrays(value):
+    """Every array inside a dataset or a reference answer."""
+    if isinstance(value, np.ndarray):
+        yield value
+    elif isinstance(value, (list, tuple)):
+        for item in value:
+            yield from _arrays(item)
+    elif dataclasses.is_dataclass(value):
+        for field in dataclasses.fields(value):
+            yield from _arrays(getattr(value, field.name))
+
+
+def _assert_same_content(a, b):
+    if isinstance(a, np.ndarray):
+        np.testing.assert_array_equal(a, b)
+        assert a.dtype == b.dtype
+    elif isinstance(a, (list, tuple)):
+        assert len(a) == len(b)
+        for x, y in zip(a, b):
+            _assert_same_content(x, y)
+    elif dataclasses.is_dataclass(a):
+        assert type(a) is type(b)
+        for field in dataclasses.fields(a):
+            _assert_same_content(getattr(a, field.name), getattr(b, field.name))
+    else:
+        assert a == b
+
+
+@pytest.fixture
+def cold_memo():
+    """An empty memo for the test, then an empty one for the next."""
+    memo.clear()
+    yield memo
+    memo.clear()
+
+
+class TestMemo:
+    @pytest.mark.parametrize("generator", GENERATORS, ids=lambda g: g.__name__)
+    def test_builds_are_read_only_and_frozen(self, generator):
+        data = generator()
+        arrays = list(_arrays(data))
+        assert arrays
+        for array in arrays:
+            assert not array.flags.writeable
+            with pytest.raises(ValueError):
+                array[0] = 1
+        field = dataclasses.fields(data)[0].name
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(data, field, None)
+
+    @pytest.mark.parametrize("generator", GENERATORS, ids=lambda g: g.__name__)
+    def test_uncached_build_equals_the_memoised_one(self, generator):
+        _assert_same_content(generator(), generator.__wrapped__())
+
+    def test_spellings_of_one_call_share_an_entry(self, cold_memo):
+        a = citation_network(900)
+        assert citation_network(n=900) is a
+        assert citation_network(900, 3, 7, False) is a
+        assert citation_network(n=900, seed=7) is a
+        assert citation_network(n=901) is not a
+        assert citation_network(n=900, seed=8) is not a
+        assert citation_network(n=900, weighted=True) is not a
+        assert join_tables("uniform") is join_tables(distribution="uniform", seed=47)
+
+    def test_a_failed_build_is_not_kept(self, cold_memo):
+        with pytest.raises(ValueError):
+            join_tables("zipf")
+        assert not cold_memo._entries
+
+    def test_least_recently_used_goes_first_under_the_cap(
+        self, cold_memo, monkeypatch
+    ):
+        size = sum(a.nbytes for a in _arrays(usa_road.__wrapped__(n=400)))
+        monkeypatch.setattr(cold_memo, "MAX_BYTES", 2 * size + size // 2)
+        first, second = usa_road(n=400, seed=1), usa_road(n=400, seed=2)
+        assert usa_road(n=400, seed=1) is first  # now the most recent
+        usa_road(n=400, seed=3)  # no room for three: evicts seed=2
+        assert cold_memo._total <= cold_memo.MAX_BYTES
+        assert usa_road(n=400, seed=1) is first
+        assert usa_road(n=400, seed=2) is not second
+
+    def test_a_build_larger_than_the_cap_is_not_kept(self, cold_memo, monkeypatch):
+        monkeypatch.setattr(cold_memo, "MAX_BYTES", 1024)
+        graph = usa_road(n=400)
+        assert not graph.indptr.flags.writeable
+        assert usa_road(n=400) is not graph
+        assert cold_memo._total == 0
+
+    def test_references_live_and_leave_with_their_dataset(self, cold_memo):
+        workload = get_benchmark("bfs_citation", ExecutionMode.FLAT, 0.1)
+        answer = workload.reference_distances()
+        assert not answer.flags.writeable
+        again = get_benchmark("bfs_citation", ExecutionMode.FLAT, 0.1)
+        assert again.reference_distances() is answer
+        # Another source is another answer.
+        other = BfsWorkload("bfs", ExecutionMode.FLAT, workload.graph, source=5)
+        assert other.reference_distances() is not answer
+        cold_memo.clear()
+        assert workload.reference_distances() is not answer
+
+    def test_a_dataset_built_by_hand_is_not_memoised(self, cold_memo):
+        graph = citation_network.__wrapped__(n=100)
+        workload = BfsWorkload("bfs", ExecutionMode.FLAT, graph)
+        first = workload.reference_distances()
+        assert workload.reference_distances() is not first
+        np.testing.assert_array_equal(first, workload.reference_distances())
+        assert not cold_memo._entries
+
+
+def _uncached_benchmark(monkeypatch, name, scale):
+    """``get_benchmark`` with every generator bypassing the memo."""
+    from repro.workloads.datasets import graphs, mesh, points, ratings, relations, strings
+
+    with monkeypatch.context() as patch:
+        for module in (graphs, mesh, points, ratings, relations, strings):
+            for attr, value in list(vars(module).items()):
+                if value in GENERATORS:
+                    patch.setattr(module, attr, value.__wrapped__)
+        return get_benchmark(name, ExecutionMode.FLAT, scale)
+
+
+@pytest.mark.parametrize("scale", [0.1, 0.5])
+@pytest.mark.parametrize("name", benchmark_names())
+def test_memoised_inputs_equal_uncached_ones(monkeypatch, name, scale):
+    memoised = get_benchmark(name, ExecutionMode.FLAT, scale)
+    fresh = _uncached_benchmark(monkeypatch, name, scale)
+    (attr,) = [a for a in _DATASET_ATTRS if hasattr(memoised, a)]
+    assert getattr(fresh, attr) is not getattr(memoised, attr)
+    _assert_same_content(getattr(memoised, attr), getattr(fresh, attr))
+    (method,) = [m for m in _REFERENCE_METHODS if hasattr(memoised, m)]
+    uncached = getattr(type(fresh), method).__wrapped__(fresh)
+    first = getattr(memoised, method)()
+    assert getattr(memoised, method)() is first
+    _assert_same_content(first, memo.freeze(uncached))

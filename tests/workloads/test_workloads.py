@@ -145,6 +145,17 @@ class TestWorkloadBehaviour:
         result = BfsWorkload("bfs", ExecutionMode.FLAT, graph).execute()
         assert len(result.stats.dynamic_launches()) == 0
 
+    def test_a_failed_job_still_closes_its_device(self):
+        class Mismatch(AmrWorkload):
+            def check(self, device):
+                self.device = device
+                raise WorkloadError("mismatch")
+
+        workload = Mismatch("amr", ExecutionMode.FLAT, amr_grid(side=8))
+        with pytest.raises(WorkloadError, match="mismatch"):
+            workload.execute(latency_scale=LS)
+        assert workload.device.closed
+
     def test_expect_raises_workload_error(self):
         workload = BfsWorkload("bfs", ExecutionMode.FLAT, citation_network(n=64))
         with pytest.raises(WorkloadError):
