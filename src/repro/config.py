@@ -235,7 +235,8 @@ class GPUConfig:
     #: barrier-divergence detection and device-launch argument validation.
     #: Purely observational — simulation results and statistics are
     #: unchanged; findings accumulate in ``gpu.sanitizer.report``.  Also
-    #: switchable globally via the ``REPRO_SANITIZE`` environment variable.
+    #: switched on globally by ``REPRO_SANITIZE`` set to anything but
+    #: ``""`` or ``"0"`` (:func:`repro.sim.sanitizer.sanitize_enabled`).
     sanitize: bool = False
 
     # ----- Launch bookkeeping ----------------------------------------------

@@ -23,10 +23,8 @@ from __future__ import annotations
 
 import hashlib
 import json
-import os
 
 from .. import __version__
-from ..config import GPUConfig
 
 #: Salt folded into every job fingerprint.  Bump the trailing tag when a
 #: change invalidates cached results without changing the package version
@@ -49,20 +47,8 @@ def digest(prefix: str, document) -> str:
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()
 
 
-def effective_sanitize(config: GPUConfig) -> bool:
-    """Whether a run under ``config`` would be sanitized *right now*.
-
-    The sanitizer is switchable per config and globally via the
-    ``REPRO_SANITIZE`` environment variable; both reach the GPU, so both
-    must reach the fingerprint (a sanitized and an unsanitized run verify
-    different things even though their statistics agree).
-    """
-    return bool(config.sanitize) or bool(os.environ.get("REPRO_SANITIZE"))
-
-
 __all__ = [
     "CODE_VERSION",
     "canonical_json",
     "digest",
-    "effective_sanitize",
 ]

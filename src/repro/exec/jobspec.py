@@ -29,10 +29,10 @@ from typing import Callable, Optional
 
 from ..config import GPUConfig
 from ..runtime import ExecutionMode
-from ..sim.sanitizer import SanitizerReport
+from ..sim.sanitizer import SanitizerReport, sanitize_enabled
 from ..sim.stats import SimStats
 from .cli import config_from_flags
-from .fingerprint import digest, effective_sanitize
+from .fingerprint import digest
 
 
 class SpecError(ValueError):
@@ -75,7 +75,7 @@ class JobSpec:
             "latency_scale": self.latency_scale,
             "config": self.config.to_dict(),
             "verify": self.verify,
-            "sanitize": effective_sanitize(self.config),
+            "sanitize": sanitize_enabled(self.config),
         }
 
     def fingerprint(self) -> str:

@@ -17,7 +17,6 @@ from .instructions import Cmp, Imm, Instr, Opcode, Reg, Special
 from .program import Program
 from .builder import KernelBuilder
 from .asmparser import parse_program
-from .optimizer import optimize, optimized_copy
 from .regions import control_flow_leaders, straight_line_regions
 
 __all__ = [
@@ -30,8 +29,6 @@ __all__ = [
     "Reg",
     "Special",
     "control_flow_leaders",
-    "optimize",
-    "optimized_copy",
     "parse_program",
     "straight_line_regions",
 ]

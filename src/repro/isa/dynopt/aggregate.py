@@ -30,7 +30,6 @@ from typing import Callable, Dict, List, Optional, Tuple
 
 from ..builder import KernelBuilder
 from ..instructions import Opcode
-from ..optimizer import _clone
 from ..program import Program
 from .options import DynoptOptions
 from .sites import LaunchSite, find_launch_sites
@@ -142,7 +141,7 @@ def aggregate_launches(
             out.label(name)
         hit = site_group.get(pc)
         if hit is None:
-            out.emit(_clone(instrs[pc]))
+            out.emit(instrs[pc].replace())
             pc += 1
             continue
         g, site = hit
@@ -155,8 +154,8 @@ def aggregate_launches(
             kb.sts(record, site.param, offset=1)
 
         def overflow(site=site):
-            out.emit(_clone(site.stream))
-            out.emit(_clone(site.launch))
+            out.emit(site.stream.replace())
+            out.emit(site.launch.replace())
 
         kb.if_else(kb.lt(slot, cap), stage, overflow)
         pc += 2  # past the STREAM_CREATE / LAUNCH_DEVICE pair
@@ -185,7 +184,7 @@ def aggregate_launches(
                 else:
                     grid = kb.idiv(kb.iadd(running, bs - 1), bs)
                 kb.launch_device(child + suffix, table, grid, bs)
-    out.emit(_clone(instrs[exit_pc]))
+    out.emit(instrs[exit_pc].replace())
 
     shared_words = len(ordered) * (1 + 2 * cap)
     children = {child: bs for (child, bs) in groups}

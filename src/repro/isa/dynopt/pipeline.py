@@ -18,7 +18,6 @@ from __future__ import annotations
 from typing import Dict, List, Sequence, Tuple
 
 from ...sim.kernel import KernelFunction
-from ..optimizer import _definalize
 from .aggregate import aggregate_launches
 from .options import DynoptOptions
 from .serialize import serialize_small_launches
@@ -84,7 +83,7 @@ def transform_kernels(
 
     order: List[str] = []
     for func in kernels:
-        built[func.name] = run_passes(_definalize(func.program), func)
+        built[func.name] = run_passes(func.program.definalize(), func)
         order.append(func.name)
 
     while queue:

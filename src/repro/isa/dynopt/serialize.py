@@ -14,7 +14,6 @@ from typing import Dict, Tuple
 
 from ..builder import KernelBuilder
 from ..instructions import Imm, Special
-from ..optimizer import _clone, _definalize
 from ..program import Program
 from .options import DynoptOptions
 from .sites import find_launch_sites
@@ -51,7 +50,7 @@ def serialize_small_launches(
         if func is None or func.shared_words or program.name == site.kernel:
             continue
         if site.kernel not in bodies:
-            bodies[site.kernel] = _definalize(func.program)
+            bodies[site.kernel] = func.program.definalize()
             summaries[site.kernel] = summarize_body(bodies[site.kernel])
         if not inlinable(summaries[site.kernel], _ALLOWED):
             continue
@@ -92,7 +91,7 @@ def serialize_small_launches(
             break
         site = by_index.get(pc)
         if site is None:
-            out.emit(_clone(instrs[pc]))
+            out.emit(instrs[pc].replace())
             pc += 1
             continue
 
@@ -121,8 +120,8 @@ def serialize_small_launches(
                 kb.iadd(counter, 1, dst=counter)
 
         def keep_launch(site=site):
-            out.emit(_clone(site.stream))
-            out.emit(_clone(site.launch))
+            out.emit(site.stream.replace())
+            out.emit(site.launch.replace())
 
         small = kb.lt(site.work, threshold)
         kb.if_else(small, inline_loop, keep_launch)

@@ -19,7 +19,6 @@ import dataclasses
 from typing import Dict, Optional, Set
 
 from ..instructions import Bank, Instr, Opcode, Reg, Special
-from ..optimizer import _clone
 from ..program import Program
 
 
@@ -127,7 +126,7 @@ def splice_body(
                 overrides[dims_field] = tuple(
                     _shift_reg(op, int_shift, flt_shift) for op in dims
                 )
-        out.emit(_clone(instr, **overrides))
+        out.emit(instr.replace(**overrides))
 
 
 def inlinable(summary: BodySummary, allowed: Set[Special]) -> bool:

@@ -21,7 +21,6 @@ from typing import Optional
 
 from ..builder import KernelBuilder
 from ..instructions import Special
-from ..optimizer import _definalize
 from ..program import Program
 from .options import DynoptOptions
 from .splice import splice_body, summarize_body
@@ -65,7 +64,7 @@ def build_wrapper(
     """Prologue + re-based child body, as an unfinalized program."""
     if not wrappable(func, flavor):
         return None
-    body = _definalize(func.program)
+    body = func.program.definalize()
     summary = summarize_body(body)
     kb = KernelBuilder(
         name,

@@ -255,6 +255,13 @@ class Instr:
         self.size = size
         self.offset = offset
 
+    def replace(self, **changes) -> "Instr":
+        """A copy with ``changes`` (field name to value) applied; the
+        IR rewrites build their output programs from such copies."""
+        fields = {name: getattr(self, name) for name in self.__slots__}
+        fields.update(changes)
+        return Instr(**fields)
+
     def __repr__(self) -> str:
         parts = [self.op.name.lower()]
         if self.dst is not None:
@@ -275,32 +282,3 @@ class Instr:
             parts.append(f"kernel={self.kernel}")
         return " ".join(parts)
 
-
-#: Global-memory read-modify-write atomics (each is both a read and a write).
-ATOMIC_OPS = frozenset(
-    {
-        Opcode.ATOM_ADD,
-        Opcode.ATOM_MIN,
-        Opcode.ATOM_MAX,
-        Opcode.ATOM_OR,
-        Opcode.ATOM_EXCH,
-        Opcode.ATOM_CAS,
-    }
-)
-
-#: Opcodes that read or write global memory through the coalescer.
-GLOBAL_MEMORY_OPS = frozenset({Opcode.LD, Opcode.ST, Opcode.FLD, Opcode.FST}) | ATOMIC_OPS
-
-#: Opcodes that observe the value at a global address.
-GLOBAL_READ_OPS = frozenset({Opcode.LD, Opcode.FLD}) | ATOMIC_OPS
-
-#: Opcodes that mutate the value at a global address.
-GLOBAL_WRITE_OPS = frozenset({Opcode.ST, Opcode.FST}) | ATOMIC_OPS
-
-#: Shared-memory accesses (per-block scratchpad; never coalesced).
-SHARED_READ_OPS = frozenset({Opcode.LDS})
-SHARED_WRITE_OPS = frozenset({Opcode.STS})
-SHARED_MEMORY_OPS = SHARED_READ_OPS | SHARED_WRITE_OPS
-
-#: Opcodes that may spawn dynamic work.
-LAUNCH_OPS = frozenset({Opcode.LAUNCH_DEVICE, Opcode.LAUNCH_AGG})

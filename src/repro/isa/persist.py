@@ -37,7 +37,6 @@ from typing import Dict, List, Optional, Sequence, Set
 from ..sim.kernel import KernelFunction
 from .builder import KernelBuilder
 from .instructions import Special
-from .optimizer import _clone, _definalize
 from .program import Program
 from .dynopt.sites import find_launch_sites
 from .dynopt.splice import inlinable, splice_body, summarize_body
@@ -136,7 +135,7 @@ def _rewrite_sites(
             break
         site = sites.get(pc)
         if site is None:
-            out.emit(_clone(instrs[pc]))
+            out.emit(instrs[pc].replace())
             pc += 1
             continue
         kid = kernel_ids[site.kernel]
@@ -253,7 +252,7 @@ def persist_transform(
         )
     by_name = {func.name: func for func in kernels}
     programs = {
-        func.name: _definalize(func.program) for func in kernels
+        func.name: func.program.definalize() for func in kernels
     }
     site_targets: Dict[str, Set[str]] = {
         name: {

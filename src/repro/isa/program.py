@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Set
 
 from ..errors import AssemblyError
 from .instructions import Instr, Opcode
@@ -89,6 +89,38 @@ class Program:
         self._finalized = True
         return self
 
+    def definalize(self) -> "Program":
+        """An unfinalized copy whose branch targets and reconvergence
+        points are labels again (``L<pc>``), for a rewrite to edit and
+        finalize anew; this program is left as it is."""
+        needed = self._branch_pcs()
+        names = {pc: f"L{pc}" for pc in needed}
+        out = Program(self.name)
+        for pc, instr in enumerate(self.instructions):
+            if pc in names:
+                out.label(names[pc])
+            changes = {}
+            if isinstance(instr.target, int):
+                changes["target"] = names[instr.target]
+            if isinstance(instr.reconv, int):
+                changes["reconv"] = names[instr.reconv]
+            out.emit(instr.replace(**changes))
+        for pc in needed:
+            if pc == len(self.instructions) and names[pc] not in out.labels:
+                out.label(names[pc])
+        return out
+
+    def _branch_pcs(self) -> Set[int]:
+        """The pcs that a resolved branch target or reconvergence point
+        names: where a label must stand."""
+        needed = set()
+        for instr in self.instructions:
+            if isinstance(instr.target, int):
+                needed.add(instr.target)
+            if isinstance(instr.reconv, int):
+                needed.add(instr.reconv)
+        return needed
+
     def disassemble(self) -> str:
         """Human-readable listing with labels, for debugging and docs."""
         by_pc: Dict[int, List[str]] = {}
@@ -112,14 +144,7 @@ class Program:
 
         if not self._finalized:
             raise AssemblyError("to_assembly requires a finalized program")
-        # Collect every pc that needs a label.
-        needed = set()
-        for instr in self.instructions:
-            if isinstance(instr.target, int):
-                needed.add(instr.target)
-            if isinstance(instr.reconv, int):
-                needed.add(instr.reconv)
-        labels = {pc: f"L{pc}" for pc in sorted(needed)}
+        labels = {pc: f"L{pc}" for pc in sorted(self._branch_pcs())}
 
         def operand_text(operand) -> str:
             return repr(operand).lstrip()  # %r3 / #42

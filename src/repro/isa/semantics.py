@@ -17,9 +17,12 @@ instead of restating the NumPy calls:
   ``scalar`` form, as the reference interpreter's per-lane loop does,
   and one builder (``fast_warp._make_memory``) binds any :data:`MEMORY`
   row to either address form;
-* the peephole optimizer folds constants with a row's ``fold`` and
-  eliminates dead :data:`PURE_OPS`;
-* the assembler splits off a destination register for :data:`DST_OPS`.
+* the assembler splits off a destination register for :data:`DST_OPS`;
+* the sanitizer tells global reads, writes and atomics apart by the
+  :data:`MEMORY` and :data:`ATOMIC` rows.
+
+No other module lists opcodes by class: every opcode set is one of the
+tables' key sets or derived from their rows (the end of this module).
 
 Operand values are either 32-lane arrays (a register row) or the bare
 Python number of an immediate; every row function accepts both.  A
@@ -35,7 +38,6 @@ which checks each row against a scalar model of its own.
 
 from __future__ import annotations
 
-import operator
 from typing import Callable, Dict, NamedTuple, Optional
 
 import numpy as np
@@ -81,9 +83,6 @@ class AluOp(NamedTuple):
     guard: bool = False
     #: Charged ``sfu_latency`` instead of ``alu_latency``.
     sfu: bool = False
-    #: Python-int form of an int binary op for constant folding (the
-    #: optimizer wraps the result to 64 bits).
-    fold: Optional[Callable[[int, int], int]] = None
 
 
 def nonzero_divisor(b):
@@ -98,8 +97,8 @@ def identity(a):
     return a
 
 
-def _ufunc(src: str, dst: Bank, ufunc: np.ufunc, fold=None) -> AluOp:
-    return AluOp(src, dst, ufunc, ufunc=ufunc, fold=fold)
+def _ufunc(src: str, dst: Bank, ufunc: np.ufunc) -> AluOp:
+    return AluOp(src, dst, ufunc, ufunc=ufunc)
 
 
 def _divide(src: str, dst: Bank, ufunc: np.ufunc) -> AluOp:
@@ -114,18 +113,18 @@ def _compare(cmp, a, b):
 
 
 ALU: Dict[Opcode, AluOp] = {
-    O.IADD: _ufunc("ii", INT, np.add, operator.add),
-    O.ISUB: _ufunc("ii", INT, np.subtract, operator.sub),
-    O.IMUL: _ufunc("ii", INT, np.multiply, operator.mul),
+    O.IADD: _ufunc("ii", INT, np.add),
+    O.ISUB: _ufunc("ii", INT, np.subtract),
+    O.IMUL: _ufunc("ii", INT, np.multiply),
     O.IDIV: _divide("ii", INT, np.floor_divide),
     O.IMOD: _divide("ii", INT, np.remainder),
-    O.IMIN: _ufunc("ii", INT, np.minimum, min),
-    O.IMAX: _ufunc("ii", INT, np.maximum, max),
-    O.IAND: _ufunc("ii", INT, np.bitwise_and, operator.and_),
-    O.IOR: _ufunc("ii", INT, np.bitwise_or, operator.or_),
-    O.IXOR: _ufunc("ii", INT, np.bitwise_xor, operator.xor),
-    O.ISHL: _ufunc("ii", INT, np.left_shift, operator.lshift),
-    O.ISHR: _ufunc("ii", INT, np.right_shift, operator.rshift),
+    O.IMIN: _ufunc("ii", INT, np.minimum),
+    O.IMAX: _ufunc("ii", INT, np.maximum),
+    O.IAND: _ufunc("ii", INT, np.bitwise_and),
+    O.IOR: _ufunc("ii", INT, np.bitwise_or),
+    O.IXOR: _ufunc("ii", INT, np.bitwise_xor),
+    O.ISHL: _ufunc("ii", INT, np.left_shift),
+    O.ISHR: _ufunc("ii", INT, np.right_shift),
     O.INEG: _ufunc("i", INT, np.negative),
     O.INOT: _ufunc("i", INT, np.bitwise_not),
     O.MOV: AluOp("i", INT, identity),
@@ -264,9 +263,9 @@ SFU_OPS = frozenset(op for op, row in ALU.items() if row.sfu)
 #: what may live inside a fused straight-line region of the fast core.
 FUSABLE_OPS = frozenset(ALU) | {O.READ_SPECIAL}
 
-#: Ops with no side effects, whose dead results may be eliminated: the
-#: fusable ones plus the warp-wide exchanges (which read other lanes'
-#: registers but write only their own destination).
+#: Ops with no side effects: the fusable ones plus the warp-wide
+#: exchanges (which read other lanes' registers but write only their own
+#: destination).
 PURE_OPS = FUSABLE_OPS | {
     O.SHFL_IDX, O.SHFL_DOWN, O.VOTE_ANY, O.VOTE_ALL, O.VOTE_BALLOT,
 }

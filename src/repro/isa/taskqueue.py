@@ -103,11 +103,6 @@ class QueueLayout:
         return image
 
 
-def alloc_words(capacity: int, record_words: int) -> int:
-    """Global words a queue of this shape needs."""
-    return HEADER_WORDS + capacity * (1 + record_words)
-
-
 # ----------------------------------------------------------------------
 # Emitters.  All take a KernelBuilder mid-construction; control flow is
 # structured, so they compose under if_/while_ like any other DSL code.
@@ -321,11 +316,3 @@ def emit_dequeue_async(
     with k.if_(k.lt(k.ld(q.field(OFF_CLAIMED)), published)):
         claim()
     return DequeueRegs(got, finished, published, quiescent)
-
-
-def emit_size(k: KernelBuilder, q: QueueLayout) -> Reg:
-    """Claimable items right now: ``max(PUBLISHED - CLAIMED, 0)``."""
-    pending = k.isub(
-        k.ld(q.field(OFF_PUBLISHED)), k.ld(q.field(OFF_CLAIMED))
-    )
-    return k.imax(pending, 0)

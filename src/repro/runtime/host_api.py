@@ -238,7 +238,6 @@ class Device:
             latency=latency if latency is not None else mode.latency_model(),
             memory_words=memory_words,
         )
-        self._named_events: dict = {}
         self._launch_interceptor = None
         self._closed = False
 
@@ -464,24 +463,6 @@ class Device:
         gpu._checkpoint_path = path
         gpu._on_checkpoint = on_checkpoint
         gpu._checkpoint_fingerprint = fingerprint
-
-    # ------------------------------------------------------------------
-    # Named cycle markers (legacy cudaEvent-style API; prefer the Event
-    # handles returned by launch())
-    # ------------------------------------------------------------------
-    def record_event(self, name: str) -> int:
-        """Record the current simulated cycle under ``name``."""
-        self._check_open()
-        cycle = self.gpu.cycle
-        self._named_events[name] = cycle
-        return cycle
-
-    def elapsed_cycles(self, start: str, end: str) -> int:
-        """Cycles between two recorded named events."""
-        try:
-            return self._named_events[end] - self._named_events[start]
-        except KeyError as exc:
-            raise KeyError(f"event {exc.args[0]!r} was never recorded") from None
 
     # ------------------------------------------------------------------
     # Sanitizer

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import functools
 import heapq
-import os
 from typing import Callable, Dict, List, Optional, Sequence, Union
 
 import numpy as np
@@ -25,7 +24,7 @@ from .kernel import KernelFunction, as_dims
 from .kernel_distributor import KernelDistributor
 from .kmu import KernelManagementUnit
 from .profiler import active_profiler
-from .sanitizer import Sanitizer
+from .sanitizer import Sanitizer, sanitize_enabled
 from .smx import SMX
 from .smx_scheduler import SMXScheduler
 from .stats import SimStats
@@ -164,12 +163,12 @@ class GPU:
         #: Starts as the process-global profiler when one is active
         #: (``--profile``; see :mod:`repro.sim.profiler`), else ``None``.
         self.tracer = active_profiler()
-        #: Optional execution sanitizer (see :mod:`repro.sim.sanitizer`):
-        #: enabled via ``GPUConfig.sanitize`` or the ``REPRO_SANITIZE``
-        #: environment variable; ``None`` otherwise (zero per-issue cost
-        #: beyond one attribute check in each core's step()).
+        #: Optional execution sanitizer (see :mod:`repro.sim.sanitizer`),
+        #: present when :func:`~repro.sim.sanitizer.sanitize_enabled`;
+        #: ``None`` otherwise (zero per-issue cost beyond one attribute
+        #: check in each core's step()).
         self.sanitizer = None
-        if self.config.sanitize or os.environ.get("REPRO_SANITIZE", "") not in ("", "0"):
+        if sanitize_enabled(self.config):
             self.sanitizer = Sanitizer(self)
             self.memory.observer = self.sanitizer
         #: Resident, unfinished warps across all SMXs (occupancy integral).

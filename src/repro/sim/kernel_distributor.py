@@ -94,16 +94,6 @@ class KDEEntry:
     def native_fully_distributed(self) -> bool:
         return self.next_block >= self.total_blocks
 
-    def pending_groups(self) -> int:
-        """Number of linked groups not yet fully distributed (diagnostic)."""
-        count = 0
-        group = self.nagei
-        while group is not None:
-            if not group.fully_distributed:
-                count += 1
-            group = group.next
-        return count
-
     @property
     def fully_distributed(self) -> bool:
         if not self.native_fully_distributed:
@@ -209,6 +199,3 @@ class KernelDistributor:
             ):
                 return entry
         return None
-
-    def active_entries(self) -> List[KDEEntry]:
-        return [entry for entry in self._entries if entry is not None]

@@ -5,8 +5,9 @@ coalesced thread blocks must behave exactly like their flat/CDP
 equivalents — so the simulator needs a net that catches workloads (or
 future core changes) that silently corrupt memory, deadlock a barrier or
 launch malformed device-side grids.  When :attr:`repro.config.GPUConfig.sanitize`
-is set (or the ``REPRO_SANITIZE`` environment variable is non-empty), a
-:class:`Sanitizer` is attached to the GPU and observes every issued
+is set, or the ``REPRO_SANITIZE`` environment variable is set to anything
+but ``""`` or ``"0"`` (:func:`sanitize_enabled`, which the GPU and a
+job's fingerprint both read), a :class:`Sanitizer` is attached to the GPU and observes every issued
 instruction in *both* execution cores through one hook per
 ``Warp.step`` / ``FastWarp.step``.  Because both cores issue the same
 instruction stream at the same cycles (they are stat-exact by
@@ -82,31 +83,44 @@ and memory contents are identical with it on or off.
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Dict, List, Tuple
 
 import numpy as np
 
-from ..config import WARP_SIZE
-from ..isa.instructions import (
-    ATOMIC_OPS,
-    Bank,
-    GLOBAL_MEMORY_OPS,
-    GLOBAL_WRITE_OPS,
-    Opcode,
-    Reg,
-)
+from ..config import WARP_SIZE, GPUConfig
+from ..isa.instructions import Bank, Opcode, Reg
+from ..isa.semantics import ATOMIC, MEMORY
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from .gpu import GPU
     from .thread_block import ThreadBlock
     from .warp import Warp
 
+def sanitize_enabled(config: GPUConfig) -> bool:
+    """Whether a GPU built now under ``config`` gets a sanitizer: its
+    ``sanitize`` field, or ``REPRO_SANITIZE`` set to anything but ``""``
+    or ``"0"``.  A job's fingerprint hashes this same answer, since a
+    sanitized run verifies more than a plain one with equal statistics."""
+    return bool(config.sanitize) or os.environ.get("REPRO_SANITIZE", "") not in ("", "0")
+
+
 #: Shadow "no block" / host sentinel in the writer/reader block fields.
 _HOST = 0
 
+#: Global read-modify-write atomics: each is both a read and a write.
+_ATOMICS = frozenset(ATOMIC)
 #: Plain (non-atomic) global loads.
-_PLAIN_READS = frozenset({Opcode.LD, Opcode.FLD})
+_PLAIN_READS = frozenset(
+    op for op, row in MEMORY.items() if row.space == "global" and not row.store
+)
+#: What mutates a global word: plain stores and atomics.
+_GLOBAL_WRITES = _ATOMICS | {
+    op for op, row in MEMORY.items() if row.space == "global" and row.store
+}
+#: Every global access, through the coalescer.
+_GLOBAL_ACCESSES = _PLAIN_READS | _GLOBAL_WRITES
 
 
 @dataclass(frozen=True)
@@ -415,7 +429,7 @@ class Sanitizer:
     # ------------------------------------------------------------------
     def observe(self, warp: "Warp", pc: int, instr, mask: np.ndarray, cycle: int) -> None:
         op = instr.op
-        if op in GLOBAL_MEMORY_OPS:
+        if op in _GLOBAL_ACCESSES:
             self._check_global(warp, pc, instr, mask, cycle)
         elif op is Opcode.LDS or op is Opcode.STS:
             self._check_shared(warp, pc, instr, mask, cycle)
@@ -458,8 +472,8 @@ class Sanitizer:
             return
         addrs = self._lane_values(warp, instr.a, lanes) + instr.offset
         op = instr.op
-        atomic = op in ATOMIC_OPS
-        is_write = op in GLOBAL_WRITE_OPS
+        atomic = op in _ATOMICS
+        is_write = op in _GLOBAL_WRITES
         is_read = not is_write or atomic  # atomics read-modify-write
 
         # Hard bounds (the execution core raises right after us for these).

@@ -64,10 +64,6 @@ class QuadTree:
     size: np.ndarray
     order: np.ndarray  # permutation: sorted position -> original body id
 
-    @property
-    def num_nodes(self) -> int:
-        return len(self.node_type)
-
 
 def build_quadtree(points: PointSet, leaf_capacity: int = 40) -> QuadTree:
     """Recursive quadtree build with contiguous leaf body ranges."""

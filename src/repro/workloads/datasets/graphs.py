@@ -52,10 +52,6 @@ class Graph:
     def neighbors(self, v: int) -> np.ndarray:
         return self.indices[self.indptr[v] : self.indptr[v + 1]]
 
-    def edge_weights(self, v: int) -> np.ndarray:
-        assert self.weights is not None
-        return self.weights[self.indptr[v] : self.indptr[v + 1]]
-
     def validate(self) -> None:
         assert self.indptr[0] == 0
         assert self.indptr[-1] == len(self.indices)

@@ -119,6 +119,17 @@ class TestSweepJobFingerprint:
         monkeypatch.setenv("REPRO_SANITIZE", "1")
         assert self._job().fingerprint() != plain
 
+    def test_sanitize_env_zero_is_off_for_the_gpu_and_the_key(self, monkeypatch):
+        """``REPRO_SANITIZE=0`` runs unsanitized, so its key must be the
+        plain one: a cache entry keyed "sanitized" has a sanitizer report."""
+        from repro.sim.gpu import GPU
+
+        monkeypatch.delenv("REPRO_SANITIZE", raising=False)
+        plain = self._job().fingerprint()
+        monkeypatch.setenv("REPRO_SANITIZE", "0")
+        assert self._job().fingerprint() == plain
+        assert GPU(GPUConfig.small(), memory_words=1024).sanitizer is None
+
     def test_sensitive_to_config_sanitize_flag(self, monkeypatch):
         monkeypatch.delenv("REPRO_SANITIZE", raising=False)
         sanitized = dataclasses.replace(GPUConfig.k20c(), sanitize=True)

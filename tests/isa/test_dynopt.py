@@ -123,13 +123,11 @@ class TestWrappable:
 
 class TestSerialize:
     def test_small_launches_become_inline_loops(self):
-        from repro.isa.optimizer import _definalize
-
         parent = parent_function()
         kernels = {"child": child_function()}
         options = DynoptOptions(serial_threshold=1 << 30)  # serialize all
         program, _extra_local = serialize_small_launches(
-            _definalize(parent.program), kernels, options
+            parent.program.definalize(), kernels, options
         )
         counts = [5, 0, 17, 31]
         transformed = [KernelFunction("parent", program), kernels["child"]]

@@ -3,8 +3,6 @@
 import pytest
 
 from repro.isa.instructions import (
-    GLOBAL_MEMORY_OPS,
-    LAUNCH_OPS,
     Bank,
     Cmp,
     Imm,
@@ -58,17 +56,8 @@ class TestInstr:
 
 
 class TestOpcodeClasses:
-    def test_memory_ops_cover_loads_stores_atomics(self):
-        assert Opcode.LD in GLOBAL_MEMORY_OPS
-        assert Opcode.FST in GLOBAL_MEMORY_OPS
-        assert Opcode.ATOM_CAS in GLOBAL_MEMORY_OPS
-        assert Opcode.LDS not in GLOBAL_MEMORY_OPS  # shared is on-chip
-
     def test_sfu_ops(self):
         assert SFU_OPS == {Opcode.IDIV, Opcode.IMOD, Opcode.FDIV, Opcode.FSQRT}
-
-    def test_launch_ops(self):
-        assert LAUNCH_OPS == {Opcode.LAUNCH_DEVICE, Opcode.LAUNCH_AGG}
 
     def test_all_opcodes_distinct(self):
         values = [op.value for op in Opcode]

@@ -16,7 +16,7 @@ import math
 import numpy as np
 import pytest
 
-from repro.isa.instructions import ATOMIC_OPS, Bank, Cmp, Opcode, Special
+from repro.isa.instructions import Bank, Cmp, Opcode, Special
 from repro.isa.semantics import (
     ALU,
     ATOMIC,
@@ -242,7 +242,6 @@ def test_every_opcode_is_in_exactly_one_place():
     assert set().union(*tables) == set(Opcode)
     assert sum(len(t) for t in tables) == len(Opcode)
     assert set(ORACLE) == set(ALU) and set(ATOMIC_ORACLE) == set(ATOMIC)
-    assert set(ATOMIC) == ATOMIC_OPS
     assert set(SPECIAL) == set(Special)
     assert set(CMP) == set(Cmp)
 
@@ -270,7 +269,6 @@ def test_rows_are_well_formed():
         assert set(row.src) <= set("ifc") and 1 <= len(row.src.lstrip("c")) <= 3, op
         assert row.src.count("c") == row.src.startswith("c"), op
         assert not row.guard or (row.ufunc is not None and len(row.src) == 2), op
-        assert row.fold is None or row.src == "ii", op
 
 
 # ----------------------------------------------------------------------
@@ -290,10 +288,7 @@ def test_derived_sets_equal_the_old_literals():
     assert SFU_OPS == {O.IDIV, O.IMOD, O.FDIV, O.FSQRT}
     assert FUSABLE_OPS == _ALU_LITERAL | {O.READ_SPECIAL}
     assert PURE_OPS == _ALU_LITERAL | {O.READ_SPECIAL} | _WARP_LITERAL
-    assert DST_OPS == PURE_OPS | ATOMIC_OPS | {
+    assert DST_OPS == PURE_OPS | set(ATOMIC) | {
         O.LD, O.FLD, O.LDS, O.LDL, O.STREAM_CREATE, O.GET_PARAM_BUF,
     }
     assert len(DST_OPS) == 48
-    assert {op for op, row in ALU.items() if row.fold} == {
-        O.IADD, O.ISUB, O.IMUL, O.IMIN, O.IMAX, O.IAND, O.IOR, O.IXOR, O.ISHL, O.ISHR,
-    }

@@ -33,13 +33,15 @@ from repro import ExecutionMode, JobSpec, run_job
 from repro.serve import JobFailed, JobManager, ServeClient, ServeConfig, ServeError, UnknownJob
 from repro.serve import jobs as serve_jobs
 
-GOLDEN_DIR = Path(__file__).resolve().parent.parent / "golden"
+from ..test_golden_stats import golden_record, without_core
+
 SCALE = 0.08
 LATENCY_SCALE = 0.25
 
 
-def golden_stats(name: str) -> dict:
-    return json.loads((GOLDEN_DIR / f"{name}.json").read_text())
+def stats_record(result) -> dict:
+    """A result's statistics as a golden record."""
+    return without_core(result.stats.to_dict())
 
 
 def spec_for(benchmark: str, mode: str, scale: float = SCALE) -> JobSpec:
@@ -202,9 +204,8 @@ class TestConcurrentClients:
         result_a = alice.result(alice.wait(first["id"])["id"])
         result_b = bob.result(bob.wait(second["id"])["id"])
 
-        golden = golden_stats("bht-flat-fast")
-        assert result_a.stats.to_dict() == golden
-        assert result_b.stats.to_dict() == golden
+        assert stats_record(result_a) == golden_record("bht", "flat")
+        assert stats_record(result_b) == golden_record("bht", "flat")
         assert result_a.fingerprint == result_b.fingerprint
         assert {result_a.source, result_b.source} == {"run", "shared"}
 
@@ -214,7 +215,7 @@ class TestConcurrentClients:
         info = carol.submit(spec)
         assert info["status"] == "done"
         assert info["source"] == "cache"
-        assert carol.result(info["id"]).stats.to_dict() == golden
+        assert stats_record(carol.result(info["id"])) == golden_record("bht", "flat")
 
         stats = alice.status()["stats"]
         assert stats["shared"] == 1
@@ -340,7 +341,7 @@ class TestPreemption:
         assert events.count("started") >= 2
 
         result = client.result(long_info["id"])
-        assert result.stats.to_dict() == golden_stats("bfs_citation-dtbl-fast")
+        assert stats_record(result) == golden_record("bfs_citation", "dtbl")
 
         # The victim's worker was killed, not told to yield: the urgent
         # job started on a replacement, one spawn per preemption.
@@ -418,7 +419,7 @@ class TestOneRoundTrip:
 
         assert requests_used(daemon, leader_and_follower) == 4
         assert {results["leader"].source, results["follower"].source} == {"run", "shared"}
-        assert results["follower"].stats.to_dict() == golden_stats("bht-dtbl-fast")
+        assert stats_record(results["follower"]) == golden_record("bht", "dtbl")
 
     def test_run_equals_the_three_request_result(self, daemon_factory):
         daemon = daemon_factory(workers=1)

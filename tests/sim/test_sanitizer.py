@@ -301,6 +301,18 @@ class TestBadLaunch:
         assert "non-positive dimension" in report.by_kind("bad-launch")[0].detail
 
 
+def test_access_classes_are_read_off_the_semantics_rows():
+    """The sanitizer's global-access classes, derived from the ``MEMORY``
+    and ``ATOMIC`` rows, against the literals they replaced."""
+    from repro.isa.instructions import Opcode as O
+    from repro.sim import sanitizer
+
+    atomics = {O.ATOM_ADD, O.ATOM_MIN, O.ATOM_MAX, O.ATOM_OR, O.ATOM_EXCH, O.ATOM_CAS}
+    assert sanitizer._PLAIN_READS == {O.LD, O.FLD}
+    assert sanitizer._GLOBAL_WRITES == {O.ST, O.FST} | atomics
+    assert sanitizer._GLOBAL_ACCESSES == {O.LD, O.FLD, O.ST, O.FST} | atomics
+
+
 # ----------------------------------------------------------------------
 # Reporting API
 # ----------------------------------------------------------------------

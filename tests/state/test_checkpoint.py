@@ -16,6 +16,7 @@ Two layers of coverage:
   restore still equals the captured GPU over the whole address space.
 """
 
+import contextlib
 import dataclasses
 import pickle
 import tempfile
@@ -280,72 +281,77 @@ class TestRoundTripProperty:
             )
         )
 
-        def build(core=fast):
-            return _build(values, mult, add, mode, core, wild_dst=wild_dst)
+        # An example builds five devices; each closes when the example
+        # ends, so its store goes then and not at a later collection.
+        with contextlib.ExitStack() as devices:
+            def build(core=fast):
+                built = _build(values, mult, add, mode, core, wild_dst=wild_dst)
+                devices.enter_context(built[0])
+                return built
 
-        def run_checkpointed(core):
-            """Uninterrupted, keeping every checkpoint document."""
-            docs = []
-            dev, func, _, src, dst = build(core)
-            dev.configure_checkpoint(every, on_checkpoint=docs.append)
-            _launch(dev, func, n, src, dst)
-            dev.synchronize()
-            return dev, dst, docs
+            def run_checkpointed(core):
+                """Uninterrupted, keeping every checkpoint document."""
+                docs = []
+                dev, func, _, src, dst = build(core)
+                dev.configure_checkpoint(every, on_checkpoint=docs.append)
+                _launch(dev, func, n, src, dst)
+                dev.synchronize()
+                return dev, dst, docs
 
-        # Golden: one uninterrupted, uncheckpointed run.
-        dev, func, _, src, dst = build()
-        _launch(dev, func, n, src, dst)
-        dev.synchronize()
-        golden = _final_state(dev, dst, n)
-
-        # Checkpointing perturbs nothing, and lands where it is due: at
-        # the first cycle boundary at or after each multiple of
-        # ``every`` (never early; a multiple passed inside one
-        # instruction's latency is skipped) — the same cycles on both
-        # cores, which can differ only in how they step between them.
-        dev, dst, docs = run_checkpointed(fast)
-        _assert_same_final_state(_final_state(dev, dst, n), golden)
-        drained = capture_document(dev.gpu)
-        cycles = [doc["cycle"] for doc in docs]
-        assert cycles == [doc["cycle"] for doc in run_checkpointed(not fast)[2]]
-        for before, cycle in zip([0] + cycles, cycles):
-            assert cycle // every > before // every
-
-        # Interrupt at the stop_at-th checkpoint (if the program runs
-        # long enough to reach it; otherwise the clean completion below
-        # must still match the golden run).
-        path = Path(tempfile.mkdtemp()) / "prop.ckpt"
-
-        def bomb(doc):
-            bomb.count += 1
-            if bomb.count >= stop_at:
-                raise Interrupt()
-
-        bomb.count = 0
-        dev, func, _, src, dst = build()
-        dev.configure_checkpoint(every, path=str(path), on_checkpoint=bomb)
-        _launch(dev, func, n, src, dst)
-        try:
-            dev.synchronize()
-            interrupted = False
-        except Interrupt:
-            interrupted = True
-
-        if interrupted:
-            # Replay the host program and resume from the file.
-            doc = load_checkpoint(path)
-            resumed_docs = []
+            # Golden: one uninterrupted, uncheckpointed run.
             dev, func, _, src, dst = build()
-            dev.configure_checkpoint(every, on_checkpoint=resumed_docs.append)
             _launch(dev, func, n, src, dst)
-            prepare_resume(dev.gpu, doc)
             dev.synchronize()
-            # Every later checkpoint is the one the uninterrupted run
-            # took, whole state, starting with its (stop_at + 1)-th.
-            assert diff(docs[stop_at:], resumed_docs) is None
+            golden = _final_state(dev, dst, n)
 
-        _assert_same_final_state(_final_state(dev, dst, n), golden)
-        assert diff(drained, capture_document(dev.gpu)) is None
+            # Checkpointing perturbs nothing, and lands where it is due: at
+            # the first cycle boundary at or after each multiple of
+            # ``every`` (never early; a multiple passed inside one
+            # instruction's latency is skipped) — the same cycles on both
+            # cores, which can differ only in how they step between them.
+            dev, dst, docs = run_checkpointed(fast)
+            _assert_same_final_state(_final_state(dev, dst, n), golden)
+            drained = capture_document(dev.gpu)
+            cycles = [doc["cycle"] for doc in docs]
+            assert cycles == [doc["cycle"] for doc in run_checkpointed(not fast)[2]]
+            for before, cycle in zip([0] + cycles, cycles):
+                assert cycle // every > before // every
+
+            # Interrupt at the stop_at-th checkpoint (if the program runs
+            # long enough to reach it; otherwise the clean completion below
+            # must still match the golden run).
+            path = Path(tempfile.mkdtemp()) / "prop.ckpt"
+
+            def bomb(doc):
+                bomb.count += 1
+                if bomb.count >= stop_at:
+                    raise Interrupt()
+
+            bomb.count = 0
+            dev, func, _, src, dst = build()
+            dev.configure_checkpoint(every, path=str(path), on_checkpoint=bomb)
+            _launch(dev, func, n, src, dst)
+            try:
+                dev.synchronize()
+                interrupted = False
+            except Interrupt:
+                interrupted = True
+
+            if interrupted:
+                # Replay the host program and resume from the file.
+                doc = load_checkpoint(path)
+                resumed_docs = []
+                dev, func, _, src, dst = build()
+                dev.configure_checkpoint(every, on_checkpoint=resumed_docs.append)
+                _launch(dev, func, n, src, dst)
+                prepare_resume(dev.gpu, doc)
+                dev.synchronize()
+                # Every later checkpoint is the one the uninterrupted run
+                # took, whole state, starting with its (stop_at + 1)-th.
+                assert diff(docs[stop_at:], resumed_docs) is None
+
+            _assert_same_final_state(_final_state(dev, dst, n), golden)
+            assert diff(drained, capture_document(dev.gpu)) is None
 
 
 # ----------------------------------------------------------------------

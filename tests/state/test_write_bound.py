@@ -17,7 +17,6 @@ the write sites, and all a checkpoint reads of the store.
 """
 
 import dataclasses
-import json
 import pickle
 
 import numpy as np
@@ -30,7 +29,7 @@ from repro.sim.kernel import KernelFunction
 from repro.state import CheckpointError, capture_document, diff, snapshot
 
 from ..helpers import make_device
-from ..test_golden_stats import GOLDEN_DIR, GRID, LATENCY_SCALE, SCALE
+from ..test_golden_stats import GRID, LATENCY_SCALE, SCALE, golden_record
 
 CORES = [("ref", "reference"), ("fast", "fast")]
 BOTH_CORES = pytest.mark.parametrize("core", [c for _, c in CORES], ids=[t for t, _ in CORES])
@@ -70,7 +69,7 @@ def watched(monkeypatch):
     "bench,mode,tag,core", GRID, ids=[f"{b}-{m}-{t}" for b, m, t, _ in GRID]
 )
 def test_corpus_documents_equal_the_scanned_ones(bench, mode, tag, core, sanitize, watched):
-    cycles = json.loads((GOLDEN_DIR / f"{bench}-{mode}-{tag}.json").read_text())["cycles"]
+    cycles = golden_record(bench, mode)["cycles"]
     from repro.exec import JobSpec, run_job
 
     config = dataclasses.replace(GPUConfig.k20c(), core=core, sanitize=sanitize)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro import Device
-from repro.errors import MemoryError_
+from repro.errors import MemoryError_, SimulationError
 
 from tests.helpers import make_device, map_kernel
 
@@ -51,16 +51,18 @@ class TestEvents:
         n = 1000
         src = dev.upload(np.arange(n))
         dst = dev.alloc(n)
-        dev.record_event("start")
-        dev.launch("work", grid=8, block=128, params=[n, src, dst])
-        dev.synchronize()
-        dev.record_event("end")
-        elapsed = dev.elapsed_cycles("start", "end")
-        assert elapsed > 0
-        assert elapsed == dev.cycles  # started at cycle 0
+        start = dev.cycles
+        first = dev.launch("work", grid=8, block=128, params=[n, src, dst]).wait()
+        middle = dev.cycles
+        second = dev.launch("work", grid=8, block=128, params=[n, dst, src]).wait()
+        assert start == 0 < first.elapsed_cycles() <= middle
+        assert 0 < second.elapsed_cycles() <= dev.cycles - middle
+        assert second.record.launch_cycle >= first.record.completed_cycle
 
     def test_missing_event(self):
+        """A launch not yet run has no elapsed time."""
         dev = make_device()
-        dev.record_event("a")
-        with pytest.raises(KeyError, match="never recorded"):
-            dev.elapsed_cycles("a", "nope")
+        dev.register(map_kernel("work", lambda k, v: v))
+        evt = dev.launch("work", grid=1, block=32, params=[0, 0, 0])
+        with pytest.raises(SimulationError, match="has not completed"):
+            evt.elapsed_cycles()

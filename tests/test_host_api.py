@@ -11,7 +11,7 @@ import pytest
 from repro import Device, DeviceArray, Event, ExecutionMode, GPUConfig, LatencyModel, Stream
 from repro.errors import ConfigError, DeviceError, MemoryError_, SimulationError
 
-from tests.helpers import make_device, map_kernel
+from tests.helpers import map_kernel
 
 
 def small_device(**kwargs) -> Device:
@@ -261,12 +261,6 @@ class TestModeLatencyValidation:
 
 
 class TestLegacyShims:
-    def test_named_events_still_work(self):
-        dev = make_device(config=GPUConfig.small())
-        dev.record_event("start")
-        dev.record_event("end")
-        assert dev.elapsed_cycles("start", "end") == 0
-
     def test_download_ints_and_floats(self):
         dev = small_device()
         ints = dev.upload(np.arange(6))

@@ -8,9 +8,7 @@ import numpy as np
 import pytest
 
 from repro.errors import WorkloadError
-from repro.isa.optimizer import optimized_copy
 from repro.runtime import ExecutionMode
-from repro.sim.kernel import KernelFunction
 from repro.workloads.amr import AmrWorkload
 from repro.workloads.bfs import BfsWorkload
 from repro.workloads.bht import BarnesHutWorkload
@@ -160,42 +158,6 @@ class TestWorkloadBehaviour:
         workload = BfsWorkload("bfs", ExecutionMode.FLAT, citation_network(n=64))
         with pytest.raises(WorkloadError):
             workload.expect(False, "boom")
-
-
-def optimized(workload):
-    """``workload`` with the peephole optimizer run over every kernel it
-    builds, before registration."""
-    build = workload.build_kernels
-    workload.build_kernels = lambda: [
-        KernelFunction(
-            func.name,
-            optimized_copy(func.program),
-            shared_words=func.shared_words,
-            local_words=func.local_words,
-        )
-        for func in build()
-    ]
-    return workload
-
-
-class TestOptimizedKernels:
-    """The peephole optimizer must preserve every workload's results."""
-
-    def test_bfs_optimized_matches_reference(self):
-        graph = citation_network(n=200, attach=4)
-        result = optimized(
-            BfsWorkload("bfs_opt", ExecutionMode.DTBL_IDEAL, graph)
-        ).execute(latency_scale=LS)
-        assert result.stats.cycles > 0  # check() inside execute verified it
-
-    def test_amr_optimized_matches_reference(self):
-        optimized(AmrWorkload("amr_opt", ExecutionMode.FLAT, amr_grid(side=8))).execute()
-
-    def test_join_optimized_matches_reference(self):
-        data = join_tables("gaussian", r_size=300, s_size=150)
-        optimized(JoinWorkload("join_opt", ExecutionMode.CDP_IDEAL, data)).execute(
-            latency_scale=LS
-        )
 
 
 class TestRegexPipelineWithExtendedSyntax:
