@@ -35,7 +35,7 @@ from typing import Optional
 
 #: On-disk entry format version.  Bump when the entry layout changes;
 #: old entries are invalidated on read.
-ENTRY_FORMAT = 1
+ENTRY_FORMAT = 2
 
 #: Default cache root, relative to the current working directory.
 DEFAULT_CACHE_DIR = ".repro-cache"

@@ -19,7 +19,7 @@ reports:
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import List, Optional
 
 from ..config import WARP_SIZE, GPUConfig
@@ -60,35 +60,39 @@ class LaunchRecord:
     def pending_bytes(self) -> int:
         return self.param_bytes + self.record_bytes
 
-    def to_dict(self) -> dict:
-        """All fields as a JSON-safe dictionary (exact round trip)."""
-        return {
-            "kind": self.kind.value,
-            "kernel_name": self.kernel_name,
-            "launch_cycle": self.launch_cycle,
-            "total_blocks": self.total_blocks,
-            "total_threads": self.total_threads,
-            "param_bytes": self.param_bytes,
-            "record_bytes": self.record_bytes,
-            "first_exec_cycle": self.first_exec_cycle,
-            "fully_distributed_cycle": self.fully_distributed_cycle,
-            "completed_cycle": self.completed_cycle,
-        }
 
-    @classmethod
-    def from_dict(cls, data: dict) -> "LaunchRecord":
-        return cls(
-            kind=LaunchKind(data["kind"]),
-            kernel_name=data["kernel_name"],
-            launch_cycle=data["launch_cycle"],
-            total_blocks=data["total_blocks"],
-            total_threads=data["total_threads"],
-            param_bytes=data["param_bytes"],
-            record_bytes=data["record_bytes"],
-            first_exec_cycle=data["first_exec_cycle"],
-            fully_distributed_cycle=data["fully_distributed_cycle"],
-            completed_cycle=data["completed_cycle"],
-        )
+#: :class:`LaunchRecord`'s fields in constructor order: the table's columns.
+LAUNCH_FIELDS = tuple(field.name for field in fields(LaunchRecord))
+_KINDS = {kind.value: kind for kind in LaunchKind}
+#: :meth:`SimStats.launches_by_kernel`'s count keys: host, device, agg.
+_KIND_KEYS = {kind: kind.value.split("_")[0] for kind in LaunchKind}
+
+
+def launch_columns(records: List[LaunchRecord]) -> dict:
+    """The launch table as one JSON-safe list per :data:`LAUNCH_FIELDS`
+    entry, ``kind`` as its string value; :func:`launch_records` inverts it."""
+    columns = {name: [getattr(r, name) for r in records] for name in LAUNCH_FIELDS}
+    columns["kind"] = [kind.value for kind in columns["kind"]]
+    return columns
+
+
+def launch_records(columns: dict) -> List[LaunchRecord]:
+    """Rebuild the records :func:`launch_columns` encoded, exactly.
+
+    Raises :class:`ValueError` for a missing column, columns of unequal
+    length, an unknown ``kind`` or the older list-of-objects layout.
+    """
+    try:
+        kinds, *values = [columns[name] for name in LAUNCH_FIELDS]  # kind comes first
+    except (KeyError, TypeError):
+        raise ValueError("launch table is not one column per LaunchRecord field") from None
+    if len(set(map(len, (kinds, *values)))) > 1:
+        raise ValueError("launch table columns differ in length")
+    try:
+        kinds = [_KINDS[value] for value in kinds]
+    except KeyError as exc:
+        raise ValueError(f"unknown launch kind {exc.args[0]!r}") from None
+    return list(map(LaunchRecord, kinds, *values))
 
 
 class SimStats:
@@ -188,9 +192,9 @@ class SimStats:
     def avg_waiting_cycles(self) -> float:
         """Fig. 9 metric, over dynamic launches that began executing."""
         waits = [
-            r.waiting_cycles
-            for r in self.dynamic_launches()
-            if r.waiting_cycles is not None
+            wait
+            for wait in (r.waiting_cycles for r in self.dynamic_launches())
+            if wait is not None
         ]
         if not waits:
             return 0.0
@@ -234,16 +238,12 @@ class SimStats:
                     "waits": [],
                 },
             )
-            key = {
-                LaunchKind.HOST_KERNEL: "host",
-                LaunchKind.DEVICE_KERNEL: "device",
-                LaunchKind.AGG_GROUP: "agg",
-            }[record.kind]
-            entry[key] += 1
+            entry[_KIND_KEYS[record.kind]] += 1
             entry["blocks"] += record.total_blocks
             entry["threads"] += record.total_threads
-            if record.kind is not LaunchKind.HOST_KERNEL and record.waiting_cycles is not None:
-                entry["waits"].append(record.waiting_cycles)
+            wait = record.waiting_cycles
+            if record.kind is not LaunchKind.HOST_KERNEL and wait is not None:
+                entry["waits"].append(wait)
         for entry in rollup.values():
             waits = entry.pop("waits")
             entry["avg_wait"] = sum(waits) / len(waits) if waits else 0.0
@@ -260,6 +260,8 @@ class SimStats:
     def to_dict(self) -> dict:
         """Every counter, nested stat and launch record, JSON-safe.
 
+        ``launches`` holds one list per :class:`LaunchRecord` field
+        (:func:`launch_columns`), not one keyed object per launch.
         ``SimStats.from_dict(stats.to_dict())`` reproduces the object
         bit-exactly — including after a ``json.dumps``/``loads`` round
         trip, which is what the on-disk result cache relies on.
@@ -268,7 +270,7 @@ class SimStats:
         data["config"] = self.config.to_dict()
         data["coalescing"] = self.coalescing.to_dict()
         data["dram"] = self.dram.to_dict()
-        data["launches"] = [record.to_dict() for record in self.launches]
+        data["launches"] = launch_columns(self.launches)
         return data
 
     @classmethod
@@ -278,9 +280,7 @@ class SimStats:
             setattr(stats, name, int(data[name]))
         stats.coalescing = CoalescingStats.from_dict(data["coalescing"])
         stats.dram = DramStats.from_dict(data["dram"])
-        stats.launches = [
-            LaunchRecord.from_dict(record) for record in data["launches"]
-        ]
+        stats.launches = launch_records(data["launches"])
         return stats
 
     def summary(self) -> dict:

@@ -18,7 +18,7 @@ records restore patches so Event handles keep working), pending events
 (rebuilt through :meth:`GPU._event_fn`, the factory live scheduling
 uses), the ready heaps (rebuilt from the warps), the header and the file
 (magic prefix + zlib-compressed pickle, written atomically).  Anything
-that fails a check — unreadable, truncated, another format (1 and 2 have
+that fails a check — unreadable, truncated, another format (1 to 3 have
 no reader), stale salt, foreign fingerprint, a mismatch with the replay
 — raises :class:`CheckpointError`; callers quarantine the file and run
 fresh.
@@ -41,7 +41,7 @@ from ..exec.fingerprint import CODE_VERSION
 from ..memory.global_memory import apply_image, image_extent, trim_image
 from ..sim.hwq import HostLaunchSpec
 from ..sim.kmu import DeviceLaunchSpec
-from ..sim.stats import LaunchRecord
+from ..sim.stats import launch_columns, launch_records
 from .schema import (
     CheckpointError,
     build,
@@ -55,7 +55,7 @@ from .schema import (
 )
 
 #: On-disk / in-memory checkpoint document format version.
-CHECKPOINT_FORMAT = 3
+CHECKPOINT_FORMAT = 4
 
 #: File magic for checkpoint files.
 MAGIC = b"REPRO-CKPT\x00"
@@ -106,7 +106,7 @@ def capture_document(gpu, fingerprint: Optional[str] = None) -> dict:
         "image": lambda array: trim_image(array, bound),
     }
     state = capture(gpu, refs)
-    state["launches"] = [record.to_dict() for record in gpu.stats.launches]
+    state["launches"] = launch_columns(gpu.stats.launches)
     # Host spec dispatch records, for every spec ever launched.
     state["spec_records"] = {
         seq: encode(spec.record, "record", refs)
@@ -190,7 +190,7 @@ def restore_document(gpu, doc: dict) -> None:
             f"{state['_launch_seq']} host launches, replay made "
             f"{gpu._launch_seq}"
         )
-    launches = [LaunchRecord.from_dict(data) for data in state["launches"]]
+    launches = launch_records(state["launches"])
     ages: list = []
 
     def replayed(table: dict, what: str):

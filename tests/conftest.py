@@ -9,10 +9,16 @@ per-test ``@settings`` caps in each file).
 
 At the end of a session the run's peak RSS is printed, so a memory
 regression shows in the log rather than as an unexplained OOM kill.
+For that line to measure the program rather than the allocator, glibc's
+mmap threshold is pinned at 128 KiB: left dynamic, it rises to the size
+of each large block freed (up to 32 MiB), and later multi-megabyte
+arrays come from the heap, where zeroing recycled pages makes them
+resident.
 """
 
 from __future__ import annotations
 
+import ctypes
 import os
 import resource
 import sys
@@ -26,6 +32,23 @@ settings.register_profile("dev", max_examples=50, deadline=None)
 _profile = os.environ.get("HYPOTHESIS_PROFILE")
 if _profile:
     settings.load_profile(_profile)
+
+#: glibc's ``mallopt`` parameter number for the mmap threshold.
+M_MMAP_THRESHOLD = -3
+
+
+def _pin_mmap_threshold(nbytes: int) -> None:
+    """``mallopt(M_MMAP_THRESHOLD, nbytes)``; a no-op without glibc."""
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (OSError, AttributeError, TypeError):
+        return
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    mallopt(M_MMAP_THRESHOLD, nbytes)
+
+
+_pin_mmap_threshold(131072)
 
 
 @pytest.hookimpl(hookwrapper=True, tryfirst=True)

@@ -12,7 +12,7 @@ from repro.exec.cache import ENTRY_FORMAT, atomic_write
 KEY = "ab" * 32
 OTHER = "cd" * 32
 
-PAYLOAD = {"stats": {"cycles": 123, "launches": [{"kind": "host_kernel"}]},
+PAYLOAD = {"stats": {"cycles": 123, "launches": {"kind": ["host_kernel"]}},
            "wall_seconds": 1.5, "sanitizer": None}
 
 
@@ -95,6 +95,17 @@ class TestRobustness:
         cache.path_for(KEY).write_text(json.dumps(entry), encoding="utf-8")
         assert cache.load(KEY) is None
         assert cache.stats.invalidated == 1
+        assert not cache.path_for(KEY).exists()
+
+    def test_format_1_entry_is_invalidated(self, cache):
+        """Format 1 held ``launches`` as one object per launch."""
+        cache.store(KEY, PAYLOAD)
+        entry = json.loads(cache.path_for(KEY).read_text(encoding="utf-8"))
+        entry["format"] = 1
+        cache.path_for(KEY).write_text(json.dumps(entry), encoding="utf-8")
+        assert cache.load(KEY) is None
+        assert cache.stats.invalidated == 1
+        assert cache.stats.quarantined == 0
         assert not cache.path_for(KEY).exists()
 
     def test_invalidate_missing_entry_is_harmless(self, cache):

@@ -164,6 +164,33 @@ class TestCrashRecovery:
         assert payload["stats"] == clean_other["stats"]
         assert theirs.with_suffix(".ckpt.corrupt").exists()
 
+    def test_format_3_checkpoint_quarantined_then_fresh_run(
+        self, tmp_path, clean_payload
+    ):
+        """Format 3 held the launch table as one object per launch: such
+        a file is set aside by its format number, and the job runs fresh."""
+        job = _ck_job(tmp_path)
+        docs = []
+
+        def bomb(doc):
+            docs.append(doc)
+            raise Interrupt()
+
+        with pytest.raises(Interrupt):
+            run_job(job, on_checkpoint=bomb)
+        doc = docs[0]
+        columns = doc["state"]["launches"]
+        assert columns["kind"], "the checkpoint holds no launch to re-encode"
+        doc["state"]["launches"] = [
+            dict(zip(columns, row)) for row in zip(*columns.values())
+        ]
+        doc["format"] = 3
+        path = checkpoint_path_for(str(tmp_path), job.fingerprint())
+        save_checkpoint(path, doc)
+        payload = run_job(job).to_payload()
+        assert payload["stats"] == clean_payload["stats"]
+        assert path.with_suffix(".ckpt.corrupt").exists()
+
 
 def _killed_inside_a_checkpoint_write(job, write: int) -> None:
     """Child-process main: run ``job``, and die by ``SIGKILL`` — as a

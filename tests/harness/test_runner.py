@@ -156,6 +156,29 @@ class TestDiskCache:
         assert cache.stats.invalidated == 1
         assert run.cycles > 0
 
+    @pytest.mark.parametrize("edit", ["missing", "ragged", "kind", "rows"])
+    def test_bad_launch_table_is_invalidated_and_rerun(self, tmp_path, edit):
+        """A launch table ``launch_records`` refuses is never returned."""
+        cache = ResultCache(tmp_path / "cache")
+        first = run_one("bht", ExecutionMode.DTBL, cache)
+        (path,) = list((tmp_path / "cache").glob("??/*.json"))
+        entry = json.loads(path.read_text(encoding="utf-8"))
+        columns = entry["payload"]["stats"]["launches"]
+        if edit == "missing":
+            del columns["completed_cycle"]
+        elif edit == "ragged":
+            columns["kind"].pop()
+        elif edit == "kind":
+            columns["kind"][-1] = "warp_kernel"
+        else:  # the older layout, one object per launch
+            entry["payload"]["stats"]["launches"] = [
+                dict(zip(columns, row)) for row in zip(*columns.values())
+            ]
+        path.write_text(json.dumps(entry), encoding="utf-8")
+        run = run_one("bht", ExecutionMode.DTBL, cache)
+        assert (cache.stats.invalidated, cache.stats.stores) == (1, 2)
+        assert run.stats.to_dict() == first.stats.to_dict()
+
 
 class TestParallelGrid:
     def test_pool_grid_bit_identical_to_serial(self):

@@ -3,13 +3,22 @@
 import json
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.config import GPUConfig
 from repro.memory.coalescing import CoalescingStats
 from repro.memory.dram import DramStats
 from repro.runtime import ExecutionMode
 from repro.sim.sanitizer import SanitizerFinding, SanitizerReport
-from repro.sim.stats import LaunchKind, LaunchRecord, SimStats
+from repro.sim.stats import (
+    LAUNCH_FIELDS,
+    LaunchKind,
+    LaunchRecord,
+    SimStats,
+    launch_columns,
+    launch_records,
+)
 from repro.workloads import get_benchmark
 
 
@@ -60,7 +69,7 @@ class TestComponentRoundTrips:
             fully_distributed_cycle=None,
             completed_cycle=None,
         )
-        rebuilt = LaunchRecord.from_dict(json_round_trip(record.to_dict()))
+        (rebuilt,) = launch_records(json_round_trip(launch_columns([record])))
         assert rebuilt == record
         assert rebuilt.waiting_cycles is None
 
@@ -71,7 +80,10 @@ class TestComponentRoundTrips:
             first_exec_cycle=40, fully_distributed_cycle=41,
             completed_cycle=99,
         )
-        rebuilt = LaunchRecord.from_dict(json_round_trip(record.to_dict()))
+        columns = launch_columns([record])
+        assert columns["kind"] == ["device_kernel"]
+        assert columns["completed_cycle"] == [99]
+        (rebuilt,) = launch_records(json_round_trip(columns))
         assert rebuilt == record
         assert rebuilt.waiting_cycles == 35
 
@@ -95,6 +107,80 @@ class TestComponentRoundTrips:
         data["histogram"] = [0, 1, 2]
         with pytest.raises(ValueError):
             CoalescingStats.from_dict(data)
+
+
+_cycle = st.integers(min_value=0, max_value=2**40)
+_maybe_cycle = st.none() | _cycle
+_records = st.lists(
+    st.builds(
+        LaunchRecord,
+        kind=st.sampled_from(LaunchKind),
+        kernel_name=st.text(max_size=8),
+        launch_cycle=_cycle,
+        total_blocks=st.integers(1, 2**16),
+        total_threads=st.integers(1, 2**20),
+        param_bytes=st.integers(0, 2**12),
+        record_bytes=st.integers(0, 2**12),
+        first_exec_cycle=_maybe_cycle,
+        fully_distributed_cycle=_maybe_cycle,
+        completed_cycle=_maybe_cycle,
+    ),
+    max_size=12,
+)
+_EVERY_KIND = [
+    LaunchRecord(kind, "k", 7, 2, 64, 8, 16, *cycles)
+    for kind in LaunchKind
+    for cycles in ((None, 9, 11), (8, None, 11), (8, 9, None), (None, None, None))
+]
+
+
+class TestLaunchColumns:
+    """The launch table as columns: exact round trip, and every shape
+    of bad table refused rather than misread."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(_records)
+    @example([])
+    @example(_EVERY_KIND)
+    def test_stats_with_random_launches_round_trip(self, records):
+        stats = SimStats(GPUConfig())
+        stats.launches = records
+        data = stats.to_dict()
+        assert set(data["launches"]) == set(LAUNCH_FIELDS)
+        rebuilt = SimStats.from_dict(json_round_trip(data))
+        assert rebuilt.launches == records  # kind compares as the enum member
+        assert rebuilt.to_dict() == data
+
+    def _columns(self):
+        return json_round_trip(launch_columns(_EVERY_KIND))
+
+    def test_missing_column(self):
+        columns = self._columns()
+        del columns["fully_distributed_cycle"]
+        with pytest.raises(ValueError, match="not one column per LaunchRecord field"):
+            launch_records(columns)
+
+    def test_columns_of_unequal_length(self):
+        columns = self._columns()
+        columns["completed_cycle"].pop()
+        with pytest.raises(ValueError, match="differ in length"):
+            launch_records(columns)
+
+    def test_unknown_kind(self):
+        columns = self._columns()
+        columns["kind"][3] = "warp_kernel"
+        with pytest.raises(ValueError, match="unknown launch kind 'warp_kernel'"):
+            launch_records(columns)
+
+    def test_list_of_objects_layout(self):
+        """What ``launches`` held before the table became columns."""
+        rows = [dict(zip(LAUNCH_FIELDS, row)) for row in zip(*self._columns().values())]
+        with pytest.raises(ValueError, match="not one column per LaunchRecord field"):
+            launch_records(rows)
+        data = SimStats(GPUConfig()).to_dict()
+        data["launches"] = rows
+        with pytest.raises(ValueError):
+            SimStats.from_dict(data)
 
 
 class TestSanitizerReportRoundTrip:

@@ -79,11 +79,12 @@ class TestDiff:
 
     def test_a_differing_list_length(self, document):
         def edit(state):
-            state["launches"].pop()
+            for column in state["launches"].values():
+                column.pop()
 
-        n = len(document["state"]["launches"])
+        n = len(document["state"]["launches"]["kind"])
         assert diff(document, _edited(document, edit)) == (
-            f"state.launches: length {n} != {n - 1}"
+            f"state.launches.kind: length {n} != {n - 1}"
         )
 
     def test_a_repointed_age_next_link(self, document):
