@@ -342,6 +342,9 @@ def run_job(
     workload = get_benchmark(spec.benchmark, spec.mode, spec.scale)
     start = time.perf_counter()
     result = workload.execute_spec(spec, on_checkpoint=on_checkpoint)
+    # The workload's device handles hold the job's closed GPU: dropping
+    # them frees it here, inside the timed region that built it.
+    del workload
     return JobResult(
         stats=result.stats,
         wall_seconds=time.perf_counter() - start,

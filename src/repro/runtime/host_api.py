@@ -253,9 +253,14 @@ class Device:
 
     def close(self) -> None:
         """Release the device and its global memory; further operations
-        raise DeviceError."""
+        raise DeviceError.
+
+        Nothing is left in a reference cycle (:meth:`GPU.release`, and a
+        persistent runtime's interceptor points back at this device), so
+        the GPU is freed as soon as its last reference goes."""
         if not self._closed:
-            self.gpu.memory.release()
+            self.gpu.release()
+            self._launch_interceptor = None
         self._closed = True
 
     @property

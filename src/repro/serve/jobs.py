@@ -46,9 +46,11 @@
   its job one of ``ServeConfig.worker_retries``), so no state of a
   disturbed job survives in a process that serves the next one.  The
   one exception is the input memo (:mod:`repro.workloads.datasets.memo`):
-  a worker keeps the datasets and host reference answers it built.  That
-  is safe because they are pure functions of their key, and frozen (read-only
-  arrays, frozen dataclasses), so no job can leave a mark on them;
+  a worker keeps the datasets it built and the host values jobs derived
+  from them (reference answers, bht's quadtree, regx's DFA).  That is
+  safe because they are pure functions of their key, and frozen
+  (read-only arrays, frozen dataclasses), so no job can leave a mark on
+  them;
 * **bounded history** — the most recent :data:`MAX_TERMINAL_JOBS`
   terminal jobs stay queryable; older ones are evicted (``404``).
 

@@ -210,6 +210,29 @@ class GPU:
         # Per-SMX local-memory arenas, allocated lazily on first use.
         self._local_arenas: List[Optional[int]] = [None] * self.config.num_smx
 
+    def release(self) -> None:
+        """What a closed device ends with: the store goes back, and the
+        components let go of this GPU.
+
+        The runtime, scheduler, KMU, sanitizer, SMXs and any resident
+        blocks and warps each point back at the GPU.  Cutting those links
+        frees a finished GPU when its last reference goes, rather than at
+        the cycle collector's next run.  Statistics and state stay
+        readable; the GPU cannot run again.
+        """
+        self.memory.release()
+        # An attached sampler points back too; whoever attached it keeps it.
+        self.tracer = None
+        for part in (self.runtime, self.scheduler, self.kmu, self.sanitizer):
+            if part is not None:
+                part._gpu = None
+        for smx in self.smxs:
+            smx.gpu = None
+            for block in smx.blocks:
+                block.gpu = None
+                for warp in block.warps:
+                    warp._gpu = None
+
     def local_arena_base(self, smx_id: int) -> int:
         """Base address of an SMX's local-memory arena (lazy allocation).
 

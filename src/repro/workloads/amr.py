@@ -28,7 +28,7 @@ from ..runtime import Device, ExecutionMode
 from ..sim.kernel import KernelFunction
 from .base import Workload
 from .common import emit_dynamic_launch
-from .datasets.memo import memoised_reference
+from .datasets.memo import memoised_derived
 from .datasets.mesh import AmrGrid
 
 #: Subcells per refined cell (a 4x4 subgrid).
@@ -223,7 +223,7 @@ class AmrWorkload(Workload):
             acc = (acc * 995) // 1000
         return acc
 
-    @memoised_reference("grid")
+    @memoised_derived("grid")
     def reference(self) -> tuple:
         counts = [0] * (self.grid.max_depth + 1)
         checksum = 0

@@ -21,7 +21,7 @@ from ..sim.kernel import KernelFunction
 from .base import Workload
 from .common import INF, emit_dfp, emit_dynamic_launch, upload_graph
 from .datasets.graphs import Graph
-from .datasets.memo import memoised_reference
+from .datasets.memo import memoised_derived
 
 #: Parameter layout of the top-level kernel (word offsets).
 _P_FSIZE, _P_FRONTIER, _P_INDPTR, _P_INDICES, _P_DIST, _P_OUT, _P_COUNT, _P_LEVEL = range(8)
@@ -213,7 +213,7 @@ class BfsWorkload(Workload):
             self.expect(level < 10_000, "BFS failed to converge")
 
     # ------------------------------------------------------------------
-    @memoised_reference("graph", "source")
+    @memoised_derived("graph", "source")
     def reference_distances(self) -> np.ndarray:
         graph = self.graph
         indptr = graph.indptr.tolist()

@@ -31,7 +31,7 @@ from ..runtime import Device, ExecutionMode
 from ..sim.kernel import KernelFunction
 from .base import Workload
 from .common import emit_dfp, emit_dynamic_launch
-from .datasets.memo import memoised_reference
+from .datasets.memo import memoised_derived
 from .datasets.points import PointSet
 
 #: Fixed-point scale for accumulated potentials.
@@ -50,7 +50,7 @@ _P = dict(
 _C = dict(COUNT=0, BSTART=1, BX=2, BY=3, BMASS=4, TARGET=5, POT=6)
 
 
-@dataclass
+@dataclass(frozen=True)
 class QuadTree:
     """Array-form quadtree over a unit square, leaf ranges contiguous."""
 
@@ -275,13 +275,17 @@ class BarnesHutWorkload(Workload):
         self.leaf_capacity = leaf_capacity
         self.child_threshold = child_threshold
         self.child_block = child_block
-        self.tree = build_quadtree(points, leaf_capacity)
+        self.tree = self.quadtree()
 
     def build_kernels(self) -> List[KernelFunction]:
         kernels = [build_bht_kernel(self.mode, self.child_threshold, self.child_block)]
         if self.mode.is_dynamic:
             kernels.append(build_bht_child(self.child_block))
         return kernels
+
+    @memoised_derived("points", "leaf_capacity")
+    def quadtree(self) -> QuadTree:
+        return build_quadtree(self.points, self.leaf_capacity)
 
     def setup(self, device: Device) -> None:
         tree = self.tree
@@ -324,7 +328,7 @@ class BarnesHutWorkload(Workload):
         )
 
     # ------------------------------------------------------------------
-    @memoised_reference("points", "leaf_capacity")
+    @memoised_derived("points", "leaf_capacity")
     def reference_potentials(self) -> np.ndarray:
         tree = self.tree
         points = self.points

@@ -24,7 +24,7 @@ from ..sim.kernel import KernelFunction
 from .base import Workload
 from .common import emit_dfp, emit_dynamic_launch, upload_graph
 from .datasets.graphs import Graph
-from .datasets.memo import memoised_reference
+from .datasets.memo import memoised_derived
 
 _UNCOLORED = -1
 
@@ -214,7 +214,7 @@ class ColoringWorkload(Workload):
         self.rounds = round_color
 
     # ------------------------------------------------------------------
-    @memoised_reference("graph", "priorities")
+    @memoised_derived("graph", "priorities")
     def reference_colors(self) -> np.ndarray:
         """The same deterministic Jones-Plassmann rounds in pure Python."""
         graph = self.graph

@@ -1,20 +1,24 @@
 """Inputs are built once per process: a bounded memo of seeded datasets.
 
 Every generator in this package is a pure function of its arguments, and
-every workload's host reference answer is a pure function of its dataset
-and the few workload parameters it reads.  A resident worker, a sweep or a
-bench pass asks for the same inputs job after job; :func:`memoised` builds
-each once per process and hands every later caller the same object, and
-:func:`memoised_reference` keeps a reference answer in its dataset's entry.
+so is every host value a workload derives from its dataset: its reference
+answer, and the structures its kernels are built from (bht's quadtree,
+regx's DFA), each a function of the dataset and the few workload
+parameters it reads.  A
+resident worker, a sweep or a bench pass asks for the same inputs job
+after job; :func:`memoised` builds each dataset once per process and hands
+every later caller the same object, and :func:`memoised_derived` keeps
+each derived value in its dataset's entry.
 
 Sharing is safe because nothing can write into a shared input: every
 array a memoised call returns is read-only, every list a tuple, and the
-dataset classes are frozen dataclasses.  A workload that wrote into its
-input would raise ``ValueError`` rather than leak into the next job.
+dataset and derived classes are frozen dataclasses.  A workload that wrote
+into its input would raise ``ValueError`` rather than leak into the next
+job.
 
 The memo holds at most :data:`MAX_BYTES` and evicts the least recently
-used entry, with the references kept in it.  ``generator.__wrapped__``
-(and ``Workload.reference_*.__wrapped__``) compute without it.
+used entry, with the derived values kept in it.  ``generator.__wrapped__``
+(and ``Workload.<method>.__wrapped__``) compute without it.
 """
 
 from __future__ import annotations
@@ -39,7 +43,7 @@ class _Entry:
     def __init__(self, value: Any, nbytes: int) -> None:
         self.value = value
         self.nbytes = nbytes
-        #: Reference answers computed from ``value``, by their key.
+        #: Values derived from ``value``, by their key.
         self.derived: Dict[Hashable, Any] = {}
 
 
@@ -154,29 +158,33 @@ def _derived(dataset: Any, key: Hashable, compute: Callable[[], Any]) -> Any:
 
 
 def _param_key(value: Any) -> Hashable:
+    """Type-exact, as the generators' keys are: ``1``, ``1.0`` and
+    ``True`` compare equal but are three keys."""
     if isinstance(value, np.ndarray):
         return value.dtype.str, value.shape, value.tobytes()
-    return value
+    return type(value), value
 
 
-def memoised_reference(dataset: str, *params: str) -> Callable:
-    """Method decorator: a host reference answer kept in the memo entry of
-    ``self.<dataset>``.
+def memoised_derived(dataset: str, *params: str) -> Callable:
+    """Method decorator: a host value derived from ``self.<dataset>``,
+    kept in that dataset's memo entry.
 
     The key is the workload class, the method, and the value of
     ``self.<param>`` for each of ``params``: the workload parameters the
-    reference reads besides the dataset.  Only the host computation is
-    shared; every job still compares its own device output against it.
+    method reads besides the dataset.  Workloads of one class in different
+    modes therefore share the value.  Only host computation is shared:
+    every job still uploads its own copy and compares its own device
+    output against the reference.
     """
 
     def wrap(method: Callable) -> Callable:
         @functools.wraps(method)
-        def reference(self):
+        def derived(self):
             key = (type(self), method.__name__) + tuple(
                 _param_key(getattr(self, name)) for name in params
             )
             return _derived(getattr(self, dataset), key, lambda: method(self))
 
-        return reference
+        return derived
 
     return wrap

@@ -24,7 +24,7 @@ from ..runtime import Device, ExecutionMode
 from ..sim.kernel import KernelFunction
 from .base import Workload
 from .common import emit_dfp, emit_dynamic_launch
-from .datasets.memo import memoised_reference
+from .datasets.memo import memoised_derived
 from .datasets.relations import JoinInput
 
 _NUM_BUCKETS = 64
@@ -175,7 +175,7 @@ class JoinWorkload(Workload):
         )
 
     # ------------------------------------------------------------------
-    @memoised_reference("data")
+    @memoised_derived("data")
     def reference(self) -> tuple:
         data = self.data
         count = 0

@@ -23,7 +23,7 @@ from ..runtime import Device, ExecutionMode
 from ..sim.kernel import KernelFunction
 from .base import Workload
 from .common import emit_dfp, emit_dynamic_launch
-from .datasets.memo import memoised_reference
+from .datasets.memo import memoised_derived
 from .datasets.ratings import RatingSet
 
 _P = dict(
@@ -165,7 +165,7 @@ class RecommendationWorkload(Workload):
         )
 
     # ------------------------------------------------------------------
-    @memoised_reference("ratings")
+    @memoised_derived("ratings")
     def reference_similarity(self) -> np.ndarray:
         data = self.ratings
         item_indptr = data.item_indptr.tolist()

@@ -32,7 +32,7 @@ from ..errors import WorkloadError
 _Position = Tuple[int, int]
 
 
-@dataclass
+@dataclass(frozen=True)
 class Dfa:
     """Dense-table DFA over the byte alphabet [0, alphabet)."""
 

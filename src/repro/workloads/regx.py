@@ -26,7 +26,7 @@ from ..runtime import Device, ExecutionMode
 from ..sim.kernel import KernelFunction
 from .base import Workload
 from .common import emit_dfp, emit_dynamic_launch
-from .datasets.memo import memoised_reference
+from .datasets.memo import memoised_derived
 from .datasets.strings import PacketSet
 from .regex_engine import Dfa, build_anchored_dfa
 
@@ -154,7 +154,7 @@ class RegexWorkload(Workload):
         self.packets = packets
         self.child_threshold = child_threshold
         self.child_block = child_block
-        self.dfa = build_anchored_dfa(packets.patterns, packets.alphabet)
+        self.dfa = self.anchored_dfa()
 
     def build_kernels(self) -> List[KernelFunction]:
         kernels = [
@@ -163,6 +163,10 @@ class RegexWorkload(Workload):
         if self.mode.is_dynamic:
             kernels.append(build_regx_child(self.dfa, self.child_block))
         return kernels
+
+    @memoised_derived("packets")
+    def anchored_dfa(self) -> Dfa:
+        return build_anchored_dfa(self.packets.patterns, self.packets.alphabet)
 
     def setup(self, device: Device) -> None:
         packets = self.packets
@@ -196,7 +200,7 @@ class RegexWorkload(Workload):
         )
 
     # ------------------------------------------------------------------
-    @memoised_reference("packets")
+    @memoised_derived("packets")
     def reference_counts(self) -> np.ndarray:
         # The same DFA over Python lists: ``matches_at`` walks its tables
         # and the packet one element at a time.

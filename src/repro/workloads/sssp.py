@@ -20,7 +20,7 @@ from ..sim.kernel import KernelFunction
 from .base import Workload
 from .common import INF, emit_dfp, emit_dynamic_launch, upload_graph
 from .datasets.graphs import Graph
-from .datasets.memo import memoised_reference
+from .datasets.memo import memoised_derived
 
 _P = dict(
     FSIZE=0, FRONTIER=1, INDPTR=2, INDICES=3, WEIGHTS=4, DIST=5, INFLAG=6,
@@ -181,7 +181,7 @@ class SsspWorkload(Workload):
             self.expect(rounds < 10_000, "SSSP failed to converge")
 
     # ------------------------------------------------------------------
-    @memoised_reference("graph", "source")
+    @memoised_derived("graph", "source")
     def reference_distances(self) -> np.ndarray:
         graph = self.graph
         indptr = graph.indptr.tolist()

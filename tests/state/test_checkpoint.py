@@ -411,8 +411,22 @@ class TestSparseImage:
     """Document-level round trips: capture -> save -> load -> restore
     into a replay whose own memory and shadows are dirty at the top."""
 
-    def _roundtrip(self, tmp_path, prepare):
+    @pytest.fixture
+    def close_after(self):
+        """Closes the test's devices when it ends.  Each holds a 32 MB
+        store and the sanitizer's shadows, pages of which these tests
+        touch.  Left open, they wait for the cycle collector, and
+        whether it happens to run between two of these tests decides
+        whether their images pile up: the suite's peak RSS would wander
+        with it."""
+        devices = []
+        yield devices.append
+        for device in devices:
+            device.close()
+
+    def _roundtrip(self, tmp_path, prepare, close_after):
         captured, *_ = _build(list(range(64)), 3, 7)
+        close_after(captured)
         prepare(captured.gpu)
         # The pokes here go through the raw views, past every write site
         # that keeps the bound: declare the widest one on both sides.
@@ -422,6 +436,7 @@ class TestSparseImage:
         doc = load_checkpoint(path)
 
         replay, *_ = _build(list(range(64)), 3, 7)
+        close_after(replay)
         gpu = replay.gpu
         gpu.memory.i[-5:] = 99
         gpu.memory.i[1000:1010] = -1
@@ -437,36 +452,36 @@ class TestSparseImage:
             assert np.array_equal(_bits(getattr(gpu.sanitizer, name)), want), name
         return doc, captured.gpu
 
-    def test_all_zero_memory(self, tmp_path):
+    def test_all_zero_memory(self, tmp_path, close_after):
         def prepare(gpu):
             gpu.memory.i[:] = 0
 
-        doc, _ = self._roundtrip(tmp_path, prepare)
+        doc, _ = self._roundtrip(tmp_path, prepare, close_after)
         assert doc["state"]["memory"]["i"].size == 0
 
-    def test_last_word_set_makes_a_full_image(self, tmp_path):
+    def test_last_word_set_makes_a_full_image(self, tmp_path, close_after):
         def prepare(gpu):
             gpu.memory.i[-1] = 5
             gpu.sanitizer._w_atomic[-1] = True
 
-        doc, gpu = self._roundtrip(tmp_path, prepare)
+        doc, gpu = self._roundtrip(tmp_path, prepare, close_after)
         words = gpu.memory.size_words
         assert doc["state"]["memory"]["i"].size == words
         assert doc["state"]["sanitizer"]["_w_atomic"].size == words
 
-    def test_image_ends_at_the_last_non_zero_word(self, tmp_path):
-        doc, gpu = self._roundtrip(tmp_path, lambda gpu: None)
+    def test_image_ends_at_the_last_non_zero_word(self, tmp_path, close_after):
+        doc, gpu = self._roundtrip(tmp_path, lambda gpu: None, close_after)
         top = int(np.flatnonzero(gpu.memory.i)[-1])
         assert doc["state"]["memory"]["i"].size == top + 1 < gpu.memory.words_in_use
 
-    def test_negative_zero_and_nan_payloads_survive(self, tmp_path):
+    def test_negative_zero_and_nan_payloads_survive(self, tmp_path, close_after):
         def prepare(gpu):
             gpu.memory.i[2_000_000] = NAN_PAYLOAD
             gpu.memory.f[2_000_001] = -0.0  # the topmost set word
             gpu.sanitizer._w_value.view(np.int64)[3_000_000] = NAN_PAYLOAD
             gpu.sanitizer._w_value[3_000_001] = -0.0
 
-        doc, gpu = self._roundtrip(tmp_path, prepare)
+        doc, gpu = self._roundtrip(tmp_path, prepare, close_after)
         assert doc["state"]["memory"]["i"].size == 2_000_002
         image = doc["state"]["sanitizer"]["_w_value"]
         assert image.size == 3_000_002

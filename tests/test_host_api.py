@@ -198,8 +198,8 @@ class TestDeviceLifecycle:
 
     @pytest.mark.parametrize("core", ["fast", "reference"])
     def test_close_frees_the_store_without_the_cycle_collector(self, core):
-        """A GPU is full of reference cycles; its global store must not
-        wait for them.  Finished blocks let their warps go, so after a
+        """A running GPU is full of reference cycles; its global store
+        must not wait for them.  Finished blocks let their warps go, so after a
         kernel ran nothing but the GlobalMemory holds the arrays."""
         gc.collect()
         gc.disable()
@@ -219,10 +219,32 @@ class TestDeviceLifecycle:
         finally:
             gc.enable()
 
+    def test_closing_lets_go_of_an_attached_sampler(self):
+        """A TimelineSampler points back at its GPU; after close the two
+        are no cycle, and the samples stay readable."""
+        from repro.sim.timeline import TimelineSampler
+
+        gc.collect()
+        gc.disable()
+        try:
+            dev = Device(config=GPUConfig.small(), memory_words=1 << 16)
+            sampler = TimelineSampler(dev.gpu, interval=50)
+            dev.attach_tracer(sampler)
+            dev.register(map_kernel("inc", lambda k, v: k.iadd(v, 1)))
+            n = 256
+            dev.launch("inc", grid=2, block=128,
+                       params=[n, dev.upload(np.arange(n)), dev.alloc(n)]).wait()
+            dev.close()
+            assert sampler.samples
+            gpu = weakref.ref(dev.gpu)
+            del dev, sampler
+            assert gpu() is None
+        finally:
+            gc.enable()
+
     def test_a_finished_job_leaves_no_store_behind(self, monkeypatch):
         """run_job closes the device it made: with the collector off, the
-        32 MB stores of jobs run one after another do not pile up.  (The
-        sanitizer's shadows still wait for the collector.)"""
+        32 MB stores of jobs run one after another do not pile up."""
         from repro import JobSpec, run_job
 
         monkeypatch.delenv("REPRO_SANITIZE", raising=False)
@@ -241,6 +263,43 @@ class TestDeviceLifecycle:
         finally:
             tracemalloc.stop()
             gc.enable()
+
+    @pytest.mark.parametrize("variant", ["plain", "traced", "sanitized"])
+    @pytest.mark.parametrize("mode", ["flat", "cdp", "dtbl", "persistent"])
+    @pytest.mark.parametrize("core", ["fast", "reference"])
+    def test_a_finished_job_frees_its_gpu_without_the_collector(
+        self, monkeypatch, core, mode, variant
+    ):
+        """Closing a device cuts every reference back to its GPU, so the
+        GPU goes with its last reference, not at the next gc run."""
+        from repro import JobSpec, run_job
+        from repro.sim import gpu as gpu_module
+        from repro.sim import profiler
+
+        gpus = []
+        init = gpu_module.GPU.__init__
+
+        def tracked_init(self, *args, **kwargs):
+            init(self, *args, **kwargs)
+            gpus.append(weakref.ref(self))
+
+        monkeypatch.setattr(gpu_module.GPU, "__init__", tracked_init)
+        monkeypatch.setenv("REPRO_SANITIZE", "1" if variant == "sanitized" else "0")
+        config = dataclasses.replace(GPUConfig.k20c(), core=core)
+        spec = JobSpec.create("bfs_citation", mode, scale=0.1,
+                              latency_scale=0.1, config=config)
+        if variant == "traced":
+            profiler.activate()
+        gc.collect()
+        gc.disable()
+        try:
+            result = run_job(spec)
+        finally:
+            gc.enable()
+            if variant == "traced":
+                profiler.deactivate()
+        assert result.stats.cycles > 0
+        assert len(gpus) == 1 and gpus[0]() is None
 
 
 class TestModeLatencyValidation:

@@ -8,6 +8,9 @@ import pytest
 from repro import ExecutionMode
 from repro.workloads import benchmark_names, get_benchmark
 from repro.workloads.bfs import BfsWorkload
+from repro.workloads.bht import BarnesHutWorkload, build_quadtree
+from repro.workloads.regex_engine import build_anchored_dfa
+from repro.workloads.regx import RegexWorkload
 from repro.workloads.datasets import memo
 from repro.workloads.datasets import (
     amr_grid,
@@ -158,6 +161,12 @@ _REFERENCE_METHODS = (
     "reference_similarity", "reference_counts", "reference",
 )
 
+#: The structure besides its reference that a workload derives from its
+#: dataset, by ``app_name``: the attribute ``__init__`` keeps it as, and
+#: the memoised method that builds it.
+_DERIVED = {"bht": ("tree", "quadtree"), "regx": ("dfa", "anchored_dfa")}
+_DERIVING_BENCHMARKS = ("bht", "regx_string", "regx_darpa")
+
 
 def _arrays(value):
     """Every array inside a dataset or a reference answer."""
@@ -259,6 +268,66 @@ class TestMemo:
         cold_memo.clear()
         assert workload.reference_distances() is not answer
 
+    def test_derived_keys_are_type_exact(self, cold_memo):
+        class Probe:
+            def __init__(self, data, flag):
+                self.data, self.flag = data, flag
+
+            @memo.memoised_derived("data", "flag")
+            def value(self):
+                return repr(self.flag)
+
+        data = join_tables("uniform")
+        assert Probe(data, 1).value() == "1"
+        assert Probe(data, True).value() == "True"
+        assert Probe(data, 1.0).value() == "1.0"
+        assert Probe(data, True).value() is Probe(data, True).value()
+
+    @pytest.mark.parametrize("name", _DERIVING_BENCHMARKS)
+    def test_modes_share_one_derived_value(self, name):
+        flat = get_benchmark(name, ExecutionMode.FLAT, 0.1)
+        dtbl = get_benchmark(name, ExecutionMode.DTBL, 0.1)
+        attr, method = _DERIVED[flat.app_name]
+        assert getattr(flat, attr) is getattr(dtbl, attr) is getattr(dtbl, method)()
+
+    @pytest.mark.parametrize("name", _DERIVING_BENCHMARKS)
+    def test_derived_values_are_read_only_and_frozen(self, name):
+        workload = get_benchmark(name, ExecutionMode.FLAT, 0.1)
+        structure = getattr(workload, _DERIVED[workload.app_name][0])
+        arrays = list(_arrays(structure))
+        assert arrays
+        for array in arrays:
+            with pytest.raises(ValueError):
+                array[0] = 1
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(structure, dataclasses.fields(structure)[0].name, None)
+
+    def test_derived_values_leave_with_their_dataset(self, cold_memo, monkeypatch):
+        tree = get_benchmark("bht", ExecutionMode.FLAT, 0.1).tree
+        cold_memo.clear()
+        workload = get_benchmark("bht", ExecutionMode.FLAT, 0.1)
+        assert workload.tree is not tree
+        dfa = get_benchmark("regx_string", ExecutionMode.FLAT, 0.1).dfa
+        # Room for nothing: the next build evicts every entry, with what
+        # was derived from it.
+        monkeypatch.setattr(cold_memo, "MAX_BYTES", 1)
+        usa_road(n=400)
+        assert not cold_memo._entries and cold_memo._total == 0
+        assert workload.quadtree() is not workload.tree
+        again = get_benchmark("regx_string", ExecutionMode.FLAT, 0.1)
+        assert again.dfa is not dfa
+
+    def test_a_structure_built_by_hand_is_not_memoised(self, cold_memo):
+        points = random_points.__wrapped__(n=120)
+        bht = BarnesHutWorkload("bht", ExecutionMode.FLAT, points)
+        assert bht.quadtree() is not bht.tree
+        _assert_same_content(bht.quadtree(), bht.tree)
+        packets = random_strings.__wrapped__(n=40)
+        regx = RegexWorkload("regx", ExecutionMode.FLAT, packets)
+        assert regx.anchored_dfa() is not regx.dfa
+        _assert_same_content(regx.anchored_dfa(), regx.dfa)
+        assert not cold_memo._entries
+
     def test_a_dataset_built_by_hand_is_not_memoised(self, cold_memo):
         graph = citation_network.__wrapped__(n=100)
         workload = BfsWorkload("bfs", ExecutionMode.FLAT, graph)
@@ -293,3 +362,11 @@ def test_memoised_inputs_equal_uncached_ones(monkeypatch, name, scale):
     first = getattr(memoised, method)()
     assert getattr(memoised, method)() is first
     _assert_same_content(first, memo.freeze(uncached))
+    if isinstance(memoised, BarnesHutWorkload):
+        assert memoised.quadtree() is memoised.tree
+        direct = build_quadtree(fresh.points, fresh.leaf_capacity)
+        _assert_same_content(memoised.tree, memo.freeze(direct))
+    if isinstance(memoised, RegexWorkload):
+        assert memoised.anchored_dfa() is memoised.dfa
+        direct = build_anchored_dfa(fresh.packets.patterns, fresh.packets.alphabet)
+        _assert_same_content(memoised.dfa, memo.freeze(direct))
