@@ -8,13 +8,14 @@ device-runtime API latencies (Table 3) in the paper's per-warp linear form
 call.
 
 Both classes are frozen dataclasses; derive variants with
-:func:`dataclasses.replace`.
+:func:`dataclasses.replace`.  Being immutable values, decoded configs are
+shared: :meth:`GPUConfig.from_dict` returns one instance per distinct
+field dictionary.
 """
 
 from __future__ import annotations
 
-import hashlib
-import json
+import threading
 from dataclasses import dataclass, fields, replace
 
 from .errors import ConfigError
@@ -272,7 +273,7 @@ class GPUConfig:
                 raise ConfigError(f"{name} must be at least one cycle")
 
     # ------------------------------------------------------------------
-    # Serialization / identity
+    # Serialization
     # ------------------------------------------------------------------
     def to_dict(self) -> dict:
         """All fields as a JSON-safe dictionary (exact round trip)."""
@@ -284,31 +285,38 @@ class GPUConfig:
     def from_dict(cls, data: dict) -> "GPUConfig":
         """Rebuild a config from :meth:`to_dict` output.
 
-        Unknown keys raise :class:`ConfigError` (a stale cache entry from
-        a different code version must not be silently reinterpreted);
-        missing keys take the current defaults.
-        """
-        unknown = set(data).difference(_GPU_FIELDS)
-        if unknown:
-            raise ConfigError(
-                f"unknown GPUConfig fields: {sorted(unknown)}"
-            )
-        return cls(**data)
+        Unknown keys and values not of their field's exact type (an
+        ``int`` field takes neither ``10.0`` nor ``True``) raise
+        :class:`ConfigError`: a stale cache entry from a different code
+        version, or a client's typo, must not be silently reinterpreted.
+        Missing keys take the current defaults.
 
-    def fingerprint(self) -> str:
-        """Deterministic content hash of this configuration.
-
-        A pure function of the field values: stable across processes,
-        interpreter restarts and machines, and sensitive to every field
-        (each one can change simulation output or reported metrics).
-        Used as the configuration component of experiment cache keys —
-        see :mod:`repro.exec.fingerprint`.
+        Equal dictionaries decode to one shared instance (the config is
+        frozen), so decoding the same config again, as every cache hit
+        does, skips construction and validation.  The table is keyed by
+        field names, value types and values, so a dictionary that fails
+        validation never matches a decoded one.
         """
-        doc = json.dumps(
-            self.to_dict(), sort_keys=True, separators=(",", ":"),
-            allow_nan=False,
-        )
-        return hashlib.sha256(f"GPUConfig:{doc}".encode("utf-8")).hexdigest()
+        if not isinstance(data, dict):
+            raise ConfigError(f"config must be an object, not {type(data).__name__}")
+        key = _intern_key(cls, data)
+        try:
+            config = _INTERNED.get(key)
+        except TypeError:  # an unhashable value: _check_fields rejects it
+            config = None
+        if config is not None:
+            return config
+        _check_fields(data)
+        config = cls(**data)
+        # Also keyed in field order with every field present, so equal
+        # dictionaries written in another order or with defaults left out
+        # share one instance too.
+        canonical = _intern_key(cls, config.to_dict())
+        with _INTERN_LOCK:
+            config = _INTERNED.get(canonical, config)
+            _remember(canonical, config)
+            _remember(key, config)
+        return config
 
     @property
     def max_resident_warps(self) -> int:
@@ -343,3 +351,44 @@ class GPUConfig:
 
 
 _GPU_FIELDS = tuple(f.name for f in fields(GPUConfig))
+#: Each field's one accepted type in :meth:`GPUConfig.from_dict`.
+_GPU_TYPES = {
+    f.name: {"int": int, "bool": bool, "str": str}[f.type]
+    for f in fields(GPUConfig)
+}
+
+#: Decoded configs by :func:`_intern_key` (see :meth:`GPUConfig.from_dict`).
+#: Only immutable values live here, so every caller may share them.
+_INTERNED: dict = {}
+#: Enough for every config a sweep or a daemon sees; past it the oldest
+#: entry goes first.
+_INTERN_LIMIT = 256
+_INTERN_LOCK = threading.Lock()
+
+
+def _intern_key(cls, data: dict) -> tuple:
+    """Type-exact identity of a field dictionary: ``10`` and ``10.0``
+    (or ``1`` and ``True``) are equal values but different keys."""
+    values = tuple(data.values())
+    return (cls, tuple(data), tuple(map(type, values)), values)
+
+
+def _remember(key, config: GPUConfig) -> None:
+    if key in _INTERNED:
+        return
+    if len(_INTERNED) >= _INTERN_LIMIT:
+        del _INTERNED[next(iter(_INTERNED))]
+    _INTERNED[key] = config
+
+
+def _check_fields(data: dict) -> None:
+    unknown = set(data).difference(_GPU_FIELDS)
+    if unknown:
+        raise ConfigError(f"unknown GPUConfig fields: {sorted(unknown)}")
+    for name, value in data.items():
+        expected = _GPU_TYPES[name]
+        if type(value) is not expected:
+            raise ConfigError(
+                f"GPUConfig.{name} must be {expected.__name__}, "
+                f"got {type(value).__name__} {value!r}"
+            )

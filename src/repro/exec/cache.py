@@ -139,7 +139,8 @@ class ResultCache:
         """
         path = self.path_for(key)
         try:
-            raw = path.read_text(encoding="utf-8")
+            with open(path, "rb") as handle:
+                raw = handle.read()
         except FileNotFoundError:
             self.stats.misses += 1
             return None
@@ -161,8 +162,9 @@ class ResultCache:
         return entry["payload"]
 
     @staticmethod
-    def _decode(raw: str, key: str) -> dict:
+    def _decode(raw: bytes, key: str) -> dict:
         try:
+            # Bytes that are not UTF-8 raise UnicodeDecodeError, a ValueError.
             entry = json.loads(raw)
         except ValueError as exc:
             raise CorruptEntry(str(exc)) from exc

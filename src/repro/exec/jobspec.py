@@ -31,8 +31,8 @@ from ..config import GPUConfig
 from ..runtime import ExecutionMode
 from ..sim.sanitizer import SanitizerReport, sanitize_enabled
 from ..sim.stats import SimStats
+from . import fingerprint as _fingerprint
 from .cli import config_from_flags
-from .fingerprint import digest
 
 
 class SpecError(ValueError):
@@ -84,8 +84,19 @@ class JobSpec:
         The prefix is ``"SweepJob"`` for continuity with the original
         model: every previously written cache entry and checkpoint stays
         addressable.
+
+        Computed once per instance and per value of the two inputs that
+        live outside it, :data:`~repro.exec.fingerprint.CODE_VERSION` and
+        the :func:`~repro.sim.sanitizer.sanitize_enabled` answer; the memo
+        travels with a pickled spec and is not copied by
+        :func:`dataclasses.replace`.
         """
-        return digest("SweepJob", self.document())
+        salt = (_fingerprint.CODE_VERSION, sanitize_enabled(self.config))
+        memo = self.__dict__.get("_fingerprint_memo")
+        if memo is None or memo[0] != salt:
+            memo = (salt, _fingerprint.digest("SweepJob", self.document()))
+            object.__setattr__(self, "_fingerprint_memo", memo)
+        return memo[1]
 
     def label(self) -> str:
         """Short human-readable tag for progress output."""
@@ -226,27 +237,31 @@ class JobSpec:
         """Decode :meth:`to_dict` output (or a hand-written subset).
 
         Only ``benchmark`` and ``mode`` are required; everything else
-        defaults.  Unknown keys raise :class:`SpecError` so a client typo
-        (``"latency": …``) fails loudly instead of silently simulating
+        defaults.  Unknown keys, and values not of their field's exact
+        type, raise :class:`SpecError` so a client typo (``"latency": …``,
+        ``"verify": "false"``) fails loudly instead of silently simulating
         the wrong thing.
         """
         if not isinstance(data, dict):
             raise SpecError(f"spec must be an object, not {type(data).__name__}")
-        known = {
-            "benchmark", "mode", "scale", "latency_scale", "config",
-            "verify", "checkpoint_every", "checkpoint_dir",
-        }
-        unknown = set(data) - known
+        unknown = set(data) - _WIRE_FIELDS
         if unknown:
             raise SpecError(f"unknown spec fields: {sorted(unknown)}")
         missing = {"benchmark", "mode"} - set(data)
         if missing:
             raise SpecError(f"spec is missing fields: {sorted(missing)}")
+        for name, types in _WIRE_TYPES.items():
+            if name in data and type(data[name]) not in types:
+                raise SpecError(
+                    f"{name} must be "
+                    f"{' or '.join(t.__name__ for t in types)}, "
+                    f"got {type(data[name]).__name__} {data[name]!r}"
+                )
         mode = data["mode"]
         try:
             mode = (
                 mode if isinstance(mode, ExecutionMode)
-                else ExecutionMode.parse(str(mode))
+                else ExecutionMode.parse(mode)
             )
         except Exception as exc:
             raise SpecError(f"unknown mode {data['mode']!r}") from exc
@@ -256,17 +271,30 @@ class JobSpec:
                 config = GPUConfig.from_dict(config)
             except Exception as exc:
                 raise SpecError(f"bad config: {exc}") from exc
-        checkpoint_dir = data.get("checkpoint_dir")
         return cls.create(
-            str(data["benchmark"]),
+            data["benchmark"],
             mode,
             data.get("scale", 1.0),
             data.get("latency_scale", 1.0),
             config=config,
-            verify=bool(data.get("verify", True)),
+            verify=data.get("verify", True),
             checkpoint_every=data.get("checkpoint_every"),
-            checkpoint_dir=str(checkpoint_dir) if checkpoint_dir else None,
+            checkpoint_dir=data.get("checkpoint_dir") or None,
         ).validate()
+
+
+#: What :meth:`JobSpec.from_dict` accepts for each field but ``config``,
+#: by exact type: ``"false"`` is not a bool, ``True`` is not a scale.
+_WIRE_TYPES = {
+    "benchmark": (str,),
+    "mode": (str, ExecutionMode),
+    "scale": (int, float),
+    "latency_scale": (int, float),
+    "verify": (bool,),
+    "checkpoint_every": (int, type(None)),
+    "checkpoint_dir": (str, type(None)),
+}
+_WIRE_FIELDS = frozenset(_WIRE_TYPES) | {"config"}
 
 
 @dataclass

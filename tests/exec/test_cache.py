@@ -80,6 +80,14 @@ class TestRobustness:
         assert cache.load(KEY) is None
         assert cache.stats.quarantined == 1
 
+    def test_non_utf8_entry_is_quarantined(self, cache):
+        cache.store(KEY, PAYLOAD)
+        path = cache.path_for(KEY)
+        path.write_bytes(b'{"format": 2, "key": "\xff\xfe"}')
+        assert cache.load(KEY) is None
+        assert cache.stats.quarantined == 1
+        assert path.with_suffix(".json.corrupt").exists()
+
     def test_entry_with_wrong_key_is_quarantined(self, cache):
         cache.store(KEY, PAYLOAD)
         entry = json.loads(cache.path_for(KEY).read_text(encoding="utf-8"))

@@ -1,7 +1,8 @@
-"""Job/config fingerprinting: stability and sensitivity."""
+"""Job fingerprinting: stability, sensitivity and the per-spec memo."""
 
 import dataclasses
 import os
+import pickle
 import subprocess
 import sys
 from pathlib import Path
@@ -31,34 +32,44 @@ def _mutated(field: dataclasses.Field, value):
     return value + 1
 
 
+def _config_key(config) -> str:
+    """The fingerprint of one fixed job under ``config``: a config's only
+    identity is the one it gives the job that runs on it."""
+    return JobSpec.create(
+        "bfs_citation", ExecutionMode.DTBL, 0.5, 0.25, config=config
+    ).fingerprint()
+
+
 class TestConfigFingerprint:
     def test_stable_within_process(self):
-        assert GPUConfig.k20c().fingerprint() == GPUConfig().fingerprint()
-        assert GPUConfig.small().fingerprint() == GPUConfig.small().fingerprint()
+        assert _config_key(GPUConfig.k20c()) == _config_key(GPUConfig())
+        assert _config_key(GPUConfig.small()) == _config_key(GPUConfig.small())
 
     def test_stable_across_process_boundary(self):
-        """The same config hashes identically in a fresh interpreter."""
+        """The same job hashes identically in a fresh interpreter."""
         src = str(Path(repro.__file__).resolve().parents[1])
         env = dict(os.environ)
         env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
         code = (
             "from repro.config import GPUConfig;"
-            "print(GPUConfig.k20c().fingerprint())"
+            "from repro.exec import JobSpec;"
+            "print(JobSpec.create('bfs_citation', 'dtbl', 0.5, 0.25,"
+            " config=GPUConfig.small()).fingerprint())"
         )
         out = subprocess.run(
             [sys.executable, "-c", code],
             capture_output=True, text=True, env=env, check=True,
         )
-        assert out.stdout.strip() == GPUConfig.k20c().fingerprint()
+        assert out.stdout.strip() == _config_key(GPUConfig.small())
 
     def test_sensitive_to_every_field(self):
-        """Changing any one field changes the fingerprint.
+        """Changing any one config field changes the job's fingerprint.
 
         ``l2_line`` is excluded: the validator pins it to the coalescing
         segment size, so it has exactly one legal value.
         """
         base = GPUConfig.k20c()
-        base_fp = base.fingerprint()
+        base_fp = _config_key(base)
         seen = {base_fp}
         for field in dataclasses.fields(GPUConfig):
             if field.name == "l2_line":
@@ -66,14 +77,14 @@ class TestConfigFingerprint:
                 continue
             mutation = {field.name: _mutated(field, getattr(base, field.name))}
             variant = dataclasses.replace(base, **mutation)
-            variant_fp = variant.fingerprint()
+            variant_fp = _config_key(variant)
             assert variant_fp != base_fp, f"insensitive to {field.name}"
             assert variant_fp not in seen, f"collision on {field.name}"
             seen.add(variant_fp)
 
     def test_round_trip_preserves_fingerprint(self):
         cfg = GPUConfig.small()
-        assert GPUConfig.from_dict(cfg.to_dict()).fingerprint() == cfg.fingerprint()
+        assert _config_key(GPUConfig.from_dict(cfg.to_dict())) == _config_key(cfg)
 
     def test_from_dict_rejects_unknown_fields(self):
         data = GPUConfig.k20c().to_dict()
@@ -156,3 +167,55 @@ class TestSweepJobFingerprint:
         )
         for module in (repro, repro.exec, fp_module):
             assert not hasattr(module, "SweepJob")
+
+    # A spec hashes once; the memo follows the two inputs outside it.
+    def test_held_spec_hashes_once(self, monkeypatch):
+        calls = []
+        real = fp_module.digest
+        monkeypatch.setattr(
+            fp_module, "digest", lambda *a: calls.append(a) or real(*a)
+        )
+        spec = self._job()
+        assert spec.fingerprint() == spec.fingerprint() == self._job().fingerprint()
+        assert len(calls) == 2  # one per instance
+
+    def test_same_instance_follows_sanitize_env(self, monkeypatch):
+        monkeypatch.delenv("REPRO_SANITIZE", raising=False)
+        spec = self._job()
+        plain = spec.fingerprint()
+        monkeypatch.setenv("REPRO_SANITIZE", "1")
+        sanitized = spec.fingerprint()
+        assert sanitized != plain
+        assert sanitized == self._job().fingerprint()
+        monkeypatch.setenv("REPRO_SANITIZE", "0")
+        assert spec.fingerprint() == plain
+
+    def test_same_instance_follows_code_version(self, monkeypatch):
+        spec = self._job()
+        before = spec.fingerprint()
+        monkeypatch.setattr(fp_module, "CODE_VERSION", "repro-0.0.0:test")
+        after = spec.fingerprint()
+        assert after != before
+        assert after == self._job().fingerprint()
+        monkeypatch.undo()
+        assert spec.fingerprint() == before
+
+    def test_pickle_round_trip_keeps_the_hash_correct(self, monkeypatch):
+        monkeypatch.delenv("REPRO_SANITIZE", raising=False)
+        spec = self._job()
+        plain = spec.fingerprint()
+        clone = pickle.loads(pickle.dumps(spec))
+        assert clone == spec
+        assert clone.fingerprint() == plain
+        # A worker whose environment differs from the sender's rehashes.
+        monkeypatch.setenv("REPRO_SANITIZE", "1")
+        assert pickle.loads(pickle.dumps(spec)).fingerprint() == (
+            self._job().fingerprint()
+        )
+
+    def test_replace_does_not_inherit_the_memo(self):
+        spec = self._job()
+        spec.fingerprint()
+        changed = dataclasses.replace(spec, scale=0.25)
+        assert changed.fingerprint() == self._job(scale=0.25).fingerprint()
+        assert changed.fingerprint() != spec.fingerprint()

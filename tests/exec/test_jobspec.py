@@ -108,6 +108,34 @@ class TestWireFormat:
                     {"benchmark": "bht", "mode": "flat", "config": config}
                 )
 
+    @pytest.mark.parametrize("fields", [
+        {"verify": "false"},        # was read as True
+        {"verify": 0},
+        {"scale": True},
+        {"scale": "0.5"},
+        {"latency_scale": None},
+        {"benchmark": 7},
+        {"mode": 3},
+        {"checkpoint_every": 100.0},
+        {"checkpoint_dir": 5},
+        {"config": {"alu_latency": 10.0}},
+        {"config": {"agt_entries": 1024.0}},
+        {"config": ["num_smx", 13]},
+    ])
+    def test_wrong_types_raise_spec_error(self, fields):
+        with pytest.raises(SpecError, match=next(iter(fields))):
+            JobSpec.from_dict({"benchmark": "bht", "mode": "flat", **fields})
+
+    def test_exact_types_still_decode(self):
+        spec = JobSpec.from_dict({
+            "benchmark": "bht", "mode": ExecutionMode.DTBL, "scale": 1,
+            "latency_scale": 0.25, "verify": False, "checkpoint_every": None,
+            "checkpoint_dir": "", "config": {"num_smx": 2},
+        })
+        assert spec.scale == 1.0 and isinstance(spec.scale, float)
+        assert spec.verify is False and spec.checkpoint_dir is None
+        assert spec.config == GPUConfig(num_smx=2)
+
     def test_missing_required_fields(self):
         with pytest.raises(SpecError, match="mode"):
             JobSpec.from_dict({"benchmark": "bht"})

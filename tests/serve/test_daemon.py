@@ -545,10 +545,11 @@ class TestProtocol:
         with pytest.raises(ServeError) as excinfo:
             client.submit({"benchmark": "bht", "mode": "flat", "latency": 1})
         assert excinfo.value.status == 400
-        with pytest.raises(ServeError) as excinfo:
-            client.submit({"benchmark": "bht", "mode": "flat",
-                           "config": {"core": "vector"}})
-        assert excinfo.value.status == 400
+        for bad in ({"config": {"core": "vector"}},
+                    {"config": {"num_smx": 13.0}}, {"verify": "false"}):
+            with pytest.raises(ServeError) as excinfo:
+                client.submit({"benchmark": "bht", "mode": "flat", **bad})
+            assert excinfo.value.status == 400
         with pytest.raises(ServeError) as excinfo:
             client.job("j999999")
         assert excinfo.value.status == 404

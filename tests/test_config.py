@@ -1,9 +1,11 @@
 """Tests for the Table 2 / Table 3 configuration objects."""
 
 import dataclasses
+import json
 
 import pytest
 
+from repro import config as config_module
 from repro.config import (
     SEGMENT_BYTES,
     SEGMENT_WORDS,
@@ -117,10 +119,58 @@ class TestCoreSelection:
             for cfg in (None, GPUConfig(core="fast"), GPUConfig(core="reference"))
         ]
         assert fps[0] == fps[1] != fps[2]
-        config_fps = {GPUConfig().fingerprint()} | {
-            GPUConfig(core=core).fingerprint() for core in ("reference", "fast")
-        }
-        assert len(config_fps) == 2
+
+
+class TestFromDict:
+    """Decoding a config: exact types, one shared instance per value."""
+
+    @pytest.mark.parametrize("fields", [
+        {"alu_latency": 10.0},       # ran, with float cycles
+        {"num_smx": 13.0},           # failed in the worker
+        {"agt_entries": 1024.0},     # a raw TypeError
+        {"num_smx": True},
+        {"dtbl_no_coalescing": 0},
+        {"warp_scheduler": None},
+        {"num_smx": [13]},
+    ])
+    def test_wrong_types_raise_config_error(self, fields):
+        with pytest.raises(ConfigError, match=next(iter(fields))):
+            GPUConfig.from_dict(fields)
+
+    def test_not_a_dict_raises_config_error(self):
+        with pytest.raises(ConfigError):
+            GPUConfig.from_dict([("num_smx", 13)])
+
+    def test_equal_dicts_give_one_instance(self):
+        data = GPUConfig.small().to_dict()
+        decoded = GPUConfig.from_dict(json.loads(json.dumps(data)))
+        assert decoded == GPUConfig.small()
+        assert GPUConfig.from_dict(dict(data)) is decoded
+        assert GPUConfig.from_dict(dict(reversed(data.items()))) is decoded
+        # Defaults left out: an equal config, the same instance.
+        assert GPUConfig.from_dict({}) is GPUConfig.from_dict(GPUConfig().to_dict())
+
+    def test_type_distinct_dicts_never_share_an_instance(self):
+        plain = GPUConfig.from_dict({"dtbl_no_coalescing": False, "num_smx": 2})
+        assert plain.num_smx == 2 and plain.dtbl_no_coalescing is False
+        # Equal to the keys above under ==, rejected all the same.
+        for fields in ({"dtbl_no_coalescing": 0, "num_smx": 2},
+                       {"dtbl_no_coalescing": False, "num_smx": 2.0}):
+            with pytest.raises(ConfigError):
+                GPUConfig.from_dict(fields)
+
+    def test_table_stays_bounded(self):
+        limit = config_module._INTERN_LIMIT
+        decoded = [
+            GPUConfig.from_dict({"context_setup_cycles": 1000 + n})
+            for n in range(2 * limit)
+        ]
+        assert len(config_module._INTERNED) <= limit
+        assert [c.context_setup_cycles for c in decoded] == [
+            1000 + n for n in range(2 * limit)
+        ]
+        # An evicted value decodes again, to an equal config.
+        assert GPUConfig.from_dict({"context_setup_cycles": 1000}) == decoded[0]
 
 
 class TestLatencyModelTable3:
