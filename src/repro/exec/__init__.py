@@ -12,7 +12,8 @@ the serving daemon (:mod:`repro.serve`):
   and runs;
 * :mod:`repro.exec.cache` — a content-addressed on-disk result store
   (:class:`ResultCache`) with atomic writes and corrupt-entry
-  quarantine;
+  quarantine, its entries written and read by :mod:`repro.exec.codec`,
+  the JSON codec the serving daemon's wire shares;
 * :mod:`repro.exec.pool` — the resident worker process both schedulers
   launch jobs onto, and a multi-process sweep engine
   (:class:`SweepEngine`) over it with bounded retry and in-process

@@ -1,9 +1,10 @@
 """Content-addressed on-disk store for simulation results.
 
-Entries are JSON blobs under a cache root (default ``.repro-cache/``),
-addressed by :meth:`repro.exec.jobspec.JobSpec.fingerprint` and
-fanned out over 256 two-hex-digit subdirectories.  The store is safe for
-concurrent writers and robust to corruption:
+Entries are JSON blobs (:mod:`repro.exec.codec`) under a cache root
+(default ``.repro-cache/``), addressed by
+:meth:`repro.exec.jobspec.JobSpec.fingerprint` and fanned out over 256
+two-hex-digit subdirectories.  The store is safe for concurrent writers
+and robust to corruption:
 
 * **atomic writes** — every store writes a unique temporary file in the
   entry's directory and ``os.replace``-s it into place, so readers never
@@ -26,12 +27,13 @@ after a cached sweep).
 from __future__ import annotations
 
 import glob
-import json
 import os
 import tempfile
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional
+
+from . import codec
 
 #: On-disk entry format version.  Bump when the entry layout changes;
 #: old entries are invalidated on read.
@@ -164,8 +166,8 @@ class ResultCache:
     @staticmethod
     def _decode(raw: bytes, key: str) -> dict:
         try:
-            # Bytes that are not UTF-8 raise UnicodeDecodeError, a ValueError.
-            entry = json.loads(raw)
+            # Bytes that are not UTF-8 raise a ValueError too.
+            entry = codec.decode(raw)
         except ValueError as exc:
             raise CorruptEntry(str(exc)) from exc
         if (
@@ -181,10 +183,14 @@ class ResultCache:
     # Write side
     # ------------------------------------------------------------------
     def store(self, key: str, payload: dict) -> None:
-        """Atomically persist ``payload`` under ``key`` (:func:`atomic_write`)."""
+        """Atomically persist ``payload`` under ``key`` (:func:`atomic_write`).
+
+        A payload :func:`repro.exec.codec.encode` cannot write (an int
+        wider than 64 bits, say) raises ``TypeError`` before any file is
+        opened.
+        """
         entry = {"format": ENTRY_FORMAT, "key": key, "payload": payload}
-        encoded = json.dumps(entry, sort_keys=True, separators=(",", ":"))
-        atomic_write(self.path_for(key), encoded.encode("utf-8"))
+        atomic_write(self.path_for(key), codec.encode(entry))
         self.stats.stores += 1
 
     def invalidate(self, key: str) -> None:

@@ -321,7 +321,12 @@ class JobResult:
         return self.stats.cycles
 
     def to_payload(self) -> dict:
-        """The JSON-safe payload dictionary (cache/wire format)."""
+        """The JSON-safe payload dictionary (cache/wire format).
+
+        JSON-safe for :mod:`repro.exec.codec`: every counter fits in 64
+        bits and ``wall_seconds`` is finite.  A counter of 2**64 or more
+        would make :meth:`ResultCache.store` raise ``TypeError``.
+        """
         return {
             "stats": self.stats.to_dict(),
             "wall_seconds": self.wall_seconds,

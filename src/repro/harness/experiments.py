@@ -11,11 +11,14 @@ EXPERIMENTS.md from the resolved cells.
 from __future__ import annotations
 
 import dataclasses
+import hashlib
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence
 
 from ..config import GPUConfig
-from ..exec import JobResult, JobSpec
+from ..exec import JobResult, JobSpec, canonical_json
+from ..runtime import ExecutionMode
+from ..sim.stats import SimStats
 from ..workloads import benchmark_names
 from .claims import STATUSES, VARIANTS, CellKey, Cells, Claim, ClaimError, Needs, Verdict
 from .paper import CLAIMS, FIGURES, INTRO, LEGEND, NOTES
@@ -61,6 +64,8 @@ class Evaluation:
     benchmarks: Sequence[str]
     #: One result per distinct simulation, as ``resolve`` returned them.
     results: List[JobResult]
+    #: The ``SimStats`` of every resolved cell.
+    cells: Dict[CellKey, SimStats]
     #: Keyed by what ``--figure`` calls each, in paper order.
     experiments: Dict[str, Experiment]
     verdicts: List[Verdict]
@@ -104,8 +109,36 @@ class Evaluation:
             "\n".join(reasons),
             *(experiment.render() for experiment in self.experiments.values()),
             NOTES,
+            self.cell_table(),
         ]
         return "\n\n".join(parts) + "\n"
+
+    def cell_table(self) -> str:
+        """The appendix naming every resolved cell's counters, so that a
+        drift no verdict notices still changes this document."""
+        modes = list(ExecutionMode)
+        rows = []
+        for key in sorted(self.cells, key=lambda k: (k[0], modes.index(k[1]), k[2])):
+            benchmark, mode, variant = key
+            stats = self.cells[key]
+            digest = hashlib.sha256(
+                canonical_json(stats.to_dict()).encode("utf-8")
+            ).hexdigest()
+            rows.append([
+                benchmark, mode.value, variant, stats.cycles,
+                stats.issued_instructions, stats.coalescing.transactions,
+                len(stats.launches), stats.agt_hash_spills, digest[:12],
+            ])
+        return format_table(
+            "Cells",
+            ["benchmark", "mode", "variant", "cycles", "issued",
+             "transactions", "launches", "AGT spills", "stats digest"],
+            rows,
+            f"{len(rows)} cells.  The digest is the first 12 hex digits of the "
+            "SHA-256 of the cell's canonical `SimStats.to_dict()` "
+            "(`repro.exec.canonical_json`), so any counter that moves changes "
+            "its row, within tolerance or not.",
+        )
 
 
 def evaluate(
@@ -179,6 +212,6 @@ def evaluate(
         for claim in judged
     ]
     return Evaluation(
-        scale, latency_scale, selected or everything, results, experiments,
-        verdicts, unjudged,
+        scale, latency_scale, selected or everything, results, stats,
+        experiments, verdicts, unjudged,
     )

@@ -1,7 +1,8 @@
 """repro.serve: an async simulation daemon behind the JobSpec API.
 
 A long-running asyncio daemon that serves concurrent sweep traffic over
-HTTP/JSON (stdlib only).  Clients submit :class:`~repro.exec.JobSpec`
+HTTP/JSON (the stdlib's asyncio and ``http.client``, and the JSON codec
+of :mod:`repro.exec.codec`).  Clients submit :class:`~repro.exec.JobSpec`
 documents — the same canonical job model the CLIs and the sweep engine
 consume — and get back the same bit-identical results, because the
 daemon's worker processes run the same single execution path

@@ -1,9 +1,10 @@
-"""Stdlib HTTP client for the :mod:`repro.serve` daemon.
+"""HTTP client for the :mod:`repro.serve` daemon.
 
 :class:`ServeClient` wraps the daemon's JSON endpoints (see
 :mod:`repro.serve.server`) behind the same vocabulary the rest of the
 repository uses: submit :class:`~repro.exec.JobSpec`\\ s, get
-:class:`~repro.exec.JobResult`\\ s back.
+:class:`~repro.exec.JobResult`\\ s back.  It speaks over the stdlib's
+``http.client``, with the daemon's own codec (:mod:`repro.exec.codec`).
 
 Quickstart::
 
@@ -41,13 +42,12 @@ transparently when the daemon has closed it in the meantime;
 
 from __future__ import annotations
 
-import json
 import time
 from collections import OrderedDict
 from http.client import HTTPConnection
 from typing import Iterator, List, Optional, Sequence, Tuple, Union
 
-from ..exec import JobResult, JobSpec
+from ..exec import JobResult, JobSpec, codec
 
 SpecLike = Union[JobSpec, dict]
 
@@ -104,7 +104,7 @@ class ServeClient:
     # ------------------------------------------------------------------
     def _request(self, method: str, path: str, body: Optional[dict] = None) -> dict:
         conn = self._conn
-        encoded = json.dumps(body).encode("utf-8") if body is not None else None
+        encoded = codec.encode(body) if body is not None else None
         headers = {"Content-Type": "application/json"} if encoded else {}
         # A reused connection may have been closed by the daemon since the
         # last response; that shows as a send error or an empty reply,
@@ -120,7 +120,7 @@ class ServeClient:
                     raise
                 conn.request(method, path, body=encoded, headers=headers)
                 response = conn.getresponse()
-            payload = json.loads(response.read().decode("utf-8") or "{}")
+            payload = codec.decode(response.read() or b"{}")
         except BaseException:
             conn.close()  # mid-exchange: nothing more can be framed on it
             raise
@@ -206,12 +206,12 @@ class ServeClient:
             conn.request("GET", f"/jobs/{job_id}/events")
             response = conn.getresponse()
             if response.status >= 400:
-                payload = json.loads(response.read().decode("utf-8") or "{}")
+                payload = codec.decode(response.read() or b"{}")
                 raise ServeError(response.status, payload)
             for line in response:
                 line = line.strip()
                 if line:
-                    yield json.loads(line)
+                    yield codec.decode(line)
         finally:
             conn.close()
 

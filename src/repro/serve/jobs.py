@@ -142,6 +142,16 @@ def _warm_imports() -> None:
             importlib.import_module(module.name)
 
 
+def _check_type(name: str, value, expected: type) -> None:
+    """Refuse ``value`` unless its type is exactly ``expected``: what a
+    client sends is validated, never coerced (``True`` is no priority)."""
+    if type(value) is not expected:
+        raise TypeError(
+            f"{name} must be {expected.__name__}, "
+            f"got {type(value).__name__} {value!r}"
+        )
+
+
 @dataclass
 class Job:
     """One submission's full lifecycle state (daemon-internal)."""
@@ -290,11 +300,15 @@ class JobManager:
         """Register one job; returns its info dict immediately.
 
         ``spec`` is a :class:`JobSpec` or its ``to_dict`` form (the wire
-        format).  Raises :class:`~repro.exec.SpecError` on a bad spec and
-        :class:`QuotaExceeded` when the client is over quota.
+        format).  Raises :class:`~repro.exec.SpecError` on a bad spec,
+        ``TypeError`` when ``client`` is not a ``str`` or ``priority`` not
+        an ``int`` (a ``bool`` is not one), and :class:`QuotaExceeded`
+        when the client is over quota.
         """
         if self._closed:
             raise RuntimeError("daemon is shutting down")
+        _check_type("client", client, str)
+        _check_type("priority", priority, int)
         # ``from_dict`` validates what it builds.
         spec = spec.validate() if isinstance(spec, JobSpec) else JobSpec.from_dict(spec)
         if self.config.checkpoint_every is not None:
@@ -304,7 +318,7 @@ class JobManager:
         fingerprint = spec.fingerprint()
         seq = next(self._seq)
         job = Job(
-            id=f"j{seq:06d}", client=str(client), priority=int(priority),
+            id=f"j{seq:06d}", client=client, priority=priority,
             spec=spec, fingerprint=fingerprint, seq=seq,
         )
         self.stats.submitted += 1

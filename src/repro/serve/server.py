@@ -1,7 +1,8 @@
 """Minimal asyncio HTTP front-end for the simulation daemon.
 
-Stdlib-only: a hand-rolled HTTP/1.1 server on ``asyncio.start_server``
-speaking JSON, plus one NDJSON streaming endpoint.  Endpoints:
+A hand-rolled HTTP/1.1 server on ``asyncio.start_server`` speaking JSON,
+plus one NDJSON streaming endpoint.  Every body and event is written and
+read by :mod:`repro.exec.codec`.  Endpoints:
 
 ====== ========================= =========================================
 Method Path                      Meaning
@@ -34,9 +35,12 @@ had to run in the answer to the wait that saw it end (two);
 Request bodies are JSON: ``{"spec": {...}, "client": "...",
 "priority": 0}`` for ``/jobs``; ``{"specs": [...], ...}`` for
 ``/sweeps`` (``spec`` objects are :meth:`repro.exec.JobSpec.to_dict`
-documents).  Error mapping: bad spec/body -> ``400``, unknown job ->
-``404``, result not ready -> ``409``, body over :data:`MAX_BODY_BYTES`
--> ``413``, quota exceeded -> ``429``, shutting down -> ``503``.
+documents; ``client``, default ``"anon"``, must be a string and
+``priority``, default 0, an integer — ``true``, ``2.9`` or ``"7"`` is
+refused, not coerced).  Error mapping: bad spec/body -> ``400``,
+unknown job -> ``404``, result not ready -> ``409``, body over
+:data:`MAX_BODY_BYTES` -> ``413``, quota exceeded -> ``429``, shutting
+down -> ``503``.
 
 Connections are kept alive: a connection carries one request after
 another until the peer closes it or sends ``Connection: close``.  The
@@ -49,11 +53,10 @@ request on the wire cannot be trusted to be the next one.
 from __future__ import annotations
 
 import asyncio
-import json
 from typing import NamedTuple, Optional, Set, Tuple
 from urllib.parse import parse_qs
 
-from ..exec import SpecError
+from ..exec import SpecError, codec
 from .jobs import JobManager, QuotaExceeded, ServeConfig, UnknownJob
 
 #: Largest request body read (a ``/sweeps`` of a few thousand specs, at
@@ -132,7 +135,7 @@ async def _read_request(reader) -> Optional[_Request]:
         except asyncio.IncompleteReadError:
             raise _BadRequest("request body shorter than Content-Length") from None
         try:
-            body = json.loads(raw)
+            body = codec.decode(raw)
         except ValueError:
             raise _BadRequest("request body is not valid JSON") from None
         if not isinstance(body, dict):
@@ -145,7 +148,7 @@ async def _read_request(reader) -> Optional[_Request]:
 
 
 def _response(status: int, payload: dict, close: bool = False) -> bytes:
-    body = json.dumps(payload).encode("utf-8")
+    body = codec.encode(payload)
     head = (
         f"HTTP/1.1 {status} {_REASONS.get(status, 'Unknown')}\r\n"
         f"Content-Type: application/json\r\n"
@@ -284,8 +287,8 @@ class ReproServer:
                 raise _BadRequest('body must carry a "spec" object')
             return 202, manager.submit(
                 body["spec"],
-                client=str(body.get("client", "anon")),
-                priority=int(body.get("priority", 0)),
+                client=body.get("client", "anon"),
+                priority=body.get("priority", 0),
             )
         if path == "/sweeps" and method == "POST":
             specs = body.get("specs")
@@ -293,8 +296,8 @@ class ReproServer:
                 raise _BadRequest('body must carry a non-empty "specs" list')
             infos = manager.submit_sweep(
                 specs,
-                client=str(body.get("client", "anon")),
-                priority=int(body.get("priority", 0)),
+                client=body.get("client", "anon"),
+                priority=body.get("priority", 0),
             )
             return 202, {"jobs": infos}
         if path == "/status" and method == "GET":
@@ -337,7 +340,7 @@ class ReproServer:
             )
             await writer.drain()
             async for event in manager.stream(job_id):
-                writer.write(json.dumps(event).encode("utf-8") + b"\n")
+                writer.write(codec.encode(event) + b"\n")
                 await writer.drain()
             return None
         if verb == "cancel" and method == "POST":

@@ -6,8 +6,10 @@ import threading
 
 import pytest
 
-from repro.exec import ResultCache
-from repro.exec.cache import ENTRY_FORMAT, atomic_write
+from repro.config import GPUConfig
+from repro.exec import JobResult, ResultCache
+from repro.exec.cache import ENTRY_FORMAT, atomic_write, temp_files
+from repro.sim.stats import LaunchKind, LaunchRecord, SimStats
 
 KEY = "ab" * 32
 OTHER = "cd" * 32
@@ -56,6 +58,58 @@ class TestRoundTrip:
             cache.load("../../etc/passwd")
         with pytest.raises(ValueError):
             cache.store("short", PAYLOAD)
+
+
+def launch_heavy_payload(launches: int = 600) -> dict:
+    """A dynamic-mode result's shape: counters, a config, and a long
+    launch table with missing cycles, as ``JobResult.to_payload`` writes it."""
+    stats = SimStats(GPUConfig.k20c())
+    stats.cycles, stats.issued_instructions = 817_204, 2**40 + 3
+    kinds = list(LaunchKind)
+    stats.launches = [
+        LaunchRecord(
+            kinds[i % len(kinds)], f"child{i % 5}", 100 * i, i % 7 + 1,
+            32 * (i % 7 + 1), 8 * (i % 3), 64,
+            None if i % 11 == 0 else 100 * i + 40,
+            None if i % 13 == 0 else 100 * i + 41,
+            None if i % 17 == 0 else 100 * i + 99,
+        )
+        for i in range(launches)
+    ]
+    return JobResult(stats, wall_seconds=0.8123456789).to_payload()
+
+
+def stdlib_entry(key: str, payload: dict) -> bytes:
+    """An entry as the stdlib encoder writes it (what format 2 has always been)."""
+    entry = {"format": ENTRY_FORMAT, "key": key, "payload": payload}
+    return json.dumps(entry, sort_keys=True, separators=(",", ":")).encode("utf-8")
+
+
+class TestCodec:
+    """Entries go through ``repro.exec.codec``: the same bytes as the
+    stdlib encoder, and entries that encoder wrote read back as they are."""
+
+    def test_entry_bytes_are_the_stdlib_encoding(self, cache):
+        payload = launch_heavy_payload()
+        cache.store(KEY, payload)
+        assert cache.path_for(KEY).read_bytes() == stdlib_entry(KEY, payload)
+
+    def test_entry_written_by_the_stdlib_encoder_loads(self, cache):
+        payload = launch_heavy_payload()
+        atomic_write(cache.path_for(KEY), stdlib_entry(KEY, payload))
+        assert cache.load(KEY) == payload
+        assert (cache.stats.hits, cache.stats.quarantined, cache.stats.invalidated) == (1, 0, 0)
+        rebuilt = JobResult.from_payload(cache.load(KEY))
+        assert rebuilt.to_payload() == payload
+
+    def test_int_beyond_64_bits_raises_and_leaves_no_file(self, cache):
+        payload = launch_heavy_payload(launches=3)
+        payload["stats"]["cycles"] = 2**64
+        with pytest.raises(TypeError):
+            cache.store(KEY, payload)
+        path = cache.path_for(KEY)
+        assert not path.exists() and temp_files(path) == []
+        assert cache.stats.stores == 0
 
 
 class TestRobustness:

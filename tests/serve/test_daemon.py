@@ -550,9 +550,36 @@ class TestProtocol:
             with pytest.raises(ServeError) as excinfo:
                 client.submit({"benchmark": "bht", "mode": "flat", **bad})
             assert excinfo.value.status == 400
+        # ``priority`` and ``client`` are validated, not coerced: 2.9 is
+        # not priority 2, ``true`` not 1, "7" not 7, and null no client.
+        for priority in (2.9, True, "7", None):
+            with pytest.raises(ServeError) as excinfo:
+                client.submit(spec_for("bht", "flat"), priority=priority)
+            assert excinfo.value.status == 400
+            assert "priority must be int" in str(excinfo.value)
+            with pytest.raises(ServeError) as excinfo:
+                client.submit_sweep([spec_for("bht", "flat")], priority=priority)
+            assert excinfo.value.status == 400
+        for name in (None, 7, ["alice"]):
+            with daemon.client(name) as other, pytest.raises(ServeError) as excinfo:
+                other.submit(spec_for("bht", "flat"))
+            assert excinfo.value.status == 400
+            assert "client must be str" in str(excinfo.value)
+        assert client.status()["jobs"] == {}
         with pytest.raises(ServeError) as excinfo:
             client.job("j999999")
         assert excinfo.value.status == 404
+
+    def test_floats_cross_the_wire_unchanged(self, daemon_factory):
+        """The codec writes 1e-05 as 0.00001; it is the same float, so the
+        daemon fingerprints the spec as the caller does."""
+        daemon = daemon_factory(workers=1, cache=False)
+        client = daemon.client()
+        spec = JobSpec.create("bht", ExecutionMode.FLAT, 0.3, 1e-05)
+        info = client.submit(spec)
+        client.cancel(info["id"])
+        assert info["fingerprint"] == spec.fingerprint()
+        assert (info["spec"]["scale"], info["spec"]["latency_scale"]) == (0.3, 1e-05)
 
     def test_result_before_completion_is_409(self, daemon_factory):
         daemon = daemon_factory(

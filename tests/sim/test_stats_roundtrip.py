@@ -7,6 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.config import GPUConfig
+from repro.exec import JobResult, ResultCache
 from repro.memory.coalescing import CoalescingStats
 from repro.memory.dram import DramStats
 from repro.runtime import ExecutionMode
@@ -109,14 +110,15 @@ class TestComponentRoundTrips:
             CoalescingStats.from_dict(data)
 
 
-_cycle = st.integers(min_value=0, max_value=2**40)
-_maybe_cycle = st.none() | _cycle
+#: Any counter or cycle a 64-bit signed int holds.
+_count = st.integers(min_value=0, max_value=2**63 - 1)
+_maybe_cycle = st.none() | _count
 _records = st.lists(
     st.builds(
         LaunchRecord,
         kind=st.sampled_from(LaunchKind),
         kernel_name=st.text(max_size=8),
-        launch_cycle=_cycle,
+        launch_cycle=_count,
         total_blocks=st.integers(1, 2**16),
         total_threads=st.integers(1, 2**20),
         param_bytes=st.integers(0, 2**12),
@@ -181,6 +183,42 @@ class TestLaunchColumns:
         data["launches"] = rows
         with pytest.raises(ValueError):
             SimStats.from_dict(data)
+
+
+@st.composite
+def _payloads(draw) -> dict:
+    """A random ``JobResult.to_payload()``: every counter up to 2**63 - 1."""
+    stats = SimStats(GPUConfig())
+    for name in SimStats._COUNTER_FIELDS:
+        setattr(stats, name, draw(_count))
+    stats.coalescing = CoalescingStats.from_dict({
+        "warp_accesses": draw(_count), "transactions": draw(_count),
+        "lanes": draw(_count),
+        "histogram": draw(st.lists(_count, min_size=33, max_size=33)),
+    })
+    stats.dram = DramStats(*(draw(_count) for _ in range(5)))
+    stats.launches = draw(_records)
+    wall = draw(st.floats(allow_nan=False, allow_infinity=False))
+    return JobResult(stats, wall_seconds=wall).to_payload()
+
+
+class TestCacheRoundTrip:
+    """What the result cache stores is what it loads, for any payload."""
+
+    @pytest.fixture(scope="class")
+    def cache(self, tmp_path_factory):
+        return ResultCache(tmp_path_factory.mktemp("cache"))
+
+    @settings(max_examples=60, deadline=None)
+    @given(payload=_payloads())
+    def test_load_of_store_is_the_payload(self, cache, payload):
+        key = "ab" * 32
+        cache.store(key, payload)
+        loaded = cache.load(key)
+        assert loaded == payload
+        rebuilt = JobResult.from_payload(loaded)
+        assert rebuilt.to_payload() == payload
+        assert rebuilt.wall_seconds == payload["wall_seconds"]
 
 
 class TestSanitizerReportRoundTrip:
