@@ -35,6 +35,15 @@ SEGMENT_BYTES = 128
 #: Words per coalesced segment.
 SEGMENT_WORDS = SEGMENT_BYTES // WORD_BYTES
 
+#: :class:`GPUConfig` counts and sizes that a component divides by, indexes
+#: with or allocates from: each must be at least 1.  (Latencies may be 0.)
+STRUCTURAL_FIELDS = (
+    "num_smx", "max_resident_blocks", "max_resident_threads",
+    "registers_per_smx", "l1_size", "shared_mem_size",
+    "max_concurrent_kernels", "issue_width", "shared_banks", "l1_assoc",
+    "max_local_words", "l2_size", "l2_assoc", "dram_banks", "agt_entries",
+)
+
 
 @dataclass(frozen=True)
 class LatencyModel:
@@ -253,14 +262,14 @@ class GPUConfig:
             raise ConfigError(
                 f"core must be one of {CORES}, got {self.core!r}"
             )
-        if self.num_smx <= 0:
-            raise ConfigError("num_smx must be positive")
+        for name in STRUCTURAL_FIELDS:
+            value = getattr(self, name)
+            if value < 1:
+                raise ConfigError(f"{name} must be at least 1, got {value}")
         if self.max_resident_threads % WARP_SIZE:
             raise ConfigError("max_resident_threads must be a multiple of the warp size")
         if self.agt_entries & (self.agt_entries - 1):
             raise ConfigError("agt_entries must be a power of two (hash is a mask)")
-        if self.issue_width <= 0:
-            raise ConfigError("issue_width must be positive")
         if self.warp_scheduler not in ("gto", "rr"):
             raise ConfigError("warp_scheduler must be 'gto' or 'rr'")
         if self.l2_line != SEGMENT_BYTES:

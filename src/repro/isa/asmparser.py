@@ -1,6 +1,6 @@
 """Text assembler: parse the ISA's assembly syntax into a Program.
 
-The syntax is the inverse of :meth:`Program.disassemble` (which emits this
+The syntax is the inverse of :meth:`Program.to_assembly` (which emits this
 canonical form).  Grammar, one statement per line::
 
     .kernel NAME                         ; header (optional)
@@ -11,7 +11,8 @@ canonical form).  Grammar, one statement per line::
 Operands:
 
 * ``%r3`` / ``%f2``       — int / float registers
-* ``#42`` / ``#-1.5``     — immediates (bare numbers also accepted)
+* ``#42`` / ``#-1.5`` / ``#1e+16`` / ``#-inf`` / ``#nan`` — immediates
+  (bare numbers also accepted)
 * ``->label``             — branch target
 * ``@%r4`` / ``@!%r4``    — predicate (with sense)
 * ``reconv=label``        — reconvergence point for divergent branches
@@ -46,7 +47,7 @@ Example::
 from __future__ import annotations
 
 import re
-from typing import List, Optional, Tuple
+from typing import List, Tuple
 
 from ..errors import AssemblyError
 from .instructions import Bank, Cmp, Imm, Instr, Opcode, Reg, Special
@@ -58,7 +59,7 @@ _SPECIALS = {s.name.lower(): s for s in Special}
 _CMPS = {c.name.lower(): c for c in Cmp}
 
 _REG_RE = re.compile(r"^%([rf])(\d+)$")
-_IMM_RE = re.compile(r"^#?(-?\d+(?:\.\d+)?(?:e-?\d+)?)$", re.IGNORECASE)
+_IMM_RE = re.compile(r"^#?(-?(?:\d+(?:\.\d+)?(?:e[-+]?\d+)?|inf|nan))$", re.IGNORECASE)
 _LABEL_DEF_RE = re.compile(r"^([A-Za-z_.$][\w.$]*):$")
 
 
@@ -70,8 +71,10 @@ def _parse_operand(token: str):
     match = _IMM_RE.match(token)
     if match:
         text = match.group(1)
-        value = float(text) if ("." in text or "e" in text.lower()) else int(text)
-        return Imm(value)
+        try:
+            return Imm(int(text))
+        except ValueError:  # a fraction, an exponent, inf or nan
+            return Imm(float(text))
     return None
 
 
@@ -93,10 +96,12 @@ def _parse_dims(text: str, line_no: int) -> Tuple:
     return tuple(operands)
 
 
-def parse_program(text: str, default_name: str = "kernel") -> Program:
-    """Parse assembly text into a finalized :class:`Program`."""
-    program: Optional[Program] = None
-    name = default_name
+def parse_program(text: str) -> Program:
+    """Parse assembly text into a finalized :class:`Program`.
+
+    A text without a ``.kernel`` header names its program ``kernel``.
+    """
+    name = "kernel"
 
     pending_lines: List[Tuple[int, str]] = []
     for line_no, raw in enumerate(text.splitlines(), start=1):

@@ -9,7 +9,6 @@ compiler-optimized execution modes is selected.
 """
 
 from .aggregate import AggregateResult, aggregate_launches, table_words
-from .options import DynoptOptions
 from .pipeline import transform_kernels
 from .serialize import serialize_small_launches
 from .sites import LaunchSite, find_launch_sites
@@ -17,7 +16,6 @@ from .wrappers import build_wrapper, wrappable
 
 __all__ = [
     "AggregateResult",
-    "DynoptOptions",
     "LaunchSite",
     "aggregate_launches",
     "build_wrapper",

@@ -19,7 +19,6 @@ from typing import Dict, List, Sequence, Tuple
 
 from ...sim.kernel import KernelFunction
 from .aggregate import aggregate_launches
-from .options import DynoptOptions
 from .serialize import serialize_small_launches
 from .wrappers import build_wrapper, wrappable
 
@@ -30,11 +29,7 @@ _FLAVORS = {
 }
 
 
-def transform_kernels(
-    kernels: Sequence[KernelFunction],
-    mode,
-    options: DynoptOptions = None,
-) -> List[KernelFunction]:
+def transform_kernels(kernels: Sequence[KernelFunction], mode) -> List[KernelFunction]:
     """Apply the passes for ``mode`` (``ExecutionMode`` or its value)."""
     mode_value = getattr(mode, "value", mode)
     if mode_value not in _FLAVORS:
@@ -43,7 +38,6 @@ def transform_kernels(
             f"(supported: {', '.join(sorted(_FLAVORS))})"
         )
     flavor, suffix, do_serialize = _FLAVORS[mode_value]
-    options = options or DynoptOptions()
     by_name = {func.name: func for func in kernels}
     wrapper_blocks: Dict[str, int] = {}
 
@@ -55,12 +49,9 @@ def transform_kernels(
         """Serialize + aggregate one program; queue needed wrappers."""
         extra_local = 0
         if do_serialize:
-            program, extra_local = serialize_small_launches(
-                program, by_name, options
-            )
+            program, extra_local = serialize_small_launches(program, by_name)
         result = aggregate_launches(
             program,
-            options,
             suffix=suffix,
             flavor=flavor,
             shared_base=base.shared_words,
@@ -92,7 +83,7 @@ def transform_kernels(
         if name in built:
             continue
         base = by_name[child]
-        program = build_wrapper(name, base, block_size, flavor, options)
+        program = build_wrapper(name, base, block_size, flavor)
         if program is None:
             continue  # can_wrap should have prevented this
         built[name] = run_passes(program, base)

@@ -1,8 +1,8 @@
 """Threshold serialization of small child launches (Olabi et al.).
 
 A CDP launch whose element count is provably below
-``DynoptOptions.serial_threshold`` spends more cycles in the device
-runtime than in the child kernel.  This pass wraps each recognizable
+:data:`SERIAL_THRESHOLD` spends more cycles in the device runtime than
+in the child kernel.  This pass wraps each recognizable
 launch site in a runtime size check: small launches execute the child
 body in an inlined per-thread loop, large ones keep the original
 device launch (which the aggregation pass then batches).
@@ -15,7 +15,6 @@ from typing import Dict, Tuple
 from ..builder import KernelBuilder
 from ..instructions import Imm, Special
 from ..program import Program
-from .options import DynoptOptions
 from .sites import find_launch_sites
 from .splice import inlinable, splice_body, summarize_body
 
@@ -25,11 +24,17 @@ from .splice import inlinable, splice_body, summarize_body
 #: per-iteration equivalent, so such bodies are never inlined.
 _ALLOWED = {Special.GTID, Special.PARAM, Special.NTID_X}
 
+#: Child launches whose element count is below this many threads run as
+#: an inlined loop in the parent (``cdpa`` only, following Olabi et al.).
+#: A serialized launch trades a whole child block for a per-thread loop,
+#: so only launches smaller than a warp's worth of threads qualify: the
+#: workloads' DFP thresholds (24-32) already serialize most of that tail,
+#: leaving sub-block stragglers like AMR's fixed 16-cell refinements.
+SERIAL_THRESHOLD = 32
+
 
 def serialize_small_launches(
-    program: Program,
-    kernels: Dict[str, object],
-    options: DynoptOptions,
+    program: Program, kernels: Dict[str, object]
 ) -> Tuple[Program, int]:
     """Return (rewritten program, extra local words the host now needs).
 
@@ -79,7 +84,6 @@ def serialize_small_launches(
     for name, pc in program.labels.items():
         position_labels.setdefault(pc, []).append(name)
     by_index = {site.index: site for site in candidates}
-    threshold = options.serial_threshold
 
     extra_local = 0
     pc = 0
@@ -123,7 +127,7 @@ def serialize_small_launches(
             out.emit(site.stream.replace())
             out.emit(site.launch.replace())
 
-        small = kb.lt(site.work, threshold)
+        small = kb.lt(site.work, SERIAL_THRESHOLD)
         kb.if_else(small, inline_loop, keep_launch)
         pc += 2  # past the STREAM_CREATE / LAUNCH_DEVICE pair
     return out, extra_local

@@ -22,7 +22,6 @@ from typing import Optional
 from ..builder import KernelBuilder
 from ..instructions import Special
 from ..program import Program
-from .options import DynoptOptions
 from .splice import splice_body, summarize_body
 
 #: Geometry reads an agg wrapper can re-base (1:1 block mapping).
@@ -54,13 +53,7 @@ def wrappable(func, flavor: str) -> bool:
     )
 
 
-def build_wrapper(
-    name: str,
-    func,
-    block_size: int,
-    flavor: str,
-    options: DynoptOptions,
-) -> Optional[Program]:
+def build_wrapper(name: str, func, block_size: int, flavor: str) -> Optional[Program]:
     """Prologue + re-based child body, as an unfinalized program."""
     if not wrappable(func, flavor):
         return None

@@ -19,6 +19,10 @@ from typing import Callable, List, Set, Tuple
 
 from .instructions import Instr
 
+#: Shortest run worth a region: fusing a single instruction only adds
+#: dispatch overhead.
+_MIN_LENGTH = 2
+
 
 def control_flow_leaders(instructions) -> Set[int]:
     """Pcs where control can enter other than by falling through.
@@ -40,34 +44,31 @@ def control_flow_leaders(instructions) -> Set[int]:
 
 
 def straight_line_regions(
-    instructions,
-    fusable: Callable[[int, Instr], bool],
-    min_length: int = 2,
+    instructions, fusable: Callable[[int, Instr], bool]
 ) -> List[Tuple[int, int]]:
     """Maximal ``(start_pc, length)`` runs of fusable instructions.
 
     A run may *start* at a leader (entering a region at its first
     instruction is fine), but no interior pc may be one: a jump or a
     reconvergence pop landing mid-region would skip the region's earlier
-    instructions.  Runs shorter than ``min_length`` are dropped — fusing
-    a single instruction only adds dispatch overhead.
+    instructions.  Runs shorter than ``_MIN_LENGTH`` are dropped.
     """
     leaders = control_flow_leaders(instructions)
     regions: List[Tuple[int, int]] = []
     start = None
     for pc, instr in enumerate(instructions):
         if start is not None and pc in leaders:
-            if pc - start >= min_length:
+            if pc - start >= _MIN_LENGTH:
                 regions.append((start, pc - start))
             start = None
         if fusable(pc, instr):
             if start is None:
                 start = pc
         elif start is not None:
-            if pc - start >= min_length:
+            if pc - start >= _MIN_LENGTH:
                 regions.append((start, pc - start))
             start = None
-    if start is not None and len(instructions) - start >= min_length:
+    if start is not None and len(instructions) - start >= _MIN_LENGTH:
         regions.append((start, len(instructions) - start))
     return regions
 

@@ -79,6 +79,7 @@ Stat-exactness invariants worth keeping in mind when editing:
 
 from __future__ import annotations
 
+import functools
 import weakref
 from collections import OrderedDict
 from itertools import repeat
@@ -121,30 +122,18 @@ except ImportError:  # NumPy 1
 # workloads launch blocks sized by each DFP) must not grow it without
 # bound.
 # ----------------------------------------------------------------------
-_GEOM_CACHE_LIMIT = 256
-_GEOM_CACHE: "OrderedDict[Tuple[int, int, int, int], tuple]" = OrderedDict()
-
-
+@functools.lru_cache(maxsize=256)
 def _geometry(bx: int, by: int, threads: int, warp_index: int) -> tuple:
-    key = (bx, by, threads, warp_index)
-    cached = _GEOM_CACHE.get(key)
-    if cached is None:
-        linear = warp_index * WARP_SIZE + np.arange(WARP_SIZE, dtype=np.int64)
-        init_mask = linear < threads
-        clamped = np.minimum(linear, threads - 1)
-        tid_x = clamped % bx
-        tid_y = (clamped // bx) % by
-        tid_z = clamped // (bx * by)
-        active = int(np.count_nonzero(init_mask))
-        for arr in (init_mask, clamped, tid_x, tid_y, tid_z):
-            arr.setflags(write=False)
-        cached = (init_mask, tid_x, tid_y, tid_z, clamped, active)
-        _GEOM_CACHE[key] = cached
-        if len(_GEOM_CACHE) > _GEOM_CACHE_LIMIT:
-            _GEOM_CACHE.popitem(last=False)
-    else:
-        _GEOM_CACHE.move_to_end(key)
-    return cached
+    linear = warp_index * WARP_SIZE + np.arange(WARP_SIZE, dtype=np.int64)
+    init_mask = linear < threads
+    clamped = np.minimum(linear, threads - 1)
+    tid_x = clamped % bx
+    tid_y = (clamped // bx) % by
+    tid_z = clamped // (bx * by)
+    active = int(np.count_nonzero(init_mask))
+    for arr in (init_mask, clamped, tid_x, tid_y, tid_z):
+        arr.setflags(write=False)
+    return (init_mask, tid_x, tid_y, tid_z, clamped, active)
 
 
 # ----------------------------------------------------------------------
@@ -260,7 +249,7 @@ def _address_form(instr):
 # text depends only on the opcodes and on which operand feeds which —
 # the same few hundred shapes recur across kernels, modes and jobs.
 # Every job rebuilds its programs, so factories are memoised per process
-# by their source text (a small LRU, like ``_GEOM_CACHE``), and the ones
+# by their source text (a small LRU, like ``_geometry``'s), and the ones
 # a program is first to need are compiled together, in one ``compile()``.
 # ----------------------------------------------------------------------
 _I64 = range(-(1 << 63), 1 << 63)

@@ -66,14 +66,9 @@ class AmrWorkload(Workload):
 
     app_name = "amr"
     parent_block = 64
+    child_block = 16
 
-    def __init__(
-        self,
-        name: str,
-        mode: ExecutionMode,
-        grid: AmrGrid,
-        child_block: int = 16,
-    ) -> None:
+    def __init__(self, name: str, mode: ExecutionMode, grid: AmrGrid) -> None:
         super().__init__(name, mode)
         if grid.max_depth != 2:
             # The flat variant statically unrolls the serialized recursion
@@ -81,7 +76,6 @@ class AmrWorkload(Workload):
             # need a worklist formulation.
             raise ValueError("AmrWorkload supports max_depth == 2")
         self.grid = grid
-        self.child_block = child_block
         self.decay_milli = int(round(grid.decay * 1000))
         self.thresh_milli = int(round(grid.threshold * 1000))
 

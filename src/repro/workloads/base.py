@@ -65,10 +65,14 @@ class Workload(abc.ABC):
 
     #: Short benchmark name, e.g. ``"bfs"``.
     app_name: str = "workload"
-    #: Threads per dynamically launched thread block.
-    child_block: int = 32
-    #: Minimum DFP size that justifies a dynamic launch.
-    child_threshold: int = 32
+    #: Each subclass fixes its launch shape as class constants, the same in
+    #: every mode: ``parent_block`` (threads per host-launched block),
+    #: ``child_block`` (threads per dynamically launched block) and, where
+    #: a DFP can be too small to launch, ``child_threshold`` (the least DFP
+    #: size that takes a dynamic launch; smaller ones are serialized).
+    parent_block: int
+    child_block: int
+    child_threshold: int
 
     def __init__(self, name: str, mode: ExecutionMode) -> None:
         self.name = name

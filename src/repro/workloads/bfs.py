@@ -138,6 +138,8 @@ class BfsWorkload(Workload):
 
     app_name = "bfs"
     parent_block = 128
+    child_threshold = 32
+    child_block = 32
 
     def __init__(
         self,
@@ -145,8 +147,6 @@ class BfsWorkload(Workload):
         mode: ExecutionMode,
         graph: Graph,
         source: int = 0,
-        child_threshold: int = 32,
-        child_block: int = 32,
         expansion: str = "thread",
     ) -> None:
         """``expansion`` selects the flat baseline: "thread" (serial
@@ -159,8 +159,6 @@ class BfsWorkload(Workload):
             raise ValueError(f"{expansion}-expansion is a flat-only baseline")
         self.graph = graph
         self.source = source
-        self.child_threshold = child_threshold
-        self.child_block = child_block
         self.expansion = expansion
 
     # ------------------------------------------------------------------

@@ -42,6 +42,8 @@ _EPS = 1e-4
 _THETA = 0.6
 #: Per-thread traversal stack slots (local memory, L1-cached).
 _STACK_DEPTH = 48
+#: Most bodies a quadtree leaf holds (deeper than 24 levels, a leaf takes all).
+_LEAF_CAPACITY = 40
 
 _P = dict(
     NBODIES=0, BX=1, BY=2, BMASS=3, NTYPE=4, NCHILD=5, NBSTART=6, NBCOUNT=7,
@@ -65,7 +67,7 @@ class QuadTree:
     order: np.ndarray  # permutation: sorted position -> original body id
 
 
-def build_quadtree(points: PointSet, leaf_capacity: int = 40) -> QuadTree:
+def build_quadtree(points: PointSet) -> QuadTree:
     """Recursive quadtree build with contiguous leaf body ranges."""
     node_type: List[int] = []
     children: List[List[int]] = []
@@ -96,7 +98,7 @@ def build_quadtree(points: PointSet, leaf_capacity: int = 40) -> QuadTree:
         if total_mass > 0:
             cxs[node] = float((points.x[ids] * points.mass[ids]).sum() / total_mass)
             cys[node] = float((points.y[ids] * points.mass[ids]).sum() / total_mass)
-        if len(ids) <= leaf_capacity or depth > 24:
+        if len(ids) <= _LEAF_CAPACITY or depth > 24:
             node_type[node] = 1
             body_start[node] = len(order)
             body_count[node] = len(ids)
@@ -260,21 +262,12 @@ class BarnesHutWorkload(Workload):
 
     app_name = "bht"
     parent_block = 64
+    child_threshold = 24
+    child_block = 32
 
-    def __init__(
-        self,
-        name: str,
-        mode: ExecutionMode,
-        points: PointSet,
-        leaf_capacity: int = 40,
-        child_threshold: int = 24,
-        child_block: int = 32,
-    ) -> None:
+    def __init__(self, name: str, mode: ExecutionMode, points: PointSet) -> None:
         super().__init__(name, mode)
         self.points = points
-        self.leaf_capacity = leaf_capacity
-        self.child_threshold = child_threshold
-        self.child_block = child_block
         self.tree = self.quadtree()
 
     def build_kernels(self) -> List[KernelFunction]:
@@ -283,9 +276,9 @@ class BarnesHutWorkload(Workload):
             kernels.append(build_bht_child(self.child_block))
         return kernels
 
-    @memoised_derived("points", "leaf_capacity")
+    @memoised_derived("points")
     def quadtree(self) -> QuadTree:
-        return build_quadtree(self.points, self.leaf_capacity)
+        return build_quadtree(self.points)
 
     def setup(self, device: Device) -> None:
         tree = self.tree
@@ -328,7 +321,7 @@ class BarnesHutWorkload(Workload):
         )
 
     # ------------------------------------------------------------------
-    @memoised_derived("points", "leaf_capacity")
+    @memoised_derived("points")
     def reference_potentials(self) -> np.ndarray:
         tree = self.tree
         points = self.points

@@ -27,6 +27,8 @@ from .datasets.graphs import Graph
 from .datasets.memo import memoised_derived
 
 _UNCOLORED = -1
+#: Seed of the random permutation that gives each vertex its priority.
+_PRIORITY_SEED = 53
 
 _P = dict(WSIZE=0, WORKLIST=1, INDPTR=2, INDICES=3, COLORS=4, PRIO=5, FLAGS=6)
 _C = dict(COUNT=0, ESTART=1, INDICES=2, COLORS=3, PRIO=4, FLAGS=5, MYPRIO=6, V=7)
@@ -132,21 +134,13 @@ class ColoringWorkload(Workload):
 
     app_name = "clr"
     parent_block = 128
+    child_threshold = 32
+    child_block = 32
 
-    def __init__(
-        self,
-        name: str,
-        mode: ExecutionMode,
-        graph: Graph,
-        child_threshold: int = 32,
-        child_block: int = 32,
-        seed: int = 53,
-    ) -> None:
+    def __init__(self, name: str, mode: ExecutionMode, graph: Graph) -> None:
         super().__init__(name, mode)
         self.graph = graph
-        self.child_threshold = child_threshold
-        self.child_block = child_block
-        rng = np.random.default_rng(seed)
+        rng = np.random.default_rng(_PRIORITY_SEED)
         self.priorities = rng.permutation(graph.num_vertices).astype(np.int64)
 
     def build_kernels(self) -> List[KernelFunction]:

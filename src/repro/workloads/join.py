@@ -117,19 +117,12 @@ class JoinWorkload(Workload):
 
     app_name = "join"
     parent_block = 128
+    child_threshold = 32
+    child_block = 32
 
-    def __init__(
-        self,
-        name: str,
-        mode: ExecutionMode,
-        data: JoinInput,
-        child_threshold: int = 32,
-        child_block: int = 32,
-    ) -> None:
+    def __init__(self, name: str, mode: ExecutionMode, data: JoinInput) -> None:
         super().__init__(name, mode)
         self.data = data
-        self.child_threshold = child_threshold
-        self.child_block = child_block
 
     def build_kernels(self) -> List[KernelFunction]:
         kernels = [

@@ -119,19 +119,12 @@ class RecommendationWorkload(Workload):
 
     app_name = "pre"
     parent_block = 64
+    child_threshold = 32
+    child_block = 32
 
-    def __init__(
-        self,
-        name: str,
-        mode: ExecutionMode,
-        ratings: RatingSet,
-        child_threshold: int = 32,
-        child_block: int = 32,
-    ) -> None:
+    def __init__(self, name: str, mode: ExecutionMode, ratings: RatingSet) -> None:
         super().__init__(name, mode)
         self.ratings = ratings
-        self.child_threshold = child_threshold
-        self.child_block = child_block
 
     def build_kernels(self) -> List[KernelFunction]:
         kernels = [build_pre_kernel(self.mode, self.child_threshold, self.child_block)]

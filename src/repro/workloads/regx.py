@@ -141,19 +141,12 @@ class RegexWorkload(Workload):
 
     app_name = "regx"
     parent_block = 64
+    child_threshold = 32
+    child_block = 32
 
-    def __init__(
-        self,
-        name: str,
-        mode: ExecutionMode,
-        packets: PacketSet,
-        child_threshold: int = 32,
-        child_block: int = 32,
-    ) -> None:
+    def __init__(self, name: str, mode: ExecutionMode, packets: PacketSet) -> None:
         super().__init__(name, mode)
         self.packets = packets
-        self.child_threshold = child_threshold
-        self.child_block = child_block
         self.dfa = self.anchored_dfa()
 
     def build_kernels(self) -> List[KernelFunction]:

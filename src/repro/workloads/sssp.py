@@ -113,22 +113,16 @@ class SsspWorkload(Workload):
 
     app_name = "sssp"
     parent_block = 128
+    child_threshold = 32
+    child_block = 32
 
     def __init__(
-        self,
-        name: str,
-        mode: ExecutionMode,
-        graph: Graph,
-        source: int = 0,
-        child_threshold: int = 32,
-        child_block: int = 32,
+        self, name: str, mode: ExecutionMode, graph: Graph, source: int = 0
     ) -> None:
         super().__init__(name, mode)
         assert graph.weights is not None, "SSSP needs an edge-weighted graph"
         self.graph = graph
         self.source = source
-        self.child_threshold = child_threshold
-        self.child_block = child_block
 
     def build_kernels(self) -> List[KernelFunction]:
         kernels = [build_sssp_kernel(self.mode, self.child_threshold, self.child_block)]

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.config import CORES, SEGMENT_BYTES, WARP_SIZE, GPUConfig
+from repro.config import CORES, SEGMENT_BYTES, STRUCTURAL_FIELDS, WARP_SIZE, GPUConfig
 from repro.errors import ConfigError
 from repro.exec import JobSpec
 from repro.runtime import ExecutionMode
@@ -61,3 +61,13 @@ def test_an_int_field_takes_no_float_or_bool(config, name, cast):
     data[name] = cast(data[name])
     with pytest.raises(ConfigError, match=name):
         GPUConfig.from_dict(data)
+
+
+@given(configs, st.sampled_from(STRUCTURAL_FIELDS), st.integers(-(2**40), 0))
+def test_a_non_positive_structural_field_raises(config, name, value):
+    data = config.to_dict()
+    data[name] = value
+    with pytest.raises(ConfigError, match=name):
+        GPUConfig.from_dict(data)
+    with pytest.raises(ConfigError, match=name):
+        dataclasses.replace(config, **{name: value})

@@ -5,6 +5,7 @@ import pytest
 
 from repro import Device, ExecutionMode, KernelBuilder, KernelFunction
 from repro.isa import Opcode, parse_program
+from repro.isa.instructions import Imm
 
 from tests.helpers import make_device
 
@@ -75,6 +76,18 @@ class TestOpClassRoundTrips:
         k.flt_(a, 3.0)
         k.ftoi(a)
         roundtrip(k.build())
+
+    @pytest.mark.parametrize(
+        "value", [1e16, 1e300, float("-inf"), float("inf"), float("nan")]
+    )
+    def test_large_and_non_finite_float_immediates(self, value):
+        k = KernelBuilder("big")
+        k.fadd(k.fmov(value), value)
+        prog = roundtrip(k.build())
+        for instr in prog.instructions[:2]:
+            (imm,) = [op for op in (instr.a, instr.b) if isinstance(op, Imm)]
+            assert type(imm.value) is float
+            assert repr(imm.value) == repr(value)
 
     def test_divergent_program_executes_identically(self):
         k = KernelBuilder("div")

@@ -11,8 +11,9 @@ import pytest
 
 from repro import Device, ExecutionMode, GPUConfig, KernelBuilder, KernelFunction
 from repro.isa.dynopt import (
-    DynoptOptions,
+    aggregate,
     find_launch_sites,
+    serialize,
     serialize_small_launches,
     transform_kernels,
     wrappable,
@@ -21,6 +22,12 @@ from repro.isa.dynopt.splice import summarize_body
 
 BS = 32  #: child block size
 STRIDE = 80  #: per-parent-thread output region (>= max child count)
+
+
+@pytest.fixture
+def serial_threshold(monkeypatch):
+    """Set the ``cdpa`` serialization threshold for one test."""
+    return lambda value: monkeypatch.setattr(serialize, "SERIAL_THRESHOLD", value)
 
 
 def child_function(name: str = "child") -> KernelFunction:
@@ -122,12 +129,12 @@ class TestWrappable:
 
 
 class TestSerialize:
-    def test_small_launches_become_inline_loops(self):
+    def test_small_launches_become_inline_loops(self, serial_threshold):
         parent = parent_function()
         kernels = {"child": child_function()}
-        options = DynoptOptions(serial_threshold=1 << 30)  # serialize all
+        serial_threshold(1 << 30)  # serialize all
         program, _extra_local = serialize_small_launches(
-            parent.program.definalize(), kernels, options
+            parent.program.definalize(), kernels
         )
         counts = [5, 0, 17, 31]
         transformed = [KernelFunction("parent", program), kernels["child"]]
@@ -139,17 +146,15 @@ class TestSerialize:
 
 class TestPipeline:
     @pytest.mark.parametrize("mode", ["cdpa", "cons"])
-    def test_output_matches_plain_cdp(self, mode):
+    def test_output_matches_plain_cdp(self, mode, serial_threshold):
         counts = [5, 40, 0, 63, 32, 1, 77, 40]
         baseline, base_stats, _ = run_kernels(
             [parent_function(), child_function()], counts
         )
         np.testing.assert_array_equal(baseline, expected_output(counts))
 
-        transformed = transform_kernels(
-            [parent_function(), child_function()], mode,
-            DynoptOptions(serial_threshold=0),  # isolate the aggregation
-        )
+        serial_threshold(0)  # isolate the aggregation
+        transformed = transform_kernels([parent_function(), child_function()], mode)
         out, stats, report = run_kernels(transformed, counts, sanitize=True)
         np.testing.assert_array_equal(out, baseline)
         assert report.clean
@@ -159,16 +164,14 @@ class TestPipeline:
         # pocket goes through the launch path).
         assert len(base_stats.dynamic_launches()) == len(counts)
 
-    def test_consolidation_packs_blocks_denser(self):
+    def test_consolidation_packs_blocks_denser(self, serial_threshold):
         # 8 pockets of 5 items: cdpa keeps one block per pocket (8 blocks),
         # cons repacks 40 items into ceil(40/32) = 2 blocks.
         counts = [5] * 8
-        options = DynoptOptions(serial_threshold=0)
+        serial_threshold(0)
         blocks = {}
         for mode in ("cdpa", "cons"):
-            transformed = transform_kernels(
-                [parent_function(), child_function()], mode, options
-            )
+            transformed = transform_kernels([parent_function(), child_function()], mode)
             out, stats, _ = run_kernels(transformed, counts)
             np.testing.assert_array_equal(out, expected_output(counts))
             launches = stats.dynamic_launches()
@@ -177,26 +180,23 @@ class TestPipeline:
         assert blocks["cdpa"] == 8
         assert blocks["cons"] == 2
 
-    def test_overflow_degrades_to_plain_launches(self):
+    def test_overflow_degrades_to_plain_launches(self, serial_threshold, monkeypatch):
         # Capacity 2 forces every pocket past the staging table to take
         # the plain-CDP overflow path; output must still be exact.
         counts = [40, 40, 40, 40, 40, 40]
-        transformed = transform_kernels(
-            [parent_function(), child_function()], "cdpa",
-            DynoptOptions(serial_threshold=0, staging_capacity=2),
-        )
+        serial_threshold(0)
+        monkeypatch.setattr(aggregate, "STAGING_CAPACITY", 2)
+        transformed = transform_kernels([parent_function(), child_function()], "cdpa")
         out, stats, report = run_kernels(transformed, counts, sanitize=True)
         np.testing.assert_array_equal(out, expected_output(counts))
         assert report.clean
         # 1 batched launch for the 2 staged pockets + 4 overflow launches.
         assert len(stats.dynamic_launches()) == 5
 
-    def test_serialization_threshold_applies_under_cdpa(self):
+    def test_serialization_threshold_applies_under_cdpa(self, serial_threshold):
         counts = [3, 2, 4, 1]  # all under the threshold
-        transformed = transform_kernels(
-            [parent_function(), child_function()], "cdpa",
-            DynoptOptions(serial_threshold=8),
-        )
+        serial_threshold(8)
+        transformed = transform_kernels([parent_function(), child_function()], "cdpa")
         out, stats, _ = run_kernels(transformed, counts)
         np.testing.assert_array_equal(out, expected_output(counts))
         assert len(stats.dynamic_launches()) == 0

@@ -82,7 +82,6 @@ def test_min_length_drops_singletons():
     instrs = func.program.instructions
     for start, length in straight_line_regions(instrs, _alu_fusable):
         assert length >= 2
-    assert straight_line_regions(instrs, _alu_fusable, min_length=1)
 
 
 def test_decode_attaches_regions_to_table_rows():

@@ -546,7 +546,8 @@ class TestProtocol:
             client.submit({"benchmark": "bht", "mode": "flat", "latency": 1})
         assert excinfo.value.status == 400
         for bad in ({"config": {"core": "vector"}},
-                    {"config": {"num_smx": 13.0}}, {"verify": "false"}):
+                    {"config": {"num_smx": 13.0}}, {"config": {"dram_banks": 0}},
+                    {"verify": "false"}):
             with pytest.raises(ServeError) as excinfo:
                 client.submit({"benchmark": "bht", "mode": "flat", **bad})
             assert excinfo.value.status == 400

@@ -92,41 +92,50 @@ class TestGeometry:
         np.testing.assert_array_equal(dev.download_ints(out, n), np.arange(n) + 1000)
 
 
+def _hits(*key) -> bool:
+    """Whether ``_geometry(*key)`` is a cache hit (a miss caches ``key``)."""
+    from repro.sim import fast_warp
+
+    hits = fast_warp._geometry.cache_info().hits
+    fast_warp._geometry(*key)
+    return fast_warp._geometry.cache_info().hits == hits + 1
+
+
 class TestGeometryCache:
     """The warp-geometry memo must stay bounded (LRU) and correct."""
 
     def test_cache_is_bounded_lru(self):
         from repro.sim import fast_warp
 
-        fast_warp._GEOM_CACHE.clear()
-        limit = fast_warp._GEOM_CACHE_LIMIT
+        fast_warp._geometry.cache_clear()
+        limit = fast_warp._geometry.cache_info().maxsize
         # Insert far more distinct shapes than the cache may hold.
         for bx in range(1, limit + 50):
             fast_warp._geometry(bx, 1, bx, 0)
-        assert len(fast_warp._GEOM_CACHE) <= limit
+        assert fast_warp._geometry.cache_info().currsize == limit
         # The newest keys survive, the oldest were evicted.
-        assert (limit + 49, 1, limit + 49, 0) in fast_warp._GEOM_CACHE
-        assert (1, 1, 1, 0) not in fast_warp._GEOM_CACHE
+        assert _hits(limit + 49, 1, limit + 49, 0)
+        assert not _hits(1, 1, 1, 0)
 
     def test_hit_refreshes_recency(self):
         from repro.sim import fast_warp
 
-        fast_warp._GEOM_CACHE.clear()
-        limit = fast_warp._GEOM_CACHE_LIMIT
+        fast_warp._geometry.cache_clear()
+        limit = fast_warp._geometry.cache_info().maxsize
         for bx in range(1, limit + 1):
             fast_warp._geometry(bx, 1, bx, 0)
         # Touch the oldest entry, then overflow by one: the second-oldest
         # must be the eviction victim instead.
         fast_warp._geometry(1, 1, 1, 0)
         fast_warp._geometry(limit + 1, 1, limit + 1, 0)
-        assert (1, 1, 1, 0) in fast_warp._GEOM_CACHE
-        assert (2, 1, 2, 0) not in fast_warp._GEOM_CACHE
+        assert _hits(1, 1, 1, 0)
+        assert not _hits(2, 1, 2, 0)
 
     def test_cached_arrays_are_immutable_and_exact(self):
         from repro.config import WARP_SIZE
         from repro.sim import fast_warp
 
-        fast_warp._GEOM_CACHE.clear()
+        fast_warp._geometry.cache_clear()
         a = fast_warp._geometry(6, 7, 42, 1)
         b = fast_warp._geometry(6, 7, 42, 1)
         assert a is b  # shared, not recomputed

@@ -59,6 +59,17 @@ class TestGPUConfigValidation:
         with pytest.raises(ConfigError):
             GPUConfig(num_smx=0)
 
+    @pytest.mark.parametrize("field", [
+        "dram_banks", "max_concurrent_kernels", "max_resident_blocks",
+        "agt_entries", "l2_assoc",
+    ])
+    def test_zero_structural_size_rejected_at_construction(self, field):
+        # A component divides by, indexes with or allocates from each:
+        # zero must fail here, not mid-simulation or at GPU construction.
+        for value in (0, -1):
+            with pytest.raises(ConfigError, match=field):
+                GPUConfig.from_dict({field: value})
+
     def test_non_warp_multiple_threads_rejected(self):
         with pytest.raises(ConfigError):
             GPUConfig(max_resident_threads=1000)

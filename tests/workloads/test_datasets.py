@@ -364,7 +364,7 @@ def test_memoised_inputs_equal_uncached_ones(monkeypatch, name, scale):
     _assert_same_content(first, memo.freeze(uncached))
     if isinstance(memoised, BarnesHutWorkload):
         assert memoised.quadtree() is memoised.tree
-        direct = build_quadtree(fresh.points, fresh.leaf_capacity)
+        direct = build_quadtree(fresh.points)
         _assert_same_content(memoised.tree, memo.freeze(direct))
     if isinstance(memoised, RegexWorkload):
         assert memoised.anchored_dfa() is memoised.dfa
