@@ -118,6 +118,9 @@ class ResultCache:
     def __init__(self, root: os.PathLike = DEFAULT_CACHE_DIR) -> None:
         self.root = Path(root)
         self.stats = CacheStats()
+        #: ``root`` as a string, from which :meth:`load` builds a path
+        #: without two ``Path`` joins per hit.
+        self._root = str(self.root)
 
     # ------------------------------------------------------------------
     # Paths
@@ -139,7 +142,8 @@ class ResultCache:
         Corrupt entries are quarantined and count as misses; entries with
         a different format version are invalidated and count as misses.
         """
-        path = self.path_for(key)
+        # The string form of path_for(key).
+        path = f"{self._root}{os.sep}{_check_key(key)[:2]}{os.sep}{key}.json"
         try:
             with open(path, "rb") as handle:
                 raw = handle.read()
@@ -206,10 +210,10 @@ class ResultCache:
             pass
         self.stats.invalidated += 1
 
-    def _quarantine(self, path: Path) -> None:
+    def _quarantine(self, path: str) -> None:
         """Move a corrupt entry aside so it is inspectable but inert."""
         try:
-            os.replace(path, path.with_suffix(path.suffix + ".corrupt"))
+            os.replace(path, f"{path}.corrupt")
         except OSError:
             pass
         self.stats.quarantined += 1

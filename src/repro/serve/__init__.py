@@ -1,9 +1,9 @@
 """repro.serve: an async simulation daemon behind the JobSpec API.
 
 A long-running asyncio daemon that serves concurrent sweep traffic over
-HTTP/JSON (the stdlib's asyncio and ``http.client``, and the JSON codec
-of :mod:`repro.exec.codec`).  Clients submit :class:`~repro.exec.JobSpec`
-documents — the same canonical job model the CLIs and the sweep engine
+HTTP/JSON: the stdlib's asyncio on the daemon's side, one plain socket on
+the client's, and the JSON codec of :mod:`repro.exec.codec` on both.
+Clients submit :class:`~repro.exec.JobSpec` documents — the same canonical job model the CLIs and the sweep engine
 consume — and get back the same bit-identical results, because the
 daemon's worker processes run the same single execution path
 (:func:`repro.exec.run_job`).

@@ -3,8 +3,11 @@
 :class:`ServeClient` wraps the daemon's JSON endpoints (see
 :mod:`repro.serve.server`) behind the same vocabulary the rest of the
 repository uses: submit :class:`~repro.exec.JobSpec`\\ s, get
-:class:`~repro.exec.JobResult`\\ s back.  It speaks over the stdlib's
-``http.client``, with the daemon's own codec (:mod:`repro.exec.codec`).
+:class:`~repro.exec.JobResult`\\ s back.  It frames HTTP/1.1 itself, on
+one socket with one buffered reader, and writes and reads bodies with the
+daemon's own codec (:mod:`repro.exec.codec`): a request goes out in one
+``sendall``, and a response is its status line, its headers and a body
+of exactly ``Content-Length`` bytes — what the daemon writes.
 
 Quickstart::
 
@@ -42,10 +45,10 @@ transparently when the daemon has closed it in the meantime;
 
 from __future__ import annotations
 
+import socket
 import time
 from collections import OrderedDict
-from http.client import HTTPConnection
-from typing import Iterator, List, Optional, Sequence, Tuple, Union
+from typing import BinaryIO, Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
 from ..exec import JobResult, JobSpec, codec
 
@@ -57,6 +60,9 @@ _TERMINAL = ("done", "failed", "cancelled")
 #: until their result is fetched; the oldest beyond this are forgotten,
 #: which costs their ``wait`` / ``result`` a request again.
 KEPT_JOBS = 64
+
+#: Longest status or header line read (the daemon writes short ones).
+_MAX_LINE = 65536
 
 
 class ServeError(RuntimeError):
@@ -70,6 +76,65 @@ class ServeError(RuntimeError):
 
 class JobFailed(ServeError):
     """The submitted job reached a terminal non-``done`` state."""
+
+
+def _read_line(file: BinaryIO) -> bytes:
+    line = file.readline(_MAX_LINE + 1)
+    if len(line) > _MAX_LINE:
+        raise ConnectionError("response line too long")
+    return line
+
+
+def _read_head(file: BinaryIO) -> Tuple[int, Dict[str, str]]:
+    """The status and the (lower-cased) headers of the next response.
+
+    Raises ``ConnectionResetError`` when the peer closed before sending
+    a byte of it, and ``ConnectionError`` when it closed in the middle or
+    sent something that is not an HTTP/1.x response head.
+    """
+    line = _read_line(file)
+    if not line:
+        raise ConnectionResetError("the daemon closed the connection")
+    version, _, rest = line.partition(b" ")
+    try:
+        if not version.startswith(b"HTTP/1."):
+            raise ValueError
+        status = int(rest.split(None, 1)[0])
+    except (ValueError, IndexError):
+        raise ConnectionError(f"malformed status line {line[:80]!r}") from None
+    headers = {}
+    while True:
+        line = _read_line(file)
+        if line in (b"\r\n", b"\n"):
+            return status, headers
+        if not line:
+            raise ConnectionError("connection closed in a response head")
+        name, _, value = line.decode("latin-1").partition(":")
+        headers[name.strip().lower()] = value.strip()
+
+
+def _read_body(file: BinaryIO, headers: Dict[str, str]) -> bytes:
+    """The ``Content-Length`` bytes of body that follow ``headers``.  A
+    body cut short raises ``ConnectionError``: half a payload is never
+    returned."""
+    try:
+        length = int(headers["content-length"])
+        if length < 0:
+            raise ValueError
+    except (KeyError, ValueError):
+        raise ConnectionError(
+            f"bad Content-Length {headers.get('content-length')!r}"
+        ) from None
+    body = file.read(length)
+    if len(body) != length:
+        raise ConnectionError(
+            f"response body truncated: {len(body)} of {length} bytes"
+        )
+    return body
+
+
+def _decode_body(body: bytes) -> dict:
+    return codec.decode(body or b"{}")
 
 
 class ServeClient:
@@ -86,12 +151,18 @@ class ServeClient:
         self.port = port
         self.client = client
         self.timeout = timeout
-        self._conn = HTTPConnection(host, port, timeout=timeout)  # lazy connect
+        #: The kept-alive connection and its reader; opened by the first
+        #: request (``None`` until then and after :meth:`close`).
+        self._sock: Optional[socket.socket] = None
+        self._file: Optional[BinaryIO] = None
         self._kept: "OrderedDict[str, Tuple[dict, Optional[dict]]]" = OrderedDict()
 
     def close(self) -> None:
         """Drop the connection (the next request opens a new one)."""
-        self._conn.close()
+        if self._sock is not None:
+            self._file.close()
+            self._sock.close()
+            self._sock = self._file = None
 
     def __enter__(self) -> "ServeClient":
         return self
@@ -102,30 +173,49 @@ class ServeClient:
     # ------------------------------------------------------------------
     # Transport
     # ------------------------------------------------------------------
+    def _connect(self) -> Tuple[socket.socket, BinaryIO]:
+        sock = socket.create_connection((self.host, self.port), self.timeout)
+        sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+        return sock, sock.makefile("rb")
+
+    def _message(self, method: str, path: str, body: Optional[dict]) -> bytes:
+        """One whole request: the line, the headers and the body."""
+        head = f"{method} {path} HTTP/1.1\r\nHost: {self.host}:{self.port}\r\n"
+        if body is None:
+            return (head + "\r\n").encode("latin-1")
+        encoded = codec.encode(body)
+        return (
+            f"{head}Content-Type: application/json\r\n"
+            f"Content-Length: {len(encoded)}\r\n\r\n"
+        ).encode("latin-1") + encoded
+
     def _request(self, method: str, path: str, body: Optional[dict] = None) -> dict:
-        conn = self._conn
-        encoded = codec.encode(body) if body is not None else None
-        headers = {"Content-Type": "application/json"} if encoded else {}
+        message = self._message(method, path, body)
         # A reused connection may have been closed by the daemon since the
         # last response; that shows as a send error or an empty reply,
         # before any response byte, and is worth exactly one fresh try.
-        reused = conn.sock is not None
+        reused = self._sock is not None
         try:
             try:
-                conn.request(method, path, body=encoded, headers=headers)
-                response = conn.getresponse()
-            except ConnectionError:
-                conn.close()
+                if not reused:
+                    self._sock, self._file = self._connect()
+                self._sock.sendall(message)
+                status, headers = _read_head(self._file)
+            except (BrokenPipeError, ConnectionResetError, ConnectionAbortedError):
                 if not reused:
                     raise
-                conn.request(method, path, body=encoded, headers=headers)
-                response = conn.getresponse()
-            payload = codec.decode(response.read() or b"{}")
+                self.close()
+                self._sock, self._file = self._connect()
+                self._sock.sendall(message)
+                status, headers = _read_head(self._file)
+            payload = _decode_body(_read_body(self._file, headers))
         except BaseException:
-            conn.close()  # mid-exchange: nothing more can be framed on it
+            self.close()  # mid-exchange: nothing more can be framed on it
             raise
-        if response.status >= 400:
-            raise ServeError(response.status, payload)
+        if headers.get("connection", "").lower() == "close":
+            self.close()
+        if status >= 400:
+            raise ServeError(status, payload)
         return payload
 
     @staticmethod
@@ -201,19 +291,19 @@ class ServeClient:
 
         On a connection of its own: the daemon ends the stream by closing.
         """
-        conn = HTTPConnection(self.host, self.port, timeout=self.timeout)
+        sock, file = self._connect()
         try:
-            conn.request("GET", f"/jobs/{job_id}/events")
-            response = conn.getresponse()
-            if response.status >= 400:
-                payload = codec.decode(response.read() or b"{}")
-                raise ServeError(response.status, payload)
-            for line in response:
+            sock.sendall(self._message("GET", f"/jobs/{job_id}/events", None))
+            status, headers = _read_head(file)
+            if status >= 400:
+                raise ServeError(status, _decode_body(_read_body(file, headers)))
+            for line in file:
                 line = line.strip()
                 if line:
                     yield codec.decode(line)
         finally:
-            conn.close()
+            file.close()
+            sock.close()
 
     # ------------------------------------------------------------------
     # Results

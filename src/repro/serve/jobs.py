@@ -66,6 +66,7 @@ import asyncio
 import heapq
 import importlib
 import itertools
+import math
 import pkgutil
 import time
 from collections import deque
@@ -73,7 +74,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Deque, Dict, List, Optional
 
-from ..exec import DEFAULT_CACHE_DIR, JobSpec, ResultCache
+from ..exec import DEFAULT_CACHE_DIR, JobSpec, ResultCache, codec
 from ..exec.pool import Worker
 
 #: Default directory for daemon checkpoint files.
@@ -88,6 +89,10 @@ TERMINAL = frozenset({"done", "failed", "cancelled"})
 #: (A cache hit's job holds its own decoded payload, so an unbounded
 #: history is an unbounded leak at a few hundred hits per second.)
 MAX_TERMINAL_JOBS = 2048
+
+#: Wire specs a daemon keeps decoded (:meth:`JobManager._decode`); past
+#: it the oldest entry goes first.
+SPEC_TABLE_LIMIT = 256
 
 
 class QuotaExceeded(RuntimeError):
@@ -140,6 +145,45 @@ def _warm_imports() -> None:
     for module in pkgutil.walk_packages(workloads.__path__, "repro.workloads."):
         if not module.name.endswith(".__main__"):
             importlib.import_module(module.name)
+
+
+_EXACT_SCALARS = frozenset((str, int, bool, type(None)))
+
+
+def _exact(document: dict) -> bool:
+    """Whether :func:`~repro.exec.codec.encode` writes ``document`` exactly:
+    plain dicts, strings, ints, bools, ``None`` and finite floats only.
+
+    Anything else could share its bytes with another document: a NaN or
+    an infinity is written as ``null``, an enum or a ``str`` subclass as
+    its plain value.
+    """
+    for value in document.values():
+        kind = type(value)
+        if kind in _EXACT_SCALARS:
+            continue
+        if kind is float:
+            if math.isfinite(value):
+                continue
+        elif kind is dict and _exact(value):
+            continue
+        return False
+    return True
+
+
+def _wire_key(spec) -> Optional[bytes]:
+    """The bytes that identify a wire spec, ``None`` for one they could
+    not identify exactly (not a plain document, or an int over 64 bits).
+
+    The codec sorts keys and keeps types apart (``1``, ``1.0`` and
+    ``true`` are three keys), so equal bytes mean an equal document.
+    """
+    if type(spec) is not dict or not _exact(spec):
+        return None
+    try:
+        return codec.encode(spec)
+    except TypeError:
+        return None
 
 
 def _check_type(name: str, value, expected: type) -> None:
@@ -254,6 +298,8 @@ class JobManager:
         self._running: Dict[str, Job] = {}
         self._workers: List[Worker] = []  # at most config.workers; .job is a Job
         self._inflight: Dict[str, str] = {}  # fingerprint -> leader job id
+        #: Wire spec bytes -> its decoded, stamped, hashed JobSpec.
+        self._specs: Dict[bytes, JobSpec] = {}
         self._active_per_client: Dict[str, int] = {}
         self._seq = itertools.count()
         self._loop: Optional[asyncio.AbstractEventLoop] = None
@@ -309,12 +355,7 @@ class JobManager:
             raise RuntimeError("daemon is shutting down")
         _check_type("client", client, str)
         _check_type("priority", priority, int)
-        # ``from_dict`` validates what it builds.
-        spec = spec.validate() if isinstance(spec, JobSpec) else JobSpec.from_dict(spec)
-        if self.config.checkpoint_every is not None:
-            spec = spec.with_default_policy(
-                self.config.checkpoint_every, self.config.checkpoint_dir
-            )
+        spec = self._decode(spec)
         fingerprint = spec.fingerprint()
         seq = next(self._seq)
         job = Job(
@@ -357,6 +398,38 @@ class JobManager:
             self._event(job, "queued")
             self._schedule()
         return job.info()
+
+    def _decode(self, spec) -> JobSpec:
+        """``spec`` validated, with the daemon's checkpoint policy stamped
+        on if it carries none.
+
+        A wire spec is decoded, stamped and hashed once: the result is
+        kept by the spec's :func:`_wire_key` (at most
+        :data:`SPEC_TABLE_LIMIT` of them), so a resubmission — every
+        cache hit — is one lookup.  A spec that fails validation raises
+        before it is kept; one without a key is decoded every time.
+        The fingerprint memo travels with the kept spec and re-salts
+        itself when ``REPRO_SANITIZE`` or the code version changes.
+        """
+        key = None
+        if isinstance(spec, JobSpec):
+            spec = spec.validate()
+        else:
+            key = _wire_key(spec)
+            kept = self._specs.get(key) if key is not None else None
+            if kept is not None:
+                return kept
+            spec = JobSpec.from_dict(spec)  # validates what it builds
+        if self.config.checkpoint_every is not None:
+            spec = spec.with_default_policy(
+                self.config.checkpoint_every, self.config.checkpoint_dir
+            )
+        if key is not None:
+            spec.fingerprint()
+            if len(self._specs) >= SPEC_TABLE_LIMIT:
+                del self._specs[next(iter(self._specs))]
+            self._specs[key] = spec
+        return spec
 
     def submit_sweep(self, specs, client: str = "anon", priority: int = 0) -> List[dict]:
         """Submit a batch atomically: all accepted or none (quota-wise)."""
@@ -488,11 +561,13 @@ class JobManager:
         job.attempts += 1
         worker.job, job.worker = job, worker
         self._running[job.id] = job
+        # Stamped before the send: the write wakes the worker, which may
+        # take the CPU before this loop gets it back.
+        self._event(job, "started", attempt=job.attempts, pid=worker.proc.pid)
         try:
             worker.conn.send(job.spec)
         except OSError:
             pass  # it died idle: its sentinel is about to fire and retry the job
-        self._event(job, "started", attempt=job.attempts, pid=worker.proc.pid)
 
     # ------------------------------------------------------------------
     # Workers

@@ -40,13 +40,16 @@ documents; ``client``, default ``"anon"``, must be a string and
 refused, not coerced).  Error mapping: bad spec/body -> ``400``,
 unknown job -> ``404``, result not ready -> ``409``, body over
 :data:`MAX_BODY_BYTES` -> ``413``, quota exceeded -> ``429``, shutting
-down -> ``503``.
+down -> ``503``.  A request body is framed by ``Content-Length`` only:
+``Transfer-Encoding`` is answered ``501`` and two ``Content-Length``
+headers that disagree ``400``.
 
 Connections are kept alive: a connection carries one request after
 another until the peer closes it or sends ``Connection: close``.  The
 server closes after the ``/events`` stream (its end *is* the close),
 after ``/shutdown``, and after a request it could not frame (over-long
-line, bad ``Content-Length``, oversized body) — what follows such a
+line, bad or conflicting ``Content-Length``, ``Transfer-Encoding``,
+oversized body) — what follows such a
 request on the wire cannot be trusted to be the next one.
 """
 
@@ -70,7 +73,7 @@ _REASONS = {
     200: "OK", 202: "Accepted", 400: "Bad Request", 404: "Not Found",
     405: "Method Not Allowed", 409: "Conflict", 413: "Payload Too Large",
     429: "Too Many Requests", 500: "Internal Server Error",
-    503: "Service Unavailable",
+    501: "Not Implemented", 503: "Service Unavailable",
 }
 
 
@@ -117,7 +120,17 @@ async def _read_request(reader) -> Optional[_Request]:
         if line in (b"\r\n", b"\n", b""):
             break
         name, _, value = line.decode("latin-1").partition(":")
-        headers[name.strip().lower()] = value.strip()
+        name, value = name.strip().lower(), value.strip()
+        if name == "content-length" and headers.get(name, value) != value:
+            raise _BadRequest("conflicting Content-Length headers")
+        headers[name] = value
+    # A body is framed by Content-Length alone; a chunked one would be
+    # read as the requests that follow it.
+    if "transfer-encoding" in headers:
+        raise _BadRequest(
+            "Transfer-Encoding is not supported: send a Content-Length",
+            status=501,
+        )
     try:
         length = int(headers.get("content-length", "0"))
     except ValueError:

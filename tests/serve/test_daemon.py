@@ -111,7 +111,7 @@ class Daemon:
 
 
 class RawConnection:
-    """A bare socket to the daemon: the wire, without ``http.client``."""
+    """A bare socket to the daemon: the wire, without ``ServeClient``."""
 
     def __init__(self, port: int) -> None:
         self.sock = socket.create_connection(("127.0.0.1", port), timeout=30.0)
@@ -626,7 +626,7 @@ class TestParserRobustness:
     is closed — never an exception out of the handler, never a second
     request read off the same bytes."""
 
-    def test_unframeable_requests_get_400_or_413_and_a_close(
+    def test_unframeable_requests_get_an_error_and_a_close(
         self, daemon_factory
     ):
         daemon = daemon_factory(workers=1)
@@ -638,6 +638,12 @@ class TestParserRobustness:
             ("POST /jobs HTTP/1.1\r\nContent-Length: -5\r\n\r\n", 400),
             ("POST /jobs HTTP/1.1\r\nContent-Length: five\r\n\r\n", 400),
             ("POST /jobs HTTP/1.1\r\nContent-Length: 99999999999\r\n\r\n", 413),
+            # Framed by chunks the server does not read: the chunk-size
+            # line must not be taken for the next request.
+            ("POST /jobs HTTP/1.1\r\nTransfer-Encoding: chunked\r\n\r\n"
+             '2\r\n{}\r\n0\r\n\r\n', 501),
+            ("POST /jobs HTTP/1.1\r\nContent-Length: 12\r\n"
+             "Content-Length: 2\r\n\r\n{}", 400),
         ]
         for request, expected in cases:
             raw = daemon.raw()
