@@ -51,7 +51,9 @@ class LatencyModel:
 
     ``cudaGetParameterBuffer`` and ``cudaLaunchDevice`` follow the paper's
     per-warp linear model ``b + A * x``; the others are flat costs.
-    An *ideal* model (all zeros) gives the paper's CDPI / DTBLI modes.
+    An *ideal* model (all zeros) gives the paper's CDPI / DTBLI
+    configurations: CDP and DTBL at launch-latency scale 0 (see
+    :meth:`~repro.runtime.ExecutionMode.latency_model`).
     """
 
     #: cudaStreamCreateWithFlags flat cost (CDP only).
@@ -122,7 +124,8 @@ class LatencyModel:
 
     @classmethod
     def ideal(cls) -> "LatencyModel":
-        """Zero launch overhead: the paper's CDPI / DTBLI configurations."""
+        """Zero launch overhead: the paper's CDPI / DTBLI configurations
+        (launch-latency scale 0)."""
         return cls(
             stream_create=0,
             param_buffer_base=0,

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import math
 from typing import Optional
 
 from ..config import CORES, GPUConfig
@@ -37,7 +38,8 @@ def add_job_flags(
                         help="dataset scale factor (default 1.0)")
     parser.add_argument("--latency-scale", type=float,
                         default=latency_scale_default,
-                        help="Table 3 launch-latency scale "
+                        help="Table 3 launch-latency scale; 0 is the "
+                             "paper's ideal configuration "
                              f"(default {latency_scale_default})")
     parser.add_argument("--core", default=None,
                         choices=CORES,
@@ -114,6 +116,7 @@ def validate_execution_flags(
     checkpointing was requested — after validating that
 
     * ``--jobs`` is positive,
+    * ``--scale`` is finite and > 0, ``--latency-scale`` finite and >= 0,
     * ``--checkpoint-every`` is positive when given, and
     * ``--profile`` is not combined with checkpointing (the profiler's
       tracer state is not serializable, so a checkpoint would refuse to
@@ -121,10 +124,10 @@ def validate_execution_flags(
     """
     if args.jobs < 1:
         parser.error("--jobs must be >= 1")
-    if getattr(args, "scale", 1.0) <= 0:
-        parser.error("--scale must be > 0")
-    if getattr(args, "latency_scale", 1.0) <= 0:
-        parser.error("--latency-scale must be > 0")
+    if not (math.isfinite(args.scale) and args.scale > 0):
+        parser.error("--scale must be finite and > 0")
+    if not (math.isfinite(args.latency_scale) and args.latency_scale >= 0):
+        parser.error("--latency-scale must be finite and >= 0 (0: ideal launches)")
     if args.checkpoint_every is not None and args.checkpoint_every < 1:
         parser.error("--checkpoint-every must be >= 1")
     if getattr(args, "profile_json", None):

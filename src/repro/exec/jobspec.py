@@ -23,6 +23,7 @@ all existing cache entries and checkpoint filenames — are stable.
 from __future__ import annotations
 
 import dataclasses
+import math
 import time
 from dataclasses import dataclass, field
 from typing import Callable, Optional
@@ -111,12 +112,11 @@ class JobSpec:
             raise SpecError("benchmark must be a non-empty string")
         if not isinstance(self.mode, ExecutionMode):
             raise SpecError(f"mode must be an ExecutionMode, not {self.mode!r}")
-        if not self.scale > 0:
-            raise SpecError(f"scale must be > 0, got {self.scale!r}")
-        if not self.latency_scale > 0:
+        if not (math.isfinite(self.scale) and self.scale > 0):
+            raise SpecError(f"scale must be finite and > 0, got {self.scale!r}")
+        if not (math.isfinite(self.latency_scale) and self.latency_scale >= 0):
             raise SpecError(
-                f"latency_scale must be > 0, got {self.latency_scale!r}"
-            )
+                f"latency_scale must be finite and >= 0, got {self.latency_scale!r}")
         if not isinstance(self.config, GPUConfig):
             raise SpecError(f"config must be a GPUConfig, not {self.config!r}")
         if self.checkpoint_every is not None and self.checkpoint_every < 1:

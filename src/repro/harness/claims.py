@@ -3,9 +3,9 @@
 A *figure* row regenerates one table or figure of the paper; a *claim*
 row states one sentence of it as a checked assertion.  Both declare the
 cells they need (:class:`Needs`) and read them through one lookup
-(:class:`Cells`: ``cell(benchmark, mode[, variant]) -> SimStats``).  A row
-is run against stand-in cells when it is constructed, so a measure that
-names a cell outside its needs fails at import.  The rows are in
+(:class:`Cells`: ``cell(benchmark, mode[, variant], latency=rung)``).  A
+row is run against stand-in cells when it is constructed, so a measure
+that names a cell outside its needs fails at import.  The rows are in
 :mod:`repro.harness.paper`; :mod:`repro.harness.experiments` evaluates
 them.
 """
@@ -13,8 +13,8 @@ them.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
-from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
+from dataclasses import dataclass, replace
+from typing import Callable, Dict, List, Mapping, NamedTuple, Optional, Sequence, Tuple
 
 from ..errors import ReproError
 from ..runtime import ExecutionMode
@@ -32,39 +32,59 @@ VARIANTS: Dict[str, dict] = {
     "rr": {"warp_scheduler": "rr"},
 }
 
-#: (benchmark, mode, variant)
-CellKey = Tuple[str, ExecutionMode, str]
+
+class CellKey(NamedTuple):
+    """One simulated cell.  ``latency`` is its launch-latency rung: ``None``
+    the run's ``latency_scale``, ``0`` the paper's ideal configuration (its
+    CDPI and DTBLI are CDP and DTBL at rung 0)."""
+
+    benchmark: str
+    mode: ExecutionMode
+    variant: str = ""
+    latency: Optional[float] = None
+
+    def mode_label(self) -> str:
+        rung = "" if self.latency is None else f" (latency {self.latency:g})"
+        return self.mode.value + rung
+
+    def label(self) -> str:
+        variant = f"@{self.variant}" if self.variant else ""
+        return f"{self.benchmark}/{self.mode_label()}{variant}"
 
 
 class ClaimError(ReproError):
     """A row is malformed, read a cell it did not declare, or a cell is broken."""
 
 
-def cell_label(key: CellKey) -> str:
-    benchmark, mode, variant = key
-    return f"{benchmark}/{mode.value}" + (f"@{variant}" if variant else "")
-
-
 @dataclass(frozen=True)
 class Needs:
-    """The cells a row reads: benchmarks x variants x modes."""
+    """The cells a row reads: benchmarks x variants x latency rungs x
+    modes, plus those of the needs added to it (``a + b``)."""
 
     modes: Tuple[ExecutionMode, ...] = ()
     #: ``None``: every benchmark of Table 4.
     benchmarks: Optional[Tuple[str, ...]] = None
     variants: Tuple[str, ...] = ("",)
+    #: Launch-latency rungs (see :attr:`CellKey.latency`).
+    rungs: Tuple[Optional[float], ...] = (None,)
+    #: Further products over the same benchmarks.
+    more: Tuple["Needs", ...] = ()
+
+    def __add__(self, other: "Needs") -> "Needs":
+        return replace(self, more=self.more + (replace(other, more=()),) + other.more)
 
     def on(self, *benchmarks: str) -> "Needs":
-        """The same modes and variants, narrowed to ``benchmarks``."""
-        return Needs(self.modes, benchmarks, self.variants)
+        """The same cells, narrowed to ``benchmarks``."""
+        return replace(self, benchmarks=benchmarks)
 
     def cells(self, benchmarks: Sequence[str]) -> List[CellKey]:
         return [
-            (name, mode, variant)
+            CellKey(name, mode, variant, rung)
             for name in benchmarks
             for variant in self.variants
+            for rung in self.rungs
             for mode in self.modes
-        ]
+        ] + [key for more in self.more for key in more.cells(benchmarks)]
 
 
 class Cells:
@@ -78,27 +98,30 @@ class Cells:
         #: The cells read so far (a failing verdict names them).
         self.read: List[CellKey] = []
 
-    def __call__(self, benchmark: str, mode: ExecutionMode, variant: str = ""):
-        key = (benchmark, mode, variant)
+    def __call__(self, benchmark: str, mode: ExecutionMode, variant: str = "", *,
+                 latency: Optional[float] = None):
+        key = CellKey(benchmark, mode, variant, latency)
         if key not in self._stats:
-            raise ClaimError(f"cell {cell_label(key)} is outside the declared needs")
+            raise ClaimError(f"cell {key.label()} is outside the declared needs")
         if key not in self.read:
             self.read.append(key)
         return self._stats[key]
 
-    def cycles(self, benchmark: str, mode: ExecutionMode, variant: str = "") -> int:
+    def cycles(self, benchmark: str, mode: ExecutionMode, variant: str = "", *,
+               latency: Optional[float] = None) -> int:
         """A cell's cycle count; a cell that simulated nothing is an error,
         not a zero that drops out of an average."""
-        cycles = self(benchmark, mode, variant).cycles
+        cycles = self(benchmark, mode, variant, latency=latency).cycles
         if cycles <= 0:
-            raise ClaimError(
-                f"cell {cell_label((benchmark, mode, variant))} ran {cycles} cycles"
-            )
+            key = CellKey(benchmark, mode, variant, latency)
+            raise ClaimError(f"cell {key.label()} ran {cycles} cycles")
         return cycles
 
-    def speedup(self, benchmark: str, mode: ExecutionMode) -> float:
-        """Cycles(flat) / cycles(mode) for one benchmark."""
-        return self.cycles(benchmark, ExecutionMode.FLAT) / self.cycles(benchmark, mode)
+    def speedup(self, benchmark: str, mode: ExecutionMode, *,
+                latency: Optional[float] = None) -> float:
+        """Cycles(flat) / cycles(mode at ``latency``) for one benchmark."""
+        return (self.cycles(benchmark, ExecutionMode.FLAT)
+                / self.cycles(benchmark, mode, latency=latency))
 
 
 class _Probe:
@@ -116,7 +139,7 @@ def _check_needs(needs: Needs, *measures: Callable) -> None:
     """
     if not needs.modes:
         return
-    unknown = set(needs.variants) - set(VARIANTS)
+    unknown = {v for part in (needs, *needs.more) for v in part.variants} - set(VARIANTS)
     if unknown:
         raise ClaimError(f"unknown config variants {sorted(unknown)}")
     names = needs.benchmarks or benchmark_names()
@@ -223,7 +246,7 @@ class Verdict:
 
     def failure(self) -> str:
         """Names the claim, its cells, the measured value and the expectation."""
-        cells = ", ".join(cell_label(key) for key in self.cells) or "no cell"
+        cells = ", ".join(key.label() for key in self.cells) or "no cell"
         return (f"{self.claim.id} ({self.claim.status}): measured "
                 f"{render_value(self.measured)} from {cells}; "
                 f"expected {self.claim.expected()}")

@@ -118,14 +118,15 @@ class Evaluation:
         drift no verdict notices still changes this document."""
         modes = list(ExecutionMode)
         rows = []
-        for key in sorted(self.cells, key=lambda k: (k[0], modes.index(k[1]), k[2])):
-            benchmark, mode, variant = key
+        for key in sorted(self.cells, key=lambda k: (
+                k.benchmark, modes.index(k.mode),
+                -1 if k.latency is None else k.latency, k.variant)):  # the run's rung first
             stats = self.cells[key]
             digest = hashlib.sha256(
                 canonical_json(stats.to_dict()).encode("utf-8")
             ).hexdigest()
             rows.append([
-                benchmark, mode.value, variant, stats.cycles,
+                key.benchmark, key.mode_label(), key.variant, stats.cycles,
                 stats.issued_instructions, stats.coalescing.transactions,
                 len(stats.launches), stats.agt_hash_spills, digest[:12],
             ])
@@ -182,13 +183,14 @@ def evaluate(
         wanted += claim.needs.cells(claim.needs.benchmarks or everything)
 
     specs: Dict[CellKey, JobSpec] = {
-        (name, mode, variant): JobSpec.create(
-            name, mode, scale, latency_scale,
-            config=dataclasses.replace(base, **VARIANTS[variant]),
+        key: JobSpec.create(
+            key.benchmark, key.mode, scale,
+            latency_scale if key.latency is None else key.latency,
+            config=dataclasses.replace(base, **VARIANTS[key.variant]),
         )
-        for name, mode, variant in dict.fromkeys(wanted)
+        for key in dict.fromkeys(wanted)
     }
-    # Two cells can be one simulation (a variant that restates a default).
+    # One simulation can serve two cells (a variant restating a default, rung 0 in a run at 0).
     prints = {key: spec.fingerprint() for key, spec in specs.items()}
     distinct = {prints[key]: spec for key, spec in specs.items()}
     results = resolve(list(distinct.values())) if distinct else []

@@ -17,35 +17,38 @@ from .reporting import geomean, mean
 
 FLAT = ExecutionMode.FLAT
 CDP = ExecutionMode.CDP
-CDPI = ExecutionMode.CDP_IDEAL
 DTBL = ExecutionMode.DTBL
-DTBLI = ExecutionMode.DTBL_IDEAL
+#: The latency rung of the paper's ideal configurations: its CDPI and
+#: DTBLI are CDP and DTBL with every launch cost zero.
+IDEAL = 0
 
-#: Every non-flat mode in the enum's canonical comparison order: Fig. 11
-#: derives its columns from this, so a new mode appears without an edit.
-DYNAMIC_MODES = tuple(
-    mode for mode in ExecutionMode.comparison_order() if mode is not FLAT
+#: Fig. 11's columns as (mode, latency rung): the two ideal
+#: configurations, then every non-flat mode in the enum's canonical
+#: comparison order, so a new mode appears without an edit.
+SPEEDUP_COLUMNS = ((CDP, IDEAL), (DTBL, IDEAL)) + tuple(
+    (mode, None) for mode in ExecutionMode.comparison_order() if mode is not FLAT
 )
 
 
-def mode_column(mode: ExecutionMode) -> str:
-    """Table-column label for a mode (the paper's shorthand)."""
-    return mode.value.upper()
+def mode_column(mode: ExecutionMode, latency=None) -> str:
+    """Table-column label for a mode at a latency rung (the paper's
+    shorthand: ``CDPI`` is ``cdp`` at the ideal rung)."""
+    return (mode.value + ("i" if latency == IDEAL else "")).upper()
 
 
 def stat_columns(name: str, needs: Needs, digits=None) -> tuple:
-    """One ``SimStats`` attribute per mode, rounded as the figure prints it."""
+    """One ``SimStats`` attribute per rung and mode, rounded as printed."""
 
-    def column(mode):
+    def column(mode, latency):
         def value(c: Cells, b: str):
-            stat = getattr(c(b, mode), name)
+            stat = getattr(c(b, mode, latency=latency), name)
             if digits is None:
                 return stat
             return round(stat, digits) if digits else round(stat)
 
-        return mode_column(mode), value
+        return mode_column(mode, latency), value
 
-    return tuple(column(mode) for mode in needs.modes)
+    return tuple(column(mode, rung) for rung in needs.rungs for mode in needs.modes)
 
 
 def rows_where(row):
@@ -125,8 +128,8 @@ STATIC = (
           "S4.2: an aggregated group finds an eligible kernel (mean match rate "
           "of the launch-dense inputs under ideal latency, where launches crowd "
           "as at paper scale)",
-          Needs((DTBLI,), ("amr", "join_gaussian", "regx_string", "bht")),
-          lambda c: mean(c(b, DTBLI).agg_match_rate for b in c.benchmarks),
+          Needs((DTBL,), ("amr", "join_gaussian", "regx_string", "bht"), rungs=(IDEAL,)),
+          lambda c: mean(c(b, DTBL, latency=IDEAL).agg_match_rate for b in c.benchmarks),
           Expect(">", 0.9), paper=0.98),
     Claim("s4.3.fraction", "S4.3: the AGT is about 0.5 % of SMX storage", NO_CELL,
           lambda c: OVERHEAD.fraction_of_smx_storage, Expect("<", 0.01), paper=0.005),
@@ -141,9 +144,9 @@ REGISTER_BYTES = Claim("s4.3.registers", "extra register bytes", NO_CELL,
 # ----------------------------------------------------------------------
 
 FLAT_CDP_DTBL = Needs((FLAT, CDP, DTBL))
-IDEAL_AND_REAL = Needs((CDPI, DTBLI, CDP, DTBL))
+IDEAL_AND_REAL = Needs((CDP, DTBL), rungs=(IDEAL, None))
 CDP_DTBL = Needs((CDP, DTBL))
-ALL_MODES = Needs(ExecutionMode.comparison_order())
+ALL_MODES = Needs(ExecutionMode.comparison_order()) + Needs((CDP, DTBL), rungs=(IDEAL,))
 #: Fig. 12's launch-dense subset plus one control, DTBL under three AGT sizes.
 AGT_SIZES = Needs(
     (DTBL,), ("bht", "regx_string", "amr", "bfs_citation"), ("agt512", "", "agt2048")
@@ -160,8 +163,10 @@ def dram_gain(c: Cells, b: str, mode=DTBL) -> float:
     return c(b, mode).dram_efficiency - c(b, FLAT).dram_efficiency
 
 
-def occupancy_gain(c: Cells, b: str, mode, over) -> float:
-    return c(b, mode).smx_occupancy_pct - c(b, over).smx_occupancy_pct
+def occupancy_drop(c: Cells, b: str, mode) -> float:
+    """What launch latency costs ``mode`` in occupancy (negative: a drop)."""
+    return (c(b, mode).smx_occupancy_pct
+            - c(b, mode, latency=IDEAL).smx_occupancy_pct)
 
 
 def launches(c: Cells, b: str) -> bool:
@@ -169,10 +174,12 @@ def launches(c: Cells, b: str) -> bool:
     return c(b, CDP).avg_waiting_cycles != 0 or c(b, DTBL).avg_waiting_cycles != 0
 
 
-def waiting_change(c: Cells, mode, over) -> float:
-    """Mean relative change in waiting time over the rows where ``over`` waits."""
+def waiting_change(c: Cells, mode, over, latency=None) -> float:
+    """Mean relative change in waiting time, both at ``latency``, over the
+    rows where ``over`` waits."""
     pairs = [
-        (c(b, mode).avg_waiting_cycles, c(b, over).avg_waiting_cycles)
+        (c(b, mode, latency=latency).avg_waiting_cycles,
+         c(b, over, latency=latency).avg_waiting_cycles)
         for b in c.benchmarks if launches(c, b)
     ]
     return mean((new - old) / old for new, old in pairs if old > 0)
@@ -187,9 +194,9 @@ def footprint_reduction(c: Cells, b: str) -> float:
     return 100.0 * (cdp - c(b, DTBL).peak_footprint_bytes) / cdp
 
 
-def speedup(mode):
-    """The measure of a mode's Fig. 11 geomean."""
-    return lambda c: geomean(c.speedup(b, mode) for b in c.benchmarks)
+def speedup(mode, latency=None):
+    """The measure of a mode's Fig. 11 geomean at a latency rung."""
+    return lambda c: geomean(c.speedup(b, mode, latency=latency) for b in c.benchmarks)
 
 
 def agt_speedup(c: Cells, b: str, variant: str) -> float:
@@ -218,24 +225,25 @@ SMALL_GRIDS = ("grids of thousands, not millions, of threads: occupancy is a few
 OCCUPANCY = (
     Claim("fig8.ratio", "DTBLI / CDPI occupancy ratio (geomean)", IDEAL_AND_REAL,
           lambda c: geomean(
-              c(b, DTBLI).smx_occupancy_pct / c(b, CDPI).smx_occupancy_pct
-              for b in c.benchmarks if c(b, CDPI).smx_occupancy_pct > 0),
+              c(b, DTBL, latency=IDEAL).smx_occupancy_pct
+              / c(b, CDP, latency=IDEAL).smx_occupancy_pct
+              for b in c.benchmarks if c(b, CDP, latency=IDEAL).smx_occupancy_pct > 0),
           Expect(">", 1.0), "direction", paper=1.24,
           reason="undershoot: CDP's 32-kernel ceiling binds only during launch "
           "bursts at these launch densities"),
     Claim("fig8.cdp_drop", "avg occupancy drop CDP vs CDPI (pp)", IDEAL_AND_REAL,
-          lambda c: mean(occupancy_gain(c, b, CDP, CDPI) for b in c.benchmarks),
+          lambda c: mean(occupancy_drop(c, b, CDP) for b in c.benchmarks),
           Expect("within", 0.5), "gap", paper=-10.7, reason=SMALL_GRIDS,
           pinned=Expect("between", (-5.0, 0.5))),
     Claim("fig8.dtbl_drop", "avg occupancy drop DTBL vs DTBLI (pp)", IDEAL_AND_REAL,
-          lambda c: mean(occupancy_gain(c, b, DTBL, DTBLI) for b in c.benchmarks),
+          lambda c: mean(occupancy_drop(c, b, DTBL) for b in c.benchmarks),
           Expect("within", 0.5), "gap", paper=-5.2, reason=SMALL_GRIDS,
           pinned=Expect("between", (-2.5, 0.5))),
 )
 _, CDP_DROP, DTBL_DROP = OCCUPANCY
 WAITING = (
     Claim("fig9.ideal", "avg waiting-time change DTBLI vs CDPI", IDEAL_AND_REAL,
-          lambda c: waiting_change(c, DTBLI, CDPI),
+          lambda c: waiting_change(c, DTBL, CDP, latency=IDEAL),
           Expect("<", 0.05), "direction", paper=-0.188, reason=OVERSHOOT),
     Claim("fig9.real", "avg waiting-time change DTBL vs CDP", IDEAL_AND_REAL,
           lambda c: waiting_change(c, DTBL, CDP),
@@ -264,11 +272,12 @@ SPEEDUP_ROWS = {
     "persistent-async": (Expect("<", 1.0), "direction", None, NO_ANCHOR),
 }
 SPEEDUPS = tuple(
-    Claim(f"fig11.{mode.value}", f"{mode_column(mode)} speedup (geomean)", ALL_MODES,
-          speedup(mode), expect, status, paper=paper, reason=reason,
+    Claim(f"fig11.{name.lower()}", f"{name} speedup (geomean)",
+          ALL_MODES, speedup(mode, rung), expect, status, paper=paper, reason=reason,
           pinned=Expect("between", (1.0, 2.0)) if status == "gap" else None)
-    for mode in DYNAMIC_MODES
-    for expect, status, paper, reason in [SPEEDUP_ROWS[mode.value]]
+    for mode, rung in SPEEDUP_COLUMNS
+    for name in [mode_column(mode, rung)]
+    for expect, status, paper, reason in [SPEEDUP_ROWS[name.lower()]]
 )
 AGT_ONLY_AMR = "only amr keeps hundreds of groups pending at once at this scale"
 AGT_GEOMEANS = (
@@ -307,8 +316,9 @@ FIGURES = (
            (FOOTPRINT,), keep=has_footprint),
     Figure("11", "Figure 11", "Overall Performance: Speedup over Flat Implementation",
            ALL_MODES,
-           tuple((mode_column(m), lambda c, b, m=m: round(c.speedup(b, m), 2))
-                 for m in DYNAMIC_MODES),
+           tuple((mode_column(m, r),
+                  lambda c, b, m=m, r=r: round(c.speedup(b, m, latency=r), 2))
+                 for m, r in SPEEDUP_COLUMNS),
            SPEEDUPS,
            note="Paper averages are arithmetic; the geomean shown here is less "
            "sensitive to the scaled-down outliers."),
@@ -379,13 +389,14 @@ ROWS = (
     # -- Figure 8 ------------------------------------------------------
     Claim("fig8.rows", "DTBLI occupancy is at least CDPI's (rows, of 16)",
           IDEAL_AND_REAL,
-          rows_where(lambda c, b: occupancy_gain(c, b, DTBLI, CDPI) >= 0),
+          rows_where(lambda c, b: c(b, DTBL, latency=IDEAL).smx_occupancy_pct
+                     >= c(b, CDP, latency=IDEAL).smx_occupancy_pct),
           Expect(">=", 15)),
     Claim("fig8.bht",
           "the fine-grained bht sees a DTBLI advantage (DTBLI - CDPI, pp as printed)",
           IDEAL_AND_REAL.on("bht"),
-          lambda c: round(c("bht", DTBLI).smx_occupancy_pct, 1)
-          - round(c("bht", CDPI).smx_occupancy_pct, 1),
+          lambda c: round(c("bht", DTBL, latency=IDEAL).smx_occupancy_pct, 1)
+          - round(c("bht", CDP, latency=IDEAL).smx_occupancy_pct, 1),
           Expect(">=", 0.0), "direction"),
     Claim("fig8.cdp_hurt_more",
           "launch latency costs CDP at least the occupancy it costs DTBL "
@@ -416,8 +427,9 @@ ROWS = (
     Claim("fig11.orderings",
           "DTBLI > CDPI, DTBL > CDP, and each ideal above its real (the smallest "
           "of the four geomean differences)", ALL_MODES,
-          lambda c: min(speedup(a)(c) - speedup(b)(c) for a, b in
-                        ((DTBLI, CDPI), (DTBL, CDP), (DTBLI, DTBL), (CDPI, CDP))),
+          lambda c: min(speedup(*a)(c) - speedup(*b)(c) for a, b in
+                        (((DTBL, IDEAL), (CDP, IDEAL)), ((DTBL, None), (CDP, None)),
+                         ((DTBL, IDEAL), (DTBL, None)), ((CDP, IDEAL), (CDP, None)))),
           Expect(">", 0.0)),
     Claim("fig11.dtbl_ge_cdp", "DTBL is never slower than CDP (rows where it is)",
           FLAT_CDP_DTBL, rows_where(lambda c, b: c.cycles(b, DTBL) > c.cycles(b, CDP)),

@@ -20,11 +20,10 @@ and a call simulates each fingerprint once, so no state outlives it.
 from __future__ import annotations
 
 import sys
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence
 
 from ..errors import ReproError
 from ..exec import JobResult, JobSpec, ProgressEvent, ResultCache, SweepEngine
-from ..runtime import ExecutionMode
 
 #: Launch-latency scale used for the evaluation grid (see DESIGN.md:
 #: datasets are scaled down ~3 orders of magnitude from the paper's, so
@@ -36,11 +35,6 @@ DEFAULT_LATENCY_SCALE = 0.25
 #: Default dataset scale for the evaluation grid.
 DEFAULT_SCALE = 1.0
 
-#: The full comparison grid: the paper's five modes plus the
-#: compiler-optimized rivals, derived from the enum so new modes join
-#: the default grid automatically.
-ALL_MODES: Tuple[ExecutionMode, ...] = ExecutionMode.comparison_order()
-
 
 def _progress(text: str) -> None:
     """Progress goes to stderr: stdout is the rendered document alone."""
@@ -50,8 +44,8 @@ def _progress(text: str) -> None:
 def _print_run(job: JobSpec, result: JobResult, note: str = "") -> None:
     suffix = f"  [{note}]" if note else ""
     _progress(
-        f"  {job.benchmark:14s} {job.mode.value:6s} cycles={result.cycles:>10,} "
-        f"({result.wall_seconds:.1f}s){suffix}"
+        f"  {job.benchmark:14s} {job.mode.value:6s} x{job.latency_scale:<4g} "
+        f"cycles={result.cycles:>10,} ({result.wall_seconds:.1f}s){suffix}"
     )
 
 

@@ -226,7 +226,6 @@ class Device:
         memory_words: int = 4 * 1024 * 1024,
         sanitize: Optional[bool] = None,
     ) -> None:
-        _validate_mode_latency(mode, latency)
         if sanitize is not None:
             config = dataclasses.replace(
                 config if config is not None else GPUConfig.k20c(),
@@ -497,33 +496,3 @@ class Device:
     def cycles(self) -> int:
         return self.gpu.cycle
 
-
-def _validate_mode_latency(
-    mode: ExecutionMode, latency: Optional[LatencyModel]
-) -> None:
-    """Reject contradictory mode/latency combinations.
-
-    The old API silently honoured a user-passed ``latency`` even when it
-    contradicted ``mode`` — e.g. ``Device(mode=ExecutionMode.CDP_IDEAL,
-    latency=LatencyModel.measured_k20c())`` simulated measured latencies
-    while reporting itself (and its stats) as an *ideal* configuration.
-    """
-    if latency is None:
-        return
-    ideal_model = LatencyModel.ideal()
-    if mode.ideal and latency != ideal_model:
-        raise ConfigError(
-            f"mode {mode.value!r} is an ideal (zero-launch-latency) "
-            "configuration but a non-ideal LatencyModel was passed; drop "
-            f"the latency argument or use mode {mode.value[:-1]!r}"
-        )
-    if mode.is_dynamic and not mode.ideal and latency == ideal_model:
-        hint = (
-            f"; use mode {mode.value + 'i'!r} for the ideal configuration"
-            if not (mode.compiler_optimized or mode.persistent)
-            else ""
-        )
-        raise ConfigError(
-            f"mode {mode.value!r} models measured launch latencies but an "
-            f"all-zero (ideal) LatencyModel was passed{hint}"
-        )

@@ -2,10 +2,8 @@
 
 * ``FLAT`` — the original implementation: nested parallelism flattened and
   serialized within each thread.
-* ``CDP`` / ``CDP_IDEAL`` — device-side *kernel* launches (CUDA Dynamic
-  Parallelism), with measured / zero launch latencies.
-* ``DTBL`` / ``DTBL_IDEAL`` — the paper's aggregated-group launches, with
-  measured / zero launch latencies.
+* ``CDP`` — device-side *kernel* launches (CUDA Dynamic Parallelism).
+* ``DTBL`` — the paper's aggregated-group launches.
 * ``CDP_AGG`` — CDP rewritten by the :mod:`repro.isa.dynopt` compiler
   passes: child launches below a thread-count threshold are serialized
   into the parent, the rest are aggregated per block into one batched
@@ -20,6 +18,10 @@
   pushes via the :mod:`repro.isa.persist` rewrite; the sync variant
   claims published tickets with a CAS, the async variant takes
   optimistic tickets and recovers dead ones at quiescence.
+
+The paper's ideal configurations, CDPI and DTBLI, are not modes: they are
+``CDP`` and ``DTBL`` at launch-latency scale 0, which
+:meth:`ExecutionMode.latency_model` maps to :meth:`LatencyModel.ideal`.
 
 The software-optimized modes run on the plain CDP device runtime — the
 transformation happens entirely in the IR, so they use the measured CDP
@@ -38,9 +40,7 @@ from ..config import LatencyModel
 class ExecutionMode(enum.Enum):
     FLAT = "flat"
     CDP = "cdp"
-    CDP_IDEAL = "cdpi"
     DTBL = "dtbl"
-    DTBL_IDEAL = "dtbli"
     CDP_AGG = "cdpa"
     CONSOLIDATED = "cons"
     PERSISTENT = "persistent"
@@ -57,7 +57,6 @@ class ExecutionMode(enum.Enum):
         """
         return self in (
             ExecutionMode.CDP,
-            ExecutionMode.CDP_IDEAL,
             ExecutionMode.CDP_AGG,
             ExecutionMode.CONSOLIDATED,
             ExecutionMode.PERSISTENT,
@@ -66,7 +65,7 @@ class ExecutionMode(enum.Enum):
 
     @property
     def uses_dtbl(self) -> bool:
-        return self in (ExecutionMode.DTBL, ExecutionMode.DTBL_IDEAL)
+        return self is ExecutionMode.DTBL
 
     @property
     def compiler_optimized(self) -> bool:
@@ -85,23 +84,18 @@ class ExecutionMode(enum.Enum):
     def is_dynamic(self) -> bool:
         return self is not ExecutionMode.FLAT
 
-    @property
-    def ideal(self) -> bool:
-        return self in (ExecutionMode.CDP_IDEAL, ExecutionMode.DTBL_IDEAL)
-
     def latency_model(self, scale: float = 1.0) -> LatencyModel:
         """The launch-latency model this mode runs under.
 
         ``scale`` < 1 shrinks the measured Table 3 launch latencies for
-        scaled-down workloads (see :meth:`LatencyModel.scaled`); it has no
-        effect on the ideal modes, which are all-zero by definition.
+        scaled-down workloads (see :meth:`LatencyModel.scaled`).  Scale 0
+        is the paper's ideal configuration (CDPI / DTBLI):
+        :meth:`LatencyModel.ideal` exactly, whose KDE search and AGT probe
+        are free too, where :meth:`~LatencyModel.scaled` keeps them.
         """
-        if self.ideal:
+        if scale == 0:
             return LatencyModel.ideal()
-        model = LatencyModel.measured_k20c()
-        if scale != 1.0:
-            model = model.scaled(scale)
-        return model
+        return LatencyModel.measured_k20c().scaled(scale)
 
     @classmethod
     def parse(cls, name: str) -> "ExecutionMode":
@@ -113,6 +107,9 @@ class ExecutionMode(enum.Enum):
         for mode in cls:
             if mode.value == name.lower():
                 return mode
+        if name.lower() in ("cdpi", "dtbli"):
+            raise ValueError(f"{name!r} is not a mode: the ideal configuration "
+                             f"is --mode {name.lower()[:-1]} --latency-scale 0")
         valid = ", ".join(mode.value for mode in cls)
         raise ValueError(
             f"unknown execution mode {name!r} (valid modes: {valid})"
@@ -122,14 +119,12 @@ class ExecutionMode(enum.Enum):
     def comparison_order(cls) -> Tuple["ExecutionMode", ...]:
         """Canonical mode order for comparison grids and figures.
 
-        Baseline first, then the paper's modes ideal-to-measured, then the
-        compiler-optimized rivals, then the persistent-threads rivals —
-        the order the Fig. 11 columns use.
+        Baseline first, then the paper's modes, then the compiler-optimized
+        rivals, then the persistent-threads rivals — the order the Fig. 11
+        columns use (after the paper's two ideal columns).
         """
         return (
             cls.FLAT,
-            cls.CDP_IDEAL,
-            cls.DTBL_IDEAL,
             cls.CDP,
             cls.DTBL,
             cls.CDP_AGG,

@@ -4,6 +4,7 @@ Usage::
 
     python -m repro.workloads bfs_citation --mode dtbl
     python -m repro.workloads join_gaussian --mode flat cdp dtbl --scale 0.5
+    python -m repro.workloads amr --mode dtbl --latency-scale 0   # DTBLI
     python -m repro.workloads bht --jobs 3          # one worker per mode
     python -m repro.workloads --list
 
@@ -29,7 +30,6 @@ from ..exec import (
     validate_execution_flags,
 )
 from ..harness.runner import run_jobs
-from ..runtime import ExecutionMode
 from ..sim import profiler as _profiler
 from .registry import benchmark_names
 
@@ -41,7 +41,6 @@ def main(argv=None) -> int:
     )
     parser.add_argument("benchmark", nargs="?", help="benchmark id (see --list)")
     parser.add_argument("--mode", nargs="*", default=["flat", "cdp", "dtbl"],
-                        choices=[mode.value for mode in ExecutionMode],
                         help="execution modes (default: flat cdp dtbl)")
     parser.add_argument("--no-verify", action="store_true",
                         help="skip the reference-result check")
@@ -55,6 +54,11 @@ def main(argv=None) -> int:
             print(name)
         return 0
     checkpoint_dir = validate_execution_flags(parser, args)
+    try:  # a bad mode name is refused with the valid ones (or, for cdpi, the flags)
+        jobs = [JobSpec.from_args(args, args.benchmark, name, checkpoint_dir=checkpoint_dir)
+                for name in args.mode]
+    except ValueError as exc:
+        parser.error(str(exc))
 
     profiler = None
     if args.profile:
@@ -64,15 +68,6 @@ def main(argv=None) -> int:
         args.cache = False
         profiler = _profiler.activate()
     cache = ResultCache(args.cache_dir) if args.cache else None
-    jobs = [
-        JobSpec.from_args(
-            args,
-            args.benchmark,
-            ExecutionMode.parse(mode_name),
-            checkpoint_dir=checkpoint_dir,
-        )
-        for mode_name in args.mode
-    ]
 
     runs = run_jobs(jobs, jobs=args.jobs, cache=cache)
 

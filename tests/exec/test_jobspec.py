@@ -6,7 +6,7 @@ import argparse
 
 import pytest
 
-from repro import ExecutionMode, GPUConfig
+from repro import ExecutionMode, GPUConfig, LatencyModel
 from repro.exec import (
     JobResult,
     JobSpec,
@@ -65,12 +65,20 @@ class TestValidation:
         {"benchmark": ""},
         {"scale": 0.0},
         {"scale": -1.0},
-        {"latency_scale": 0.0},
+        {"latency_scale": -0.5},
         {"checkpoint_every": 0},
+        {"scale": float("inf")},
+        {"latency_scale": float("inf")},
+        {"latency_scale": float("nan")},
     ])
     def test_bad_fields_raise_spec_error(self, overrides):
-        with pytest.raises(SpecError):
+        (field,) = overrides
+        with pytest.raises(SpecError, match=f"^{field} "):
             small_spec(**overrides).validate()
+
+    def test_latency_scale_zero_is_the_ideal_configuration(self):
+        spec = small_spec(mode=ExecutionMode.DTBL, latency_scale=0.0).validate()
+        assert spec.mode.latency_model(spec.latency_scale) == LatencyModel.ideal()
 
     def test_spec_error_is_a_value_error(self):
         assert issubclass(SpecError, ValueError)

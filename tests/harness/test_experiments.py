@@ -7,16 +7,18 @@ import pytest
 
 from repro.exec import canonical_json
 from repro.harness import CLAIMS, Cells, Claim, ClaimError, Expect, Needs, evaluate
+from repro.harness.claims import CellKey
 from repro.harness.experiments import Experiment
-from repro.harness.paper import DYNAMIC_MODES, mode_column
+from repro.harness.paper import SPEEDUP_COLUMNS, mode_column
 from repro.harness.reporting import geomean
-from repro.harness.runner import ALL_MODES, run_jobs
+from repro.harness.runner import run_jobs
 from repro.runtime import ExecutionMode
 from repro.sim.stats import LaunchKind, LaunchRecord, SimStats
 from repro.workloads import benchmark_names
 
 FLAT, CDP, DTBL = ExecutionMode.FLAT, ExecutionMode.CDP, ExecutionMode.DTBL
-CDPI, DTBLI = ExecutionMode.CDP_IDEAL, ExecutionMode.DTBL_IDEAL
+#: Every mode, and the two ideal rungs (the paper's CDPI and DTBLI).
+CELLS_PER_BENCHMARK = len(ExecutionMode.comparison_order()) + 2
 
 
 class FakeStats:
@@ -85,7 +87,7 @@ class TestGridFigures:
     def test_fig11_structure(self, small):
         exp = small.experiments["11"]
         assert exp.headers == ["benchmark"] + [
-            mode_column(mode) for mode in DYNAMIC_MODES
+            mode_column(mode, rung) for mode, rung in SPEEDUP_COLUMNS
         ]
         assert exp.headers == [
             "benchmark", "CDPI", "DTBLI", "CDP", "DTBL", "CDPA", "CONS",
@@ -95,9 +97,10 @@ class TestGridFigures:
             assert all(value > 0 for value in row[1:])
 
     def test_all_modes_present(self, small):
-        """2 benchmarks x (9 modes + 2 AGT sizes), and bfs_citation's two
-        round-robin cells: the only ablation inside this selection."""
-        assert len(small.results) == 2 * (len(ALL_MODES) + 2) + 2
+        """2 benchmarks x (7 modes + 2 ideal rungs + 2 AGT sizes), and
+        bfs_citation's two round-robin cells: the only ablation inside this
+        selection."""
+        assert len(small.results) == 2 * (CELLS_PER_BENCHMARK + 2) + 2
         judged = {verdict.claim.id for verdict in small.verdicts}
         assert "ablation.rr" in judged and "fig6.gain" not in judged
         assert len(judged) + len(small.unjudged) == len(CLAIMS)
@@ -120,7 +123,7 @@ class TestEvaluator:
         prints = [spec.fingerprint() for spec in specs]
         assert len(set(prints)) == len(prints)
         # The grid, Fig. 12's two other sizes on four benchmarks, four ablation cells.
-        assert len(specs) == 16 * len(ALL_MODES) + 4 * 2 + 4
+        assert len(specs) == 16 * CELLS_PER_BENCHMARK + 4 * 2 + 4
         assert not evaluation.unjudged
 
     def test_perturbed_cell_flips_exactly_its_readers(self):
@@ -134,7 +137,7 @@ class TestEvaluator:
                   lambda c: geomean(c.speedup(b, DTBL) for b in c.benchmarks),
                   Expect(">", 1.5)),
         ]
-        world = {(name, mode, ""): FakeStats(cycles=1000 if mode is FLAT else 500)
+        world = {CellKey(name, mode): FakeStats(cycles=1000 if mode is FLAT else 500)
                  for name in needs.benchmarks for mode in needs.modes}
 
         def judge(world):
@@ -142,7 +145,7 @@ class TestEvaluator:
                     for toy in toys}
 
         assert all(verdict.ok for verdict in judge(world).values())
-        broken = ("amr", DTBL, "")
+        broken = CellKey("amr", DTBL)
         verdicts = judge({**world, broken: FakeStats(cycles=2000)})
         assert {id for id, v in verdicts.items() if not v.ok} == \
             {id for id, v in verdicts.items() if broken in v.cells} == \
@@ -153,16 +156,16 @@ class TestEvaluator:
         )
 
     @pytest.mark.parametrize("claim_id, world, recorded, paper, beyond", [
-        ("fig11.cdp", lambda x: {FLAT: FakeStats(cycles=1000),
-                                 CDP: FakeStats(cycles=1000 / x)}, 1.37, None, 3.0),
-        ("fig8.cdp_drop", lambda d: {CDPI: FakeStats(smx_occupancy_pct=20),
-                                     CDP: FakeStats(smx_occupancy_pct=20 + d)},
+        ("fig11.cdp", lambda x: {(FLAT, None): FakeStats(cycles=1000),
+                                 (CDP, None): FakeStats(cycles=1000 / x)}, 1.37, None, 3.0),
+        ("fig8.cdp_drop", lambda d: {(CDP, 0): FakeStats(smx_occupancy_pct=20),
+                                     (CDP, None): FakeStats(smx_occupancy_pct=20 + d)},
          -0.9, None, 2.0),
-        ("fig8.dtbl_drop", lambda d: {DTBLI: FakeStats(smx_occupancy_pct=20),
-                                      DTBL: FakeStats(smx_occupancy_pct=20 + d)},
+        ("fig8.dtbl_drop", lambda d: {(DTBL, 0): FakeStats(smx_occupancy_pct=20),
+                                      (DTBL, None): FakeStats(smx_occupancy_pct=20 + d)},
          -0.8, None, 2.0),
-        ("fig7.cage15", lambda d: {FLAT: FakeStats(dram_efficiency=0.1),
-                                   DTBL: FakeStats(dram_efficiency=0.1 + d)},
+        ("fig7.cage15", lambda d: {(FLAT, None): FakeStats(dram_efficiency=0.1),
+                                   (DTBL, None): FakeStats(dram_efficiency=0.1 + d)},
          -0.01, 0.02, -0.08),
     ])
     def test_gap_rows_fail_when_flipped_either_way(
@@ -173,8 +176,8 @@ class TestEvaluator:
         names = claim.needs.benchmarks or benchmark_names()
 
         def ok(value):
-            by_mode = world(value)
-            stats = {key: by_mode.get(key[1], FakeStats())
+            by_cell = world(value)
+            stats = {key: by_cell.get((key.mode, key.latency), FakeStats())
                      for key in claim.needs.cells(names)}
             return claim.judge(Cells(stats, claim.needs, names)).ok
 
@@ -191,7 +194,7 @@ class TestEvaluator:
 
     def test_a_cell_that_ran_nothing_is_an_error_not_a_zero(self):
         needs = Needs((FLAT, DTBL), ("amr",))
-        dead = {key: FakeStats(cycles=0 if key[1] is DTBL else 1000)
+        dead = {key: FakeStats(cycles=0 if key.mode is DTBL else 1000)
                 for key in needs.cells(["amr"])}
         with pytest.raises(ClaimError, match="amr/dtbl ran 0 cycles"):
             Cells(dead, needs, ["amr"]).speedup("amr", DTBL)
@@ -212,13 +215,51 @@ def counting_resolver(specs):
     return results
 
 
+class TestLatencyRungs:
+    """A cell's launch-latency rung is part of its key: ``None`` is the
+    run's ``latency_scale``, ``0`` the paper's ideal configuration."""
+
+    @staticmethod
+    def specs(**run):
+        """The specs Fig. 8 (CDP and DTBL at rungs 0 and None) resolves."""
+        calls = []
+        evaluate(fake_resolver(calls), figure="8", benchmarks=["amr", "bht"], **run)
+        (specs,) = calls
+        return specs
+
+    def test_each_distinct_cell_is_resolved_once(self):
+        specs = self.specs()
+        assert sorted((s.benchmark, s.mode.value, s.latency_scale) for s in specs) == [
+            (name, mode, latency) for name in ("amr", "bht")
+            for mode in ("cdp", "dtbl") for latency in (0.0, 0.25)
+        ]
+        assert len({spec.fingerprint() for spec in specs}) == len(specs)
+        # A run at latency scale 0: both rungs are one simulation per mode.
+        assert len(self.specs(latency_scale=0)) == 4
+
+    def test_reading_an_undeclared_rung_fails_at_construction(self):
+        with pytest.raises(ClaimError, match=r"toy.*amr/dtbl \(latency 0\) is outside"):
+            Claim("toy", "", Needs((DTBL,), ("amr",)),
+                  lambda c: c("amr", DTBL, latency=0).cycles, Expect(">", 0))
+
+    def test_the_ideal_rung_is_one_simulation_whatever_the_run_latency(self):
+        """A rung-0 spec no longer hashes the run's latency scale."""
+        prints = {
+            spec.fingerprint()
+            for latency_scale in (0.1, 0.25, 1.0)
+            for spec in self.specs(latency_scale=latency_scale)
+            if (spec.benchmark, spec.mode, spec.latency_scale) == ("bht", CDP, 0)
+        }
+        assert len(prints) == 1
+
+
 class TestCellAppendix:
     """EXPERIMENTS.md ends with one row per resolved cell, so its
     byte-for-byte check sees a counter no verdict reads."""
 
     @staticmethod
     def appendix(evaluation) -> dict:
-        """The appendix's rows, keyed by (benchmark, mode, variant)."""
+        """The appendix's rows, keyed by (benchmark, mode and rung, variant)."""
         document = evaluation.document()
         assert document.endswith(evaluation.cell_table() + "\n")
         lines = evaluation.cell_table().splitlines()[4:4 + len(evaluation.cells)]
@@ -229,12 +270,14 @@ class TestCellAppendix:
         evaluation = evaluate(counting_resolver, benchmarks=["amr", "bht"])
         rows = self.appendix(evaluation)
         assert len(rows) == len(evaluation.cells) == len(evaluation.results)
-        assert list(rows)[:3] == [("amr", m.value, "") for m in list(ExecutionMode)[:3]]
-        for (name, mode, variant), stats in evaluation.cells.items():
+        assert list(rows)[:3] == [
+            ("amr", "flat", ""), ("amr", "cdp", ""), ("amr", "cdp (latency 0)", "")
+        ]
+        for key, stats in evaluation.cells.items():
             digest = hashlib.sha256(
                 canonical_json(stats.to_dict()).encode("utf-8")
             ).hexdigest()
-            assert rows[name, mode.value, variant] == [
+            assert rows[key.benchmark, key.mode_label(), key.variant] == [
                 f"{stats.cycles:,}", f"{stats.issued_instructions:,}",
                 f"{stats.coalescing.transactions:,}", f"{len(stats.launches):,}",
                 f"{stats.agt_hash_spills:,}", digest[:12],
@@ -246,7 +289,7 @@ class TestCellAppendix:
         def drift(specs):
             results = counting_resolver(specs)
             for spec, result in zip(specs, results):
-                if (spec.benchmark, spec.mode) == ("amr", CDP):
+                if (spec.benchmark, spec.mode, spec.latency_scale) == ("amr", CDP, 0.25):
                     result.stats.branches_uniform += 1
             return results
 

@@ -129,9 +129,10 @@ class TestSpecTable:
         info = manager.submit_hit(huge)
         assert info["fingerprint"] == fresh(manager, huge).fingerprint()
         assert info["spec"]["checkpoint_every"] == 2**70
-        # A valid scale, but one no fingerprint can hash: refused (400).
-        with pytest.raises(ValueError, match="not JSON compliant"):
-            manager.submit(wire(scale=float("inf")))
+        # A non-finite scale is refused by name (400).
+        for field in ("scale", "latency_scale"):
+            with pytest.raises(SpecError, match=f"^{field} must be finite"):
+                manager.submit(wire(**{field: float("inf")}))
         assert manager._specs == {}
         # ``null`` is a legal checkpoint_every; NaN, which encodes as it, is not.
         manager.submit_hit(wire(checkpoint_every=None))

@@ -49,8 +49,9 @@ def parent_kernel(use_dtbl: bool, threshold: int = 0) -> KernelFunction:
     return KernelFunction("parent", k.build())
 
 
-def run_nested(mode: ExecutionMode, nitems: int = 100, seed: int = 3):
-    dev = Device(mode=mode)
+def run_nested(mode: ExecutionMode, nitems: int = 100, seed: int = 3,
+               latency_scale: float = 1.0):
+    dev = Device(mode=mode, latency=mode.latency_model(latency_scale))
     dev.register(child_sum_kernel())
     dev.register(parent_kernel(mode.uses_dtbl))
     rng = np.random.default_rng(seed)
@@ -88,7 +89,7 @@ class TestCdpLaunch:
 
     def test_ideal_faster_than_measured(self):
         _, _, _, measured = run_nested(ExecutionMode.CDP)
-        _, _, _, ideal = run_nested(ExecutionMode.CDP_IDEAL)
+        _, _, _, ideal = run_nested(ExecutionMode.CDP, latency_scale=0)
         assert ideal.cycles < measured.cycles
 
     def test_footprint_rises_and_falls(self):
@@ -103,14 +104,14 @@ class TestDtblLaunch:
         assert dev.read_int(out) == total
 
     def test_agg_records(self):
-        _, _, _, stats = run_nested(ExecutionMode.DTBL_IDEAL)
+        _, _, _, stats = run_nested(ExecutionMode.DTBL, latency_scale=0)
         dyn = stats.dynamic_launches()
         assert len(dyn) == 100
         kinds = {r.kind for r in dyn}
         assert LaunchKind.AGG_GROUP in kinds
 
     def test_coalescing_match_rate_high_when_dense(self):
-        _, _, _, stats = run_nested(ExecutionMode.DTBL_IDEAL)
+        _, _, _, stats = run_nested(ExecutionMode.DTBL, latency_scale=0)
         # With zero launch latency all launches land close together, so
         # nearly all groups find the eligible kernel (paper: ~98%).
         assert stats.agg_match_rate > 0.9
@@ -121,8 +122,8 @@ class TestDtblLaunch:
         assert dtbl.cycles < cdp.cycles
 
     def test_dtbl_footprint_below_cdp(self):
-        _, _, _, cdp = run_nested(ExecutionMode.CDP_IDEAL)
-        _, _, _, dtbl = run_nested(ExecutionMode.DTBL_IDEAL)
+        _, _, _, cdp = run_nested(ExecutionMode.CDP, latency_scale=0)
+        _, _, _, dtbl = run_nested(ExecutionMode.DTBL, latency_scale=0)
         assert dtbl.peak_footprint_bytes < cdp.peak_footprint_bytes
 
     def test_mismatched_block_shape_falls_back_to_device_kernel(self):
@@ -139,7 +140,7 @@ class TestDtblLaunch:
             k.launch_agg("child", buf, agg=1, block=64)  # parent uses 32
         k.exit()
         parent = KernelFunction("parent", k.build())
-        dev = Device(mode=ExecutionMode.DTBL_IDEAL)
+        dev = Device(mode=ExecutionMode.DTBL, latency=LatencyModel.ideal())
         dev.register(child_sum_kernel())
         dev.register(parent)
         data = dev.upload(np.array([41], dtype=np.int64))
@@ -167,7 +168,7 @@ class TestNestedDepth:
                 k.launch_agg("recurse", buf, agg=1, block=32)
         k.exit()
         func = KernelFunction("recurse", k.build())
-        dev = Device(mode=ExecutionMode.DTBL_IDEAL)
+        dev = Device(mode=ExecutionMode.DTBL, latency=LatencyModel.ideal())
         dev.register(func)
         out = dev.alloc(1)
         dev.launch("recurse", grid=1, block=32, params=[6, out])
@@ -179,7 +180,7 @@ class TestConcurrencyLimit:
     def test_kde_limit_respected(self):
         # More pending device kernels than KDE entries: peak occupancy of
         # the distributor must never exceed max_concurrent_kernels.
-        _, _, _, stats = run_nested(ExecutionMode.CDP_IDEAL, nitems=128)
+        _, _, _, stats = run_nested(ExecutionMode.CDP, nitems=128, latency_scale=0)
         # (the distributor itself asserts; this is a smoke check)
         assert stats.kernels_completed >= 128
 

@@ -65,10 +65,10 @@ class TestSampler:
 class TestDtblTimeline:
     def test_agt_occupancy_visible_during_dtbl_run(self):
         graph = citation_network(n=400, attach=5)
-        workload = BfsWorkload("bfs_tl", ExecutionMode.DTBL_IDEAL, graph)
+        workload = BfsWorkload("bfs_tl", ExecutionMode.DTBL, graph)
         device = Device(
-            mode=ExecutionMode.DTBL_IDEAL,
-            latency=ExecutionMode.DTBL_IDEAL.latency_model(),
+            mode=ExecutionMode.DTBL,
+            latency=ExecutionMode.DTBL.latency_model(0),
         )
         sampler = TimelineSampler(device.gpu, interval=50)
         device.attach_tracer(sampler)

@@ -11,8 +11,8 @@ from repro.workloads.datasets import amr_grid, citation_network, join_tables
 from repro.workloads.join import JoinWorkload
 
 
-def run_and_check(workload, mode):
-    device = Device(mode=mode, latency=mode.latency_model(0.25))
+def run_and_check(workload, mode, latency_scale=0.25):
+    device = Device(mode=mode, latency=mode.latency_model(latency_scale))
     for func in workload.build_kernels():
         device.register(func)
     workload.setup(device)
@@ -24,22 +24,25 @@ def run_and_check(workload, mode):
 
 class TestDrainInvariants:
     @pytest.mark.parametrize(
-        "mode",
-        [ExecutionMode.FLAT, ExecutionMode.CDP, ExecutionMode.DTBL,
-         ExecutionMode.DTBL_IDEAL],
+        "mode,latency_scale",
+        [pytest.param(ExecutionMode.FLAT, 0.25, id="ExecutionMode.FLAT"),
+         pytest.param(ExecutionMode.CDP, 0.25, id="ExecutionMode.CDP"),
+         pytest.param(ExecutionMode.DTBL, 0.25, id="ExecutionMode.DTBL"),
+         # DTBL at latency scale 0, under the id it had as the DTBLI mode.
+         pytest.param(ExecutionMode.DTBL, 0, id="ExecutionMode.DTBL_IDEAL")],
     )
-    def test_bfs_drains_cleanly(self, mode):
+    def test_bfs_drains_cleanly(self, mode, latency_scale):
         graph = citation_network(n=200, attach=4)
-        run_and_check(BfsWorkload("bfs", mode, graph), mode)
+        run_and_check(BfsWorkload("bfs", mode, graph), mode, latency_scale)
 
     def test_nested_amr_drains_cleanly(self):
         mode = ExecutionMode.DTBL
         run_and_check(AmrWorkload("amr", mode, amr_grid(side=10)), mode)
 
     def test_join_drains_cleanly(self):
-        mode = ExecutionMode.CDP_IDEAL
+        mode = ExecutionMode.CDP
         data = join_tables("gaussian", r_size=400, s_size=300)
-        run_and_check(JoinWorkload("join", mode, data), mode)
+        run_and_check(JoinWorkload("join", mode, data), mode, latency_scale=0)
 
     def test_detects_leaked_resources(self):
         # Manually corrupt the accounting: the checker must notice.

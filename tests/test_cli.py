@@ -33,11 +33,12 @@ class TestWorkloadsCli:
 
     def test_run_multi_mode(self, capsys):
         code = workloads_main(
-            ["join_uniform", "--mode", "flat", "dtbli", "--scale", "0.15"]
+            ["join_uniform", "--mode", "flat", "dtbl", "--scale", "0.15",
+             "--latency-scale", "0"]
         )
         assert code == 0
         out = capsys.readouterr().out
-        assert "[flat]" in out and "[dtbli]" in out
+        assert "[flat]" in out and "[dtbl]" in out
         assert "speedup" in out
 
     def test_no_cache_writes_nothing(self, tmp_path):
@@ -62,6 +63,8 @@ class TestWorkloadsCli:
     def test_bad_jobs_errors(self):
         for argv in (
             ["bht", "--jobs", "0"], ["bht", "--core", "vector"], ["bht", "--resume"],
+            ["bht", "--mode", "dtbli"], ["bht", "--latency-scale", "-1"],
+            ["bht", "--scale", "inf"], ["bht", "--latency-scale", "nan"],
         ):
             with pytest.raises(SystemExit) as excinfo:
                 workloads_main(argv)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro import Device, ExecutionMode, GPUConfig, KernelBuilder, KernelFunction
+from repro.config import LatencyModel
 from repro.errors import (
     ExecutionError,
     LaunchError,
@@ -79,7 +80,7 @@ class TestLaunchFaults:
             buf = k.get_param_buffer(1)
             k.launch_agg("parent", buf, agg=1, block=4096)
         k.exit()
-        dev = Device(mode=ExecutionMode.DTBL_IDEAL)
+        dev = Device(mode=ExecutionMode.DTBL, latency=LatencyModel.ideal())
         dev.register(KernelFunction("parent", k.build()))
         dev.launch("parent", grid=1, block=32)
         with pytest.raises(LaunchError):
@@ -92,7 +93,7 @@ class TestLaunchFaults:
             buf = k.get_param_buffer(1)
             k.launch_agg("missing", buf, agg=1, block=32)
         k.exit()
-        dev = Device(mode=ExecutionMode.DTBL_IDEAL)
+        dev = Device(mode=ExecutionMode.DTBL, latency=LatencyModel.ideal())
         dev.register(KernelFunction("parent", k.build()))
         dev.launch("parent", grid=1, block=32)
         with pytest.raises(KeyError):

@@ -13,9 +13,7 @@ from repro.workloads import BENCHMARKS, get_benchmark
 class TestModes:
     def test_mode_classification(self):
         assert ExecutionMode.CDP.uses_cdp
-        assert ExecutionMode.CDP_IDEAL.uses_cdp
         assert ExecutionMode.DTBL.uses_dtbl
-        assert ExecutionMode.DTBL_IDEAL.uses_dtbl
         assert not ExecutionMode.FLAT.uses_cdp
         assert not ExecutionMode.FLAT.uses_dtbl
 
@@ -26,13 +24,15 @@ class TestModes:
         )
 
     def test_ideal_flag(self):
-        assert ExecutionMode.CDP_IDEAL.ideal
-        assert ExecutionMode.DTBL_IDEAL.ideal
-        assert not ExecutionMode.CDP.ideal
+        """The paper's CDPI / DTBLI are a latency scale, not modes."""
+        for mode in (ExecutionMode.CDP, ExecutionMode.DTBL):
+            assert mode.latency_model(0) == LatencyModel.ideal()
+            assert mode.latency_model(0.0) == LatencyModel.ideal()
+        assert {m.value for m in ExecutionMode}.isdisjoint({"cdpi", "dtbli"})
 
     def test_latency_models(self):
         assert ExecutionMode.CDP.latency_model() == LatencyModel.measured_k20c()
-        assert ExecutionMode.CDP_IDEAL.latency_model() == LatencyModel.ideal()
+        assert ExecutionMode.DTBL.latency_model(1.0) == LatencyModel.measured_k20c()
 
     def test_latency_scaling(self):
         scaled = ExecutionMode.CDP.latency_model(scale=0.5)
@@ -41,12 +41,21 @@ class TestModes:
         assert scaled.kde_search_per_entry == full.kde_search_per_entry  # unscaled
 
     def test_ideal_ignores_scale(self):
-        assert ExecutionMode.DTBL_IDEAL.latency_model(scale=0.1) == LatencyModel.ideal()
+        """Scale 0 is ``LatencyModel.ideal()`` exactly: unlike ``scaled``,
+        it zeros the architectural KDE search and AGT probe costs too."""
+        ideal = ExecutionMode.DTBL.latency_model(scale=0)
+        assert ideal.kde_search_per_entry == ideal.agt_probe == 0
+        tiny = ExecutionMode.DTBL.latency_model(scale=1e-9)
+        assert tiny.launch_device_base == 0 and tiny.kde_search_per_entry == 1
 
     def test_parse(self):
         assert ExecutionMode.parse("cdpa") is ExecutionMode.CDP_AGG
         assert ExecutionMode.parse("CONS") is ExecutionMode.CONSOLIDATED
-        assert ExecutionMode.parse("CDPI") is ExecutionMode.CDP_IDEAL
+        assert ExecutionMode.parse("DTBL") is ExecutionMode.DTBL
+        # The paper's ideal configurations are refused with their flags.
+        for name, mode in (("CDPI", "cdp"), ("dtbli", "dtbl")):
+            with pytest.raises(ValueError, match=f"--mode {mode} --latency-scale 0"):
+                ExecutionMode.parse(name)
 
     def test_parse_error_lists_valid_modes(self):
         with pytest.raises(ValueError) as excinfo:
@@ -61,11 +70,10 @@ class TestModes:
         assert ExecutionMode.CONSOLIDATED.compiler_optimized
         assert not ExecutionMode.CDP.compiler_optimized
         # The optimized modes build from the CDP kernel shape and run on
-        # the real (non-ideal) CDP launch latencies.
+        # the measured CDP launch latencies.
         assert ExecutionMode.CDP_AGG.uses_cdp
         assert ExecutionMode.CONSOLIDATED.uses_cdp
-        assert not ExecutionMode.CDP_AGG.ideal
-        assert not ExecutionMode.CONSOLIDATED.ideal
+        assert ExecutionMode.CDP_AGG.latency_model() == LatencyModel.measured_k20c()
 
     def test_comparison_order_covers_every_mode_once(self):
         order = ExecutionMode.comparison_order()
@@ -101,7 +109,6 @@ class TestPersistentModes:
         assert not ExecutionMode.PERSISTENT.uses_dtbl
         assert not ExecutionMode.PERSISTENT.compiler_optimized
         assert not ExecutionMode.PERSISTENT_ASYNC.compiler_optimized
-        assert not ExecutionMode.PERSISTENT.ideal
         assert ExecutionMode.PERSISTENT.is_dynamic
 
     def test_persistent_latency_model_is_measured(self):
@@ -114,9 +121,9 @@ class TestPersistentModes:
         for mode in (ExecutionMode.PERSISTENT, ExecutionMode.PERSISTENT_ASYNC):
             assert ExecutionMode.parse(mode.value) is mode
 
-    def test_comparison_order_has_nine_modes(self):
+    def test_comparison_order_has_seven_modes(self):
         order = ExecutionMode.comparison_order()
-        assert len(order) == 9
+        assert len(order) == 7
         assert order[-2:] == (
             ExecutionMode.PERSISTENT,
             ExecutionMode.PERSISTENT_ASYNC,
@@ -164,27 +171,28 @@ class TestPersistentEquivalence:
 
 
 @functools.lru_cache(maxsize=None)
-def _sanitized_run(bench: str, mode: ExecutionMode, scale: float):
+def _sanitized_run(bench: str, mode: ExecutionMode, scale: float,
+                   latency_scale: float = 0.25):
     """One verified, sanitized run's ``SimStats`` (outputs equal the host
     reference, the task queue drains, the sanitizer stays clean)."""
     config = dataclasses.replace(GPUConfig.k20c(), sanitize=True)
     stats = get_benchmark(bench, mode, scale).execute(
-        config=config, latency_scale=0.25, verify=True
+        config=config, latency_scale=latency_scale, verify=True
     ).stats
     assert stats.cycles > 0
     return stats
 
 
 class TestModeOrderings:
-    """The orderings the nine modes promise, on whole verified and
+    """The orderings the seven modes promise, on whole verified and
     sanitized jobs: the full grid on ``bfs_cage15`` at a scale where its
     DFP thresholds fire, and the persistent sweep on two more benchmarks.
     The persistent modes spin on branches and atomics."""
 
     PERSISTENT = [("bfs_cage15", 0.2), ("sssp_citation", 0.1), ("bht", 0.1)]
 
-    def grid(self, mode):
-        return _sanitized_run("bfs_cage15", mode, 0.2)
+    def grid(self, mode, *latency_scale):
+        return _sanitized_run("bfs_cage15", mode, 0.2, *latency_scale)
 
     def launches(self, mode):
         return len(self.grid(mode).dynamic_launches())
@@ -194,12 +202,10 @@ class TestModeOrderings:
         assert self.launches(ExecutionMode.CDP) > 0
 
     @pytest.mark.parametrize(
-        "ideal,measured",
-        [(ExecutionMode.CDP_IDEAL, ExecutionMode.CDP), (ExecutionMode.DTBL_IDEAL, ExecutionMode.DTBL)],
-        ids=["cdp", "dtbl"],
+        "mode", [ExecutionMode.CDP, ExecutionMode.DTBL], ids=["cdp", "dtbl"]
     )
-    def test_ideal_is_no_slower_than_measured(self, ideal, measured):
-        assert self.grid(ideal).cycles <= self.grid(measured).cycles
+    def test_ideal_is_no_slower_than_measured(self, mode):
+        assert self.grid(mode, 0).cycles <= self.grid(mode).cycles
 
     @pytest.mark.parametrize(
         "mode", [ExecutionMode.CDP_AGG, ExecutionMode.CONSOLIDATED], ids=["cdpa", "cons"]

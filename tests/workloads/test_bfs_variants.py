@@ -8,11 +8,11 @@ from repro.workloads.bfs import BfsWorkload
 from repro.workloads.datasets.graphs import cage15_like, citation_network, usa_road
 
 
-def distances(graph, mode, expansion="thread", source=0):
+def distances(graph, mode, expansion="thread", source=0, latency_scale=0.25):
     workload = BfsWorkload(
         "bfs_var", mode, graph, source=source, expansion=expansion
     )
-    device = Device(mode=mode, latency=mode.latency_model(0.25))
+    device = Device(mode=mode, latency=mode.latency_model(latency_scale))
     for func in workload.build_kernels():
         device.register(func)
     workload.setup(device)
@@ -36,12 +36,12 @@ class TestVariantEquivalence:
     def test_all_engines_agree_on_citation(self, seed):
         graph = citation_network(n=180, attach=4, seed=seed)
         reference = distances(graph, ExecutionMode.FLAT, "thread")
-        for mode, expansion in (
-            (ExecutionMode.FLAT, "warp"),
-            (ExecutionMode.DTBL_IDEAL, "thread"),
-            (ExecutionMode.CDP_IDEAL, "thread"),
+        for mode, expansion, latency_scale in (
+            (ExecutionMode.FLAT, "warp", 0.25),
+            (ExecutionMode.DTBL, "thread", 0),
+            (ExecutionMode.CDP, "thread", 0),
         ):
-            got = distances(graph, mode, expansion)
+            got = distances(graph, mode, expansion, latency_scale=latency_scale)
             np.testing.assert_array_equal(
                 got, reference, err_msg=f"{mode.value}/{expansion} diverged"
             )

@@ -29,50 +29,58 @@ from repro.workloads.pre import RecommendationWorkload
 from repro.workloads.regx import RegexWorkload
 from repro.workloads.sssp import SsspWorkload
 
-MODES = [
-    ExecutionMode.FLAT,
-    ExecutionMode.CDP,
-    ExecutionMode.CDP_IDEAL,
-    ExecutionMode.DTBL,
-    ExecutionMode.DTBL_IDEAL,
-]
-
 # All workload runs verify against the Python reference inside execute().
 LS = 0.25
 
 
-@pytest.mark.parametrize("mode", MODES)
+def case(mode, latency_scale=LS):
+    """``mode`` at ``latency_scale``; at 0 (the paper's CDPI / DTBLI) the
+    case keeps the id it had when the ideal configurations were modes."""
+    suffix = "_IDEAL" if latency_scale == 0 else ""
+    return pytest.param(mode, latency_scale, id=f"ExecutionMode.{mode.name}{suffix}")
+
+
+MODES = [
+    case(ExecutionMode.FLAT),
+    case(ExecutionMode.CDP),
+    case(ExecutionMode.CDP, 0),
+    case(ExecutionMode.DTBL),
+    case(ExecutionMode.DTBL, 0),
+]
+
+
+@pytest.mark.parametrize("mode,ls", MODES)
 class TestAllModes:
-    def test_bfs(self, mode):
+    def test_bfs(self, mode, ls):
         graph = citation_network(n=220, attach=4)
-        BfsWorkload("bfs", mode, graph).execute(latency_scale=LS)
+        BfsWorkload("bfs", mode, graph).execute(latency_scale=ls)
 
-    def test_sssp(self, mode):
+    def test_sssp(self, mode, ls):
         graph = cage15_like(n=150, weighted=True)
-        SsspWorkload("sssp", mode, graph).execute(latency_scale=LS)
+        SsspWorkload("sssp", mode, graph).execute(latency_scale=ls)
 
-    def test_clr(self, mode):
+    def test_clr(self, mode, ls):
         graph = citation_network(n=180, seed=9)
-        ColoringWorkload("clr", mode, graph).execute(latency_scale=LS)
+        ColoringWorkload("clr", mode, graph).execute(latency_scale=ls)
 
-    def test_amr(self, mode):
-        AmrWorkload("amr", mode, amr_grid(side=8)).execute(latency_scale=LS)
+    def test_amr(self, mode, ls):
+        AmrWorkload("amr", mode, amr_grid(side=8)).execute(latency_scale=ls)
 
-    def test_join(self, mode):
+    def test_join(self, mode, ls):
         data = join_tables("gaussian", r_size=400, s_size=200)
-        JoinWorkload("join", mode, data).execute(latency_scale=LS)
+        JoinWorkload("join", mode, data).execute(latency_scale=ls)
 
-    def test_regx(self, mode):
+    def test_regx(self, mode, ls):
         packets = darpa_packets(n=36, min_len=40, max_len=90)
-        RegexWorkload("regx", mode, packets).execute(latency_scale=LS)
+        RegexWorkload("regx", mode, packets).execute(latency_scale=ls)
 
-    def test_pre(self, mode):
+    def test_pre(self, mode, ls):
         data = movielens_like(num_users=80, num_items=40)
-        RecommendationWorkload("pre", mode, data).execute(latency_scale=LS)
+        RecommendationWorkload("pre", mode, data).execute(latency_scale=ls)
 
-    def test_bht(self, mode):
+    def test_bht(self, mode, ls):
         points = random_points(n=120)
-        BarnesHutWorkload("bht", mode, points).execute(latency_scale=LS)
+        BarnesHutWorkload("bht", mode, points).execute(latency_scale=ls)
 
 
 class TestWorkloadBehaviour:
@@ -105,8 +113,8 @@ class TestWorkloadBehaviour:
 
     def test_clr_produces_proper_coloring(self):
         graph = cage15_like(n=120, seed=11)
-        workload = ColoringWorkload("clr", ExecutionMode.DTBL_IDEAL, graph)
-        workload.execute(latency_scale=LS)
+        workload = ColoringWorkload("clr", ExecutionMode.DTBL, graph)
+        workload.execute(latency_scale=0)
         assert workload.rounds >= 1
 
     def test_amr_counts_levels(self):
@@ -134,8 +142,8 @@ class TestWorkloadBehaviour:
         # The paper's fair-comparison rule: CDP and DTBL launch for the
         # same DFPs, so dynamic-launch counts must match exactly.
         graph = citation_network(n=260, attach=5)
-        cdp = BfsWorkload("bfs", ExecutionMode.CDP_IDEAL, graph).execute(latency_scale=LS)
-        dtbl = BfsWorkload("bfs", ExecutionMode.DTBL_IDEAL, graph).execute(latency_scale=LS)
+        cdp = BfsWorkload("bfs", ExecutionMode.CDP, graph).execute(latency_scale=0)
+        dtbl = BfsWorkload("bfs", ExecutionMode.DTBL, graph).execute(latency_scale=0)
         assert len(cdp.stats.dynamic_launches()) == len(dtbl.stats.dynamic_launches())
 
     def test_flat_mode_never_launches(self):
@@ -178,8 +186,8 @@ class TestRegexPipelineWithExtendedSyntax:
             patterns=["a.c", "b[cd]d", "d\\.x"],
             alphabet=128,
         )
-        for mode in (ExecutionMode.FLAT, ExecutionMode.DTBL_IDEAL):
-            RegexWorkload("regx_wild", mode, data).execute(latency_scale=LS)
+        for mode, latency_scale in ((ExecutionMode.FLAT, LS), (ExecutionMode.DTBL, 0)):
+            RegexWorkload("regx_wild", mode, data).execute(latency_scale=latency_scale)
 
 
 class TestPersistentThreadsBfs:
