@@ -100,8 +100,9 @@ class JobSpec:
         return memo[1]
 
     def label(self) -> str:
-        """Short human-readable tag for progress output."""
-        return f"{self.benchmark}/{self.mode.value}"
+        """Short human-readable tag for progress output:
+        ``benchmark/mode@latency_scale`` (``cdp@0`` is the ideal rung)."""
+        return f"{self.benchmark}/{self.mode.value}@{self.latency_scale:g}"
 
     # ------------------------------------------------------------------
     # Validation

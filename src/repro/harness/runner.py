@@ -44,7 +44,7 @@ def _progress(text: str) -> None:
 def _print_run(job: JobSpec, result: JobResult, note: str = "") -> None:
     suffix = f"  [{note}]" if note else ""
     _progress(
-        f"  {job.benchmark:14s} {job.mode.value:6s} x{job.latency_scale:<4g} "
+        f"  {job.label():28s} "
         f"cycles={result.cycles:>10,} ({result.wall_seconds:.1f}s){suffix}"
     )
 

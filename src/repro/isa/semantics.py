@@ -252,6 +252,12 @@ SPECIAL: Dict[Special, Callable] = {
     Special.GTID: lambda w: w.gtid,
 }
 
+#: The :data:`SPECIAL` sources with one value for the whole block: every
+#: lane of every warp of it reads the same int.
+UNIFORM_SPECIALS = frozenset(SPECIAL) - {
+    Special.TID_X, Special.TID_Y, Special.TID_Z, Special.GTID,
+}
+
 # ----------------------------------------------------------------------
 # Opcode classes derived from the tables
 # ----------------------------------------------------------------------

@@ -33,7 +33,10 @@ the per-step interpretation overhead three ways:
   ``Warp._h_alu`` does (``row.fn`` over all 32 lanes, then a masked
   write), at a third of the cost of a ``where=`` ufunc.  Global
   loads/stores generate lane addresses in one vector op and feed segment
-  sets to :func:`repro.memory.coalescing.coalesce_address_list`; atomics
+  sets to :func:`repro.memory.coalescing.coalesce_address_list`, except
+  a load whose address decode proves is one word for every lane (the
+  parameter-buffer reads each child block starts with:
+  :func:`uniform_registers`), which is one scalar read; atomics
   on distinct addresses gather, compute and scatter, and lanes that
   collide are serialized over plain Python ints — with no array at all
   when every active lane names one word.
@@ -81,7 +84,7 @@ from __future__ import annotations
 
 import functools
 import weakref
-from collections import OrderedDict
+from collections import Counter, OrderedDict
 from itertools import repeat
 from typing import Dict, List, Optional, Tuple
 
@@ -99,8 +102,10 @@ from ..isa.semantics import (
     MEMORY,
     SFU_OPS,
     SPECIAL,
+    UNIFORM_SPECIALS,
     identity,
     nonzero_divisor,
+    wrap64,
 )
 from ..memory.coalescing import coalesce_address_list
 from .warp import _DISPATCH, Warp, out_of_range
@@ -111,6 +116,11 @@ try:
     from numpy._core.multiarray import count_nonzero as _count_nonzero
 except ImportError:  # NumPy 1
     from numpy.core.multiarray import count_nonzero as _count_nonzero
+
+#: The C function behind ``np.copyto``, where NumPy exposes it: the
+#: ``__array_function__`` dispatch in front of it is a third of a 32-lane
+#: copy and no register row overrides it.
+_copyto = getattr(np.copyto, "_implementation", np.copyto)
 
 # ----------------------------------------------------------------------
 # Shared warp geometry
@@ -239,6 +249,125 @@ def _address_form(instr):
 
 
 # ----------------------------------------------------------------------
+# Warp-uniform registers
+#
+# Every child block CDP or DTBL launches starts by loading its arguments
+# from the parameter buffer, through a register that holds the buffer's
+# base in every lane: all the active lanes read one word.  The decoder
+# proves which int registers hold one value across a warp's lanes and
+# binds a global load through one of them to a scalar closure
+# (:func:`_uniform_load`).
+# ----------------------------------------------------------------------
+#: Int-result ALU rows over int operands, lane by lane: operands that are
+#: one value in every lane give a result that is one value too.
+_UNIFORM_ALU = frozenset(
+    op for op, row in ALU.items() if row.dst == Bank.INT and set(row.src) <= {"c", "i"}
+)
+
+#: Ops that end a kernel's entry block (so do :data:`REFERENCE_OPS` and
+#: any branch target): past one, a warp may run under a narrower mask or
+#: run an instruction again.
+_ENTRY_END = frozenset({Opcode.BRA, Opcode.JOIN, Opcode.BAR, Opcode.EXIT})
+
+
+def uniform_registers(instructions) -> frozenset:
+    """The int registers that hold one value in every lane a warp ever
+    runs: the rows a global load may read from lane 0 alone.
+
+    A register qualifies when its index is the ``dst`` of exactly one
+    instruction of the program (counted over both banks, which only
+    errs towards fewer registers), and that instruction sits in the
+    entry block — before the first branch, join, barrier, exit,
+    reference op or branch target or reconvergence pc, so it runs once,
+    under the warp's initial mask — and either reads a block-uniform
+    special (:data:`UNIFORM_SPECIALS`) or applies an int ALU row to
+    immediates and registers already found uniform.
+
+    Why lane 0 is safe: a register row starts at zero in every lane, its
+    one write puts one value in every lane of the initial mask, and
+    nothing writes it again.  Every later mask is a subset of the
+    initial one, and lane 0 is in every warp's initial mask (a block has
+    warp ``k`` only when it has thread ``32 * k``).
+    """
+    defs = Counter(instr.dst.idx for instr in instructions if instr.dst is not None)
+    leaders = {
+        pc
+        for instr in instructions
+        if instr.op is Opcode.BRA
+        for pc in (instr.target, instr.reconv)
+    }
+    uniform: set = set()
+    for pc, instr in enumerate(instructions):
+        op = instr.op
+        if op in _ENTRY_END or op in REFERENCE_OPS or pc in leaders:
+            break
+        dst = instr.dst
+        if dst is None or defs[dst.idx] != 1:
+            continue
+        if op is Opcode.READ_SPECIAL:
+            if instr.special in UNIFORM_SPECIALS:
+                uniform.add(dst.idx)
+        elif op in _UNIFORM_ALU and all(
+            type(operand) is not Reg or operand.idx in uniform
+            for operand in (instr.a, instr.b, instr.c)
+        ):
+            uniform.add(dst.idx)
+    return frozenset(uniform)
+
+
+def _uniform_load(instr, uniform: frozenset, generic):
+    """A global load whose address is one word for every active lane — a
+    :func:`uniform_registers` row plus the offset, or an immediate — as
+    one scalar read; None for any other address form.
+
+    The closure does what ``generic`` (the lane closure of the same
+    instruction) does for that address set, and charges what
+    :func:`_global_timing` charges: one access, one transaction, one
+    segment probed through the L2 and DRAM.  A frame with no active lane
+    goes to ``generic``.
+    """
+    off = instr.offset
+    base = instr.a
+    if type(base) is Reg:
+        if base.idx not in uniform:
+            return None
+        base_idx, fixed = base.idx, 0
+    else:
+        # ``generic`` exists, so the address is an int64 (_address_form).
+        base_idx, fixed = -1, int(base.value) + off
+    is_float = MEMORY[instr.op].bank == Bank.FLT
+    d = instr.dst.idx
+
+    def run_uniform(w, frame, cycle):
+        n = frame[3]
+        if not n:
+            return generic(w, frame, cycle)
+        addr = fixed if base_idx < 0 else w.regs_i.item(base_idx, 0) + off
+        limit = w._mem_size
+        if addr < 0 or addr >= limit:
+            addr = wrap64(addr)  # the lane array's ``+ off`` wraps
+            raise out_of_range(w, "global", addr, addr, limit)
+        if is_float:
+            reg, value = w.regs_f[d], w._mem_f[addr]
+        else:
+            reg, value = w.regs_i[d], w._mem_i[addr]
+        if frame[4]:
+            reg.fill(value)
+        else:
+            _copyto(reg, value, where=frame[2])
+        cstats = w._cstats
+        cstats.warp_accesses += 1
+        cstats.transactions += 1
+        cstats.lanes += n
+        histogram = cstats.histogram
+        histogram[1] = histogram.item(1) + 1  # half the cost of ``+= 1``
+        w.ready_cycle = w._mem_access([addr // SEGMENT_WORDS], False, cycle)
+        return False
+
+    return run_uniform
+
+
+# ----------------------------------------------------------------------
 # Generated ALU code
 #
 # Every FUSABLE_OPS instruction executes as Python source assembled from
@@ -298,11 +427,8 @@ def _immediate(kind: str, value, guard: bool) -> Optional[np.ndarray]:
 #: What generated source may name: each semantics row's callable by
 #: opcode, comparison or special register, and the write-back's few
 #: NumPy entry points (``Di`` / ``Df``: the two banks' dtypes).
-#: ``copyto`` is the C function behind ``np.copyto``, where NumPy
-#: exposes it: the ``__array_function__`` dispatch in front of it is a
-#: third of a 32-lane copy and no register row overrides it.
 _GEN_GLOBALS = {
-    "copyto": getattr(np.copyto, "_implementation", np.copyto),
+    "copyto": _copyto,
     "asarray": np.asarray, "Di": np.int64, "Df": np.float64, "nz": nonzero_divisor,
     **{f"f_{op.name}": row.ufunc or row.fn for op, row in ALU.items()},
     **{f"c_{cmp.name}": fn for cmp, fn in CMP.items()},
@@ -467,9 +593,12 @@ def _generated(shapes: List[Tuple[str, list]]) -> list:
 # cycle) -> bool (True iff the pc was updated), or None to delegate to
 # the reference handler.
 # ----------------------------------------------------------------------
-def _make_memory(instr):
+def _make_memory(instr, uniform: frozenset = frozenset()):
     """Any :data:`MEMORY` row with either address form: what
-    ``Warp._h_memory`` does, with the row resolved at decode time."""
+    ``Warp._h_memory`` does, with the row resolved at decode time.  A
+    global load from one word for all the lanes (a register of
+    ``uniform``, see :func:`uniform_registers`, or an immediate) is the
+    scalar closure of :func:`_uniform_load`."""
     row = MEMORY[instr.op]
     lanes = _address_form(instr)
     if lanes is None:
@@ -523,6 +652,8 @@ def _make_memory(instr):
             _global_timing(w, alist, is_store, cycle, lo, hi)
         return False
 
+    if space == "global" and not is_store:
+        return _uniform_load(instr, uniform, run) or run
     return run
 
 
@@ -800,6 +931,7 @@ def decode_program(program) -> tuple:
     # semantics (and its own error behaviour) and the pc stays a visible
     # single step.
     runs: list = []
+    uniform = uniform_registers(instructions)
     for instr in instructions:
         if instr.op in FUSABLE_OPS:
             shape = _alu_factory([instr], single=True)
@@ -809,6 +941,8 @@ def decode_program(program) -> tuple:
                 shapes.append(shape)
         elif instr.op in REFERENCE_OPS:
             run = None
+        elif instr.op in MEMORY:
+            run = _make_memory(instr, uniform)
         else:
             run = _BUILDERS[instr.op](instr)
         runs.append(run)

@@ -18,9 +18,9 @@ cache (``--cache-dir``, default ``.repro-cache/``) unless ``--no-cache``.
 from __future__ import annotations
 
 import argparse
-import sys
-
 import json
+import os
+import sys
 
 from ..exec import (
     JobSpec,
@@ -50,9 +50,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     if args.list or not args.benchmark:
-        for name in benchmark_names():
-            print(name)
-        return 0
+        return _write(lambda: print("\n".join(benchmark_names())))
     checkpoint_dir = validate_execution_flags(parser, args)
     try:  # a bad mode name is refused with the valid ones (or, for cdpi, the flags)
         jobs = [JobSpec.from_args(args, args.benchmark, name, checkpoint_dir=checkpoint_dir)
@@ -70,7 +68,15 @@ def main(argv=None) -> int:
     cache = ResultCache(args.cache_dir) if args.cache else None
 
     runs = run_jobs(jobs, jobs=args.jobs, cache=cache)
+    if profiler is not None:
+        _profiler.deactivate()
+        if args.profile_json:
+            with open(args.profile_json, "w", encoding="utf-8") as fh:
+                json.dump(profiler.to_dict(), fh, indent=2)
+    return _write(lambda: _report(args, jobs, runs, profiler))
 
+
+def _report(args, jobs, runs, profiler) -> None:
     baseline = None
     for job, run in zip(jobs, runs):
         stats = run.stats
@@ -87,13 +93,23 @@ def main(argv=None) -> int:
             else:
                 print(f"   {key:18s}{value}")
     if profiler is not None:
-        _profiler.deactivate()
         print()
         print(profiler.report())
         if args.profile_json:
-            with open(args.profile_json, "w", encoding="utf-8") as fh:
-                json.dump(profiler.to_dict(), fh, indent=2)
             print(f"[profile] wrote {args.profile_json}")
+
+
+def _write(report) -> int:
+    """Run ``report``, which prints to stdout.  A reader that went away
+    (``| head``) stops it quietly: stdout is pointed at devnull so that
+    the interpreter's last flush cannot raise again (Python's documented
+    way to handle SIGPIPE), and the exit status is 1."""
+    try:
+        report()
+        sys.stdout.flush()  # a closed pipe raises here, not at exit
+    except BrokenPipeError:
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     return 0
 
 

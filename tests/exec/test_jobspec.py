@@ -80,6 +80,12 @@ class TestValidation:
         spec = small_spec(mode=ExecutionMode.DTBL, latency_scale=0.0).validate()
         assert spec.mode.latency_model(spec.latency_scale) == LatencyModel.ideal()
 
+    def test_label_names_the_latency_rung(self):
+        ideal = small_spec(mode=ExecutionMode.CDP, latency_scale=0.0)
+        measured = small_spec(mode=ExecutionMode.CDP, latency_scale=0.25)
+        assert ideal.label() == f"{ideal.benchmark}/cdp@0"
+        assert measured.label() == f"{measured.benchmark}/cdp@0.25"
+
     def test_spec_error_is_a_value_error(self):
         assert issubclass(SpecError, ValueError)
 

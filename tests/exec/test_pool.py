@@ -181,7 +181,7 @@ class TestOneWorkerPerJob:
     def test_sweep_error_names_the_job_that_failed(self, monkeypatch):
         monkeypatch.setattr(pool, "run_job", _explode_on("bht"))  # forked workers inherit it
         for _ in range(4):
-            with pytest.raises(SweepError, match="job bht/flat failed: Local: boom"):
+            with pytest.raises(SweepError, match="job bht/flat@0.25 failed: Local: boom"):
                 SweepEngine(max_workers=2).run(_jobs(*FLAT_FIVE))
 
     def test_workers_are_reused_job_after_job(self):
@@ -194,7 +194,7 @@ class TestOneWorkerPerJob:
         self, monkeypatch
     ):
         monkeypatch.setattr(pool, "run_job", _explode_on("bfs_citation"))
-        with pytest.raises(SweepError, match="bfs_citation/flat failed: Local: boom"):
+        with pytest.raises(SweepError, match="bfs_citation/flat@0.25 failed: Local: boom"):
             SweepEngine(max_workers=2).run(_jobs(GRID[0]))
 
 

@@ -2,6 +2,9 @@
 
 import json
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -69,6 +72,28 @@ class TestWorkloadsCli:
             with pytest.raises(SystemExit) as excinfo:
                 workloads_main(argv)
             assert excinfo.value.code == 2
+
+    @pytest.mark.parametrize("argv", [
+        ["--list"],
+        ["amr", "--mode", "dtbl", "cdp", "--scale", "0.1", "--no-cache"],
+    ])
+    def test_closed_stdout_exits_quietly(self, argv):
+        """``... | head`` closes the pipe before the output is written:
+        the command stops with no traceback."""
+        src = Path(__file__).resolve().parents[1] / "src"
+        env = {**os.environ, "PYTHONPATH": str(src)}
+        read_end, write_end = os.pipe()
+        os.close(read_end)  # every write to the pipe now fails
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "repro.workloads", *argv],
+                stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=300,
+            )
+        finally:
+            os.close(write_end)
+        stderr = proc.stderr.decode()
+        assert "Traceback" not in stderr and "BrokenPipeError" not in stderr, stderr
+        assert proc.returncode == 1
 
 
 class TestHarnessCli:

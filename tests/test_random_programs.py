@@ -8,7 +8,9 @@ stresses the PDOM reconvergence stack with arbitrary nesting shapes.
 
 The memory-op differential fuzz extends the grammar with global
 loads/stores at computed addresses, shared-memory staging separated by
-barriers, and atomic adds, and runs every program through both
+barriers, atomic adds and parameter-buffer re-reads inside a divergent
+``if`` (the fast core's warp-uniform loads), and runs every program
+through both
 execution cores (reference and fast) with the sanitizer enabled:
 results must match the evaluator exactly and the sanitizer must stay
 clean.  A second, unsanitized pass compares the cores' full
@@ -155,6 +157,8 @@ class TestRandomStructuredPrograms:
 #   ("shared", shift)    sts(tid, acc); bar(); acc += smem[(tid+shift)%B]; bar()
 #   ("global", salt)     scratch[gtid*4 + (acc&3)] = acc^salt; acc += loaded back
 #   ("atomic", imm)      atom_add(counter, (acc&7)+1); acc ^= imm
+#   ("param", imm)       if acc < imm: acc += n   (n re-read from the param
+#                        buffer under the divergent mask)
 
 _BLOCK = 64
 
@@ -164,7 +168,10 @@ def _phases():
     shared = st.tuples(st.just("shared"), st.integers(1, _BLOCK - 1))
     global_ = st.tuples(st.just("global"), st.integers(0, 15))
     atomic = st.tuples(st.just("atomic"), st.integers(0, 31))
-    return st.lists(st.one_of(ops, shared, global_, atomic), min_size=1, max_size=5)
+    param = st.tuples(st.just("param"), st.integers(-30, 30))
+    return st.lists(
+        st.one_of(ops, shared, global_, atomic, param), min_size=1, max_size=5
+    )
 
 
 def build_mem_fuzz(phases) -> KernelFunction:
@@ -196,9 +203,12 @@ def build_mem_fuzz(phases) -> KernelFunction:
             addr = k.iadd(scratch, k.iadd(k.imul(gtid, 4), k.iand(acc, 3)))
             k.st(addr, k.ixor(acc, arg))
             k.iadd(acc, k.ld(addr), dst=acc)
-        else:  # atomic
+        elif kind == "atomic":
             k.atom_add(counter, k.iadd(k.iand(acc, 7), 1))
             k.ixor(acc, arg, dst=acc)
+        else:  # param: a warp-uniform load under a divergent mask
+            with k.if_(k.lt(acc, arg)):
+                k.iadd(acc, k.ld(param, offset=0), dst=acc)
     with k.if_(k.lt(gtid, n)):
         k.st(k.iadd(dst, gtid), acc)
     k.exit()
@@ -225,10 +235,12 @@ def evaluate_mem_fuzz(data, phases, blocks):
                 value = acc[g] ^ arg
                 scratch[g * 4 + (acc[g] & 3)] = value
                 acc[g] = _wrap64(acc[g] + value)
-        else:  # atomic
+        elif kind == "atomic":
             for g in range(total):
                 counter += (acc[g] & 7) + 1
                 acc[g] ^= arg
+        else:  # param
+            acc = [_wrap64(a + len(data)) if a < arg else a for a in acc]
     out = np.array([acc[g] for g in range(len(data))], dtype=np.int64)
     return out, scratch, counter
 
