@@ -4,7 +4,7 @@
 when ``GPUConfig.core`` is ``"fast"`` (the default).  It executes the same
 instruction semantics as the reference interpreter — bit-for-bit on the
 architectural state and cycle-for-cycle on the timing model — but removes
-the per-step interpretation overhead three ways:
+the per-step interpretation overhead:
 
 * **Pre-decoded instruction kernels.**  Each program is decoded once into
   a table of per-instruction functions (cached on the
@@ -53,6 +53,16 @@ the per-step interpretation overhead three ways:
   a tracer, ``sanitize=True``, ``rr`` scheduling, an SMX with more
   resident warps than issue slots — :meth:`FastWarp.step` dispatches
   per instruction, through the same generator's regions of one.
+* **Register rows.**  Every decoded reader and writer of a register
+  goes through ``w.rows_i[k]`` / ``w.rows_f[k]``, a list of one view per
+  row of ``regs_i`` / ``regs_f`` built with the warp
+  (:meth:`FastWarp.bind_rows`), never ``w.regs_i[k]``, which makes a
+  fresh view per operand and slows the ufunc it feeds.  The 2-D files
+  stay the only storage: a row is a view, so what a reference handler,
+  the sanitizer, a checkpoint or a test writes into the file in place
+  is what the next closure reads.  Only a checkpoint restore replaces
+  the files; it rebinds every resident warp's rows
+  (``state.snapshot._rebuild_ready_heaps``).
 
 Only an allow-list still delegates to the inherited reference handler:
 the opcodes of :data:`REFERENCE_OPS` (the launch API, shuffles and
@@ -93,7 +103,7 @@ import numpy as np
 from ..config import SEGMENT_WORDS, WARP_SIZE
 from ..errors import ExecutionError
 from ..isa.instructions import Bank, Opcode, Reg
-from ..isa.regions import straight_line_regions
+from ..isa.regions import control_flow_leaders, straight_line_regions
 from ..isa.semantics import (
     ALU,
     ATOMIC,
@@ -168,8 +178,8 @@ def _operand(kind: str, operand):
         if kind == "i":
             return idx, None, None
         if operand.bank == Bank.FLT:
-            return -2, None, lambda w: w.regs_f[idx]
-        return -2, None, lambda w: w.regs_i[idx].astype(np.float64)
+            return -2, None, lambda w: w.rows_f[idx]
+        return -2, None, lambda w: w.rows_i[idx].astype(np.float64)
     value = operand.value
     if kind == "i":
         if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
@@ -196,7 +206,9 @@ def _global_timing(w, alist: list, is_write: bool, cycle: int, lo: int, hi: int)
     cstats.warp_accesses += 1
     cstats.transactions += len(segments)
     cstats.lanes += len(alist)
-    cstats.histogram[len(segments)] += 1
+    n = len(segments)
+    histogram = cstats.histogram
+    histogram[n] = histogram.item(n) + 1  # half the cost of ``+= 1``
     completion = w._mem_access(segments, is_write, cycle)
     if is_write:
         w.ready_cycle = cycle + w._alu_lat
@@ -206,28 +218,37 @@ def _global_timing(w, alist: list, is_write: bool, cycle: int, lo: int, hi: int)
 
 def _address_form(instr):
     """Bind a memory op's address operand at decode time -> ``lanes(w,
-    frame)``, or None for an immediate base that is no int64.
+    frame)``, or None for an immediate address or a register base's
+    offset that is no int64.
 
-    ``lanes`` returns ``(addrs, alist, lo, hi)`` for the active lanes,
-    not yet checked against any bound: the address ndarray (for the
-    gather or scatter itself), its Python-int list, and the address
-    range — one ``tolist()`` plus two C-level ``min``/``max`` calls beat
-    two numpy reductions on 32-element arrays, and the bounds feed
-    :func:`_global_timing`'s small-range segment fast path.  ``(0, -1)``
-    is the range of an empty lane set: inside every bound.  An immediate
-    base is one address for all the active lanes — as many copies of it,
-    so that a gather broadcasts and a scatter keeps the last lane's
-    value, as ``Warp._h_memory``'s ``np.full`` does.
+    A register base's offset is added as a read-only lane array, as an
+    ALU immediate is: a Python-int operand costs NumPy a conversion on
+    every add.  ``lanes`` returns ``(addrs, alist, lo, hi)`` for the
+    active lanes, not yet checked against any bound: the address ndarray
+    (for the gather or scatter itself), its Python-int list, and the
+    address range — one ``tolist()`` plus two C-level ``min``/``max``
+    calls beat two numpy reductions on 32-element arrays, and the bounds
+    feed :func:`_global_timing`'s small-range segment fast path.
+    ``(0, -1)`` is the range of an empty lane set: inside every bound.
+    An immediate base is one address for all the active lanes — as many
+    copies of it, so that a gather broadcasts and a scatter keeps the
+    last lane's value, as ``Warp._h_memory``'s ``np.full`` does.
     """
     off = instr.offset
     if type(instr.a) is Reg:
         base_idx = instr.a.idx
+        offs = _immediate("i", off, False)
+        if offs is None:
+            return None
 
         def lanes(w, frame):
-            base = w.regs_i[base_idx]
+            addrs = w.rows_i[base_idx]
             if not frame[4]:
-                base = base[frame[2]]
-            addrs = base + off if off else base
+                addrs = addrs[frame[2]]
+                if off:
+                    addrs = addrs + offs[: frame[3]]
+            elif off:
+                addrs = addrs + offs
             alist = addrs.tolist()
             if alist:
                 return addrs, alist, min(alist), max(alist)
@@ -278,10 +299,14 @@ def uniform_registers(instructions) -> frozenset:
     instruction of the program (counted over both banks, which only
     errs towards fewer registers), and that instruction sits in the
     entry block — before the first branch, join, barrier, exit,
-    reference op or branch target or reconvergence pc, so it runs once,
-    under the warp's initial mask — and either reads a block-uniform
-    special (:data:`UNIFORM_SPECIALS`) or applies an int ALU row to
-    immediates and registers already found uniform.
+    reference op or leader other than pc 0
+    (:func:`~repro.isa.regions.control_flow_leaders`: a branch target or
+    reconvergence pc), so it runs under the warp's initial mask — and
+    either reads a block-uniform special (:data:`UNIFORM_SPECIALS`) or
+    applies an int ALU row to immediates and registers already found
+    uniform.  A branch back to pc 0 would rerun the entry block under a
+    narrower mask, and every instruction found there would write its
+    register's one value again.
 
     Why lane 0 is safe: a register row starts at zero in every lane, its
     one write puts one value in every lane of the initial mask, and
@@ -290,12 +315,7 @@ def uniform_registers(instructions) -> frozenset:
     warp ``k`` only when it has thread ``32 * k``).
     """
     defs = Counter(instr.dst.idx for instr in instructions if instr.dst is not None)
-    leaders = {
-        pc
-        for instr in instructions
-        if instr.op is Opcode.BRA
-        for pc in (instr.target, instr.reconv)
-    }
+    leaders = control_flow_leaders(instructions) - {0}
     uniform: set = set()
     for pc, instr in enumerate(instructions):
         op = instr.op
@@ -342,15 +362,15 @@ def _uniform_load(instr, uniform: frozenset, generic):
         n = frame[3]
         if not n:
             return generic(w, frame, cycle)
-        addr = fixed if base_idx < 0 else w.regs_i.item(base_idx, 0) + off
+        addr = fixed if base_idx < 0 else w.rows_i[base_idx].item(0) + off
         limit = w._mem_size
         if addr < 0 or addr >= limit:
             addr = wrap64(addr)  # the lane array's ``+ off`` wraps
             raise out_of_range(w, "global", addr, addr, limit)
         if is_float:
-            reg, value = w.regs_f[d], w._mem_f[addr]
+            reg, value = w.rows_f[d], w._mem_f[addr]
         else:
-            reg, value = w.regs_i[d], w._mem_i[addr]
+            reg, value = w.rows_i[d], w._mem_i[addr]
         if frame[4]:
             reg.fill(value)
         else:
@@ -553,7 +573,7 @@ def _alu_factory(instrs, single: bool) -> Optional[Tuple[str, list]]:
         f" def run({'w, frame, cycle' if single else 'w, mask, full'}):",
     ]
     lines += [
-        f"  r{bank} = w.regs_{bank}" for bank in "if" if any(b == bank for b, _ in rows)
+        f"  r{bank} = w.rows_{bank}" for bank in "if" if any(b == bank for b, _ in rows)
     ]
     lines.append(f"  if {full}:")
     lines += ["   " + line for line in whole]
@@ -630,13 +650,13 @@ def _make_memory(instr, uniform: frozenset = frozenset()):
         elif raises_bound and hi >= w._mem.written_end:
             w._mem.written_end = hi + 1
         if is_store:
-            src = w.regs_i[si] if si >= 0 else sv if si == -1 else gs(w)
+            src = w.rows_i[si] if si >= 0 else sv if si == -1 else gs(w)
             if isinstance(src, np.ndarray):
                 words[addrs] = src if frame[4] else src[frame[2]]
             else:
                 words[addrs] = src
         else:
-            reg = (w.regs_f if is_float else w.regs_i)[d]
+            reg = (w.rows_f if is_float else w.rows_i)[d]
             if frame[4]:
                 reg[:] = words[addrs]
             else:
@@ -686,7 +706,7 @@ def _make_atomic(instr):
         if hi >= w._mem.written_end:
             w._mem.written_end = hi + 1
         mem = w._mem_i
-        ri = w.regs_i
+        ri = w.rows_i
         vals = (ri[bi] if full else ri[bi][mask]) if bi >= 0 else bv
         new = (ri[ci] if full else ri[ci][mask]) if ci >= 0 else cv
         if lo == hi:
@@ -723,9 +743,9 @@ def _make_atomic(instr):
         # The destination is written last: it may alias an operand.
         if d >= 0:
             if full:
-                w.regs_i[d][:] = old
+                ri[d][:] = old
             else:
-                w.regs_i[d][mask] = old
+                ri[d][mask] = old
         _global_timing(w, alist, False, cycle, lo, hi)
         return False
 
@@ -749,7 +769,7 @@ def _make_bra(instr):
 
     def run(w, frame, cycle):
         w.ready_cycle = cycle + w._alu_lat
-        row = w.regs_i[p]
+        row = w.rows_i[p]
         mask = frame[2]
         n_active = frame[3]
         # Count the predicate's true lanes on the row itself: a uniform
@@ -985,8 +1005,12 @@ def decode_program(program) -> tuple:
 class FastWarp(Warp):
     """Warp with pre-decoded instruction kernels and extended frames."""
 
-    __slots__ = ("_table", "fallback_pcs", "_alu_lat", "_sfu_lat", "_cstats", "_mem_access")
-    # The decoded program and more hot-path references.
+    __slots__ = (
+        "_table", "fallback_pcs", "_alu_lat", "_sfu_lat", "_cstats", "_mem_access",
+        "rows_i", "rows_f",
+    )
+    # The decoded program, more hot-path references and the register rows
+    # (views of ``regs_i`` / ``regs_f``, which a checkpoint holds).
     NOT_STATE = Warp.NOT_STATE + __slots__
 
     def __init__(self, tb, warp_index: int, context_slot: int) -> None:
@@ -1005,6 +1029,7 @@ class FastWarp(Warp):
         self.fallback_pcs = fallback_pcs
         self.regs_i = np.zeros((n_int, WARP_SIZE), dtype=np.int64)
         self.regs_f = np.zeros((n_flt, WARP_SIZE), dtype=np.float64)
+        self.bind_rows()
 
         bx, by, _bz = tb.block_dims
         threads = tb.block_threads
@@ -1018,6 +1043,14 @@ class FastWarp(Warp):
         self.gtid = tb.block_linear_index * threads + clamped
 
         self.stack = [[0, -1, init_mask, active, active == WARP_SIZE]]
+
+    def bind_rows(self) -> None:
+        """Point ``rows_i`` / ``rows_f`` at the rows of ``regs_i`` /
+        ``regs_f``: one view per register, built once, where indexing
+        the 2-D file would build one per operand fetch.  Called again
+        whenever the files themselves are replaced (a checkpoint restore)."""
+        self.rows_i = list(self.regs_i)
+        self.rows_f = list(self.regs_f)
 
     def step(self, cycle: int) -> None:
         """Execute one decoded instruction for the active frame's lanes."""

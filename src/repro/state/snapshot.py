@@ -252,15 +252,19 @@ def _rebuild_ready_heaps(gpu) -> None:
     exceeds ``ready`` only for an entry an issue budget deferred, and at
     an inter-cycle boundary — the only place a checkpoint is taken —
     such an entry is due exactly at ``gpu.cycle``.
+
+    The walk also rebinds each fast-core warp's register rows
+    (``FastWarp.bind_rows``): the restore replaced the register files
+    they were views of.
     """
     fast = gpu._gheap is not None
     gheap = []
     for smx in gpu.smxs:
-        runnable = [
-            warp for tb in smx.blocks for warp in tb.warps
-            if not (warp.finished or warp.at_barrier)
-        ]
+        warps = [warp for tb in smx.blocks for warp in tb.warps]
+        runnable = [w for w in warps if not (w.finished or w.at_barrier)]
         if fast:
+            for w in warps:
+                w.bind_rows()
             gheap += [
                 (max(w.ready_cycle, gpu.cycle), smx.smx_id, w.ready_cycle, w.age, w)
                 for w in runnable
