@@ -1,11 +1,14 @@
 """Simulator configuration: the paper's Table 2 and Table 3.
 
-:class:`GPUConfig` models the GPGPU-Sim configuration the paper uses
-(Table 2: a Tesla K20c / GK110) plus the timing parameters of our memory
-system and the DTBL extension.  :class:`LatencyModel` holds the measured
-device-runtime API latencies (Table 3) in the paper's per-warp linear form
-``b + A * x`` where ``x`` is the number of threads in the warp invoking the
-call.
+:class:`GPUConfig` holds the settings of the GPGPU-Sim configuration the
+paper uses (Table 2: a Tesla K20c / GK110) that a caller varies: SMX
+counts and limits, the warp scheduler, the L2 size, the DRAM timing, the
+AGT and the execution core.  The machine parameters that take one value
+everywhere (the rest of Table 2, the SMX pipeline, L2 geometry and the
+DTBL bookkeeping sizes) are module constants here.  :class:`LatencyModel`
+holds the measured device-runtime API latencies (Table 3) in the paper's
+per-warp linear form ``b + A * x`` where ``x`` is the number of threads in
+the warp invoking the call.
 
 Both classes are frozen dataclasses; derive variants with
 :func:`dataclasses.replace`.  Being immutable values, decoded configs are
@@ -35,13 +38,78 @@ SEGMENT_BYTES = 128
 #: Words per coalesced segment.
 SEGMENT_WORDS = SEGMENT_BYTES // WORD_BYTES
 
+# ----- Fixed machine parameters ---------------------------------------------
+# One value each on every configuration the paper and this repository run;
+# :class:`GPUConfig` holds only the settings a caller varies.
+
+# Table 2 rows that only the report prints.
+#: SMX core clock in MHz (timing is in cycles).
+SMX_CLOCK_MHZ = 706
+#: Memory clock in MHz.
+MEMORY_CLOCK_MHZ = 2600
+#: L1 cache size per SMX in bytes.
+L1_SIZE = 16 * 1024
+#: Shared memory size per SMX in bytes.
+SHARED_MEM_SIZE = 48 * 1024
+
+# SMX pipeline.  Every pipeline latency is at least one cycle: then every
+# issue but a launch-API op advances its warp's time, which the fast
+# core's run-ahead relies on.
+#: Warp schedulers per SMX; each may issue one instruction per cycle.
+ISSUE_WIDTH = 4
+#: Result latency of a simple ALU instruction, in cycles.
+ALU_LATENCY = 10
+#: Result latency of an SFU-class instruction (div, sqrt), in cycles.
+SFU_LATENCY = 20
+#: Shared-memory access latency, in cycles (conflict-free).
+SHARED_LATENCY = 30
+#: Shared-memory banks; an n-way bank conflict serializes n accesses.
+SHARED_BANKS = 32
+#: L1 hit latency for local-memory accesses, in cycles.
+L1_HIT_LATENCY = 35
+#: L1 associativity (local-memory cache).
+L1_ASSOC = 4
+#: Maximum per-thread local-memory words a kernel may declare.
+MAX_LOCAL_WORDS = 64
+#: Barrier re-check granularity, in cycles.
+BARRIER_LATENCY = 5
+
+# L2 (its line is one coalesced segment, ``SEGMENT_BYTES``).
+#: L2 associativity.
+L2_ASSOC = 8
+#: L2 hit latency in SMX cycles.
+L2_HIT_LATENCY = 120
+
+# DTBL extension (Section 4) and launch bookkeeping.
+#: Per-kernel context setup on an SMX (function load, register /
+#: shared-memory partitioning) charged when a block of a kernel not
+#: currently resident on that SMX arrives.  Coalesced aggregated TBs
+#: share their kernel's context — one of DTBL's §4.2 benefits.
+CONTEXT_SETUP_CYCLES = 40
+#: On-chip SRAM bytes per AGT entry (Section 4.3).
+AGT_ENTRY_BYTES = 20
+#: Extra KDE/FCFS/SSCR/TBCR register bytes (Section 4.3).
+DTBL_REGISTER_BYTES = 1096
+#: Global-memory bytes reserved per pending device-launched kernel
+#: (kernel record, stream state, saved configuration).
+CDP_PENDING_KERNEL_BYTES = 2048
+#: Global-memory bytes reserved per pending aggregated group
+#: (configuration only; parameters are counted separately).
+DTBL_PENDING_GROUP_BYTES = 256
+
 #: :class:`GPUConfig` counts and sizes that a component divides by, indexes
-#: with or allocates from: each must be at least 1.  (Latencies may be 0.)
+#: with or allocates from: each must be at least 1.
 STRUCTURAL_FIELDS = (
     "num_smx", "max_resident_blocks", "max_resident_threads",
-    "registers_per_smx", "l1_size", "shared_mem_size",
-    "max_concurrent_kernels", "issue_width", "shared_banks", "l1_assoc",
-    "max_local_words", "l2_size", "l2_assoc", "dram_banks", "agt_entries",
+    "registers_per_smx", "max_concurrent_kernels", "l2_size", "dram_banks",
+    "agt_entries",
+)
+
+#: :class:`GPUConfig` DRAM latencies and busy slots, in cycles: each may be
+#: 0 but none negative (data cannot return before it was requested).
+DRAM_CYCLE_FIELDS = (
+    "dram_base_latency", "dram_bus_cycles", "dram_row_hit_cycles",
+    "dram_row_miss_cycles", "dram_hit_latency", "dram_miss_latency",
 )
 
 
@@ -140,13 +208,10 @@ class LatencyModel:
 
 @dataclass(frozen=True)
 class GPUConfig:
-    """Architecture parameters (paper Table 2 plus timing-model knobs)."""
+    """The architecture parameters a caller varies (paper Table 2 plus
+    timing-model knobs); the fixed ones are this module's constants."""
 
     # ----- Table 2 -------------------------------------------------------
-    #: SMX core clock in MHz (used only for reporting; timing is in cycles).
-    smx_clock_mhz: int = 706
-    #: Memory clock in MHz (used only for reporting).
-    memory_clock_mhz: int = 2600
     #: Number of streaming multiprocessors.
     num_smx: int = 13
     #: Maximum resident thread blocks per SMX.
@@ -155,35 +220,13 @@ class GPUConfig:
     max_resident_threads: int = 2048
     #: 32-bit registers per SMX.
     registers_per_smx: int = 65536
-    #: L1 cache size per SMX in bytes.
-    l1_size: int = 16 * 1024
-    #: Shared memory size per SMX in bytes.
-    shared_mem_size: int = 48 * 1024
     #: Maximum concurrently executing kernels (= HWQs = KDE entries).
     max_concurrent_kernels: int = 32
 
     # ----- SMX pipeline ---------------------------------------------------
-    #: Warp schedulers per SMX; each may issue one instruction per cycle.
-    issue_width: int = 4
     #: Warp scheduling policy: "gto" (greedy-then-oldest, the paper's
     #: configuration) or "rr" (loose round-robin ablation).
     warp_scheduler: str = "gto"
-    #: Result latency of a simple ALU instruction, in cycles.
-    alu_latency: int = 10
-    #: Result latency of an SFU-class instruction (div, sqrt), in cycles.
-    sfu_latency: int = 20
-    #: Shared-memory access latency, in cycles (conflict-free).
-    shared_latency: int = 30
-    #: Shared-memory banks; an n-way bank conflict serializes n accesses.
-    shared_banks: int = 32
-    #: L1 hit latency for local-memory accesses, in cycles.
-    l1_hit_latency: int = 35
-    #: L1 associativity (local-memory cache).
-    l1_assoc: int = 4
-    #: Maximum per-thread local-memory words a kernel may declare.
-    max_local_words: int = 64
-    #: Barrier re-check granularity, in cycles.
-    barrier_latency: int = 5
 
     # ----- Memory system --------------------------------------------------
     #: L2 total size in bytes.  The real GK110 has 1.5 MB; the default here
@@ -191,12 +234,6 @@ class GPUConfig:
     #: the working-set-to-L2 ratio (which drives the paper's DRAM-behaviour
     #: results) is representative.  See DESIGN.md, "Substitutions".
     l2_size: int = 96 * 1024
-    #: L2 associativity.
-    l2_assoc: int = 8
-    #: L2 line size in bytes (= one coalesced segment).
-    l2_line: int = SEGMENT_BYTES
-    #: L2 hit latency in SMX cycles.
-    l2_hit_latency: int = 120
     #: Extra latency from L2 miss to DRAM service start.
     dram_base_latency: int = 220
     #: Shared command-bus occupancy per transaction (throughput bound:
@@ -225,15 +262,6 @@ class GPUConfig:
     #: independently from the KDE (no TB coalescing, no AGT).  Pair with a
     #: larger ``max_concurrent_kernels`` to emulate the enlarged KDE.
     dtbl_no_coalescing: bool = False
-    #: Per-kernel context setup on an SMX (function load, register /
-    #: shared-memory partitioning) charged when a block of a kernel not
-    #: currently resident on that SMX arrives.  Coalesced aggregated TBs
-    #: share their kernel's context — one of DTBL's §4.2 benefits.
-    context_setup_cycles: int = 40
-    #: On-chip SRAM bytes per AGT entry (Section 4.3).
-    agt_entry_bytes: int = 20
-    #: Extra KDE/FCFS/SSCR/TBCR register bytes (Section 4.3).
-    dtbl_register_bytes: int = 1096
 
     # ----- Simulator execution core ----------------------------------------
     #: Execution core selection: ``"reference"`` (the per-instruction
@@ -252,14 +280,6 @@ class GPUConfig:
     #: ``""`` or ``"0"`` (:func:`repro.sim.sanitizer.sanitize_enabled`).
     sanitize: bool = False
 
-    # ----- Launch bookkeeping ----------------------------------------------
-    #: Global-memory bytes reserved per pending device-launched kernel
-    #: (kernel record, stream state, saved configuration).
-    cdp_pending_kernel_bytes: int = 2048
-    #: Global-memory bytes reserved per pending aggregated group
-    #: (configuration only; parameters are counted separately).
-    dtbl_pending_group_bytes: int = 256
-
     def __post_init__(self) -> None:
         if self.core not in CORES:
             raise ConfigError(
@@ -275,14 +295,15 @@ class GPUConfig:
             raise ConfigError("agt_entries must be a power of two (hash is a mask)")
         if self.warp_scheduler not in ("gto", "rr"):
             raise ConfigError("warp_scheduler must be 'gto' or 'rr'")
-        if self.l2_line != SEGMENT_BYTES:
-            raise ConfigError("l2_line must equal the coalescing segment size")
-        for name in ("alu_latency", "sfu_latency", "shared_latency",
-                     "l1_hit_latency", "l2_hit_latency"):
-            if getattr(self, name) < 1:
-                # Then every issue but a launch-API op advances its warp's
-                # time, which the fast core's run-ahead relies on.
-                raise ConfigError(f"{name} must be at least one cycle")
+        for name in DRAM_CYCLE_FIELDS:
+            value = getattr(self, name)
+            if value < 0:
+                raise ConfigError(f"{name} must not be negative, got {value}")
+        if self.dram_row_bytes < 1 or self.dram_row_bytes % SEGMENT_BYTES:
+            raise ConfigError(
+                f"dram_row_bytes must be a positive multiple of {SEGMENT_BYTES}, "
+                f"got {self.dram_row_bytes}"
+            )
 
     # ------------------------------------------------------------------
     # Serialization
@@ -338,7 +359,7 @@ class GPUConfig:
     @property
     def agt_sram_bytes(self) -> int:
         """On-chip SRAM consumed by the AGT (Section 4.3 overhead)."""
-        return self.agt_entries * self.agt_entry_bytes
+        return self.agt_entries * AGT_ENTRY_BYTES
 
     def with_agt_entries(self, entries: int) -> "GPUConfig":
         """Return a copy with a different AGT size (Fig. 12 sweep)."""

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..config import GPUConfig
+from ..config import AGT_ENTRY_BYTES, DTBL_REGISTER_BYTES, SHARED_MEM_SIZE, GPUConfig
 
 
 @dataclass(frozen=True)
@@ -42,14 +42,14 @@ def overhead_report(config: GPUConfig) -> OverheadReport:
     agt_bytes = config.agt_sram_bytes
     # Register file: 65536 x 32-bit registers per SMX, plus shared memory.
     smx_storage = config.num_smx * (
-        config.registers_per_smx * 4 + config.shared_mem_size
+        config.registers_per_smx * 4 + SHARED_MEM_SIZE
     )
-    total = agt_bytes + config.dtbl_register_bytes
+    total = agt_bytes + DTBL_REGISTER_BYTES
     return OverheadReport(
         agt_entries=config.agt_entries,
-        agt_entry_bytes=config.agt_entry_bytes,
+        agt_entry_bytes=AGT_ENTRY_BYTES,
         agt_sram_bytes=agt_bytes,
-        register_bytes=config.dtbl_register_bytes,
+        register_bytes=DTBL_REGISTER_BYTES,
         total_bytes=total,
         fraction_of_smx_storage=agt_bytes / smx_storage,
     )

@@ -8,7 +8,9 @@ paper reports is written here and nowhere else; so is every bound.
 
 from __future__ import annotations
 
-from ..config import GPUConfig, LatencyModel
+from ..config import (
+    L1_SIZE, MEMORY_CLOCK_MHZ, SHARED_MEM_SIZE, SMX_CLOCK_MHZ, GPUConfig, LatencyModel,
+)
 from ..dtbl.overhead import overhead_report
 from ..runtime import ExecutionMode
 from ..workloads import benchmark_names, get_benchmark
@@ -77,14 +79,14 @@ TABLE4 = {
 
 def table2() -> list:
     return [
-        ["SMX Clock Freq.", f"{K20C.smx_clock_mhz}MHz"],
-        ["Memory Clock Freq.", f"{K20C.memory_clock_mhz}MHz"],
+        ["SMX Clock Freq.", f"{SMX_CLOCK_MHZ}MHz"],
+        ["Memory Clock Freq.", f"{MEMORY_CLOCK_MHZ}MHz"],
         ["# of SMX", K20C.num_smx],
         ["Max # of Resident Thread Blocks per SMX", K20C.max_resident_blocks],
         ["Max # of Resident Threads per SMX", K20C.max_resident_threads],
         ["# of 32-bit Registers per SMX", K20C.registers_per_smx],
         ["L1 Cache / Shared Mem Size per SMX",
-         f"{K20C.l1_size // 1024}KB / {K20C.shared_mem_size // 1024}KB"],
+         f"{L1_SIZE // 1024}KB / {SHARED_MEM_SIZE // 1024}KB"],
         ["Max # of Concurrent Kernels", K20C.max_concurrent_kernels],
     ]
 
@@ -110,7 +112,8 @@ def table4() -> list:
 
 STATIC = (
     Claim("table2.k20c",
-          "Table 2 is GPUConfig.k20c() (its Value column), which holds 64 warps per SMX",
+          "Table 2 is GPUConfig.k20c() and the fixed repro.config parameters (its Value "
+          "column), which holds 64 warps per SMX",
           NO_CELL, lambda c: (*(v for _, v in table2()), K20C.max_resident_warps),
           Expect("=="),
           paper=("706MHz", "2600MHz", 13, 16, 2048, 65536, "16KB / 48KB", 32, 64)),

@@ -23,14 +23,12 @@ from typing import List, Optional, Set
 
 from ..instructions import Imm, Instr, Opcode, Reg
 from ..program import Program
+from ..regions import BLOCK_END_OPS
 
 #: How far behind a launch the grid-computation backtrack looks.  The
 #: canonical site needs 2 instructions; the margin absorbs interleaved
 #: parameter stores.
 _BACKTRACK_WINDOW = 24
-
-#: Opcodes that end a straight-line run for backtracking purposes.
-_FLOW_OPS = frozenset({Opcode.BRA, Opcode.JOIN, Opcode.BAR, Opcode.EXIT})
 
 
 @dataclasses.dataclass
@@ -105,7 +103,7 @@ def _recover_work(
     def find_def(reg: Reg, below: int) -> Optional[Instr]:
         for j in range(below - 1, lo - 1, -1):
             instr = instrs[j]
-            if instr.op in _FLOW_OPS:
+            if instr.op in BLOCK_END_OPS:
                 return None
             if _same_reg(instr.dst, reg):
                 return instr
@@ -117,7 +115,7 @@ def _recover_work(
     div_pc = None
     for j in range(site_index - 1, lo - 1, -1):
         instr = instrs[j]
-        if instr.op in _FLOW_OPS:
+        if instr.op in BLOCK_END_OPS:
             return None
         if _same_reg(instr.dst, grid_x):
             div, div_pc = instr, j

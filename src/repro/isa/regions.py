@@ -17,7 +17,13 @@ from __future__ import annotations
 
 from typing import Callable, List, Set, Tuple
 
-from .instructions import Instr
+from .instructions import Instr, Opcode
+
+#: Ops that end a straight-line run: control leaves the next pc (a
+#: branch, a reconvergence join, an exit) or the warp waits on the others
+#: (a barrier).  Together with :func:`control_flow_leaders` they bound the
+#: basic blocks.
+BLOCK_END_OPS = frozenset({Opcode.BRA, Opcode.JOIN, Opcode.BAR, Opcode.EXIT})
 
 #: Shortest run worth a region: fusing a single instruction only adds
 #: dispatch overhead.

@@ -81,7 +81,7 @@ class AluOp(NamedTuple):
     #: The last operand is a divisor; ``ufunc`` applies after
     #: :func:`nonzero_divisor` (``fn`` already includes it).
     guard: bool = False
-    #: Charged ``sfu_latency`` instead of ``alu_latency``.
+    #: Charged ``SFU_LATENCY`` instead of ``ALU_LATENCY``.
     sfu: bool = False
 
 
@@ -203,11 +203,11 @@ class MemoryOp(NamedTuple):
         the device store, below its size; the active lanes' addresses
         coalesce into 128-byte segments, each a transaction through the
         L2 and DRAM; a load waits for the last one, a store retires
-        after ``alu_latency``;
+        after ``ALU_LATENCY``;
     ``"shared"``
         the block's scratchpad, below the kernel's ``shared_words``;
-        ``shared_latency`` times the conflict degree (the most distinct
-        addresses on one of ``shared_banks`` banks), nothing counted;
+        ``SHARED_LATENCY`` times the conflict degree (the most distinct
+        addresses on one of ``SHARED_BANKS`` banks), nothing counted;
     ``"local"``
         per-thread words below the kernel's ``local_words``, interleaved
         across the SMX's threads in the device store; coalesced like

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..config import SEGMENT_BYTES, GPUConfig
+from ..config import L2_ASSOC, L2_HIT_LATENCY, SEGMENT_BYTES, GPUConfig
 from .cache import Cache
 
 
@@ -78,7 +78,7 @@ class DramController:
 
     def __init__(self, config: GPUConfig) -> None:
         self._config = config
-        self._rows_per_segment = max(1, config.dram_row_bytes // SEGMENT_BYTES)
+        self._rows_per_segment = config.dram_row_bytes // SEGMENT_BYTES
         self._banks = config.dram_banks
         # Plain Python lists: the service loop reads and writes single
         # scalar slots, where list indexing is several times cheaper
@@ -143,19 +143,18 @@ class MemorySubsystem:
 
     def __init__(self, config: GPUConfig) -> None:
         self._config = config
-        self.l2 = Cache(config.l2_size, config.l2_line, config.l2_assoc)
+        self.l2 = Cache(config.l2_size, SEGMENT_BYTES, L2_ASSOC)
         self.dram = DramController(config)
 
     def warp_access(self, segments: np.ndarray, is_write: bool, cycle: int) -> int:
         """Process one warp memory instruction's transactions."""
-        l2_latency = self._config.l2_hit_latency
-        transit = self._config.dram_base_latency
-        completion = cycle + l2_latency
+        completion = cycle + L2_HIT_LATENCY
+        arrival = completion + self._config.dram_base_latency
         for segment in segments:
             if self.l2.access(int(segment)):
-                done = cycle + l2_latency
+                done = cycle + L2_HIT_LATENCY
             else:
-                done = self.dram.service(int(segment), is_write, cycle + l2_latency + transit)
+                done = self.dram.service(int(segment), is_write, arrival)
             if done > completion:
                 completion = done
         return int(completion)
@@ -174,7 +173,7 @@ class MemorySubsystem:
         attribute churn per segment is a measurable win.
         """
         l2 = self.l2
-        completion = cycle + self._config.l2_hit_latency
+        completion = cycle + L2_HIT_LATENCY
         arrival = completion + self._config.dram_base_latency
         service = self.dram.service
         sets = l2._sets

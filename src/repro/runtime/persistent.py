@@ -10,8 +10,9 @@ host launch of a rewritten kernel into queue traffic:
 * each intercepted launch first drains any outstanding work (the queue
   is one shared structure — drains serialize), verifies the previous
   drain's counters, seeds one published record per requested block, and
-  launches the generated worker kernel as a fixed grid sized to SMX
-  occupancy instead of the requested kernel;
+  launches the generated worker kernel instead of the requested kernel,
+  as a fixed grid of one block per SMX (``GPUConfig.num_smx`` blocks,
+  whatever the occupancy of each SMX would allow);
 * :meth:`verify_drained` asserts the queue invariants
   (``RESERVED == PUBLISHED == FINISHED``, nothing dropped, high-water
   within capacity) — a dropped fence or a stranded record fails loudly

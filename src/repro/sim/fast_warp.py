@@ -14,7 +14,7 @@ the per-step interpretation overhead:
   control ops become closures, and every ALU-class op becomes *generated
   source* (one module per program, compiled once and memoised per
   process by its text) in which operand banks, register indices,
-  immediates and the latency class are literals instead of per-issue
+  immediates and the result latency are literals instead of per-issue
   tests.
 * **Extended PDOM frames.**  Stack frames carry ``[pc, reconv_pc, mask,
   active_count, full_flag]`` so the active-lane count (needed for the
@@ -100,10 +100,12 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from ..config import SEGMENT_WORDS, WARP_SIZE
+from ..config import (
+    ALU_LATENCY, SEGMENT_WORDS, SFU_LATENCY, SHARED_BANKS, SHARED_LATENCY, WARP_SIZE,
+)
 from ..errors import ExecutionError
 from ..isa.instructions import Bank, Opcode, Reg
-from ..isa.regions import control_flow_leaders, straight_line_regions
+from ..isa.regions import BLOCK_END_OPS, control_flow_leaders, straight_line_regions
 from ..isa.semantics import (
     ALU,
     ATOMIC,
@@ -211,7 +213,7 @@ def _global_timing(w, alist: list, is_write: bool, cycle: int, lo: int, hi: int)
     histogram[n] = histogram.item(n) + 1  # half the cost of ``+= 1``
     completion = w._mem_access(segments, is_write, cycle)
     if is_write:
-        w.ready_cycle = cycle + w._alu_lat
+        w.ready_cycle = cycle + ALU_LATENCY
     else:
         w.ready_cycle = completion
 
@@ -285,11 +287,6 @@ _UNIFORM_ALU = frozenset(
     op for op, row in ALU.items() if row.dst == Bank.INT and set(row.src) <= {"c", "i"}
 )
 
-#: Ops that end a kernel's entry block (so do :data:`REFERENCE_OPS` and
-#: any branch target): past one, a warp may run under a narrower mask or
-#: run an instruction again.
-_ENTRY_END = frozenset({Opcode.BRA, Opcode.JOIN, Opcode.BAR, Opcode.EXIT})
-
 
 def uniform_registers(instructions) -> frozenset:
     """The int registers that hold one value in every lane a warp ever
@@ -298,8 +295,9 @@ def uniform_registers(instructions) -> frozenset:
     A register qualifies when its index is the ``dst`` of exactly one
     instruction of the program (counted over both banks, which only
     errs towards fewer registers), and that instruction sits in the
-    entry block — before the first branch, join, barrier, exit,
-    reference op or leader other than pc 0
+    entry block — before the first branch, join, barrier, exit
+    (:data:`~repro.isa.regions.BLOCK_END_OPS`), reference op or leader
+    other than pc 0
     (:func:`~repro.isa.regions.control_flow_leaders`: a branch target or
     reconvergence pc), so it runs under the warp's initial mask — and
     either reads a block-uniform special (:data:`UNIFORM_SPECIALS`) or
@@ -319,7 +317,7 @@ def uniform_registers(instructions) -> frozenset:
     uniform: set = set()
     for pc, instr in enumerate(instructions):
         op = instr.op
-        if op in _ENTRY_END or op in REFERENCE_OPS or pc in leaders:
+        if op in BLOCK_END_OPS or op in REFERENCE_OPS or pc in leaders:
             break
         dst = instr.dst
         if dst is None or defs[dst.idx] != 1:
@@ -580,8 +578,8 @@ def _alu_factory(instrs, single: bool) -> Optional[Tuple[str, list]]:
     lines.append("  else:")
     lines += ["   " + line for line in part]
     if single:
-        latency = "_sfu_lat" if instrs[0].op in SFU_OPS else "_alu_lat"
-        lines += [f"  w.ready_cycle = cycle + w.{latency}", "  return False"]
+        latency = SFU_LATENCY if instrs[0].op in SFU_OPS else ALU_LATENCY
+        lines += [f"  w.ready_cycle = cycle + {latency}", "  return False"]
     lines.append(" return run")
     return "\n".join(lines), values
 
@@ -663,9 +661,8 @@ def _make_memory(instr, uniform: frozenset = frozenset()):
                 reg[frame[2]] = words[addrs]
         if shared:
             # Addresses less than a bank count apart are on distinct banks.
-            cfg = w._cfg
-            degree = 1 if hi - lo < cfg.shared_banks else w._shared_conflict_degree(addrs)
-            w.ready_cycle = cycle + cfg.shared_latency * degree
+            degree = 1 if hi - lo < SHARED_BANKS else w._shared_conflict_degree(addrs)
+            w.ready_cycle = cycle + SHARED_LATENCY * degree
         elif local:
             w._memory_timing(addrs, is_store, cycle, w.tb.smx.l1)
         else:
@@ -757,7 +754,7 @@ def _make_bra(instr):
     if instr.pred is None:
 
         def run_uncond(w, frame, cycle):
-            w.ready_cycle = cycle + w._alu_lat
+            w.ready_cycle = cycle + ALU_LATENCY
             frame[0] = target
             return True
 
@@ -768,7 +765,7 @@ def _make_bra(instr):
     rpc = instr.reconv
 
     def run(w, frame, cycle):
-        w.ready_cycle = cycle + w._alu_lat
+        w.ready_cycle = cycle + ALU_LATENCY
         row = w.rows_i[p]
         mask = frame[2]
         n_active = frame[3]
@@ -891,10 +888,8 @@ class FusedRegion:
     ``fn(w, mask, full)`` is the region's generated function: it leaves
     the registers as the region's instructions would, one by one, and
     touches nothing else (the window charges issues, lanes and
-    ``ready_cycle``).  Latencies are *not* baked in: the decode is cached
-    on the shared Program, and different GPUs may run it with different
-    ``alu_latency`` / ``sfu_latency`` values, so the region's duration is
-    derived per warp as ``n_alu * alu_lat + n_sfu * sfu_lat``.
+    ``ready_cycle``).  ``cycles`` is the region's duration: ``ALU_LATENCY``
+    per instruction, ``SFU_LATENCY`` per SFU-class one.
 
     ``executions`` counts the times the region ran fused, in this
     process, on whatever GPU: a diagnostic that is not part of any
@@ -902,15 +897,15 @@ class FusedRegion:
     see it).
     """
 
-    __slots__ = ("start", "length", "ops", "fn", "n_alu", "n_sfu", "executions")
+    __slots__ = ("start", "length", "ops", "fn", "cycles", "executions")
 
     def __init__(self, start: int, ops: tuple, fn) -> None:
         self.start = start
         self.length = len(ops)
         self.ops = ops
         self.fn = fn
-        self.n_sfu = sum(op in SFU_OPS for op in ops)
-        self.n_alu = self.length - self.n_sfu
+        n_sfu = sum(op in SFU_OPS for op in ops)
+        self.cycles = (self.length - n_sfu) * ALU_LATENCY + n_sfu * SFU_LATENCY
         self.executions = 0
 
 
@@ -1006,7 +1001,7 @@ class FastWarp(Warp):
     """Warp with pre-decoded instruction kernels and extended frames."""
 
     __slots__ = (
-        "_table", "fallback_pcs", "_alu_lat", "_sfu_lat", "_cstats", "_mem_access",
+        "_table", "fallback_pcs", "_cstats", "_mem_access",
         "rows_i", "rows_f",
     )
     # The decoded program, more hot-path references and the register rows
@@ -1016,8 +1011,6 @@ class FastWarp(Warp):
     def __init__(self, tb, warp_index: int, context_slot: int) -> None:
         self._bind(tb, warp_index, context_slot)
         gpu = tb.gpu
-        self._alu_lat = gpu.config.alu_latency
-        self._sfu_lat = gpu.config.sfu_latency
         # Hot-path attribute caches: one getattr instead of a chain per
         # global-memory instruction (see _global_timing).
         self._cstats = gpu.stats.coalescing
@@ -1083,7 +1076,7 @@ class FastWarp(Warp):
 
         Preconditions, checked by the caller (``GPU._run_fast``):
 
-        * ``resident_warps <= issue_width`` on this SMX — resident warps
+        * ``resident_warps <= ISSUE_WIDTH`` on this SMX — resident warps
           (including barrier-held ones) bound the number of same-cycle
           issuers, so the issue budget can never bind and every warp
           issues exactly at its own ready cycle, independent of all
@@ -1095,7 +1088,7 @@ class FastWarp(Warp):
           interleaving, which run-ahead reorders (per-instruction cycles
           stay exact, only callback order changes).
 
-        ``GPUConfig`` holds every pipeline latency at one cycle or more,
+        Every pipeline latency of :mod:`repro.config` is a cycle or more,
         so every op after the first advances time and at most one issue
         per cycle bypasses the caller's per-pop budget counting.
 
@@ -1124,8 +1117,6 @@ class FastWarp(Warp):
         """
         stats = self._stats
         table = self._table
-        alu_lat = self._alu_lat
-        sfu_lat = self._sfu_lat
         stack = self.stack
         first = True
         # Private and memory ops never schedule events, so the
@@ -1160,7 +1151,7 @@ class FastWarp(Warp):
                 if region is not None:
                     # No sanitizer here, so a row-carried region fuses
                     # whenever it fits.
-                    end = cycle + region.n_alu * alu_lat + region.n_sfu * sfu_lat
+                    end = cycle + region.cycles
                     if end <= hard:
                         n = region.length
                         issued += n

@@ -15,7 +15,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Union
 
 import numpy as np
 
-from ..config import GPUConfig, LatencyModel
+from ..config import ISSUE_WIDTH, MAX_LOCAL_WORDS, GPUConfig, LatencyModel
 from ..errors import LaunchError, SimulationError
 from ..memory.dram import MemorySubsystem
 from ..memory.global_memory import GlobalMemory
@@ -236,13 +236,13 @@ class GPU:
     def local_arena_base(self, smx_id: int) -> int:
         """Base address of an SMX's local-memory arena (lazy allocation).
 
-        The arena holds ``max_local_words`` words for every potential
+        The arena holds ``MAX_LOCAL_WORDS`` words for every potential
         resident thread, laid out interleaved (word w of all threads is
         contiguous) as CUDA local memory is.
         """
         base = self._local_arenas[smx_id]
         if base is None:
-            words = self.config.max_resident_threads * self.config.max_local_words
+            words = self.config.max_resident_threads * MAX_LOCAL_WORDS
             base = self.memory.alloc(words)
             self._local_arenas[smx_id] = base
         return base
@@ -404,7 +404,7 @@ class GPU:
         visited cycles ascending, same-cycle SMXs in ascending
         ``smx_id`` (the ``for smx in smxs`` order; DRAM bank/row and L2
         LRU state depend on access order), same-SMX warps by ``(ready,
-        age)`` (the per-SMX GTO heap key), and at most ``issue_width``
+        age)`` (the per-SMX GTO heap key), and at most ``ISSUE_WIDTH``
         issues per SMX per visited cycle.
 
         A popped warp issues through budget-safe run-ahead
@@ -422,7 +422,7 @@ class GPU:
         cfg = self.config
         far = _FAR_FUTURE
         watchdog_horizon = far if max_cycles is None else max_cycles + 1
-        width = cfg.issue_width
+        width = ISSUE_WIDTH
         round_robin = cfg.warp_scheduler == "rr"
         # Budget-safe run-ahead preconditions (see FastWarp.step_free_window):
         # GTO ages and no interleaving observers.

@@ -12,6 +12,7 @@ from __future__ import annotations
 from collections import deque
 from typing import TYPE_CHECKING, Deque, Optional
 
+from ..config import CDP_PENDING_KERNEL_BYTES
 from .hwq import HostLaunchSpec, HostQueues
 from .kernel import dims_total
 from .stats import LaunchKind, LaunchRecord
@@ -86,7 +87,7 @@ class KernelManagementUnit:
             total_blocks=blocks,
             total_threads=blocks * dims_total(block_dims),
             param_bytes=gpu.runtime.param_bytes_for(param_addr),
-            record_bytes=gpu.config.cdp_pending_kernel_bytes,
+            record_bytes=CDP_PENDING_KERNEL_BYTES,
         )
         gpu.stats.launches.append(record)
         gpu.stats.add_footprint(record.pending_bytes)

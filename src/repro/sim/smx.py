@@ -13,7 +13,10 @@ from __future__ import annotations
 import heapq
 from typing import TYPE_CHECKING, List, Optional
 
-from ..config import WORD_BYTES
+from ..config import (
+    CONTEXT_SETUP_CYCLES, ISSUE_WIDTH, L1_ASSOC, L1_SIZE, MAX_LOCAL_WORDS,
+    SEGMENT_BYTES, SHARED_MEM_SIZE, WORD_BYTES,
+)
 from ..errors import LaunchError
 from ..memory.cache import Cache
 from .kernel import KernelFunction, LaunchDims, dims_total
@@ -31,7 +34,7 @@ class SMX:
         ("free_threads", "value", "max_resident_threads"),
         ("free_blocks", "value", "max_resident_blocks"),
         ("free_regs", "value", "registers_per_smx"),
-        ("free_shared", "value", "shared_mem_size"),
+        ("free_shared", "value", SHARED_MEM_SIZE),
         ("free_warp_slots", "value", "max_resident_warps"),
         ("resident_warps", "value", 0),
         ("_seq", "value"),
@@ -52,7 +55,7 @@ class SMX:
         self.free_threads = cfg.max_resident_threads
         self.free_blocks = cfg.max_resident_blocks
         self.free_regs = cfg.registers_per_smx
-        self.free_shared = cfg.shared_mem_size
+        self.free_shared = SHARED_MEM_SIZE
         self.free_warp_slots = cfg.max_resident_warps
         self.blocks: List[ThreadBlock] = []
         self.resident_warps = 0
@@ -65,7 +68,7 @@ class SMX:
         #: segment.
         self._free_slots: List[int] = list(range(cfg.max_resident_warps - 1, -1, -1))
         #: Per-SMX L1 (local-memory cache on this Kepler-like baseline).
-        self.l1 = Cache(cfg.l1_size, cfg.l2_line, cfg.l1_assoc)
+        self.l1 = Cache(L1_SIZE, SEGMENT_BYTES, L1_ASSOC)
 
     # ------------------------------------------------------------------
     # Resource admission
@@ -79,7 +82,7 @@ class SMX:
             and self.free_warp_slots >= warps
             and self.free_regs >= threads * func.regs_per_thread
             and self.free_shared >= func.shared_words * WORD_BYTES
-            and func.local_words <= self._cfg.max_local_words
+            and func.local_words <= MAX_LOCAL_WORDS
         )
 
     def add_block(
@@ -115,10 +118,8 @@ class SMX:
         # blocks of the same kernel (native or coalesced aggregated TBs)
         # share the context (Section 4.2's coalescing benefit).
         start_cycle = cycle
-        if self._cfg.context_setup_cycles and not any(
-            tb.func is func for tb in self.blocks
-        ):
-            start_cycle += self._cfg.context_setup_cycles
+        if not any(tb.func is func for tb in self.blocks):
+            start_cycle += CONTEXT_SETUP_CYCLES
         tb = ThreadBlock(
             self,
             func,
@@ -191,7 +192,7 @@ class SMX:
     # Issue
     # ------------------------------------------------------------------
     def tick(self, cycle: int) -> int:
-        """Issue up to ``issue_width`` instructions from ready warps.
+        """Issue up to ``ISSUE_WIDTH`` instructions from ready warps.
 
         Under "gto" the heap key keeps a warp's original age, yielding
         oldest-ready-first (GTO's behaviour under this simulator's
@@ -201,7 +202,7 @@ class SMX:
         """
         heap = self._ready_heap
         issued = 0
-        budget = self._cfg.issue_width
+        budget = ISSUE_WIDTH
         round_robin = self._cfg.warp_scheduler == "rr"
         while heap and issued < budget:
             ready_cycle, age, warp = heap[0]

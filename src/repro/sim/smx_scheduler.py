@@ -14,7 +14,7 @@ from __future__ import annotations
 from collections import deque
 from typing import TYPE_CHECKING, Deque, List, Optional, Sequence, Tuple
 
-from ..config import SEGMENT_WORDS
+from ..config import DTBL_PENDING_GROUP_BYTES, SEGMENT_WORDS
 from ..dtbl.agt import AggregatedGroupEntry, AggregatedGroupTable
 from ..dtbl.aggregation import AggLaunchRequest
 from .kernel import dims_total
@@ -258,7 +258,7 @@ class SMXScheduler:
                 total_blocks=blocks,
                 total_threads=blocks * dims_total(req.block_dims),
                 param_bytes=gpu.runtime.param_bytes_for(req.param_addr),
-                record_bytes=gpu.config.dtbl_pending_group_bytes,
+                record_bytes=DTBL_PENDING_GROUP_BYTES,
             )
             stats.launches.append(record)
             stats.add_footprint(record.pending_bytes)

@@ -6,7 +6,7 @@ from typing import TYPE_CHECKING, List
 
 import numpy as np
 
-from ..config import WARP_SIZE
+from ..config import BARRIER_LATENCY, WARP_SIZE
 from .fast_warp import FastWarp
 from .kernel import KernelFunction, LaunchDims, dims_total
 from .warp import Warp
@@ -127,11 +127,10 @@ class ThreadBlock:
         san = self.gpu.sanitizer
         if san is not None:
             san.on_barrier_release(self)
-        latency = self.gpu.config.barrier_latency
         for warp in self.warps:
             if warp.at_barrier:
                 warp.at_barrier = False
-                warp.ready_cycle = cycle + latency
+                warp.ready_cycle = cycle + BARRIER_LATENCY
                 self.smx.requeue_warp(warp)
         self._barrier_arrivals = 0
 

@@ -19,7 +19,9 @@ from typing import TYPE_CHECKING, Callable, Dict, List
 
 import numpy as np
 
-from ..config import WARP_SIZE
+from ..config import (
+    ALU_LATENCY, L1_HIT_LATENCY, SFU_LATENCY, SHARED_BANKS, SHARED_LATENCY, WARP_SIZE,
+)
 from ..errors import ExecutionError
 from ..isa.instructions import Bank, Opcode, Reg
 from ..isa.semantics import ALU, ATOMIC, CMP, MEMORY, SPECIAL
@@ -199,7 +201,7 @@ class Warp:
     # ALU handler (handlers return True iff they updated the pc themselves)
     # ------------------------------------------------------------------
     def _alu_done(self, cycle: int) -> None:
-        self.ready_cycle = cycle + self._cfg.alu_latency
+        self.ready_cycle = cycle + ALU_LATENCY
 
     def _h_alu(self, instr, frame, mask, cycle):
         """Interpret one :data:`repro.isa.semantics.ALU` row."""
@@ -215,9 +217,7 @@ class Warp:
         ]
         write = self._write_f if row.dst == Bank.FLT else self._write_i
         write(instr.dst, row.fn(*args), mask)
-        self.ready_cycle = cycle + (
-            self._cfg.sfu_latency if row.sfu else self._cfg.alu_latency
-        )
+        self.ready_cycle = cycle + (SFU_LATENCY if row.sfu else ALU_LATENCY)
         return False
 
     # ------------------------------------------------------------------
@@ -259,7 +259,7 @@ class Warp:
             (self._write_f if flt else self._write_i)(instr.dst, values, mask)
         if space == "shared":
             degree = self._shared_conflict_degree(addrs)
-            self.ready_cycle = cycle + self._cfg.shared_latency * degree
+            self.ready_cycle = cycle + SHARED_LATENCY * degree
         else:
             l1 = self.tb.smx.l1 if space == "local" else None
             self._memory_timing(addrs, row.store, cycle, l1)
@@ -275,14 +275,14 @@ class Warp:
         if l1 is None:
             completion = memsys.warp_access(segments, is_write, cycle)
         else:
-            completion = cycle + self._cfg.l1_hit_latency
+            completion = cycle + L1_HIT_LATENCY
             missing = [int(seg) for seg in segments if not l1.access(int(seg))]
             if missing:
                 done = memsys.warp_access(np.asarray(missing, dtype=np.int64), is_write, cycle)
                 completion = max(completion, done)
         if is_write:
             # Stores retire into the memory system; the warp does not wait.
-            self.ready_cycle = cycle + self._cfg.alu_latency
+            self.ready_cycle = cycle + ALU_LATENCY
         else:
             self.ready_cycle = completion
 
@@ -297,7 +297,7 @@ class Warp:
         distinct = np.unique(addrs)
         if distinct.size == 1:
             return 1
-        banks = distinct % self._cfg.shared_banks
+        banks = distinct % SHARED_BANKS
         return int(np.bincount(banks).max())
 
     def _local_physical(

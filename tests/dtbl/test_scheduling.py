@@ -3,7 +3,7 @@
 import pytest
 
 from repro import GPUConfig, KernelBuilder, KernelFunction
-from repro.config import LatencyModel
+from repro.config import DTBL_PENDING_GROUP_BYTES, LatencyModel
 from repro.dtbl.agt import AggregatedGroupEntry
 from repro.dtbl.aggregation import AggLaunchRequest
 from repro.sim.gpu import GPU
@@ -166,4 +166,4 @@ class TestProcessAggregation:
         gpu.distributor.allocate(func, (1, 1, 1), (32, 1, 1), 0, record(), None)
         request = AggLaunchRequest("k", 0, (2, 1, 1), (32, 1, 1), hw_tid=1)
         gpu.scheduler.process_aggregation([request], cycle=0)
-        assert gpu.stats.footprint_bytes == gpu.config.dtbl_pending_group_bytes
+        assert gpu.stats.footprint_bytes == DTBL_PENDING_GROUP_BYTES

@@ -7,7 +7,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.config import CORES, SEGMENT_BYTES, STRUCTURAL_FIELDS, WARP_SIZE, GPUConfig
+from repro.config import (
+    CORES, DRAM_CYCLE_FIELDS, SEGMENT_BYTES, STRUCTURAL_FIELDS, WARP_SIZE, GPUConfig,
+)
 from repro.errors import ConfigError
 from repro.exec import JobSpec
 from repro.runtime import ExecutionMode
@@ -20,7 +22,8 @@ _LEGAL = {
     "warp_scheduler": st.sampled_from(("gto", "rr")),
     "max_resident_threads": st.integers(1, 256).map(lambda n: n * WARP_SIZE),
     "agt_entries": st.integers(0, 16).map(lambda bits: 1 << bits),
-    "l2_line": st.just(SEGMENT_BYTES),
+    "dram_row_bytes": st.integers(1, 2**32).map(lambda n: n * SEGMENT_BYTES),
+    **dict.fromkeys(DRAM_CYCLE_FIELDS, st.integers(0, 2**40)),
 }
 
 
@@ -71,3 +74,19 @@ def test_a_non_positive_structural_field_raises(config, name, value):
         GPUConfig.from_dict(data)
     with pytest.raises(ConfigError, match=name):
         dataclasses.replace(config, **{name: value})
+
+
+@given(configs, st.sampled_from(DRAM_CYCLE_FIELDS), st.integers(-(2**40), -1))
+def test_a_negative_dram_cycle_count_raises(config, name, value):
+    data = config.to_dict()
+    data[name] = value
+    with pytest.raises(ConfigError, match=name):
+        GPUConfig.from_dict(data)
+
+
+@given(configs, st.integers(-(2**40), 2**40).filter(lambda n: n < 1 or n % SEGMENT_BYTES))
+def test_a_dram_row_of_partial_segments_raises(config, row_bytes):
+    data = config.to_dict()
+    data["dram_row_bytes"] = row_bytes
+    with pytest.raises(ConfigError, match="dram_row_bytes"):
+        GPUConfig.from_dict(data)

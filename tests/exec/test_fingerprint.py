@@ -29,6 +29,8 @@ def _mutated(field: dataclasses.Field, value):
         return value + 32  # must stay a warp-size multiple
     if field.name == "agt_entries":
         return value * 2  # must stay a power of two
+    if field.name == "dram_row_bytes":
+        return value + SEGMENT_BYTES  # must stay whole segments
     return value + 1
 
 
@@ -63,18 +65,11 @@ class TestConfigFingerprint:
         assert out.stdout.strip() == _config_key(GPUConfig.small())
 
     def test_sensitive_to_every_field(self):
-        """Changing any one config field changes the job's fingerprint.
-
-        ``l2_line`` is excluded: the validator pins it to the coalescing
-        segment size, so it has exactly one legal value.
-        """
+        """Changing any one config field changes the job's fingerprint."""
         base = GPUConfig.k20c()
         base_fp = _config_key(base)
         seen = {base_fp}
         for field in dataclasses.fields(GPUConfig):
-            if field.name == "l2_line":
-                assert base.l2_line == SEGMENT_BYTES
-                continue
             mutation = {field.name: _mutated(field, getattr(base, field.name))}
             variant = dataclasses.replace(base, **mutation)
             variant_fp = _config_key(variant)
@@ -163,7 +158,7 @@ class TestSweepJobFingerprint:
         monkeypatch.delenv("REPRO_SANITIZE", raising=False)
         assert repro.__version__ == "1.4.0"
         assert self._job().fingerprint() == (
-            "60d51a9de2182267395048f47983e3a71f1ea2bd209ac6e0878beb1fe8358547"
+            "5a3221365bc3dfe720bd14693e330a935b4e098858564c1ec919aa6199cc37ea"
         )
         for module in (repro, repro.exec, fp_module):
             assert not hasattr(module, "SweepJob")

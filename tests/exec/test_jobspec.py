@@ -132,7 +132,7 @@ class TestWireFormat:
         {"mode": 3},
         {"checkpoint_every": 100.0},
         {"checkpoint_dir": 5},
-        {"config": {"alu_latency": 10.0}},
+        {"config": {"dram_hit_latency": 20.0}},
         {"config": {"agt_entries": 1024.0}},
         {"config": ["num_smx", 13]},
     ])

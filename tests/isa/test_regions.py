@@ -5,9 +5,10 @@ from __future__ import annotations
 import pytest
 
 from repro import KernelBuilder, KernelFunction
+from repro.config import ALU_LATENCY, SFU_LATENCY
 from repro.isa import control_flow_leaders, straight_line_regions
 from repro.isa.instructions import Opcode
-from repro.isa.semantics import FUSABLE_OPS
+from repro.isa.semantics import FUSABLE_OPS, SFU_OPS
 from repro.sim.fast_warp import decode_program
 
 
@@ -92,7 +93,9 @@ def test_decode_attaches_regions_to_table_rows():
         assert table[start][3] is region
         assert region.start == start
         assert region.length == len(region.ops) and callable(region.fn)
-        assert region.n_alu + region.n_sfu == region.length
+        assert region.cycles == sum(
+            SFU_LATENCY if op in SFU_OPS else ALU_LATENCY for op in region.ops
+        )
     # Non-start rows carry no region.
     starts = set(regions)
     for pc, row in enumerate(table):

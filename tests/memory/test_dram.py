@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.config import GPUConfig
+from repro.config import L2_HIT_LATENCY, GPUConfig
 from repro.memory import DramController, MemorySubsystem
 
 
@@ -104,8 +104,8 @@ class TestMemorySubsystem:
         segs = np.array([0], dtype=np.int64)
         first = mem.warp_access(segs, False, 0)
         second = mem.warp_access(segs, False, first)
-        assert second - first == cfg.l2_hit_latency
-        assert first > cfg.l2_hit_latency  # the miss went to DRAM
+        assert second - first == L2_HIT_LATENCY
+        assert first > L2_HIT_LATENCY  # the miss went to DRAM
 
     def test_write_traffic_counted(self):
         mem = MemorySubsystem(GPUConfig.k20c())

@@ -110,6 +110,19 @@ class TestSpecTable:
             manager.submit(bad)
         assert manager._specs == {}
 
+    @pytest.mark.parametrize("config", [
+        {"issue_width": 4},  # a field an older client may still send
+        {"l2_line": 128},
+        {"dram_hit_latency": -100},
+        {"dram_row_bytes": 100},
+    ])
+    def test_a_removed_or_impossible_config_key_is_refused(self, manager, config):
+        """A removed field, or a DRAM timing no machine has, is refused by
+        name as a :class:`SpecError`: what the daemon answers with 400."""
+        with pytest.raises(SpecError, match=next(iter(config))):
+            manager.submit(wire(config=config))
+        assert manager._specs == {}
+
     def test_sanitize_rehashes_a_kept_spec(self, manager, monkeypatch):
         document = wire()
         monkeypatch.delenv("REPRO_SANITIZE", raising=False)

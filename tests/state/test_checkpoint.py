@@ -28,6 +28,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import ExecutionMode, GPUConfig
+from repro.config import ALU_LATENCY
 from repro.sim.sanitizer import Sanitizer
 from repro.state import (
     CheckpointError,
@@ -393,7 +394,7 @@ class TestCadence:
         dev.gpu.run()
         assert len(cycles) == dev.gpu.cycle // every >= 4
         for k_th, cycle in enumerate(cycles, start=1):
-            assert 0 <= cycle - k_th * every < config.alu_latency
+            assert 0 <= cycle - k_th * every < ALU_LATENCY
 
 
 # ----------------------------------------------------------------------

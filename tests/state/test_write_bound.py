@@ -23,6 +23,7 @@ import numpy as np
 import pytest
 
 from repro import ExecutionMode, GPUConfig
+from repro.config import MAX_LOCAL_WORDS
 from repro.isa.builder import KernelBuilder
 from repro.memory.global_memory import image_extent
 from repro.sim.kernel import KernelFunction
@@ -164,7 +165,7 @@ class TestWriteSites:
         assert extent > arena and extent <= bound
         # The end of the highest row stored to, not of the arena — unless
         # REPRO_SANITIZE=1 made a sanitizer mark the whole allocation.
-        rows = 4 if dev.gpu.sanitizer is None else dev.gpu.config.max_local_words
+        rows = 4 if dev.gpu.sanitizer is None else MAX_LOCAL_WORDS
         assert bound <= arena + rows * dev.gpu.config.max_resident_threads
 
     def test_host_memset_of_zeros_is_the_highest_write(self):

@@ -7,8 +7,12 @@ import pytest
 
 from repro import config as config_module
 from repro.config import (
+    L1_SIZE,
+    MEMORY_CLOCK_MHZ,
     SEGMENT_BYTES,
     SEGMENT_WORDS,
+    SHARED_MEM_SIZE,
+    SMX_CLOCK_MHZ,
     WARP_SIZE,
     WORD_BYTES,
     GPUConfig,
@@ -19,17 +23,39 @@ from repro.exec import JobSpec
 from repro.runtime import ExecutionMode
 
 
+#: The machine parameters that are :mod:`repro.config` constants, not
+#: :class:`GPUConfig` fields, by their former field names.
+FIXED = {
+    "smx_clock_mhz": 706, "memory_clock_mhz": 2600, "l1_size": 16 * 1024,
+    "shared_mem_size": 48 * 1024, "issue_width": 4, "alu_latency": 10,
+    "sfu_latency": 20, "shared_latency": 30, "shared_banks": 32,
+    "l1_hit_latency": 35, "l1_assoc": 4, "max_local_words": 64,
+    "barrier_latency": 5, "l2_assoc": 8, "l2_hit_latency": 120,
+    "context_setup_cycles": 40, "agt_entry_bytes": 20,
+    "dtbl_register_bytes": 1096, "cdp_pending_kernel_bytes": 2048,
+    "dtbl_pending_group_bytes": 256,
+}
+PIPELINE_LATENCIES = (
+    "alu_latency", "sfu_latency", "shared_latency", "l1_hit_latency", "l2_hit_latency",
+)
+DRAM_CYCLES = (
+    "dram_base_latency", "dram_bus_cycles", "dram_row_hit_cycles",
+    "dram_row_miss_cycles", "dram_hit_latency", "dram_miss_latency",
+)
+
+
 class TestGPUConfigTable2:
-    """The k20c() configuration must match the paper's Table 2 exactly."""
+    """The k20c() configuration and the fixed parameters must match the
+    paper's Table 2 exactly."""
 
     def setup_method(self):
         self.cfg = GPUConfig.k20c()
 
     def test_smx_clock(self):
-        assert self.cfg.smx_clock_mhz == 706
+        assert SMX_CLOCK_MHZ == 706
 
     def test_memory_clock(self):
-        assert self.cfg.memory_clock_mhz == 2600
+        assert MEMORY_CLOCK_MHZ == 2600
 
     def test_num_smx(self):
         assert self.cfg.num_smx == 13
@@ -44,8 +70,8 @@ class TestGPUConfigTable2:
         assert self.cfg.registers_per_smx == 65536
 
     def test_l1_and_shared(self):
-        assert self.cfg.l1_size == 16 * 1024
-        assert self.cfg.shared_mem_size == 48 * 1024
+        assert L1_SIZE == 16 * 1024
+        assert SHARED_MEM_SIZE == 48 * 1024
 
     def test_max_concurrent_kernels(self):
         assert self.cfg.max_concurrent_kernels == 32
@@ -61,7 +87,7 @@ class TestGPUConfigValidation:
 
     @pytest.mark.parametrize("field", [
         "dram_banks", "max_concurrent_kernels", "max_resident_blocks",
-        "agt_entries", "l2_assoc",
+        "agt_entries", "l2_size",
     ])
     def test_zero_structural_size_rejected_at_construction(self, field):
         # A component divides by, indexes with or allocates from each:
@@ -78,14 +104,29 @@ class TestGPUConfigValidation:
         with pytest.raises(ConfigError):
             GPUConfig(agt_entries=1000)
 
-    @pytest.mark.parametrize("field", [
-        "alu_latency", "sfu_latency", "shared_latency", "l1_hit_latency", "l2_hit_latency",
-    ])
+    @pytest.mark.parametrize("field", PIPELINE_LATENCIES)
     def test_pipeline_latency_below_one_cycle_rejected(self, field):
+        # Run-ahead relies on every pipeline latency being a cycle or
+        # more: a property of the constants, which no config can change.
+        assert getattr(config_module, field.upper()) >= 1
         for value in (0, -1):
             with pytest.raises(ConfigError, match=field):
-                GPUConfig(**{field: value})
-        assert getattr(GPUConfig(**{field: 1}), field) == 1
+                GPUConfig.from_dict({field: value})
+
+    @pytest.mark.parametrize("field", DRAM_CYCLES)
+    def test_negative_dram_cycles_rejected(self, field):
+        # A negative data-return latency returned DRAM data before it was
+        # requested; the daemon must answer 400 for it.
+        with pytest.raises(ConfigError, match=field):
+            GPUConfig.from_dict({field: -3})
+        assert getattr(GPUConfig.from_dict({field: 0}), field) == 0
+
+    @pytest.mark.parametrize("row_bytes", [0, -128, 100, 2050])
+    def test_dram_row_must_be_whole_segments(self, row_bytes):
+        # 0 and 100 used to run as one 128-byte segment per row.
+        with pytest.raises(ConfigError, match="dram_row_bytes"):
+            GPUConfig.from_dict({"dram_row_bytes": row_bytes})
+        assert GPUConfig(dram_row_bytes=SEGMENT_BYTES).dram_row_bytes == SEGMENT_BYTES
 
     def test_with_agt_entries(self):
         cfg = GPUConfig.k20c().with_agt_entries(512)
@@ -136,7 +177,7 @@ class TestFromDict:
     """Decoding a config: exact types, one shared instance per value."""
 
     @pytest.mark.parametrize("fields", [
-        {"alu_latency": 10.0},       # ran, with float cycles
+        {"dram_hit_latency": 20.0},  # ran, with float cycles
         {"num_smx": 13.0},           # failed in the worker
         {"agt_entries": 1024.0},     # a raw TypeError
         {"num_smx": True},
@@ -173,15 +214,15 @@ class TestFromDict:
     def test_table_stays_bounded(self):
         limit = config_module._INTERN_LIMIT
         decoded = [
-            GPUConfig.from_dict({"context_setup_cycles": 1000 + n})
+            GPUConfig.from_dict({"dram_base_latency": 1000 + n})
             for n in range(2 * limit)
         ]
         assert len(config_module._INTERNED) <= limit
-        assert [c.context_setup_cycles for c in decoded] == [
+        assert [c.dram_base_latency for c in decoded] == [
             1000 + n for n in range(2 * limit)
         ]
         # An evicted value decodes again, to an equal config.
-        assert GPUConfig.from_dict({"context_setup_cycles": 1000}) == decoded[0]
+        assert GPUConfig.from_dict({"dram_base_latency": 1000}) == decoded[0]
 
 
 class TestLatencyModelTable3:
@@ -224,6 +265,15 @@ class TestLatencyModelTable3:
 
 
 class TestConstants:
+    def test_fixed_parameters_keep_their_values(self):
+        # The values the removed GPUConfig fields defaulted to.
+        assert {name: getattr(config_module, name.upper()) for name in FIXED} == FIXED
+
+    @pytest.mark.parametrize("field", sorted(FIXED) + ["l2_line"])
+    def test_removed_fields_are_refused(self, field):
+        with pytest.raises(ConfigError, match=field):
+            GPUConfig.from_dict({field: FIXED.get(field, SEGMENT_BYTES)})
+
     def test_warp_size(self):
         assert WARP_SIZE == 32
 

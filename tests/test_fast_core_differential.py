@@ -18,7 +18,9 @@ import numpy as np
 import pytest
 
 from repro import Device, ExecutionMode, GPUConfig, KernelBuilder, KernelFunction
-from repro.config import WARP_SIZE
+from repro.config import (
+    ALU_LATENCY, L1_HIT_LATENCY, L2_HIT_LATENCY, MAX_LOCAL_WORDS, SHARED_LATENCY, WARP_SIZE,
+)
 from repro.isa import parse_program
 from repro.isa.instructions import Bank, Imm, Instr, Opcode, Reg
 from repro.isa.program import Program
@@ -320,7 +322,7 @@ def _memory_warp(instr: Instr, core: str, addresses, sanitize: bool = False):
     words = np.arange(1100, dtype=np.int64)
     memory.write_ints(memory.alloc(1100), words * 3 % 101)
     memory.write_floats(memory.alloc(1100), words * 0.25 - 60)
-    arena = config.max_resident_threads * config.max_local_words
+    arena = config.max_resident_threads * MAX_LOCAL_WORDS
     memory.write_ints(gpu.local_arena_base(0), np.arange(arena, dtype=np.int64) * 7 % 103)
     memory.written_end = 0  # so that the instruction's own bound shows
     block.shared[:] = np.arange(_SHARED_WORDS) * 5 % 89
@@ -419,17 +421,17 @@ class TestMicroKernelDifferential:
             _step_memory(gpu, warp, _MEM_MASKS["none"], cycle=100)
             for was, now in zip(before, (warp.regs_i, gpu.memory.i, warp.tb.shared)):
                 np.testing.assert_array_equal(was, now)
-            coalescing, config = gpu.stats.coalescing, gpu.config
+            coalescing = gpu.stats.coalescing
             if op is Opcode.LDS:
                 assert coalescing.warp_accesses == 0
-                assert warp.ready_cycle == 100 + config.shared_latency
+                assert warp.ready_cycle == 100 + SHARED_LATENCY
                 continue
             assert (coalescing.warp_accesses, coalescing.transactions) == (1, 0)
             assert coalescing.histogram[0] == 1 and gpu.memsys.l2.stats.accesses == 0
             latency = {
-                Opcode.LDL: config.l1_hit_latency, Opcode.LD: config.l2_hit_latency,
-                Opcode.ATOM_ADD: config.l2_hit_latency,
-            }.get(op, config.alu_latency)
+                Opcode.LDL: L1_HIT_LATENCY, Opcode.LD: L2_HIT_LATENCY,
+                Opcode.ATOM_ADD: L2_HIT_LATENCY,
+            }.get(op, ALU_LATENCY)
             assert warp.ready_cycle == 100 + latency
         _both_cores(instr, _ADDRESSES["unit"] - 1000, _MEM_MASKS["none"])
 
