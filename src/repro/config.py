@@ -77,6 +77,8 @@ BARRIER_LATENCY = 5
 # L2 (its line is one coalesced segment, ``SEGMENT_BYTES``).
 #: L2 associativity.
 L2_ASSOC = 8
+#: Bytes of one L2 set: every ``l2_size`` is whole sets.
+L2_SET_BYTES = SEGMENT_BYTES * L2_ASSOC
 #: L2 hit latency in SMX cycles.
 L2_HIT_LATENCY = 120
 
@@ -303,6 +305,11 @@ class GPUConfig:
             raise ConfigError(
                 f"dram_row_bytes must be a positive multiple of {SEGMENT_BYTES}, "
                 f"got {self.dram_row_bytes}"
+            )
+        if self.l2_size % L2_SET_BYTES:
+            raise ConfigError(
+                f"l2_size must be a positive multiple of {L2_SET_BYTES} "
+                f"(one {L2_ASSOC}-way set of {SEGMENT_BYTES}-byte lines), got {self.l2_size}"
             )
 
     # ------------------------------------------------------------------

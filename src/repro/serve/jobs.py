@@ -222,6 +222,15 @@ class Job:
     #: Why the job's worker is being killed (``"preempt"``,
     #: ``"cancel"`` or ``"shutdown"``); ``None`` while healthy.
     kill_reason: Optional[str] = None
+    #: ``spec.label()`` and ``spec.to_dict()``, computed once: the spec is
+    #: frozen, and every answer and event carries them (every info shares
+    #: the one dict: read it, do not edit it).
+    label: str = field(init=False)
+    spec_dict: dict = field(init=False, repr=False)
+
+    def __post_init__(self) -> None:
+        self.label = self.spec.label()
+        self.spec_dict = self.spec.to_dict()
 
     def info(self) -> dict:
         """The JSON-safe view clients see; a ``done`` job's carries its
@@ -232,8 +241,8 @@ class Job:
             "priority": self.priority,
             "status": self.status,
             "fingerprint": self.fingerprint,
-            "label": self.spec.label(),
-            "spec": self.spec.to_dict(),
+            "label": self.label,
+            "spec": self.spec_dict,
             "source": self.source,
             "attempts": self.attempts,
             "preemptions": self.preemptions,
@@ -713,7 +722,7 @@ class JobManager:
     # ------------------------------------------------------------------
     def _event(self, job: Job, name: str, **extra) -> None:
         event = {"event": name, "job": job.id, "status": job.status,
-                 "label": job.spec.label(), "ts": time.time()}
+                 "label": job.label, "ts": time.time()}
         event.update(extra)
         job.events.append(event)
         turn, self._turn = self._turn, asyncio.Event()

@@ -82,18 +82,14 @@ class DeviceRuntime:
     def _deliver_device_batch(self, requests: Sequence[tuple], cycle: int) -> None:
         gpu = self._gpu
         for kernel_name, param_addr, grid, block, _hw_tid in requests:
-            gpu.kernels[kernel_name].validate_block(
-                block, gpu.config.max_resident_threads
-            )
+            gpu.kernels[kernel_name].validate_block(block, gpu.config)
             gpu.kmu.launch_device(kernel_name, grid, block, param_addr, cycle)
 
     def submit_agg_launches(self, requests: Sequence[tuple], deliver_cycle: int) -> None:
         """Deliver a warp's aggregation operation command to the scheduler."""
         gpu = self._gpu
         for kernel_name, param_addr, grid, block, hw_tid in requests:
-            gpu.kernels[kernel_name].validate_block(
-                block, gpu.config.max_resident_threads
-            )
+            gpu.kernels[kernel_name].validate_block(block, gpu.config)
         gpu.schedule_event(
             deliver_cycle, kind="agg_launch_batch", payload=tuple(requests)
         )
@@ -287,7 +283,7 @@ class GPU:
         grid_dims = as_dims(grid)
         block_dims = as_dims(block)
         func = self.kernels[kernel_name]
-        func.validate_block(block_dims, self.config.max_resident_threads)
+        func.validate_block(block_dims, self.config)
         param_addr = self.write_params(params)
         spec = HostLaunchSpec(kernel_name, grid_dims, block_dims, param_addr, stream)
         spec.seq = self._launch_seq

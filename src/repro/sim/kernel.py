@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Tuple
 
-from ..config import WARP_SIZE
+from ..config import WARP_SIZE, GPUConfig
 from ..errors import LaunchError
 from ..isa.program import Program
 
@@ -59,12 +59,21 @@ class KernelFunction:
         if self.local_words < 0:
             raise LaunchError("local_words must be non-negative")
 
-    def validate_block(self, block_dims: LaunchDims, max_threads: int) -> None:
+    def validate_block(self, block_dims: LaunchDims, config: GPUConfig) -> None:
+        """Refuse a block with more threads, or needing more registers,
+        than one SMX of ``config`` holds: no SMX could ever take it."""
         threads = dims_total(block_dims)
+        max_threads = config.max_resident_threads
         if threads <= 0 or threads > max_threads:
             raise LaunchError(
                 f"kernel {self.name!r}: block of {threads} threads exceeds the "
                 f"{max_threads}-thread limit"
+            )
+        registers = threads * self.regs_per_thread
+        if registers > config.registers_per_smx:
+            raise LaunchError(
+                f"kernel {self.name!r}: block of {threads} threads needs {registers} "
+                f"registers, more than the {config.registers_per_smx} of an SMX"
             )
 
     def warps_per_block(self, block_dims: LaunchDims) -> int:

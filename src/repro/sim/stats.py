@@ -82,21 +82,36 @@ def launch_records(columns: dict) -> List[LaunchRecord]:
     Raises :class:`ValueError` for a missing column, columns of unequal
     length, an unknown ``kind`` or the older list-of-objects layout.
     """
+    kinds, *values = _checked_columns(columns)  # kind comes first
+    return list(map(LaunchRecord, map(_KINDS.__getitem__, kinds), *values))
+
+
+def _checked_columns(columns: dict) -> list:
+    """``columns``' lists in :data:`LAUNCH_FIELDS` order, once the table
+    has passed every check :func:`launch_records` documents."""
     try:
-        kinds, *values = [columns[name] for name in LAUNCH_FIELDS]  # kind comes first
+        table = [columns[name] for name in LAUNCH_FIELDS]
     except (KeyError, TypeError):
         raise ValueError("launch table is not one column per LaunchRecord field") from None
-    if len(set(map(len, (kinds, *values)))) > 1:
+    if len(set(map(len, table))) > 1:
         raise ValueError("launch table columns differ in length")
-    try:
-        kinds = [_KINDS[value] for value in kinds]
-    except KeyError as exc:
-        raise ValueError(f"unknown launch kind {exc.args[0]!r}") from None
-    return list(map(LaunchRecord, kinds, *values))
+    unknown = set(table[0]).difference(_KINDS)
+    if unknown:
+        first = next(value for value in table[0] if value in unknown)
+        raise ValueError(f"unknown launch kind {first!r}")
+    return table
 
 
 class SimStats:
-    """Mutable counters for one simulation run."""
+    """Mutable counters for one simulation run.
+
+    :attr:`launches` is the launch-record registry the simulator appends
+    to.  A :meth:`from_dict` object checks the launch table's shape and
+    keeps a copy of its columns instead: the records are built on the
+    first read of :attr:`launches` and kept from then on, and
+    :meth:`to_dict` before that read writes the columns as they came.  A
+    cache hit that reads no record therefore builds none.
+    """
 
     STATE = (
         ("cycles", "value"),
@@ -118,7 +133,8 @@ class SimStats:
     NOT_STATE = (
         "config",  # constructor input
         "dram",  # the DRAM controller's own stats object, a row there
-        "launches",  # the launch-record registry
+        "_launches",  # the launch-record registry (``launches``) ...
+        "_launch_table",  # ... or the decoded columns nobody has read yet
     )
 
     def __init__(self, config: GPUConfig) -> None:
@@ -128,7 +144,8 @@ class SimStats:
         self.active_lane_sum = 0
         self.coalescing = CoalescingStats()
         self.dram: DramStats = DramStats()  # replaced by the live object at GPU init
-        self.launches: List[LaunchRecord] = []
+        self._launches: Optional[List[LaunchRecord]] = []
+        self._launch_table: Optional[dict] = None
         # Occupancy: integral of (resident unfinished warps across all SMXs)
         # over cycles.
         self.resident_warp_cycles = 0
@@ -146,6 +163,20 @@ class SimStats:
         # Completed thread blocks / kernels.
         self.blocks_completed = 0
         self.kernels_completed = 0
+
+    @property
+    def launches(self) -> List[LaunchRecord]:
+        """Every launch, in creation order; a decoded table becomes
+        records here, on the first read."""
+        if self._launches is None:
+            self._launches = launch_records(self._launch_table)
+            self._launch_table = None
+        return self._launches
+
+    @launches.setter
+    def launches(self, records: List[LaunchRecord]) -> None:
+        self._launches = records
+        self._launch_table = None
 
     # ------------------------------------------------------------------
     # Recording hooks (called from the hot path; keep them tiny)
@@ -270,7 +301,10 @@ class SimStats:
         data["config"] = self.config.to_dict()
         data["coalescing"] = self.coalescing.to_dict()
         data["dram"] = self.dram.to_dict()
-        data["launches"] = launch_columns(self.launches)
+        if self._launch_table is None:
+            data["launches"] = launch_columns(self._launches)
+        else:
+            data["launches"] = {name: list(column) for name, column in self._launch_table.items()}
         return data
 
     @classmethod
@@ -280,7 +314,9 @@ class SimStats:
             setattr(stats, name, int(data[name]))
         stats.coalescing = CoalescingStats.from_dict(data["coalescing"])
         stats.dram = DramStats.from_dict(data["dram"])
-        stats.launches = launch_records(data["launches"])
+        table = _checked_columns(data["launches"])
+        stats._launches = None
+        stats._launch_table = {name: list(column) for name, column in zip(LAUNCH_FIELDS, table)}
         return stats
 
     def summary(self) -> dict:

@@ -8,7 +8,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.config import (
-    CORES, DRAM_CYCLE_FIELDS, SEGMENT_BYTES, STRUCTURAL_FIELDS, WARP_SIZE, GPUConfig,
+    CORES, DRAM_CYCLE_FIELDS, L2_SET_BYTES, SEGMENT_BYTES, STRUCTURAL_FIELDS, WARP_SIZE,
+    GPUConfig,
 )
 from repro.errors import ConfigError
 from repro.exec import JobSpec
@@ -23,6 +24,7 @@ _LEGAL = {
     "max_resident_threads": st.integers(1, 256).map(lambda n: n * WARP_SIZE),
     "agt_entries": st.integers(0, 16).map(lambda bits: 1 << bits),
     "dram_row_bytes": st.integers(1, 2**32).map(lambda n: n * SEGMENT_BYTES),
+    "l2_size": st.integers(1, 2**30).map(lambda n: n * L2_SET_BYTES),
     **dict.fromkeys(DRAM_CYCLE_FIELDS, st.integers(0, 2**40)),
 }
 
@@ -89,4 +91,12 @@ def test_a_dram_row_of_partial_segments_raises(config, row_bytes):
     data = config.to_dict()
     data["dram_row_bytes"] = row_bytes
     with pytest.raises(ConfigError, match="dram_row_bytes"):
+        GPUConfig.from_dict(data)
+
+
+@given(configs, st.integers(1, 2**40).filter(lambda n: n % L2_SET_BYTES))
+def test_an_l2_of_partial_sets_raises(config, l2_size):
+    data = config.to_dict()
+    data["l2_size"] = l2_size
+    with pytest.raises(ConfigError, match="l2_size"):
         GPUConfig.from_dict(data)

@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import repro
-from repro.config import SEGMENT_BYTES, GPUConfig
+from repro.config import L2_SET_BYTES, SEGMENT_BYTES, GPUConfig
 from repro.errors import ConfigError
 from repro.exec import JobSpec
 from repro.exec import fingerprint as fp_module
@@ -31,6 +31,8 @@ def _mutated(field: dataclasses.Field, value):
         return value * 2  # must stay a power of two
     if field.name == "dram_row_bytes":
         return value + SEGMENT_BYTES  # must stay whole segments
+    if field.name == "l2_size":
+        return value + L2_SET_BYTES  # must stay whole sets
     return value + 1
 
 

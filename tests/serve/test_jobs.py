@@ -115,10 +115,12 @@ class TestSpecTable:
         {"l2_line": 128},
         {"dram_hit_latency": -100},
         {"dram_row_bytes": 100},
+        {"l2_size": 1000},
     ])
     def test_a_removed_or_impossible_config_key_is_refused(self, manager, config):
-        """A removed field, or a DRAM timing no machine has, is refused by
-        name as a :class:`SpecError`: what the daemon answers with 400."""
+        """A removed field, or a DRAM timing or L2 no machine has, is
+        refused by name as a :class:`SpecError`: what the daemon answers
+        with 400."""
         with pytest.raises(SpecError, match=next(iter(config))):
             manager.submit(wire(config=config))
         assert manager._specs == {}
@@ -168,6 +170,34 @@ class TestSpecTable:
             EVERY, manager.config.checkpoint_dir).fingerprint(), {"stats": {}})
         assert manager.submit(spec)["fingerprint"] == info["fingerprint"]
         assert len(manager._specs) == 1
+
+
+class TestJobInfo:
+    def test_label_and_spec_are_computed_once_per_job(self, manager, monkeypatch):
+        """A job's answers and events carry its spec's label and wire
+        form, computed at submission, not for every answer."""
+        document = wire()
+        spec = fresh(manager, document)
+        calls = []
+
+        def counted(name, method):
+            def call(self):
+                calls.append(name)
+                return method(self)
+            return call
+
+        for name in ("label", "to_dict"):
+            monkeypatch.setattr(JobSpec, name, counted(name, getattr(JobSpec, name)))
+        info = manager.submit_hit(document)
+        job = manager.get(info["id"])
+        answers = [job.info() for _ in range(3)]
+        assert sorted(calls) == ["label", "to_dict"]
+        monkeypatch.undo()
+        assert [event["event"] for event in job.events] == ["queued", "done"]
+        assert all(event["label"] == spec.label() for event in job.events)
+        for answer in [info, *answers]:
+            assert answer["spec"] == spec.to_dict()
+            assert answer["label"] == spec.label()
 
 
 class _FakeConn:

@@ -48,9 +48,24 @@ class TestKernelFunction:
 
     def test_block_validation(self):
         func = tiny_kernel()
-        func.validate_block((256, 1, 1), 2048)
+        func.validate_block((256, 1, 1), GPUConfig())
         with pytest.raises(LaunchError):
-            func.validate_block((4096, 1, 1), 2048)
+            func.validate_block((4096, 1, 1), GPUConfig(max_resident_threads=2048))
+
+    def test_block_over_the_register_file_refused(self):
+        # Such a block fits no SMX, ever: it used to wait for room until
+        # the simulator reported a deadlock.
+        func = KernelFunction("k", tiny_kernel().program, regs_per_thread=8)
+        needed = 256 * 8
+        func.validate_block((256, 1, 1), GPUConfig(registers_per_smx=needed))
+        with pytest.raises(LaunchError, match="registers"):
+            func.validate_block((256, 1, 1), GPUConfig(registers_per_smx=needed - 1))
+
+    def test_host_launch_over_the_register_file_refused(self):
+        with Device(GPUConfig(registers_per_smx=1)) as dev:
+            dev.register(KernelFunction("k", tiny_kernel().program, regs_per_thread=8))
+            with pytest.raises(LaunchError, match="registers"):
+                dev.launch("k", grid=1, block=32, params=[])
 
     def test_warps_per_block(self):
         func = tiny_kernel()

@@ -136,6 +136,12 @@ _EVERY_KIND = [
 ]
 
 
+def _decoded_stats(columns: dict) -> SimStats:
+    data = SimStats(GPUConfig()).to_dict()
+    data["launches"] = columns
+    return SimStats.from_dict(data)
+
+
 class TestLaunchColumns:
     """The launch table as columns: exact round trip, and every shape
     of bad table refused rather than misread."""
@@ -153,26 +159,59 @@ class TestLaunchColumns:
         assert rebuilt.launches == records  # kind compares as the enum member
         assert rebuilt.to_dict() == data
 
+    @settings(max_examples=40, deadline=None)
+    @given(_records)
+    @example(_EVERY_KIND)
+    def test_reading_records_leaves_the_dict_alone(self, records):
+        """A decoded table writes the same dict whether or not its records
+        were read, and the records read back are the ones encoded."""
+        eager = SimStats(GPUConfig())
+        eager.launches = records
+        data = json_round_trip(eager.to_dict())
+        lazy = SimStats.from_dict(data)
+        unread = lazy.to_dict()
+        assert lazy.launches == eager.launches
+        assert unread == lazy.to_dict() == eager.to_dict()
+
+    def test_a_decoded_table_aliases_nothing(self):
+        data = json_round_trip(SimStats(GPUConfig()).to_dict())
+        data["launches"] = self._columns()
+        stats = SimStats.from_dict(data)
+        data["launches"]["kind"][0] = "warp_kernel"
+        data["launches"]["launch_cycle"].append(99)
+        written = stats.to_dict()
+        written["launches"]["total_blocks"][0] = -1
+        assert stats.to_dict()["launches"] == launch_columns(_EVERY_KIND)
+        assert stats.launches == _EVERY_KIND
+
     def _columns(self):
         return json_round_trip(launch_columns(_EVERY_KIND))
+
+    #: Both readers of a table refuse a bad one: ``launch_records`` for a
+    #: checkpoint, ``SimStats.from_dict`` for a cache entry, at load.
+    _READERS = (launch_records, _decoded_stats)
 
     def test_missing_column(self):
         columns = self._columns()
         del columns["fully_distributed_cycle"]
-        with pytest.raises(ValueError, match="not one column per LaunchRecord field"):
-            launch_records(columns)
+        for read in self._READERS:
+            with pytest.raises(ValueError, match="not one column per LaunchRecord field"):
+                read(columns)
 
     def test_columns_of_unequal_length(self):
         columns = self._columns()
         columns["completed_cycle"].pop()
-        with pytest.raises(ValueError, match="differ in length"):
-            launch_records(columns)
+        for read in self._READERS:
+            with pytest.raises(ValueError, match="differ in length"):
+                read(columns)
 
     def test_unknown_kind(self):
         columns = self._columns()
         columns["kind"][3] = "warp_kernel"
-        with pytest.raises(ValueError, match="unknown launch kind 'warp_kernel'"):
-            launch_records(columns)
+        columns["kind"][5] = "block_kernel"
+        for read in self._READERS:
+            with pytest.raises(ValueError, match="unknown launch kind 'warp_kernel'"):
+                read(columns)
 
     def test_list_of_objects_layout(self):
         """What ``launches`` held before the table became columns."""
@@ -200,6 +239,34 @@ def _payloads(draw) -> dict:
     stats.launches = draw(_records)
     wall = draw(st.floats(allow_nan=False, allow_infinity=False))
     return JobResult(stats, wall_seconds=wall).to_payload()
+
+
+class TestCacheHit:
+    def test_decoding_a_launch_heavy_entry_builds_no_record(self, tmp_path, monkeypatch):
+        """A cache hit reads no launch record, so it builds none; the
+        first read of ``launches`` builds them all, once."""
+        workload = get_benchmark("amr", ExecutionMode.CDP, 0.08)
+        payload = JobResult(workload.execute(latency_scale=0.25).stats, 1.0).to_payload()
+        launches = len(payload["stats"]["launches"]["kind"])
+        assert launches > 1
+        cache = ResultCache(tmp_path)
+        cache.store("ab" * 32, payload)
+        built = []
+        init = LaunchRecord.__init__
+
+        def counted(self, *args, **kwargs):
+            built.append(self)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(LaunchRecord, "__init__", counted)
+        result = JobResult.from_payload(cache.load("ab" * 32))
+        assert result.to_payload() == payload
+        assert built == []
+        assert len(result.stats.launches) == launches
+        kinds = payload["stats"]["launches"]["kind"]
+        assert result.stats.summary()["dynamic_launches"] == len(kinds) - kinds.count("host_kernel")
+        assert len(built) == launches
+        assert result.to_payload() == payload
 
 
 class TestCacheRoundTrip:

@@ -8,6 +8,7 @@ import pytest
 from repro import config as config_module
 from repro.config import (
     L1_SIZE,
+    L2_SET_BYTES,
     MEMORY_CLOCK_MHZ,
     SEGMENT_BYTES,
     SEGMENT_WORDS,
@@ -127,6 +128,14 @@ class TestGPUConfigValidation:
         with pytest.raises(ConfigError, match="dram_row_bytes"):
             GPUConfig.from_dict({"dram_row_bytes": row_bytes})
         assert GPUConfig(dram_row_bytes=SEGMENT_BYTES).dram_row_bytes == SEGMENT_BYTES
+
+    @pytest.mark.parametrize("l2_size", [1000, 1100, 96 * 1024 + SEGMENT_BYTES])
+    def test_l2_must_be_whole_sets(self, l2_size):
+        # 1000 bytes used to pass here and fail in the worker, when the
+        # L2 found its lines did not divide evenly into sets.
+        with pytest.raises(ConfigError, match="l2_size"):
+            GPUConfig.from_dict({"l2_size": l2_size})
+        assert GPUConfig(l2_size=L2_SET_BYTES).l2_size == L2_SET_BYTES
 
     def test_with_agt_entries(self):
         cfg = GPUConfig.k20c().with_agt_entries(512)
