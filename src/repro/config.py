@@ -13,12 +13,12 @@ the warp invoking the call.
 Both classes are frozen dataclasses; derive variants with
 :func:`dataclasses.replace`.  Being immutable values, decoded configs are
 shared: :meth:`GPUConfig.from_dict` returns one instance per distinct
-field dictionary.
+config, kept by a ``functools.lru_cache`` of 256 per process.
 """
 
 from __future__ import annotations
 
-import threading
+import functools
 from dataclasses import dataclass, fields, replace
 
 from .errors import ConfigError
@@ -332,31 +332,18 @@ class GPUConfig:
         Missing keys take the current defaults.
 
         Equal dictionaries decode to one shared instance (the config is
-        frozen), so decoding the same config again, as every cache hit
-        does, skips construction and validation.  The table is keyed by
-        field names, value types and values, so a dictionary that fails
-        validation never matches a decoded one.
+        frozen), and decoding the same dictionary again, as every cache
+        hit does, skips construction and validation (:func:`_decoded`,
+        keyed by field names, value types and values, so a dictionary
+        that fails validation never matches a decoded one).
         """
         if not isinstance(data, dict):
             raise ConfigError(f"config must be an object, not {type(data).__name__}")
-        key = _intern_key(cls, data)
         try:
-            config = _INTERNED.get(key)
-        except TypeError:  # an unhashable value: _check_fields rejects it
-            config = None
-        if config is not None:
-            return config
-        _check_fields(data)
-        config = cls(**data)
-        # Also keyed in field order with every field present, so equal
-        # dictionaries written in another order or with defaults left out
-        # share one instance too.
-        canonical = _intern_key(cls, config.to_dict())
-        with _INTERN_LOCK:
-            config = _INTERNED.get(canonical, config)
-            _remember(canonical, config)
-            _remember(key, config)
-        return config
+            return _decoded(_intern_key(cls, data))
+        except TypeError:  # an unhashable value: _check_fields refuses it
+            _check_fields(data)
+            raise
 
     @property
     def max_resident_warps(self) -> int:
@@ -397,15 +384,6 @@ _GPU_TYPES = {
     for f in fields(GPUConfig)
 }
 
-#: Decoded configs by :func:`_intern_key` (see :meth:`GPUConfig.from_dict`).
-#: Only immutable values live here, so every caller may share them.
-_INTERNED: dict = {}
-#: Enough for every config a sweep or a daemon sees; past it the oldest
-#: entry goes first.
-_INTERN_LIMIT = 256
-_INTERN_LOCK = threading.Lock()
-
-
 def _intern_key(cls, data: dict) -> tuple:
     """Type-exact identity of a field dictionary: ``10`` and ``10.0``
     (or ``1`` and ``True``) are equal values but different keys."""
@@ -413,12 +391,23 @@ def _intern_key(cls, data: dict) -> tuple:
     return (cls, tuple(data), tuple(map(type, values)), values)
 
 
-def _remember(key, config: GPUConfig) -> None:
-    if key in _INTERNED:
-        return
-    if len(_INTERNED) >= _INTERN_LIMIT:
-        del _INTERNED[next(iter(_INTERNED))]
-    _INTERNED[key] = config
+@functools.lru_cache(maxsize=256)
+def _decoded(key: tuple) -> GPUConfig:
+    """The validated config of one :func:`_intern_key`, shared by every
+    caller (it is frozen).  256 covers every config a sweep or a daemon
+    sees; a dictionary that fails validation raises and is not kept."""
+    cls, names, _, values = key
+    data = dict(zip(names, values))
+    _check_fields(data)
+    return _shared(cls(**data))
+
+
+@functools.lru_cache(maxsize=256)
+def _shared(config: GPUConfig) -> GPUConfig:
+    """The first decoded config equal to ``config``, so dictionaries
+    written in another field order, or with defaults left out, share
+    one instance too."""
+    return config
 
 
 def _check_fields(data: dict) -> None:

@@ -43,7 +43,7 @@
   is deterministic — finishes with exactly the ``SimStats`` an
   undisturbed run produces.  Cancellation and crashes take the same
   kill-and-replace route (a worker that dies without an outcome costs
-  its job one of ``ServeConfig.worker_retries``), so no state of a
+  its job one of :data:`WORKER_RETRIES`), so no state of a
   disturbed job survives in a process that serves the next one.  The
   one exception is the input memo (:mod:`repro.workloads.datasets.memo`):
   a worker keeps the datasets it built and the host values jobs derived
@@ -63,6 +63,7 @@ on simulation work.  (The workers' test hooks, ``REPRO_EXEC_TEST_*`` and
 from __future__ import annotations
 
 import asyncio
+import functools
 import heapq
 import importlib
 import itertools
@@ -90,9 +91,10 @@ TERMINAL = frozenset({"done", "failed", "cancelled"})
 #: history is an unbounded leak at a few hundred hits per second.)
 MAX_TERMINAL_JOBS = 2048
 
-#: Wire specs a daemon keeps decoded (:meth:`JobManager._decode`); past
-#: it the oldest entry goes first.
-SPEC_TABLE_LIMIT = 256
+#: Infrastructure retries: a job whose worker dies without producing a
+#: result (OOM kill, crash) is re-run this many times, resuming from its
+#: checkpoint.
+WORKER_RETRIES = 1
 
 
 class QuotaExceeded(RuntimeError):
@@ -117,9 +119,6 @@ class ServeConfig:
     #: stamping (specs may still bring their own policy).
     checkpoint_every: Optional[int] = DEFAULT_SERVE_CHECKPOINT_EVERY
     checkpoint_dir: str = DEFAULT_SERVE_CHECKPOINT_DIR
-    #: Infrastructure retries: a worker that dies without producing a
-    #: result (OOM kill, crash) is re-run, resuming from its checkpoint.
-    worker_retries: int = 1
 
 
 #: Modules a job imports lazily, besides the :mod:`repro.workloads` tree
@@ -184,6 +183,21 @@ def _wire_key(spec) -> Optional[bytes]:
         return codec.encode(spec)
     except TypeError:
         return None
+
+
+@functools.lru_cache(maxsize=256)
+def _decode_wire(key: bytes, checkpoint_every, checkpoint_dir) -> JobSpec:
+    """The validated, stamped and hashed spec of a :func:`_wire_key`,
+    rebuilt from the key's bytes (they decode to an equal document).
+
+    A spec that fails validation raises and is not kept.  The
+    fingerprint memo travels with the kept spec and re-salts itself
+    when ``REPRO_SANITIZE`` or the code version changes.
+    """
+    spec = JobSpec.from_dict(codec.decode(key))
+    spec = spec.with_default_policy(checkpoint_every, checkpoint_dir)
+    spec.fingerprint()
+    return spec
 
 
 def _check_type(name: str, value, expected: type) -> None:
@@ -307,8 +321,10 @@ class JobManager:
         self._running: Dict[str, Job] = {}
         self._workers: List[Worker] = []  # at most config.workers; .job is a Job
         self._inflight: Dict[str, str] = {}  # fingerprint -> leader job id
-        #: Wire spec bytes -> its decoded, stamped, hashed JobSpec.
-        self._specs: Dict[bytes, JobSpec] = {}
+        #: Stamped onto specs that carry no checkpoint policy.
+        self._policy = (None, None)
+        if self.config.checkpoint_every is not None:
+            self._policy = self.config.checkpoint_every, self.config.checkpoint_dir
         self._active_per_client: Dict[str, int] = {}
         self._seq = itertools.count()
         self._loop: Optional[asyncio.AbstractEventLoop] = None
@@ -412,33 +428,19 @@ class JobManager:
         """``spec`` validated, with the daemon's checkpoint policy stamped
         on if it carries none.
 
-        A wire spec is decoded, stamped and hashed once: the result is
-        kept by the spec's :func:`_wire_key` (at most
-        :data:`SPEC_TABLE_LIMIT` of them), so a resubmission — every
-        cache hit — is one lookup.  A spec that fails validation raises
-        before it is kept; one without a key is decoded every time.
-        The fingerprint memo travels with the kept spec and re-salts
-        itself when ``REPRO_SANITIZE`` or the code version changes.
+        A wire spec with a :func:`_wire_key` is decoded, stamped and
+        hashed once per process (:func:`_decode_wire`), so a
+        resubmission — every cache hit — is one lookup; one without a
+        key is decoded every time.
         """
-        key = None
         if isinstance(spec, JobSpec):
             spec = spec.validate()
         else:
             key = _wire_key(spec)
-            kept = self._specs.get(key) if key is not None else None
-            if kept is not None:
-                return kept
+            if key is not None:
+                return _decode_wire(key, *self._policy)
             spec = JobSpec.from_dict(spec)  # validates what it builds
-        if self.config.checkpoint_every is not None:
-            spec = spec.with_default_policy(
-                self.config.checkpoint_every, self.config.checkpoint_dir
-            )
-        if key is not None:
-            spec.fingerprint()
-            if len(self._specs) >= SPEC_TABLE_LIMIT:
-                del self._specs[next(iter(self._specs))]
-            self._specs[key] = spec
-        return spec
+        return spec.with_default_policy(*self._policy)
 
     def submit_sweep(self, specs, client: str = "anon", priority: int = 0) -> List[dict]:
         """Submit a batch atomically: all accepted or none (quota-wise)."""
@@ -658,7 +660,7 @@ class JobManager:
             self._requeue(job, "requeued")
         elif outcome is not None:
             self._settle(job, outcome)
-        elif job.attempts <= self.config.worker_retries:
+        elif job.attempts <= WORKER_RETRIES:
             self.stats.retries += 1
             self._requeue(job, "retrying")
         else:

@@ -94,7 +94,7 @@ from __future__ import annotations
 
 import functools
 import weakref
-from collections import Counter, OrderedDict
+from collections import Counter
 from itertools import repeat
 from typing import Dict, List, Optional, Tuple
 
@@ -396,8 +396,7 @@ def _uniform_load(instr, uniform: frozenset, generic):
 # text depends only on the opcodes and on which operand feeds which —
 # the same few hundred shapes recur across kernels, modes and jobs.
 # Every job rebuilds its programs, so factories are memoised per process
-# by their source text (a small LRU, like ``_geometry``'s), and the ones
-# a program is first to need are compiled together, in one ``compile()``.
+# by their source text (:func:`_factory`, an LRU like ``_geometry``'s).
 # ----------------------------------------------------------------------
 _I64 = range(-(1 << 63), 1 << 63)
 
@@ -452,10 +451,6 @@ _GEN_GLOBALS = {
     **{f"c_{cmp.name}": fn for cmp, fn in CMP.items()},
     **{f"s_{special.name}": fn for special, fn in SPECIAL.items()},
 }
-
-_FACTORY_CACHE_LIMIT = 256
-_FACTORY_CACHE: "OrderedDict[str, object]" = OrderedDict()
-
 
 def _alu_factory(instrs, single: bool) -> Optional[Tuple[str, list]]:
     """Source of ``make(x0, ...)``, the factory of the function running
@@ -584,26 +579,13 @@ def _alu_factory(instrs, single: bool) -> Optional[Tuple[str, list]]:
     return "\n".join(lines), values
 
 
-def _generated(shapes: List[Tuple[str, list]]) -> list:
-    """The functions of ``(factory source, arguments)`` pairs, compiling
-    the factories this process has not met in a single module."""
-    sources = [source for source, _ in shapes]
-    missing = [s for s in dict.fromkeys(sources) if s not in _FACTORY_CACHE]
-    if missing:
-        module = "\n".join(
-            source.replace("def make(", f"def make{k}(", 1)
-            for k, source in enumerate(missing)
-        )
-        exec(compile(module, "<repro.sim.fast_warp generated>", "exec"), _GEN_GLOBALS)
-        for k, source in enumerate(missing):
-            _FACTORY_CACHE[source] = _GEN_GLOBALS.pop(f"make{k}")
-    functions = []
-    for source, values in shapes:
-        _FACTORY_CACHE.move_to_end(source)
-        functions.append(_FACTORY_CACHE[source](*values))
-    while len(_FACTORY_CACHE) > _FACTORY_CACHE_LIMIT:
-        _FACTORY_CACHE.popitem(last=False)
-    return functions
+@functools.lru_cache(maxsize=256)
+def _factory(source: str):
+    """The ``make`` that one :func:`_alu_factory` source defines."""
+    namespace: dict = {}
+    code = compile(source, "<repro.sim.fast_warp generated>", "exec")
+    exec(code, _GEN_GLOBALS, namespace)
+    return namespace["make"]
 
 
 # ----------------------------------------------------------------------
@@ -971,7 +953,7 @@ def decode_program(program) -> tuple:
         _alu_factory(instructions[start : start + length], single=False)
         for start, length in spans
     ]
-    functions = _generated(shapes)
+    functions = [_factory(source)(*values) for source, values in shapes]
 
     table: List[tuple] = []
     for instr, run in zip(instructions, runs):

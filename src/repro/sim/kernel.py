@@ -5,7 +5,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Tuple
 
-from ..config import WARP_SIZE, GPUConfig
+from ..config import (
+    MAX_LOCAL_WORDS, SHARED_MEM_SIZE, WARP_SIZE, WORD_BYTES, GPUConfig,
+)
 from ..errors import LaunchError
 from ..isa.program import Program
 
@@ -60,8 +62,9 @@ class KernelFunction:
             raise LaunchError("local_words must be non-negative")
 
     def validate_block(self, block_dims: LaunchDims, config: GPUConfig) -> None:
-        """Refuse a block with more threads, or needing more registers,
-        than one SMX of ``config`` holds: no SMX could ever take it."""
+        """Refuse a block with more threads, or needing more registers or
+        shared memory, than one SMX of ``config`` holds, or a kernel with
+        more local memory than a thread has: no SMX could ever take it."""
         threads = dims_total(block_dims)
         max_threads = config.max_resident_threads
         if threads <= 0 or threads > max_threads:
@@ -74,6 +77,17 @@ class KernelFunction:
             raise LaunchError(
                 f"kernel {self.name!r}: block of {threads} threads needs {registers} "
                 f"registers, more than the {config.registers_per_smx} of an SMX"
+            )
+        shared = self.shared_words * WORD_BYTES
+        if shared > SHARED_MEM_SIZE:
+            raise LaunchError(
+                f"kernel {self.name!r}: block needs {shared} bytes of shared memory, "
+                f"more than the {SHARED_MEM_SIZE} of an SMX"
+            )
+        if self.local_words > MAX_LOCAL_WORDS:
+            raise LaunchError(
+                f"kernel {self.name!r}: {self.local_words} local-memory words per "
+                f"thread, more than the {MAX_LOCAL_WORDS} a thread has"
             )
 
     def warps_per_block(self, block_dims: LaunchDims) -> int:

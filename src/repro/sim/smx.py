@@ -14,7 +14,7 @@ import heapq
 from typing import TYPE_CHECKING, List, Optional
 
 from ..config import (
-    CONTEXT_SETUP_CYCLES, ISSUE_WIDTH, L1_ASSOC, L1_SIZE, MAX_LOCAL_WORDS,
+    CONTEXT_SETUP_CYCLES, ISSUE_WIDTH, L1_ASSOC, L1_SIZE,
     SEGMENT_BYTES, SHARED_MEM_SIZE, WORD_BYTES,
 )
 from ..errors import LaunchError
@@ -82,7 +82,6 @@ class SMX:
             and self.free_warp_slots >= warps
             and self.free_regs >= threads * func.regs_per_thread
             and self.free_shared >= func.shared_words * WORD_BYTES
-            and func.local_words <= MAX_LOCAL_WORDS
         )
 
     def add_block(

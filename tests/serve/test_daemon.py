@@ -845,7 +845,7 @@ class TestWorkerLifecycle:
         leader_final = client.wait(leader["id"])
         assert leader_final["status"] == "failed"
         assert leader_final["error"] == "worker exited with code 3"
-        assert leader_final["attempts"] == 2  # worker_retries == 1
+        assert leader_final["attempts"] == 2  # WORKER_RETRIES == 1
         follower_final = client.wait(follower["id"])
         assert follower_final["status"] == "failed"
         assert follower_final["leader"] == leader["id"]

@@ -1,9 +1,11 @@
 """In-process tests of :class:`repro.serve.JobManager`: no daemon, no HTTP.
 
-The spec table (``JobManager._decode``) keeps a wire spec decoded by its
-codec bytes, so a resubmission skips ``from_dict``, the policy stamp and
+The spec table (``serve.jobs._decode_wire``, an ``lru_cache`` keyed by a
+wire spec's codec bytes and the daemon's checkpoint policy) keeps a wire
+spec decoded, so a resubmission skips ``from_dict``, the policy stamp and
 the hash; these tests hold it to answering exactly what a fresh decode
-answers.  Jobs that would need a worker get a fake one.
+answers, and the codec to giving back every document it keys.  Jobs that
+would need a worker get a fake one.
 """
 
 from __future__ import annotations
@@ -11,13 +13,17 @@ from __future__ import annotations
 import asyncio
 
 import pytest
+from hypothesis import assume, example, given
+from hypothesis import strategies as st
 
 from repro import ExecutionMode, JobSpec
-from repro.exec import SpecError
+from repro.exec import SpecError, codec
 from repro.serve import JobManager, ServeConfig
 from repro.serve import jobs as serve_jobs
 
 EVERY = 4000
+
+table = serve_jobs._decode_wire
 
 
 def wire(**fields) -> dict:
@@ -32,10 +38,18 @@ def fresh(manager: JobManager, document: dict) -> JobSpec:
     )
 
 
+def kept(manager: JobManager, document: dict) -> bool:
+    """Whether the table answers ``document`` without decoding it."""
+    hits = table.cache_info().hits
+    manager._decode(document)
+    return table.cache_info().hits == hits + 1
+
+
 @pytest.fixture
 def manager(tmp_path):
     """A manager whose cache answers every spec this module submits, so
-    no submission needs a worker."""
+    no submission needs a worker; the spec table starts empty."""
+    table.cache_clear()
     manager = JobManager(ServeConfig(
         cache_dir=str(tmp_path / "cache"), checkpoint_every=EVERY,
         checkpoint_dir=str(tmp_path / "ckpt"),
@@ -71,7 +85,7 @@ class TestSpecTable:
         assert [info["fingerprint"] for info in infos] == [expected] * 3
         assert all(info["status"] == "done" for info in infos)
         assert infos[0]["spec"]["checkpoint_every"] == EVERY
-        assert len(manager._specs) == 1
+        assert table.cache_info()[:2] == (2, 1)  # hits, misses
 
     def test_types_are_never_confused(self, manager):
         """``1`` and ``1.0`` are two entries with the fingerprint a fresh
@@ -79,23 +93,35 @@ class TestSpecTable:
         way); ``1`` is no ``true``."""
         whole, point = wire(scale=1), wire(scale=1.0)
         infos = [manager.submit_hit(document) for document in (whole, point)]
-        assert len(manager._specs) == 2
+        assert table.cache_info().currsize == 2
         assert infos[0]["fingerprint"] == fresh(manager, whole).fingerprint()
         assert infos[1]["fingerprint"] == fresh(manager, point).fingerprint()
         manager.submit_hit(wire(verify=True))
         with pytest.raises(SpecError):
             manager.submit(wire(verify=1))
-        assert len(manager._specs) == 3
+        assert table.cache_info().currsize == 3
 
     def test_the_table_is_bounded_oldest_first(self, manager):
-        documents = [wire(scale=0.01 * (n + 1))
-                     for n in range(serve_jobs.SPEC_TABLE_LIMIT + 20)]
+        limit = table.cache_info().maxsize
+        documents = [wire(scale=0.01 * (n + 1)) for n in range(limit + 20)]
         for document in documents:
             manager._decode(document)
-        assert len(manager._specs) == serve_jobs.SPEC_TABLE_LIMIT
-        kept = [serve_jobs._wire_key(document) in manager._specs
-                for document in documents]
-        assert kept == [False] * 20 + [True] * serve_jobs.SPEC_TABLE_LIMIT
+        assert table.cache_info().currsize == limit
+        # Newest first: a hit refreshes an entry, a miss evicts the
+        # least recent, and neither touches an entry still to be asked.
+        answers = [kept(manager, document) for document in reversed(documents)]
+        assert answers[::-1] == [False] * 20 + [True] * limit
+
+    def test_a_daemon_policy_is_part_of_the_key(self, manager, tmp_path):
+        other = JobManager(ServeConfig(
+            cache_dir=None, checkpoint_every=None,
+            checkpoint_dir=str(tmp_path / "other"),
+        ))
+        document = wire()
+        stamped, plain = manager._decode(document), other._decode(document)
+        assert stamped == fresh(manager, document)
+        assert plain == JobSpec.from_dict(document) != stamped
+        assert table.cache_info().currsize == 2
 
     @pytest.mark.parametrize("bad", [
         {"benchmark": "bht"},
@@ -108,7 +134,7 @@ class TestSpecTable:
     def test_a_rejected_spec_leaves_no_entry(self, manager, bad):
         with pytest.raises(SpecError):
             manager.submit(bad)
-        assert manager._specs == {}
+        assert table.cache_info().currsize == 0
 
     @pytest.mark.parametrize("config", [
         {"issue_width": 4},  # a field an older client may still send
@@ -123,7 +149,7 @@ class TestSpecTable:
         with 400."""
         with pytest.raises(SpecError, match=next(iter(config))):
             manager.submit(wire(config=config))
-        assert manager._specs == {}
+        assert table.cache_info().currsize == 0
 
     def test_sanitize_rehashes_a_kept_spec(self, manager, monkeypatch):
         document = wire()
@@ -134,7 +160,7 @@ class TestSpecTable:
         assert sanitized == fresh(manager, document).fingerprint() != plain
         monkeypatch.delenv("REPRO_SANITIZE")
         assert manager.submit_hit(document)["fingerprint"] == plain
-        assert len(manager._specs) == 1
+        assert table.cache_info()[:4] == (2, 1, 256, 1)  # hits, misses, max, size
 
     def test_specs_the_codec_cannot_write_exactly_skip_the_table(self, manager):
         """An int over 64 bits cannot be encoded, a non-finite float is
@@ -148,12 +174,12 @@ class TestSpecTable:
         for field in ("scale", "latency_scale"):
             with pytest.raises(SpecError, match=f"^{field} must be finite"):
                 manager.submit(wire(**{field: float("inf")}))
-        assert manager._specs == {}
+        assert table.cache_info()[:2] == (0, 0)
         # ``null`` is a legal checkpoint_every; NaN, which encodes as it, is not.
         manager.submit_hit(wire(checkpoint_every=None))
         with pytest.raises(SpecError):
             manager.submit(wire(checkpoint_every=float("nan")))
-        assert len(manager._specs) == 1
+        assert table.cache_info()[:4] == (0, 1, 256, 1)
 
     def test_infos_share_no_dict(self, manager):
         document = wire()
@@ -169,7 +195,42 @@ class TestSpecTable:
         manager.cache.store(spec.with_default_policy(
             EVERY, manager.config.checkpoint_dir).fingerprint(), {"stats": {}})
         assert manager.submit(spec)["fingerprint"] == info["fingerprint"]
-        assert len(manager._specs) == 1
+        assert table.cache_info()[:4] == (0, 1, 256, 1)
+
+
+def _typed(value):
+    """``value`` with the type of every leaf beside it (``1 == 1.0 ==
+    True``, and ``0.0 == -0.0``, would hide a changed leaf)."""
+    if type(value) is dict:
+        return {key: _typed(item) for key, item in value.items()}
+    return type(value), repr(value)
+
+
+#: Leaves the codec writes exactly, and ones it does not: a non-finite
+#: float (``null``), an int over 64 bits (refused), an enum (its value).
+_EDGES = [float("nan"), float("inf"), -0.0, 2**63, 2**64, -(2**63) - 1,
+          ExecutionMode.FLAT]
+_leaves = (st.none() | st.booleans() | st.integers() | st.floats() | st.text()
+           | st.sampled_from(_EDGES))
+_documents = st.recursive(
+    st.dictionaries(st.text(), _leaves, max_size=4),
+    lambda inner: st.dictionaries(st.text(), _leaves | inner, max_size=4),
+    max_leaves=16,
+)
+
+
+@given(st.one_of(_documents, _documents.map(lambda extra: wire(config=extra))))
+@example(wire(scale=float("nan")))
+@example(wire(config={"num_smx": float("-inf")}))
+@example(wire(mode=ExecutionMode.FLAT))
+@example(wire(checkpoint_every=2**64))
+@example(wire(scale=-0.0, checkpoint_every=2**64 - 1))
+def test_a_wire_key_decodes_to_its_document(document):
+    """The table rebuilds a spec from its key's bytes: every document
+    that has a key decodes from it to itself, leaf types and all."""
+    key = serve_jobs._wire_key(document)
+    assume(key is not None)
+    assert _typed(codec.decode(key)) == _typed(document)
 
 
 class TestJobInfo:

@@ -391,11 +391,11 @@ def test_partial_body_is_correct_under_a_full_mask_too():
 # ----------------------------------------------------------------------
 # What generation costs a decode
 # ----------------------------------------------------------------------
-def test_decode_compiles_at_most_once_per_program(monkeypatch):
+def test_decode_compiles_each_shape_once_per_process(monkeypatch):
     """Every job rebuilds its programs, so generation is memoised per
-    process by source text: a program compiles the shapes it is first to
-    need in one ``compile()``, and an equal program decoded later — a new
-    object, nothing cached on it — compiles nothing."""
+    process by source text (``fast_warp._factory``): a shape compiles
+    the first time a program needs it, and an equal program decoded
+    later — a new object, nothing cached on it — compiles nothing."""
     from repro import ExecutionMode
     from repro.workloads import benchmark_names, get_benchmark
 
@@ -405,16 +405,37 @@ def test_decode_compiles_at_most_once_per_program(monkeypatch):
         compiled.append(source)
         return compile(source, *args, **kwargs)
 
+    fast_warp._factory.cache_clear()
     monkeypatch.setattr(fast_warp, "compile", counting, raising=False)
     programs = 0
     for name in benchmark_names():
         for mode in ExecutionMode:
-            for allowed in (1, 0):
+            for again in (False, True):
                 for func in get_benchmark(name, mode, 0.1).build_kernels():
                     assert getattr(func.program, "_fast_table", None) is None
                     before = len(compiled)
                     decode_program(func.program)
-                    assert len(compiled) - before <= allowed, (name, mode, func.name)
+                    if again:
+                        assert len(compiled) == before, (name, mode, func.name)
                     programs += 1
     assert programs >= 2 * len(benchmark_names()) * len(ExecutionMode)
+    assert len(set(compiled)) == len(compiled) == fast_warp._factory.cache_info().misses
     assert 0 < len(compiled) < programs // 4, "most programs find every shape memoised"
+
+
+def test_equal_regions_of_two_programs_share_one_factory():
+    """Registers and immediates are a factory's arguments: two programs
+    built apart whose regions differ only in them compile one factory
+    per shape, bound twice."""
+    fast_warp._factory.cache_clear()
+
+    def regions(source: str) -> list:
+        program = parse_program(f".kernel k\n{source}\n    exit\n")
+        return list(decode_program(program)[3].values())
+
+    first = regions("iadd %r1 %r1 #3\n    imul %r2 %r1 %r1")
+    shapes = fast_warp._factory.cache_info().misses
+    second = regions("iadd %r3 %r3 #5\n    imul %r0 %r3 %r3")
+    assert fast_warp._factory.cache_info().misses == shapes == 3  # two singles, one region
+    assert fast_warp._factory.cache_info().hits == 3
+    assert len(first) == len(second) == 1 and first[0].fn is not second[0].fn

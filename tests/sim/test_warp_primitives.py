@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from repro import Device, GPUConfig, KernelBuilder, KernelFunction
-from repro.errors import ExecutionError
+from repro.config import MAX_LOCAL_WORDS, SHARED_MEM_SIZE, WORD_BYTES
+from repro.errors import ExecutionError, LaunchError
 
 from tests.helpers import make_device
 
@@ -79,19 +80,16 @@ class TestLocalMemory:
             dev.synchronize()
 
     def test_local_words_limit_enforced(self):
-        from repro.errors import SimulationError
-
         k = KernelBuilder("big")
         k.nop()
         k.exit()
-        func = KernelFunction("big", k.build(), local_words=10_000)
+        func = KernelFunction("big", k.build(), local_words=MAX_LOCAL_WORDS + 1)
         dev = make_device()
         dev.register(func)
-        dev.launch("big", grid=1, block=32)
-        # No SMX can ever accept this block: the simulator deadlocks and
-        # reports it rather than hanging.
-        with pytest.raises(SimulationError):
-            dev.synchronize()
+        # No SMX can ever accept this block: the launch is refused by
+        # name, not left to wait until the simulator reports a deadlock.
+        with pytest.raises(LaunchError, match="local-memory words"):
+            dev.launch("big", grid=1, block=32)
 
     def test_uniform_offset_coalesces(self):
         # Interleaved local layout: lane-uniform offsets are contiguous.
@@ -144,6 +142,19 @@ class TestBankConflicts:
         dev.launch("bcast", grid=1, block=32)
         broadcast = dev.synchronize().cycles
         assert broadcast < self._cycles(32)
+
+    def test_shared_words_limit_enforced(self):
+        words = SHARED_MEM_SIZE // WORD_BYTES
+        k = KernelBuilder("wide")
+        k.nop()
+        k.exit()
+        dev = make_device()
+        dev.register(KernelFunction("fits", k.build(), shared_words=words))
+        dev.register(KernelFunction("wide", k.build(), shared_words=words + 1))
+        dev.launch("fits", grid=1, block=32)
+        with pytest.raises(LaunchError, match="shared memory"):
+            dev.launch("wide", grid=1, block=32)
+        dev.synchronize()
 
 
 class TestShuffleVote:

@@ -220,18 +220,33 @@ class TestFromDict:
             with pytest.raises(ConfigError):
                 GPUConfig.from_dict(fields)
 
-    def test_table_stays_bounded(self):
-        limit = config_module._INTERN_LIMIT
+    @pytest.fixture
+    def cleared(self):
+        config_module._decoded.cache_clear()
+        config_module._shared.cache_clear()
+        return config_module._decoded
+
+    def test_table_stays_bounded(self, cleared):
+        limit = cleared.cache_info().maxsize
         decoded = [
             GPUConfig.from_dict({"dram_base_latency": 1000 + n})
             for n in range(2 * limit)
         ]
-        assert len(config_module._INTERNED) <= limit
+        assert cleared.cache_info().currsize == limit
+        assert cleared.cache_info().misses == 2 * limit
         assert [c.dram_base_latency for c in decoded] == [
             1000 + n for n in range(2 * limit)
         ]
         # An evicted value decodes again, to an equal config.
         assert GPUConfig.from_dict({"dram_base_latency": 1000}) == decoded[0]
+        assert cleared.cache_info().misses == 2 * limit + 1
+
+    def test_a_refused_dict_is_not_kept(self, cleared):
+        for _ in range(2):
+            with pytest.raises(ConfigError, match="num_smx"):
+                GPUConfig.from_dict({"num_smx": 0})
+        assert cleared.cache_info().currsize == 0
+        assert cleared.cache_info().misses == 2
 
 
 class TestLatencyModelTable3:
