@@ -26,12 +26,14 @@ CDP launch, so the table size affects performance, never correctness.
 from __future__ import annotations
 
 import dataclasses
+from functools import partial
 from typing import Callable, Dict, List, Optional, Tuple
 
 from ..builder import KernelBuilder
 from ..instructions import Opcode
 from ..program import Program
 from .sites import LaunchSite, find_launch_sites
+from .splice import splice_body
 
 #: Launch records staged in shared memory per (block, child kernel).
 #: Sized for the benchmark suite's parent blocks (64-128 threads): one
@@ -133,38 +135,27 @@ def aggregate_launches(
     table_regs = [kb.lds(table_slot[g]) for g in range(len(ordered))]
 
     # --- body: replace each site with a staging sequence.
-    site_group = {}
-    for g, ((_, _), sites) in enumerate(ordered):
-        for site in sites:
-            site_group[site.index] = (g, site)
-    position_labels: Dict[int, list] = {}
-    for name, pc in program.labels.items():
-        position_labels.setdefault(pc, []).append(name)
-
-    pc = 0
-    while pc < exit_pc:
-        for name in position_labels.get(pc, ()):
-            out.label(name)
-        hit = site_group.get(pc)
-        if hit is None:
-            out.emit(instrs[pc].replace())
-            pc += 1
-            continue
-        g, site = hit
-        staged = site.grid_x if flavor == "agg" else site.work
+    def stage(g, site):
         slot = kb.atom_add(table_regs[g], 1)
 
-        def stage(g=g, site=site, staged=staged, slot=slot):
+        def store_record():
             record = kb.iadd(kb.imul(slot, 2), record_base[g])
+            staged = site.grid_x if flavor == "agg" else site.work
             kb.sts(record, staged, offset=0)
             kb.sts(record, site.param, offset=1)
 
-        def overflow(site=site):
-            out.emit(site.stream.replace())
-            out.emit(site.launch.replace())
+        kb.if_else(kb.lt(slot, cap), store_record, partial(site.keep, out))
 
-        kb.if_else(kb.lt(slot, cap), stage, overflow)
-        pc += 2  # past the STREAM_CREATE / LAUNCH_DEVICE pair
+    splice_body(
+        out,
+        program,
+        sites={
+            site.index: partial(stage, g, site)
+            for g, (_, sites) in enumerate(ordered)
+            for site in sites
+        },
+        drop_trailing_exit=True,
+    )
 
     # --- epilogue: leader prefix-sums the records and batch-launches.
     kb.bar()

@@ -47,9 +47,8 @@ def transform_kernels(kernels: Sequence[KernelFunction], mode) -> List[KernelFun
 
     def run_passes(program, base) -> Tuple[object, int, int]:
         """Serialize + aggregate one program; queue needed wrappers."""
-        extra_local = 0
         if do_serialize:
-            program, extra_local = serialize_small_launches(program, by_name)
+            program = serialize_small_launches(program, by_name)
         result = aggregate_launches(
             program,
             suffix=suffix,
@@ -65,7 +64,7 @@ def transform_kernels(kernels: Sequence[KernelFunction], mode) -> List[KernelFun
         return (
             result.program,
             base.shared_words + result.shared_words,
-            max(base.local_words, extra_local),
+            base.local_words,
         )
 
     built: Dict[str, Tuple[object, int, int]] = {}

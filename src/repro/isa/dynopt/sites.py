@@ -11,9 +11,10 @@ emits (see :func:`repro.workloads.common.emit_dynamic_launch`)::
     LAUNCH_DEVICE child, a=buf, grid=(blocks, 1, 1), block=(bs, 1, 1)
 
 The passes only need the final ``STREAM_CREATE`` / ``LAUNCH_DEVICE``
-pair plus, when recoverable, the ``work`` operand feeding the grid
-computation.  Anything that does not match stays untouched — the passes
-degrade to plain CDP rather than guess.
+pair (the :data:`SITE_LENGTH` instructions a rewrite replaces) plus,
+when recoverable, the ``work`` operand feeding the grid computation.
+Anything that does not match stays untouched — the passes degrade to
+plain CDP rather than guess.
 """
 
 from __future__ import annotations
@@ -30,6 +31,9 @@ from ..regions import BLOCK_END_OPS
 #: parameter stores.
 _BACKTRACK_WINDOW = 24
 
+#: Instructions a launch site occupies: ``STREAM_CREATE``, ``LAUNCH_DEVICE``.
+SITE_LENGTH = 2
+
 
 @dataclasses.dataclass
 class LaunchSite:
@@ -43,6 +47,11 @@ class LaunchSite:
     grid_x: object  #: grid.x operand (Reg or Imm)
     block_size: Optional[int]  #: static 1-D block.x, when fully immediate
     work: Optional[object]  #: recovered element-count operand, if any
+
+    def keep(self, out: Program) -> None:
+        """Emit the site unchanged: a rewrite's plain-CDP fallback."""
+        out.emit(self.stream.replace())
+        out.emit(self.launch.replace())
 
 
 def _static_dim(operand) -> Optional[int]:

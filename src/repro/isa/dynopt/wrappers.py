@@ -22,35 +22,26 @@ from typing import Optional
 from ..builder import KernelBuilder
 from ..instructions import Special
 from ..program import Program
-from .splice import splice_body, summarize_body
-
-#: Geometry reads an agg wrapper can re-base (1:1 block mapping).
-_AGG_SPECIALS = {
-    Special.GTID,
-    Special.PARAM,
-    Special.TID_X,
-    Special.NTID_X,
-    Special.CTAID_X,
-    Special.NCTAID_X,
-}
-
-#: A cons wrapper interleaves requests within blocks, so only
-#: block-shape-independent reads survive the repacking.
-_CONS_SPECIALS = {Special.GTID, Special.PARAM, Special.NTID_X}
+from .splice import (
+    BLOCK_SPECIALS,
+    THREAD_SPECIALS,
+    splice_body,
+    spliceable,
+    summarize_body,
+)
 
 
 def wrappable(func, flavor: str) -> bool:
-    """Whether ``func``'s body can run under a batched launch table."""
-    summary = summarize_body(func.program)
-    if summary.exit_count != 1 or not summary.trailing_exit:
-        return False
+    """Whether ``func``'s body can run under a batched launch table.
+
+    An agg wrapper maps each child block to one real block, so it
+    re-bases the block geometry and keeps barriers and shared memory; a
+    cons wrapper interleaves requests within blocks, so only the
+    block-shape-independent reads survive the repacking.
+    """
     if flavor == "agg":
-        return summary.specials <= _AGG_SPECIALS
-    return (
-        summary.specials <= _CONS_SPECIALS
-        and not summary.has_bar
-        and func.shared_words == 0
-    )
+        return spliceable(func, BLOCK_SPECIALS, own_block=True)
+    return spliceable(func, THREAD_SPECIALS)
 
 
 def build_wrapper(name: str, func, block_size: int, flavor: str) -> Optional[Program]:
@@ -59,10 +50,11 @@ def build_wrapper(name: str, func, block_size: int, flavor: str) -> Optional[Pro
         return None
     body = func.program.definalize()
     summary = summarize_body(body)
+    highest = body.max_register_index()
     kb = KernelBuilder(
         name,
-        int_reg_start=summary.max_int + 1,
-        flt_reg_start=summary.max_flt + 1,
+        int_reg_start=highest["int"] + 1,
+        flt_reg_start=highest["flt"] + 1,
         label_stem="wrp",
     )
     table = kb.param()
@@ -102,11 +94,7 @@ def build_wrapper(name: str, func, block_size: int, flavor: str) -> Optional[Pro
                 subst[Special.NCTAID_X] = kb.isub(
                     kb.ld(record, offset=4), start
                 )
-        splice_body(
-            kb.program, body,
-            label_prefix="", int_shift=0, flt_shift=0,
-            special_subst=subst,
-        )
+        splice_body(kb.program, body, special_subst=subst)
         kb.exit()
         return kb.program
 
@@ -120,10 +108,6 @@ def build_wrapper(name: str, func, block_size: int, flavor: str) -> Optional[Pro
             subst[Special.PARAM] = kb.ld(record, offset=3)
         if Special.GTID in summary.specials:
             subst[Special.GTID] = kb.isub(index, kb.ld(record, offset=2))
-        splice_body(
-            kb.program, body,
-            label_prefix="", int_shift=0, flt_shift=0,
-            special_subst=subst,
-        )
+        splice_body(kb.program, body, special_subst=subst)
     kb.exit()
     return kb.program

@@ -32,6 +32,7 @@ queue records with no resident consumer, so it raises
 from __future__ import annotations
 
 import dataclasses
+from functools import partial
 from typing import Dict, List, Optional, Sequence, Set
 
 from ..sim.kernel import KernelFunction
@@ -39,7 +40,7 @@ from .builder import KernelBuilder
 from .instructions import Special
 from .program import Program
 from .dynopt.sites import find_launch_sites
-from .dynopt.splice import inlinable, splice_body, summarize_body
+from .dynopt.splice import BLOCK_SPECIALS, splice_body, spliceable
 from .taskqueue import (
     OFF_FINISHED,
     QueueLayout,
@@ -56,16 +57,6 @@ REC_KID, REC_PARAM, REC_CTAID, REC_NCTAID, REC_BLOCK = range(RECORD_WORDS)
 #: Shared-memory control slots the worker block uses per iteration.
 WORKER_SHARED_WORDS = 6
 _S_CMD, _S_KID, _S_PARAM, _S_CTAID, _S_NCTAID, _S_BS = range(6)
-
-#: Geometry reads the worker can re-base from a record (the agg set).
-_WORKER_SPECIALS = {
-    Special.GTID,
-    Special.PARAM,
-    Special.TID_X,
-    Special.NTID_X,
-    Special.CTAID_X,
-    Special.NCTAID_X,
-}
 
 #: Name of the generated worker kernel.
 WORKER_NAME = "__persist_worker"
@@ -85,14 +76,6 @@ class PersistResult:
     max_block: int  #: largest static child block size seen at a site
 
 
-def _spliceable(func: KernelFunction, program: Program) -> bool:
-    summary = summarize_body(program)
-    return (
-        func.shared_words == 0
-        and inlinable(summary, _WORKER_SPECIALS)
-    )
-
-
 def _rewrite_sites(
     program: Program,
     queue: QueueLayout,
@@ -104,14 +87,11 @@ def _rewrite_sites(
     Returns ``(program, max_block)`` — the input program untouched when
     it has no rewritable sites.
     """
-    instrs = program.instructions
-    sites = {}
-    max_block = 0
-    for site in find_launch_sites(program):
-        if site.kernel not in kernel_ids or site.block_size is None:
-            continue
-        sites[site.index] = site
-        max_block = max(max_block, site.block_size)
+    sites = [
+        site
+        for site in find_launch_sites(program)
+        if site.kernel in kernel_ids and site.block_size is not None
+    ]
     if not sites:
         return program, 0
 
@@ -122,32 +102,20 @@ def _rewrite_sites(
         flt_reg_start=highest["flt"] + 1,
         label_stem="pq",
     )
-    out = kb.program
-    position_labels: Dict[int, list] = {}
-    for name, pc in program.labels.items():
-        position_labels.setdefault(min(pc, len(instrs)), []).append(name)
 
-    pc = 0
-    while pc <= len(instrs):
-        for name in position_labels.get(pc, ()):
-            out.label(name)
-        if pc == len(instrs):
-            break
-        site = sites.get(pc)
-        if site is None:
-            out.emit(instrs[pc].replace())
-            pc += 1
-            continue
+    def enqueue_blocks(site):
         kid = kernel_ids[site.kernel]
         with kb.for_range(0, site.grid_x) as cta:
-            emit_enqueue(
-                kb,
-                queue,
-                [kid, site.param, cta, site.grid_x, site.block_size],
-                defect=defect,
-            )
-        pc += 2  # past the STREAM_CREATE / LAUNCH_DEVICE pair
-    return out, max_block
+            record = [kid, site.param, cta, site.grid_x, site.block_size]
+            emit_enqueue(kb, queue, record, defect=defect)
+
+    splice_body(
+        kb.program,
+        program,
+        sites={site.index: partial(enqueue_blocks, site) for site in sites},
+        drop_trailing_exit=False,
+    )
+    return kb.program, max(site.block_size for site in sites)
 
 
 def _build_worker(
@@ -204,27 +172,19 @@ def _build_worker(
             nctaid = kb.lds(shared, offset=_S_NCTAID)
             bs = kb.lds(shared, offset=_S_BS)
             with kb.if_(kb.lt(tid, bs)):
-                gtid = kb.iadd(kb.imul(ctaid, bs), tid)
+                subst = {
+                    Special.PARAM: param,
+                    Special.GTID: kb.iadd(kb.imul(ctaid, bs), tid),
+                    Special.CTAID_X: ctaid,
+                    Special.NCTAID_X: nctaid,
+                    Special.NTID_X: bs,
+                }
                 for body_kid, body in bodies:
-                    summary = summarize_body(body)
-                    subst = {}
-                    if Special.PARAM in summary.specials:
-                        subst[Special.PARAM] = param
-                    if Special.GTID in summary.specials:
-                        subst[Special.GTID] = gtid
-                    if Special.CTAID_X in summary.specials:
-                        subst[Special.CTAID_X] = ctaid
-                    if Special.NCTAID_X in summary.specials:
-                        subst[Special.NCTAID_X] = nctaid
-                    if Special.NTID_X in summary.specials:
-                        subst[Special.NTID_X] = bs
                     with kb.if_(kb.eq(kid, body_kid)):
                         splice_body(
                             kb.program,
                             body,
                             label_prefix=f"k{body_kid}_",
-                            int_shift=0,
-                            flt_shift=0,
                             special_subst=subst,
                         )
         kb.bar()
@@ -298,7 +258,9 @@ def persist_transform(
     bad = sorted(
         name
         for name in kernel_ids
-        if not _spliceable(by_name[name], rewritten[name])
+        if not spliceable(
+            by_name[name], BLOCK_SPECIALS, program=rewritten[name]
+        )
     )
     if bad:
         raise PersistError(

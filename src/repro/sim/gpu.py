@@ -171,9 +171,7 @@ class GPU:
         self.active_warps = 0
         #: Pending simulation events: ``(cycle, seq, fn, kind, payload)``
         #: heap entries.  ``kind``/``payload`` describe how to rebuild
-        #: ``fn`` after a checkpoint restore (see :mod:`repro.state`);
-        #: both are ``None`` for ad-hoc events, which a checkpoint
-        #: rejects.
+        #: ``fn`` after a checkpoint restore (see :mod:`repro.state`).
         self._events: list = []
         self._event_seq = 0
         #: Monotonic id assigned to every host launch spec, so restored
@@ -295,30 +293,21 @@ class GPU:
     # ------------------------------------------------------------------
     # Event queue
     # ------------------------------------------------------------------
-    def schedule_event(
-        self,
-        cycle: int,
-        fn: Optional[Callable[[int], None]] = None,
-        kind: Optional[str] = None,
-        payload: object = None,
-    ) -> None:
-        """Schedule ``fn(cycle)`` (or the ``kind`` event) at ``cycle``.
+    def schedule_event(self, cycle: int, kind: str, payload: object = None) -> None:
+        """Schedule the ``kind`` event, with ``payload``, at ``cycle``.
 
-        Internal callers pass ``kind``/``payload`` instead of a closure:
-        the callable is built by :meth:`_event_fn`, the same factory a
+        The callable is built by :meth:`_event_fn`, the same factory a
         checkpoint restore uses to rebuild pending events, so live and
-        restored simulations execute identical code.  A raw ``fn`` with
-        no ``kind`` still works but cannot be checkpointed.
+        restored simulations execute identical code.
         """
         if cycle < self.cycle:
             cycle = self.cycle
-        if fn is None:
-            fn = self._event_fn(kind, payload)
         seq = self._event_seq
         self._event_seq = seq + 1
+        fn = self._event_fn(kind, payload)
         heapq.heappush(self._events, (cycle, seq, fn, kind, payload))
 
-    def _event_fn(self, kind: Optional[str], payload: object) -> Callable[[int], None]:
+    def _event_fn(self, kind: str, payload: object) -> Callable[[int], None]:
         """Build the callable for a described event (live or restored)."""
         if kind == "device_launch_batch":
             runtime = self.runtime

@@ -121,7 +121,7 @@ def dump_state(gpu) -> str:
 
     lines = [f"=== GPU state @ cycle {gpu.cycle} ==="]
     lines += [_line(prefix, c) for prefix, c in components(gpu, prune=idle)]
-    pending = sorted((cycle, kind or "ad-hoc") for cycle, _s, _f, kind, _p in gpu._events)
+    pending = sorted((cycle, kind) for cycle, _s, _f, kind, _p in gpu._events)
     lines.append(f"events: {len(pending)} pending {_brief(pending)}")
     return "\n".join(lines)
 

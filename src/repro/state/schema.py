@@ -49,7 +49,7 @@ _LEAVES = frozenset((int, float, bool, str, type(None)))
 class CheckpointError(Exception):
     """A checkpoint cannot be captured, read, or restored.
 
-    Raised for uncheckpointable state (ad-hoc events, attached tracer),
+    Raised for uncheckpointable state (an attached tracer),
     unreadable or truncated files, stale code salts, and mismatches
     between the checkpoint and the replayed host program.
     """

@@ -165,9 +165,7 @@ def _spec_seq(spec: HostLaunchSpec) -> int:
     return spec.seq
 
 
-def _encode_payload(refs: dict, kind: Optional[str], payload):
-    if kind is None:
-        raise CheckpointError("a pending ad-hoc event (kind None) is not checkpointable")
+def _encode_payload(refs: dict, kind: str, payload):
     if kind != "kmu_activate":
         return payload  # a tuple of launch requests, a cycle, or None
     if isinstance(payload, HostLaunchSpec):

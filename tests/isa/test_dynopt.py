@@ -133,7 +133,7 @@ class TestSerialize:
         parent = parent_function()
         kernels = {"child": child_function()}
         serial_threshold(1 << 30)  # serialize all
-        program, _extra_local = serialize_small_launches(
+        program = serialize_small_launches(
             parent.program.definalize(), kernels
         )
         counts = [5, 0, 17, 31]
@@ -142,6 +142,52 @@ class TestSerialize:
         np.testing.assert_array_equal(out, expected_output(counts))
         # Every pocket is under the threshold: no device launch remains.
         assert len(stats.dynamic_launches()) == 0
+
+
+class TestSerializeLocalMemory:
+    """An inlined child runs in its parent's thread: a child with local
+    memory must stay a launch, or its words overwrite the parent's."""
+
+    @staticmethod
+    def kernels():
+        child = KernelBuilder("child")
+        child.stl(0, 99)
+        child.exit()
+        k = KernelBuilder("parent")
+        gtid = k.gtid()
+        param = k.param()
+        k.stl(0, k.iadd(gtid, 7))
+        buf = k.get_param_buffer(1)
+        k.st(buf, 0)
+        count = k.mov(4)  # a 4-item launch: under the threshold
+        blocks = k.idiv(k.iadd(count, BS - 1), BS)
+        k.stream_create()
+        k.launch_device("child", buf, grid=blocks, block=BS)
+        k.st(k.iadd(k.ld(param), gtid), k.ldl(0))
+        k.exit()
+        return [
+            KernelFunction("parent", k.build(), local_words=1),
+            KernelFunction("child", child.build(), local_words=1),
+        ]
+
+    @pytest.mark.parametrize("mode", ["cdp", "cdpa", "cons"])
+    def test_parent_local_word_survives_the_child(self, mode):
+        kernels = self.kernels()
+        if mode != "cdp":
+            kernels = transform_kernels(kernels, mode)
+        with Device(config=GPUConfig.k20c(), mode=ExecutionMode.CDP) as dev:
+            for func in kernels:
+                dev.register(func)
+            dst = dev.alloc(4)
+            dev.launch("parent", grid=1, block=4, params=[dst])
+            dev.synchronize()
+            out = dev.download_ints(dst, 4)
+        np.testing.assert_array_equal(out, [7, 8, 9, 10])
+
+    def test_a_child_with_local_memory_is_not_inlined(self):
+        parent, child = self.kernels()
+        program = parent.program.definalize()
+        assert serialize_small_launches(program, {"child": child}) is program
 
 
 class TestPipeline:

@@ -107,19 +107,15 @@ class TestDiff:
 
 
 class TestDumpWhereCaptureRefuses:
-    def test_with_a_tracer_attached_and_an_ad_hoc_event_pending(self):
+    def test_with_a_tracer_attached(self):
         """The tool for a stuck simulation must not raise where a
         checkpoint rightly does."""
         gpu = Device().gpu
+        gpu.schedule_event(40, kind="kmu_retry")
         gpu.tracer = OpcodeProfiler()
         with pytest.raises(CheckpointError, match="tracer"):
             capture_document(gpu)
-        gpu.tracer = None
-        gpu.schedule_event(40, lambda cycle: None)
-        with pytest.raises(CheckpointError, match="not checkpointable"):
-            capture_document(gpu)
-        gpu.tracer = OpcodeProfiler()
-        assert "events: 1 pending [(40, 'ad-hoc')]" in dump_state(gpu)
+        assert "events: 1 pending [(40, 'kmu_retry')]" in dump_state(gpu)
 
 
 class TestDrainedRowsTheOldCheckMissed:
