@@ -1,13 +1,14 @@
 #!/usr/bin/env python
 """Tooling tour: write a kernel in assembly text, trace its execution,
-and profile per-opcode issue counts.
+and profile issue counts per opcode and per kernel.
 
 Demonstrates three library facilities beyond the benchmark harness:
 
 * the text assembler (`repro.isa.parse_program`) and its round-trip with
   `Program.to_assembly()`;
 * the CUDA-style launch sugar (`repro.runtime.bind`);
-* execution tracing (`repro.sim.tracing`).
+* execution tracing (`repro.sim.tracing`) and the issue profiler
+  (`repro.sim.HotPathProfiler`).
 
 Run:  python examples/assembler_and_tracing.py
 """
@@ -17,7 +18,8 @@ import numpy as np
 from repro import Device, KernelFunction
 from repro.isa import parse_program
 from repro.runtime.sugar import bind
-from repro.sim.tracing import InstructionTrace, OpcodeProfiler
+from repro.sim import HotPathProfiler
+from repro.sim.tracing import InstructionTrace
 
 COLLATZ_ASM = """
 .kernel collatz_steps
@@ -75,7 +77,7 @@ def main() -> None:
     print()
 
     device = Device()
-    profiler = OpcodeProfiler()
+    profiler = HotPathProfiler()
     device.attach_tracer(profiler)
 
     kernel = bind(device, KernelFunction("collatz_steps", program))

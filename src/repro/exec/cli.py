@@ -88,7 +88,7 @@ def add_execution_flags(
                         help=f"cache directory (default {DEFAULT_CACHE_DIR})")
     parser.add_argument("--profile", action="store_true",
                         help="profile the simulation hot path (issues and "
-                             "host time per opcode); forces "
+                             "host time per kernel and opcode); forces "
                              "--jobs 1 and bypasses the result cache")
     if profile_json:
         parser.add_argument("--profile-json", metavar="PATH", default=None,
@@ -121,6 +121,10 @@ def validate_execution_flags(
     * ``--profile`` is not combined with checkpointing (the profiler's
       tracer state is not serializable, so a checkpoint would refuse to
       capture mid-run).
+
+    ``--profile-json`` implies ``--profile``, and ``--profile`` pins one
+    worker and no cache: the profiler observes only in-process
+    simulations, so every profiled job must simulate here.
     """
     if args.jobs < 1:
         parser.error("--jobs must be >= 1")
@@ -137,6 +141,8 @@ def validate_execution_flags(
             "--profile cannot be combined with --checkpoint-every: "
             "profiler state is not checkpointable"
         )
+    if args.profile:
+        args.jobs, args.cache = 1, False
     if args.checkpoint_every:
         return args.checkpoint_dir
     return None

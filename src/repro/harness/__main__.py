@@ -55,13 +55,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     checkpoint_dir = validate_execution_flags(parser, args)
-    profiler = None
-    if args.profile:
-        # Only in-process simulations are observed: pin one worker and
-        # bypass the cache so the profiled figures actually simulate.
-        args.jobs = 1
-        args.cache = False
-        profiler = _profiler.activate()
+    profiler = _profiler.activate() if args.profile else None
     cache = ResultCache(args.cache_dir) if args.cache else None
 
     start = time.time()

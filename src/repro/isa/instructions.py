@@ -17,7 +17,7 @@ automatically for structured code.
 from __future__ import annotations
 
 import enum
-from typing import Optional, Tuple, Union
+from typing import Callable, Optional, Tuple, Union
 
 
 class Opcode(enum.IntEnum):
@@ -262,23 +262,34 @@ class Instr:
         fields.update(changes)
         return Instr(**fields)
 
-    def __repr__(self) -> str:
+    def text(self, label: Callable[[Union[str, int]], str] = str) -> str:
+        """This instruction in the syntax
+        :func:`repro.isa.asmparser.parse_program` reads; ``label`` names a
+        branch target or reconvergence point (a pc once finalized)."""
         parts = [self.op.name.lower()]
-        if self.dst is not None:
-            parts.append(repr(self.dst))
-        for operand in (self.a, self.b, self.c):
-            if operand is not None:
-                parts.append(repr(operand))
+        parts += [repr(o) for o in (self.dst, self.a, self.b, self.c) if o is not None]
         if self.cmp is not None:
             parts.append(self.cmp.name.lower())
-        if self.target is not None:
-            parts.append(f"->{self.target}")
-        if self.pred is not None:
-            sense = "" if self.pred_sense else "!"
-            parts.append(f"@{sense}{self.pred!r}")
         if self.special is not None:
             parts.append(self.special.name.lower())
+        if self.target is not None:
+            parts.append(f"->{label(self.target)}")
+        if self.pred is not None:
+            parts.append(f"@{'' if self.pred_sense else '!'}{self.pred!r}")
+        if self.reconv is not None:
+            parts.append(f"reconv={label(self.reconv)}")
+        if self.offset:
+            parts.append(f"off={self.offset}")
+        if self.size:
+            parts.append(f"size={self.size}")
         if self.kernel is not None:
             parts.append(f"kernel={self.kernel}")
+        if self.grid_dims is not None:
+            key = "agg" if self.op == Opcode.LAUNCH_AGG else "grid"
+            parts.append(f"{key}=({','.join(map(repr, self.grid_dims))})")
+        if self.block_dims is not None:
+            parts.append(f"block=({','.join(map(repr, self.block_dims))})")
         return " ".join(parts)
+
+    __repr__ = text
 

@@ -130,7 +130,7 @@ class Program:
         for pc, instr in enumerate(self.instructions):
             for name in by_pc.get(pc, ()):
                 lines.append(f"{name}:")
-            lines.append(f"  {pc:4d}  {instr!r}")
+            lines.append(f"  {pc:4d}  {instr.text()}")
         return "\n".join(lines)
 
     def to_assembly(self) -> str:
@@ -140,48 +140,14 @@ class Program:
         Branch targets and reconvergence points get synthesized labels.
         Must be called on a finalized program (targets are pc indices).
         """
-        from .instructions import Opcode, Reg
-
         if not self._finalized:
             raise AssemblyError("to_assembly requires a finalized program")
         labels = {pc: f"L{pc}" for pc in sorted(self._branch_pcs())}
-
-        def operand_text(operand) -> str:
-            return repr(operand).lstrip()  # %r3 / #42
-
         lines = [f".kernel {self.name}"]
         for pc, instr in enumerate(self.instructions):
             if pc in labels:
                 lines.append(f"{labels[pc]}:")
-            parts = [instr.op.name.lower()]
-            for operand in (instr.dst, instr.a, instr.b, instr.c):
-                if operand is not None:
-                    parts.append(operand_text(operand))
-            if instr.cmp is not None:
-                parts.append(instr.cmp.name.lower())
-            if instr.special is not None:
-                parts.append(instr.special.name.lower())
-            if instr.target is not None:
-                parts.append(f"->{labels[int(instr.target)]}")
-            if instr.pred is not None:
-                sense = "" if instr.pred_sense else "!"
-                parts.append(f"@{sense}{operand_text(instr.pred)}")
-            if instr.reconv is not None:
-                parts.append(f"reconv={labels[int(instr.reconv)]}")
-            if instr.offset:
-                parts.append(f"off={instr.offset}")
-            if instr.size:
-                parts.append(f"size={instr.size}")
-            if instr.kernel is not None:
-                parts.append(f"kernel={instr.kernel}")
-            if instr.grid_dims is not None:
-                dims = ",".join(operand_text(d) for d in instr.grid_dims)
-                key = "agg" if instr.op == Opcode.LAUNCH_AGG else "grid"
-                parts.append(f"{key}=({dims})")
-            if instr.block_dims is not None:
-                dims = ",".join(operand_text(d) for d in instr.block_dims)
-                parts.append(f"block=({dims})")
-            lines.append("    " + " ".join(parts))
+            lines.append("    " + instr.text(labels.__getitem__))
         return "\n".join(lines) + "\n"
 
     def max_register_index(self) -> Dict[str, int]:

@@ -32,12 +32,16 @@ the measured latency model for their one host launch per drain.
 from __future__ import annotations
 
 import enum
-from typing import Tuple
 
 from ..config import LatencyModel
 
 
 class ExecutionMode(enum.Enum):
+    """Declaration order is the order of comparison grids and figures:
+    baseline, the paper's modes, the compiler-optimized rivals, then the
+    persistent-threads rivals (Fig. 11's columns, after its two ideal
+    ones)."""
+
     FLAT = "flat"
     CDP = "cdp"
     DTBL = "dtbl"
@@ -113,22 +117,4 @@ class ExecutionMode(enum.Enum):
         valid = ", ".join(mode.value for mode in cls)
         raise ValueError(
             f"unknown execution mode {name!r} (valid modes: {valid})"
-        )
-
-    @classmethod
-    def comparison_order(cls) -> Tuple["ExecutionMode", ...]:
-        """Canonical mode order for comparison grids and figures.
-
-        Baseline first, then the paper's modes, then the compiler-optimized
-        rivals, then the persistent-threads rivals — the order the Fig. 11
-        columns use (after the paper's two ideal columns).
-        """
-        return (
-            cls.FLAT,
-            cls.CDP,
-            cls.DTBL,
-            cls.CDP_AGG,
-            cls.CONSOLIDATED,
-            cls.PERSISTENT,
-            cls.PERSISTENT_ASYNC,
         )

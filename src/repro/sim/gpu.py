@@ -73,24 +73,32 @@ class DeviceRuntime:
     def param_bytes_for(self, param_addr: int) -> int:
         return self._param_sizes.get(param_addr, 0) * WORD_BYTES
 
+    def _validate(self, requests: Sequence[tuple]) -> None:
+        """Refuse a device launch at issue as :meth:`GPU.launch` refuses a
+        host one: an unregistered kernel, then a block no SMX can hold."""
+        gpu = self._gpu
+        for kernel_name, _param_addr, _grid, block, _hw_tid in requests:
+            func = gpu.kernels.get(kernel_name)
+            if func is None:
+                raise LaunchError(f"unknown kernel {kernel_name!r}")
+            func.validate_block(block, gpu.config)
+
     def submit_device_launches(self, requests: Sequence[tuple], deliver_cycle: int) -> None:
         """Deliver a warp's cudaLaunchDevice commands to the KMU."""
+        self._validate(requests)
         self._gpu.schedule_event(
             deliver_cycle, kind="device_launch_batch", payload=tuple(requests)
         )
 
     def _deliver_device_batch(self, requests: Sequence[tuple], cycle: int) -> None:
-        gpu = self._gpu
+        kmu = self._gpu.kmu
         for kernel_name, param_addr, grid, block, _hw_tid in requests:
-            gpu.kernels[kernel_name].validate_block(block, gpu.config)
-            gpu.kmu.launch_device(kernel_name, grid, block, param_addr, cycle)
+            kmu.launch_device(kernel_name, grid, block, param_addr, cycle)
 
     def submit_agg_launches(self, requests: Sequence[tuple], deliver_cycle: int) -> None:
         """Deliver a warp's aggregation operation command to the scheduler."""
-        gpu = self._gpu
-        for kernel_name, param_addr, grid, block, hw_tid in requests:
-            gpu.kernels[kernel_name].validate_block(block, gpu.config)
-        gpu.schedule_event(
+        self._validate(requests)
+        self._gpu.schedule_event(
             deliver_cycle, kind="agg_launch_batch", payload=tuple(requests)
         )
 

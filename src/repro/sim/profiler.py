@@ -1,11 +1,15 @@
-"""Hot-path profiler: simulated issues and host wall-time per opcode.
+"""Hot-path profiler: simulated issues and host wall-time per kernel and opcode.
 
-:class:`HotPathProfiler` is a :class:`~repro.sim.tracing.Tracer` that
-both CLIs expose as ``--profile``.  It answers the two questions perf
+:class:`HotPathProfiler` is the one issue profiler, a
+:class:`~repro.sim.tracing.Tracer` that both CLIs expose as
+``--profile``.  It keeps one table keyed by (kernel name, opcode), read
+through two roll-ups, :attr:`~HotPathProfiler.opcodes` and
+:attr:`~HotPathProfiler.kernels`, and answers the two questions perf
 work on the simulator keeps asking:
 
-* *where do the simulated instructions go?* — per-opcode issue and
-  active-lane counts whose totals match ``SimStats.issued_instructions``
+* *where do the simulated instructions go?* — issue and active-lane
+  counts, per opcode and per kernel (a rewrite's own kernels beside the
+  application's), whose totals match ``SimStats.issued_instructions``
   / ``active_lane_sum`` exactly;
 * *where does the host CPU time go?* — wall-time between consecutive
   tracer callbacks, attributed to the previously issued opcode.  This is
@@ -30,14 +34,15 @@ totals are exact either way.
 from __future__ import annotations
 
 import time
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
+from ..config import WARP_SIZE
 from ..isa.instructions import Opcode
 from .tracing import Tracer
 
 
-class OpcodeCost:
-    """Aggregated per-opcode counters."""
+class IssueCost:
+    """Aggregated counters of one table row or roll-up."""
 
     __slots__ = ("issues", "lanes", "host_seconds")
 
@@ -46,12 +51,16 @@ class OpcodeCost:
         self.lanes = 0
         self.host_seconds = 0.0
 
+    def to_dict(self) -> dict:
+        return {name: getattr(self, name) for name in self.__slots__}
+
 
 class HotPathProfiler(Tracer):
-    """Attribute simulated issues and host wall-time to opcodes."""
+    """Attribute simulated issues and host wall-time to (kernel, opcode)."""
 
     def __init__(self, clock=time.perf_counter) -> None:
-        self.opcodes: Dict[Opcode, OpcodeCost] = {}
+        #: The one table: (kernel name, opcode) -> counters.
+        self.costs: Dict[Tuple[str, Opcode], IssueCost] = {}
         # Always empty and 0 (a traced run fuses nothing); kept only for
         # bench/benchkit/simload.py::profiled_pass, until its fused share
         # reads FusedRegion.executions (ROADMAP item 4).
@@ -62,7 +71,7 @@ class HotPathProfiler(Tracer):
         self.fallback_issues = 0
         self.fallback_host_seconds = 0.0
         self._clock = clock
-        self._prev: Optional[OpcodeCost] = None
+        self._prev: Optional[IssueCost] = None
         self._prev_t: float = 0.0
         self._prev_fallback = False
 
@@ -70,9 +79,10 @@ class HotPathProfiler(Tracer):
     # Tracer hooks
     # ------------------------------------------------------------------
     def on_issue(self, warp, pc, opcode, active, cycle) -> None:
-        cost = self.opcodes.get(opcode)
+        key = (warp.tb.func.name, opcode)
+        cost = self.costs.get(key)
         if cost is None:
-            cost = self.opcodes[opcode] = OpcodeCost()
+            cost = self.costs[key] = IssueCost()
         cost.issues += 1
         cost.lanes += active
         fallback = pc in getattr(warp, "fallback_pcs", ())
@@ -88,15 +98,36 @@ class HotPathProfiler(Tracer):
         self._prev_fallback = fallback
 
     # ------------------------------------------------------------------
-    # Reporting
+    # Roll-ups and reporting
     # ------------------------------------------------------------------
+    def _roll_up(self, part: int) -> dict:
+        """``costs`` summed over one half of its key (0: kernel, 1: opcode),
+        most issues first."""
+        table: dict = {}
+        for key, cost in self.costs.items():
+            total = table.get(key[part])
+            if total is None:
+                total = table[key[part]] = IssueCost()
+            total.issues += cost.issues
+            total.lanes += cost.lanes
+            total.host_seconds += cost.host_seconds
+        return dict(sorted(table.items(), key=lambda kv: -kv[1].issues))
+
+    @property
+    def opcodes(self) -> Dict[Opcode, IssueCost]:
+        return self._roll_up(1)
+
+    @property
+    def kernels(self) -> Dict[str, IssueCost]:
+        return self._roll_up(0)
+
     @property
     def total_issues(self) -> int:
-        return sum(cost.issues for cost in self.opcodes.values())
+        return sum(cost.issues for cost in self.costs.values())
 
     @property
     def total_lanes(self) -> int:
-        return sum(cost.lanes for cost in self.opcodes.values())
+        return sum(cost.lanes for cost in self.costs.values())
 
     def to_dict(self) -> dict:
         """JSON-ready report (the ``--profile`` machine format)."""
@@ -105,22 +136,14 @@ class HotPathProfiler(Tracer):
             "total_lanes": self.total_lanes,
             "fallback_issues": self.fallback_issues,
             "fallback_host_seconds": self.fallback_host_seconds,
-            "opcodes": {
-                opcode.name.lower(): {
-                    "issues": cost.issues,
-                    "lanes": cost.lanes,
-                    "host_seconds": cost.host_seconds,
-                }
-                for opcode, cost in sorted(
-                    self.opcodes.items(), key=lambda kv: -kv[1].issues
-                )
-            },
+            "opcodes": {op.name.lower(): c.to_dict() for op, c in self.opcodes.items()},
+            "kernels": {name: c.to_dict() for name, c in self.kernels.items()},
         }
 
     def report(self, top: int = 15) -> str:
-        """Human-readable hot-path table."""
+        """Human-readable hot-path table, then one line per kernel."""
         total = self.total_issues
-        host_total = sum(c.host_seconds for c in self.opcodes.values())
+        host_total = sum(c.host_seconds for c in self.costs.values())
         lines: List[str] = []
         lines.append("== hot-path profile ==")
         lines.append(f"issues {total:,}   host {host_total * 1e3:.1f}ms attributed")
@@ -132,7 +155,7 @@ class HotPathProfiler(Tracer):
         )
         lines.append(f"{'opcode':<14s} {'issues':>12s} "
                      f"{'lanes/issue':>11s} {'host_ms':>9s} {'issue%':>7s}")
-        by_issues = sorted(self.opcodes.items(), key=lambda kv: -kv[1].issues)
+        by_issues = list(self.opcodes.items())
         for opcode, cost in by_issues[:top]:
             lines.append(
                 f"{opcode.name.lower():<14s} {cost.issues:>12,} "
@@ -143,6 +166,11 @@ class HotPathProfiler(Tracer):
         if len(by_issues) > top:
             rest = sum(cost.issues for _, cost in by_issues[top:])
             lines.append(f"{'(other)':<14s} {rest:>12,}")
+        for name, cost in self.kernels.items():
+            lines.append(
+                f"{name}: {cost.issues:,} issues, "
+                f"{100.0 * cost.lanes / (cost.issues * WARP_SIZE):.1f}% warp activity"
+            )
         return "\n".join(lines)
 
 
@@ -157,8 +185,9 @@ def activate(profiler: Optional[HotPathProfiler] = None) -> HotPathProfiler:
 
     Returns the installed instance (a fresh one when not supplied).
     Counts aggregate across all simulations run while active; only
-    in-process simulations are observed, so callers should pin
-    ``jobs=1`` and bypass result caches for the profiled run.
+    in-process simulations are observed, so callers pin ``jobs=1`` and
+    bypass result caches for the profiled run
+    (:func:`repro.exec.cli.validate_execution_flags` does for the CLIs).
     """
     global _ACTIVE
     _ACTIVE = profiler if profiler is not None else HotPathProfiler()

@@ -4,8 +4,9 @@ A :class:`Tracer` attached to a :class:`~repro.sim.gpu.GPU` (or via
 ``Device.attach_tracer``) observes every issued warp instruction.  Two
 implementations ship:
 
-* :class:`OpcodeProfiler` — per-kernel, per-opcode issue histograms plus
-  active-lane counts: a lightweight profiler for kernel tuning;
+* :class:`~repro.sim.profiler.HotPathProfiler` — issues, active lanes and
+  host time per (kernel, opcode), rolled up per kernel and per opcode;
+  the one issue profiler, behind both CLIs' ``--profile``;
 * :class:`InstructionTrace` — a bounded ring of (cycle, smx, kernel, pc,
   opcode, active) records for debugging execution order.
 
@@ -21,8 +22,8 @@ unchanged.
 from __future__ import annotations
 
 import collections
-from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Deque, Dict, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import TYPE_CHECKING, Deque, List, Optional
 
 from ..isa.instructions import Opcode
 
@@ -35,53 +36,6 @@ class Tracer:
 
     def on_issue(self, warp: "Warp", pc: int, opcode: Opcode, active: int, cycle: int) -> None:
         raise NotImplementedError
-
-
-@dataclass
-class KernelProfile:
-    """Aggregated issue counts for one kernel."""
-
-    issues: int = 0
-    active_lanes: int = 0
-    by_opcode: Dict[Opcode, int] = field(default_factory=dict)
-
-    @property
-    def warp_activity_pct(self) -> float:
-        from ..config import WARP_SIZE
-
-        if not self.issues:
-            return 0.0
-        return 100.0 * self.active_lanes / (self.issues * WARP_SIZE)
-
-    def top_opcodes(self, n: int = 5) -> List[Tuple[Opcode, int]]:
-        return sorted(self.by_opcode.items(), key=lambda kv: -kv[1])[:n]
-
-
-class OpcodeProfiler(Tracer):
-    """Per-kernel opcode histograms."""
-
-    def __init__(self) -> None:
-        self.kernels: Dict[str, KernelProfile] = {}
-
-    def on_issue(self, warp, pc, opcode, active, cycle) -> None:
-        name = warp.tb.func.name
-        profile = self.kernels.get(name)
-        if profile is None:
-            profile = self.kernels[name] = KernelProfile()
-        profile.issues += 1
-        profile.active_lanes += active
-        profile.by_opcode[opcode] = profile.by_opcode.get(opcode, 0) + 1
-
-    def report(self) -> str:
-        lines = []
-        for name, profile in sorted(self.kernels.items()):
-            lines.append(
-                f"{name}: {profile.issues} issues, "
-                f"{profile.warp_activity_pct:.1f}% warp activity"
-            )
-            for opcode, count in profile.top_opcodes():
-                lines.append(f"    {opcode.name.lower():14s} {count}")
-        return "\n".join(lines)
 
 
 @dataclass(frozen=True)

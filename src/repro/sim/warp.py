@@ -428,8 +428,8 @@ class Warp:
         return True
 
     def _h_join(self, instr, frame, mask, cycle):
-        # Reconvergence marker: frames are popped in step(); executing JOIN
-        # just costs a cycle for the merged warp.
+        # Reconvergence marker (and NOP): frames are popped in step();
+        # executing one just costs a cycle for the merged warp.
         self.ready_cycle = cycle + 1
         return False
 
@@ -443,10 +443,6 @@ class Warp:
         self.finished = True
         self.tb.warp_finished(self, cycle)
         return True
-
-    def _h_nop(self, instr, frame, mask, cycle):
-        self.ready_cycle = cycle + 1
-        return False
 
     # ------------------------------------------------------------------
     # Special registers
@@ -528,7 +524,7 @@ _DISPATCH: Dict[Opcode, Callable] = {
     Opcode.JOIN: Warp._h_join,
     Opcode.BAR: Warp._h_bar,
     Opcode.EXIT: Warp._h_exit,
-    Opcode.NOP: Warp._h_nop,
+    Opcode.NOP: Warp._h_join,
     Opcode.READ_SPECIAL: Warp._h_read_special,
     Opcode.STREAM_CREATE: Warp._h_stream_create,
     Opcode.GET_PARAM_BUF: Warp._h_get_param_buf,

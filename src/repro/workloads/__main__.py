@@ -58,13 +58,7 @@ def main(argv=None) -> int:
     except ValueError as exc:
         parser.error(str(exc))
 
-    profiler = None
-    if args.profile:
-        # Only in-process simulations are observed: pin one worker and
-        # bypass the cache so every mode actually simulates here.
-        args.jobs = 1
-        args.cache = False
-        profiler = _profiler.activate()
+    profiler = _profiler.activate() if args.profile else None
     cache = ResultCache(args.cache_dir) if args.cache else None
 
     runs = run_jobs(jobs, jobs=args.jobs, cache=cache)

@@ -48,12 +48,6 @@ class WorkloadResult:
     #: :meth:`Workload.execute` raises on findings); ``None`` otherwise.
     sanitizer: Optional["SanitizerReport"] = None
 
-    def summary(self) -> dict:
-        data = self.stats.summary()
-        data["benchmark"] = self.name
-        data["mode"] = self.mode.value
-        return data
-
 
 class Workload(abc.ABC):
     """One benchmark instance bound to a dataset.

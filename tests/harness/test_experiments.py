@@ -18,7 +18,7 @@ from repro.workloads import benchmark_names
 
 FLAT, CDP, DTBL = ExecutionMode.FLAT, ExecutionMode.CDP, ExecutionMode.DTBL
 #: Every mode, and the two ideal rungs (the paper's CDPI and DTBLI).
-CELLS_PER_BENCHMARK = len(ExecutionMode.comparison_order()) + 2
+CELLS_PER_BENCHMARK = len(ExecutionMode) + 2
 
 
 class FakeStats:

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro import KernelBuilder
 from repro.errors import AssemblyError
 from repro.isa import Imm, Instr, Opcode, Program, Reg
 from repro.isa.instructions import Bank
@@ -93,3 +94,20 @@ class TestIntrospection:
         assert ".kernel mykernel" in text
         assert "top:" in text
         assert "nop" in text
+
+    def test_disassemble_prints_the_assembly_it_executes(self):
+        """Offsets, sizes, reconvergence points and launch dimensions are
+        in the listing, and an instruction's repr is its text."""
+        k = KernelBuilder("parent")
+        n = k.ld(k.param(), offset=3)
+        with k.if_(k.lt(k.tid(), n)):
+            buf = k.get_param_buffer(2)
+            k.launch_device("child", buf, grid=n, block=32)
+        k.exit()
+        prog = k.build()
+        text = prog.disassemble()
+        for field in ("off=3", "size=2", "reconv=", "grid=(", "block=("):
+            assert field in text
+        for pc, instr in enumerate(prog.instructions):
+            assert repr(instr) == instr.text()
+            assert f"{pc:4d}  {instr.text()}" in text

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import argparse
 import dataclasses
 import json
 import os
@@ -14,6 +15,7 @@ import pytest
 
 from repro import Device, GPUConfig, KernelBuilder, KernelFunction
 from repro.exec import JobSpec, run_job
+from repro.exec.cli import add_execution_flags, add_job_flags, validate_execution_flags
 from repro.harness.runner import DEFAULT_LATENCY_SCALE
 from repro.runtime.modes import ExecutionMode
 from repro.sim import HotPathProfiler
@@ -169,12 +171,22 @@ PROFILED_CELLS = [("bht", "dtbl"), ("amr", "flat"), ("bfs_cage15", "persistent")
 
 
 class TestProfileCli:
+    def test_profile_pins_one_worker_and_no_cache(self):
+        """Both CLIs read the pinning from the one flag check."""
+        parser = argparse.ArgumentParser()
+        add_job_flags(parser)
+        add_execution_flags(parser, profile_json=True)
+        args = parser.parse_args(["--jobs", "4", "--profile-json", "p.json"])
+        validate_execution_flags(parser, args)
+        assert (args.profile, args.jobs, args.cache) == (True, 1, False)
+
     @pytest.mark.parametrize(
         "bench,mode", PROFILED_CELLS, ids=[f"{b}-{m}" for b, m in PROFILED_CELLS]
     )
     def test_report_is_consistent_and_equals_simstats(self, tmp_path, bench, mode):
-        """``--profile --profile-json`` on a whole job: the table and the
-        fallback line are printed, the JSON adds up, the fast core hands
+        """``--profile --profile-json`` on a whole job: the table, the
+        fallback line and the kernel lines are printed, the JSON (per
+        opcode and per kernel) adds up, the fast core hands
         under 1 % of the issues to the reference handlers (the launch API
         and the warp-wide exchanges, never a hot instruction), and a run
         under :func:`profiler.activate` counts what ``SimStats`` counts."""
@@ -190,8 +202,11 @@ class TestProfileCli:
         assert "== hot-path profile ==" in cli.stdout
         assert "reference fallbacks " in cli.stdout
         report = json.loads(report_path.read_text())
+        for name in report["kernels"]:
+            assert f"\n{name}: " in cli.stdout
         total = report["total_issues"]
         assert sum(e["issues"] for e in report["opcodes"].values()) == total
+        assert sum(e["issues"] for e in report["kernels"].values()) == total
         assert report["fallback_issues"] < 0.01 * total
 
         prof = profiler_mod.activate()

@@ -5,10 +5,12 @@ import dataclasses
 import numpy as np
 import pytest
 
-from repro import GPUConfig, KernelBuilder, KernelFunction
+from repro import ExecutionMode, GPUConfig, KernelBuilder, KernelFunction
+from repro.config import WARP_SIZE
 from repro.isa.instructions import Opcode
+from repro.sim import HotPathProfiler
 from repro.sim.fast_warp import decode_program
-from repro.sim.tracing import InstructionTrace, OpcodeProfiler
+from repro.sim.tracing import InstructionTrace
 
 from tests.helpers import make_device, map_kernel
 
@@ -25,28 +27,63 @@ def run_traced(tracer, n=100):
     return dev
 
 
-class TestOpcodeProfiler:
-    def test_counts_per_kernel(self):
-        profiler = OpcodeProfiler()
-        run_traced(profiler)
-        profile = profiler.kernels["traced"]
-        assert profile.issues > 0
-        assert profile.by_opcode[Opcode.IMUL] == 4  # one per warp
-        assert profile.by_opcode[Opcode.EXIT] == 4
+def _cdp_parent() -> KernelFunction:
+    """Thread 0 of one block launches ``traced`` over the parent's
+    [n, src, dst]."""
+    k = KernelBuilder("parent")
+    param = k.param()
+    with k.if_(k.eq(k.tid(), 0)):
+        buf = k.get_param_buffer(3)
+        for offset in range(3):
+            k.st(buf, k.ld(param, offset=offset), offset=offset)
+        k.stream_create()
+        k.launch_device("traced", buf, grid=2, block=64)
+    k.exit()
+    return KernelFunction("parent", k.build())
 
-    def test_activity_matches_stats(self):
-        profiler = OpcodeProfiler()
-        dev = run_traced(profiler)
-        profile = profiler.kernels["traced"]
-        assert abs(profile.warp_activity_pct - dev.stats.warp_activity_pct) < 1e-9
 
-    def test_report_text(self):
-        profiler = OpcodeProfiler()
-        run_traced(profiler)
+class TestKernelRollUp:
+    """The profiler's (kernel, opcode) table rolled up per kernel, on a
+    CDP parent and the child it launches, on both cores."""
+
+    @pytest.fixture(params=["reference", "fast"])
+    def profiled(self, request):
+        profiler = HotPathProfiler()
+        config = dataclasses.replace(GPUConfig.small(), core=request.param)
+        dev = make_device(ExecutionMode.CDP, config=config)
+        dev.attach_tracer(profiler)
+        dev.register(_cdp_parent())
+        dev.register(map_kernel("traced", lambda k, v: k.imul(v, 2)))
+        n = 100
+        src, dst = dev.upload(np.arange(n)), dev.alloc(n)
+        dev.launch("parent", grid=1, block=32, params=[n, src, dst])
+        dev.synchronize()
+        np.testing.assert_array_equal(dev.download_ints(dst, n), np.arange(n) * 2)
+        return profiler, dev.stats
+
+    def test_counts_per_kernel(self, profiled):
+        profiler, _ = profiled
+        assert list(profiler.kernels) == ["traced", "parent"]  # most issues first
+        assert profiler.costs["traced", Opcode.IMUL].issues == 4  # one per warp
+        assert profiler.costs["traced", Opcode.EXIT].issues == 4
+        assert profiler.costs["parent", Opcode.LAUNCH_DEVICE].issues == 1
+        assert ("parent", Opcode.IMUL) not in profiler.costs
+
+    def test_activity_matches_stats(self, profiled):
+        profiler, stats = profiled
+        kernels = profiler.kernels.values()
+        assert sum(cost.issues for cost in kernels) == stats.issued_instructions
+        assert sum(cost.lanes for cost in kernels) == stats.active_lane_sum
+        assert profiler.to_dict()["kernels"]["parent"]["issues"] == sum(
+            cost.issues for (kernel, _), cost in profiler.costs.items() if kernel == "parent"
+        )
+
+    def test_report_text(self, profiled):
+        profiler, _ = profiled
         report = profiler.report()
-        assert "traced" in report
-        assert "ld" in report  # loads dominate this kernel's top opcodes
-        assert "warp activity" in report
+        for name, cost in profiler.kernels.items():
+            activity = 100.0 * cost.lanes / (cost.issues * WARP_SIZE)
+            assert f"{name}: {cost.issues:,} issues, {activity:.1f}% warp activity" in report
 
 
 class TestInstructionTrace:

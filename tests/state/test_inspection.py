@@ -10,7 +10,7 @@ import pytest
 from repro import Device, ExecutionMode, JobSpec, run_job
 from repro.errors import SimulationError
 from repro.sim.kmu import DeviceLaunchSpec
-from repro.sim.tracing import OpcodeProfiler
+from repro.sim.tracing import Tracer
 from repro.state import CheckpointError, capture_document, check_drained, diff, dump_state
 
 
@@ -112,7 +112,7 @@ class TestDumpWhereCaptureRefuses:
         checkpoint rightly does."""
         gpu = Device().gpu
         gpu.schedule_event(40, kind="kmu_retry")
-        gpu.tracer = OpcodeProfiler()
+        gpu.tracer = Tracer()
         with pytest.raises(CheckpointError, match="tracer"):
             capture_document(gpu)
         assert "events: 1 pending [(40, 'kmu_retry')]" in dump_state(gpu)

@@ -96,7 +96,23 @@ class TestLaunchFaults:
         dev = Device(mode=ExecutionMode.DTBL, latency=LatencyModel.ideal())
         dev.register(KernelFunction("parent", k.build()))
         dev.launch("parent", grid=1, block=32)
-        with pytest.raises(KeyError):
+        with pytest.raises(LaunchError, match="unknown kernel 'missing'"):
+            dev.synchronize()
+
+    def test_unknown_cdp_child_kernel_faults(self):
+        """A CDP launch of an unregistered kernel is refused at issue,
+        with the host launch's error, like a DTBL one."""
+        k = KernelBuilder("parent")
+        tid = k.tid()
+        with k.if_(k.eq(tid, 0)):
+            buf = k.get_param_buffer(1)
+            k.stream_create()
+            k.launch_device("missing", buf, grid=1, block=32)
+        k.exit()
+        dev = Device(mode=ExecutionMode.CDP, latency=LatencyModel.ideal())
+        dev.register(KernelFunction("parent", k.build()))
+        dev.launch("parent", grid=1, block=32)
+        with pytest.raises(LaunchError, match="unknown kernel 'missing'"):
             dev.synchronize()
 
 

@@ -75,13 +75,6 @@ class TestModes:
         assert ExecutionMode.CONSOLIDATED.uses_cdp
         assert ExecutionMode.CDP_AGG.latency_model() == LatencyModel.measured_k20c()
 
-    def test_comparison_order_covers_every_mode_once(self):
-        order = ExecutionMode.comparison_order()
-        assert order[0] is ExecutionMode.FLAT
-        assert sorted(m.value for m in order) == sorted(
-            m.value for m in ExecutionMode
-        )
-
     def test_scale_validation(self):
         from repro.errors import ConfigError
 
@@ -121,8 +114,8 @@ class TestPersistentModes:
         for mode in (ExecutionMode.PERSISTENT, ExecutionMode.PERSISTENT_ASYNC):
             assert ExecutionMode.parse(mode.value) is mode
 
-    def test_comparison_order_has_seven_modes(self):
-        order = ExecutionMode.comparison_order()
+    def test_grid_order_has_seven_modes(self):
+        order = tuple(ExecutionMode)
         assert len(order) == 7
         assert order[-2:] == (
             ExecutionMode.PERSISTENT,
