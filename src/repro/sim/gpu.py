@@ -30,7 +30,6 @@ from .smx_scheduler import SMXScheduler
 from .stats import SimStats
 
 from ..config import WORD_BYTES
-from ..dtbl.aggregation import AggLaunchRequest
 
 #: Sentinel burst horizon when no other SMX wake-up bounds the burst.
 _FAR_FUTURE = 1 << 62
@@ -75,39 +74,29 @@ class DeviceRuntime:
 
     def _validate(self, requests: Sequence[tuple]) -> None:
         """Refuse a device launch at issue as :meth:`GPU.launch` refuses a
-        host one: an unregistered kernel, then a block no SMX can hold."""
+        host one: an unregistered kernel, a non-positive dimension, then a
+        block no SMX can hold."""
         gpu = self._gpu
-        for kernel_name, _param_addr, _grid, block, _hw_tid in requests:
+        for kernel_name, _param_addr, grid, block, _hw_tid in requests:
             func = gpu.kernels.get(kernel_name)
             if func is None:
                 raise LaunchError(f"unknown kernel {kernel_name!r}")
-            func.validate_block(block, gpu.config)
+            as_dims(grid)
+            func.validate_block(as_dims(block), gpu.config)
 
-    def submit_device_launches(self, requests: Sequence[tuple], deliver_cycle: int) -> None:
-        """Deliver a warp's cudaLaunchDevice commands to the KMU."""
+    def submit(self, kind: str, requests: Sequence[tuple], deliver_cycle: int) -> None:
+        """Deliver a warp's launch commands, one ``(kernel_name, param_addr,
+        grid, block, hw_tid)`` tuple per launching lane, as one ``kind``
+        event at ``deliver_cycle``: ``"device_launch_batch"`` (CDP) queues
+        each in the KMU, ``"agg_launch_batch"`` (DTBL) is the aggregation
+        operation command the SMX scheduler runs."""
         self._validate(requests)
-        self._gpu.schedule_event(
-            deliver_cycle, kind="device_launch_batch", payload=tuple(requests)
-        )
+        self._gpu.schedule_event(deliver_cycle, kind=kind, payload=tuple(requests))
 
     def _deliver_device_batch(self, requests: Sequence[tuple], cycle: int) -> None:
         kmu = self._gpu.kmu
         for kernel_name, param_addr, grid, block, _hw_tid in requests:
             kmu.launch_device(kernel_name, grid, block, param_addr, cycle)
-
-    def submit_agg_launches(self, requests: Sequence[tuple], deliver_cycle: int) -> None:
-        """Deliver a warp's aggregation operation command to the scheduler."""
-        self._validate(requests)
-        self._gpu.schedule_event(
-            deliver_cycle, kind="agg_launch_batch", payload=tuple(requests)
-        )
-
-    def _deliver_agg_batch(self, requests: Sequence[tuple], cycle: int) -> None:
-        agg_requests = [
-            AggLaunchRequest(kernel_name, param_addr, grid, block, hw_tid)
-            for kernel_name, param_addr, grid, block, hw_tid in requests
-        ]
-        self._gpu.scheduler.process_aggregation(agg_requests, cycle)
 
 
 class GPU:
@@ -321,8 +310,8 @@ class GPU:
             runtime = self.runtime
             return lambda cycle: runtime._deliver_device_batch(payload, cycle)
         if kind == "agg_launch_batch":
-            runtime = self.runtime
-            return lambda cycle: runtime._deliver_agg_batch(payload, cycle)
+            scheduler = self.scheduler
+            return lambda cycle: scheduler.process_aggregation(payload, cycle)
         if kind == "kmu_activate":
             return self.kmu._make_activator(payload)
         if kind == "kmu_retry":

@@ -20,11 +20,11 @@ def as_dims(dims: object) -> LaunchDims:
     if isinstance(dims, int):
         seq = (dims,)
     else:
-        seq = tuple(int(d) for d in dims)  # type: ignore[arg-type]
+        seq = tuple(map(int, dims))  # type: ignore[arg-type]
     if not 1 <= len(seq) <= 3:
         raise LaunchError(f"launch dims must have 1-3 components, got {dims!r}")
     padded = seq + (1,) * (3 - len(seq))
-    if any(d <= 0 for d in padded):
+    if min(padded) <= 0:
         raise LaunchError(f"launch dims must be positive, got {dims!r}")
     return padded  # type: ignore[return-value]
 

@@ -12,10 +12,8 @@ from __future__ import annotations
 from collections import deque
 from typing import TYPE_CHECKING, Deque, Optional
 
-from ..config import CDP_PENDING_KERNEL_BYTES
 from .hwq import HostLaunchSpec, HostQueues
-from .kernel import dims_total
-from .stats import LaunchKind, LaunchRecord
+from .stats import LaunchKind
 
 if TYPE_CHECKING:  # pragma: no cover
     from .gpu import GPU
@@ -79,18 +77,10 @@ class KernelManagementUnit:
         """A device-launched kernel (CDP, or a DTBL group with no eligible
         kernel): record it, charge its pending footprint, queue it."""
         gpu = self._gpu
-        blocks = dims_total(grid_dims)
-        record = LaunchRecord(
-            kind=LaunchKind.DEVICE_KERNEL,
-            kernel_name=kernel_name,
-            launch_cycle=cycle,
-            total_blocks=blocks,
-            total_threads=blocks * dims_total(block_dims),
-            param_bytes=gpu.runtime.param_bytes_for(param_addr),
-            record_bytes=CDP_PENDING_KERNEL_BYTES,
+        record = gpu.stats.open_launch(
+            LaunchKind.DEVICE_KERNEL, kernel_name, cycle, grid_dims, block_dims,
+            gpu.runtime.param_bytes_for(param_addr),
         )
-        gpu.stats.launches.append(record)
-        gpu.stats.add_footprint(record.pending_bytes)
         self.device_pending.append(
             DeviceLaunchSpec(kernel_name, grid_dims, block_dims, param_addr, record)
         )
@@ -149,14 +139,10 @@ class KernelManagementUnit:
         gpu = self._gpu
         func = gpu.kernels[spec.kernel_name]
         if isinstance(spec, HostLaunchSpec):
-            record = LaunchRecord(
-                kind=LaunchKind.HOST_KERNEL,
-                kernel_name=spec.kernel_name,
-                launch_cycle=cycle,
-                total_blocks=dims_total(spec.grid_dims),
-                total_threads=dims_total(spec.grid_dims) * dims_total(spec.block_dims),
+            record = gpu.stats.open_launch(
+                LaunchKind.HOST_KERNEL, spec.kernel_name, cycle,
+                spec.grid_dims, spec.block_dims,
             )
-            gpu.stats.launches.append(record)
             spec.record = record
             stream_id: Optional[int] = spec.stream_id
         else:

@@ -14,12 +14,10 @@ from __future__ import annotations
 from collections import deque
 from typing import TYPE_CHECKING, Deque, List, Optional, Sequence, Tuple
 
-from ..config import DTBL_PENDING_GROUP_BYTES, SEGMENT_WORDS
+from ..config import SEGMENT_WORDS
 from ..dtbl.agt import AggregatedGroupEntry, AggregatedGroupTable
-from ..dtbl.aggregation import AggLaunchRequest
-from .kernel import dims_total
 from .kernel_distributor import KDEEntry
-from .stats import LaunchKind, LaunchRecord
+from .stats import LaunchKind
 
 if TYPE_CHECKING:  # pragma: no cover
     from .gpu import GPU
@@ -183,16 +181,11 @@ class SMXScheduler:
             cycle,
         )
         if group is not None and group.fully_distributed:
-            record.fully_distributed_cycle = cycle
-            self._gpu.stats.release_footprint(record.pending_bytes)
+            self._gpu.stats.launch_distributed(record, cycle)
 
     def _unmark(self, entry: KDEEntry, cycle: int) -> None:
         entry.marked = False
-        record = entry.record
-        if record.fully_distributed_cycle is None:
-            record.fully_distributed_cycle = cycle
-            if record.kind is LaunchKind.DEVICE_KERNEL:
-                self._gpu.stats.release_footprint(record.pending_bytes)
+        self._gpu.stats.launch_distributed(entry.record, cycle)
         if entry.completed:
             self._release_entry(entry, cycle)
 
@@ -227,43 +220,32 @@ class SMXScheduler:
     # ------------------------------------------------------------------
     # Aggregation operation command (Fig. 5)
     # ------------------------------------------------------------------
-    def process_aggregation(
-        self, requests: Sequence[AggLaunchRequest], cycle: int
-    ) -> None:
-        """Run the DTBL scheduling procedure for each launched group."""
+    def process_aggregation(self, requests: Sequence[tuple], cycle: int) -> None:
+        """Run the DTBL scheduling procedure for each group of a warp's
+        aggregation operation command: one ``(kernel_name, param_addr,
+        agg_dims, block_dims, hw_tid)`` request per launching lane, the
+        hardware thread index driving the AGT hash."""
         gpu = self._gpu
         stats = gpu.stats
-        for req in requests:
-            func = gpu.kernels[req.kernel_name]
+        for kernel_name, param_addr, agg_dims, block_dims, hw_tid in requests:
             if gpu.config.dtbl_no_coalescing:
                 # Section 4.3's alternative design point: every group is
                 # independently scheduled from the KDE.
                 entry = None
             else:
-                entry = gpu.distributor.find_eligible(func, req.block_dims)
+                entry = gpu.distributor.find_eligible(gpu.kernels[kernel_name], block_dims)
             if entry is None:
                 # No eligible kernel: launch the group as a device kernel.
                 stats.agg_unmatched += 1
-                gpu.kmu.launch_device(
-                    req.kernel_name, req.agg_dims, req.block_dims,
-                    req.param_addr, cycle,
-                )
+                gpu.kmu.launch_device(kernel_name, agg_dims, block_dims, param_addr, cycle)
                 continue
             stats.agg_matched += 1
-            blocks = dims_total(req.agg_dims)
-            record = LaunchRecord(
-                kind=LaunchKind.AGG_GROUP,
-                kernel_name=req.kernel_name,
-                launch_cycle=cycle,
-                total_blocks=blocks,
-                total_threads=blocks * dims_total(req.block_dims),
-                param_bytes=gpu.runtime.param_bytes_for(req.param_addr),
-                record_bytes=DTBL_PENDING_GROUP_BYTES,
+            record = stats.open_launch(
+                LaunchKind.AGG_GROUP, kernel_name, cycle, agg_dims, block_dims,
+                gpu.runtime.param_bytes_for(param_addr),
             )
-            stats.launches.append(record)
-            stats.add_footprint(record.pending_bytes)
-            age = AggregatedGroupEntry(req.agg_dims, req.param_addr, record)
-            if self.agt.try_alloc(req.hw_tid, age):
+            age = AggregatedGroupEntry(agg_dims, param_addr, record)
+            if self.agt.try_alloc(hw_tid, age):
                 stats.agt_hash_hits += 1
             else:
                 stats.agt_hash_spills += 1
@@ -272,4 +254,3 @@ class SMXScheduler:
                 self.mark(entry, cycle)
             else:
                 self.notify(cycle)
-

@@ -22,9 +22,10 @@ import enum
 from dataclasses import dataclass, fields
 from typing import List, Optional
 
-from ..config import WARP_SIZE, GPUConfig
+from ..config import CDP_PENDING_KERNEL_BYTES, DTBL_PENDING_GROUP_BYTES, WARP_SIZE, GPUConfig
 from ..memory.coalescing import CoalescingStats
 from ..memory.dram import DramStats
+from .kernel import LaunchDims, dims_total
 
 
 class LaunchKind(enum.Enum):
@@ -61,6 +62,14 @@ class LaunchRecord:
         return self.param_bytes + self.record_bytes
 
 
+#: Bytes a pending launch of each kind reserves besides its parameter
+#: buffer (Fig. 10): a host kernel none, a device kernel its KMU record,
+#: an aggregated group its AGT/global-memory group record.
+_RECORD_BYTES = {
+    LaunchKind.HOST_KERNEL: 0,
+    LaunchKind.DEVICE_KERNEL: CDP_PENDING_KERNEL_BYTES,
+    LaunchKind.AGG_GROUP: DTBL_PENDING_GROUP_BYTES,
+}
 #: :class:`LaunchRecord`'s fields in constructor order: the table's columns.
 LAUNCH_FIELDS = tuple(field.name for field in fields(LaunchRecord))
 _KINDS = {kind.value: kind for kind in LaunchKind}
@@ -185,13 +194,38 @@ class SimStats:
         self.issued_instructions += 1
         self.active_lane_sum += active_lanes
 
-    def add_footprint(self, nbytes: int) -> None:
-        self.footprint_bytes += nbytes
+    # ------------------------------------------------------------------
+    # Launch lifecycle: every launch opens here and is distributed here;
+    # the SMX scheduler stamps ``completed_cycle``.
+    # ------------------------------------------------------------------
+    def open_launch(
+        self,
+        kind: LaunchKind,
+        kernel_name: str,
+        cycle: int,
+        grid_dims: LaunchDims,
+        block_dims: LaunchDims,
+        param_bytes: int = 0,
+    ) -> LaunchRecord:
+        """Record a launch of ``grid_dims`` blocks at ``cycle`` and charge
+        its pending footprint: ``param_bytes`` plus its kind's record."""
+        blocks = dims_total(grid_dims)
+        record = LaunchRecord(
+            kind, kernel_name, cycle, blocks, blocks * dims_total(block_dims),
+            param_bytes, _RECORD_BYTES[kind],
+        )
+        self.launches.append(record)
+        self.footprint_bytes += record.pending_bytes
         if self.footprint_bytes > self.peak_footprint_bytes:
             self.peak_footprint_bytes = self.footprint_bytes
+        return record
 
-    def release_footprint(self, nbytes: int) -> None:
-        self.footprint_bytes -= nbytes
+    def launch_distributed(self, record: LaunchRecord, cycle: int) -> None:
+        """``record``'s last thread block was placed at ``cycle``: stamp it
+        and release its footprint.  Only the first call does anything."""
+        if record.fully_distributed_cycle is None:
+            record.fully_distributed_cycle = cycle
+            self.footprint_bytes -= record.pending_bytes
 
     # ------------------------------------------------------------------
     # Derived metrics

@@ -493,7 +493,7 @@ class Warp:
     def _h_launch_device(self, instr, frame, mask, cycle):
         requests = self._collect_launches(instr, mask)
         stall = self._lat.launch_device_cycles(len(requests))
-        self._gpu.runtime.submit_device_launches(requests, cycle + stall)
+        self._gpu.runtime.submit("device_launch_batch", requests, cycle + stall)
         self.ready_cycle = cycle + stall
         return False
 
@@ -506,7 +506,7 @@ class Warp:
             self._lat.kde_search_cycles(self._cfg.max_concurrent_kernels)
             + self._lat.agt_probe
         )
-        self._gpu.runtime.submit_agg_launches(requests, cycle + stall)
+        self._gpu.runtime.submit("agg_launch_batch", requests, cycle + stall)
         self.ready_cycle = cycle + stall
         return False
 

@@ -5,7 +5,6 @@ import pytest
 from repro import GPUConfig, KernelBuilder, KernelFunction
 from repro.config import DTBL_PENDING_GROUP_BYTES, LatencyModel
 from repro.dtbl.agt import AggregatedGroupEntry
-from repro.dtbl.aggregation import AggLaunchRequest
 from repro.sim.gpu import GPU
 from repro.sim.stats import LaunchKind, LaunchRecord
 
@@ -117,7 +116,7 @@ class TestProcessAggregation:
         entry = gpu.distributor.allocate(
             func, (1, 1, 1), (32, 1, 1), 0, record(), None
         )
-        request = AggLaunchRequest("k", 0, (3, 1, 1), (32, 1, 1), hw_tid=5)
+        request = ("k", 0, (3, 1, 1), (32, 1, 1), 5)
         gpu.scheduler.process_aggregation([request], cycle=0)
         assert gpu.stats.agg_matched == 1
         assert entry.nagei is not None
@@ -128,7 +127,7 @@ class TestProcessAggregation:
         gpu = fresh_gpu()
         func = gpu.register_kernel(tiny_func())
         gpu.distributor.allocate(func, (1, 1, 1), (32, 1, 1), 0, record(), None)
-        request = AggLaunchRequest("k", 0, (1, 1, 1), (64, 1, 1), hw_tid=5)
+        request = ("k", 0, (1, 1, 1), (64, 1, 1), 5)
         gpu.scheduler.process_aggregation([request], cycle=0)
         assert gpu.stats.agg_unmatched == 1
         # Launched as a device kernel: with ideal dispatch latency it lands
@@ -140,7 +139,7 @@ class TestProcessAggregation:
         func = gpu.register_kernel(tiny_func())
         gpu.distributor.allocate(func, (1, 1, 1), (32, 1, 1), 0, record(), None)
         requests = [
-            AggLaunchRequest("k", 0, (1, 1, 1), (32, 1, 1), hw_tid=i)
+            ("k", 0, (1, 1, 1), (32, 1, 1), i)
             for i in range(5)
         ]
         gpu.scheduler.process_aggregation(requests, cycle=0)
@@ -153,8 +152,8 @@ class TestProcessAggregation:
         gpu.distributor.allocate(func, (1, 1, 1), (32, 1, 1), 0, record(), None)
         same_slot = gpu.config.agt_entries  # hw_tid aliases of 0
         requests = [
-            AggLaunchRequest("k", 0, (1, 1, 1), (32, 1, 1), hw_tid=0),
-            AggLaunchRequest("k", 0, (1, 1, 1), (32, 1, 1), hw_tid=same_slot),
+            ("k", 0, (1, 1, 1), (32, 1, 1), 0),
+            ("k", 0, (1, 1, 1), (32, 1, 1), same_slot),
         ]
         gpu.scheduler.process_aggregation(requests, cycle=0)
         assert gpu.stats.agt_hash_hits == 1
@@ -164,6 +163,6 @@ class TestProcessAggregation:
         gpu = fresh_gpu()
         func = gpu.register_kernel(tiny_func())
         gpu.distributor.allocate(func, (1, 1, 1), (32, 1, 1), 0, record(), None)
-        request = AggLaunchRequest("k", 0, (2, 1, 1), (32, 1, 1), hw_tid=1)
+        request = ("k", 0, (2, 1, 1), (32, 1, 1), 1)
         gpu.scheduler.process_aggregation([request], cycle=0)
         assert gpu.stats.footprint_bytes == DTBL_PENDING_GROUP_BYTES

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from repro import Device, ExecutionMode, GPUConfig, KernelBuilder, KernelFunction
+from repro.errors import LaunchError
 from repro.isa.dynopt import (
     aggregate,
     find_launch_sites,
@@ -193,7 +194,7 @@ class TestSerializeLocalMemory:
 class TestPipeline:
     @pytest.mark.parametrize("mode", ["cdpa", "cons"])
     def test_output_matches_plain_cdp(self, mode, serial_threshold):
-        counts = [5, 40, 0, 63, 32, 1, 77, 40]
+        counts = [5, 40, 63, 32, 1, 77, 40]
         baseline, base_stats, _ = run_kernels(
             [parent_function(), child_function()], counts
         )
@@ -206,9 +207,24 @@ class TestPipeline:
         assert report.clean
         # One batched launch replaces the per-thread launches.
         assert len(stats.dynamic_launches()) <= 1
-        # Plain CDP issues one launch per parent thread (even the empty
-        # pocket goes through the launch path).
+        # Plain CDP issues one launch per parent thread.
         assert len(base_stats.dynamic_launches()) == len(counts)
+
+    @pytest.mark.parametrize("mode", ["cdpa", "cons"])
+    def test_empty_pocket_folds_into_the_batch(self, mode, serial_threshold):
+        """An empty pocket's launch has a zero grid, which plain CDP
+        refuses at issue as CUDA does; the aggregated rewrites stage it
+        with no work and launch only the others' blocks."""
+        counts = [5, 40, 0, 63, 32, 1, 77, 40]
+        with pytest.raises(LaunchError, match="launch dims must be positive"):
+            run_kernels([parent_function(), child_function()], counts)
+
+        serial_threshold(0)  # isolate the aggregation
+        transformed = transform_kernels([parent_function(), child_function()], mode)
+        out, stats, report = run_kernels(transformed, counts, sanitize=True)
+        np.testing.assert_array_equal(out, expected_output(counts))
+        assert report.clean
+        assert len(stats.dynamic_launches()) == 1
 
     def test_consolidation_packs_blocks_denser(self, serial_threshold):
         # 8 pockets of 5 items: cdpa keeps one block per pocket (8 blocks),

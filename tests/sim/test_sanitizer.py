@@ -21,7 +21,7 @@ from repro import (
     KernelFunction,
     SanitizerReport,
 )
-from repro.errors import ConfigError
+from repro.errors import ConfigError, LaunchError
 
 
 def _device(fast: bool, mode: ExecutionMode = ExecutionMode.FLAT, sanitize=True) -> Device:
@@ -294,7 +294,9 @@ class TestBadLaunch:
                     k.launch_device("child", buf, grid=zero, block=32)
             k.exit()
             dev.register(KernelFunction("child", child.build()))
-            _launch(dev, KernelFunction("parent", k.build()), grid=1, block=32)
+            # The finding is recorded before the launch is refused at issue.
+            with pytest.raises(LaunchError, match="launch dims must be positive"):
+                _launch(dev, KernelFunction("parent", k.build()), grid=1, block=32)
 
         report = run_both(scenario, mode=mode)
         assert report.counts.get("bad-launch", 0) > 0

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.config import GPUConfig
+from repro.config import CDP_PENDING_KERNEL_BYTES, DTBL_PENDING_GROUP_BYTES, GPUConfig
 from repro.sim.stats import LaunchKind, LaunchRecord, SimStats
 
 
@@ -33,12 +33,31 @@ class TestSimStats:
         assert self.stats.warp_activity_pct == 0.0
 
     def test_footprint_peak(self):
-        self.stats.add_footprint(100)
-        self.stats.add_footprint(200)
-        self.stats.release_footprint(150)
-        self.stats.add_footprint(50)
-        assert self.stats.peak_footprint_bytes == 300
-        assert self.stats.footprint_bytes == 200
+        stats = self.stats
+        host = stats.open_launch(LaunchKind.HOST_KERNEL, "k", 0, (4, 1, 1), (64, 1, 1))
+        kernel = stats.open_launch(
+            LaunchKind.DEVICE_KERNEL, "k", 5, (3, 1, 1), (32, 1, 1), param_bytes=24
+        )
+        group = stats.open_launch(LaunchKind.AGG_GROUP, "k", 7, (2, 2, 1), (32, 1, 1), 16)
+        assert stats.launches == [host, kernel, group]
+        assert (host.total_blocks, host.total_threads) == (4, 256)
+        assert (group.total_blocks, group.total_threads) == (4, 128)
+        assert [r.record_bytes for r in stats.launches] == [
+            0, CDP_PENDING_KERNEL_BYTES, DTBL_PENDING_GROUP_BYTES,
+        ]
+        peak = CDP_PENDING_KERNEL_BYTES + 24 + DTBL_PENDING_GROUP_BYTES + 16
+        assert stats.footprint_bytes == stats.peak_footprint_bytes == peak
+
+        stats.launch_distributed(kernel, 9)
+        assert kernel.fully_distributed_cycle == 9
+        assert stats.footprint_bytes == DTBL_PENDING_GROUP_BYTES + 16
+        stats.launch_distributed(kernel, 12)  # a second call releases nothing
+        assert kernel.fully_distributed_cycle == 9
+        assert stats.footprint_bytes == DTBL_PENDING_GROUP_BYTES + 16
+        stats.launch_distributed(host, 12)
+        stats.launch_distributed(group, 13)
+        assert stats.footprint_bytes == 0
+        assert stats.peak_footprint_bytes == peak
 
     def test_occupancy(self):
         cfg = GPUConfig.k20c()

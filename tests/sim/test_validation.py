@@ -2,8 +2,11 @@
 
 import pytest
 
-from repro import Device, ExecutionMode
+from repro import Device, ExecutionMode, GPUConfig
+from repro.config import CDP_PENDING_KERNEL_BYTES
 from repro.errors import SimulationError
+from repro.harness.claims import VARIANTS
+from repro.sim.stats import LaunchKind, LaunchRecord
 from repro.state import check_drained
 from repro.workloads.amr import AmrWorkload
 from repro.workloads.bfs import BfsWorkload
@@ -11,8 +14,8 @@ from repro.workloads.datasets import amr_grid, citation_network, join_tables
 from repro.workloads.join import JoinWorkload
 
 
-def run_and_check(workload, mode, latency_scale=0.25):
-    device = Device(mode=mode, latency=mode.latency_model(latency_scale))
+def run_and_check(workload, mode, latency_scale=0.25, config=None):
+    device = Device(config=config, mode=mode, latency=mode.latency_model(latency_scale))
     for func in workload.build_kernels():
         device.register(func)
     workload.setup(device)
@@ -20,6 +23,7 @@ def run_and_check(workload, mode, latency_scale=0.25):
     device.synchronize()
     workload.check(device)
     check_drained(device.gpu)
+    return device.gpu.stats
 
 
 class TestDrainInvariants:
@@ -39,6 +43,23 @@ class TestDrainInvariants:
         mode = ExecutionMode.DTBL
         run_and_check(AmrWorkload("amr", mode, amr_grid(side=10)), mode)
 
+    @pytest.mark.parametrize("core", ["fast", "reference"])
+    def test_uncoalesced_groups_drain_as_device_kernels(self, core):
+        """Under the ``kde256`` variant's ``dtbl_no_coalescing`` every
+        aggregated group falls back to a device kernel: each is recorded
+        as one, with a KMU record's bytes, and all are released."""
+        config = GPUConfig.from_dict({**VARIANTS["kde256"], "core": core})
+        mode = ExecutionMode.DTBL
+        graph = citation_network(n=200, attach=4)
+        stats = run_and_check(BfsWorkload("bfs", mode, graph), mode, config=config)
+        dynamic = stats.dynamic_launches()
+        assert dynamic and stats.agg_matched == 0
+        assert stats.agg_unmatched == len(dynamic)
+        assert {r.kind for r in dynamic} == {LaunchKind.DEVICE_KERNEL}
+        assert {r.record_bytes for r in dynamic} == {CDP_PENDING_KERNEL_BYTES}
+        assert stats.footprint_bytes == 0
+        assert stats.peak_footprint_bytes >= CDP_PENDING_KERNEL_BYTES
+
     def test_join_drains_cleanly(self):
         mode = ExecutionMode.CDP
         data = join_tables("gaussian", r_size=400, s_size=300)
@@ -55,8 +76,6 @@ class TestDrainInvariants:
             check_drained(device.gpu)
 
     def test_detects_unfinished_launch(self):
-        from repro.sim.stats import LaunchKind, LaunchRecord
-
         device = Device()
         device.gpu.stats.launches.append(
             LaunchRecord(LaunchKind.DEVICE_KERNEL, "ghost", 0, 1, 32)

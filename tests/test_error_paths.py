@@ -1,5 +1,7 @@
 """Failure injection: error paths must fail loudly and informatively."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -113,6 +115,36 @@ class TestLaunchFaults:
         dev.register(KernelFunction("parent", k.build()))
         dev.launch("parent", grid=1, block=32)
         with pytest.raises(LaunchError, match="unknown kernel 'missing'"):
+            dev.synchronize()
+
+
+    @pytest.mark.parametrize("core", ["fast", "reference"])
+    @pytest.mark.parametrize("bad", [0, -2])
+    @pytest.mark.parametrize("mode", [ExecutionMode.CDP, ExecutionMode.DTBL])
+    def test_non_positive_child_grid_faults(self, mode, bad, core):
+        """A device launch whose grid has a non-positive dimension is
+        refused at issue with the host launch's error.  Lane 0's good
+        launch would otherwise open a kernel that lane 1's group coalesces
+        onto and never places a block of, or a CDP kernel of ``bad``
+        blocks would be recorded and "complete"."""
+        k = KernelBuilder("parent")
+        tid = k.tid()
+        buf = k.get_param_buffer(1)
+        grid = k.isub(1, k.imul(tid, 1 - bad))  # lane 0: 1, lane 1: bad
+        if mode is ExecutionMode.DTBL:
+            k.launch_agg("child", buf, agg=grid, block=32)
+        else:
+            k.stream_create()
+            k.launch_device("child", buf, grid=grid, block=32)
+        k.exit()
+        child = KernelBuilder("child")
+        child.exit()
+        config = dataclasses.replace(GPUConfig.k20c(), core=core)
+        dev = Device(config=config, mode=mode, latency=LatencyModel.ideal())
+        dev.register(KernelFunction("child", child.build()))
+        dev.register(KernelFunction("parent", k.build()))
+        dev.launch("parent", grid=1, block=2)
+        with pytest.raises(LaunchError, match="launch dims must be positive"):
             dev.synchronize()
 
 
